@@ -10,7 +10,7 @@ GATED_BENCH = BenchmarkExperimentSweep|BenchmarkCampaignRun|BenchmarkSeedSweep|B
 BENCH_PKGS = . ./internal/campaign ./internal/wrsn
 BENCH_SHA = $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
 
-.PHONY: all build vet fmt-check staticcheck test race bench bench-all bench-json bench-gate bench-baseline verify verify-faults verify-daemon verify-snapshot verify-checkpoint verify-scale verify-dist results clean
+.PHONY: all build vet fmt-check staticcheck test race bench bench-all bench-json bench-gate bench-baseline verify verify-faults verify-daemon verify-snapshot verify-checkpoint verify-scale verify-dist fuzz results clean
 
 all: verify
 
@@ -142,6 +142,18 @@ verify-dist:
 		-shards 2 -worker-cmd .distwork/wrsnworker > .distwork/dist.txt
 	cmp .distwork/local.txt .distwork/dist.txt
 	rm -rf .distwork
+
+# fuzz runs every fuzz target for a bounded time: the strict outcome
+# decoder, the worker frame reader, and the attack planner's evaluator
+# and route oracle. Minimization is capped because FuzzDecode's seeds are
+# whole campaign outcomes (~100 kB), which the default 60 s minimizer
+# would spend the whole budget shrinking. A crasher is written to the
+# package's testdata/fuzz/ directory; commit it as a regression seed.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/digest
+	$(GO) test -run '^$$' -fuzz '^FuzzFrameRecv$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/distengine
+	$(GO) test -run '^$$' -fuzz '^FuzzEvaluate$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/attack
+	$(GO) test -run '^$$' -fuzz '^FuzzRouteOracle$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/attack
 
 results:
 	mkdir -p results

@@ -18,7 +18,7 @@
 // Campaign jobs can also shard across worker processes: -shards N
 // -worker-cmd ./wrsnworker spawns N local workers (length-prefixed JSON
 // over stdin/stdout), while -connect addr1,addr2 dials workers already
-// listening (wrsnworker -listen; newline-delimited JSON over TCP).
+// listening (wrsnworker -listen; the same frames over TCP).
 // Distributed output is byte-identical to the in-process pool at any
 // shard count — a worker killed mid-job fails over to a surviving shard
 // and re-runs bit-identically from the spec's seeds.

@@ -2,14 +2,18 @@
 // loop over jobspec.Run behind the distengine wire protocol. A
 // coordinator (cmd/experiments -shards/-worker-cmd, or anything built on
 // distengine.NewExecPool / distengine.Dial) ships serializable job
-// specs; the worker runs each campaign and answers with the outcome plus
-// its canonical digest. Every piece of randomness derives from seeds
-// inside the spec, so results are byte-identical to an in-process run.
+// specs; the worker runs each campaign and answers with the outcome's
+// canonical JSON (internal/digest) plus the SHA-256 of those bytes.
+// Every piece of randomness derives from seeds inside the spec, so
+// results are byte-identical to an in-process run.
 //
 // Two modes:
 //
-//	wrsnworker                    # exec mode: length-prefixed JSON over stdin/stdout
-//	wrsnworker -listen 127.0.0.1:7601   # TCP mode: newline-delimited JSON per connection
+//	wrsnworker                          # exec mode: frames over stdin/stdout
+//	wrsnworker -listen 127.0.0.1:7601   # TCP mode: frames over each connection
+//
+// Both modes speak the same length-prefixed JSON frames (distengine
+// protocol version 2).
 //
 // Exec mode serves exactly one coordinator — the parent process — and
 // exits when stdin closes or a shutdown frame arrives. TCP mode accepts

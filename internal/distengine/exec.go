@@ -15,7 +15,7 @@ const defaultHandshakeTimeout = 30 * time.Second
 
 // ExecConfig configures an exec-mode pool: the coordinator spawns the
 // worker binary itself, one process per shard, and speaks
-// length-prefixed JSON over each child's stdin/stdout.
+// length-prefixed JSON frames over each child's stdin/stdout.
 type ExecConfig struct {
 	// Shards is the number of worker processes; must be ≥ 1.
 	Shards int

@@ -117,7 +117,7 @@ func distCases() []distCase {
 
 // distSubset is the plain-`go test` slice of the matrix: one attack,
 // one scheduler-by-name legit (exercises charging.ByName resolution in
-// the worker), one fleet (exercises the +Inf-carrying FleetOutcome gob
+// the worker), one fleet (exercises the +Inf-carrying FleetOutcome
 // path), one fault flavor (exercises per-run plan compilation).
 var distSubset = map[string]bool{
 	"csa/seed42":         true,
@@ -264,7 +264,7 @@ func TestExecPoolGoldenIdentity(t *testing.T) {
 	}
 }
 
-// TestTCPPoolGoldenIdentity: the newline-JSON TCP transport must be
+// TestTCPPoolGoldenIdentity: the TCP transport must be
 // just as lossless as exec mode at every shard count.
 func TestTCPPoolGoldenIdentity(t *testing.T) {
 	cases, want, shardCounts := fenceCases(t)

@@ -231,7 +231,7 @@ func (p *Pool) Submit(ctx context.Context, spec jobspec.Spec) (*jobspec.Result, 
 	}
 	var lastShard int
 	for attempt := 0; ; attempt++ {
-		res, err, crashed := p.trySubmit(ctx, specJSON, &lastShard)
+		res, err, crashed := p.trySubmit(ctx, spec.Kind, specJSON, &lastShard)
 		if !crashed {
 			return res, err
 		}
@@ -241,10 +241,10 @@ func (p *Pool) Submit(ctx context.Context, spec jobspec.Spec) (*jobspec.Result, 
 	}
 }
 
-// trySubmit runs the spec on one leased shard. crashed=true means the
-// shard died mid-job and the caller may fail over; any other failure is
-// final for this attempt.
-func (p *Pool) trySubmit(ctx context.Context, specJSON []byte, lastShard *int) (_ *jobspec.Result, _ error, crashed bool) {
+// trySubmit runs the spec (of the given kind) on one leased shard.
+// crashed=true means the shard died mid-job and the caller may fail
+// over; any other failure is final for this attempt.
+func (p *Pool) trySubmit(ctx context.Context, kind string, specJSON []byte, lastShard *int) (_ *jobspec.Result, _ error, crashed bool) {
 	s, err := p.acquire(ctx)
 	if err != nil {
 		return nil, err, false
@@ -271,7 +271,7 @@ func (p *Pool) trySubmit(ctx context.Context, specJSON []byte, lastShard *int) (
 	select {
 	case f := <-ch:
 		p.release(s)
-		return decodeResultFrame(ctx, f)
+		return decodeResultFrame(ctx, kind, f)
 	case <-s.deadCh:
 		unregister()
 		return nil, nil, true
@@ -297,12 +297,13 @@ func (p *Pool) trySubmit(ctx context.Context, specJSON []byte, lastShard *int) (
 }
 
 // decodeResultFrame maps a worker's result frame back into the engine's
-// error vocabulary and — for successes — decodes the outcome and
-// re-verifies its canonical digest against the worker's.
-func decodeResultFrame(ctx context.Context, f frame) (*jobspec.Result, error, bool) {
+// error vocabulary and — for successes — decodes the outcome as the
+// spec kind's type and re-verifies its canonical digest against the
+// worker's.
+func decodeResultFrame(ctx context.Context, kind string, f frame) (*jobspec.Result, error, bool) {
 	switch f.ErrKind {
 	case "":
-		r, err := decodeResult(f.Outcome, f.Digest)
+		r, err := decodeResult(kind, f.Outcome, f.Digest)
 		return r, err, false
 	case errKindCanceled:
 		if err := ctx.Err(); err != nil {

@@ -38,7 +38,7 @@ type scriptedWorker struct {
 func startScriptedWorker(t *testing.T, handle func(f frame, reply func(frame))) *scriptedWorker {
 	t.Helper()
 	cside, wside := net.Pipe()
-	coord, worker := newLineConn(cside), newLineConn(wside)
+	coord, worker := newStreamConn(cside, cside, cside), newStreamConn(wside, wside, wside)
 	go func() {
 		if err := worker.send(frame{Type: frameHello, Proto: ProtoVersion}); err != nil {
 			return
@@ -436,10 +436,10 @@ func TestHandshakeRejectsVersionMismatch(t *testing.T) {
 	cside, wside := net.Pipe()
 	defer cside.Close()
 	go func() {
-		w := newLineConn(wside)
+		w := newStreamConn(wside, wside, wside)
 		_ = w.send(frame{Type: frameHello, Proto: ProtoVersion + 1})
 	}()
-	err := handshake(newLineConn(cside))
+	err := handshake(newStreamConn(cside, cside, cside))
 	if err == nil || !strings.Contains(err.Error(), "protocol") {
 		t.Fatalf("err = %v, want a protocol-version mismatch", err)
 	}
@@ -450,10 +450,10 @@ func TestHandshakeRejectsNonHello(t *testing.T) {
 	cside, wside := net.Pipe()
 	defer cside.Close()
 	go func() {
-		w := newLineConn(wside)
+		w := newStreamConn(wside, wside, wside)
 		_ = w.send(frame{Type: frameResult, ID: 1})
 	}()
-	err := handshake(newLineConn(cside))
+	err := handshake(newStreamConn(cside, cside, cside))
 	if err == nil || !strings.Contains(err.Error(), "hello") {
 		t.Fatalf("err = %v, want a not-hello rejection", err)
 	}
@@ -497,8 +497,8 @@ func TestServeAnswersBadSpec(t *testing.T) {
 	cside, wside := net.Pipe()
 	sctx, scancel := context.WithCancel(context.Background())
 	defer scancel()
-	go func() { _ = Serve(sctx, newLineConn(wside), nil) }()
-	coord := newLineConn(cside)
+	go func() { _ = Serve(sctx, newStreamConn(wside, wside, wside), nil) }()
+	coord := newStreamConn(cside, cside, cside)
 	defer coord.close()
 	if err := handshake(coord); err != nil {
 		t.Fatal(err)
@@ -520,8 +520,8 @@ func TestServeAnswersBadSpec(t *testing.T) {
 func TestServeRejectsUnknownFrame(t *testing.T) {
 	cside, wside := net.Pipe()
 	served := make(chan error, 1)
-	go func() { served <- Serve(context.Background(), newLineConn(wside), nil) }()
-	coord := newLineConn(cside)
+	go func() { served <- Serve(context.Background(), newStreamConn(wside, wside, wside), nil) }()
+	coord := newStreamConn(cside, cside, cside)
 	defer coord.close()
 	if err := handshake(coord); err != nil {
 		t.Fatal(err)

@@ -1,49 +1,43 @@
 package distengine
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"github.com/reprolab/wrsn-csa/internal/campaign"
+	"github.com/reprolab/wrsn-csa/internal/digest"
 	"github.com/reprolab/wrsn-csa/internal/jobspec"
 )
 
-// resultWire is the gob payload inside a result frame. Gob rather than
-// JSON because campaign outcomes legitimately carry non-finite floats
-// (FleetOutcome.FirstDeathAt is +Inf when no node dies) that
-// encoding/json rejects, and gob round-trips float bits exactly. Exactly
-// one of the two fields is non-nil, mirroring jobspec.Result.
-type resultWire struct {
-	Outcome *campaign.Outcome
-	Fleet   *campaign.FleetOutcome
-}
-
-// encodeResult renders a job result for the wire: the gob payload plus
-// the worker-computed canonical digest the coordinator verifies against.
+// encodeResult renders a job result for the wire: its canonical JSON
+// (internal/digest) and the SHA-256 of exactly those bytes, which is
+// the outcome digest the golden harness and the daemon report.
 func encodeResult(r *jobspec.Result) (payload []byte, dg string, err error) {
-	dg, err = r.Digest()
+	payload, err = r.CanonicalJSON()
 	if err != nil {
-		return nil, "", fmt.Errorf("distengine: digest result: %w", err)
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(resultWire{Outcome: r.Outcome, Fleet: r.Fleet}); err != nil {
 		return nil, "", fmt.Errorf("distengine: encode result: %w", err)
 	}
-	return buf.Bytes(), dg, nil
+	return payload, digest.Hash(payload), nil
 }
 
-// decodeResult decodes a wire payload and re-verifies its canonical
-// digest against the one the worker computed before encoding. A mismatch
-// means the transport changed the outcome — the whole point of the
-// byte-identity fence — so it fails the job loudly instead of letting a
-// lossy encoding shift results silently.
-func decodeResult(payload []byte, wantDigest string) (*jobspec.Result, error) {
-	var w resultWire
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&w); err != nil {
+// decodeResult decodes a wire payload as the outcome type of the spec
+// kind the coordinator sent, then re-digests the decoded value and
+// compares it with the digest the worker computed before encoding. A
+// mismatch means the transport or the decoder changed the outcome — the
+// whole point of the byte-identity fence — so it fails the job loudly
+// instead of letting results shift silently.
+func decodeResult(kind string, payload []byte, wantDigest string) (*jobspec.Result, error) {
+	r := &jobspec.Result{}
+	var target any
+	if kind == jobspec.KindFleet {
+		r.Fleet = new(campaign.FleetOutcome)
+		target = r.Fleet
+	} else {
+		r.Outcome = new(campaign.Outcome)
+		target = r.Outcome
+	}
+	if err := digest.Decode(payload, target); err != nil {
 		return nil, fmt.Errorf("distengine: decode result: %w", err)
 	}
-	r := &jobspec.Result{Outcome: w.Outcome, Fleet: w.Fleet}
 	got, err := r.Digest()
 	if err != nil {
 		return nil, fmt.Errorf("distengine: digest decoded result: %w", err)

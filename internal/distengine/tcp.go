@@ -9,8 +9,8 @@ import (
 
 // DialConfig configures a TCP-mode pool: the workers are already running
 // (cmd/wrsnworker -listen, possibly on other hosts) and the coordinator
-// dials one connection per address, speaking newline-delimited JSON —
-// the internal/testbed wire idiom.
+// dials one connection per address, speaking the same length-prefixed
+// frames as exec mode.
 type DialConfig struct {
 	// Addrs are the worker endpoints, one shard each; must be non-empty.
 	Addrs []string
@@ -52,7 +52,7 @@ func Dial(ctx context.Context, cfg DialConfig) (*Pool, error) {
 		if err != nil {
 			return fail(fmt.Errorf("distengine: dial shard %d (%s): %w", i, addr, err))
 		}
-		conn := newLineConn(raw)
+		conn := newStreamConn(raw, raw, raw)
 		s := &shard{
 			idx:  i,
 			conn: conn,

@@ -1,12 +1,12 @@
 // Package distengine extends the in-process experiment engine across
 // worker processes: a coordinator-side Pool shards serializable campaign
-// jobs (jobspec.Spec) over workers it either spawned itself (exec mode —
-// length-prefixed JSON frames over the child's stdin/stdout) or dialed
-// over TCP (newline-delimited JSON, the internal/testbed wire idiom),
-// while preserving the engine package's contracts exactly: deterministic
-// order-preserving merge, lowest-index-error fail-fast, keep-going
-// aggregation, per-job timeout/retry, panic capture, and context
-// cancellation that tears the workers down.
+// jobs (jobspec.Spec) over workers it either spawned itself (exec mode,
+// over the child's stdin/stdout) or dialed over TCP — both speaking the
+// same length-prefixed JSON frames — while preserving the engine
+// package's contracts exactly: deterministic order-preserving merge,
+// lowest-index-error fail-fast, keep-going aggregation, per-job
+// timeout/retry, panic capture, and context cancellation that tears the
+// workers down.
 //
 // The preservation is by construction, not re-implementation: Pool.Run
 // delegates scheduling, ordering and error semantics to
@@ -16,9 +16,10 @@
 // crash failover (a job in flight on a dying worker is re-sent to a
 // surviving shard; specs derive all randomness from their own seeds, so
 // the re-run is bit-identical), and a wire-integrity check: every result
-// crosses the wire with the worker-computed canonical digest, and the
-// coordinator re-digests the decoded outcome — a lossy wire format fails
-// loudly instead of silently shifting results.
+// crosses the wire as its canonical JSON (internal/digest) with the
+// SHA-256 of those bytes, and the coordinator decodes the outcome and
+// re-digests it — a lossy transport or decoder fails loudly instead of
+// silently shifting results.
 package distengine
 
 import (
@@ -27,15 +28,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"sync"
 )
 
 // ProtoVersion is the wire protocol version exchanged in the hello
-// handshake; coordinator and worker must agree exactly.
-const ProtoVersion = 1
+// handshake; coordinator and worker must agree exactly. Version 2 carries
+// outcomes as canonical JSON and frames TCP like exec mode.
+const ProtoVersion = 2
 
-// maxFrame bounds one frame's encoded size (length-prefixed transport).
+// maxFrame bounds one frame's encoded size.
 // Outcomes with full session records reach megabytes; snapshots of large
 // worlds more. 256 MiB is far above any real payload while still
 // rejecting a corrupt length prefix before it turns into an allocation.
@@ -68,9 +69,9 @@ const (
 )
 
 // frame is the single wire message shape, fields used per type. JSON
-// keeps both transports inspectable; the outcome payload inside a result
-// frame is gob (see result.go) because campaign outcomes legitimately
-// contain non-finite floats that encoding/json refuses.
+// keeps the wire inspectable; the outcome inside a result frame is the
+// canonical JSON of internal/digest (see result.go), which carries the
+// non-finite floats encoding/json refuses.
 type frame struct {
 	Type string `json:"type"`
 	// Proto is the protocol version (hello frames).
@@ -81,10 +82,11 @@ type frame struct {
 	ID int64 `json:"id,omitempty"`
 	// Spec is the encoded jobspec.Spec (job frames).
 	Spec json.RawMessage `json:"spec,omitempty"`
-	// Outcome is the gob-encoded result payload (result frames).
+	// Outcome is the result's canonical JSON (result frames): a
+	// campaign.FleetOutcome for fleet specs, a campaign.Outcome otherwise.
 	Outcome []byte `json:"outcome,omitempty"`
-	// Digest is the worker-computed canonical-JSON SHA-256 of the
-	// outcome; the coordinator recomputes and compares it after decode.
+	// Digest is the SHA-256 of Outcome; the coordinator re-digests the
+	// decoded outcome and compares.
 	Digest string `json:"digest,omitempty"`
 	// ElapsedSec is the worker-side wall clock of the job.
 	ElapsedSec float64 `json:"elapsed_sec,omitempty"`
@@ -102,9 +104,10 @@ type wireConn interface {
 	close() error
 }
 
-// streamConn frames messages with a 4-byte big-endian length prefix —
-// the exec transport, where the stream is a child process's
-// stdin/stdout and message boundaries must survive arbitrary buffering.
+// streamConn frames messages with a 4-byte big-endian length prefix over
+// any byte stream — a child process's stdin/stdout in exec mode, a TCP
+// connection in TCP mode — so message boundaries survive arbitrary
+// buffering.
 type streamConn struct {
 	r      io.Reader
 	closer io.Closer
@@ -114,7 +117,7 @@ type streamConn struct {
 }
 
 // newStreamConn wraps a read/write pair with length-prefixed framing.
-// closer may be nil (stdio).
+// closer may be nil (stdio); a net.Conn is all three.
 func newStreamConn(r io.Reader, w io.Writer, closer io.Closer) *streamConn {
 	return &streamConn{r: bufio.NewReader(r), w: w, closer: closer}
 }
@@ -144,8 +147,8 @@ func (c *streamConn) recv() (frame, error) {
 	if n > maxFrame {
 		return frame{}, fmt.Errorf("distengine: recv: frame length %d exceeds %d", n, maxFrame)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(c.r, body); err != nil {
+	body, err := readBody(c.r, int(n))
+	if err != nil {
 		return frame{}, fmt.Errorf("distengine: recv body: %w", err)
 	}
 	var f frame
@@ -155,71 +158,33 @@ func (c *streamConn) recv() (frame, error) {
 	return f, nil
 }
 
+// readBody reads exactly n bytes. The buffer grows as data arrives, from
+// at most 1 MiB, instead of trusting n with one allocation, so a corrupt
+// length costs only the bytes actually sent.
+func readBody(r io.Reader, n int) ([]byte, error) {
+	body := make([]byte, min(n, 1<<20))
+	for off := 0; ; {
+		m, err := io.ReadFull(r, body[off:])
+		off += m
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return nil, err
+		}
+		if off == n {
+			return body, nil
+		}
+		body = append(body, make([]byte, min(n-off, off))...)
+	}
+}
+
 func (c *streamConn) close() error {
 	if c.closer == nil {
 		return nil
 	}
 	return c.closer.Close()
 }
-
-// lineConn frames messages as newline-delimited JSON over a net.Conn —
-// the TCP transport, reusing the internal/testbed wire idiom (one JSON
-// object per line, encoder-serialized sends, single-reader receives).
-type lineConn struct {
-	raw net.Conn
-	r   *bufio.Reader
-
-	mu  sync.Mutex
-	enc *json.Encoder
-}
-
-// newLineConn wraps a TCP connection with line-oriented JSON framing.
-func newLineConn(c net.Conn) *lineConn {
-	return &lineConn{raw: c, r: bufio.NewReaderSize(c, 1<<20), enc: json.NewEncoder(c)}
-}
-
-func (c *lineConn) send(f frame) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.enc.Encode(f); err != nil {
-		return fmt.Errorf("distengine: send %s frame: %w", f.Type, err)
-	}
-	return nil
-}
-
-func (c *lineConn) recv() (frame, error) {
-	line, err := readLine(c.r)
-	if err != nil {
-		return frame{}, fmt.Errorf("distengine: recv: %w", err)
-	}
-	var f frame
-	if err := json.Unmarshal(line, &f); err != nil {
-		return frame{}, fmt.Errorf("distengine: decode frame: %w", err)
-	}
-	return f, nil
-}
-
-// readLine reads one \n-terminated line without bufio.Reader's buffer
-// cap: result frames carrying large outcomes routinely exceed the
-// default 64 KiB scanner limit.
-func readLine(r *bufio.Reader) ([]byte, error) {
-	var line []byte
-	for {
-		chunk, err := r.ReadSlice('\n')
-		line = append(line, chunk...)
-		if err == nil {
-			return line, nil
-		}
-		if err != bufio.ErrBufferFull {
-			return nil, err
-		}
-		if len(line) > maxFrame {
-			return nil, fmt.Errorf("frame length exceeds %d", maxFrame)
-		}
-	}
-}
-
-func (c *lineConn) close() error { return c.raw.Close() }
 
 // handshake completes the coordinator side of the hello exchange.
 func handshake(c wireConn) error {

@@ -2,6 +2,7 @@ package distengine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -56,7 +57,7 @@ func Serve(ctx context.Context, conn wireConn, probe obs.Probe) error {
 		if err != nil {
 			cancelAll()
 			wg.Wait()
-			if ctx.Err() != nil || err == io.EOF {
+			if ctx.Err() != nil || errors.Is(err, io.EOF) {
 				// Deliberate teardown (worker ctx, or the coordinator
 				// closing the stream), not a wire fault.
 				return nil
@@ -153,9 +154,8 @@ func runWorkerJob(ctx context.Context, spec jobspec.Spec, probe obs.Probe) (res 
 	return res
 }
 
-// ServeStdio serves one worker session over a byte stream pair —
-// length-prefixed JSON framing, the exec transport. cmd/wrsnworker calls
-// this with os.Stdin/os.Stdout.
+// ServeStdio serves one worker session over a byte stream pair — the
+// exec transport. cmd/wrsnworker calls this with os.Stdin/os.Stdout.
 func ServeStdio(ctx context.Context, r io.Reader, w io.Writer, probe obs.Probe) error {
 	var closer io.Closer
 	if c, ok := r.(io.Closer); ok {
@@ -165,7 +165,7 @@ func ServeStdio(ctx context.Context, r io.Reader, w io.Writer, probe obs.Probe) 
 }
 
 // ListenAndServe accepts coordinator connections on ln and serves each
-// with newline-JSON framing (the TCP transport) until ctx is canceled or
+// (the TCP transport, framed like exec mode) until ctx is canceled or
 // the listener fails. Connections are served concurrently, so one
 // listening worker can back several coordinators or reconnects.
 func ListenAndServe(ctx context.Context, ln net.Listener, probe obs.Probe) error {
@@ -189,7 +189,7 @@ func ListenAndServe(ctx context.Context, ln net.Listener, probe obs.Probe) error
 		go func() {
 			defer wg.Done()
 			// Serve's own teardown goroutine closes the conn on ctx.
-			_ = Serve(ctx, newLineConn(c), probe)
+			_ = Serve(ctx, newStreamConn(c, c, c), probe)
 		}()
 	}
 }

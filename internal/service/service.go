@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"github.com/reprolab/wrsn-csa/internal/campaign"
+	"github.com/reprolab/wrsn-csa/internal/digest"
 	"github.com/reprolab/wrsn-csa/internal/experiments/engine"
 	"github.com/reprolab/wrsn-csa/internal/jobspec"
 	"github.com/reprolab/wrsn-csa/internal/obs"
@@ -602,6 +603,19 @@ func (s *Service) runJob(j *job) {
 		return res, rerr
 	})
 
+	// One canonical pass, outside the lock: the served body and the
+	// digest are the same bytes.
+	var (
+		body []byte
+		dig  string
+		derr error
+	)
+	if err == nil && !stopped.Load() {
+		if body, derr = results[0].Value.CanonicalJSON(); derr == nil {
+			dig = digest.Hash(body)
+		}
+	}
+
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if stopped.Load() {
@@ -615,17 +629,13 @@ func (s *Service) runJob(j *job) {
 		s.finishLocked(j, failState(err), classify(err))
 		return
 	}
-	res := results[0].Value
-	dig, derr := res.Digest()
-	if derr == nil {
-		j.outcome, derr = res.CanonicalJSON()
-	}
 	if derr != nil {
 		s.finishLocked(j, StateFailed, &ErrorInfo{Kind: "encode", Message: derr.Error()})
 		return
 	}
+	j.outcome = body
 	j.digest = dig
-	j.summary = summarize(res)
+	j.summary = summarize(results[0].Value)
 	s.finishLocked(j, StateDone, nil)
 }
 

@@ -2,6 +2,8 @@ package service
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"strings"
 	"sync"
@@ -297,6 +299,9 @@ func TestDoneJobServesOutcomeDigestAndSummary(t *testing.T) {
 	}
 	if dig != got.Digest {
 		t.Errorf("outcome digest %s != status digest %s", dig, got.Digest)
+	}
+	if sum := sha256.Sum256(body); hex.EncodeToString(sum[:]) != got.Digest {
+		t.Errorf("sha256(outcome body) = %x, status digest %s: the digest must hash the served bytes", sum, got.Digest)
 	}
 	if len(body) == 0 || !strings.Contains(string(body), "Solver") {
 		t.Errorf("outcome body looks wrong: %.80s", body)

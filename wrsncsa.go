@@ -296,13 +296,6 @@ func Attack(ctx context.Context, nw *Network, ch *Charger, cfg CampaignConfig, o
 	return campaign.RunAttack(ctx, nw, ch, cfg)
 }
 
-// AttackContext is Attack under its pre-context-first name.
-//
-// Deprecated: call Attack, which now takes ctx first.
-func AttackContext(ctx context.Context, nw *Network, ch *Charger, cfg CampaignConfig) (*Outcome, error) {
-	return Attack(ctx, nw, ch, cfg)
-}
-
 // Legit runs the uncompromised on-demand charging baseline. See
 // campaign.RunLegit. Context and options behave as in Attack.
 func Legit(ctx context.Context, nw *Network, ch *Charger, cfg CampaignConfig, opts ...RunOption) (*Outcome, error) {
@@ -312,13 +305,6 @@ func Legit(ctx context.Context, nw *Network, ch *Charger, cfg CampaignConfig, op
 		return nil, err
 	}
 	return campaign.RunLegit(ctx, nw, ch, cfg)
-}
-
-// LegitContext is Legit under its pre-context-first name.
-//
-// Deprecated: call Legit, which now takes ctx first.
-func LegitContext(ctx context.Context, nw *Network, ch *Charger, cfg CampaignConfig) (*Outcome, error) {
-	return Legit(ctx, nw, ch, cfg)
 }
 
 // PlanOption customizes PlanTIDE.
@@ -464,13 +450,6 @@ func LegitFleet(ctx context.Context, nw *Network, chargers []*Charger, cfg Campa
 		}
 	}
 	return campaign.RunLegitFleet(ctx, nw, chargers, cfg)
-}
-
-// LegitFleetContext is LegitFleet under its pre-context-first name.
-//
-// Deprecated: call LegitFleet, which now takes ctx first.
-func LegitFleetContext(ctx context.Context, nw *Network, chargers []*Charger, cfg CampaignConfig) (*FleetOutcome, error) {
-	return LegitFleet(ctx, nw, chargers, cfg)
 }
 
 // Snapshot re-exports (see the internal snapshot package): a versioned,
