@@ -144,13 +144,15 @@ verify-dist:
 	rm -rf .distwork
 
 # fuzz runs every fuzz target for a bounded time: the strict outcome
-# decoder, the worker frame reader, and the attack planner's evaluator
-# and route oracle. Minimization is capped because FuzzDecode's seeds are
-# whole campaign outcomes (~100 kB), which the default 60 s minimizer
-# would spend the whole budget shrinking. A crasher is written to the
+# decoder, the snapshot decoder, the worker frame reader, and the attack
+# planner's evaluator and route oracle. Minimization is capped because
+# the FuzzDecode seeds are whole campaign outcomes and snapshots
+# (~100 kB), which the default 60 s minimizer would spend the whole
+# budget shrinking. A crasher is written to the
 # package's testdata/fuzz/ directory; commit it as a regression seed.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/digest
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/snapshot
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameRecv$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/distengine
 	$(GO) test -run '^$$' -fuzz '^FuzzEvaluate$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/attack
 	$(GO) test -run '^$$' -fuzz '^FuzzRouteOracle$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/attack

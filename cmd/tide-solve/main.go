@@ -1,6 +1,8 @@
 // Command tide-solve solves a standalone TIDE instance: read one from a
-// JSON file (or synthesize a random one), run the chosen planner, and
-// print the schedule. With -compare-opt it also runs the exact solver and
+// file (or synthesize a random one), run the chosen planner, and print
+// the schedule. Instance files are canonical digest JSON
+// (internal/digest): -in reads exactly the form -emit writes, and an open
+// cover window's +Inf deadline survives the round trip. With -compare-opt it also runs the exact solver and
 // reports the approximation ratio (small instances only).
 //
 // Usage:
@@ -10,12 +12,12 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 
 	"github.com/reprolab/wrsn-csa/internal/attack"
+	"github.com/reprolab/wrsn-csa/internal/digest"
 	"github.com/reprolab/wrsn-csa/internal/experiments"
 	"github.com/reprolab/wrsn-csa/internal/report"
 	"github.com/reprolab/wrsn-csa/internal/rng"
@@ -30,11 +32,11 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("tide-solve", flag.ContinueOnError)
-	inPath := fs.String("in", "", "read the TIDE instance from this JSON file")
+	inPath := fs.String("in", "", "read the TIDE instance from this file, in the form -emit writes")
 	random := fs.Int("random", 0, "synthesize a random instance with this many sites instead of reading one")
 	targets := fs.Int("targets", 2, "mandatory targets in the synthesized instance")
 	seed := fs.Uint64("seed", 1, "seed for -random")
-	emit := fs.String("emit", "", "write the (possibly synthesized) instance as JSON to this file")
+	emit := fs.String("emit", "", "write the (possibly synthesized) instance as canonical JSON to this file")
 	planner := fs.String("planner", "CSA", "planner: CSA, Random, GreedyNearest, Direct")
 	compareOpt := fs.Bool("compare-opt", false, "also solve exactly and report the approximation ratio")
 	if err := fs.Parse(args); err != nil {
@@ -49,7 +51,7 @@ func run(args []string) error {
 			return err
 		}
 		in = &attack.Instance{}
-		if err := json.Unmarshal(data, in); err != nil {
+		if err := digest.Decode(data, in); err != nil {
 			return fmt.Errorf("decode %s: %w", *inPath, err)
 		}
 	case *random > 0:
@@ -61,7 +63,7 @@ func run(args []string) error {
 		return err
 	}
 	if *emit != "" {
-		data, err := json.MarshalIndent(in, "", "  ")
+		data, err := digest.Canonical(in)
 		if err != nil {
 			return err
 		}

@@ -1,8 +1,14 @@
 package main
 
 import (
+	"bytes"
+	"math"
+	"os"
 	"path/filepath"
 	"testing"
+
+	"github.com/reprolab/wrsn-csa/internal/attack"
+	"github.com/reprolab/wrsn-csa/internal/digest"
 )
 
 func TestRandomInstanceSolve(t *testing.T) {
@@ -26,6 +32,40 @@ func TestEmitAndReload(t *testing.T) {
 	}
 	if err := run([]string{"-in", path}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// An open cover window's +Inf deadline must survive -in → -emit.
+func TestOpenWindowRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	first, second := filepath.Join(dir, "a.json"), filepath.Join(dir, "b.json")
+	if err := run([]string{"-random", "6", "-emit", first}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var in attack.Instance
+	if err := digest.Decode(data, &in); err != nil {
+		t.Fatal(err)
+	}
+	in.Sites[len(in.Sites)-1].Window.D = math.Inf(1)
+	if data, err = digest.Canonical(&in); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(first, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-in", first, "-emit", second}); err != nil {
+		t.Fatal(err)
+	}
+	again, err := os.ReadFile(second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, data) || !bytes.Contains(again, []byte(`"+Inf"`)) {
+		t.Errorf("instance with an open window did not round-trip:\n in: %s\nout: %s", data, again)
 	}
 }
 

@@ -137,7 +137,7 @@ type Config struct {
 	// wall-clock knob for large networks.
 	Shards int
 	// Checkpoint arms live checkpointing: at handler-safe barriers the
-	// run captures a version-2 snapshot and hands it to the plan's Sink.
+	// run captures a live snapshot and hands it to the plan's Sink.
 	// Capture is pure reads — a checkpointed run's Outcome is
 	// byte-identical to an unhooked one. Nil disables checkpointing.
 	Checkpoint *CheckpointPlan

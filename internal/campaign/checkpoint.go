@@ -2,7 +2,7 @@ package campaign
 
 // Live checkpoint/resume. A CheckpointPlan on the Config arms barrier
 // hooks in the drive loop (single-charger) or after every engine event
-// (fleet): each firing captures a version-2 snapshot — network, charger,
+// (fleet): each firing captures a live snapshot — network, charger,
 // engine clock and keyed pending events, ledger, world, policy phase
 // machine, RNG position — and hands it to the plan's Sink. Capture is
 // pure reads, so a checkpointed run produces a byte-identical Outcome to
@@ -121,7 +121,7 @@ func (c *checkpointer) barrier(b policy.Barrier) error {
 // Outcome digest matches byte-for-byte.
 func Resume(ctx context.Context, snap *snapshot.Snapshot, cfg Config) (*Outcome, error) {
 	if snap == nil || !snap.Live() {
-		return nil, fmt.Errorf("campaign: Resume needs a live (version-%d) snapshot", snapshot.VersionLive)
+		return nil, errors.New("campaign: Resume needs a live snapshot")
 	}
 	cs := snap.Campaign()
 	if cs.Fleet != nil {

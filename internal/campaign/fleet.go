@@ -434,7 +434,7 @@ func RunLegitFleet(ctx context.Context, nw *wrsn.Network, chargers []*mc.Charger
 // exact event and draw sequence the uninterrupted run would have.
 func ResumeFleet(ctx context.Context, snap *snapshot.Snapshot, cfg Config) (*FleetOutcome, error) {
 	if snap == nil || !snap.Live() {
-		return nil, fmt.Errorf("campaign: ResumeFleet needs a live (version-%d) snapshot", snapshot.VersionLive)
+		return nil, fmt.Errorf("campaign: ResumeFleet needs a live snapshot")
 	}
 	cs := snap.Campaign()
 	if cs.Fleet == nil {

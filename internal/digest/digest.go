@@ -26,11 +26,13 @@
 // Decode is the strict inverse for the kinds outcomes and snapshots are
 // made of: pointers, structs, slices, arrays, floats, integers, bools and
 // strings. It accepts exactly the layout above — every exported field
-// present and in canonical order, no whitespace, nothing after the value
-// — and reports anything else, including maps, interfaces and types with
-// their own JSON methods, as a *DecodeError carrying the byte offset. An
-// empty array decodes to an empty, non-nil slice, so a value survives
-// Canonical → Decode → Canonical byte for byte.
+// present and in canonical order, every number and string written as
+// Canonical writes it, no whitespace, nothing after the value — and
+// reports anything else, including maps, interfaces and types with their
+// own JSON methods, as a *DecodeError carrying the byte offset. An empty
+// array decodes to an empty, non-nil slice, so a value survives
+// Canonical → Decode → Canonical byte for byte, and any input Decode
+// accepts re-encodes to the identical bytes.
 package digest
 
 import (
@@ -458,7 +460,7 @@ func (d *decoder) value(v reflect.Value, p *plan) error {
 		start := d.off
 		tok, isInt := d.number()
 		n, err := strconv.ParseInt(string(tok), 10, 64)
-		if !isInt || err != nil || v.OverflowInt(n) {
+		if !isInt || err != nil || v.OverflowInt(n) || string(tok) == "-0" {
 			d.off = start
 			return d.errorf("want an integer for %s", v.Type())
 		}
@@ -557,6 +559,11 @@ func (d *decoder) float(v reflect.Value) error {
 		d.off = start
 		return d.errorf("want a finite number for %s", v.Type())
 	}
+	var buf [32]byte
+	if string(appendFloat(buf[:0], f)) != string(tok) {
+		d.off = start
+		return d.errorf("want %s in its shortest form", tok)
+	}
 	v.SetFloat(f)
 	return nil
 }
@@ -606,7 +613,8 @@ func (d *decoder) number() (tok []byte, isInt bool) {
 }
 
 // str reads one JSON string. Plain printable ASCII is taken as is;
-// escapes and other bytes are decoded by encoding/json.
+// escapes and other bytes are decoded by encoding/json and must be
+// escaped as Canonical escapes them.
 func (d *decoder) str() (string, error) {
 	start := d.off
 	if err := d.expect('"'); err != nil {
@@ -625,6 +633,10 @@ func (d *decoder) str() (string, error) {
 			if err := json.Unmarshal(raw, &s); err != nil {
 				d.off = start
 				return "", d.errorf("bad string: %v", err)
+			}
+			if string(appendString(nil, s)) != string(raw) {
+				d.off = start
+				return "", d.errorf("string not escaped canonically")
 			}
 			return s, nil
 		case c == '\\':

@@ -293,6 +293,14 @@ func TestDecodeRejects(t *testing.T) {
 		{`{"A":"x","B":"Infinity"}`, 13},
 		{`{"A":"x","B":true}`, 13},
 		{`{"A":"unterminated`, 5},
+		// Spellings Canonical never writes, though they parse to the
+		// same value.
+		{`{"A":"\u0078","B":1}`, 5},
+		{`{"A":"x","B":1.0}`, 13},
+		{`{"A":"x","B":1e2}`, 13},
+		{`{"A":"x","B":"+inf"}`, 13},
+		{`{"A":"x","B":0.30000000000000005}`, 13},
+		{`{"A":"x","B":0.300000000000000004}`, 13},
 	} {
 		var v inner
 		err := Decode([]byte(c.in), &v)
@@ -312,6 +320,9 @@ func TestDecodeRejects(t *testing.T) {
 	var i8 struct{ I int8 }
 	if err := Decode([]byte(`{"I":128}`), &i8); err == nil {
 		t.Error("int8 overflow accepted")
+	}
+	if err := Decode([]byte(`{"I":-0}`), &i8); err == nil {
+		t.Error("integer -0 accepted")
 	}
 	var arr struct{ A [2]int }
 	if err := Decode([]byte(`{"A":[1,2,3]}`), &arr); err == nil {

@@ -284,8 +284,13 @@ func (p *Pool) trySubmit(ctx context.Context, kind string, specJSON []byte, last
 		grace := time.NewTimer(p.cancelGrace)
 		defer grace.Stop()
 		select {
-		case <-ch:
+		case f := <-ch:
 			p.release(s)
+			if f.ErrKind != errKindCanceled {
+				// The job finished before it saw the cancel: its own
+				// result, a failure included, is what happened.
+				return decodeResultFrame(ctx, kind, f)
+			}
 		case <-s.deadCh:
 			unregister()
 		case <-grace.C:

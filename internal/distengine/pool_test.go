@@ -193,6 +193,29 @@ func TestRunFailFastLowestIndex(t *testing.T) {
 	}
 }
 
+// TestSubmitKeepsResultRacingCancel: a job whose result frame arrives
+// after the coordinator sent its cancel reports that result, not the
+// cancellation. Fail-fast needs this to name the failure that happened.
+func TestSubmitKeepsResultRacingCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	sawCancel := make(chan struct{})
+	p := scriptedPool(t, 0, func(f frame, reply func(frame)) {
+		if f.Type == frameCancel {
+			close(sawCancel) // no ack: the job's own reply answers it
+			return
+		}
+		cancel()
+		<-sawCancel
+		reply(frame{ErrKind: errKindError, ErrMsg: "finished before the cancel"})
+	})
+	_, err := p.Submit(ctx, markedSpec(0))
+	var re *RemoteError
+	if !errors.As(err, &re) {
+		t.Fatalf("err = %v, want the job's own *RemoteError", err)
+	}
+}
+
 // TestRunKeepGoingAggregates: KeepGoing runs everything, returns the
 // partial results, and joins one index-tagged JobError per failure.
 func TestRunKeepGoingAggregates(t *testing.T) {

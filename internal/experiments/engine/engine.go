@@ -9,7 +9,8 @@
 // reads them in exactly the order a sequential loop would have produced
 // them. When several jobs fail, the error of the lowest-indexed failure
 // is returned — again matching what a sequential run would have seen
-// first. Cancellation (parent context or first failure) stops workers
+// first. A job that only saw the pool's own cancellation did not fail.
+// Cancellation (parent context or first failure) stops workers
 // from claiming new jobs; in-flight jobs run to completion.
 //
 // Hardening: a panicking job never kills the process — the worker
@@ -122,9 +123,10 @@ func Workers(requested, jobs int) int {
 // `workers` goroutines (non-positive: GOMAXPROCS) and returns the results
 // indexed by job, each with its elapsed wall clock. The first failure
 // cancels the pool's context so outstanding jobs can abort promptly; the
-// returned error is the lowest-indexed one, which is what a sequential
-// run would have hit first. A canceled parent context surfaces as its
-// ctx.Err().
+// returned error is the lowest-indexed failure, which is what a
+// sequential run would have hit first — a job's context.Canceled from
+// that pool cancellation does not count. A canceled parent context
+// surfaces as its ctx.Err().
 func MapTimed[T any](ctx context.Context, workers, n int, fn func(ctx context.Context, i int) (T, error)) ([]Result[T], error) {
 	return MapTimedProbed(ctx, workers, n, obs.Nop(), fn)
 }
@@ -151,6 +153,7 @@ func MapTimedOpts[T any](ctx context.Context, workers, n int, probe obs.Probe, o
 	}
 	probe = obs.Or(probe)
 	workers = Workers(workers, n)
+	parent := ctx
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -214,12 +217,8 @@ func MapTimedOpts[T any](ctx context.Context, workers, n int, probe obs.Probe, o
 			// hold zero values, everything else is complete.
 			return results, errors.Join(joined...)
 		}
-	} else {
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
+	} else if err := firstFailure(errs, parent.Err() == nil); err != nil {
+		return nil, err
 	}
 	// No job failed, so the only way ctx can be done here is a parent
 	// cancellation (the deferred cancel has not run yet): some jobs were
@@ -228,6 +227,26 @@ func MapTimedOpts[T any](ctx context.Context, workers, n int, probe obs.Probe, o
 		return nil, err
 	}
 	return results, nil
+}
+
+// firstFailure returns the lowest-indexed error. When the pool cancelled
+// itself (poolOnly: the parent context is still live), a job's
+// context.Canceled is the pool's cancel() echoing back, not a failure,
+// so the lowest-indexed other error is the one that caused it.
+func firstFailure(errs []error, poolOnly bool) error {
+	var first error
+	for _, err := range errs {
+		if err == nil {
+			continue
+		}
+		if !poolOnly || !errors.Is(err, context.Canceled) {
+			return err
+		}
+		if first == nil {
+			first = err
+		}
+	}
+	return first
 }
 
 // runJob executes one job with the configured retry budget: each failed

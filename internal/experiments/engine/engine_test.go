@@ -53,6 +53,23 @@ func TestMapReturnsLowestIndexedError(t *testing.T) {
 	}
 }
 
+// A job that only saw the pool's own cancellation did not fail: job 0
+// blocks until the pool cancels it, which happens because job 1 failed,
+// so job 1's error is the one to report.
+func TestMapReportsCauseNotInducedCancel(t *testing.T) {
+	boom := errors.New("boom")
+	_, err := Map(context.Background(), 2, 2, func(ctx context.Context, i int) (int, error) {
+		if i == 0 {
+			<-ctx.Done()
+			return 0, ctx.Err()
+		}
+		return 0, boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want the failure that cancelled the pool", err)
+	}
+}
+
 func TestMapCanceledParent(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"sync"
 
 	"github.com/reprolab/wrsn-csa/internal/mc"
@@ -39,7 +38,7 @@ type forgeEntry struct {
 	// sweeps: the coordinator pays the encode once per distinct world and
 	// every shipped job spec reuses the bytes.
 	encOnce sync.Once
-	enc     json.RawMessage
+	enc     []byte
 	encErr  error
 }
 
@@ -74,7 +73,7 @@ func (f *worldForge) fork(sc trace.Scenario) (*wrsn.Network, *mc.Charger, error)
 // first use. Dispatched job specs carry these bytes so worker processes
 // fork the captured world instead of rebuilding it — the same dedup the
 // in-process path gets from fork.
-func (f *worldForge) encoded(sc trace.Scenario) (json.RawMessage, error) {
+func (f *worldForge) encoded(sc trace.Scenario) ([]byte, error) {
 	f.mu.Lock()
 	e := f.m[sc]
 	if e == nil {

@@ -16,9 +16,12 @@
 package jobspec
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 
 	"github.com/reprolab/wrsn-csa/internal/campaign"
 	"github.com/reprolab/wrsn-csa/internal/charging"
@@ -57,22 +60,23 @@ type Spec struct {
 	// Chargers is the fleet size; required ≥ 1 for KindFleet, must be 0
 	// for the single-charger kinds.
 	Chargers int `json:"chargers,omitempty"`
-	// Snapshot, when non-empty, is an encoded world snapshot
-	// (internal/snapshot wire form): the run forks the captured world —
-	// skipping placement and routing convergence — instead of building
-	// Scenario. The snapshot carries its own scenario provenance, so
-	// Scenario may be zero. Forking reproduces the unsnapshotted run
-	// byte-identically (the snapshot barrier precedes all campaign
-	// randomness), so carrying a snapshot changes cost, never results.
-	Snapshot json.RawMessage `json:"snapshot,omitempty"`
-	// ResumeFrom, when non-empty, is an encoded live checkpoint (snapshot
-	// wire version 2): instead of starting the campaign, the run resumes
+	// Snapshot, when non-empty, is an encoded barrier snapshot
+	// (internal/snapshot wire form, base64 in the spec JSON): the run
+	// forks the captured world — skipping placement and routing
+	// convergence — instead of building Scenario. The snapshot carries its
+	// own scenario provenance, so Scenario may be zero. Forking reproduces
+	// the unsnapshotted run byte-identically (the snapshot barrier
+	// precedes all campaign randomness), so carrying a snapshot changes
+	// cost, never results. A live checkpoint belongs in ResumeFrom.
+	Snapshot []byte `json:"snapshot,omitempty"`
+	// ResumeFrom, when non-empty, is an encoded live checkpoint (base64
+	// in the spec JSON): instead of starting the campaign, the run resumes
 	// it mid-flight from the captured state and produces the exact Result
 	// the uninterrupted run would have. The rest of the Spec must carry
 	// the original job's parameters — the daemon pairs a persisted spec
 	// with its latest checkpoint on restart. ResumeFrom supersedes
 	// Snapshot (a live checkpoint embeds its own world).
-	ResumeFrom json.RawMessage `json:"resume_from,omitempty"`
+	ResumeFrom []byte `json:"resume_from,omitempty"`
 }
 
 // Campaign is the serializable mirror of campaign.Config: identical
@@ -127,46 +131,61 @@ var solverNames = map[string]bool{
 // world, so a daemon can reject a bad Spec at submission time with a
 // useful message instead of failing the job later.
 func (s Spec) Validate() error {
+	_, err := s.validate()
+	return err
+}
+
+// validate is Validate returning the snapshot the run starts from: the
+// decoded ResumeFrom checkpoint, else the decoded carried Snapshot, else
+// nil. A run reuses it instead of decoding the bytes again.
+func (s Spec) validate() (*snapshot.Snapshot, error) {
 	switch s.Kind {
 	case KindAttack, KindLegit:
 		if s.Chargers != 0 {
-			return fmt.Errorf("jobspec: kind %q is single-charger; chargers must be 0, got %d", s.Kind, s.Chargers)
+			return nil, fmt.Errorf("jobspec: kind %q is single-charger; chargers must be 0, got %d", s.Kind, s.Chargers)
 		}
 	case KindFleet:
 		if s.Chargers < 1 {
-			return fmt.Errorf("jobspec: kind %q needs chargers ≥ 1, got %d", s.Kind, s.Chargers)
+			return nil, fmt.Errorf("jobspec: kind %q needs chargers ≥ 1, got %d", s.Kind, s.Chargers)
 		}
 	default:
-		return fmt.Errorf("jobspec: unknown kind %q (want %q, %q or %q)", s.Kind, KindAttack, KindLegit, KindFleet)
+		return nil, fmt.Errorf("jobspec: unknown kind %q (want %q, %q or %q)", s.Kind, KindAttack, KindLegit, KindFleet)
 	}
-	if len(s.ResumeFrom) > 0 {
-		snap, err := snapshot.Decode(s.ResumeFrom)
-		if err != nil {
-			return fmt.Errorf("jobspec: resume_from: %w", err)
+	var (
+		snap *snapshot.Snapshot
+		err  error
+	)
+	switch {
+	case len(s.ResumeFrom) > 0:
+		if snap, err = snapshot.Decode(s.ResumeFrom); err != nil {
+			return nil, fmt.Errorf("jobspec: resume_from: %w", err)
 		}
 		if !snap.Live() {
-			return fmt.Errorf("jobspec: resume_from holds a version-%d template, not a live checkpoint", snapshot.Version)
+			return nil, errors.New("jobspec: resume_from holds a barrier snapshot, not a live checkpoint")
 		}
 		if fleet := snap.Campaign().Fleet != nil; fleet != (s.Kind == KindFleet) {
-			return fmt.Errorf("jobspec: resume_from checkpoint does not match kind %q", s.Kind)
+			return nil, fmt.Errorf("jobspec: resume_from checkpoint does not match kind %q", s.Kind)
 		}
-	} else if len(s.Snapshot) > 0 {
-		if _, err := snapshot.Decode(s.Snapshot); err != nil {
-			return fmt.Errorf("jobspec: %w", err)
+	case len(s.Snapshot) > 0:
+		if snap, err = snapshot.Decode(s.Snapshot); err != nil {
+			return nil, fmt.Errorf("jobspec: %w", err)
 		}
-	} else if s.Scenario.Deploy.N <= 0 {
-		return fmt.Errorf("jobspec: scenario needs a positive node count, got %d", s.Scenario.Deploy.N)
+		if snap.Live() {
+			return nil, errors.New("jobspec: snapshot holds a live checkpoint; carry it in resume_from to resume the run")
+		}
+	case s.Scenario.Deploy.N <= 0:
+		return nil, fmt.Errorf("jobspec: scenario needs a positive node count, got %d", s.Scenario.Deploy.N)
 	}
 	if !solverNames[s.Campaign.Solver] {
-		return fmt.Errorf("jobspec: unknown solver %q", s.Campaign.Solver)
+		return nil, fmt.Errorf("jobspec: unknown solver %q", s.Campaign.Solver)
 	}
-	if _, err := s.scheduler(); err != nil {
-		return err
+	if _, err = s.scheduler(); err != nil {
+		return nil, err
 	}
 	if s.Faults != nil && s.Faults.RequestLossProb < 0 {
-		return fmt.Errorf("jobspec: negative request-loss probability %v", s.Faults.RequestLossProb)
+		return nil, fmt.Errorf("jobspec: negative request-loss probability %v", s.Faults.RequestLossProb)
 	}
-	return nil
+	return snap, nil
 }
 
 // scheduler resolves the scheduler name; empty means the campaign
@@ -260,15 +279,11 @@ func (s Spec) WithSnapshot(snap *snapshot.Snapshot) (Spec, error) {
 }
 
 // world materializes the network and first charger: forked from the
-// embedded snapshot when present, built from the scenario otherwise.
+// carried snapshot when there is one, built from the scenario otherwise.
 // Either way the charger is parked at the sink with default params (a
 // snapshot captured without a charger falls back to a fresh one).
-func (s Spec) world() (*wrsn.Network, *mc.Charger, error) {
-	if len(s.Snapshot) > 0 {
-		snap, err := snapshot.Decode(s.Snapshot)
-		if err != nil {
-			return nil, nil, fmt.Errorf("jobspec: %w", err)
-		}
+func (s Spec) world(snap *snapshot.Snapshot) (*wrsn.Network, *mc.Charger, error) {
+	if snap != nil {
 		nw, ch, _, err := snap.Fork()
 		if err != nil {
 			return nil, nil, fmt.Errorf("jobspec: %w", err)
@@ -311,7 +326,8 @@ func Run(ctx context.Context, s Spec, probe obs.Probe) (*Result, error) {
 // continues the checkpointed campaign instead of starting it; either way
 // the Result is byte-identical to an uninterrupted, unobserved run.
 func RunOpts(ctx context.Context, s Spec, opts RunOptions) (*Result, error) {
-	if err := s.Validate(); err != nil {
+	snap, err := s.validate()
+	if err != nil {
 		return nil, err
 	}
 	probe := obs.Or(opts.Probe)
@@ -326,10 +342,6 @@ func RunOpts(ctx context.Context, s Spec, opts RunOptions) (*Result, error) {
 		cfg.Checkpoint = &plan
 	}
 	if len(s.ResumeFrom) > 0 {
-		snap, err := snapshot.Decode(s.ResumeFrom)
-		if err != nil {
-			return nil, fmt.Errorf("jobspec: resume_from: %w", err)
-		}
 		cfg, err := s.Config(probe, snap.NodeCount())
 		if err != nil {
 			return nil, err
@@ -348,7 +360,7 @@ func RunOpts(ctx context.Context, s Spec, opts RunOptions) (*Result, error) {
 		}
 		return &Result{Outcome: o}, nil
 	}
-	nw, ch, err := s.world()
+	nw, ch, err := s.world(snap)
 	if err != nil {
 		return nil, err
 	}
@@ -387,11 +399,17 @@ func RunOpts(ctx context.Context, s Spec, opts RunOptions) (*Result, error) {
 }
 
 // Decode parses a Spec from JSON, rejecting unknown fields so typos in
-// hand-written job files fail loudly at submit time.
+// hand-written job files fail loudly at submit time, and rejecting
+// anything but whitespace after the spec.
 func Decode(data []byte) (Spec, error) {
 	var s Spec
-	if err := json.Unmarshal(data, &s); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&s); err != nil {
 		return Spec{}, fmt.Errorf("jobspec: decode: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Spec{}, errors.New("jobspec: decode: trailing data after the spec")
 	}
 	return s, nil
 }

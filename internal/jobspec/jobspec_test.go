@@ -111,6 +111,24 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// A typo in a hand-written job file must fail the decode, not run
+// silently at the default it failed to override; so must anything after
+// the spec.
+func TestDecodeRejectsUnknownFields(t *testing.T) {
+	if _, err := Decode([]byte(`{"kind":"legit","campaign":{"horizon_sec":60}}`)); err != nil {
+		t.Fatalf("well-formed spec rejected: %v", err)
+	}
+	for name, in := range map[string]string{
+		"typo":     `{"kind":"legit","campaign":{"horizon_secs":60}}`,
+		"top":      `{"kind":"legit","chargerz":2}`,
+		"trailing": `{"kind":"legit"} {"kind":"attack"}`,
+	} {
+		if _, err := Decode([]byte(in)); err == nil {
+			t.Errorf("%s: decoded %s", name, in)
+		}
+	}
+}
+
 // TestRunMatchesLibraryPath pins the core equivalence: running a Spec
 // through jobspec.Run must produce the byte-identical Outcome digest of
 // hand-wiring the library the way the CLIs used to.

@@ -2,8 +2,11 @@ package jobspec
 
 import (
 	"context"
+	"errors"
+	"strings"
 	"testing"
 
+	"github.com/reprolab/wrsn-csa/internal/campaign"
 	"github.com/reprolab/wrsn-csa/internal/mc"
 	"github.com/reprolab/wrsn-csa/internal/snapshot"
 	"github.com/reprolab/wrsn-csa/internal/trace"
@@ -87,5 +90,41 @@ func TestSnapshotSpecValidatesWithoutScenario(t *testing.T) {
 	withSnap.Snapshot = []byte(`{"version":99}`)
 	if err := withSnap.Validate(); err == nil {
 		t.Error("corrupt snapshot payload validated")
+	}
+}
+
+// A live checkpoint carried in Snapshot must be refused: forking it would
+// start a fresh campaign on a mid-run world. The error points at
+// resume_from, where a checkpoint resumes the run it came from.
+func TestSnapshotRejectsLiveCheckpoint(t *testing.T) {
+	spec, _ := snapSpec(t, KindLegit, 9)
+	var (
+		ckpt     []byte
+		barriers int
+	)
+	_, err := RunOpts(context.Background(), spec, RunOptions{Checkpoint: &campaign.CheckpointPlan{
+		Sink: func(s *snapshot.Snapshot) (err error) {
+			ckpt, err = s.Encode()
+			return err
+		},
+		Stop: func() bool { barriers++; return barriers == 5 },
+	}})
+	if !errors.Is(err, campaign.ErrStopped) {
+		t.Fatalf("err = %v, want ErrStopped", err)
+	}
+
+	carried := spec
+	carried.Snapshot = ckpt
+	if err := carried.Validate(); err == nil || !strings.Contains(err.Error(), "resume_from") {
+		t.Errorf("live checkpoint in snapshot: Validate err = %v, want one naming resume_from", err)
+	}
+	if _, err := Run(context.Background(), carried, nil); err == nil {
+		t.Error("live checkpoint in snapshot ran")
+	}
+
+	resumed := spec
+	resumed.ResumeFrom = ckpt
+	if err := resumed.Validate(); err != nil {
+		t.Errorf("live checkpoint in resume_from rejected: %v", err)
 	}
 }

@@ -8,6 +8,11 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"github.com/reprolab/wrsn-csa/internal/jobspec"
+	"github.com/reprolab/wrsn-csa/internal/mc"
+	"github.com/reprolab/wrsn-csa/internal/obs"
+	"github.com/reprolab/wrsn-csa/internal/snapshot"
 )
 
 // TestEvictionServes410 drives the -max-results bound: with room for two
@@ -193,4 +198,55 @@ func TestResumeQuarantinesCorruptSpec(t *testing.T) {
 	if _, err := s.WaitDone(ctx, st.ID); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestRestartRunsPersistedSnapshotJob: a snapshot-carrying spec survives
+// the daemon's spec file — written with Spec.Encode, read back with
+// jobspec.Decode — and the restarted daemon's run serves the digest the
+// library path computes for the same spec.
+func TestRestartRunsPersistedSnapshotJob(t *testing.T) {
+	base := quickSpec(5)
+	snap, err := snapshot.Build(base.Scenario, mc.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := base.WithSnapshot(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := jobspec.Run(context.Background(), spec, obs.Nop())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := res.Digest()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	gate := make(chan struct{})
+	started := make(chan string, 1)
+	s1 := New(Options{QueueDepth: 4, Workers: 1, PersistDir: dir, Runner: gateRunner(started, gate)})
+	st, err := s1.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+
+	s2 := New(Options{QueueDepth: 4, Workers: 1, PersistDir: dir})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	final, err := s2.WaitDone(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != StateDone {
+		t.Fatalf("restarted snapshot job ended %s: %+v", final.State, final.Error)
+	}
+	if final.Digest != want {
+		t.Errorf("restarted snapshot job digest diverged from the library path:\n got %s\nwant %s", final.Digest, want)
+	}
+	shutdownOrFail(t, s2, 10*time.Second)
+	close(gate)
+	shutdownOrFail(t, s1, 10*time.Second)
 }

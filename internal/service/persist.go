@@ -11,7 +11,6 @@
 package service
 
 import (
-	"errors"
 	"os"
 	"path/filepath"
 	"sort"
@@ -21,7 +20,6 @@ import (
 
 	"github.com/reprolab/wrsn-csa/internal/jobspec"
 	"github.com/reprolab/wrsn-csa/internal/obs"
-	"github.com/reprolab/wrsn-csa/internal/snapshot"
 )
 
 // specPath returns the durable spec file for a job ID.
@@ -186,16 +184,9 @@ func (s *Service) attachCheckpoint(spec *jobspec.Spec, id string) bool {
 	if err != nil {
 		return false // no checkpoint (the common case) or unreadable
 	}
-	snap, err := snapshot.Decode(b)
-	if err == nil && !snap.Live() {
-		err = errors.New("checkpoint file holds a template snapshot, not live state")
-	}
-	if err == nil {
-		trial := *spec
-		trial.ResumeFrom = b
-		err = trial.Validate()
-	}
-	if err != nil {
+	trial := *spec
+	trial.ResumeFrom = b
+	if err := trial.Validate(); err != nil {
 		_ = os.Rename(path, path+".bad")
 		s.probeAdd("service.resume_errors", 1)
 		return false

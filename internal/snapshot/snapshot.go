@@ -3,12 +3,13 @@
 // convergence — as a versioned, serializable world state that can be
 // forked once per seed instead of rebuilt once per seed.
 //
-// A Snapshot is taken at the post-build barrier: the network exists and
+// A barrier Snapshot is taken after the build: the network exists and
 // routing has converged, but no campaign has started, so the simulation
-// clock is zero and no events are queued. The wire format reserves fields
-// for mid-run state (clock, pending events) so future versions can
-// checkpoint live campaigns; version 1 refuses to fork such snapshots
-// because event handlers are closures and cannot be serialized.
+// clock is zero, no events are queued and there is no campaign state. A
+// live Snapshot (CaptureLive) is the same layout taken mid-run, with the
+// clock, the keyed event queue and the campaign state filled in. Both
+// encode through internal/digest: the wire form is the canonical digest
+// JSON of the snapshot, and Decode is its strict inverse.
 //
 // Forking is copy-on-write: each fork deep-copies the mutable world
 // (nodes, batteries, routing arrays, charger) and shares the immutable
@@ -19,9 +20,6 @@
 package snapshot
 
 import (
-	"bytes"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"sync"
 
@@ -36,67 +34,51 @@ import (
 	"github.com/reprolab/wrsn-csa/internal/wrsn"
 )
 
-// Version is the barrier-snapshot wire version: clock zero, no pending
-// events, no campaign state. Barrier snapshots keep writing version 1 so
-// every existing consumer decodes them unchanged.
-const Version = 1
+// Version is the wire version, shared by barrier and live snapshots.
+// Decode reads this version only.
+const Version = 3
 
-// VersionLive is the live-checkpoint wire version: the same layout as
-// version 1 plus a non-zero clock, the pending (keyed) event queue, and
-// the campaign extras. Live decode is strict — unknown fields are a
-// versioned error, not a silent misparse — because resuming a campaign
-// from a half-understood checkpoint would corrupt results quietly.
-const VersionLive = 2
-
-// ErrLiveState is returned by Fork for version-1 snapshots carrying
-// mid-run simulation state (non-zero clock or pending events), which
-// version 1 captures for inspection but cannot resume. Version-2 live
-// snapshots fork normally.
-var ErrLiveState = errors.New("snapshot: version 1 forks only barrier snapshots (zero clock, empty event queue)")
-
-// wire is the serialized form. Field order fixes the canonical encoding;
-// encoding/json emits struct fields in declaration order. Campaign is
-// appended after every version-1 field so barrier snapshots encode to
-// exactly the bytes version 1 wrote.
+// wire is the serialized form. Its canonical digest encoding keys each
+// field by its Go name, so renaming a field changes the layout.
 type wire struct {
-	Version  int                `json:"version"`
-	Scenario trace.Scenario     `json:"scenario"`
-	ClockSec float64            `json:"clock_sec"`
-	Pending  []sim.PendingEvent `json:"pending_events,omitempty"`
-	Network  wrsn.State         `json:"network"`
-	Charger  *mc.State          `json:"charger,omitempty"`
-	RNG      *[4]uint64         `json:"rng,omitempty"`
-	Campaign *CampaignState     `json:"campaign,omitempty"`
+	Version  int
+	Scenario trace.Scenario
+	ClockSec float64
+	Pending  []sim.PendingEvent
+	Network  wrsn.State
+	Charger  *mc.State
+	RNG      *[4]uint64
+	Campaign *CampaignState
 }
 
-// CampaignState is the live-campaign payload of a version-2 snapshot:
+// CampaignState is the live-campaign payload of a live snapshot:
 // everything above the network/charger substrate that a mid-run capture
 // must carry to resume byte-identically.
 type CampaignState struct {
 	// World is the environment layer: clock, request queue, cadence
 	// cursors, fault-window state, loss-stream position.
-	World world.State `json:"world"`
+	World world.State
 	// Ledger is the accumulated run record.
-	Ledger ledger.State `json:"ledger"`
+	Ledger ledger.State
 	// Rand is the single campaign stream's generator position (the
 	// session actor and policy Env share one stream).
-	Rand [4]uint64 `json:"rand"`
+	Rand [4]uint64
 	// Keys lists the plan-time key nodes the campaign marked for
 	// lifetime sampling.
-	Keys []wrsn.KeyNode `json:"keys,omitempty"`
+	Keys []wrsn.KeyNode
 	// Policy is the single-charger drive state; nil on fleet runs.
-	Policy *policy.State `json:"policy,omitempty"`
+	Policy *policy.State
 	// Fleet is the multi-charger state; nil on single-charger runs.
-	Fleet *FleetState `json:"fleet,omitempty"`
+	Fleet *FleetState
 }
 
 // FleetState is the fleet service's mid-run state: each charger's
 // position in its dispatch/arrive/session-end machine plus the shared
 // reservation set and busy-time accumulator.
 type FleetState struct {
-	Chargers []FleetCharger `json:"chargers"`
-	Reserved []wrsn.NodeID  `json:"reserved,omitempty"`
-	Busy     float64        `json:"busy,omitempty"`
+	Chargers []FleetCharger
+	Reserved []wrsn.NodeID
+	Busy     float64
 }
 
 // Fleet-charger phases (the position within dispatch→arrive→end that the
@@ -113,17 +95,17 @@ const (
 
 // FleetCharger is one fleet member's state.
 type FleetCharger struct {
-	Charger mc.State `json:"charger"`
-	Phase   int      `json:"phase"`
+	Charger mc.State
+	Phase   int
 	// Req is the reserved assignment (EnRoute/Serving phases).
-	Req *world.RequestState `json:"req,omitempty"`
+	Req *world.RequestState
 	// Session parameters captured across the arrive→end window.
-	Rate        float64 `json:"rate,omitempty"`
-	Dur         float64 `json:"dur,omitempty"`
-	Start       float64 `json:"start,omitempty"`
-	MeterBefore float64 `json:"meter_before,omitempty"`
-	TravelT     float64 `json:"travel_t,omitempty"`
-	Solicited   bool    `json:"solicited,omitempty"`
+	Rate        float64
+	Dur         float64
+	Start       float64
+	MeterBefore float64
+	TravelT     float64
+	Solicited   bool
 }
 
 // Snapshot is a captured world state: scenario provenance, the network
@@ -141,46 +123,21 @@ type Snapshot struct {
 	tmplCH *mc.Charger
 }
 
-// CaptureOption configures Capture. Options follow the repo-wide
-// convention: With* constructors returning closures over an unexported
-// config.
-type CaptureOption func(*captureCfg)
-
-type captureCfg struct {
-	eng *sim.Engine
-}
-
-// WithEngine records the engine's clock and queued events into the
-// snapshot. Version 1 cannot resume such state — Fork returns ErrLiveState
-// when either is non-zero — but the capture is still useful for
-// checkpoint inspection and forward-compatible persistence.
-func WithEngine(e *sim.Engine) CaptureOption {
-	return func(c *captureCfg) { c.eng = e }
-}
-
 // Capture snapshots a built world at the barrier. The scenario records
 // provenance (and nothing more — restore never re-runs placement); nw is
 // required; ch and rest may be nil when the caller has no charger or
 // discarded the post-placement stream. Capture performs only pure reads
 // of its arguments, and the snapshot does not alias them: mutating the
 // world afterwards does not affect the snapshot or its forks.
-func Capture(sc trace.Scenario, nw *wrsn.Network, ch *mc.Charger, rest *rng.Stream, opts ...CaptureOption) (*Snapshot, error) {
+func Capture(sc trace.Scenario, nw *wrsn.Network, ch *mc.Charger, rest *rng.Stream) (*Snapshot, error) {
 	if nw == nil {
 		return nil, fmt.Errorf("snapshot: nil network")
-	}
-	var cfg captureCfg
-	for _, o := range opts {
-		o(&cfg)
 	}
 	s := &Snapshot{w: wire{
 		Version:  Version,
 		Scenario: sc,
 		Network:  nw.State(),
 	}}
-	if cfg.eng != nil {
-		s.w.ClockSec = cfg.eng.Now()
-		s.w.Pending = cfg.eng.PendingEvents()
-	}
 	if ch != nil {
 		st := ch.State()
 		s.w.Charger = &st
@@ -198,7 +155,7 @@ func Capture(sc trace.Scenario, nw *wrsn.Network, ch *mc.Charger, rest *rng.Stre
 	return s, nil
 }
 
-// CaptureLive snapshots a mid-run campaign as a version-2 snapshot. The
+// CaptureLive snapshots a mid-run campaign as a live snapshot. The
 // engine must be serializable (every pending event keyed); ch may be nil
 // — fleet runs carry their chargers inside cs.Fleet. Capture is pure
 // reads, so checkpointing never perturbs the run it observes. No fork
@@ -215,7 +172,7 @@ func CaptureLive(sc trace.Scenario, nw *wrsn.Network, ch *mc.Charger, eng *sim.E
 		return nil, fmt.Errorf("snapshot: engine has closure-scheduled pending events; only keyed events checkpoint")
 	}
 	s := &Snapshot{w: wire{
-		Version:  VersionLive,
+		Version:  Version,
 		Scenario: sc,
 		ClockSec: eng.Now(),
 		Pending:  eng.PendingEvents(),
@@ -247,9 +204,6 @@ func Build(sc trace.Scenario, params mc.Params) (*Snapshot, error) {
 // Forks share no mutable state with each other or with the snapshot, so
 // each can be simulated on its own goroutine.
 func (s *Snapshot) Fork() (*wrsn.Network, *mc.Charger, *rng.Stream, error) {
-	if s.w.Version == Version && (s.w.ClockSec != 0 || len(s.w.Pending) > 0) {
-		return nil, nil, nil, ErrLiveState
-	}
 	s.mu.Lock()
 	if s.tmplNW == nil {
 		nw, err := wrsn.FromState(s.w.Network)
@@ -289,8 +243,9 @@ func (s *Snapshot) NodeCount() int { return len(s.w.Network.Nodes) }
 // HasCharger reports whether a charger was captured.
 func (s *Snapshot) HasCharger() bool { return s.w.Charger != nil }
 
-// Live reports whether this is a version-2 live checkpoint.
-func (s *Snapshot) Live() bool { return s.w.Version == VersionLive }
+// Live reports whether this is a live checkpoint: whether it carries
+// campaign state.
+func (s *Snapshot) Live() bool { return s.w.Campaign != nil }
 
 // ClockSec returns the captured simulation clock.
 func (s *Snapshot) ClockSec() float64 { return s.w.ClockSec }
@@ -307,54 +262,41 @@ func (s *Snapshot) PendingEvents() []sim.PendingEvent {
 // paths copy what they mutate.
 func (s *Snapshot) Campaign() *CampaignState { return s.w.Campaign }
 
-// Encode returns the canonical wire encoding: versioned JSON with fixed
-// field order. Encoding the same snapshot always yields identical bytes,
-// and float64 values survive the round-trip exactly (encoding/json emits
-// the shortest representation that parses back to the same value).
+// Encode returns the wire encoding: the snapshot's canonical digest
+// JSON (see internal/digest). Encoding the same snapshot always yields
+// identical bytes, and every float64, +Inf included, survives the
+// round-trip exactly.
 func (s *Snapshot) Encode() ([]byte, error) {
-	return json.Marshal(&s.w)
+	return digest.Canonical(&s.w)
 }
 
-// Decode reconstructs a snapshot from Encode's output. It rejects
-// unknown wire versions. Version 1 decodes leniently, exactly as it
-// always has; version 2 decodes strictly — an unknown field means the
-// file came from a future format revision, and resuming a live campaign
-// from a half-understood checkpoint would corrupt results silently, so
-// it fails with a versioned error instead. The fork template is rebuilt
-// lazily on first Fork.
+// Decode reconstructs a snapshot from Encode's output. The decode is
+// strict: anything but the exact canonical layout of this version — an
+// unknown, missing or reordered field, whitespace, trailing bytes — is an
+// error, because resuming from a half-understood checkpoint would corrupt
+// results silently. Decode also rejects an unknown version, a snapshot
+// with no nodes, and mid-run state (a clock or queued events) without the
+// campaign state to resume it. The fork template is rebuilt lazily on
+// first Fork.
 func Decode(data []byte) (*Snapshot, error) {
-	var ver struct {
-		Version int `json:"version"`
-	}
-	if err := json.Unmarshal(data, &ver); err != nil {
+	var w wire
+	if err := digest.Decode(data, &w); err != nil {
 		return nil, fmt.Errorf("snapshot: decode: %w", err)
 	}
-	var w wire
-	switch ver.Version {
-	case Version:
-		if err := json.Unmarshal(data, &w); err != nil {
-			return nil, fmt.Errorf("snapshot: decode: %w", err)
-		}
-	case VersionLive:
-		dec := json.NewDecoder(bytes.NewReader(data))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&w); err != nil {
-			return nil, fmt.Errorf("snapshot: decode version %d: %w (a version-%d checkpoint must contain no fields this build does not understand)", VersionLive, err, VersionLive)
-		}
-		if w.Campaign == nil {
-			return nil, fmt.Errorf("snapshot: decode version %d: missing campaign state", VersionLive)
-		}
-	default:
-		return nil, fmt.Errorf("snapshot: unsupported wire version %d (this build reads versions %d and %d)", ver.Version, Version, VersionLive)
+	if w.Version != Version {
+		return nil, fmt.Errorf("snapshot: unsupported wire version %d (this build reads version %d)", w.Version, Version)
 	}
 	if len(w.Network.Nodes) == 0 {
 		return nil, fmt.Errorf("snapshot: decode: no nodes")
 	}
+	if w.Campaign == nil && (w.ClockSec != 0 || len(w.Pending) > 0) {
+		return nil, fmt.Errorf("snapshot: decode: mid-run state without campaign state")
+	}
 	return &Snapshot{w: w}, nil
 }
 
-// Digest returns the hex SHA-256 over the snapshot's canonical form. Two
-// snapshots with the same digest fork into identical worlds.
+// Digest returns the hex SHA-256 of Encode's bytes. Two snapshots with
+// the same digest fork into identical worlds.
 func (s *Snapshot) Digest() (string, error) {
 	return digest.Sum(&s.w)
 }

@@ -2,7 +2,6 @@ package snapshot_test
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"strings"
 	"sync"
@@ -16,19 +15,54 @@ import (
 	"github.com/reprolab/wrsn-csa/internal/sim"
 	"github.com/reprolab/wrsn-csa/internal/snapshot"
 	"github.com/reprolab/wrsn-csa/internal/trace"
+	"github.com/reprolab/wrsn-csa/internal/wrsn"
 )
 
-func buildSnap(t *testing.T, seed uint64, n int) *snapshot.Snapshot {
-	t.Helper()
+func buildSnap(tb testing.TB, seed uint64, n int) *snapshot.Snapshot {
+	tb.Helper()
 	s, err := snapshot.Build(trace.DefaultScenario(seed, n), mc.DefaultParams())
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return s
 }
 
+// mirror has the wire layout field for field: the canonical encoding
+// keys by Go field name, so a test can decode a snapshot into it, edit
+// it, and re-encode bytes Decode reads as a snapshot.
+type mirror struct {
+	Version  int
+	Scenario trace.Scenario
+	ClockSec float64
+	Pending  []sim.PendingEvent
+	Network  wrsn.State
+	Charger  *mc.State
+	RNG      *[4]uint64
+	Campaign *snapshot.CampaignState
+}
+
+// rewrite decodes s's encoding into a mirror, applies edit, and returns
+// the re-encoded bytes.
+func rewrite(t *testing.T, s *snapshot.Snapshot, edit func(*mirror)) []byte {
+	t.Helper()
+	b, err := s.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m mirror
+	if err := digest.Decode(b, &m); err != nil {
+		t.Fatal(err)
+	}
+	edit(&m)
+	out, err := digest.Canonical(&m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // Encode→Decode→Encode must be byte-identical, and the digest must ride
-// along: the wire form IS the canonical form.
+// along: the wire form IS the canonical digest form.
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	s := buildSnap(t, 42, 60)
 	b1, err := s.Encode()
@@ -38,6 +72,12 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	d1, err := s.Digest()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if d1 != digest.Hash(b1) {
+		t.Errorf("Digest %s is not the hash of Encode's bytes %s", d1, digest.Hash(b1))
+	}
+	if same := rewrite(t, s, func(*mirror) {}); string(same) != string(b1) {
+		t.Error("Encode is not the canonical digest encoding of the wire layout")
 	}
 	s2, err := snapshot.Decode(b1)
 	if err != nil {
@@ -64,20 +104,20 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 
 func TestDecodeRejectsBadInput(t *testing.T) {
 	s := buildSnap(t, 7, 40)
-	b, err := s.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	future := strings.Replace(string(b), `"version":1`, `"version":2`, 1)
-	if _, err := snapshot.Decode([]byte(future)); err == nil {
-		t.Error("decoded a future wire version")
-	}
-	if _, err := snapshot.Decode([]byte(`{"version":1,"network":{"nodes":[]}}`)); err == nil {
-		t.Error("decoded a snapshot with no nodes")
-	}
-	if _, err := snapshot.Decode([]byte(`not json`)); err == nil {
-		t.Error("decoded garbage")
+	for _, tc := range []struct {
+		name, want string
+		in         []byte
+	}{
+		{"no nodes", "no nodes", rewrite(t, s, func(m *mirror) { m.Network.Nodes = nil })},
+		{"clock without campaign", "without campaign state", rewrite(t, s, func(m *mirror) { m.ClockSec = 10 })},
+		{"events without campaign", "without campaign state", rewrite(t, s, func(m *mirror) {
+			m.Pending = []sim.PendingEvent{{T: 10, Kind: "fault.node"}}
+		})},
+		{"garbage", "offset 0", []byte(`not json`)},
+	} {
+		if _, err := snapshot.Decode(tc.in); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.want)
+		}
 	}
 }
 
@@ -144,41 +184,6 @@ func TestConcurrentFork(t *testing.T) {
 	}
 }
 
-// Version 1 refuses to fork a mid-run capture: the contract is
-// barrier-only, and the error names it.
-func TestForkRejectsLiveState(t *testing.T) {
-	sc := trace.DefaultScenario(5, 40)
-	nw, rest, err := sc.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := sim.New()
-	if err := e.At(10, "pending", func(*sim.Engine) {}); err != nil {
-		t.Fatal(err)
-	}
-	s, err := snapshot.Capture(sc, nw, nil, rest, snapshot.WithEngine(e))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := s.Fork(); !errors.Is(err, snapshot.ErrLiveState) {
-		t.Errorf("fork of live capture: err = %v, want ErrLiveState", err)
-	}
-	// The live state still serializes (for inspection) and round-trips.
-	b, err := s.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var w struct {
-		Pending []sim.PendingEvent `json:"pending_events"`
-	}
-	if err := json.Unmarshal(b, &w); err != nil {
-		t.Fatal(err)
-	}
-	if len(w.Pending) != 1 || w.Pending[0].Name != "pending" {
-		t.Errorf("pending events not captured: %+v", w.Pending)
-	}
-}
-
 // snapshot.Capture without a charger forks a nil charger; the caller supplies its
 // own. The RNG tail must still restore exactly.
 func TestCaptureWithoutCharger(t *testing.T) {
@@ -215,14 +220,14 @@ func TestCaptureWithoutCharger(t *testing.T) {
 	}
 }
 
-// buildLiveSnap runs a campaign to its first checkpoint barrier and
-// returns the live (version-2) snapshot captured there.
-func buildLiveSnap(t *testing.T) *snapshot.Snapshot {
-	t.Helper()
+// buildLiveSnap runs a campaign (campaign.RunLegit or RunAttack) to its
+// 50th checkpoint barrier and returns the live snapshot captured there.
+func buildLiveSnap(tb testing.TB, run func(context.Context, *wrsn.Network, *mc.Charger, campaign.Config) (*campaign.Outcome, error)) *snapshot.Snapshot {
+	tb.Helper()
 	sc := trace.DefaultScenario(42, 60)
 	nw, _, err := sc.Build()
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	ch := mc.New(nw.Sink(), mc.DefaultParams())
 	var (
@@ -237,66 +242,56 @@ func buildLiveSnap(t *testing.T) *snapshot.Snapshot {
 		Sink:     func(s *snapshot.Snapshot) error { snap = s; return nil },
 		Stop:     func() bool { barriers++; return barriers == 50 },
 	}}
-	if _, err := campaign.RunLegit(context.Background(), nw, ch, cfg); !errors.Is(err, campaign.ErrStopped) {
-		t.Fatalf("err = %v, want ErrStopped", err)
+	if _, err := run(context.Background(), nw, ch, cfg); !errors.Is(err, campaign.ErrStopped) {
+		tb.Fatalf("err = %v, want ErrStopped", err)
 	}
 	if snap == nil {
-		t.Fatal("no snapshot captured")
+		tb.Fatal("no snapshot captured")
 	}
 	return snap
 }
 
-// A version-1 snapshot must keep decoding leniently: unknown fields are
-// ignored, exactly as every pre-v2 build behaved. Compatibility with
-// archived templates depends on this.
-func TestDecodeV1ToleratesUnknownFields(t *testing.T) {
-	s := buildSnap(t, 7, 40)
-	b, err := s.Encode()
-	if err != nil {
-		t.Fatal(err)
+// withVersion rewrites the trailing Version field — the last key of the
+// canonical layout — of an encoded snapshot.
+func withVersion(t *testing.T, b []byte, tail string) string {
+	t.Helper()
+	cur := `"Version":3}`
+	if !strings.HasSuffix(string(b), cur) {
+		t.Fatalf("encoding does not end with %s", cur)
 	}
-	patched := strings.Replace(string(b), `"version":1`, `"version":1,"future_field":7`, 1)
-	s2, err := snapshot.Decode([]byte(patched))
-	if err != nil {
-		t.Fatalf("v1 decode with unknown field: %v", err)
-	}
-	if s2.NodeCount() != s.NodeCount() {
-		t.Error("v1 decode dropped nodes")
+	return strings.TrimSuffix(string(b), cur) + tail
+}
+
+// A snapshot carrying a field this build does not understand must fail
+// loudly: silently dropping state and resuming from the rest would
+// corrupt the run. Barrier and live snapshots share the strict decoder.
+func TestDecodeRejectsUnknownFields(t *testing.T) {
+	for name, s := range map[string]*snapshot.Snapshot{"barrier": buildSnap(t, 7, 40), "live": buildLiveSnap(t, campaign.RunLegit)} {
+		b, err := s.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		patched := withVersion(t, b, `"Version":3,"Zfuture":7}`)
+		_, err = snapshot.Decode([]byte(patched))
+		var de *digest.DecodeError
+		if !errors.As(err, &de) {
+			t.Errorf("%s: err = %v, want a *digest.DecodeError", name, err)
+		}
 	}
 }
 
-// A version-2 checkpoint carrying a field this build does not understand
-// must fail loudly with a versioned error: silently dropping live state
-// and resuming from it would corrupt the run.
-func TestDecodeV2RejectsUnknownFields(t *testing.T) {
-	b, err := buildLiveSnap(t).Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	patched := strings.Replace(string(b), `"version":2`, `"version":2,"future_field":7`, 1)
-	if patched == string(b) {
-		t.Fatal("version marker not found")
-	}
-	_, err = snapshot.Decode([]byte(patched))
-	if err == nil {
-		t.Fatal("decoded a v2 snapshot with an unknown field")
-	}
-	if !strings.Contains(err.Error(), "version 2") {
-		t.Errorf("error does not name the version: %v", err)
-	}
-}
-
-// A wire version beyond this build's horizon fails with the versions the
+// A wire version beyond this build's horizon fails with the version the
 // build does read, so operators can tell a stale binary from corruption.
 func TestDecodeRejectsFutureVersion(t *testing.T) {
-	b, err := buildLiveSnap(t).Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	patched := strings.Replace(string(b), `"version":2`, `"version":3`, 1)
-	_, err = snapshot.Decode([]byte(patched))
-	if err == nil || !strings.Contains(err.Error(), "unsupported wire version 3") {
-		t.Errorf("future version error = %v", err)
+	for name, s := range map[string]*snapshot.Snapshot{"barrier": buildSnap(t, 7, 40), "live": buildLiveSnap(t, campaign.RunLegit)} {
+		b, err := s.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = snapshot.Decode([]byte(withVersion(t, b, `"Version":4}`)))
+		if err == nil || !strings.Contains(err.Error(), "unsupported wire version 4") {
+			t.Errorf("%s: future version error = %v", name, err)
+		}
 	}
 }
 
@@ -304,7 +299,7 @@ func TestDecodeRejectsFutureVersion(t *testing.T) {
 // hand out defensive copies: mutating the returned pending events must
 // not corrupt the snapshot another resume will read.
 func TestLiveRoundTripAndPendingIsolation(t *testing.T) {
-	s := buildLiveSnap(t)
+	s := buildLiveSnap(t, campaign.RunLegit)
 	if !s.Live() {
 		t.Fatal("checkpoint not live")
 	}
@@ -332,9 +327,9 @@ func TestLiveRoundTripAndPendingIsolation(t *testing.T) {
 	if again := s2.PendingEvents(); again[0].Kind == "corrupted" || again[0].T == -1 {
 		t.Error("PendingEvents returned shared storage; a caller mutation leaked back")
 	}
-	// Fork of a live v2 snapshot is allowed (that is how resume starts)
-	// and must not be perturbed by the mutation above.
+	// Fork of a live snapshot is allowed (that is how resume starts) and
+	// must not be perturbed by the mutation above.
 	if _, _, _, err := s2.Fork(); err != nil {
-		t.Errorf("fork of live v2: %v", err)
+		t.Errorf("fork of live snapshot: %v", err)
 	}
 }

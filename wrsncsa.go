@@ -455,11 +455,15 @@ func LegitFleet(ctx context.Context, nw *Network, chargers []*Charger, cfg Campa
 // Snapshot re-exports (see the internal snapshot package): a versioned,
 // deterministic serialization of a built world — deployment, batteries,
 // converged routing, charger, remaining randomness — captured at the
-// campaign barrier (before any event runs). Fork() peels off
-// independent copies; Encode/Digest give canonical bytes.
+// campaign barrier (before any event runs), or of a running campaign
+// (a live checkpoint, Live() true) in the same layout. Fork() peels off
+// independent copies; Encode gives the canonical digest JSON the
+// outcome digests use, and Digest its SHA-256.
 type Snapshot = snapshot.Snapshot
 
-// SnapshotVersion is the wire-format version DecodeSnapshot accepts.
+// SnapshotVersion is the one wire-format version DecodeSnapshot accepts,
+// for barrier and live snapshots alike. Snapshots of earlier versions are
+// not readable; rebuild them from their scenario.
 const SnapshotVersion = snapshot.Version
 
 // BuildSnapshot builds the standard evaluation scenario (as
@@ -483,9 +487,10 @@ func CaptureSnapshot(sc Scenario, nw *Network, ch *Charger, rest *rng.Stream) (*
 	return snapshot.Capture(sc, nw, ch, rest)
 }
 
-// DecodeSnapshot parses snapshot bytes produced by Snapshot.Encode,
-// rejecting unknown wire versions. Decode → Fork → run is
-// byte-identical to running from the originally captured snapshot.
+// DecodeSnapshot parses snapshot bytes produced by Snapshot.Encode. It
+// is strict: any other version, and any bytes Encode would not have
+// written, are an error. Decode → Fork → run is byte-identical to
+// running from the originally captured snapshot.
 func DecodeSnapshot(data []byte) (*Snapshot, error) { return snapshot.Decode(data) }
 
 // Job-spec re-exports (see the internal jobspec package): the
