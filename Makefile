@@ -4,9 +4,10 @@ GO ?= go
 # the end-to-end campaign hot path (including the death-heavy 10k scale
 # configs), the incremental routing recompute against its full-rebuild
 # twin, the snapshot/fork seed sweep against its rebuild baseline
-# (BenchmarkSeedSweep matches both), and the live-checkpoint capture
-# cost that bounds how aggressive -checkpoint-every can be.
-GATED_BENCH = BenchmarkExperimentSweep|BenchmarkCampaignRun|BenchmarkSeedSweep|BenchmarkRecomputeIncremental|BenchmarkCheckpointCapture
+# (BenchmarkSeedSweep matches both), the live-checkpoint capture
+# cost that bounds how aggressive -checkpoint-every can be, and the CSA
+# planner at 200 and 400 nodes.
+GATED_BENCH = BenchmarkExperimentSweep|BenchmarkCampaignRun|BenchmarkSeedSweep|BenchmarkRecomputeIncremental|BenchmarkCheckpointCapture|BenchmarkSolveCSA
 BENCH_PKGS = . ./internal/campaign ./internal/wrsn
 BENCH_SHA = $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
 
@@ -145,7 +146,8 @@ verify-dist:
 
 # fuzz runs every fuzz target for a bounded time: the strict outcome
 # decoder, the snapshot decoder, the worker frame reader, and the attack
-# planner's evaluator and route oracle. Minimization is capped because
+# planner's evaluator, route oracle and incremental cover packer (held
+# to its exhaustive twin). Minimization is capped because
 # the FuzzDecode seeds are whole campaign outcomes and snapshots
 # (~100 kB), which the default 60 s minimizer would spend the whole
 # budget shrinking. A crasher is written to the
@@ -156,6 +158,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameRecv$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/distengine
 	$(GO) test -run '^$$' -fuzz '^FuzzEvaluate$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/attack
 	$(GO) test -run '^$$' -fuzz '^FuzzRouteOracle$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/attack
+	$(GO) test -run '^$$' -fuzz '^FuzzPackCovers$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/attack
 
 results:
 	mkdir -p results

@@ -227,23 +227,28 @@ func BenchmarkProbeOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkSolveCSA isolates the planner itself on a 200-node scenario —
-// the micro-benchmark behind R-Fig 9's headline number.
+// BenchmarkSolveCSA isolates the planner itself on 200- and 400-node
+// scenarios — the micro-benchmark behind R-Fig 9's headline number, and
+// the planner's row in the regression gate.
 func BenchmarkSolveCSA(b *testing.B) {
-	nw, _, err := trace.DefaultScenario(42, 200).Build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	ch := mc.New(nw.Sink(), mc.DefaultParams())
-	in, err := attack.BuildInstance(nw, ch, attack.BuilderConfig{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := attack.SolveCSA(in); err != nil {
-			b.Fatal(err)
-		}
+	for _, n := range []int{200, 400} {
+		b.Run(fmt.Sprintf("sites=%d", n), func(b *testing.B) {
+			nw, _, err := trace.DefaultScenario(42, n).Build()
+			if err != nil {
+				b.Fatal(err)
+			}
+			ch := mc.New(nw.Sink(), mc.DefaultParams())
+			in, err := attack.BuildInstance(nw, ch, attack.BuilderConfig{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := attack.SolveCSA(in); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

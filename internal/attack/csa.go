@@ -36,6 +36,10 @@ type Result struct {
 // optimal cover utility for that skeleton (≥ (1−1/e)/2 in the budgeted
 // analysis; measured empirically against OPT in the evaluation).
 func SolveCSA(in *Instance) (Result, error) {
+	return solveCSA(in, packCovers)
+}
+
+func solveCSA(in *Instance, pack packer) (Result, error) {
 	if err := in.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -46,7 +50,7 @@ func SolveCSA(in *Instance) (Result, error) {
 	res.SkippedTargets = skipped
 	compact(in, skeleton)
 
-	greedyOrd := packCovers(in, append([]int(nil), skeleton...))
+	greedyOrd := pack(in, append([]int(nil), skeleton...))
 	greedyPlan, err := in.Evaluate(greedyOrd, false)
 	if err != nil {
 		return Result{}, fmt.Errorf("attack: CSA produced invalid plan: %w", err)
@@ -147,45 +151,129 @@ func compact(in *Instance, route []int) {
 	}
 }
 
+// packer extends a feasible route with cover sites; packCovers is the
+// only one outside tests, which check it against an exhaustive twin.
+type packer func(in *Instance, route []int) []int
+
 // packCovers greedily inserts optional sites by marginal utility per
-// marginal joule. The routeState oracle makes each candidate check O(1),
-// keeping the whole pack O(C²·L) instead of O(C²·L²).
+// marginal joule. Each round inserts the site with the best ratio at its
+// best feasible position: highest ratio, ties to the lower site index,
+// then the lower position — exactly what a scan of every site at every
+// position with a strict comparison picks.
+//
+// The scan is incremental. Each candidate caches its best feasible
+// insertion as a (ratio, position) pair, and the cache stays exact across
+// rounds for two reasons:
+//
+//   - An insertion's cost depends only on the edge's two endpoints, so
+//     an edge that survives a round keeps a bit-identical ratio.
+//   - Inserting a stop only delays later stops, shrinks slack and raises
+//     route energy, so an edge that was infeasible stays infeasible.
+//
+// The second holds in exact arithmetic; TestPackCoversMatchesExhaustive
+// and FuzzPackCovers hold the packer to the exhaustive scan, so a
+// rounding flip would show there.
+//
+// Inserting the winner at p splits edge p into p and p+1 and shifts the
+// edges above it by one. A candidate whose cached edge split, or no
+// longer passes CheckInsert, is rescanned in full (O(L)); any other
+// candidate compares its cached edge with the two new ones (O(1)). A
+// round thus costs O(C) oracle checks plus O(L) per rescanned
+// candidate, against O(C·L) for the full scan.
 func packCovers(in *Instance, route []int) []int {
-	used := make(map[int]bool, len(route))
+	used := make([]bool, len(in.Sites))
 	for _, idx := range route {
 		used[idx] = true
 	}
 	rs := newRouteState(in)
+	if !rs.Recompute(route) {
+		return route
+	}
+	var cands []coverBest
+	for idx := range in.Sites {
+		s := &in.Sites[idx]
+		if s.Mandatory || used[idx] || s.UtilJ <= 0 {
+			continue
+		}
+		c := coverBest{idx: idx}
+		c.rescan(rs)
+		cands = append(cands, c)
+	}
 	for {
+		win := -1
+		bestRatio := 0.0
+		for k := range cands {
+			if cands[k].ratio > bestRatio {
+				win, bestRatio = k, cands[k].ratio
+			}
+		}
+		if win < 0 {
+			return route
+		}
+		p := cands[win].pos
+		route = insertAt(route, p, cands[win].idx)
+		cands = append(cands[:win], cands[win+1:]...)
 		if !rs.Recompute(route) {
 			return route
 		}
-		bestIdx, bestPos, bestRatio := -1, 0, 0.0
-		for idx := range in.Sites {
-			s := &in.Sites[idx]
-			if s.Mandatory || used[idx] || s.UtilJ <= 0 {
-				continue
-			}
-			for pos := 0; pos <= len(route); pos++ {
-				cost, ok := rs.CheckInsert(pos, idx)
-				if !ok {
+		for k := range cands {
+			c := &cands[k]
+			if c.ratio > 0 {
+				if c.pos == p {
+					c.rescan(rs)
 					continue
 				}
-				if cost <= 0 {
-					cost = 1e-9 // free insertion: effectively infinite ratio
+				if c.pos > p {
+					c.pos++
 				}
-				ratio := s.UtilJ / cost
-				if ratio > bestRatio {
-					bestIdx, bestPos, bestRatio = idx, pos, ratio
+				if _, ok := rs.CheckInsert(c.pos, c.idx); !ok {
+					c.rescan(rs)
+					continue
 				}
 			}
+			c.consider(rs, p)
+			c.consider(rs, p+1)
 		}
-		if bestIdx < 0 {
-			return route
-		}
-		route = insertAt(route, bestPos, bestIdx)
-		used[bestIdx] = true
 	}
+}
+
+// coverBest is a cover site's best feasible insertion into the current
+// route; ratio 0 means it has none.
+type coverBest struct {
+	idx   int
+	pos   int
+	ratio float64
+}
+
+// rescan finds the site's best insertion over every position.
+func (c *coverBest) rescan(rs *routeState) {
+	c.pos, c.ratio = 0, 0
+	for pos := 0; pos <= len(rs.route); pos++ {
+		c.consider(rs, pos)
+	}
+}
+
+// consider takes the insertion at pos if it is feasible and beats the
+// cached one: a higher ratio, or an equal ratio at a lower position.
+func (c *coverBest) consider(rs *routeState, pos int) {
+	r := insertRatio(rs, pos, c.idx)
+	if r > c.ratio || (r == c.ratio && r > 0 && pos < c.pos) {
+		c.pos, c.ratio = pos, r
+	}
+}
+
+// insertRatio is the utility per joule of inserting site idx at pos, or
+// 0 when the insertion is infeasible. A free insertion counts as costing
+// 1e-9 J, an effectively infinite ratio.
+func insertRatio(rs *routeState, pos, idx int) float64 {
+	cost, ok := rs.CheckInsert(pos, idx)
+	if !ok {
+		return 0
+	}
+	if cost <= 0 {
+		cost = 1e-9
+	}
+	return rs.in.Sites[idx].UtilJ / cost
 }
 
 // bestSingleCover returns the best plan consisting of the skeleton plus

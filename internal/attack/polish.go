@@ -11,6 +11,10 @@ package attack
 // re-packs covers with whatever budget the shorter route freed. It
 // returns the improved route (the input slice is not modified).
 func PolishPlan(in *Instance, route []int) []int {
+	return polishPlan(in, route, packCovers)
+}
+
+func polishPlan(in *Instance, route []int, pack packer) []int {
 	in.EnsureDistIndex()
 	best := append([]int(nil), route...)
 	rs := newRouteState(in)
@@ -59,18 +63,22 @@ func PolishPlan(in *Instance, route []int) []int {
 	}
 	// Reinvest the savings: the shorter route may admit covers that did
 	// not fit before.
-	return packCovers(in, best)
+	return pack(in, best)
 }
 
 // SolveCSAPolished runs CSA and then the local-search polish. Same
 // guarantees as SolveCSA (polish only ever improves the objective); the
 // extra cost is a handful of O(L²) passes.
 func SolveCSAPolished(in *Instance) (Result, error) {
-	res, err := SolveCSA(in)
+	return solveCSAPolished(in, packCovers)
+}
+
+func solveCSAPolished(in *Instance, pack packer) (Result, error) {
+	res, err := solveCSA(in, pack)
 	if err != nil {
 		return Result{}, err
 	}
-	polished := PolishPlan(in, res.Plan.Order)
+	polished := polishPlan(in, res.Plan.Order, pack)
 	p, err := in.Evaluate(polished, false)
 	if err != nil {
 		// Polish produced something Evaluate rejects (should not happen);

@@ -10,6 +10,13 @@ import (
 // Recompute, using the classic time-window slack propagation: each stop
 // caches how much extra delay it can absorb (waiting eats delay) before
 // any downstream window breaks.
+//
+// Recompute reuses its arrays, which grow geometrically, so a pack that
+// recomputes once per inserted stop allocates O(log L) times rather than
+// once per round. Between Recomputes of a route that only gained stops,
+// every old stop's arrival and finish can only move later and its slack
+// can only shrink — the monotonicity that lets packCovers keep a
+// rejected insertion rejected without re-checking it.
 type routeState struct {
 	in    *Instance
 	route []int
@@ -43,7 +50,7 @@ func (rs *routeState) Recompute(route []int) bool {
 	prev := -1 // depot
 	t := rs.in.Start
 	for i, idx := range route {
-		s := rs.in.Sites[idx]
+		s := &rs.in.Sites[idx]
 		d := rs.in.dist(prev, idx)
 		rs.travelM += d
 		rs.radiateJ += s.Dur * rs.sitePower(idx)
@@ -60,7 +67,7 @@ func (rs *routeState) Recompute(route []int) bool {
 	// begin by max(0, arrive+δ−begin)… conservatively, waiting absorbs
 	// (begin−arrive) of any delay before it propagates.
 	for i := n - 1; i >= 0; i-- {
-		s := rs.in.Sites[rs.route[i]]
+		s := &rs.in.Sites[rs.route[i]]
 		own := (s.Window.D - s.Dur) - rs.begin[i] // delay stop i itself tolerates
 		down := math.Inf(1)
 		if i+1 < n {
@@ -85,9 +92,11 @@ func (rs *routeState) EnergyJ() float64 {
 
 // CheckInsert reports whether inserting site idx at position pos
 // (0 ≤ pos ≤ len(route)) keeps every window and the budget satisfied, and
-// if so returns the marginal energy cost. It runs in O(1).
+// if so returns the marginal energy cost. It runs in O(1). The cost
+// depends only on the sites at pos-1 and pos (the edge the stop splits),
+// not on the schedule.
 func (rs *routeState) CheckInsert(pos, idx int) (float64, bool) {
-	s := rs.in.Sites[idx]
+	s := &rs.in.Sites[idx]
 	from := -1 // depot
 	prevEnd := rs.in.Start
 	if pos > 0 {
@@ -126,9 +135,11 @@ func (rs *routeState) CheckInsert(pos, idx int) (float64, bool) {
 	return addEnergy, true
 }
 
+// resize returns s with length n, doubling its capacity when it must
+// grow.
 func resize(s []float64, n int) []float64 {
 	if cap(s) < n {
-		return make([]float64, n)
+		return make([]float64, n, max(n, 2*cap(s)))
 	}
 	return s[:n]
 }

@@ -255,7 +255,7 @@ func (in *Instance) Evaluate(ord []int, checkMandatory bool) (Plan, error) {
 			return p, fmt.Errorf("%w: site %d", ErrDuplicateSite, idx)
 		}
 		seen[idx] = true
-		s := in.Sites[idx]
+		s := &in.Sites[idx]
 		d := in.dist(prev, idx)
 		arrive := t + d/in.SpeedMps
 		begin := max(arrive, s.Window.R)

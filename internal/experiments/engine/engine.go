@@ -9,9 +9,10 @@
 // reads them in exactly the order a sequential loop would have produced
 // them. When several jobs fail, the error of the lowest-indexed failure
 // is returned — again matching what a sequential run would have seen
-// first. A job that only saw the pool's own cancellation did not fail.
-// Cancellation (parent context or first failure) stops workers
-// from claiming new jobs; in-flight jobs run to completion.
+// first. A failure at index i stops workers from claiming new jobs and
+// cancels the in-flight jobs above i; jobs below i run to completion,
+// since a sequential run would have reached them first. A canceled
+// parent context stops claiming and cancels every job.
 //
 // Hardening: a panicking job never kills the process — the worker
 // recovers it into a *PanicError carrying the job index and stack.
@@ -97,8 +98,9 @@ type Options struct {
 	// KeepGoing runs every job even after failures: the pool is not
 	// canceled, partial results are returned alongside an aggregate
 	// error (one JobError or PanicError per failed job, joined in index
-	// order). Without it the first failure cancels the pool and only the
-	// lowest-indexed error returns — the classic fail-fast contract.
+	// order). Without it a failure stops the pool, canceling only the
+	// jobs above it, and the lowest-indexed error returns — the classic
+	// fail-fast contract.
 	KeepGoing bool
 }
 
@@ -121,12 +123,11 @@ func Workers(requested, jobs int) int {
 
 // MapTimed runs fn(ctx, i) for every i in [0, n) over a pool of at most
 // `workers` goroutines (non-positive: GOMAXPROCS) and returns the results
-// indexed by job, each with its elapsed wall clock. The first failure
-// cancels the pool's context so outstanding jobs can abort promptly; the
-// returned error is the lowest-indexed failure, which is what a
-// sequential run would have hit first — a job's context.Canceled from
-// that pool cancellation does not count. A canceled parent context
-// surfaces as its ctx.Err().
+// indexed by job, each with its elapsed wall clock. A failure cancels
+// the in-flight jobs above it so they can abort promptly, and lets the
+// ones below it finish; the returned error is the lowest-indexed
+// failure, which is what a sequential run would have hit first. A
+// canceled parent context surfaces as its ctx.Err().
 func MapTimed[T any](ctx context.Context, workers, n int, fn func(ctx context.Context, i int) (T, error)) ([]Result[T], error) {
 	return MapTimedProbed(ctx, workers, n, obs.Nop(), fn)
 }
@@ -153,10 +154,8 @@ func MapTimedOpts[T any](ctx context.Context, workers, n int, probe obs.Probe, o
 	}
 	probe = obs.Or(probe)
 	workers = Workers(workers, n)
-	parent := ctx
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 
+	ff := newFailFast(n)
 	poolStart := time.Now()
 	results := make([]Result[T], n)
 	errs := make([]error, n)
@@ -171,18 +170,21 @@ func MapTimedOpts[T any](ctx context.Context, workers, n int, probe obs.Probe, o
 				if i >= n || ctx.Err() != nil {
 					return
 				}
-				res, err := runJob(ctx, i, opts, fn)
+				jctx := ctx
+				if !opts.KeepGoing {
+					if jctx = ff.start(ctx, i); jctx == nil {
+						return
+					}
+				}
+				res, err := runJob(jctx, i, opts, fn)
 				results[i] = res
 				if probe.Enabled() {
 					probe.Add("engine.jobs", 1)
 					probe.Observe("engine.job_sec", res.Elapsed.Seconds())
 				}
-				if err != nil {
-					errs[i] = err
-					if !opts.KeepGoing {
-						cancel()
-						return
-					}
+				errs[i] = err
+				if !opts.KeepGoing && ff.finish(i, err) {
+					return
 				}
 			}
 		}()
@@ -217,36 +219,72 @@ func MapTimedOpts[T any](ctx context.Context, workers, n int, probe obs.Probe, o
 			// hold zero values, everything else is complete.
 			return results, errors.Join(joined...)
 		}
-	} else if err := firstFailure(errs, parent.Err() == nil); err != nil {
-		return nil, err
+	} else {
+		// Only jobs above the lowest failure were canceled, so the
+		// lowest-indexed error is a real failure, never an echo of the
+		// pool's own cancel.
+		for _, err := range errs {
+			if err != nil {
+				return nil, err
+			}
+		}
 	}
 	// No job failed, so the only way ctx can be done here is a parent
-	// cancellation (the deferred cancel has not run yet): some jobs were
-	// never claimed and the result set is incomplete.
+	// cancellation: some jobs were never claimed and the result set is
+	// incomplete.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	return results, nil
 }
 
-// firstFailure returns the lowest-indexed error. When the pool cancelled
-// itself (poolOnly: the parent context is still live), a job's
-// context.Canceled is the pool's cancel() echoing back, not a failure,
-// so the lowest-indexed other error is the one that caused it.
-func firstFailure(errs []error, poolOnly bool) error {
-	var first error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if !poolOnly || !errors.Is(err, context.Canceled) {
-			return err
-		}
-		if first == nil {
-			first = err
+// failFast stops a pool at its lowest failure the way a sequential run
+// would. Claims are monotone, so when job i fails every lower index is
+// already claimed: those jobs run on (one may still fail, and a
+// sequential run would have hit it first), while claiming stops and the
+// in-flight jobs above i are canceled through their own contexts.
+type failFast struct {
+	mu      sync.Mutex
+	failed  int // lowest failed index so far; n while none has failed
+	cancels map[int]context.CancelFunc
+}
+
+func newFailFast(n int) *failFast {
+	return &failFast{failed: n, cancels: make(map[int]context.CancelFunc)}
+}
+
+// start returns job i's context, or nil when a lower job has failed and
+// i must not run.
+func (f *failFast) start(ctx context.Context, i int) context.Context {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if i > f.failed {
+		return nil
+	}
+	jctx, cancel := context.WithCancel(ctx)
+	f.cancels[i] = cancel
+	return jctx
+}
+
+// finish releases job i's context and reports whether it failed; a new
+// lowest failure cancels the in-flight jobs above it.
+func (f *failFast) finish(i int, err error) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.cancels[i]()
+	delete(f.cancels, i)
+	if err == nil {
+		return false
+	}
+	if i < f.failed {
+		f.failed = i
+		for j, cancel := range f.cancels {
+			if j > i {
+				cancel()
+			}
 		}
 	}
-	return first
+	return true
 }
 
 // runJob executes one job with the configured retry budget: each failed

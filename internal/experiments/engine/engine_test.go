@@ -53,20 +53,48 @@ func TestMapReturnsLowestIndexedError(t *testing.T) {
 	}
 }
 
-// A job that only saw the pool's own cancellation did not fail: job 0
+// A job that only saw the pool's own cancellation did not fail: job 2
 // blocks until the pool cancels it, which happens because job 1 failed,
 // so job 1's error is the one to report.
 func TestMapReportsCauseNotInducedCancel(t *testing.T) {
 	boom := errors.New("boom")
-	_, err := Map(context.Background(), 2, 2, func(ctx context.Context, i int) (int, error) {
-		if i == 0 {
+	_, err := Map(context.Background(), 3, 3, func(ctx context.Context, i int) (int, error) {
+		switch i {
+		case 1:
+			return 0, boom
+		case 2:
 			<-ctx.Done()
 			return 0, ctx.Err()
 		}
-		return 0, boom
+		return 0, nil
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want the failure that cancelled the pool", err)
+	}
+}
+
+// Fail-fast reports what a sequential run hits first: when job 1 fails
+// while job 0 is still running, job 0 keeps a live context and its own
+// later failure is the one returned.
+func TestFailFastLetsLowerJobsFinish(t *testing.T) {
+	errLow, errHigh := errors.New("job 0"), errors.New("job 1")
+	failed := make(chan struct{})
+	_, err := Map(context.Background(), 2, 2, func(ctx context.Context, i int) (int, error) {
+		if i == 1 {
+			close(failed)
+			return 0, errHigh
+		}
+		<-failed
+		// Give the pool ample time to act on job 1's failure.
+		select {
+		case <-ctx.Done():
+			t.Error("job 0's context was canceled by job 1's failure")
+		case <-time.After(50 * time.Millisecond):
+		}
+		return 0, errLow
+	})
+	if !errors.Is(err, errLow) {
+		t.Fatalf("err = %v, want job 0's own failure", err)
 	}
 }
 
