@@ -5,13 +5,14 @@ GO ?= go
 # configs), the incremental routing recompute against its full-rebuild
 # twin, the snapshot/fork seed sweep against its rebuild baseline
 # (BenchmarkSeedSweep matches both), the live-checkpoint capture
-# cost that bounds how aggressive -checkpoint-every can be, and the CSA
-# planner at 200 and 400 nodes.
-GATED_BENCH = BenchmarkExperimentSweep|BenchmarkCampaignRun|BenchmarkSeedSweep|BenchmarkRecomputeIncremental|BenchmarkCheckpointCapture|BenchmarkSolveCSA
-BENCH_PKGS = . ./internal/campaign ./internal/wrsn
+# cost that bounds how aggressive -checkpoint-every can be, the CSA
+# planner at 200 and 400 nodes, and one simulated day of world steps at
+# 1k and 10k nodes.
+GATED_BENCH = BenchmarkExperimentSweep|BenchmarkCampaignRun|BenchmarkSeedSweep|BenchmarkRecomputeIncremental|BenchmarkCheckpointCapture|BenchmarkSolveCSA|BenchmarkWorldStep
+BENCH_PKGS = . ./internal/campaign ./internal/campaign/world ./internal/wrsn
 BENCH_SHA = $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
 
-.PHONY: all build vet fmt-check staticcheck test race bench bench-all bench-json bench-gate bench-baseline verify verify-faults verify-daemon verify-snapshot verify-checkpoint verify-scale verify-dist fuzz results clean
+.PHONY: all build vet fmt-check staticcheck test race bench bench-all bench-json bench-gate bench-baseline bench-smoke verify verify-faults verify-daemon verify-snapshot verify-checkpoint verify-scale verify-dist fuzz results clean
 
 all: verify
 
@@ -76,6 +77,12 @@ bench-baseline:
 	$(GO) test -run '^$$' -bench='$(GATED_BENCH)' -benchmem -json $(BENCH_PKGS) \
 		| $(GO) run ./cmd/benchjson -out BENCH_baseline.json
 
+# bench-smoke runs every gated benchmark exactly once at GOMAXPROCS 1: a
+# benchmark that panics or fails its own check fails the target, which a
+# compile-only pass would not notice. It measures nothing.
+bench-smoke:
+	$(GO) test -run '^$$' -bench='$(GATED_BENCH)' -cpu 1 -benchtime 1x $(BENCH_PKGS)
+
 # verify is the tier-1 gate: build, vet (+gofmt, +staticcheck when
 # present), plain tests, race tests.
 verify: build vet staticcheck test race
@@ -118,11 +125,14 @@ verify-checkpoint:
 # verify-scale focuses the large-network contracts: the incremental
 # shortest-path-tree oracle (exact equality with a brute-force canonical
 # Dijkstra through randomized fail/repair/depletion sequences and an
-# exact-tie lattice), the region partitioner, the sharded-stepping digest
-# invariance under the race detector, and a 10k-node campaign smoke on
-# the sharded path.
+# exact-tie lattice), the region partitioner, the fused world step's
+# lockstep oracle (against separate drain/scan/forecast passes through
+# random charge, drain, fault and death sequences), the sharded-stepping
+# digest invariance under the race detector, and a 10k-node campaign
+# smoke on the sharded path.
 verify-scale:
 	$(GO) test ./internal/wrsn -run 'Incremental|RegionShards' -count=1
+	$(GO) test ./internal/campaign/world -run 'FusedStepLockstep' -count=1
 	$(GO) test -race ./internal/campaign -run 'ShardedSteppingDigest' -count=1
 	$(GO) test ./internal/campaign -run 'ShardedScaleSmoke' -count=1 -timeout 10m
 
@@ -145,9 +155,10 @@ verify-dist:
 	rm -rf .distwork
 
 # fuzz runs every fuzz target for a bounded time: the strict outcome
-# decoder, the snapshot decoder, the worker frame reader, and the attack
+# decoder, the snapshot decoder, the worker frame reader, the attack
 # planner's evaluator, route oracle and incremental cover packer (held
-# to its exhaustive twin). Minimization is capped because
+# to its exhaustive twin), and the ordered charging-request queue (held
+# to a map model and sort-then-scan scheduler picks). Minimization is capped because
 # the FuzzDecode seeds are whole campaign outcomes and snapshots
 # (~100 kB), which the default 60 s minimizer would spend the whole
 # budget shrinking. A crasher is written to the
@@ -159,6 +170,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzEvaluate$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/attack
 	$(GO) test -run '^$$' -fuzz '^FuzzRouteOracle$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/attack
 	$(GO) test -run '^$$' -fuzz '^FuzzPackCovers$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/attack
+	$(GO) test -run '^$$' -fuzz '^FuzzQueue$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/charging
 
 results:
 	mkdir -p results

@@ -130,11 +130,10 @@ type Config struct {
 	// consumed loss stream and are single-use: build a fresh plan (same
 	// faults.Spec) per run.
 	Faults *faults.Plan
-	// Shards sets the world's per-tick scan parallelism: 0 sizes
-	// automatically from GOMAXPROCS and network size, 1 forces sequential
-	// stepping, k > 1 splits the node set into k grid-region shards. The
-	// Outcome is byte-identical at any value — sharding is purely a
-	// wall-clock knob for large networks.
+	// Shards sets the world's per-tick scan parallelism: 0 or 1 steps
+	// sequentially (one fused pass per step), k > 1 splits the node set
+	// into k grid-region shards. The Outcome is byte-identical at any
+	// value — sharding is purely a wall-clock knob for large networks.
 	Shards int
 	// Checkpoint arms live checkpointing: at handler-safe barriers the
 	// run captures a live snapshot and hands it to the plan's Sink.

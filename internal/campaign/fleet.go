@@ -102,6 +102,8 @@ type fleetRun struct {
 	// reserved prevents two chargers from chasing one request.
 	reserved map[wrsn.NodeID]bool
 	busy     float64
+	// view is the unreserved part of the queue, refilled per pick.
+	view charging.Queue
 }
 
 // newFleetRun wires actors and binds the keyed fleet handlers on the
@@ -136,16 +138,8 @@ func newFleetRun(nw *wrsn.Network, chargers []*mc.Charger, cfg Config, led *ledg
 
 // pick returns the scheduler's choice among unreserved requests.
 func (f *fleetRun) pick(ch *mc.Charger) (charging.Request, bool) {
-	var view charging.Queue
-	for _, req := range f.w.Queue().Pending() {
-		if f.reserved[req.Node] {
-			continue
-		}
-		if err := view.Add(req); err != nil {
-			continue
-		}
-	}
-	return f.cfg.Scheduler.Next(&view, ch.Pos(), f.w.Now())
+	f.view.Filter(f.w.Queue(), func(r charging.Request) bool { return !f.reserved[r.Node] })
+	return f.cfg.Scheduler.Next(&f.view, ch.Pos(), f.w.Now())
 }
 
 // tick advances batteries, deaths, and requests between fleet events.
@@ -258,7 +252,7 @@ func (f *fleetRun) end(e *sim.Engine, idx int) {
 		_ = e.AfterKeyed(1, fleetDispatchKind, idx, "next")
 		return
 	}
-	delivered := node.Battery.Charge(s.rate * s.dur)
+	delivered := f.nw.Charge(node.ID, s.rate*s.dur)
 	sess := charging.Session{
 		Node: node.ID, Kind: charging.SessionFocus,
 		Start: s.start, End: e.Now(),

@@ -106,6 +106,9 @@ type Env struct {
 	// aborts the drive and propagates out of Drive/DriveResume. Nil
 	// disables barriers with zero overhead on the action path.
 	Checkpoint func(Barrier) error
+
+	// view is PickFiltered's filtered queue, refilled per pick.
+	view charging.Queue
 }
 
 // Barrier describes where in the drive loop a checkpoint hook fires, and
@@ -172,17 +175,8 @@ func (e *Env) PickLive() (charging.Request, bool) {
 // PickFiltered runs the scheduler over a queue view without requests the
 // policy's OnRequest hook rejects.
 func (e *Env) PickFiltered(keep func(charging.Request) bool) (charging.Request, bool) {
-	var view charging.Queue
-	for _, req := range e.W.Queue().Pending() {
-		if keep != nil && !keep(req) {
-			continue
-		}
-		// Requests in the live queue are already validated.
-		if err := view.Add(req); err != nil {
-			continue
-		}
-	}
-	return e.Scheduler.Next(&view, e.A.Ch.Pos(), e.W.Now())
+	e.view.Filter(e.W.Queue(), keep)
+	return e.Scheduler.Next(&e.view, e.A.Ch.Pos(), e.W.Now())
 }
 
 // Result is what an executed Action reports back into NextAction.

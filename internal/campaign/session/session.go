@@ -103,7 +103,7 @@ func (a *Actor) Focus(node *wrsn.Node, dur float64) (charging.Session, error) {
 	// guarantees survival). Charger breakdowns suspend delivery: only the
 	// actively-radiating seconds charge the battery.
 	active := a.advance(dur)
-	delivered := node.Battery.Charge(rate * active)
+	delivered := a.W.Network().Charge(node.ID, rate*active)
 	s := charging.Session{
 		Node:       node.ID,
 		Kind:       charging.SessionFocus,
@@ -166,7 +166,7 @@ func (a *Actor) Spoof(node *wrsn.Node, dur float64) (charging.Session, error) {
 	requested, meterBefore := a.PendingNeed(node), node.Battery.MeterRead()
 	start := a.W.Now()
 	active := a.advance(dur)
-	delivered := node.Battery.Charge(a.rect.DCOutput(rf) * active)
+	delivered := a.W.Network().Charge(node.ID, a.rect.DCOutput(rf)*active)
 	s := charging.Session{
 		Node:       node.ID,
 		Kind:       charging.SessionSpoof,
@@ -318,7 +318,7 @@ func (a *Actor) applyDefenses(node *wrsn.Node, s charging.Session, claimedRateW,
 		if cost <= 0 {
 			cost = defense.DefaultVerifyCostJ
 		}
-		a.drainForDefense(node, cost)
+		a.W.DrainNode(node.ID, cost)
 		if def.Judge(claimedRateW, actualDCW) == defense.VerifyFail {
 			expose("harvest-verification", actualDCW, 0)
 		}
@@ -361,26 +361,12 @@ func (a *Actor) applyDefenses(node *wrsn.Node, s charging.Session, claimedRateW,
 			if cost <= 0 {
 				cost = defense.DefaultWitnessCostJ
 			}
-			a.drainForDefense(w, cost)
+			a.W.DrainNode(w.ID, cost)
 			rf := a.witnessRF[i]
 			if rf >= def.WitnessThreshold() && gainLow {
 				expose("neighbor-witness", actualDCW, rf)
 				break
 			}
 		}
-	}
-}
-
-// drainForDefense charges a node the energy of a countermeasure action,
-// recording the (rare) death it can cause — the drain bypasses the
-// world-advance path that normally notices deaths.
-func (a *Actor) drainForDefense(node *wrsn.Node, cost float64) {
-	if !node.Alive() {
-		return
-	}
-	node.Battery.Drain(cost)
-	if node.Battery.Depleted() {
-		a.W.RecordDeath(node.ID)
-		a.W.Network().Recompute()
 	}
 }

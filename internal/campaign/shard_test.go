@@ -77,8 +77,8 @@ func TestShardedSteppingDigestInvariant(t *testing.T) {
 	}
 }
 
-// TestShardedScaleSmoke runs a 10k-node legit campaign with automatic
-// sharding over a short horizon — the large-N configuration the scale
+// TestShardedScaleSmoke runs a 10k-node legit campaign on four explicit
+// shards over a short horizon — the large-N configuration the scale
 // work exists for. It asserts completion and that the run produced real
 // dynamics (deaths and requests), not silence.
 func TestShardedScaleSmoke(t *testing.T) {
@@ -92,9 +92,7 @@ func TestShardedScaleSmoke(t *testing.T) {
 	}
 	ch := mc.New(nw.Sink(), mc.DefaultParams())
 	o, err := RunLegit(context.Background(), nw, ch, Config{
-		Seed: seed,
-		// Explicit: automatic sizing degenerates to sequential on
-		// single-core runners, and the point here is the sharded path.
+		Seed:       seed,
 		Shards:     4,
 		HorizonSec: 2 * 24 * 3600,
 		PollSec:    1800,

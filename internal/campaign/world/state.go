@@ -122,6 +122,7 @@ func Resume(ctx context.Context, nw *wrsn.Network, led *ledger.L, p Params, prob
 		led:    led,
 		p:      p,
 		probe:  obs.Or(probe),
+		qu:     charging.NewQueue(n),
 		cool:   make([]float64, n),
 		keySet: make([]bool, n),
 	}

@@ -56,10 +56,11 @@ type Params struct {
 	// Faults is the fault plan to compile onto the engine; nil or empty
 	// leaves the run byte-identical to a fault-free one.
 	Faults *faults.Plan
-	// Shards sets the per-tick scan parallelism: 0 sizes automatically
-	// from GOMAXPROCS and network size, 1 forces sequential stepping, and
-	// k > 1 splits the node set into k grid-region shards. The outcome is
-	// byte-identical at any value — sharding only changes wall-clock.
+	// Shards sets the per-tick scan parallelism: 0 or 1 steps
+	// sequentially with one fused pass per step, and k > 1 splits the
+	// node set into k grid-region shards that keep separate scans. The
+	// outcome is byte-identical at any value — sharding only changes
+	// wall-clock.
 	Shards int
 }
 
@@ -76,6 +77,11 @@ type W struct {
 	qu  charging.Queue
 	// sh is the parallel tick stepper; nil steps sequentially.
 	sh *shardRunner
+	// pass holds the last fused drain pass's lists (reused every step),
+	// and fc the last depletion forecast with what it was computed
+	// against; both serve only the sequential stepper.
+	pass wrsn.EnergyPass
+	fc   forecast
 	// cool and keySet are dense per-node tables (node IDs are the
 	// contiguous 0..n-1 range); zero values mean "no cooldown" / "not a
 	// key node", exactly matching the missing-key semantics of the maps
@@ -120,6 +126,7 @@ func New(ctx context.Context, nw *wrsn.Network, led *ledger.L, p Params, probe o
 		led:    led,
 		p:      p,
 		probe:  obs.Or(probe),
+		qu:     charging.NewQueue(n),
 		cool:   make([]float64, n),
 		keySet: make([]bool, n),
 	}
@@ -204,12 +211,28 @@ func (w *W) Auditing() bool { return w.auditing }
 // the next battery depletion, whichever is sooner. Batteries drain, deaths
 // are recorded, routing recomputes on topology change, and new requests,
 // samples, and audits are taken at the boundary.
+//
+// The sequential stepper makes one dense pass over the network per step
+// (wrsn.AdvanceEnergyPass): it drains, and in the same loop lists the
+// deaths and the below-threshold survivors and forecasts the next
+// depletion. The request scan then runs the full eligibility predicate
+// only over the below-threshold list — nothing moves a battery level
+// between the pass and the scan, so the list is a superset of the
+// eligible nodes, in the same ascending ID order, and the loss draws
+// consume the stream exactly as a full scan would.
 func (w *W) step(target float64) {
 	step := min(target, w.now+w.p.PollSec)
 	if dt, _ := w.nextDepletion(); dt > w.now && dt < step {
 		step = dt
 	}
-	died := w.advanceEnergy(step - w.now)
+	var died []wrsn.NodeID
+	if w.sh == nil {
+		w.nw.AdvanceEnergyPass(step-w.now, step, w.p.RequestFrac, &w.pass)
+		w.remember(step, w.pass.NextAt, w.pass.Next)
+		died = w.pass.Died
+	} else {
+		died = w.sh.advanceEnergy(step - w.now)
+	}
 	w.now = step
 	if len(died) > 0 {
 		for _, id := range died {
@@ -217,7 +240,11 @@ func (w *W) step(target float64) {
 		}
 		w.nw.Recompute()
 	}
-	w.ScanRequests()
+	if w.sh == nil {
+		w.scanCandidates(w.pass.Low)
+	} else {
+		w.ScanRequests()
+	}
 	w.Sample()
 	w.audit()
 	// Energy-aware routing responds to battery levels, not just deaths;
@@ -228,22 +255,60 @@ func (w *W) step(target float64) {
 	}
 }
 
-// nextDepletion forecasts the soonest death from the current clock,
-// sharded when a runner is armed.
-func (w *W) nextDepletion() (float64, wrsn.NodeID) {
-	if w.sh == nil {
-		return w.nw.NextDepletion(w.now)
-	}
-	return w.sh.nextDepletion(w.now)
+// forecast is a depletion forecast — NextDepletion(now) = (at, who) —
+// with what it was computed against: the network epoch and the argmin
+// node's battery level.
+//
+// It still equals a fresh NextDepletion while the clock, the epoch and
+// the argmin's level are all unchanged. The epoch covers every change
+// that can move some other node's depletion earlier (a routing
+// recompute, an out-of-pass drain, a fail or repair, a revival; see
+// wrsn.Network.Epoch). What the epoch leaves out is a charge to an alive
+// node, which only moves that node's own depletion later: a node other
+// than the argmin already had a later time, or the same time and a
+// higher ID, and keeps it, so it cannot displace the argmin or win a tie
+// against it. A charge to the argmin itself changes its level.
+type forecast struct {
+	valid bool
+	now   float64
+	epoch uint64
+	at    float64
+	who   wrsn.NodeID
+	level float64
 }
 
-// advanceEnergy drains the network for dt and returns deaths in ascending
-// ID order, sharded when a runner is armed.
-func (w *W) advanceEnergy(dt float64) []wrsn.NodeID {
-	if w.sh == nil {
-		return w.nw.AdvanceEnergy(dt)
+// nextDepletion forecasts the soonest death from the current clock,
+// sharded when a runner is armed. The sequential stepper reuses the last
+// forecast while it still holds: the forecast the step's fused pass made
+// serves the scheduleStep that follows it, and scheduleStep's serves the
+// next step, both at the same clock.
+func (w *W) nextDepletion() (float64, wrsn.NodeID) {
+	if w.sh != nil {
+		return w.sh.nextDepletion(w.now)
 	}
-	return w.sh.advanceEnergy(dt)
+	if w.forecastHolds() {
+		return w.fc.at, w.fc.who
+	}
+	at, who := w.nw.NextDepletion(w.now)
+	w.remember(w.now, at, who)
+	return at, who
+}
+
+// forecastHolds reports whether the last forecast is still
+// NextDepletion(now): same clock, same network epoch, same argmin level.
+func (w *W) forecastHolds() bool {
+	fc := w.fc
+	return fc.valid && fc.now == w.now && fc.epoch == w.nw.Epoch() &&
+		(fc.who == wrsn.ParentNone || w.nw.Nodes()[fc.who].Battery.Level() == fc.level)
+}
+
+// remember records (at, who) as the forecast at clock now, against the
+// network's current state.
+func (w *W) remember(now, at float64, who wrsn.NodeID) {
+	w.fc = forecast{valid: true, now: now, epoch: w.nw.Epoch(), at: at, who: who}
+	if who != wrsn.ParentNone {
+		w.fc.level = w.nw.Nodes()[who].Battery.Level()
+	}
 }
 
 // AdvanceTo moves the world clock to t through the event engine: each
@@ -348,6 +413,21 @@ func (w *W) RecordDeath(id wrsn.NodeID) {
 	}
 }
 
+// DrainNode takes j joules from an alive node outside the step pass — the
+// energy cost of a countermeasure action — and records the death it can
+// cause, which the step pass would otherwise be the one to notice. It is
+// a no-op on a node out of service.
+func (w *W) DrainNode(id wrsn.NodeID, j float64) {
+	if !w.nw.Nodes()[id].Alive() {
+		return
+	}
+	w.nw.Drain(id, j)
+	if w.nw.Nodes()[id].Battery.Depleted() {
+		w.RecordDeath(id)
+		w.nw.Recompute()
+	}
+}
+
 // ScanRequests issues charging requests for alive, connected,
 // below-threshold nodes that are outside their cooldown and have nothing
 // pending. Under a fault plan, a sink outage defers issuance entirely
@@ -375,12 +455,30 @@ func (w *W) ScanRequests() {
 	}
 }
 
-// wantsCharge is the request-eligibility predicate: alive, connected,
-// nothing pending, outside cooldown and retransmission backoff, and below
-// the request threshold. It only reads world state, so the sharded scan
-// may evaluate it concurrently across disjoint nodes.
+// scanCandidates is ScanRequests over ids, which must be ascending and
+// hold every node the full scan would find eligible.
+func (w *W) scanCandidates(ids []wrsn.NodeID) {
+	if w.sinkDown {
+		return
+	}
+	for _, id := range ids {
+		if w.wantsCharge(id) {
+			w.issueRequest(id)
+		}
+	}
+}
+
+// wantsCharge is the request-eligibility predicate: below the request
+// threshold, alive, connected, nothing pending, and outside cooldown and
+// retransmission backoff. It is a pure conjunction, so the order of its
+// tests does not change its result; the threshold goes first because it
+// rejects nearly every node. It only reads world state, so the sharded
+// scan may evaluate it concurrently across disjoint nodes.
 func (w *W) wantsCharge(id wrsn.NodeID) bool {
 	n := w.nw.Nodes()[id]
+	if n.Battery.Level() > w.p.RequestFrac*n.Battery.Capacity() {
+		return false
+	}
 	if !n.Alive() || !w.nw.Connected(id) || w.qu.Has(id) {
 		return false
 	}
@@ -390,7 +488,7 @@ func (w *W) wantsCharge(id wrsn.NodeID) bool {
 	if w.retxNext != nil && w.now < w.retxNext[id] {
 		return false
 	}
-	return n.Battery.Level() <= w.p.RequestFrac*n.Battery.Capacity()
+	return true
 }
 
 // issueRequest runs the mutating tail of the scan for one eligible node:

@@ -56,12 +56,12 @@ func TestQueueRemove(t *testing.T) {
 	if q.Remove(2) {
 		t.Error("double remove succeeded")
 	}
-	// The remaining entries must still be addressable (swap-delete bug
-	// guard).
+	// The remaining entries must still be addressable after the gap
+	// closes.
 	if !q.Has(1) || !q.Has(3) {
-		t.Error("swap-delete corrupted the index")
+		t.Error("remove corrupted the index")
 	}
-	// Removing the last inserted element (the swap-with-self edge case).
+	// Removing the last element.
 	if !q.Remove(3) || q.Has(3) {
 		t.Error("remove-last broke")
 	}
@@ -78,19 +78,6 @@ func TestQueuePendingSorted(t *testing.T) {
 	p := q.Pending()
 	if len(p) != 3 || p[0].Node != 1 || p[1].Node != 2 || p[2].Node != 3 {
 		t.Errorf("pending order = %v", p)
-	}
-}
-
-func TestQueueExpire(t *testing.T) {
-	var q Queue
-	_ = q.Add(req(1, 0, 0, 10, 1))
-	_ = q.Add(req(2, 0, 0, 50, 1))
-	dead := q.Expire(20)
-	if len(dead) != 1 || dead[0].Node != 1 {
-		t.Errorf("expired = %v", dead)
-	}
-	if q.Has(1) || !q.Has(2) {
-		t.Error("expire removed the wrong entries")
 	}
 }
 

@@ -6,8 +6,10 @@
 package charging
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"github.com/reprolab/wrsn-csa/internal/geom"
 	"github.com/reprolab/wrsn-csa/internal/wrsn"
@@ -30,6 +32,12 @@ type Request struct {
 
 // Validate reports whether the request is well formed.
 func (r Request) Validate() error {
+	if r.Node < 0 {
+		return fmt.Errorf("charging: request for negative node ID %d", r.Node)
+	}
+	if math.IsNaN(r.IssuedAt) {
+		return fmt.Errorf("charging: request for node %d has no issue time", r.Node)
+	}
 	if r.Deadline < r.IssuedAt {
 		return fmt.Errorf("charging: request for node %d has deadline %v before issue %v", r.Node, r.Deadline, r.IssuedAt)
 	}
@@ -40,11 +48,30 @@ func (r Request) Validate() error {
 }
 
 // Queue holds pending requests with at most one outstanding request per
-// node; re-issuing replaces the older entry. The zero value is ready to
-// use.
+// node; re-issuing replaces the older entry. Requests are kept in
+// (IssuedAt, Node) order at all times: an insert is a binary search
+// (nearly always landing at the end, since requests are issued at the
+// advancing clock) and a removal closes the gap in place, so reading the
+// queue in order never sorts. The zero value is ready to use.
 type Queue struct {
 	pending []Request
-	byNode  map[wrsn.NodeID]int
+	// byNode is a dense per-node table (node IDs are the contiguous
+	// 0..n-1 range) of each queued request's issue time, grown on demand.
+	// With the issue time, a node's slot in pending is one binary search
+	// away, and nothing needs re-indexing when entries shift.
+	byNode []slot
+}
+
+// NewQueue returns an empty queue whose index is sized for node IDs
+// 0..nodes-1, so filling it never regrows the index.
+func NewQueue(nodes int) Queue {
+	return Queue{byNode: make([]slot, nodes)}
+}
+
+// slot is one node's entry in the dense index.
+type slot struct {
+	issuedAt float64
+	queued   bool
 }
 
 // Len returns the number of pending requests.
@@ -55,76 +82,93 @@ func (q *Queue) Add(r Request) error {
 	if err := r.Validate(); err != nil {
 		return err
 	}
-	if q.byNode == nil {
-		q.byNode = make(map[wrsn.NodeID]int)
+	if i, ok := q.find(r.Node); ok {
+		if q.pending[i].IssuedAt == r.IssuedAt {
+			q.pending[i] = r
+			return nil
+		}
+		q.pending = slices.Delete(q.pending, i, i+1)
 	}
-	if i, ok := q.byNode[r.Node]; ok {
-		q.pending[i] = r
-		return nil
+	if n := int(r.Node) + 1; n > len(q.byNode) {
+		q.byNode = append(q.byNode, make([]slot, n-len(q.byNode))...)
 	}
-	q.byNode[r.Node] = len(q.pending)
-	q.pending = append(q.pending, r)
+	q.byNode[r.Node] = slot{issuedAt: r.IssuedAt, queued: true}
+	q.pending = slices.Insert(q.pending, q.search(r.IssuedAt, r.Node), r)
 	return nil
 }
 
 // Remove drops the node's pending request if present and reports whether
 // one was removed.
 func (q *Queue) Remove(id wrsn.NodeID) bool {
-	i, ok := q.byNode[id]
+	i, ok := q.find(id)
 	if !ok {
 		return false
 	}
-	last := len(q.pending) - 1
-	moved := q.pending[last]
-	q.pending[i] = moved
-	q.byNode[moved.Node] = i
-	q.pending = q.pending[:last]
-	delete(q.byNode, id)
-	// When i == last the moved element was the removed one; the map entry
-	// re-added above must go. Guard against resurrecting it.
-	if moved.Node == id {
-		delete(q.byNode, id)
-	}
+	q.pending = slices.Delete(q.pending, i, i+1)
+	q.byNode[id] = slot{}
 	return true
 }
 
 // Has reports whether the node has a pending request.
 func (q *Queue) Has(id wrsn.NodeID) bool {
-	_, ok := q.byNode[id]
-	return ok
+	return int(id) >= 0 && int(id) < len(q.byNode) && q.byNode[id].queued
 }
 
 // Get returns the node's pending request.
 func (q *Queue) Get(id wrsn.NodeID) (Request, bool) {
-	i, ok := q.byNode[id]
+	i, ok := q.find(id)
 	if !ok {
 		return Request{}, false
 	}
 	return q.pending[i], true
 }
 
-// Pending returns a copy of the pending requests in insertion-stable order
-// (sorted by issue time, then node ID, for determinism).
-func (q *Queue) Pending() []Request {
-	out := append([]Request(nil), q.pending...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].IssuedAt != out[j].IssuedAt {
-			return out[i].IssuedAt < out[j].IssuedAt
+// Pending returns the pending requests sorted by issue time, then node
+// ID. The slice is a read-only view of the queue itself, valid until the
+// next Add, Remove or Filter: callers must not modify it, and must not
+// mutate the queue while ranging over it.
+func (q *Queue) Pending() []Request { return q.pending }
+
+// Filter replaces q's contents with the requests of src that keep
+// accepts (all of them when keep is nil), in src's order. Schedulers run
+// over such a filtered view; q's storage is reused, so a view refilled
+// per pick stops allocating once it has grown.
+func (q *Queue) Filter(src *Queue, keep func(Request) bool) {
+	for _, r := range q.pending {
+		q.byNode[r.Node] = slot{}
+	}
+	q.pending = q.pending[:0]
+	if len(q.byNode) < len(src.byNode) {
+		q.byNode = append(q.byNode, make([]slot, len(src.byNode)-len(q.byNode))...)
+	}
+	for _, r := range src.pending {
+		if keep != nil && !keep(r) {
+			continue
 		}
-		return out[i].Node < out[j].Node
-	})
-	return out
+		q.pending = append(q.pending, r)
+		q.byNode[r.Node] = src.byNode[r.Node]
+	}
 }
 
-// Expire removes requests whose deadline has passed (the node died) and
-// returns them.
-func (q *Queue) Expire(now float64) []Request {
-	var dead []Request
-	for _, r := range q.Pending() {
-		if r.Deadline <= now {
-			dead = append(dead, r)
-			q.Remove(r.Node)
-		}
+// find returns the index of the node's request in pending.
+func (q *Queue) find(id wrsn.NodeID) (int, bool) {
+	if !q.Has(id) {
+		return 0, false
 	}
-	return dead
+	return q.search(q.byNode[id].issuedAt, id), true
+}
+
+// search returns the first index whose request does not order before
+// (at, id).
+func (q *Queue) search(at float64, id wrsn.NodeID) int {
+	i, _ := slices.BinarySearchFunc(q.pending, id, func(r Request, id wrsn.NodeID) int {
+		switch {
+		case r.IssuedAt < at:
+			return -1
+		case r.IssuedAt > at:
+			return 1
+		}
+		return cmp.Compare(r.Node, id)
+	})
+	return i
 }

@@ -110,6 +110,84 @@ func (nw *Network) AdvanceEnergy(dt float64) []NodeID {
 	return died
 }
 
+// EnergyPass is what one fused drain pass observed; see
+// AdvanceEnergyPass. Its slices are reused by the next pass.
+type EnergyPass struct {
+	// Died lists the nodes the drain depleted, ascending ID.
+	Died []NodeID
+	// Low lists the surviving nodes whose level is at or below the
+	// request threshold, ascending ID.
+	Low []NodeID
+	// NextAt and Next are NextDepletion(now) over the survivors.
+	NextAt float64
+	Next   NodeID
+}
+
+// AdvanceEnergyPass is AdvanceEnergy, the request-threshold scan and
+// NextDepletion fused into one pass over the dense storage. It drains
+// every alive node for dt seconds exactly as AdvanceEnergy does, and in
+// the same loop records into p the deaths, the survivors with
+// Level ≤ requestFrac·Capacity, and NextDepletion(now) over the
+// survivors — each with the float expression of the scan it replaces,
+// in ascending ID order, ties to the lowest ID. now is the clock after
+// the drain. A non-positive dt drains nothing.
+func (nw *Network) AdvanceEnergyPass(dt, now, requestFrac float64, p *EnergyPass) {
+	p.Died, p.Low = p.Died[:0], p.Low[:0]
+	best := math.Inf(1)
+	who := ParentNone
+	for i := range nw.bats {
+		if !nw.aliveIdx(i) {
+			continue
+		}
+		b := &nw.bats[i]
+		drain := nw.drainW[i]
+		if dt > 0 {
+			b.Drain(drain * dt)
+			if b.Depleted() {
+				p.Died = append(p.Died, NodeID(i))
+				continue
+			}
+		}
+		if b.Level() <= requestFrac*b.Capacity() {
+			p.Low = append(p.Low, NodeID(i))
+		}
+		if drain <= 0 {
+			continue
+		}
+		if t := now + b.Level()/drain; t < best {
+			best, who = t, NodeID(i)
+		}
+	}
+	p.NextAt, p.Next = best, who
+}
+
+// Epoch counts the changes that can move NextDepletion at a fixed clock
+// other than an AdvanceEnergyPass: every Recompute (drains change),
+// every Fail and Repair, every Drain, and every Charge that lands on a
+// node out of service (a revived node joins the forecast). A Charge to
+// an alive node is not counted: it only postpones that node's own
+// depletion, so it can displace a forecast's argmin only by being a
+// charge to the argmin itself. A level changed directly through a Node's
+// Battery pointer is not counted: code that moves levels while a world
+// steps the network must go through Drain and Charge.
+func (nw *Network) Epoch() uint64 { return nw.epoch }
+
+// Drain takes up to j joules from node id outside the step pass (a
+// defense action's energy cost) and returns the amount removed.
+func (nw *Network) Drain(id NodeID, j float64) float64 {
+	nw.epoch++
+	return nw.bats[id].Drain(j)
+}
+
+// Charge stores up to j joules in node id's battery and returns the
+// amount stored.
+func (nw *Network) Charge(id NodeID, j float64) float64 {
+	if !nw.aliveIdx(int(id)) {
+		nw.epoch++
+	}
+	return nw.bats[id].Charge(j)
+}
+
 // AdvanceEnergyIn is AdvanceEnergy restricted to the given node IDs,
 // appending deaths to died (in ids order) and returning it. It touches
 // only those nodes' dense slots and no shared scratch, so concurrent

@@ -74,6 +74,9 @@ type Network struct {
 	// drainW caches DrainWatts per node for the current tree; energy
 	// advance and depletion forecasting read it every step.
 	drainW []float64
+	// epoch counts the changes that can move a depletion forecast other
+	// than the dense drain pass itself; see Epoch.
+	epoch uint64
 
 	// Shortest-path state persisted between Recompute calls for
 	// incremental maintenance: Dijkstra distances and predecessors (graph
@@ -401,6 +404,7 @@ func (nw *Network) NodesNear(dst []*Node, pos geom.Point, rangeM float64) []*Nod
 // routing always rebuilds fully, because its edge weights depend on
 // battery levels, not just on the alive set.
 func (nw *Network) Recompute() {
+	nw.epoch++
 	nw.refreshLive()
 	if nw.treeValid && !nw.fullOnly && nw.policy != PolicyEnergyAware && nw.recomputeIncremental() {
 		nw.prevLive.copyFrom(nw.live)

@@ -69,11 +69,17 @@ const (
 func (n *Node) Alive() bool { return !n.net.failed.get(int(n.ID)) && !n.Battery.Depleted() }
 
 // Fail powers the node off with a hardware fault. Idempotent.
-func (n *Node) Fail() { n.net.failed.set(int(n.ID)) }
+func (n *Node) Fail() {
+	n.net.failed.set(int(n.ID))
+	n.net.epoch++
+}
 
 // Repair clears a hardware fault; the node rejoins with whatever charge
 // its battery held when it failed. Idempotent.
-func (n *Node) Repair() { n.net.failed.clear(int(n.ID)) }
+func (n *Node) Repair() {
+	n.net.failed.clear(int(n.ID))
+	n.net.epoch++
+}
 
 // Failed reports whether the node is hardware-failed (independent of
 // battery state).
