@@ -157,8 +157,10 @@ verify-dist:
 # fuzz runs every fuzz target for a bounded time: the strict outcome
 # decoder, the snapshot decoder, the worker frame reader, the attack
 # planner's evaluator, route oracle and incremental cover packer (held
-# to its exhaustive twin), and the ordered charging-request queue (held
-# to a map model and sort-then-scan scheduler picks). Minimization is capped because
+# to its exhaustive twin), the ordered charging-request queue (held
+# to a map model and sort-then-scan scheduler picks), and incremental
+# routing on tie-heavy lattices (held to a brute-force Dijkstra and a
+# from-scratch rebuild). Minimization is capped because
 # the FuzzDecode seeds are whole campaign outcomes and snapshots
 # (~100 kB), which the default 60 s minimizer would spend the whole
 # budget shrinking. A crasher is written to the
@@ -171,6 +173,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRouteOracle$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/attack
 	$(GO) test -run '^$$' -fuzz '^FuzzPackCovers$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/attack
 	$(GO) test -run '^$$' -fuzz '^FuzzQueue$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/charging
+	$(GO) test -run '^$$' -fuzz '^FuzzIncrementalRouting$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/wrsn
 
 results:
 	mkdir -p results

@@ -24,7 +24,9 @@ import (
 // below-threshold list and (t, who) must equal the reference passes', the
 // requests issued must be exactly the full scan's, every forecast the
 // fused world consults must equal a fresh NextDepletion, and the two
-// worlds' batteries, queues and ledgers must stay identical.
+// worlds' batteries, queues and ledgers must stay identical. Forecasts
+// carried across a routing recompute by NextDepletionAfter are counted,
+// and a run must have some.
 
 // refResult is what refStep's separate passes found; tied reports that
 // another survivor projected exactly the forecast time.
@@ -93,6 +95,29 @@ func latticeNetwork() (*wrsn.Network, error) {
 	return wrsn.NewNetwork(specs, wrsn.Config{Sink: geom.Point{X: 105, Y: 105}, CommRange: 45})
 }
 
+// chainNetwork is a line of nodes running away from the sink, each
+// relaying for every node beyond it, with levels set so that the nodes
+// would die leaf first, 600 s in and 30 s apart, so the first step can
+// end at the first death before any random mutation cuts the chain. Each
+// such death lowers the relay load, and so the drain, of the next
+// argmin: its parent. A forecast carried across that recompute must see
+// the argmin's drain change.
+func chainNetwork() (*wrsn.Network, error) {
+	const n = 12
+	specs := make([]wrsn.NodeSpec, n)
+	for i := range specs {
+		specs[i] = wrsn.NodeSpec{Pos: geom.Point{X: float64(i+1) * 30}}
+	}
+	nw, err := wrsn.NewNetwork(specs, wrsn.Config{CommRange: 35})
+	if err != nil {
+		return nil, err
+	}
+	for i, node := range nw.Nodes() {
+		node.Battery.SetLevel(nw.DrainWatts(node.ID) * 600 * (1 + 0.05*float64(n-1-i)))
+	}
+	return nw, nil
+}
+
 // scenarioNetwork builds a 60-node uniform deployment under the routing
 // policy with levels drawn from seed, low enough that nodes request and
 // die within the run.
@@ -134,7 +159,7 @@ func lockstepWorld(t *testing.T, build func() (*wrsn.Network, error)) *W {
 // lockstepCoverage counts the situations the oracle must have exercised
 // for a run to count.
 type lockstepCoverage struct {
-	deaths, reused, argminCharges, revivals, defenseDrains, requests, ties int
+	deaths, reused, after, argminCharges, revivals, defenseDrains, requests, ties int
 }
 
 func TestFusedStepLockstep(t *testing.T) {
@@ -146,6 +171,7 @@ func TestFusedStepLockstep(t *testing.T) {
 		{"uniform", scenarioNetwork(wrsn.PolicyShortestDistance, 3), false},
 		{"energy-aware", scenarioNetwork(wrsn.PolicyEnergyAware, 4), false},
 		{"lattice", latticeNetwork, true},
+		{"chain", chainNetwork, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -155,8 +181,8 @@ func TestFusedStepLockstep(t *testing.T) {
 				return
 			}
 			t.Logf("coverage: %+v", cov)
-			if cov.deaths == 0 || cov.reused == 0 || cov.argminCharges == 0 || cov.revivals == 0 ||
-				cov.defenseDrains == 0 || cov.requests == 0 {
+			if cov.deaths == 0 || cov.reused == 0 || cov.after == 0 || cov.argminCharges == 0 ||
+				cov.revivals == 0 || cov.defenseDrains == 0 || cov.requests == 0 {
 				t.Errorf("oracle run missed a case: %+v", cov)
 			}
 			if tc.ties && cov.ties == 0 {
@@ -219,8 +245,11 @@ func runLockstep(t *testing.T, fused, ref *W, r *rand.Rand, steps int) lockstepC
 // scheduleStep do and holds it to a fresh NextDepletion.
 func checkForecast(t *testing.T, w *W, cov *lockstepCoverage, i int, where string) bool {
 	t.Helper()
-	if w.forecastHolds() {
+	switch {
+	case w.forecastHolds():
 		cov.reused++
+	case w.argminHolds() && w.nw.Epoch() == w.fc.epoch+1:
+		cov.after++
 	}
 	at, who := w.nextDepletion()
 	fat, fwho := w.nw.NextDepletion(w.now)

@@ -268,6 +268,11 @@ func (w *W) step(target float64) {
 // than the argmin already had a later time, or the same time and a
 // higher ID, and keeps it, so it cannot displace the argmin or win a tie
 // against it. A charge to the argmin itself changes its level.
+//
+// When the clock and the argmin's level hold but the epoch moved, the
+// forecast still seeds wrsn.Network.NextDepletionAfter, which rescans
+// only the drains an incremental Recompute rewrote when that Recompute
+// was the only bump.
 type forecast struct {
 	valid bool
 	now   float64
@@ -281,7 +286,8 @@ type forecast struct {
 // sharded when a runner is armed. The sequential stepper reuses the last
 // forecast while it still holds: the forecast the step's fused pass made
 // serves the scheduleStep that follows it, and scheduleStep's serves the
-// next step, both at the same clock.
+// next step, both at the same clock. Across the step's routing
+// recompute, the pass's forecast seeds NextDepletionAfter.
 func (w *W) nextDepletion() (float64, wrsn.NodeID) {
 	if w.sh != nil {
 		return w.sh.nextDepletion(w.now)
@@ -289,7 +295,13 @@ func (w *W) nextDepletion() (float64, wrsn.NodeID) {
 	if w.forecastHolds() {
 		return w.fc.at, w.fc.who
 	}
-	at, who := w.nw.NextDepletion(w.now)
+	var at float64
+	var who wrsn.NodeID
+	if w.argminHolds() {
+		at, who = w.nw.NextDepletionAfter(w.now, w.fc.at, w.fc.who, w.fc.epoch)
+	} else {
+		at, who = w.nw.NextDepletion(w.now)
+	}
 	w.remember(w.now, at, who)
 	return at, who
 }
@@ -297,8 +309,14 @@ func (w *W) nextDepletion() (float64, wrsn.NodeID) {
 // forecastHolds reports whether the last forecast is still
 // NextDepletion(now): same clock, same network epoch, same argmin level.
 func (w *W) forecastHolds() bool {
+	return w.argminHolds() && w.fc.epoch == w.nw.Epoch()
+}
+
+// argminHolds reports whether the last forecast was made at the current
+// clock and its argmin's level is unchanged.
+func (w *W) argminHolds() bool {
 	fc := w.fc
-	return fc.valid && fc.now == w.now && fc.epoch == w.nw.Epoch() &&
+	return fc.valid && fc.now == w.now &&
 		(fc.who == wrsn.ParentNone || w.nw.Nodes()[fc.who].Battery.Level() == fc.level)
 }
 

@@ -234,6 +234,40 @@ func (nw *Network) NextDepletion(now float64) (float64, NodeID) {
 	return best, who
 }
 
+// NextDepletionAfter returns NextDepletion(now), given that (at, who)
+// was NextDepletion(now) when the network was at epoch and that who's
+// battery level has not changed since. When the only epoch bump since
+// then was an incremental Recompute (a no-op one included) that left
+// who's drain alone, it rescans only the nodes whose drain that
+// Recompute rewrote: every other alive node kept its level and its
+// drain, so its projection is unchanged and was already at or after
+// (at, who) in (time, ID) order, and who itself still projects exactly
+// at. The answer is then the (time, ID) minimum of (at, who) and the
+// rewritten alive nodes' projections. Any other history — a full
+// rebuild, a Fail, Repair, Drain or revival, or more than one bump —
+// gets the full scan.
+func (nw *Network) NextDepletionAfter(now, at float64, who NodeID, epoch uint64) (float64, NodeID) {
+	if nw.epoch != epoch+1 || nw.incrEpoch != nw.epoch {
+		return nw.NextDepletion(now)
+	}
+	for _, i := range nw.rewritten {
+		if NodeID(i) == who {
+			return nw.NextDepletion(now)
+		}
+	}
+	for _, i32 := range nw.rewritten {
+		i := int(i32)
+		drain := nw.drainW[i]
+		if drain <= 0 || !nw.aliveIdx(i) {
+			continue
+		}
+		if t := now + nw.bats[i].Level()/drain; t < at || (t == at && NodeID(i) < who) {
+			at, who = t, NodeID(i)
+		}
+	}
+	return at, who
+}
+
 // NextDepletionIn is NextDepletion restricted to the given node IDs
 // (which must be ascending for the lowest-ID tie rule to match the full
 // scan). It performs only reads of the nodes' dense slots, so concurrent

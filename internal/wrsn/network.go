@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"github.com/reprolab/wrsn-csa/internal/energy"
 	"github.com/reprolab/wrsn-csa/internal/geom"
@@ -95,16 +94,26 @@ type Network struct {
 	adj      [][]int
 	cand     []int32
 	pq       distHeap
-	order    []int
-	orderTmp []int
-	newly    []int
-	relay    []float64
+	queue    []int32
+	kids     []NodeID
 	nearBuf  []NodeID
 	live     bitset
 	inA      bitset
 	affected []int32
 	stack    []int32
-	sorter   loadSorter
+	dirty    distHeap
+	inDirty  bitset
+
+	// cyclic records that the last full rebuild found a routing cycle
+	// (see deriveAll); incremental maintenance is suspended until a full
+	// rebuild finds none.
+	cyclic bool
+	// rewritten lists the nodes whose drain the last incremental
+	// Recompute changed, and incrEpoch is the epoch that Recompute left
+	// (zero when the last Recompute was a full rebuild);
+	// NextDepletionAfter reads both.
+	rewritten []int32
+	incrEpoch uint64
 }
 
 // RoutingPolicy selects the edge-weight objective of the sink-rooted
@@ -215,10 +224,10 @@ func (nw *Network) grow(n int) {
 	nw.inA = newBitset(n)
 	nw.adj = make([][]int, n+1)
 	nw.pq = make(distHeap, 0, n+1)
-	nw.order = make([]int, 0, n)
-	nw.relay = make([]float64, n)
-	nw.orderTmp = make([]int, 0, n)
-	nw.newly = make([]int, 0, 64)
+	nw.queue = make([]int32, 0, n)
+	nw.inDirty = newBitset(n)
+	nw.dirty = make(distHeap, 0, 64)
+	nw.rewritten = make([]int32, 0, 64)
 	nw.affected = make([]int32, 0, 64)
 	nw.stack = make([]int32, 0, 64)
 }
@@ -397,17 +406,19 @@ func (nw *Network) NodesNear(dst []*Node, pos geom.Point, rangeM float64) []*Nod
 //
 // When a valid tree exists and the alive set changed by a few nodes,
 // Recompute repairs only the invalidated portion of the shortest-path
-// tree (see incremental.go); an unchanged alive set is a no-op. Both
-// shortcuts are exact: every field a full rebuild would produce —
-// distances, parents, tie-breaks, children order, loads, drains — comes
-// out bit-identical, which the incremental oracle test pins. Energy-aware
-// routing always rebuilds fully, because its edge weights depend on
-// battery levels, not just on the alive set.
+// tree and re-derives only what that repair touched (see
+// incremental.go); an unchanged alive set is a no-op. Both shortcuts are
+// exact: every field a full rebuild would produce — distances, parents,
+// tie-breaks, children order, loads, drains — comes out bit-identical,
+// which the incremental oracle test pins. Energy-aware routing always
+// rebuilds fully, because its edge weights depend on battery levels, not
+// just on the alive set.
 func (nw *Network) Recompute() {
 	nw.epoch++
 	nw.refreshLive()
-	if nw.treeValid && !nw.fullOnly && nw.policy != PolicyEnergyAware && nw.recomputeIncremental() {
+	if nw.treeValid && !nw.cyclic && !nw.fullOnly && nw.policy != PolicyEnergyAware && nw.recomputeIncremental() {
 		nw.prevLive.copyFrom(nw.live)
+		nw.incrEpoch = nw.epoch
 		return
 	}
 	nw.recomputeFull()
@@ -447,16 +458,16 @@ func (nw *Network) recomputeFull() {
 			nw.relax(it.idx, it.d, from, next)
 		}
 	}
-	nw.deriveTree(nil)
+	nw.deriveAll()
 }
 
 // relax offers node v the path through u (graph index; n means the sink)
-// at settled distance du, reporting whether v's distance strictly
-// improved. A strictly shorter path updates distance and predecessor and
+// at settled distance du, reporting whether v's distance or predecessor
+// changed. A strictly shorter path updates distance and predecessor and
 // enqueues v; an exactly equal path updates only the predecessor when u
 // orders before the incumbent under the canonical (distance, index) key.
-// The equal branch is what makes the final predecessor of every node a
-// pure function of the final distances — the lexicographically smallest
+// The equal branch is what makes the final predecessor of every node a pure
+// function of the final distances — the lexicographically smallest
 // optimal parent — independent of relaxation order, so the incremental
 // rebuild reproduces the full rebuild's tree bit for bit even through
 // ties.
@@ -470,6 +481,7 @@ func (nw *Network) relax(u int, du float64, from geom.Point, v int) bool {
 		return true
 	case nd == nw.dist[v] && nw.predLess(du, u, v):
 		nw.pred[v] = u
+		return true
 	}
 	return false
 }
@@ -486,36 +498,129 @@ func (nw *Network) predLess(du float64, u, v int) bool {
 	return du < dp || (du == dp && u < p)
 }
 
-// deriveTree rebuilds parent, hopDist, children, loads, and drains from
-// the settled dist/pred arrays. Both the full and incremental recompute
-// paths end here, so every derived field is produced by the same code on
-// the same inputs — exactness of the incremental path reduces to
-// exactness of dist and pred. aff is the incremental path's affected set
-// (the only nodes whose distances may have changed, with membership
-// mirrored in nw.inA); nil means any distance may have changed and the
-// load-propagation order must be rebuilt from scratch.
-func (nw *Network) deriveTree(aff []int32) {
-	n := len(nw.nodes)
+// treeParent derives node i's routing parent from the settled
+// shortest-path state.
+func (nw *Network) treeParent(i int) NodeID {
+	switch {
+	case !nw.live.get(i) || math.IsInf(nw.dist[i], 1):
+		return ParentNone
+	case nw.pred[i] == len(nw.nodes):
+		return ParentSink
+	default:
+		return NodeID(nw.pred[i])
+	}
+}
+
+// deriveAll rebuilds parent, hopDist, children, loads, and drains for
+// every node from the settled dist/pred arrays. Children lists come out
+// ascending by ID.
+//
+// Loads fold children-first: the reverse of a breadth-first pass from
+// the sink's children visits every child before its parent. A pred
+// cycle — possible only where float route distances tie across
+// near-co-located nodes, since every edge on it must add exactly
+// nothing — is unreachable from the sink; its members and whatever hangs
+// below them carry no well-defined relay load, so they fold once, in ID
+// order, from zeroed relays, and the network is marked cyclic, which
+// suspends incremental maintenance until a rebuild finds no cycle.
+func (nw *Network) deriveAll() {
+	base := nw.radio.SenseW + nw.radio.IdleW
+	q := nw.queue[:0]
+	connected := 0
 	for i := range nw.children {
 		nw.children[i] = nw.children[i][:0]
 	}
-	for i := 0; i < n; i++ {
+	for i := range nw.nodes {
 		nw.hopDist[i] = nw.dist[i]
+		p := nw.treeParent(i)
+		nw.parent[i] = p
 		switch {
-		case !nw.live.get(i) || math.IsInf(nw.dist[i], 1):
-			nw.parent[i] = ParentNone
+		case p == ParentNone:
 			// Clear rather than leave the load a node carried while it was
 			// last connected, so aged and freshly rebuilt networks hold
 			// identical state.
 			nw.loads[i] = energy.Load{}
-		case nw.pred[i] == n:
-			nw.parent[i] = ParentSink
+			nw.drainW[i] = base
+			continue
+		case p == ParentSink:
+			q = append(q, int32(i))
 		default:
-			nw.parent[i] = NodeID(nw.pred[i])
-			nw.children[nw.pred[i]] = append(nw.children[nw.pred[i]], NodeID(i))
+			nw.children[p] = append(nw.children[p], NodeID(i))
+		}
+		connected++
+	}
+	for k := 0; k < len(q); k++ {
+		for _, c := range nw.children[q[k]] {
+			q = append(q, int32(c))
 		}
 	}
-	nw.computeLoads(aff)
+	for k := len(q) - 1; k >= 0; k-- {
+		nw.setLoad(int(q[k]), nw.foldLoad(int(q[k])))
+	}
+	nw.queue = q[:0]
+	nw.cyclic = len(q) < connected
+	if !nw.cyclic {
+		return
+	}
+	reached := nw.inA
+	reached.reset()
+	for _, i := range q {
+		reached.set(int(i))
+	}
+	for i := range nw.nodes {
+		if nw.parent[i] != ParentNone && !reached.get(i) {
+			nw.loads[i].RelayBps = 0
+		}
+	}
+	for i := range nw.nodes {
+		if nw.parent[i] != ParentNone && !reached.get(i) {
+			nw.setLoad(i, nw.foldLoad(i))
+		}
+	}
+}
+
+// foldLoad derives connected node i's load from its children's: its own
+// traffic, plus the sum of each child's generated and relayed traffic,
+// accumulated in load order (descending route distance, ascending ID;
+// see orderKeyLess). Every child counts, including one whose route
+// distance rounds to its parent's and whose ID is higher.
+func (nw *Network) foldLoad(i int) energy.Load {
+	kids := nw.children[i]
+	if len(kids) > 1 {
+		kids = append(nw.kids[:0], kids...)
+		nw.kids = kids
+		for a := 1; a < len(kids); a++ {
+			for b := a; b > 0 && orderKeyLess(nw.hopDist, int(kids[b]), int(kids[b-1])); b-- {
+				kids[b], kids[b-1] = kids[b-1], kids[b]
+			}
+		}
+	}
+	var relay float64
+	for _, c := range kids {
+		relay += nw.genBps[c] + nw.loads[c].RelayBps
+	}
+	var hop float64
+	if p := nw.parent[i]; p == ParentSink {
+		hop = nw.pos[i].Dist(nw.sink)
+	} else {
+		hop = nw.pos[i].Dist(nw.pos[p])
+	}
+	return energy.Load{GenBps: nw.genBps[i], RelayBps: relay, NextHopDist: hop}
+}
+
+// setLoad stores node i's load and its drain. DrainWatts is a pure
+// function of (parent, load, radio), all fixed until the next Recompute;
+// caching it here turns the per-step energy advance and depletion
+// forecasts into array reads.
+func (nw *Network) setLoad(i int, ld energy.Load) {
+	nw.loads[i] = ld
+	nw.drainW[i] = nw.radio.DrainWatts(ld)
+}
+
+// orderKeyLess is the load order's canonical key: descending route
+// distance, ascending ID. It is a strict total order.
+func orderKeyLess(hop []float64, a, b int) bool {
+	return hop[a] > hop[b] || (hop[a] == hop[b] && a < b)
 }
 
 // edgeWeight prices traversing the edge from a point into node `to` under
@@ -541,86 +646,6 @@ func (nw *Network) edgeWeight(from geom.Point, to int) float64 {
 
 // Policy returns the network's routing policy.
 func (nw *Network) Policy() RoutingPolicy { return nw.policy }
-
-// computeLoads derives per-node steady-state loads by aggregating subtree
-// traffic bottom-up over the routing tree, then refreshes the per-node
-// drain cache. The propagation order — by decreasing route distance so
-// children precede parents, (distance, ID) ties broken by ascending ID —
-// is a strict total order, so the sorted permutation is unique and every
-// way of producing it yields the same float accumulation order (which the
-// golden digests pin). The full path sorts from scratch; the incremental
-// path splices the affected nodes out of the previous sorted order and
-// merges them back, skipping the O(n log n) comparison pass whose
-// indirect loads would otherwise dominate small-patch recomputes.
-func (nw *Network) computeLoads(aff []int32) {
-	if aff == nil {
-		order := nw.order[:0]
-		for i := range nw.nodes {
-			if nw.parent[i] != ParentNone {
-				order = append(order, i)
-			}
-		}
-		// The comparator is the full (descending distance, ascending ID)
-		// key and the sorter is a reusable field, so the sort needs
-		// neither stability nor allocation. Element for element this is
-		// the order the previous stable insertion sort produced.
-		nw.sorter.order = order
-		nw.sorter.hop = nw.hopDist
-		sort.Sort(&nw.sorter)
-		nw.order = order
-	} else {
-		nw.spliceOrder(aff)
-	}
-	order := nw.order
-	relay := nw.relay
-	for i := range relay {
-		relay[i] = 0
-	}
-	for _, i := range order {
-		var hop float64
-		if nw.parent[i] == ParentSink {
-			hop = nw.pos[i].Dist(nw.sink)
-		} else {
-			hop = nw.pos[i].Dist(nw.pos[nw.parent[i]])
-		}
-		nw.loads[i] = energy.Load{
-			GenBps:      nw.genBps[i],
-			RelayBps:    relay[i],
-			NextHopDist: hop,
-		}
-		if p := nw.parent[i]; p >= 0 {
-			relay[p] += nw.genBps[i] + relay[i]
-		}
-	}
-	// DrainWatts is a pure function of (parent, load, radio), all fixed
-	// until the next Recompute; caching it here turns the per-step energy
-	// advance and depletion forecasts into array reads.
-	for i := range nw.nodes {
-		if nw.parent[i] == ParentNone {
-			nw.drainW[i] = nw.radio.SenseW + nw.radio.IdleW
-		} else {
-			nw.drainW[i] = nw.radio.DrainWatts(nw.loads[i])
-		}
-	}
-}
-
-// loadSorter orders the load propagation by the canonical (descending
-// route distance, ascending ID) key. It lives on the Network so sorting
-// allocates nothing.
-type loadSorter struct {
-	order []int
-	hop   []float64
-}
-
-func (s *loadSorter) Len() int { return len(s.order) }
-
-func (s *loadSorter) Less(i, j int) bool {
-	a, b := s.order[i], s.order[j]
-	ha, hb := s.hop[a], s.hop[b]
-	return ha > hb || (ha == hb && a < b)
-}
-
-func (s *loadSorter) Swap(i, j int) { s.order[i], s.order[j] = s.order[j], s.order[i] }
 
 // Parent returns node id's routing parent: another node, ParentSink, or
 // ParentNone when the node is disconnected or dead.

@@ -137,7 +137,7 @@ func (nw *Network) Fork() *Network {
 	f.prevLive.copyFrom(nw.prevLive)
 	f.treeValid = nw.treeValid
 	f.fullOnly = nw.fullOnly
-	f.order = append(f.order, nw.order...)
+	f.cyclic = nw.cyclic
 	for i, c := range nw.children {
 		if len(c) > 0 {
 			f.children[i] = append([]NodeID(nil), c...)
