@@ -6,9 +6,9 @@ GO ?= go
 # twin, the snapshot/fork seed sweep against its rebuild baseline
 # (BenchmarkSeedSweep matches both), the live-checkpoint capture
 # cost that bounds how aggressive -checkpoint-every can be, the CSA
-# planner at 200 and 400 nodes, and one simulated day of world steps at
-# 1k and 10k nodes.
-GATED_BENCH = BenchmarkExperimentSweep|BenchmarkCampaignRun|BenchmarkSeedSweep|BenchmarkRecomputeIncremental|BenchmarkCheckpointCapture|BenchmarkSolveCSA|BenchmarkWorldStep
+# planner at 200 and 400 nodes, one simulated day of world steps at
+# 1k and 10k nodes, and the world step's dense drain pass alone.
+GATED_BENCH = BenchmarkExperimentSweep|BenchmarkCampaignRun|BenchmarkSeedSweep|BenchmarkRecomputeIncremental|BenchmarkCheckpointCapture|BenchmarkSolveCSA|BenchmarkWorldStep|BenchmarkAdvanceEnergyPass
 BENCH_PKGS = . ./internal/campaign ./internal/campaign/world ./internal/wrsn
 BENCH_SHA = $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
 
@@ -158,9 +158,12 @@ verify-dist:
 # decoder, the snapshot decoder, the worker frame reader, the attack
 # planner's evaluator, route oracle and incremental cover packer (held
 # to its exhaustive twin), the ordered charging-request queue (held
-# to a map model and sort-then-scan scheduler picks), and incremental
+# to a map model and sort-then-scan scheduler picks), incremental
 # routing on tie-heavy lattices (held to a brute-force Dijkstra and a
-# from-scratch rebuild). Minimization is capped because
+# from-scratch rebuild), the world step's fused drain pass (held to the
+# separate drain, threshold scan and depletion forecast), and the
+# job-spec decoder (no panics; Encode → Decode is the identity on what
+# it accepts). Minimization is capped because
 # the FuzzDecode seeds are whole campaign outcomes and snapshots
 # (~100 kB), which the default 60 s minimizer would spend the whole
 # budget shrinking. A crasher is written to the
@@ -174,6 +177,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzPackCovers$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/attack
 	$(GO) test -run '^$$' -fuzz '^FuzzQueue$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/charging
 	$(GO) test -run '^$$' -fuzz '^FuzzIncrementalRouting$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/wrsn
+	$(GO) test -run '^$$' -fuzz '^FuzzAdvanceEnergyPass$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/wrsn
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/jobspec
 
 results:
 	mkdir -p results

@@ -486,18 +486,28 @@ func (w *W) scanCandidates(ids []wrsn.NodeID) {
 	}
 }
 
-// wantsCharge is the request-eligibility predicate: below the request
-// threshold, alive, connected, nothing pending, and outside cooldown and
+// wantsCharge is the request-eligibility predicate: connected, below the
+// request threshold, alive, nothing pending, and outside cooldown and
 // retransmission backoff. It is a pure conjunction, so the order of its
-// tests does not change its result; the threshold goes first because it
-// rejects nearly every node. It only reads world state, so the sharded
-// scan may evaluate it concurrently across disjoint nodes.
+// tests does not change its result. Connectivity goes first: it is one
+// read of a dense array, small enough to inline into the scans, and in
+// a death-heavy world it rejects most of the nodes below the threshold,
+// which have lost their route to the sink. It only reads world state,
+// so the sharded scan may evaluate it concurrently across disjoint
+// nodes.
 func (w *W) wantsCharge(id wrsn.NodeID) bool {
+	return w.nw.Connected(id) && w.connectedWantsCharge(id)
+}
+
+// connectedWantsCharge is wantsCharge past its connectivity test: the
+// threshold, which rejects nearly every node in a full scan, then the
+// rest.
+func (w *W) connectedWantsCharge(id wrsn.NodeID) bool {
 	n := w.nw.Nodes()[id]
 	if n.Battery.Level() > w.p.RequestFrac*n.Battery.Capacity() {
 		return false
 	}
-	if !n.Alive() || !w.nw.Connected(id) || w.qu.Has(id) {
+	if !n.Alive() || w.qu.Has(id) {
 		return false
 	}
 	if w.now < w.cool[id] {

@@ -400,7 +400,8 @@ func RunOpts(ctx context.Context, s Spec, opts RunOptions) (*Result, error) {
 
 // Decode parses a Spec from JSON, rejecting unknown fields so typos in
 // hand-written job files fail loudly at submit time, and rejecting
-// anything but whitespace after the spec.
+// anything but whitespace after the spec. An empty snapshot or
+// resume_from decodes as absent, the form Encode writes back.
 func Decode(data []byte) (Spec, error) {
 	var s Spec
 	dec := json.NewDecoder(bytes.NewReader(data))
@@ -410,6 +411,12 @@ func Decode(data []byte) (Spec, error) {
 	}
 	if _, err := dec.Token(); err != io.EOF {
 		return Spec{}, errors.New("jobspec: decode: trailing data after the spec")
+	}
+	if len(s.Snapshot) == 0 {
+		s.Snapshot = nil
+	}
+	if len(s.ResumeFrom) == 0 {
+		s.ResumeFrom = nil
 	}
 	return s, nil
 }

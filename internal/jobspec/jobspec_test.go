@@ -210,3 +210,41 @@ func (r *Result) mustDigest(t *testing.T) string {
 	}
 	return d
 }
+
+// FuzzDecode holds the job-file decoder to two contracts: Decode and
+// Validate never panic, whatever the bytes, and a spec Decode accepts
+// survives Encode → Decode unchanged.
+func FuzzDecode(f *testing.F) {
+	fleet := Default(11, 150)
+	fleet.Kind, fleet.Chargers = KindFleet, 2
+	attack := Default(7, 90)
+	attack.Kind = KindAttack
+	for _, s := range []Spec{Default(42, 120), attack, fleet, fullSpec()} {
+		b, err := s.Encode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	// Empty base64 fields once decoded to empty, non-nil slices, which
+	// Encode omits and the next Decode reads back as nil.
+	f.Add([]byte(`{"kind":"legit","snapshot":"","resume_from":""}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := Decode(data)
+		if err != nil {
+			return
+		}
+		_ = s.Validate()
+		b, err := s.Encode()
+		if err != nil {
+			t.Fatalf("decoded spec does not encode: %v\nspec: %+v", err, s)
+		}
+		back, err := Decode(b)
+		if err != nil {
+			t.Fatalf("encoded spec does not decode: %v\nwire: %s", err, b)
+		}
+		if !reflect.DeepEqual(s, back) {
+			t.Fatalf("round trip drifted:\n in: %+v\nout: %+v\nwire: %s", s, back, b)
+		}
+	})
+}

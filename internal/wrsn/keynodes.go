@@ -24,6 +24,7 @@ type KeyNode struct {
 // Severed count is the total size of those subtrees.
 func (nw *Network) KeyNodes() []KeyNode {
 	n := len(nw.nodes)
+	nw.refreshLive()
 	adj := nw.aliveAdjacency()
 	const unvisited = -1
 	disc := make([]int, n+1)
@@ -103,6 +104,7 @@ func (nw *Network) KeyNodes() []KeyNode {
 // simulation code for one-off queries.
 func (nw *Network) SeveredByDeath(id NodeID) int {
 	n := len(nw.nodes)
+	nw.refreshLive()
 	adj := nw.aliveAdjacency()
 	if !nw.nodes[id].Alive() {
 		return 0
@@ -149,6 +151,7 @@ func (nw *Network) SeveredSet(id NodeID) []NodeID {
 	if !nw.nodes[id].Alive() {
 		return nil
 	}
+	nw.refreshLive()
 	adj := nw.aliveAdjacency()
 	reach := func(skip int) []bool {
 		seen := make([]bool, n+1)
@@ -186,6 +189,7 @@ func (nw *Network) SeveredSet(id NodeID) []NodeID {
 // secondary target scoring.
 func (nw *Network) Betweenness() []float64 {
 	n := len(nw.nodes)
+	nw.refreshLive()
 	adj := nw.aliveAdjacency()
 	cb := make([]float64, n+1)
 	// Scratch buffers reused across sources.

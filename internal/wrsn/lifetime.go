@@ -131,16 +131,32 @@ type EnergyPass struct {
 // survivors — each with the float expression of the scan it replaces,
 // in ascending ID order, ties to the lowest ID. now is the clock after
 // the drain. A non-positive dt drains nothing.
+//
+// The low list is built without a branch on the threshold test: every
+// survivor's ID is stored at the list's next free slot, and the slot
+// advances by the test's 0-or-1 result. In a death-heavy world most
+// survivors sit below the threshold, scattered by ID, so a branch on
+// that test would be close to a coin flip per node. The loop reads the
+// dense slices through locals, so the battery stores do not force a
+// reload of their headers from nw on every node; in a small world,
+// where the branch predictor learns the threshold pattern, that saving
+// pays for the unconditional store.
 func (nw *Network) AdvanceEnergyPass(dt, now, requestFrac float64, p *EnergyPass) {
-	p.Died, p.Low = p.Died[:0], p.Low[:0]
+	bats, drainW, failed := nw.bats, nw.drainW[:len(nw.bats)], nw.failed
+	if cap(p.Low) < len(bats) {
+		p.Low = make([]NodeID, len(bats))
+	}
+	p.Died = p.Died[:0]
+	low := p.Low[:len(bats)]
+	k := 0
 	best := math.Inf(1)
 	who := ParentNone
-	for i := range nw.bats {
-		if !nw.aliveIdx(i) {
+	for i := range bats {
+		b := &bats[i]
+		if failed.get(i) || b.Depleted() { // !aliveIdx(i)
 			continue
 		}
-		b := &nw.bats[i]
-		drain := nw.drainW[i]
+		drain := drainW[i]
 		if dt > 0 {
 			b.Drain(drain * dt)
 			if b.Depleted() {
@@ -148,9 +164,8 @@ func (nw *Network) AdvanceEnergyPass(dt, now, requestFrac float64, p *EnergyPass
 				continue
 			}
 		}
-		if b.Level() <= requestFrac*b.Capacity() {
-			p.Low = append(p.Low, NodeID(i))
-		}
+		low[k] = NodeID(i)
+		k += b2i(b.Level() <= requestFrac*b.Capacity())
 		if drain <= 0 {
 			continue
 		}
@@ -158,7 +173,17 @@ func (nw *Network) AdvanceEnergyPass(dt, now, requestFrac float64, p *EnergyPass
 			best, who = t, NodeID(i)
 		}
 	}
+	p.Low = low[:k]
 	p.NextAt, p.Next = best, who
+}
+
+// b2i is 1 for true and 0 for false; the compiler lowers it to a flag
+// set, not a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Epoch counts the changes that can move NextDepletion at a fixed clock

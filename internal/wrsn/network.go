@@ -291,13 +291,18 @@ func (nw *Network) aliveIdx(i int) bool {
 // refreshLive recomputes the alive bitset from the failed bits and
 // battery levels. Batteries mutate through shared pointers (drains,
 // charging sessions), so the set is re-derived wherever it is read rather
-// than maintained event-by-event.
+// than maintained event-by-event. Each 64-node word is built in a
+// register from the battery levels, highest node first so each bit
+// shifts in by one, has the failed word cleared out of it, and is
+// stored once.
 func (nw *Network) refreshLive() {
-	nw.live.reset()
-	for i := range nw.bats {
-		if nw.aliveIdx(i) {
-			nw.live.set(i)
+	for w := range nw.live {
+		bats := nw.bats[w<<6 : min(w<<6+64, len(nw.bats))]
+		var word uint64
+		for j := len(bats) - 1; j >= 0; j-- {
+			word = word<<1 | uint64(b2i(!bats[j].Depleted()))
 		}
+		nw.live[w] = word &^ nw.failed[w]
 	}
 }
 
@@ -322,10 +327,10 @@ func (nw *Network) linked(a, b geom.Point) bool {
 // of scanning all pairs; candidates are filtered to alive higher-index
 // neighbors and sorted ascending before the symmetric append, so the
 // resulting lists — and therefore Dijkstra's tie-breaking — are
-// identical to the original i<j pairwise scan.
+// identical to the original i<j pairwise scan. It reads the live set as
+// it stands, so callers refresh it first (Recompute already has).
 func (nw *Network) aliveAdjacency() [][]int {
 	n := len(nw.nodes)
-	nw.refreshLive()
 	adj := nw.adj[:n+1]
 	for i := range adj {
 		adj[i] = adj[i][:0]

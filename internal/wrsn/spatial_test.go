@@ -65,6 +65,7 @@ func TestGridAdjacencyMatchesBrute(t *testing.T) {
 				n.Fail()
 			}
 		}
+		nw.refreshLive()
 		got := nw.aliveAdjacency()
 		want := bruteAdjacency(nw)
 		if len(got) != len(want) {
