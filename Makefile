@@ -119,22 +119,19 @@ verify-snapshot:
 # parks jobs at checkpoints, a restarted daemon resumes them to the same
 # digest) runs the same way.
 verify-checkpoint:
-	WRSN_VERIFY_CHECKPOINT=1 $(GO) test -race -count=1 ./internal/campaign -run 'TestCheckpointResumeGolden|TestCheckpointResumeShardInvariance|TestCheckpointPeriodicCapture' -timeout 20m
+	WRSN_VERIFY_CHECKPOINT=1 $(GO) test -race -count=1 ./internal/campaign -run 'TestCheckpointResumeGolden|TestCheckpointPeriodicCapture' -timeout 20m
 	$(GO) test -race -count=1 ./internal/service -run 'Checkpoint|Drain|Restart|Healthz'
 
 # verify-scale focuses the large-network contracts: the incremental
 # shortest-path-tree oracle (exact equality with a brute-force canonical
 # Dijkstra through randomized fail/repair/depletion sequences and an
-# exact-tie lattice), the region partitioner, the fused world step's
-# lockstep oracle (against separate drain/scan/forecast passes through
-# random charge, drain, fault and death sequences), the sharded-stepping
-# digest invariance under the race detector, and a 10k-node campaign
-# smoke on the sharded path.
+# exact-tie lattice), the fused world step's lockstep oracle (against
+# separate drain/scan/forecast passes through random charge, drain,
+# fault and death sequences), and a 10k-node campaign smoke.
 verify-scale:
-	$(GO) test ./internal/wrsn -run 'Incremental|RegionShards' -count=1
+	$(GO) test ./internal/wrsn -run 'Incremental' -count=1
 	$(GO) test ./internal/campaign/world -run 'FusedStepLockstep' -count=1
-	$(GO) test -race ./internal/campaign -run 'ShardedSteppingDigest' -count=1
-	$(GO) test ./internal/campaign -run 'ShardedScaleSmoke' -count=1 -timeout 10m
+	$(GO) test ./internal/campaign -run 'TestScaleSmoke' -count=1 -timeout 10m
 
 # verify-dist is the distributed byte-identity fence: every golden
 # flavor is re-run through real worker processes — exec mode (the test
@@ -161,13 +158,14 @@ verify-dist:
 # to a map model and sort-then-scan scheduler picks), incremental
 # routing on tie-heavy lattices (held to a brute-force Dijkstra and a
 # from-scratch rebuild), the world step's fused drain pass (held to the
-# separate drain, threshold scan and depletion forecast), and the
-# job-spec decoder (no panics; Encode → Decode is the identity on what
-# it accepts). Minimization is capped because
-# the FuzzDecode seeds are whole campaign outcomes and snapshots
-# (~100 kB), which the default 60 s minimizer would spend the whole
-# budget shrinking. A crasher is written to the
-# package's testdata/fuzz/ directory; commit it as a regression seed.
+# separate drain, threshold scan and depletion forecast), the job-spec
+# decoder and the scenario file reader (no panics; a write → read round
+# trip is the identity on what each accepts, and accepted scenarios
+# build without panicking). Minimization is capped because the
+# FuzzDecode seeds are whole campaign outcomes and snapshots (~100 kB),
+# which the default 60 s minimizer would spend the whole budget
+# shrinking. A crasher is written to the package's testdata/fuzz/
+# directory; commit it as a regression seed.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/digest
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/snapshot
@@ -179,6 +177,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzIncrementalRouting$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/wrsn
 	$(GO) test -run '^$$' -fuzz '^FuzzAdvanceEnergyPass$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/wrsn
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/jobspec
+	$(GO) test -run '^$$' -fuzz '^FuzzReadJSON$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/trace
 
 results:
 	mkdir -p results

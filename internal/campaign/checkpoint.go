@@ -62,7 +62,6 @@ func worldParams(cfg Config) world.Params {
 		PendingGraceSec:  cfg.PendingGraceSec,
 		Detectors:        cfg.Detectors,
 		Faults:           cfg.Faults,
-		Shards:           cfg.Shards,
 	}
 }
 

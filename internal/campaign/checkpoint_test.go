@@ -143,54 +143,6 @@ func TestCheckpointResumeGolden(t *testing.T) {
 	}
 }
 
-// TestCheckpointResumeShardInvariance pins that a checkpoint taken at one
-// shard count resumes byte-identically at any other: sharding is a
-// wall-clock knob, and the checkpoint carries no shard state.
-func TestCheckpointResumeShardInvariance(t *testing.T) {
-	want := loadGolden(t)
-	gc := func() goldenCase {
-		for _, c := range goldenCases() {
-			if c.name == "csa/seed42" {
-				return c
-			}
-		}
-		t.Fatal("csa/seed42 not in golden table")
-		panic("unreachable")
-	}()
-	k := stopOrdinal(gc.name)
-	var (
-		barriers int
-		captured *snapshot.Snapshot
-	)
-	plan := &CheckpointPlan{
-		Every: time.Hour,
-		Sink:  func(s *snapshot.Snapshot) error { captured = s; return nil },
-		Stop:  func() bool { barriers++; return barriers == k },
-	}
-	if _, err := gc.runPlan(t, nil, plan); !errors.Is(err, ErrStopped) {
-		t.Fatalf("err = %v, want ErrStopped", err)
-	}
-	b, err := captured.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{1, 3} {
-		snap, err := snapshot.Decode(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := gc.config(nil)
-		cfg.Shards = shards
-		o, err := Resume(context.Background(), snap, cfg)
-		if err != nil {
-			t.Fatalf("resume with %d shards: %v", shards, err)
-		}
-		if d := digestOf(t, o); d != want[gc.name] {
-			t.Errorf("resume with %d shards diverged: %s != %s", shards, d, want[gc.name])
-		}
-	}
-}
-
 // TestCheckpointPeriodicCapture exercises the interval path: with a zero
 // Every, every barrier captures, each snapshot is live and serializable,
 // and the run's outcome stays on the golden digest — capture is pure

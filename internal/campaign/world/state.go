@@ -126,7 +126,6 @@ func Resume(ctx context.Context, nw *wrsn.Network, led *ledger.L, p Params, prob
 		cool:   make([]float64, n),
 		keySet: make([]bool, n),
 	}
-	w.sh = newShardRunner(nw, p.Shards)
 	w.bindStep()
 	if !p.Faults.Empty() {
 		w.plan = p.Faults

@@ -56,12 +56,6 @@ type Params struct {
 	// Faults is the fault plan to compile onto the engine; nil or empty
 	// leaves the run byte-identical to a fault-free one.
 	Faults *faults.Plan
-	// Shards sets the per-tick scan parallelism: 0 or 1 steps
-	// sequentially with one fused pass per step, and k > 1 splits the
-	// node set into k grid-region shards that keep separate scans. The
-	// outcome is byte-identical at any value — sharding only changes
-	// wall-clock.
-	Shards int
 }
 
 // W is the mutable world of one campaign run.
@@ -75,11 +69,9 @@ type W struct {
 
 	now float64
 	qu  charging.Queue
-	// sh is the parallel tick stepper; nil steps sequentially.
-	sh *shardRunner
 	// pass holds the last fused drain pass's lists (reused every step),
 	// and fc the last depletion forecast with what it was computed
-	// against; both serve only the sequential stepper.
+	// against.
 	pass wrsn.EnergyPass
 	fc   forecast
 	// cool and keySet are dense per-node tables (node IDs are the
@@ -130,7 +122,6 @@ func New(ctx context.Context, nw *wrsn.Network, led *ledger.L, p Params, probe o
 		cool:   make([]float64, n),
 		keySet: make([]bool, n),
 	}
-	w.sh = newShardRunner(nw, p.Shards)
 	w.bindStep()
 	if !p.Faults.Empty() {
 		w.plan = p.Faults
@@ -212,7 +203,7 @@ func (w *W) Auditing() bool { return w.auditing }
 // are recorded, routing recomputes on topology change, and new requests,
 // samples, and audits are taken at the boundary.
 //
-// The sequential stepper makes one dense pass over the network per step
+// Each step makes one dense pass over the network
 // (wrsn.AdvanceEnergyPass): it drains, and in the same loop lists the
 // deaths and the below-threshold survivors and forecasts the next
 // depletion. The request scan then runs the full eligibility predicate
@@ -225,26 +216,16 @@ func (w *W) step(target float64) {
 	if dt, _ := w.nextDepletion(); dt > w.now && dt < step {
 		step = dt
 	}
-	var died []wrsn.NodeID
-	if w.sh == nil {
-		w.nw.AdvanceEnergyPass(step-w.now, step, w.p.RequestFrac, &w.pass)
-		w.remember(step, w.pass.NextAt, w.pass.Next)
-		died = w.pass.Died
-	} else {
-		died = w.sh.advanceEnergy(step - w.now)
-	}
+	w.nw.AdvanceEnergyPass(step-w.now, step, w.p.RequestFrac, &w.pass)
+	w.remember(step, w.pass.NextAt, w.pass.Next)
 	w.now = step
-	if len(died) > 0 {
-		for _, id := range died {
+	if len(w.pass.Died) > 0 {
+		for _, id := range w.pass.Died {
 			w.RecordDeath(id)
 		}
 		w.nw.Recompute()
 	}
-	if w.sh == nil {
-		w.scanCandidates(w.pass.Low)
-	} else {
-		w.ScanRequests()
-	}
+	w.scanCandidates(w.pass.Low)
 	w.Sample()
 	w.audit()
 	// Energy-aware routing responds to battery levels, not just deaths;
@@ -282,16 +263,13 @@ type forecast struct {
 	level float64
 }
 
-// nextDepletion forecasts the soonest death from the current clock,
-// sharded when a runner is armed. The sequential stepper reuses the last
-// forecast while it still holds: the forecast the step's fused pass made
-// serves the scheduleStep that follows it, and scheduleStep's serves the
-// next step, both at the same clock. Across the step's routing
-// recompute, the pass's forecast seeds NextDepletionAfter.
+// nextDepletion forecasts the soonest death from the current clock. It
+// reuses the last forecast while it still holds: the forecast the step's
+// fused pass made serves the scheduleStep that follows it, and
+// scheduleStep's serves the next step, both at the same clock. Across
+// the step's routing recompute, the pass's forecast seeds
+// NextDepletionAfter.
 func (w *W) nextDepletion() (float64, wrsn.NodeID) {
-	if w.sh != nil {
-		return w.sh.nextDepletion(w.now)
-	}
 	if w.forecastHolds() {
 		return w.fc.at, w.fc.who
 	}
@@ -455,17 +433,6 @@ func (w *W) ScanRequests() {
 	if w.sinkDown {
 		return
 	}
-	if w.sh != nil {
-		// Eligibility is a pure read per node, so shards evaluate it in
-		// parallel; the mutating tail (the loss draw onward) applies
-		// sequentially in ascending ID order — issuing one node's request
-		// never changes another's eligibility, so the split reproduces the
-		// sequential scan exactly, RNG draw order included.
-		for _, id := range w.sh.gatherWanting(w.wantsCharge) {
-			w.issueRequest(id)
-		}
-		return
-	}
 	for _, n := range w.nw.Nodes() {
 		if w.wantsCharge(n.ID) {
 			w.issueRequest(n.ID)
@@ -492,9 +459,7 @@ func (w *W) scanCandidates(ids []wrsn.NodeID) {
 // tests does not change its result. Connectivity goes first: it is one
 // read of a dense array, small enough to inline into the scans, and in
 // a death-heavy world it rejects most of the nodes below the threshold,
-// which have lost their route to the sink. It only reads world state,
-// so the sharded scan may evaluate it concurrently across disjoint
-// nodes.
+// which have lost their route to the sink.
 func (w *W) wantsCharge(id wrsn.NodeID) bool {
 	return w.nw.Connected(id) && w.connectedWantsCharge(id)
 }
@@ -521,8 +486,8 @@ func (w *W) connectedWantsCharge(id wrsn.NodeID) bool {
 
 // issueRequest runs the mutating tail of the scan for one eligible node:
 // the fault plan's loss draw, then the queue insert and ledger write.
-// Callers must invoke it in ascending node-ID order so the loss stream is
-// consumed exactly as the sequential scan would.
+// Callers must invoke it in ascending node-ID order, so that the full
+// scan and the step's candidate scan consume the loss stream alike.
 func (w *W) issueRequest(id wrsn.NodeID) {
 	if w.plan.LoseRequest() {
 		w.noteRequestLost(id)
@@ -585,22 +550,16 @@ func (w *W) Sample() {
 	}
 	for w.nextSample <= w.now {
 		s := ledger.Sample{T: w.nextSample}
-		if w.sh != nil {
-			// Integer counts sum exactly, so the sharded tally is not
-			// merely digest-identical but trivially so.
-			s.Alive, s.Connected, s.KeyAlive = w.sh.sampleCounts(w.keySet)
-		} else {
-			for _, n := range w.nw.Nodes() {
-				if !n.Alive() {
-					continue
-				}
-				s.Alive++
-				if w.nw.Connected(n.ID) {
-					s.Connected++
-				}
-				if w.keySet[n.ID] {
-					s.KeyAlive++
-				}
+		for _, n := range w.nw.Nodes() {
+			if !n.Alive() {
+				continue
+			}
+			s.Alive++
+			if w.nw.Connected(n.ID) {
+				s.Connected++
+			}
+			if w.keySet[n.ID] {
+				s.KeyAlive++
 			}
 		}
 		w.led.Samples = append(w.led.Samples, s)

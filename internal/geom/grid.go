@@ -25,17 +25,34 @@ type Grid struct {
 	buckets [][]int32
 }
 
-// NewGrid indexes pts with the given cell size. A non-positive cell or
-// empty pts yields a degenerate grid whose queries return nothing.
+// NewGrid indexes pts with the given cell size. A non-positive (or NaN)
+// cell or empty pts yields a degenerate grid whose queries return
+// nothing.
+//
+// The bucket array never exceeds maxBuckets(len(pts)) slots: when the
+// bounding box divided by cell would need more, or when that quotient
+// is not finite, the cell is widened — doubled until the grid fits, or
+// made a single bucket when the extent itself overflows. A wider cell
+// only makes queries return larger supersets, so callers that apply an
+// exact predicate see the same results.
 func NewGrid(pts []Point, cell float64) *Grid {
 	g := &Grid{cell: cell}
-	if cell <= 0 || len(pts) == 0 {
+	if !(cell > 0) || len(pts) == 0 {
 		return g
 	}
 	bb := BoundingBox(pts)
 	g.origin = bb.Min
-	g.cols = int((bb.Max.X-bb.Min.X)/cell) + 1
-	g.rows = int((bb.Max.Y-bb.Min.Y)/cell) + 1
+	w, h := bb.Max.X-bb.Min.X, bb.Max.Y-bb.Min.Y
+	if math.IsInf(w+h, 0) || math.IsNaN(w+h) {
+		g.cell, g.cols, g.rows = math.Inf(1), 1, 1
+	} else {
+		limit := float64(maxBuckets(len(pts)))
+		for (math.Floor(w/g.cell)+1)*(math.Floor(h/g.cell)+1) > limit {
+			g.cell *= 2
+		}
+		g.cols = int(w/g.cell) + 1
+		g.rows = int(h/g.cell) + 1
+	}
 	g.buckets = make([][]int32, g.cols*g.rows)
 	// Count first so every bucket is allocated exactly once.
 	counts := make([]int32, g.cols*g.rows)
@@ -55,36 +72,32 @@ func NewGrid(pts []Point, cell float64) *Grid {
 	return g
 }
 
+// maxBuckets bounds a grid's bucket array for n points: four buckets
+// per point, and never fewer than 4096. Deployments at the default
+// spacing need about half a bucket per point.
+func maxBuckets(n int) int { return max(4*n, 4096) }
+
 // cellIndex maps a point inside the bounding box to its bucket slot.
 func (g *Grid) cellIndex(p Point) int {
-	cx := int((p.X - g.origin.X) / g.cell)
-	cy := int((p.Y - g.origin.Y) / g.cell)
+	cx := clampCell(p.X-g.origin.X, g.cell, g.cols)
+	cy := clampCell(p.Y-g.origin.Y, g.cell, g.rows)
 	return cy*g.cols + cx
 }
 
 // clampCell converts a coordinate offset to a cell ordinate clamped to
 // the grid, so queries centered outside the indexed area still see the
-// border cells.
+// border cells. The comparisons run on the float, so an ordinate past
+// the int range, or the NaN of an infinite offset over an infinite
+// cell, clamps too.
 func clampCell(off, cell float64, n int) int {
-	c := int(math.Floor(off / cell))
-	if c < 0 {
+	c := math.Floor(off / cell)
+	if !(c >= 0) {
 		return 0
 	}
-	if c >= n {
+	if c >= float64(n) {
 		return n - 1
 	}
-	return c
-}
-
-// AppendAll appends to dst the index of every indexed point in row-major
-// bucket order (ascending within a bucket). The walk is deterministic and
-// groups spatially adjacent points, which is what region partitioners
-// want when carving the point set into coherent contiguous runs.
-func (g *Grid) AppendAll(dst []int32) []int32 {
-	for _, b := range g.buckets {
-		dst = append(dst, b...)
-	}
-	return dst
+	return int(c)
 }
 
 // Candidates appends to dst the indices of every indexed point whose

@@ -104,7 +104,11 @@ type Campaign struct {
 	PendingGraceSec  float64        `json:"pending_grace_sec,omitempty"`
 	BenignFailRate   float64        `json:"benign_fail_rate,omitempty"`
 	Defense          defense.Config `json:"defense,omitempty"`
-	Shards           int            `json:"shards,omitempty"`
+	// Shards is decoded and ignored. It once set a world-stepping
+	// parallelism that never changed an Outcome, and the world now
+	// always steps on one goroutine; the field stays so that specs
+	// written with it still decode under the strict decoder.
+	Shards int `json:"shards,omitempty"`
 }
 
 // Default returns the evaluation-default legit baseline at the given
@@ -230,7 +234,6 @@ func (s Spec) Config(probe obs.Probe, n int) (campaign.Config, error) {
 		PendingGraceSec:  c.PendingGraceSec,
 		BenignFailRate:   c.BenignFailRate,
 		Defense:          c.Defense,
-		Shards:           c.Shards,
 		Probe:            probe,
 	}
 	if s.Faults != nil {

@@ -2,6 +2,7 @@ package jobspec
 
 import (
 	"context"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"github.com/reprolab/wrsn-csa/internal/campaign"
 	"github.com/reprolab/wrsn-csa/internal/defense"
 	"github.com/reprolab/wrsn-csa/internal/faults"
+	"github.com/reprolab/wrsn-csa/internal/geom"
 	"github.com/reprolab/wrsn-csa/internal/mc"
 	"github.com/reprolab/wrsn-csa/internal/trace"
 	"github.com/reprolab/wrsn-csa/internal/wpt"
@@ -247,4 +249,85 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("round trip drifted:\n in: %+v\nout: %+v\nwire: %s", s, back, b)
 		}
 	})
+}
+
+// TestShardsFieldIgnored pins the decision on the retired world-stepping
+// knob: a job file that still carries "shards" decodes, validates and
+// runs to the digest of the same job without it, which is also the
+// digest the sharded stepper produced, and the field survives Encode →
+// Decode.
+func TestShardsFieldIgnored(t *testing.T) {
+	sc, err := json.Marshal(Default(42, 60).Scenario)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := func(campaign string) []byte {
+		return []byte(`{"kind":"legit","scenario":` + string(sc) + `,"campaign":` + campaign + `}`)
+	}
+	// The digest a 4-shard run of this job had when sharded stepping
+	// existed; every shard count produced it.
+	const want = "eea55b07f848686b8ede4d3b44e9fb7cc524d49603139f9b9b1b49c4bf28933d"
+	for name, b := range map[string][]byte{
+		"with":    job(`{"seed":42,"horizon_sec":86400,"shards":4}`),
+		"without": job(`{"seed":42,"horizon_sec":86400}`),
+	} {
+		spec, err := Decode(b)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := spec.Validate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		res, err := Run(context.Background(), spec, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := res.mustDigest(t); got != want {
+			t.Errorf("%s: digest %s, want %s", name, got, want)
+		}
+		enc, err := spec.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := Decode(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(spec, back) {
+			t.Errorf("%s: round trip drifted:\n in: %+v\nout: %+v", name, spec, back)
+		}
+		if name == "with" && back.Campaign.Shards != 4 {
+			t.Errorf("round trip dropped shards: %d", back.Campaign.Shards)
+		}
+	}
+}
+
+// TestDegenerateGeometryNoCrash holds two job specs that once took the
+// daemon down to an error or a cheap run: a radio range so small that
+// the spatial index asked for about 1e12 buckets, and a field so wide
+// that uniform placement overflowed to infinite positions.
+func TestDegenerateGeometryNoCrash(t *testing.T) {
+	tiny := Default(1, 10)
+	tiny.Scenario.CommRange = 1e-4
+	wide := Default(1, 10)
+	wide.Scenario.Deploy.Field = geom.NewRect(geom.Pt(-1e308, -1e308), geom.Pt(1e308, 1e308))
+	for name, spec := range map[string]Spec{"tiny-range": tiny, "wide-field": wide} {
+		spec.Campaign.HorizonSec = 86400
+		b, err := spec.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if spec, err = Decode(b); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := spec.Validate(); err != nil {
+			t.Logf("%s: rejected: %v", name, err)
+			continue
+		}
+		if _, err := Run(context.Background(), spec, nil); err != nil {
+			t.Logf("%s: run failed: %v", name, err)
+			continue
+		}
+		t.Logf("%s: ran", name)
+	}
 }

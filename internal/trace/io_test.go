@@ -87,3 +87,48 @@ func TestExplicitFieldRoundTrip(t *testing.T) {
 		t.Errorf("field lost in round trip: %+v", back.Deploy.Field)
 	}
 }
+
+// FuzzReadJSON holds the scenario file reader and the build behind it
+// to two contracts: no input panics ReadJSON or Build, and a scenario
+// ReadJSON accepts survives WriteJSON → ReadJSON unchanged. Inputs with
+// more than 256 nodes or clusters are skipped so each build stays
+// cheap.
+func FuzzReadJSON(f *testing.F) {
+	for _, d := range []Deployment{DeployUniform, DeployClustered, DeployGrid, DeployCorridor} {
+		sc := DefaultScenario(42, 60)
+		sc.Deploy.Pattern = d
+		var sb strings.Builder
+		if err := sc.WriteJSON(&sb); err != nil {
+			f.Fatal(err)
+		}
+		f.Add([]byte(sb.String()))
+	}
+	// Inputs that once crashed Build: a radio range so small that the
+	// spatial index asked for about 1e12 buckets, a field wide enough to
+	// index out of its bucket array, and the widest field the format
+	// holds with the sink at the far negative corner.
+	f.Add([]byte(`{"seed":1,"pattern":"uniform","n":10,"comm_range":1e-4,"sink_at_center":true,"require_connected":true}`))
+	f.Add([]byte(`{"pattern":"uniform","n":10,"field_w":1e308,"field_h":1e308}`))
+	f.Add([]byte(`{"pattern":"uniform","n":10,"field_w":1.7976931348623157e308,"field_h":1.7976931348623157e308,"sink_x":-1.7976931348623157e308,"sink_y":-1.7976931348623157e308}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sc, err := ReadJSON(strings.NewReader(string(data)))
+		if err != nil {
+			return
+		}
+		var sb strings.Builder
+		if err := sc.WriteJSON(&sb); err != nil {
+			t.Fatalf("accepted scenario does not write: %v\nscenario: %+v", err, sc)
+		}
+		back, err := ReadJSON(strings.NewReader(sb.String()))
+		if err != nil {
+			t.Fatalf("written scenario does not read: %v\nwire: %s", err, sb.String())
+		}
+		if back != sc {
+			t.Fatalf("round trip drifted:\n in: %+v\nout: %+v\nwire: %s", sc, back, sb.String())
+		}
+		if sc.Deploy.N > 256 || sc.Deploy.Clusters > 256 {
+			return
+		}
+		_, _, _ = sc.Build()
+	})
+}

@@ -482,47 +482,3 @@ func FuzzIncrementalRouting(f *testing.F) {
 		}
 	})
 }
-
-// TestRegionShardsPartition checks the spatial partitioner's contract:
-// every node appears in exactly one shard, IDs ascend within a shard,
-// shard sizes are balanced, and the partition is deterministic.
-func TestRegionShardsPartition(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	nw := randomNetwork(t, rng, 137, 50)
-	for _, k := range []int{1, 2, 3, 4, 8, 137, 500} {
-		shards := nw.RegionShards(k)
-		seen := make(map[NodeID]bool)
-		for _, sh := range shards {
-			for j, id := range sh {
-				if seen[id] {
-					t.Fatalf("k=%d: node %d in two shards", k, id)
-				}
-				seen[id] = true
-				if j > 0 && sh[j-1] >= id {
-					t.Fatalf("k=%d: shard IDs not ascending: %v", k, sh)
-				}
-			}
-		}
-		if len(seen) != 137 {
-			t.Fatalf("k=%d: partition covers %d of 137 nodes", k, len(seen))
-		}
-		want := k
-		if want > 137 {
-			want = 137
-		}
-		if want > 1 && len(shards) < 2 {
-			t.Fatalf("k=%d: got %d shards", k, len(shards))
-		}
-		again := nw.RegionShards(k)
-		if len(again) != len(shards) {
-			t.Fatalf("k=%d: partition not deterministic", k)
-		}
-		for s := range shards {
-			for j := range shards[s] {
-				if shards[s][j] != again[s][j] {
-					t.Fatalf("k=%d: partition not deterministic", k)
-				}
-			}
-		}
-	}
-}

@@ -213,29 +213,6 @@ func (nw *Network) Charge(id NodeID, j float64) float64 {
 	return nw.bats[id].Charge(j)
 }
 
-// AdvanceEnergyIn is AdvanceEnergy restricted to the given node IDs,
-// appending deaths to died (in ids order) and returning it. It touches
-// only those nodes' dense slots and no shared scratch, so concurrent
-// calls over disjoint ID sets are race-free — the sharded world stepper
-// drains grid-region shards in parallel this way and merges the per-shard
-// death lists deterministically.
-func (nw *Network) AdvanceEnergyIn(ids []NodeID, dt float64, died []NodeID) []NodeID {
-	if dt <= 0 {
-		return died
-	}
-	for _, id := range ids {
-		i := int(id)
-		if !nw.aliveIdx(i) {
-			continue
-		}
-		nw.bats[i].Drain(nw.drainW[i] * dt)
-		if nw.bats[i].Depleted() {
-			died = append(died, id)
-		}
-	}
-	return died
-}
-
 // NextDepletion returns the soonest projected death time among alive nodes
 // starting from now, and the node that dies then. When no node will die it
 // returns (+Inf, ParentNone). Ties go to the lowest ID (strict < over an
@@ -291,28 +268,4 @@ func (nw *Network) NextDepletionAfter(now, at float64, who NodeID, epoch uint64)
 		}
 	}
 	return at, who
-}
-
-// NextDepletionIn is NextDepletion restricted to the given node IDs
-// (which must be ascending for the lowest-ID tie rule to match the full
-// scan). It performs only reads of the nodes' dense slots, so concurrent
-// calls over disjoint ID sets are race-free.
-func (nw *Network) NextDepletionIn(ids []NodeID, now float64) (float64, NodeID) {
-	best := math.Inf(1)
-	who := ParentNone
-	for _, id := range ids {
-		i := int(id)
-		if !nw.aliveIdx(i) {
-			continue
-		}
-		drain := nw.drainW[i]
-		if drain <= 0 {
-			continue
-		}
-		t := now + nw.bats[i].Level()/drain
-		if t < best {
-			best, who = t, id
-		}
-	}
-	return best, who
 }

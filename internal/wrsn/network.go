@@ -235,6 +235,9 @@ func (nw *Network) grow(n int) {
 // initNode validates one spec and writes it into slot i of the dense
 // storage, wiring up the view handle.
 func (nw *Network) initNode(i int, spec NodeSpec) error {
+	if !finite(spec.Pos.X) || !finite(spec.Pos.Y) {
+		return fmt.Errorf("wrsn: node %d: non-finite position %v", i, spec.Pos)
+	}
 	capJ := spec.BatteryJ
 	if capJ <= 0 {
 		capJ = DefaultBatteryJ
@@ -258,6 +261,9 @@ func (nw *Network) initNode(i int, spec NodeSpec) error {
 	nw.ptrs[i] = &nw.nodes[i]
 	return nil
 }
+
+// finite reports whether x is neither infinite nor NaN.
+func finite(x float64) bool { return !math.IsInf(x, 0) && !math.IsNaN(x) }
 
 // Len returns the number of nodes (alive or dead).
 func (nw *Network) Len() int { return len(nw.nodes) }

@@ -30,6 +30,13 @@ func TestNewNetworkValidation(t *testing.T) {
 	if _, err := NewNetwork(nil, Config{}); err == nil {
 		t.Error("empty network accepted")
 	}
+	for _, bad := range []geom.Point{{X: math.Inf(1)}, {Y: math.Inf(-1)}, {X: math.NaN()}} {
+		specs := lineSpecs(3, 40)
+		specs[1].Pos = bad
+		if _, err := NewNetwork(specs, Config{}); err == nil {
+			t.Errorf("node at %v accepted", bad)
+		}
+	}
 }
 
 func TestChainRouting(t *testing.T) {
