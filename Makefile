@@ -7,8 +7,9 @@ GO ?= go
 # (BenchmarkSeedSweep matches both), the live-checkpoint capture
 # cost that bounds how aggressive -checkpoint-every can be, the CSA
 # planner at 200 and 400 nodes, one simulated day of world steps at
-# 1k and 10k nodes, and the world step's dense drain pass alone.
-GATED_BENCH = BenchmarkExperimentSweep|BenchmarkCampaignRun|BenchmarkSeedSweep|BenchmarkRecomputeIncremental|BenchmarkCheckpointCapture|BenchmarkSolveCSA|BenchmarkWorldStep|BenchmarkAdvanceEnergyPass
+# 1k and 10k nodes, the world step's dense drain pass alone, and the
+# key-node analysis the attack planner runs over the radio graph.
+GATED_BENCH = BenchmarkExperimentSweep|BenchmarkCampaignRun|BenchmarkSeedSweep|BenchmarkRecomputeIncremental|BenchmarkCheckpointCapture|BenchmarkSolveCSA|BenchmarkWorldStep|BenchmarkAdvanceEnergyPass|BenchmarkKeyNodes
 BENCH_PKGS = . ./internal/campaign ./internal/campaign/world ./internal/wrsn
 BENCH_SHA = $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
 
@@ -157,7 +158,9 @@ verify-dist:
 # to its exhaustive twin), the ordered charging-request queue (held
 # to a map model and sort-then-scan scheduler picks), incremental
 # routing on tie-heavy lattices (held to a brute-force Dijkstra and a
-# from-scratch rebuild), the world step's fused drain pass (held to the
+# from-scratch rebuild), the static link table on arbitrary finite
+# layouts (held to the pairwise scan, its recomputes to the same
+# oracles), the world step's fused drain pass (held to the
 # separate drain, threshold scan and depletion forecast), the job-spec
 # decoder and the scenario file reader (no panics; a write → read round
 # trip is the identity on what each accepts, and accepted scenarios
@@ -175,6 +178,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzPackCovers$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/attack
 	$(GO) test -run '^$$' -fuzz '^FuzzQueue$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/charging
 	$(GO) test -run '^$$' -fuzz '^FuzzIncrementalRouting$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/wrsn
+	$(GO) test -run '^$$' -fuzz '^FuzzLinkTable$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/wrsn
 	$(GO) test -run '^$$' -fuzz '^FuzzAdvanceEnergyPass$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/wrsn
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/jobspec
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJSON$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/trace

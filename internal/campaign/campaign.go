@@ -61,7 +61,8 @@ type Config struct {
 	// CooldownSec is the post-session re-request suppression;
 	// non-positive gets the builder default (4 h).
 	CooldownSec float64
-	// PollSec bounds the request-scan granularity; non-positive gets 900 s.
+	// PollSec bounds the request-scan granularity; non-positive gets
+	// DefaultPollSec.
 	PollSec float64
 	// Solver picks the attack planner (RunAttack only); empty gets CSA.
 	Solver string
@@ -140,6 +141,9 @@ type Config struct {
 // Sample is one point of the lifetime time series.
 type Sample = ledger.Sample
 
+// DefaultPollSec is the step bound a non-positive Config.PollSec gets.
+const DefaultPollSec = 900
+
 func (c *Config) applyDefaults() {
 	if c.HorizonSec <= 0 {
 		c.HorizonSec = attack.DefaultHorizonSec
@@ -151,7 +155,7 @@ func (c *Config) applyDefaults() {
 		c.CooldownSec = attack.DefaultCooldownSec
 	}
 	if c.PollSec <= 0 {
-		c.PollSec = 900
+		c.PollSec = DefaultPollSec
 	}
 	if c.Solver == "" {
 		c.Solver = SolverCSA

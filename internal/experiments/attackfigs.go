@@ -95,7 +95,7 @@ func RunExhaustionVsN(ctx context.Context, cfg Config) (*Output, error) {
 					caughtDay.Add(o.CaughtAt / 86400)
 				}
 			}
-			tbl.AddRowf(n, spec.name, ratio.Mean(), stealthy.Mean(), stealthy.CI95(), det.Mean(), caughtDay.Mean())
+			tbl.AddRowf(n, spec.name, ratio.Mean(), stealthy.Mean(), stealthy.CI95(), det.Mean(), meanCell(&caughtDay))
 			series[si].Append(float64(n), stealthy.Mean())
 			points = append(points, PointTiming{
 				Label:   fmt.Sprintf("n=%d/%s", n, spec.name),
@@ -268,6 +268,16 @@ func solveByName(in *attack.Instance, solver string, seed uint64) (attack.Result
 	default:
 		return attack.Result{}, nil
 	}
+}
+
+// meanCell is a summary's mean as a table cell, or "—" when the summary
+// is empty: a mean over no runs (say, the catch day when no run was
+// caught) is undefined, not 0.
+func meanCell(s *metrics.Summary) any {
+	if s.N() == 0 {
+		return "—"
+	}
+	return s.Mean()
 }
 
 func b2f(b bool) float64 {

@@ -2,8 +2,12 @@ package experiments
 
 import (
 	"context"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
+
+	"github.com/reprolab/wrsn-csa/internal/metrics"
 )
 
 // quickCfg keeps experiment tests fast: smallest sweeps, one seed.
@@ -132,6 +136,7 @@ func TestExhaustionVsN(t *testing.T) {
 	if out.Table.Rows() == 0 || len(out.Series) != 4 {
 		t.Fatalf("table rows=%d series=%d", out.Table.Rows(), len(out.Series))
 	}
+	checkCaughtDayCells(t, out)
 	// The CSA series carries the headline: stealthy exhaustion ≥ 0.8.
 	for _, s := range out.Series {
 		if s.Label != "CSA" {
@@ -246,6 +251,41 @@ func TestAblationsTable(t *testing.T) {
 	}
 	if out.Table.Rows() != 7 {
 		t.Fatalf("rows = %d", out.Table.Rows())
+	}
+	checkCaughtDayCells(t, out)
+}
+
+// checkCaughtDayCells requires "—" in the caught_day_mean cell of every
+// row whose runs were never detected, and so never caught. The columns
+// are split on runs of two or more spaces.
+func checkCaughtDayCells(t *testing.T, out *Output) {
+	t.Helper()
+	lines := strings.Split(strings.TrimRight(out.Table.String(), "\n"), "\n")
+	split := regexp.MustCompile(` {2,}`)
+	head := split.Split(strings.TrimSpace(lines[1]), -1)
+	det, day := slices.Index(head, "detected_frac"), slices.Index(head, "caught_day_mean")
+	if det < 0 || day < 0 {
+		t.Fatalf("%s: no detected_frac/caught_day_mean columns in %q", out.ID, head)
+	}
+	for _, line := range lines[3:] {
+		cells := split.Split(strings.TrimSpace(line), -1)
+		if cells[det] == "0" && cells[day] != "—" {
+			t.Errorf("%s: undetected row prints caught_day_mean %q, want —: %q", out.ID, cells[day], line)
+		}
+	}
+}
+
+// TestMeanCell pins the empty case: a mean over no runs prints "—",
+// not the zero an empty Summary reports.
+func TestMeanCell(t *testing.T) {
+	var s metrics.Summary
+	if got := meanCell(&s); got != "—" {
+		t.Errorf("empty summary cell = %v, want —", got)
+	}
+	s.Add(2)
+	s.Add(4)
+	if got := meanCell(&s); got != 3.0 {
+		t.Errorf("cell = %v, want 3", got)
 	}
 }
 

@@ -198,7 +198,7 @@ func RunAblations(ctx context.Context, cfg Config) (*Output, error) {
 				caughtDay.Add(o.CaughtAt / 86400)
 			}
 		}
-		tbl.AddRowf(v.name, ratio.Mean(), det.Mean(), caughtDay.Mean(), served.Mean())
+		tbl.AddRowf(v.name, ratio.Mean(), det.Mean(), meanCell(&caughtDay), served.Mean())
 		points = append(points, PointTiming{Label: v.name, Elapsed: sumElapsed(outs, row, k)})
 	}
 	return &Output{

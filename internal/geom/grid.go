@@ -102,10 +102,10 @@ func clampCell(off, cell float64, n int) int {
 
 // Candidates appends to dst the indices of every indexed point whose
 // cell intersects the axis-aligned square of half-width r around p —
-// a superset of the points within distance r. The margin widens the
-// square slightly so border-of-cell rounding can never exclude a point
-// a caller's exact predicate would accept. No cross-bucket ordering is
-// guaranteed.
+// a superset of the points within distance r, and of those with
+// Dist2 ≤ r². The margin widens the square slightly so border-of-cell
+// rounding can never exclude a point a caller's exact predicate would
+// accept. No cross-bucket ordering is guaranteed.
 func (g *Grid) Candidates(dst []int32, p Point, r float64) []int32 {
 	if g.buckets == nil || r < 0 {
 		return dst
@@ -113,8 +113,13 @@ func (g *Grid) Candidates(dst []int32, p Point, r float64) []int32 {
 	// A point passing an exact predicate like Dist(p,q) ≤ r can sit up
 	// to a rounding error outside the mathematical square; a fixed
 	// margin far above one ulp of any field coordinate absorbs that.
+	// Where r² overflows, Dist2 ≤ r² holds for every pair, so the query
+	// covers the whole grid.
 	const margin = 1e-6
 	r += margin
+	if math.IsInf(r*r, 1) {
+		r = math.Inf(1)
+	}
 	x0 := clampCell(p.X-r-g.origin.X, g.cell, g.cols)
 	x1 := clampCell(p.X+r-g.origin.X, g.cell, g.cols)
 	y0 := clampCell(p.Y-r-g.origin.Y, g.cell, g.rows)

@@ -36,6 +36,24 @@ func TestGridCandidatesSuperset(t *testing.T) {
 	}
 }
 
+// TestGridOverflowingRadius checks that a radius whose square overflows
+// returns every point: Dist2 ≤ r² then holds for any pair, even one
+// whose own squared distance overflows, so the square of half-width r
+// is not a superset.
+func TestGridOverflowingRadius(t *testing.T) {
+	pts := []Point{{X: 0, Y: 0}, {X: 1e300, Y: 0}, {X: -1e300, Y: 1e300}}
+	r := 1e200
+	g := NewGrid(pts, r)
+	for _, p := range pts {
+		if got := g.Candidates(nil, p, r); len(got) != len(pts) {
+			t.Fatalf("query at %v returned %v, want all %d points", p, got, len(pts))
+		}
+		if p.Dist2(pts[1]) > r*r {
+			t.Fatalf("Dist2(%v, %v) exceeds an overflowing r²", p, pts[1])
+		}
+	}
+}
+
 // TestGridDegenerate covers empty input, non-positive cell, and
 // negative radius.
 func TestGridDegenerate(t *testing.T) {

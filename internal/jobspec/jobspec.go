@@ -189,7 +189,22 @@ func (s Spec) validate() (*snapshot.Snapshot, error) {
 	if s.Faults != nil && s.Faults.RequestLossProb < 0 {
 		return nil, fmt.Errorf("jobspec: negative request-loss probability %v", s.Faults.RequestLossProb)
 	}
+	// The world changes only at steps, at most poll_sec apart, so a
+	// finer cadence records the step-time state again and again; at
+	// 1e-3 s over a day it exhausts memory.
+	if c := s.Campaign; c.SampleEverySec > 0 && c.SampleEverySec < c.pollSec() {
+		return nil, fmt.Errorf("jobspec: sample_every_sec %v is below poll_sec %v", c.SampleEverySec, c.pollSec())
+	}
 	return snap, nil
+}
+
+// pollSec is the effective step bound: poll_sec, or the campaign
+// default when unset.
+func (c Campaign) pollSec() float64 {
+	if c.PollSec <= 0 {
+		return campaign.DefaultPollSec
+	}
+	return c.PollSec
 }
 
 // scheduler resolves the scheduler name; empty means the campaign

@@ -92,6 +92,10 @@ func TestValidate(t *testing.T) {
 		{"no nodes", func(s *Spec) { s.Scenario.Deploy.N = 0 }, "node count"},
 		{"unknown solver", func(s *Spec) { s.Campaign.Solver = "Oracle" }, "solver"},
 		{"unknown scheduler", func(s *Spec) { s.Campaign.Scheduler = "LIFO" }, "scheduler"},
+		{"sampling below default poll", func(s *Spec) { s.Campaign.SampleEverySec = 1e-3 }, "sample_every_sec"},
+		{"sampling below set poll", func(s *Spec) { s.Campaign.PollSec, s.Campaign.SampleEverySec = 7200, 3600 }, "poll_sec 7200"},
+		{"sampling at default poll", func(s *Spec) { s.Campaign.SampleEverySec = 900 }, ""},
+		{"sampling off", func(s *Spec) { s.Campaign.SampleEverySec = -1 }, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"github.com/reprolab/wrsn-csa/internal/metrics"
 )
@@ -59,12 +60,12 @@ func (t *Table) Render(w io.Writer) error {
 			cols = len(r)
 		}
 	}
+	// Widths count runes, not bytes, so a cell such as "—" pads like
+	// one character.
 	widths := make([]int, cols)
 	measure := func(row []string) {
 		for i, c := range row {
-			if len(c) > widths[i] {
-				widths[i] = len(c)
-			}
+			widths[i] = max(widths[i], utf8.RuneCountInString(c))
 		}
 	}
 	measure(t.Headers)
@@ -86,7 +87,7 @@ func (t *Table) Render(w io.Writer) error {
 				sb.WriteString("  ")
 			}
 			sb.WriteString(cell)
-			sb.WriteString(strings.Repeat(" ", widths[i]-len(cell)))
+			sb.WriteString(strings.Repeat(" ", widths[i]-utf8.RuneCountInString(cell)))
 		}
 		sb.WriteByte('\n')
 	}

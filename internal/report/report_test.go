@@ -3,6 +3,7 @@ package report
 import (
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"github.com/reprolab/wrsn-csa/internal/metrics"
 )
@@ -27,6 +28,20 @@ func TestTableRender(t *testing.T) {
 	}
 	if tbl.Rows() != 2 {
 		t.Errorf("rows = %d", tbl.Rows())
+	}
+}
+
+// TestTableRenderMultibyte aligns a column holding a multibyte cell:
+// "—" pads as one character, so the next column starts at the same
+// rune offset on every row.
+func TestTableRenderMultibyte(t *testing.T) {
+	tbl := NewTable("", "mean", "next")
+	tbl.AddRow("—", "x")
+	tbl.AddRow("4.5", "y")
+	lines := strings.Split(strings.TrimRight(tbl.String(), "\n"), "\n")
+	col := func(line, s string) int { return utf8.RuneCountInString(line[:strings.Index(line, s)]) }
+	if a, b := col(lines[2], "x"), col(lines[3], "y"); a != b {
+		t.Errorf("columns misaligned: %q vs %q", lines[2], lines[3])
 	}
 }
 

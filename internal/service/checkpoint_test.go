@@ -25,9 +25,11 @@ import (
 )
 
 // slowSpec is a legit campaign big enough that a daemon drain reliably
-// lands mid-run (default multi-day horizon, 120 nodes).
+// lands mid-run (default multi-day horizon, 400 nodes). At 120 nodes a
+// run takes 2–4 ms, and on a loaded 2-vCPU host the worker finished it
+// before the test's drain in 7 of 80 tries.
 func slowSpec(seed uint64) jobspec.Spec {
-	return jobspec.Default(seed, 120)
+	return jobspec.Default(seed, 400)
 }
 
 // expiredContext returns an already-expired context — the "drain

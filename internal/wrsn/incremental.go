@@ -135,20 +135,15 @@ func (nw *Network) recomputeIncremental() bool {
 		if !nw.live.get(v) {
 			continue
 		}
-		pv := nw.pos[v]
-		nw.cand = nw.grid.Candidates(nw.cand[:0], pv, nw.commRange)
-		for _, cu := range nw.cand {
-			u := int(cu)
-			if u == v || nw.inA.get(u) || !nw.live.get(u) {
-				continue
+		to, ln := nw.links.row(v)
+		for k, u32 := range to {
+			u := int(u32)
+			switch {
+			case u == n:
+				nw.relax(n, 0, ln[k], v)
+			case !nw.inA.get(u) && nw.live.get(u) && !math.IsInf(nw.dist[u], 1):
+				nw.relax(u, nw.dist[u], ln[k], v)
 			}
-			if math.IsInf(nw.dist[u], 1) || !nw.linked(pv, nw.pos[u]) {
-				continue
-			}
-			nw.relax(u, nw.dist[u], nw.pos[u], v)
-		}
-		if nw.linked(pv, nw.sink) {
-			nw.relax(n, 0, nw.sink, v)
 		}
 	}
 
@@ -165,17 +160,15 @@ func (nw *Network) recomputeIncremental() bool {
 		if it.d > nw.dist[it.idx] {
 			continue
 		}
-		u := it.idx
-		pu := nw.pos[u]
-		nw.cand = nw.grid.Candidates(nw.cand[:0], pu, nw.commRange)
-		for _, cv := range nw.cand {
-			v := int(cv)
-			if v == u || !nw.live.get(v) || !nw.linked(pu, nw.pos[v]) {
+		to, ln := nw.links.row(it.idx)
+		for k, v32 := range to {
+			v := int(v32)
+			if v == n || !nw.live.get(v) {
 				continue
 			}
-			if nw.relax(u, it.d, pu, v) && !nw.inA.get(v) {
+			if nw.relax(it.idx, it.d, ln[k], v) && !nw.inA.get(v) {
 				nw.inA.set(v)
-				aff = append(aff, int32(v))
+				aff = append(aff, v32)
 			}
 		}
 	}

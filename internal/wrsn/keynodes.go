@@ -25,7 +25,7 @@ type KeyNode struct {
 func (nw *Network) KeyNodes() []KeyNode {
 	n := len(nw.nodes)
 	nw.refreshLive()
-	adj := nw.aliveAdjacency()
+	lt := nw.links
 	const unvisited = -1
 	disc := make([]int, n+1)
 	low := make([]int, n+1)
@@ -37,26 +37,29 @@ func (nw *Network) KeyNodes() []KeyNode {
 
 	// Iterative DFS from the sink (index n) to survive deep topologies
 	// (chains of thousands of nodes would overflow the goroutine stack
-	// with recursion).
+	// with recursion). A frame's edge is its next position in the link
+	// table.
 	type frame struct {
 		v, parent, edge int
 	}
 	timer := 0
-	stack := []frame{{v: n, parent: -1}}
+	stack := []frame{{v: n, parent: -1, edge: int(lt.off[n])}}
 	disc[n] = timer
 	low[n] = timer
 	timer++
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
-		if f.edge < len(adj[f.v]) {
-			w := adj[f.v][f.edge]
+		if f.edge < int(lt.off[f.v+1]) {
+			w := int(lt.to[f.edge])
 			f.edge++
 			switch {
+			case !nw.inGraph(w):
+				// A dead endpoint: not in the alive topology.
 			case disc[w] == unvisited:
 				disc[w] = timer
 				low[w] = timer
 				timer++
-				stack = append(stack, frame{v: w, parent: f.v})
+				stack = append(stack, frame{v: w, parent: f.v, edge: int(lt.off[w])})
 			case w != f.parent && disc[w] < low[f.v]:
 				low[f.v] = disc[w]
 			}
@@ -103,39 +106,16 @@ func (nw *Network) KeyNodes() []KeyNode {
 // implementation KeyNodes is validated against and is also used by
 // simulation code for one-off queries.
 func (nw *Network) SeveredByDeath(id NodeID) int {
-	n := len(nw.nodes)
 	nw.refreshLive()
-	adj := nw.aliveAdjacency()
 	if !nw.nodes[id].Alive() {
 		return 0
 	}
-	reach := func(skip int) (int, []bool) {
-		seen := make([]bool, n+1)
-		queue := []int{n}
-		seen[n] = true
-		count := 0
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			for _, w := range adj[v] {
-				if w == skip || seen[w] {
-					continue
-				}
-				seen[w] = true
-				if w < n {
-					count++
-				}
-				queue = append(queue, w)
-			}
-		}
-		return count, seen
-	}
-	base, seen := reach(-1)
+	seen, base := nw.reach(-1)
 	if base == 0 || !seen[id] {
 		// A node the sink cannot reach severs nothing by dying.
 		return 0
 	}
-	after, _ := reach(int(id))
+	_, after := nw.reach(int(id))
 	// Exclude the node itself from the difference: dying removes it too,
 	// but Severed counts only *other* nodes cut off.
 	return base - 1 - after
@@ -147,38 +127,47 @@ func (nw *Network) SeveredByDeath(id NodeID) int {
 // subsumed targets: a key node inside another target's severed set dies of
 // the partition for free.
 func (nw *Network) SeveredSet(id NodeID) []NodeID {
-	n := len(nw.nodes)
 	if !nw.nodes[id].Alive() {
 		return nil
 	}
 	nw.refreshLive()
-	adj := nw.aliveAdjacency()
-	reach := func(skip int) []bool {
-		seen := make([]bool, n+1)
-		queue := []int{n}
-		seen[n] = true
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			for _, w := range adj[v] {
-				if w == skip || seen[w] {
-					continue
-				}
-				seen[w] = true
-				queue = append(queue, w)
-			}
-		}
-		return seen
-	}
-	base := reach(-1)
-	after := reach(int(id))
+	base, _ := nw.reach(-1)
+	after, _ := nw.reach(int(id))
 	var severed []NodeID
-	for i := 0; i < n; i++ {
+	for i := range nw.nodes {
 		if i != int(id) && base[i] && !after[i] {
 			severed = append(severed, NodeID(i))
 		}
 	}
 	return severed
+}
+
+// reach runs a breadth-first search from the sink over the alive
+// topology, never entering graph index skip. It returns the reached set
+// (indexed by graph index, sink included) and the number of nodes in it.
+func (nw *Network) reach(skip int) ([]bool, int) {
+	n := len(nw.nodes)
+	seen := make([]bool, n+1)
+	queue := []int{n}
+	seen[n] = true
+	count := 0
+	for len(queue) > 0 {
+		v := queue[0]
+		queue = queue[1:]
+		to, _ := nw.links.row(v)
+		for _, w32 := range to {
+			w := int(w32)
+			if w == skip || seen[w] || !nw.inGraph(w) {
+				continue
+			}
+			seen[w] = true
+			if w < n {
+				count++
+			}
+			queue = append(queue, w)
+		}
+	}
+	return seen, count
 }
 
 // Betweenness returns the shortest-path betweenness centrality of every
@@ -190,7 +179,6 @@ func (nw *Network) SeveredSet(id NodeID) []NodeID {
 func (nw *Network) Betweenness() []float64 {
 	n := len(nw.nodes)
 	nw.refreshLive()
-	adj := nw.aliveAdjacency()
 	cb := make([]float64, n+1)
 	// Scratch buffers reused across sources.
 	sigma := make([]float64, n+1)
@@ -218,7 +206,12 @@ func (nw *Network) Betweenness() []float64 {
 			v := queue[0]
 			queue = queue[1:]
 			order = append(order, v)
-			for _, w := range adj[v] {
+			to, _ := nw.links.row(v)
+			for _, w32 := range to {
+				w := int(w32)
+				if !nw.inGraph(w) {
+					continue
+				}
 				if dist[w] < 0 {
 					dist[w] = dist[v] + 1
 					queue = append(queue, w)

@@ -1,0 +1,118 @@
+package wrsn
+
+import (
+	"fmt"
+	"math"
+
+	"github.com/reprolab/wrsn-csa/internal/geom"
+)
+
+// linkTable is the static radio graph in compressed sparse row form.
+// Positions never move after construction, so the links and their
+// lengths are derived once, next to the position grid, and every routing
+// recompute and topology analysis reads them instead of re-querying the
+// grid, re-testing the link predicate and re-measuring each edge.
+//
+// Row k spans to[off[k]:off[k+1]]. Row i (a node) lists i's in-range
+// neighbours in ascending ID order, then the sink (graph index n) when
+// it is in range; row n lists the nodes in range of the sink, ascending.
+// ln holds each link's length measured from its row's node (from the
+// sink for row n). Rows hold every link, alive or not: readers skip
+// nodes outside the live set, which leaves exactly the alive adjacency
+// the pairwise scan would build, in the same order.
+//
+// The stored lengths are the ones a relaxation from either end would
+// compute: Dist2 and Dist are symmetric bit for bit, because negating a
+// difference is exact and Hypot takes absolute values.
+type linkTable struct {
+	off []int32
+	to  []int32
+	ln  []float64
+}
+
+// row returns graph index u's neighbours and their link lengths.
+func (lt *linkTable) row(u int) ([]int32, []float64) {
+	a, b := lt.off[u], lt.off[u+1]
+	return lt.to[a:b], lt.ln[a:b]
+}
+
+// index builds the position grid and the link table from the node
+// positions, which are final by then. A count pass sizes the table so
+// each array is allocated exactly once.
+func (nw *Network) index() error {
+	n := len(nw.pos)
+	nw.grid = geom.NewGrid(nw.pos, nw.commRange)
+	off := make([]int32, n+2)
+	total, sinkDeg := 0, 0
+	for i, p := range nw.pos {
+		total += len(nw.inRange(i, p))
+		if nw.linked(p, nw.sink) {
+			total++
+			sinkDeg++
+		}
+		if total+sinkDeg > math.MaxInt32 {
+			return fmt.Errorf("wrsn: radio graph exceeds %d links", math.MaxInt32)
+		}
+		off[i+1] = int32(total)
+	}
+	off[n+1] = int32(total + sinkDeg)
+	lt := &linkTable{off: off, to: make([]int32, off[n+1]), ln: make([]float64, off[n+1])}
+	sinkRow := lt.to[off[n]:off[n]]
+	for i, p := range nw.pos {
+		row := append(lt.to[off[i]:off[i]], nw.inRange(i, p)...)
+		sort32(row)
+		if nw.linked(p, nw.sink) {
+			row = append(row, int32(n))
+			sinkRow = append(sinkRow, int32(i))
+		}
+		for k, j := range row {
+			if int(j) == n {
+				lt.ln[int(off[i])+k] = p.Dist(nw.sink)
+			} else {
+				lt.ln[int(off[i])+k] = p.Dist(nw.pos[j])
+			}
+		}
+	}
+	for k, j := range sinkRow {
+		lt.ln[int(off[n])+k] = nw.sink.Dist(nw.pos[j])
+	}
+	nw.links = lt
+	return nil
+}
+
+// inRange returns node i's in-range neighbours at position p, in grid
+// order, in the reused candidate buffer.
+func (nw *Network) inRange(i int, p geom.Point) []int32 {
+	all := nw.grid.Candidates(nw.cand[:0], p, nw.commRange)
+	nw.cand = all
+	keep := all[:0]
+	for _, j := range all {
+		if int(j) != i && nw.linked(p, nw.pos[j]) {
+			keep = append(keep, j)
+		}
+	}
+	return keep
+}
+
+// linked reports whether two points are within radio range of each other.
+func (nw *Network) linked(a, b geom.Point) bool {
+	return a.Dist2(b) <= nw.commRange*nw.commRange
+}
+
+// inGraph reports whether graph index w (a node, or n for the sink) is
+// in the alive topology. It reads the live set as it stands, so callers
+// refresh it first.
+func (nw *Network) inGraph(w int) bool {
+	return w == len(nw.nodes) || nw.live.get(w)
+}
+
+// sort32 insertion-sorts a small neighbour list ascending; rows are a
+// dozen entries, below the crossover where sort.Slice's overhead pays
+// off.
+func sort32(s []int32) {
+	for i := 1; i < len(s); i++ {
+		for j := i; j > 0 && s[j] < s[j-1]; j-- {
+			s[j], s[j-1] = s[j-1], s[j]
+		}
+	}
+}

@@ -62,8 +62,10 @@ type Network struct {
 	policy    RoutingPolicy
 
 	// grid indexes node positions (static after construction) for range
-	// queries, replacing O(n²) pairwise scans in adjacency builds.
-	grid *geom.Grid
+	// queries; links is the radio graph built over it once (see
+	// links.go). Forks share both.
+	grid  *geom.Grid
+	links *linkTable
 
 	// Derived state, rebuilt by Recompute.
 	parent   []NodeID // routing parent per node
@@ -91,7 +93,6 @@ type Network struct {
 	// routing rebuilds stop allocating. All are sized at construction
 	// from the node count (see grow), so the first large-N recompute
 	// pays no reallocation churn either.
-	adj      [][]int
 	cand     []int32
 	pq       distHeap
 	queue    []int32
@@ -195,7 +196,9 @@ func NewNetwork(specs []NodeSpec, cfg Config) (*Network, error) {
 			return nil, err
 		}
 	}
-	nw.grid = geom.NewGrid(nw.pos, cfg.CommRange)
+	if err := nw.index(); err != nil {
+		return nil, err
+	}
 	nw.Recompute()
 	return nw, nil
 }
@@ -222,7 +225,6 @@ func (nw *Network) grow(n int) {
 	nw.prevLive = newBitset(n)
 	nw.live = newBitset(n)
 	nw.inA = newBitset(n)
-	nw.adj = make([][]int, n+1)
 	nw.pq = make(distHeap, 0, n+1)
 	nw.queue = make([]int32, 0, n)
 	nw.inDirty = newBitset(n)
@@ -323,66 +325,6 @@ func (nw *Network) AliveCount() int {
 	return alive
 }
 
-// linked reports whether two points are within radio range of each other.
-func (nw *Network) linked(a, b geom.Point) bool {
-	return a.Dist2(b) <= nw.commRange*nw.commRange
-}
-
-// aliveAdjacency builds the adjacency lists over alive nodes; index
-// len(nodes) stands for the sink. It queries the position grid instead
-// of scanning all pairs; candidates are filtered to alive higher-index
-// neighbors and sorted ascending before the symmetric append, so the
-// resulting lists — and therefore Dijkstra's tie-breaking — are
-// identical to the original i<j pairwise scan. It reads the live set as
-// it stands, so callers refresh it first (Recompute already has).
-func (nw *Network) aliveAdjacency() [][]int {
-	n := len(nw.nodes)
-	adj := nw.adj[:n+1]
-	for i := range adj {
-		adj[i] = adj[i][:0]
-	}
-	for i := 0; i < n; i++ {
-		if !nw.live.get(i) {
-			continue
-		}
-		pi := nw.pos[i]
-		all := nw.grid.Candidates(nw.cand[:0], pi, nw.commRange)
-		nw.cand = all
-		keep := all[:0]
-		for _, cj := range all {
-			j := int(cj)
-			if j <= i {
-				continue
-			}
-			if nw.live.get(j) && nw.linked(pi, nw.pos[j]) {
-				keep = append(keep, cj)
-			}
-		}
-		sort32(keep)
-		for _, cj := range keep {
-			j := int(cj)
-			adj[i] = append(adj[i], j)
-			adj[j] = append(adj[j], i)
-		}
-		if nw.linked(pi, nw.sink) {
-			adj[i] = append(adj[i], n)
-			adj[n] = append(adj[n], i)
-		}
-	}
-	return adj
-}
-
-// sort32 insertion-sorts a small candidate list ascending; neighbor
-// lists are a dozen entries, below the crossover where sort.Slice's
-// overhead pays off.
-func sort32(s []int32) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
 // NodesNear appends to dst every alive node whose position is within
 // rangeM of pos (by the exact Dist ≤ rangeM predicate), in ascending ID
 // order. It is the indexed replacement for brute-force witness scans.
@@ -441,7 +383,6 @@ func (nw *Network) Recompute() {
 // configured edge-weight policy over the whole alive topology.
 func (nw *Network) recomputeFull() {
 	n := len(nw.nodes)
-	adj := nw.aliveAdjacency()
 	dist := nw.dist
 	pred := nw.pred
 	for i := range dist {
@@ -456,17 +397,12 @@ func (nw *Network) recomputeFull() {
 		if it.d > dist[it.idx] {
 			continue
 		}
-		var from geom.Point
-		if it.idx == n {
-			from = nw.sink
-		} else {
-			from = nw.pos[it.idx]
-		}
-		for _, next := range adj[it.idx] {
-			if next == n {
-				continue // never route through the sink
+		to, ln := nw.links.row(it.idx)
+		for k, v := range to {
+			// Never route through the sink.
+			if int(v) != n && nw.live.get(int(v)) {
+				nw.relax(it.idx, it.d, ln[k], int(v))
 			}
-			nw.relax(it.idx, it.d, from, next)
 		}
 	}
 	nw.deriveAll()
@@ -481,9 +417,9 @@ func (nw *Network) recomputeFull() {
 // function of the final distances — the lexicographically smallest
 // optimal parent — independent of relaxation order, so the incremental
 // rebuild reproduces the full rebuild's tree bit for bit even through
-// ties.
-func (nw *Network) relax(u int, du float64, from geom.Point, v int) bool {
-	nd := du + nw.edgeWeight(from, v)
+// ties. d is the link's length, read from the link table.
+func (nw *Network) relax(u int, du, d float64, v int) bool {
+	nd := du + nw.weight(d, v)
 	switch {
 	case nd < nw.dist[v]:
 		nw.dist[v] = nd
@@ -634,11 +570,10 @@ func orderKeyLess(hop []float64, a, b int) bool {
 	return hop[a] > hop[b] || (hop[a] == hop[b] && a < b)
 }
 
-// edgeWeight prices traversing the edge from a point into node `to` under
-// the routing policy. Dijkstra requires non-negative weights; every branch
+// weight prices traversing a link of length d into node `to` under the
+// routing policy. Dijkstra requires non-negative weights; every branch
 // guarantees that.
-func (nw *Network) edgeWeight(from geom.Point, to int) float64 {
-	d := from.Dist(nw.pos[to])
+func (nw *Network) weight(d float64, to int) float64 {
 	switch nw.policy {
 	case PolicyHopCount:
 		// One hop dominates any distance within range; distance only

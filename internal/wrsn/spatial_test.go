@@ -24,9 +24,10 @@ func randomNetwork(t *testing.T, rng *rand.Rand, n int, commRange float64) *Netw
 }
 
 // bruteAdjacency is the original O(n²) pairwise scan, kept as the
-// equivalence oracle: the grid-backed aliveAdjacency must reproduce its
-// lists element for element, because Dijkstra's tie-breaking — and
-// through it the golden Outcome digests — depends on adjacency order.
+// equivalence oracle: the link table's alive-filtered rows must
+// reproduce its lists element for element, because Dijkstra's
+// tie-breaking — and through it the golden Outcome digests — depends on
+// adjacency order.
 func bruteAdjacency(nw *Network) [][]int {
 	n := len(nw.nodes)
 	adj := make([][]int, n+1)
@@ -49,9 +50,9 @@ func bruteAdjacency(nw *Network) [][]int {
 	return adj
 }
 
-// TestGridAdjacencyMatchesBrute compares the indexed adjacency against
-// the brute-force scan across random topologies and alive subsets,
-// requiring exact element order.
+// TestGridAdjacencyMatchesBrute compares the link table's alive-filtered
+// rows against the brute-force scan across random topologies and alive
+// subsets, requiring exact element order.
 func TestGridAdjacencyMatchesBrute(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 30; trial++ {
@@ -66,7 +67,7 @@ func TestGridAdjacencyMatchesBrute(t *testing.T) {
 			}
 		}
 		nw.refreshLive()
-		got := nw.aliveAdjacency()
+		got := aliveRows(nw)
 		want := bruteAdjacency(nw)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: %d lists, want %d", trial, len(got), len(want))

@@ -92,7 +92,9 @@ func FromState(st State) (*Network, error) {
 		nw.nodes[i] = Node{ID: NodeID(i), Pos: ns.Pos, Battery: &nw.bats[i], GenBps: ns.GenBps, net: nw}
 		nw.ptrs[i] = &nw.nodes[i]
 	}
-	nw.grid = geom.NewGrid(nw.pos, st.CommRange)
+	if err := nw.index(); err != nil {
+		return nil, err
+	}
 	nw.Recompute()
 	return nw, nil
 }
@@ -100,12 +102,12 @@ func FromState(st State) (*Network, error) {
 // Fork returns an independent copy-on-write copy of the network: the dense
 // primary state is block-copied (batteries are one memcpy instead of
 // per-node clones) so the fork's energy dynamics never touch the original,
-// while the position grid — immutable after construction — is shared. The
-// derived routing state and the persisted shortest-path state (distances,
-// predecessors, the alive set the tree was computed over) are copied
-// rather than recomputed, so forking skips the Dijkstra pass the original
-// already paid for and the fork's first Recompute can continue
-// incrementally.
+// while the position grid and the link table — immutable after
+// construction — are shared. The derived routing state and the persisted
+// shortest-path state (distances, predecessors, the alive set the tree
+// was computed over) are copied rather than recomputed, so forking skips
+// the Dijkstra pass the original already paid for and the fork's first
+// Recompute can continue incrementally.
 //
 // Fork performs only pure reads of the receiver, so many goroutines may
 // fork the same template network concurrently as long as none of them
@@ -118,6 +120,7 @@ func (nw *Network) Fork() *Network {
 		radio:     nw.radio,
 		policy:    nw.policy,
 		grid:      nw.grid,
+		links:     nw.links,
 	}
 	f.grow(n)
 	copy(f.pos, nw.pos)
