@@ -7,10 +7,11 @@ GO ?= go
 # (BenchmarkSeedSweep matches both), the live-checkpoint capture
 # cost that bounds how aggressive -checkpoint-every can be, the CSA
 # planner at 200 and 400 nodes, one simulated day of world steps at
-# 1k and 10k nodes, the world step's dense drain pass alone, and the
-# key-node analysis the attack planner runs over the radio graph.
-GATED_BENCH = BenchmarkExperimentSweep|BenchmarkCampaignRun|BenchmarkSeedSweep|BenchmarkRecomputeIncremental|BenchmarkCheckpointCapture|BenchmarkSolveCSA|BenchmarkWorldStep|BenchmarkAdvanceEnergyPass|BenchmarkKeyNodes
-BENCH_PKGS = . ./internal/campaign ./internal/campaign/world ./internal/wrsn
+# 1k and 10k nodes, the world step's dense drain pass alone, the
+# key-node analysis the attack planner runs over the radio graph, and
+# the sink's detector suite over a 14-day attack audit.
+GATED_BENCH = BenchmarkExperimentSweep|BenchmarkCampaignRun|BenchmarkSeedSweep|BenchmarkRecomputeIncremental|BenchmarkCheckpointCapture|BenchmarkSolveCSA|BenchmarkWorldStep|BenchmarkAdvanceEnergyPass|BenchmarkKeyNodes|BenchmarkJudge
+BENCH_PKGS = . ./internal/campaign ./internal/campaign/world ./internal/wrsn ./internal/detect
 BENCH_SHA = $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
 
 .PHONY: all build vet fmt-check staticcheck test race bench bench-all bench-json bench-gate bench-baseline bench-smoke verify verify-faults verify-daemon verify-snapshot verify-checkpoint verify-scale verify-dist fuzz results clean
@@ -161,7 +162,8 @@ verify-dist:
 # from-scratch rebuild), the static link table on arbitrary finite
 # layouts (held to the pairwise scan, its recomputes to the same
 # oracles), the world step's fused drain pass (held to the
-# separate drain, threshold scan and depletion forecast), the job-spec
+# separate drain, threshold scan and depletion forecast), the zero-gain
+# detector's one-pass scan (held to the sort-based score), the job-spec
 # decoder and the scenario file reader (no panics; a write → read round
 # trip is the identity on what each accepts, and accepted scenarios
 # build without panicking). Minimization is capped because the
@@ -180,6 +182,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzIncrementalRouting$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/wrsn
 	$(GO) test -run '^$$' -fuzz '^FuzzLinkTable$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/wrsn
 	$(GO) test -run '^$$' -fuzz '^FuzzAdvanceEnergyPass$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/wrsn
+	$(GO) test -run '^$$' -fuzz '^FuzzGainDetector$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/detect
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/jobspec
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJSON$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/trace
 

@@ -92,8 +92,8 @@ func buildSkeleton(in *Instance) (route []int, skipped []int) {
 func cheapestFeasibleInsertion(in *Instance, route []int, idx int) (int, bool) {
 	baseEnergy := 0.0
 	if len(route) > 0 {
-		if p, err := in.Evaluate(route, false); err == nil {
-			baseEnergy = p.EnergyJ
+		if e, ok := in.probeEnergy(route); ok {
+			baseEnergy = e
 		}
 	}
 	bestPos, bestCost, found := 0, 0.0, false
@@ -103,11 +103,11 @@ func cheapestFeasibleInsertion(in *Instance, route []int, idx int) (int, bool) {
 		cand = append(cand, route[:pos]...)
 		cand = append(cand, idx)
 		cand = append(cand, route[pos:]...)
-		p, err := in.Evaluate(cand, false)
-		if err != nil {
+		e, ok := in.probeEnergy(cand)
+		if !ok {
 			continue
 		}
-		cost := p.EnergyJ - baseEnergy
+		cost := e - baseEnergy
 		if !found || cost < bestCost {
 			bestPos, bestCost, found = pos, cost, true
 		}
@@ -121,25 +121,26 @@ func compact(in *Instance, route []int) {
 	if len(route) < 3 {
 		return
 	}
+	rest := make([]int, 0, len(route))
+	cand := make([]int, 0, len(route))
 	const maxPasses = 8
 	for pass := 0; pass < maxPasses; pass++ {
 		improved := false
-		cur, err := in.Evaluate(route, false)
-		if err != nil {
+		cur, ok := in.probeEnergy(route)
+		if !ok {
 			return
 		}
 		for i := 0; i < len(route); i++ {
 			moved := route[i]
-			rest := append(append([]int(nil), route[:i]...), route[i+1:]...)
+			rest = append(append(rest[:0], route[:i]...), route[i+1:]...)
 			for pos := 0; pos <= len(rest); pos++ {
 				if pos == i {
 					continue
 				}
-				cand := insertAt(append([]int(nil), rest...), pos, moved)
-				p, err := in.Evaluate(cand, false)
-				if err == nil && p.EnergyJ < cur.EnergyJ-1e-9 {
+				cand = append(append(append(cand[:0], rest[:pos]...), moved), rest[pos:]...)
+				if e, ok := in.probeEnergy(cand); ok && e < cur-1e-9 {
 					copy(route, cand)
-					cur = p
+					cur = e
 					improved = true
 					break
 				}
@@ -161,9 +162,9 @@ type packer func(in *Instance, route []int) []int
 // then the lower position — exactly what a scan of every site at every
 // position with a strict comparison picks.
 //
-// The scan is incremental. Each candidate caches its best feasible
-// insertion as a (ratio, position) pair, and the cache stays exact across
-// rounds for two reasons:
+// The scan is lazy. Each candidate keeps a (ratio, position) pair that
+// is either exact or an upper bound on its best insertion, and the
+// bounds stay valid across rounds for two reasons:
 //
 //   - An insertion's cost depends only on the edge's two endpoints, so
 //     an edge that survives a round keeps a bit-identical ratio.
@@ -175,11 +176,28 @@ type packer func(in *Instance, route []int) []int
 // rounding flip would show there.
 //
 // Inserting the winner at p splits edge p into p and p+1 and shifts the
-// edges above it by one. A candidate whose cached edge split, or no
-// longer passes CheckInsert, is rescanned in full (O(L)); any other
-// candidate compares its cached edge with the two new ones (O(1)). A
-// round thus costs O(C) oracle checks plus O(L) per rescanned
-// candidate, against O(C·L) for the full scan.
+// edges above it by one. Every candidate checks the two new edges
+// (O(1)); none re-checks its cached edge or rescans the route here:
+//
+//   - A candidate whose cached edge survived becomes unchecked: its ratio
+//     is exact if the edge still passes CheckInsert, and an upper bound
+//     otherwise.
+//   - A candidate whose cached edge split becomes stale: its ratio is
+//     only an upper bound, since its best surviving edge is unknown.
+//   - A new edge that strictly beats the old ratio is the candidate's
+//     exact best, whatever its state: no surviving edge can beat the
+//     old ratio. An equal ratio is not enough for a stale candidate,
+//     whose unknown surviving edges could tie it at a lower position;
+//     an unchecked candidate takes it only at a lower position than its
+//     cached edge, below which no edge reaches the cached ratio.
+//
+// A round takes the argmax over the bounds (ties to the lower site
+// index). An unchecked argmax is checked with CheckInsert, and a stale
+// one, or one whose edge failed, is rescanned in full (O(L)). If its
+// exact ratio fell below the bound, the round re-selects; otherwise it
+// wins, since no other candidate can beat or tie it at a lower index.
+// A round thus costs O(C) oracle checks plus O(L) per candidate that
+// reached the top stale, against O(C·L) for the full scan.
 func packCovers(in *Instance, route []int) []int {
 	used := make([]bool, len(in.Sites))
 	for _, idx := range route {
@@ -210,6 +228,9 @@ func packCovers(in *Instance, route []int) []int {
 		if win < 0 {
 			return route
 		}
+		if !cands[win].settle(rs) {
+			continue
+		}
 		p := cands[win].pos
 		route = insertAt(route, p, cands[win].idx)
 		cands = append(cands[:win], cands[win+1:]...)
@@ -217,48 +238,81 @@ func packCovers(in *Instance, route []int) []int {
 			return route
 		}
 		for k := range cands {
-			c := &cands[k]
-			if c.ratio > 0 {
-				if c.pos == p {
-					c.rescan(rs)
-					continue
-				}
-				if c.pos > p {
-					c.pos++
-				}
-				if _, ok := rs.CheckInsert(c.pos, c.idx); !ok {
-					c.rescan(rs)
-					continue
-				}
-			}
-			c.consider(rs, p)
-			c.consider(rs, p+1)
+			cands[k].split(rs, p)
 		}
 	}
 }
 
-// coverBest is a cover site's best feasible insertion into the current
-// route; ratio 0 means it has none.
+// coverState says how far a cover candidate's cached insertion is known
+// to be its best.
+type coverState uint8
+
+const (
+	// coverExact: (ratio, pos) is the best insertion; ratio 0 means none.
+	coverExact coverState = iota
+	// coverUnchecked: ratio bounds the best insertion, and (ratio, pos) is
+	// the best if edge pos still passes CheckInsert.
+	coverUnchecked
+	// coverStale: ratio bounds the best insertion; pos means nothing.
+	coverStale
+)
+
+// coverBest is a cover site's cached insertion into the current route.
 type coverBest struct {
 	idx   int
 	pos   int
 	ratio float64
+	state coverState
 }
 
 // rescan finds the site's best insertion over every position.
 func (c *coverBest) rescan(rs *routeState) {
-	c.pos, c.ratio = 0, 0
+	c.pos, c.ratio, c.state = 0, 0, coverExact
 	for pos := 0; pos <= len(rs.route); pos++ {
-		c.consider(rs, pos)
+		r := insertRatio(rs, pos, c.idx)
+		if r > c.ratio {
+			c.pos, c.ratio = pos, r
+		}
 	}
 }
 
-// consider takes the insertion at pos if it is feasible and beats the
-// cached one: a higher ratio, or an equal ratio at a lower position.
-func (c *coverBest) consider(rs *routeState, pos int) {
-	r := insertRatio(rs, pos, c.idx)
-	if r > c.ratio || (r == c.ratio && r > 0 && pos < c.pos) {
-		c.pos, c.ratio = pos, r
+// settle makes the candidate exact, checking an unchecked edge and
+// rescanning a stale one. It reports whether the ratio kept its bound,
+// that is, whether an argmax candidate still wins its round.
+func (c *coverBest) settle(rs *routeState) bool {
+	bound := c.ratio
+	switch c.state {
+	case coverUnchecked:
+		if _, ok := rs.CheckInsert(c.pos, c.idx); ok {
+			c.state = coverExact
+			return true
+		}
+		c.rescan(rs)
+	case coverStale:
+		c.rescan(rs)
+	}
+	return c.ratio == bound
+}
+
+// split updates the candidate after a stop was inserted at p, which
+// split edge p into the new edges p and p+1.
+func (c *coverBest) split(rs *routeState, p int) {
+	if c.state != coverStale && c.ratio > 0 {
+		if c.pos == p {
+			c.state = coverStale
+		} else {
+			if c.pos > p {
+				c.pos++
+			}
+			c.state = coverUnchecked
+		}
+	}
+	pos, r := p, insertRatio(rs, p, c.idx)
+	if r1 := insertRatio(rs, p+1, c.idx); r1 > r {
+		pos, r = p+1, r1
+	}
+	if r > c.ratio || (r == c.ratio && c.state == coverUnchecked && pos < c.pos) {
+		c.pos, c.ratio, c.state = pos, r, coverExact
 	}
 }
 

@@ -1,6 +1,7 @@
 package attack
 
 import (
+	"math"
 	"testing"
 
 	"github.com/reprolab/wrsn-csa/internal/geom"
@@ -42,6 +43,7 @@ func FuzzEvaluate(f *testing.F) {
 			}
 		}
 		p, err := in.Evaluate(ord, false)
+		checkProbe(t, in, ord, p, err)
 		if err != nil {
 			return
 		}
@@ -99,7 +101,8 @@ func FuzzRouteOracle(f *testing.F) {
 			for pos := 0; pos <= len(route); pos++ {
 				_, okOracle := rs.CheckInsert(pos, idx)
 				cand := insertAt(append([]int(nil), route...), pos, idx)
-				_, err := in.Evaluate(cand, false)
+				p, err := in.Evaluate(cand, false)
+				checkProbe(t, in, cand, p, err)
 				if okOracle != (err == nil) {
 					t.Fatalf("oracle=%v truth=%v (site %d pos %d, err %v)",
 						okOracle, err == nil, idx, pos, err)
@@ -107,6 +110,19 @@ func FuzzRouteOracle(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkProbe requires the planning probe to agree with Evaluate: the
+// same verdict and, on a feasible route, a bit-identical energy.
+func checkProbe(t *testing.T, in *Instance, ord []int, p Plan, err error) {
+	t.Helper()
+	e, ok := in.probeEnergy(ord)
+	if ok != (err == nil) {
+		t.Fatalf("probeEnergy ok=%v, Evaluate err=%v (order %v)", ok, err, ord)
+	}
+	if ok && math.Float64bits(e) != math.Float64bits(p.EnergyJ) {
+		t.Fatalf("probeEnergy %v, Evaluate %v (order %v)", e, p.EnergyJ, ord)
+	}
 }
 
 // fuzzInstance derives a deterministic instance from a fuzz seed using a

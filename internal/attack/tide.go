@@ -295,6 +295,40 @@ func (in *Instance) Evaluate(ord []int, checkMandatory bool) (Plan, error) {
 	return p, nil
 }
 
+// probeEnergy is Evaluate(ord, false) for planning probes that need only
+// feasibility and EnergyJ: it builds no Plan and no error, and allocates
+// nothing. It follows Evaluate's float sequence step for step, so its
+// energy is bit-identical to the Plan's. ord must hold distinct in-range
+// site indices; Evaluate is the checked form.
+func (in *Instance) probeEnergy(ord []int) (float64, bool) {
+	prev := -1 // depot
+	t := in.Start
+	var travelM, radiateJ float64
+	for _, idx := range ord {
+		s := &in.Sites[idx]
+		d := in.dist(prev, idx)
+		arrive := t + d/in.SpeedMps
+		begin := max(arrive, s.Window.R)
+		end := begin + s.Dur
+		if end > s.Window.D {
+			return 0, false
+		}
+		travelM += d
+		pw := s.PowerW
+		if pw == 0 {
+			pw = in.RadiateW
+		}
+		radiateJ += s.Dur * pw
+		prev = idx
+		t = end
+	}
+	energy := travelM*in.MoveJPerM + radiateJ
+	if energy > in.BudgetJ {
+		return 0, false
+	}
+	return energy, true
+}
+
 // Feasible reports whether the route is valid (windows, budget, and all
 // mandatory sites).
 func (in *Instance) Feasible(ord []int) bool {

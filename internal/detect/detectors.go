@@ -157,15 +157,58 @@ func (d GainDetector) Threshold() float64 {
 }
 
 // Score implements Detector: the longest consecutive zero-gain run at any
-// single node.
+// single node, in start-time order.
 func (d GainDetector) Score(a Audit) float64 {
 	zero := d.ZeroGainJ
 	if zero <= 0 {
 		zero = 1
 	}
-	// Order sessions per node by start time.
+	if longest, ok := zeroRunsInOrder(a.Sessions, zero); ok {
+		return float64(longest)
+	}
+	return float64(zeroRunsSorted(a.Sessions, zero))
+}
+
+// zeroRunsInOrder is the one-pass form of the run scan, for the normal
+// case where each node's sessions appear in strictly increasing start
+// order (the session layer appends them as they complete). Sorting a
+// node's sessions by start then yields exactly their input order, so
+// one walk with per-node run state in a dense table scores the same.
+// ok is false, and the caller falls back to zeroRunsSorted, when some
+// node's starts are equal, out of order or NaN, or when node IDs do not
+// fit a dense table (see denseNodes).
+func zeroRunsInOrder(ss []SessionObs, zero float64) (longest int, ok bool) {
+	n, ok := denseNodes(ss)
+	if !ok {
+		return 0, false
+	}
+	type nodeRun struct {
+		last float64
+		run  int32
+		seen bool
+	}
+	runs := make([]nodeRun, n)
+	for _, s := range ss {
+		r := &runs[s.Node]
+		if r.seen && !(s.Start > r.last) {
+			return 0, false
+		}
+		r.last, r.seen = s.Start, true
+		if s.MeterGainJ <= zero {
+			r.run++
+			longest = max(longest, int(r.run))
+		} else {
+			r.run = 0
+		}
+	}
+	return longest, true
+}
+
+// zeroRunsSorted groups the sessions by node and sorts each node's list
+// by start time before scanning it; it handles any input.
+func zeroRunsSorted(ss []SessionObs, zero float64) int {
 	byNode := make(map[wrsn.NodeID][]SessionObs)
-	for _, s := range a.Sessions {
+	for _, s := range ss {
 		byNode[s.Node] = append(byNode[s.Node], s)
 	}
 	longest := 0
@@ -183,8 +226,31 @@ func (d GainDetector) Score(a Audit) float64 {
 			}
 		}
 	}
-	return float64(longest)
+	return longest
 }
+
+// denseNodes returns the size of a table indexed by the sessions' node
+// IDs (the largest ID plus one). ok is false when an ID is negative, or
+// when the table would exceed denseSlack plus denseFactor entries per
+// session, so a few sessions at huge IDs never allocate a huge table.
+func denseNodes(ss []SessionObs) (int, bool) {
+	limit := denseSlack + denseFactor*len(ss)
+	n := 0
+	for _, s := range ss {
+		if s.Node < 0 || int(s.Node) >= limit {
+			return 0, false
+		}
+		n = max(n, int(s.Node)+1)
+	}
+	return n, true
+}
+
+// The dense per-node tables hold at most denseSlack + denseFactor·len
+// entries.
+const (
+	denseSlack  = 1024
+	denseFactor = 16
+)
 
 // DeathDetector audits the death record against the charging record: a
 // node dying within PostChargeSec of a completed charging session is a
@@ -222,13 +288,32 @@ func (d DeathDetector) Score(a Audit) float64 {
 	if window <= 0 {
 		window = 6 * 3600
 	}
+	implicated := 0
+	if n, ok := denseNodes(a.Sessions); ok {
+		// A node's entry stays 0 until one of its sessions ends after
+		// time 0, exactly when the map form below would first store it.
+		lastEnd := make([]float64, n)
+		for _, s := range a.Sessions {
+			if s.End > lastEnd[s.Node] {
+				lastEnd[s.Node] = s.End
+			}
+		}
+		for _, death := range a.Deaths {
+			if death.Node < 0 || int(death.Node) >= n {
+				continue
+			}
+			if end := lastEnd[death.Node]; end > 0 && death.Time >= end && death.Time-end <= window {
+				implicated++
+			}
+		}
+		return float64(implicated) / float64(len(a.Sessions))
+	}
 	lastEnd := make(map[wrsn.NodeID]float64, len(a.Sessions))
 	for _, s := range a.Sessions {
 		if s.End > lastEnd[s.Node] {
 			lastEnd[s.Node] = s.End
 		}
 	}
-	implicated := 0
 	for _, death := range a.Deaths {
 		if end, ok := lastEnd[death.Node]; ok && death.Time >= end && death.Time-end <= window {
 			implicated++

@@ -54,7 +54,7 @@ func NewGrid(pts []Point, cell float64) *Grid {
 		g.rows = int(h/g.cell) + 1
 	}
 	g.buckets = make([][]int32, g.cols*g.rows)
-	// Count first so every bucket is allocated exactly once.
+	// Count first, then carve every bucket out of one backing array.
 	counts := make([]int32, g.cols*g.rows)
 	cells := make([]int32, len(pts))
 	for i, p := range pts {
@@ -62,11 +62,14 @@ func NewGrid(pts []Point, cell float64) *Grid {
 		cells[i] = c
 		counts[c]++
 	}
+	flat := make([]int32, len(pts))
+	start := int32(0)
+	for c, k := range counts {
+		g.buckets[c] = flat[start : start : start+k]
+		start += k
+	}
 	for i := range pts {
 		c := cells[i]
-		if g.buckets[c] == nil {
-			g.buckets[c] = make([]int32, 0, counts[c])
-		}
 		g.buckets[c] = append(g.buckets[c], int32(i))
 	}
 	return g

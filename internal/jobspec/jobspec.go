@@ -179,6 +179,11 @@ func (s Spec) validate() (*snapshot.Snapshot, error) {
 		}
 	case s.Scenario.Deploy.N <= 0:
 		return nil, fmt.Errorf("jobspec: scenario needs a positive node count, got %d", s.Scenario.Deploy.N)
+	case s.Scenario.Deploy.Clusters > s.Scenario.Deploy.N:
+		// Clustered placement draws one center per cluster and can use
+		// at most N of them; a huge count exhausts memory on the centers.
+		return nil, fmt.Errorf("jobspec: scenario clusters %d exceeds the node count %d",
+			s.Scenario.Deploy.Clusters, s.Scenario.Deploy.N)
 	}
 	if !solverNames[s.Campaign.Solver] {
 		return nil, fmt.Errorf("jobspec: unknown solver %q", s.Campaign.Solver)

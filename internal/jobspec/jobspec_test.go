@@ -96,6 +96,12 @@ func TestValidate(t *testing.T) {
 		{"sampling below set poll", func(s *Spec) { s.Campaign.PollSec, s.Campaign.SampleEverySec = 7200, 3600 }, "poll_sec 7200"},
 		{"sampling at default poll", func(s *Spec) { s.Campaign.SampleEverySec = 900 }, ""},
 		{"sampling off", func(s *Spec) { s.Campaign.SampleEverySec = -1 }, ""},
+		// Clustered placement draws one center per cluster, and only the
+		// first N can ever be used: at 1e9 the centers alone would need
+		// about 16 GB before the world is built.
+		{"clusters above N", func(s *Spec) { s.Scenario.Deploy.Clusters = 1e9 }, "clusters 1000000000"},
+		{"clusters one above N", func(s *Spec) { s.Scenario.Deploy.Clusters = 61 }, "clusters"},
+		{"clusters at N", func(s *Spec) { s.Scenario.Deploy.Clusters = 60 }, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

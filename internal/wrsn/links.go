@@ -3,6 +3,8 @@ package wrsn
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"github.com/reprolab/wrsn-csa/internal/geom"
 )
@@ -37,39 +39,45 @@ func (lt *linkTable) row(u int) ([]int32, []float64) {
 }
 
 // index builds the position grid and the link table from the node
-// positions, which are final by then. A count pass sizes the table so
-// each array is allocated exactly once.
+// positions, which are final by then. One grid query per node gathers
+// its sorted row into a scratch buffer; the table's arrays are then
+// allocated at their exact size and filled from it, the sink row last.
 func (nw *Network) index() error {
 	n := len(nw.pos)
 	nw.grid = geom.NewGrid(nw.pos, nw.commRange)
 	off := make([]int32, n+2)
-	total, sinkDeg := 0, 0
+	scratch := rowScratch.Get().(*[]int32)
+	defer rowScratch.Put(scratch)
+	// Room for eight links a node: the default deployment density holds
+	// about six plus the sink's, and a denser layout grows the buffer.
+	rows := slices.Grow((*scratch)[:0], 8*n)
+	sinkDeg := 0
 	for i, p := range nw.pos {
-		total += len(nw.inRange(i, p))
+		row := nw.inRange(i, p)
+		sort32(row)
+		rows = append(rows, row...)
 		if nw.linked(p, nw.sink) {
-			total++
+			rows = append(rows, int32(n))
 			sinkDeg++
 		}
-		if total+sinkDeg > math.MaxInt32 {
+		if len(rows)+sinkDeg > math.MaxInt32 {
 			return fmt.Errorf("wrsn: radio graph exceeds %d links", math.MaxInt32)
 		}
-		off[i+1] = int32(total)
+		off[i+1] = int32(len(rows))
 	}
-	off[n+1] = int32(total + sinkDeg)
+	*scratch = rows
+	off[n+1] = off[n] + int32(sinkDeg)
 	lt := &linkTable{off: off, to: make([]int32, off[n+1]), ln: make([]float64, off[n+1])}
+	copy(lt.to, rows)
 	sinkRow := lt.to[off[n]:off[n]]
 	for i, p := range nw.pos {
-		row := append(lt.to[off[i]:off[i]], nw.inRange(i, p)...)
-		sort32(row)
-		if nw.linked(p, nw.sink) {
-			row = append(row, int32(n))
-			sinkRow = append(sinkRow, int32(i))
-		}
-		for k, j := range row {
-			if int(j) == n {
-				lt.ln[int(off[i])+k] = p.Dist(nw.sink)
+		a, b := int(off[i]), int(off[i+1])
+		for k := a; k < b; k++ {
+			if j := lt.to[k]; int(j) == n {
+				lt.ln[k] = p.Dist(nw.sink)
+				sinkRow = append(sinkRow, int32(i))
 			} else {
-				lt.ln[int(off[i])+k] = p.Dist(nw.pos[j])
+				lt.ln[k] = p.Dist(nw.pos[j])
 			}
 		}
 	}
@@ -79,6 +87,10 @@ func (nw *Network) index() error {
 	nw.links = lt
 	return nil
 }
+
+// rowScratch recycles index's row buffer, so a process that builds
+// many worlds in a row, such as a sweep, allocates it about once.
+var rowScratch = sync.Pool{New: func() any { return new([]int32) }}
 
 // inRange returns node i's in-range neighbours at position p, in grid
 // order, in the reused candidate buffer.
