@@ -115,8 +115,8 @@ type Snapshot struct {
 	w wire
 
 	// The fork template materializes lazily (decoded snapshots rebuild the
-	// network once via FromState, captured ones clone the live world at
-	// capture time) and is only ever read afterwards; mu guards both the
+	// network once via FromState, Capture clones the caller's world and
+	// Build keeps the one it built) and is only ever read afterwards; mu guards both the
 	// lazy build and the concurrent pure-read forks.
 	mu     sync.Mutex
 	tmplNW *wrsn.Network
@@ -133,6 +133,19 @@ func Capture(sc trace.Scenario, nw *wrsn.Network, ch *mc.Charger, rest *rng.Stre
 	if nw == nil {
 		return nil, fmt.Errorf("snapshot: nil network")
 	}
+	s := capture(sc, nw, ch, rest)
+	// Seed the fork template from the live world now — cheaper than the
+	// FromState+Recompute rebuild a decoded snapshot pays on first Fork.
+	s.tmplNW = nw.Fork()
+	if ch != nil {
+		s.tmplCH = ch.Fork()
+	}
+	return s, nil
+}
+
+// capture records the barrier state of a world; the caller primes the
+// fork template.
+func capture(sc trace.Scenario, nw *wrsn.Network, ch *mc.Charger, rest *rng.Stream) *Snapshot {
 	s := &Snapshot{w: wire{
 		Version:  Version,
 		Scenario: sc,
@@ -146,13 +159,7 @@ func Capture(sc trace.Scenario, nw *wrsn.Network, ch *mc.Charger, rest *rng.Stre
 		st := rest.State()
 		s.w.RNG = &st
 	}
-	// Seed the fork template from the live world now — cheaper than the
-	// FromState+Recompute rebuild a decoded snapshot pays on first Fork.
-	s.tmplNW = nw.Fork()
-	if ch != nil {
-		s.tmplCH = ch.Fork()
-	}
-	return s, nil
+	return s
 }
 
 // CaptureLive snapshots a mid-run campaign as a live snapshot. The
@@ -189,13 +196,20 @@ func CaptureLive(sc trace.Scenario, nw *wrsn.Network, ch *mc.Charger, eng *sim.E
 // Build runs the scenario's warm-up prefix once — placement, connectivity
 // repair, routing convergence — parks a fresh charger at the sink (the
 // standard evaluation position), and captures the barrier snapshot. It is
-// the one-call form sweep drivers use before forking per seed.
+// the one-call form sweep drivers use before forking per seed. The world
+// it builds has no other owner, so it becomes the fork template as it is
+// rather than through a copy: a fork reads only what Fork copies, so a
+// fork of it equals a fork of its copy, and a 10k-node build skips a
+// world-sized allocation burst.
 func Build(sc trace.Scenario, params mc.Params) (*Snapshot, error) {
 	nw, rest, err := sc.Build()
 	if err != nil {
 		return nil, err
 	}
-	return Capture(sc, nw, mc.New(nw.Sink(), params), rest)
+	ch := mc.New(nw.Sink(), params)
+	s := capture(sc, nw, ch, rest)
+	s.tmplNW, s.tmplCH = nw, ch
+	return s, nil
 }
 
 // Fork returns an independent world: a deep copy of the snapshot's

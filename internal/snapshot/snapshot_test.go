@@ -146,6 +146,53 @@ func TestForkIsolation(t *testing.T) {
 	}
 }
 
+// Build keeps the world it built as the fork template, Capture a copy of
+// the caller's world, and a decoded snapshot a FromState rebuild; a fork
+// of each must run the same campaign.
+func TestBuildTemplateMatchesCapture(t *testing.T) {
+	sc := trace.DefaultScenario(7, 80)
+	run := func(s *snapshot.Snapshot) string {
+		t.Helper()
+		nw, ch, _, err := s.Fork()
+		if err != nil {
+			t.Fatal(err)
+		}
+		o, err := campaign.RunAttack(context.Background(), nw, ch, campaign.Config{Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := digest.Sum(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	built := buildSnap(t, 7, 80)
+	nw, rest, err := sc.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	captured, err := snapshot.Capture(sc, nw, mc.New(nw.Sink(), mc.DefaultParams()), rest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := built.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := snapshot.Decode(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := run(captured)
+	if got := run(built); got != want {
+		t.Errorf("fork of Build's snapshot: %s, of Capture's: %s", got, want)
+	}
+	if got := run(decoded); got != want {
+		t.Errorf("fork of the decoded snapshot: %s, of Capture's: %s", got, want)
+	}
+}
+
 // Forking must be safe from many goroutines over one shared template —
 // the whole point of the snapshot is concurrent seed sweeps. Run under
 // -race.
