@@ -141,16 +141,20 @@ verify-scale:
 # shards 1, 2 and 8, each digest compared bit-for-bit against the
 # pinned golden, plus the worker-killed-mid-job failover drill, all
 # under the race detector. Then an end-to-end CLI smoke: the same
-# experiment regenerated in-process and sharded across two spawned
-# wrsnworker processes must emit byte-identical stdout.
+# experiments regenerated in-process and sharded across two spawned
+# wrsnworker processes must emit byte-identical stdout — rtab6 for the
+# single-charger jobs, rtab4 for the fleet jobs.
 verify-dist:
 	WRSN_VERIFY_DIST=1 $(GO) test -race -count=1 ./internal/distengine -timeout 30m
 	rm -rf .distwork && mkdir -p .distwork
 	$(GO) build -o .distwork/wrsnworker ./cmd/wrsnworker
-	$(GO) run ./cmd/experiments -quick -seeds 2 -only rtab6 > .distwork/local.txt
-	$(GO) run ./cmd/experiments -quick -seeds 2 -only rtab6 \
-		-shards 2 -worker-cmd .distwork/wrsnworker > .distwork/dist.txt
-	cmp .distwork/local.txt .distwork/dist.txt
+	$(GO) build -o .distwork/experiments ./cmd/experiments
+	for id in rtab6 rtab4; do \
+		.distwork/experiments -quick -seeds 2 -only $$id > .distwork/local.txt && \
+		.distwork/experiments -quick -seeds 2 -only $$id \
+			-shards 2 -worker-cmd .distwork/wrsnworker > .distwork/dist.txt && \
+		cmp .distwork/local.txt .distwork/dist.txt || exit 1; \
+	done
 	rm -rf .distwork
 
 # fuzz runs every fuzz target for a bounded time: the strict outcome

@@ -274,15 +274,16 @@ func layers(ctx context.Context, nw *wrsn.Network, ch *mc.Charger, cfg Config) (
 	// The campaign stream must be split before any draw so solver and
 	// session randomness stay on the pre-refactor sequence.
 	r := rng.New(cfg.Seed).Split("campaign")
-	a := session.NewActor(w, ch, led, r, session.Params{
-		Band:           cfg.Band,
-		BenignFailRate: cfg.BenignFailRate,
-		SingleEmitter:  cfg.SingleEmitter,
-		CooldownSec:    cfg.CooldownSec,
-		Defense:        cfg.Defense,
-	}, cfg.Probe)
-	env := &policy.Env{
-		W: w, A: a, L: led,
+	return newEnv(w, led, ch, r, cfg), led, w
+}
+
+// newEnv puts the charger's session actor over the world and ledger and
+// wraps the three in the policy Env (shared by the fresh-run and resume
+// constructors). The actor and the Env draw from the one stream r.
+func newEnv(w *world.W, led *ledger.L, ch *mc.Charger, r *rng.Stream, cfg Config) *policy.Env {
+	return &policy.Env{
+		W: w, L: led,
+		A:               session.NewActor(w, ch, led, r, sessionParams(cfg), cfg.Probe),
 		Horizon:         cfg.HorizonSec,
 		PollSec:         cfg.PollSec,
 		RequestFrac:     cfg.RequestFrac,
@@ -299,31 +300,43 @@ func layers(ctx context.Context, nw *wrsn.Network, ch *mc.Charger, cfg Config) (
 		Targets:         make(map[wrsn.NodeID]bool),
 		Blocked:         make(map[wrsn.NodeID]bool),
 	}
-	return env, led, w
 }
 
 // run drives one single-charger campaign under the given policy and
 // assembles its Outcome.
 func run(ctx context.Context, nw *wrsn.Network, ch *mc.Charger, cfg Config, pol policy.Policy) (*Outcome, error) {
-	env, led, w := layers(ctx, nw, ch, cfg)
-	keys := nw.KeyNodes()
+	env, _, _ := layers(ctx, nw, ch, cfg)
+	return drive(ctx, env, cfg, pol, nw.KeyNodes(), nil)
+}
+
+// drive is the tail every single-charger run shares: mark the key
+// nodes, arm checkpointing, drive pol to the horizon — from the start,
+// or from rp when resuming — and assemble the Outcome.
+func drive(ctx context.Context, env *policy.Env, cfg Config, pol policy.Policy, keys []wrsn.KeyNode, rp *policy.ResumePoint) (*Outcome, error) {
+	w, ch := env.W, env.A.Ch
 	for _, k := range keys {
 		w.MarkKey(k.ID)
 	}
 	if cfg.Checkpoint != nil {
 		ck := &checkpointer{
-			plan: cfg.Checkpoint, nw: nw, ch: ch, w: w, led: led,
+			plan: cfg.Checkpoint, nw: w.Network(), ch: ch, w: w, led: env.L,
 			env: env, pol: pol, keys: keys, r: env.Rand, last: time.Now(),
 		}
 		env.Checkpoint = ck.barrier
 	}
-	if err := policy.Drive(env, pol); err != nil {
+	var err error
+	if rp == nil {
+		err = policy.Drive(env, pol)
+	} else {
+		err = policy.DriveResume(env, pol, *rp)
+	}
+	if err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return finish(led, w, ch, cfg, pol.Name(), keys, pol.Planned()), nil
+	return finish(env.L, w, ch, cfg, pol.Name(), keys, pol.Planned()), nil
 }
 
 // RunLegit simulates the uncompromised network: the charger serves

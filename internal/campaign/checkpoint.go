@@ -50,8 +50,9 @@ type CheckpointPlan struct {
 	Stop func() bool
 }
 
-// worldParams maps the run config onto the world layer (shared by the
-// fresh-run and resume constructors so they can never drift apart).
+// worldParams and sessionParams map the run config onto the world and
+// session layers (shared by the fresh-run and resume constructors, and
+// by the single-charger and fleet runs, so they can never drift apart).
 func worldParams(cfg Config) world.Params {
 	return world.Params{
 		PollSec:          cfg.PollSec,
@@ -62,6 +63,16 @@ func worldParams(cfg Config) world.Params {
 		PendingGraceSec:  cfg.PendingGraceSec,
 		Detectors:        cfg.Detectors,
 		Faults:           cfg.Faults,
+	}
+}
+
+func sessionParams(cfg Config) session.Params {
+	return session.Params{
+		Band:           cfg.Band,
+		BenignFailRate: cfg.BenignFailRate,
+		SingleEmitter:  cfg.SingleEmitter,
+		CooldownSec:    cfg.CooldownSec,
+		Defense:        cfg.Defense,
 	}
 }
 
@@ -145,52 +156,10 @@ func Resume(ctx context.Context, snap *snapshot.Snapshot, cfg Config) (*Outcome,
 	if err := w.Engine().RestorePending(snap.PendingEvents()); err != nil {
 		return nil, err
 	}
-	r := rng.FromState(cs.Rand)
-	a := session.NewActor(w, ch, led, r, session.Params{
-		Band:           cfg.Band,
-		BenignFailRate: cfg.BenignFailRate,
-		SingleEmitter:  cfg.SingleEmitter,
-		CooldownSec:    cfg.CooldownSec,
-		Defense:        cfg.Defense,
-	}, cfg.Probe)
-	env := &policy.Env{
-		W: w, A: a, L: led,
-		Horizon:         cfg.HorizonSec,
-		PollSec:         cfg.PollSec,
-		RequestFrac:     cfg.RequestFrac,
-		CooldownSec:     cfg.CooldownSec,
-		PendingGraceSec: cfg.PendingGraceSec,
-		NoFill:          cfg.NoFill,
-		Progressive:     cfg.Progressive,
-		MaxCovers:       cfg.MaxCovers,
-		InstanceBudgetJ: cfg.InstanceBudgetJ,
-		AuditEverySec:   cfg.AuditEverySec,
-		Scheduler:       cfg.Scheduler,
-		Rand:            r,
-		Probe:           cfg.Probe,
-		Targets:         make(map[wrsn.NodeID]bool),
-		Blocked:         make(map[wrsn.NodeID]bool),
-	}
+	env := newEnv(w, led, ch, rng.FromState(cs.Rand), cfg)
 	pol, rp, err := policy.FromState(cs.Policy, env)
 	if err != nil {
 		return nil, err
 	}
-	keys := append([]wrsn.KeyNode(nil), cs.Keys...)
-	for _, k := range keys {
-		w.MarkKey(k.ID)
-	}
-	if cfg.Checkpoint != nil {
-		ck := &checkpointer{
-			plan: cfg.Checkpoint, nw: nw, ch: ch, w: w, led: led,
-			env: env, pol: pol, keys: keys, r: r, last: time.Now(),
-		}
-		env.Checkpoint = ck.barrier
-	}
-	if err := policy.DriveResume(env, pol, rp); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return finish(led, w, ch, cfg, pol.Name(), keys, pol.Planned()), nil
+	return drive(ctx, env, cfg, pol, append([]wrsn.KeyNode(nil), cs.Keys...), &rp)
 }

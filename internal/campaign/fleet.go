@@ -110,13 +110,7 @@ type fleetRun struct {
 // world's engine. It schedules nothing: a fresh run seeds the tick and
 // dispatch events itself, a resumed run restores the captured queue.
 func newFleetRun(nw *wrsn.Network, chargers []*mc.Charger, cfg Config, led *ledger.L, w *world.W, r *rng.Stream) *fleetRun {
-	sp := session.Params{
-		Band:           cfg.Band,
-		BenignFailRate: cfg.BenignFailRate,
-		SingleEmitter:  cfg.SingleEmitter,
-		CooldownSec:    cfg.CooldownSec,
-		Defense:        cfg.Defense,
-	}
+	sp := sessionParams(cfg)
 	f := &fleetRun{
 		cfg: cfg, nw: nw, w: w, led: led, r: r,
 		chargers: chargers,

@@ -44,22 +44,37 @@ const (
 // ErrUnknownSolver reports an unrecognized solver name.
 var ErrUnknownSolver = errors.New("campaign: unknown solver")
 
-// Solve dispatches to the named attack planner.
+// planner is an attack planner; r feeds the randomized ones.
+type planner func(in *attack.Instance, r *rng.Stream) (attack.Result, error)
+
+// solvers is the one table of attack planners by solver name.
+var solvers = map[string]planner{
+	SolverCSA:           deterministic(attack.SolveCSA),
+	SolverCSAPolished:   deterministic(attack.SolveCSAPolished),
+	SolverRandom:        attack.SolveRandom,
+	SolverGreedyNearest: deterministic(attack.SolveGreedyNearest),
+	SolverDirect:        deterministic(attack.SolveDirect),
+}
+
+// deterministic adapts a planner that draws no randomness.
+func deterministic(solve func(*attack.Instance) (attack.Result, error)) planner {
+	return func(in *attack.Instance, _ *rng.Stream) (attack.Result, error) { return solve(in) }
+}
+
+// KnownSolver reports whether solver names an attack planner.
+func KnownSolver(solver string) bool {
+	_, ok := solvers[solver]
+	return ok
+}
+
+// Solve dispatches to the named attack planner; r feeds the randomized
+// ones.
 func Solve(in *attack.Instance, solver string, r *rng.Stream) (attack.Result, error) {
-	switch solver {
-	case SolverCSA:
-		return attack.SolveCSA(in)
-	case SolverCSAPolished:
-		return attack.SolveCSAPolished(in)
-	case SolverRandom:
-		return attack.SolveRandom(in, r)
-	case SolverGreedyNearest:
-		return attack.SolveGreedyNearest(in)
-	case SolverDirect:
-		return attack.SolveDirect(in)
-	default:
+	solve, ok := solvers[solver]
+	if !ok {
 		return attack.Result{}, fmt.Errorf("%w: %q", ErrUnknownSolver, solver)
 	}
+	return solve(in, r)
 }
 
 // WindowAware reports whether the solver's policy re-derives target

@@ -96,9 +96,7 @@ func FromState(st *State, e *Env) (Policy, ResumePoint, error) {
 	if st.Policy == "legit" {
 		return NewLegit(), rp, nil
 	}
-	switch st.Policy {
-	case SolverCSA, SolverCSAPolished, SolverRandom, SolverGreedyNearest, SolverDirect:
-	default:
+	if !KnownSolver(st.Policy) {
 		return nil, rp, fmt.Errorf("%w: %q in checkpoint state", ErrUnknownSolver, st.Policy)
 	}
 	p := NewAttacker(st.Policy)

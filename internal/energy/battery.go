@@ -25,15 +25,23 @@ type Battery struct {
 // (J, clamped to [0, capacity]) and meter quantum (J). A non-positive
 // quantum gets the default 0.5 J resolution.
 func NewBattery(capacity, level, quantum float64) (*Battery, error) {
+	b, err := MakeBattery(capacity, level, quantum)
+	if err != nil {
+		return nil, err
+	}
+	return &b, nil
+}
+
+// MakeBattery is NewBattery returning the battery by value, for callers
+// that store batteries in place, such as a network's dense battery array.
+func MakeBattery(capacity, level, quantum float64) (Battery, error) {
 	if capacity <= 0 {
-		return nil, fmt.Errorf("energy: capacity must be positive, got %v", capacity)
+		return Battery{}, fmt.Errorf("energy: capacity must be positive, got %v", capacity)
 	}
 	if quantum <= 0 {
 		quantum = 0.5
 	}
-	b := &Battery{capacity: capacity, quantum: quantum}
-	b.level = clamp(level, 0, capacity)
-	return b, nil
+	return Battery{capacity: capacity, level: clamp(level, 0, capacity), quantum: quantum}, nil
 }
 
 // Clone returns an independent copy of the battery with identical

@@ -7,6 +7,7 @@ import (
 
 	"github.com/reprolab/wrsn-csa/internal/attack"
 	"github.com/reprolab/wrsn-csa/internal/campaign"
+	"github.com/reprolab/wrsn-csa/internal/campaign/policy"
 	"github.com/reprolab/wrsn-csa/internal/jobspec"
 	"github.com/reprolab/wrsn-csa/internal/metrics"
 	"github.com/reprolab/wrsn-csa/internal/report"
@@ -156,7 +157,7 @@ func RunUtilityVsBudget(ctx context.Context, cfg Config) (*Output, error) {
 		if err != nil {
 			return cell{}, err
 		}
-		res, err := solveByName(in, j.solver, j.seed)
+		res, err := policy.Solve(in, j.solver, rngFor(j.seed))
 		if err != nil {
 			return cell{}, err
 		}
@@ -252,22 +253,6 @@ func buildInstance(seed uint64, n int, budget float64) (*attack.Instance, error)
 		return nil, err
 	}
 	return attack.BuildInstance(nw, ch, attack.BuilderConfig{BudgetJ: budget})
-}
-
-// solveByName dispatches to a planner by campaign solver name.
-func solveByName(in *attack.Instance, solver string, seed uint64) (attack.Result, error) {
-	switch solver {
-	case campaign.SolverCSA:
-		return attack.SolveCSA(in)
-	case campaign.SolverGreedyNearest:
-		return attack.SolveGreedyNearest(in)
-	case campaign.SolverRandom:
-		return attack.SolveRandom(in, rngFor(seed))
-	case campaign.SolverDirect:
-		return attack.SolveDirect(in)
-	default:
-		return attack.Result{}, nil
-	}
 }
 
 // meanCell is a summary's mean as a table cell, or "—" when the summary

@@ -7,8 +7,10 @@ import (
 	"github.com/reprolab/wrsn-csa/internal/attack"
 	"github.com/reprolab/wrsn-csa/internal/campaign"
 	"github.com/reprolab/wrsn-csa/internal/faults"
+	"github.com/reprolab/wrsn-csa/internal/jobspec"
 	"github.com/reprolab/wrsn-csa/internal/metrics"
 	"github.com/reprolab/wrsn-csa/internal/report"
+	"github.com/reprolab/wrsn-csa/internal/trace"
 )
 
 // RunFaultTolerance is R-Fig 14, the robustness extension: the CSA
@@ -44,23 +46,23 @@ func RunFaultTolerance(ctx context.Context, cfg Config) (*Output, error) {
 	}
 	outs, err := mapTimed(ctx, cfg, len(jobs), func(ctx context.Context, i int) (*res, error) {
 		j := jobs[i]
-		nw, ch, err := forkDefaultWorld(j.seed, n)
-		if err != nil {
-			return nil, err
+		spec := jobspec.Spec{
+			Kind:     jobspec.KindAttack,
+			Scenario: trace.DefaultScenario(j.seed, n),
+			Campaign: jobspec.Campaign{Seed: j.seed, Solver: campaign.SolverCSA},
 		}
-		ccfg := campaign.Config{Seed: j.seed, Solver: campaign.SolverCSA}
 		if j.intensity > 0 {
 			// The fault seed is the campaign seed: reliability varies with
 			// the replication, but identically across intensities' shared
-			// base load. Plans are single-use, so each job builds its own.
-			spec := faults.DefaultSpec(j.seed, attack.DefaultHorizonSec).Scale(j.intensity)
-			ccfg.Faults = faults.New(spec, nw.Len())
+			// base load. The run compiles its own single-use plan.
+			fs := faults.DefaultSpec(j.seed, attack.DefaultHorizonSec).Scale(j.intensity)
+			spec.Faults = &fs
 		}
-		o, err := campaign.RunAttack(ctx, nw, ch, ccfg)
+		r, err := runLocal(ctx, cfg, spec)
 		if err != nil {
 			return nil, err
 		}
-		return &res{out: o, rep: o.FaultReport()}, nil
+		return &res{out: r.Outcome, rep: r.Outcome.FaultReport()}, nil
 	})
 	if err != nil {
 		return nil, err

@@ -46,48 +46,42 @@ type forgeEntry struct {
 // process lifetime bounds it alongside maxForgeWorlds.
 var forge = &worldForge{m: make(map[trace.Scenario]*forgeEntry)}
 
+// entry returns the scenario's cache entry with its barrier snapshot
+// built, building it on first use (at most once per cached scenario).
+func (f *worldForge) entry(sc trace.Scenario) (*forgeEntry, error) {
+	f.mu.Lock()
+	e := f.m[sc]
+	if e == nil {
+		e = &forgeEntry{}
+		if len(f.m) < maxForgeWorlds {
+			f.m[sc] = e
+		}
+	}
+	f.mu.Unlock()
+	e.once.Do(func() {
+		e.snap, e.err = snapshot.Build(sc, mc.DefaultParams())
+	})
+	return e, e.err
+}
+
 // fork returns an independent network and default charger for the
 // scenario, building and caching the barrier snapshot on first use.
 func (f *worldForge) fork(sc trace.Scenario) (*wrsn.Network, *mc.Charger, error) {
-	f.mu.Lock()
-	e := f.m[sc]
-	if e == nil {
-		e = &forgeEntry{}
-		if len(f.m) < maxForgeWorlds {
-			f.m[sc] = e
-		}
+	e, err := f.entry(sc)
+	if err != nil {
+		return nil, nil, err
 	}
-	f.mu.Unlock()
-	e.once.Do(func() {
-		e.snap, e.err = snapshot.Build(sc, mc.DefaultParams())
-	})
-	if e.err != nil {
-		return nil, nil, e.err
-	}
-	nw, ch, _, err := e.snap.Fork()
-	return nw, ch, err
+	return e.snap.ForkWorld()
 }
 
 // encoded returns the scenario's barrier snapshot in encoded wire form,
-// building and encoding it (each at most once per cached scenario) on
-// first use. Dispatched job specs carry these bytes so worker processes
-// fork the captured world instead of rebuilding it — the same dedup the
-// in-process path gets from fork.
+// encoding it at most once per cached scenario. Dispatched job specs
+// carry these bytes so worker processes fork the captured world instead
+// of rebuilding it — the same dedup the in-process path gets from fork.
 func (f *worldForge) encoded(sc trace.Scenario) ([]byte, error) {
-	f.mu.Lock()
-	e := f.m[sc]
-	if e == nil {
-		e = &forgeEntry{}
-		if len(f.m) < maxForgeWorlds {
-			f.m[sc] = e
-		}
-	}
-	f.mu.Unlock()
-	e.once.Do(func() {
-		e.snap, e.err = snapshot.Build(sc, mc.DefaultParams())
-	})
-	if e.err != nil {
-		return nil, e.err
+	e, err := f.entry(sc)
+	if err != nil {
+		return nil, err
 	}
 	e.encOnce.Do(func() {
 		e.enc, e.encErr = e.snap.Encode()

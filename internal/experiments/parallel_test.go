@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/reprolab/wrsn-csa/internal/obs"
 	"github.com/reprolab/wrsn-csa/internal/report"
 )
 
@@ -123,5 +124,29 @@ func TestConfigWorkersDefault(t *testing.T) {
 	}
 	if got := (Config{Workers: 2}).workers(); got != 2 {
 		t.Errorf("workers() = %d, want 2", got)
+	}
+}
+
+// TestInProcessRunInstrumentsCharger: an in-process sweep job runs
+// through jobspec.RunOn, which instruments the charger, so the sweep's
+// probe sees charger telemetry as a wrsn-sim or csa-attack run does.
+func TestInProcessRunInstrumentsCharger(t *testing.T) {
+	e, err := ByID("rtab6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.NewRecorder()
+	cfg := NewConfig(WithQuick(true), WithSeeds(1), WithProbe(rec))
+	if _, err := Run(context.Background(), e, cfg); err != nil {
+		t.Fatal(err)
+	}
+	var travel float64
+	for _, m := range rec.Snapshot().Counters {
+		if m.Name == "charger.travel_m" {
+			travel = m.Value
+		}
+	}
+	if travel <= 0 {
+		t.Errorf("charger.travel_m = %v after an in-process rtab6 run, want > 0", travel)
 	}
 }

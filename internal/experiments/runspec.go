@@ -2,11 +2,9 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 
 	"github.com/reprolab/wrsn-csa/internal/campaign"
 	"github.com/reprolab/wrsn-csa/internal/jobspec"
-	"github.com/reprolab/wrsn-csa/internal/mc"
 	"github.com/reprolab/wrsn-csa/internal/trace"
 )
 
@@ -15,10 +13,10 @@ import (
 // Dispatcher configured the spec ships to a worker process — carrying
 // the forge's cached world snapshot, so remote workers skip placement
 // and routing convergence exactly like local forks do. Without one it
-// runs in-process on the forge's forked world, the same fast path the
-// sweeps have always used. Both paths produce byte-identical outcomes:
-// every piece of randomness derives from seeds inside the spec, and
-// fork ≡ rebuild is pinned by the snapshot golden fence.
+// runs in-process through jobspec.RunOn on the forge's forked world.
+// Both paths produce byte-identical outcomes: every piece of randomness
+// derives from seeds inside the spec, and fork ≡ rebuild is pinned by
+// the snapshot golden fence.
 func runSpec(ctx context.Context, cfg Config, spec jobspec.Spec) (*jobspec.Result, error) {
 	if cfg.Dispatch != nil {
 		snap, err := forge.encoded(spec.Scenario)
@@ -28,41 +26,19 @@ func runSpec(ctx context.Context, cfg Config, spec jobspec.Spec) (*jobspec.Resul
 		spec.Snapshot = snap
 		return cfg.Dispatch(ctx, spec)
 	}
+	return runLocal(ctx, cfg, spec)
+}
+
+// runLocal runs the spec in this process, through jobspec.RunOn on a
+// fork of the forge's world. R-Fig 14 calls it directly: it reads each
+// run's fault report, which is unexported on the Outcome and so never
+// crosses the worker wire.
+func runLocal(ctx context.Context, cfg Config, spec jobspec.Spec) (*jobspec.Result, error) {
 	nw, ch, err := forge.fork(spec.Scenario)
 	if err != nil {
 		return nil, err
 	}
-	ccfg, err := spec.Config(cfg.probe(), nw.Len())
-	if err != nil {
-		return nil, err
-	}
-	switch spec.Kind {
-	case jobspec.KindFleet:
-		fleet := make([]*mc.Charger, spec.Chargers)
-		fleet[0] = ch
-		for i := 1; i < len(fleet); i++ {
-			fleet[i] = ch.Fork()
-		}
-		fo, err := campaign.RunLegitFleet(ctx, nw, fleet, ccfg)
-		if err != nil {
-			return nil, err
-		}
-		return &jobspec.Result{Fleet: fo}, nil
-	case jobspec.KindAttack:
-		o, err := campaign.RunAttack(ctx, nw, ch, ccfg)
-		if err != nil {
-			return nil, err
-		}
-		return &jobspec.Result{Outcome: o}, nil
-	case jobspec.KindLegit:
-		o, err := campaign.RunLegit(ctx, nw, ch, ccfg)
-		if err != nil {
-			return nil, err
-		}
-		return &jobspec.Result{Outcome: o}, nil
-	default:
-		return nil, fmt.Errorf("experiments: unknown job kind %q", spec.Kind)
-	}
+	return jobspec.RunOn(ctx, spec, nw, ch, jobspec.RunOptions{Probe: cfg.Probe})
 }
 
 // runOutcomeSpec runs a single-charger spec and unwraps the Outcome.

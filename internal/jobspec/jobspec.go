@@ -24,6 +24,7 @@ import (
 	"io"
 
 	"github.com/reprolab/wrsn-csa/internal/campaign"
+	"github.com/reprolab/wrsn-csa/internal/campaign/policy"
 	"github.com/reprolab/wrsn-csa/internal/charging"
 	"github.com/reprolab/wrsn-csa/internal/defense"
 	"github.com/reprolab/wrsn-csa/internal/digest"
@@ -121,16 +122,6 @@ func Default(seed uint64, n int) Spec {
 	}
 }
 
-// solverNames is the accepted Solver vocabulary (KindAttack only).
-var solverNames = map[string]bool{
-	"":                           true, // default CSA
-	campaign.SolverCSA:           true,
-	campaign.SolverCSAPolished:   true,
-	campaign.SolverRandom:        true,
-	campaign.SolverGreedyNearest: true,
-	campaign.SolverDirect:        true,
-}
-
 // Validate checks everything that can be checked without building the
 // world, so a daemon can reject a bad Spec at submission time with a
 // useful message instead of failing the job later.
@@ -185,7 +176,7 @@ func (s Spec) validate() (*snapshot.Snapshot, error) {
 		return nil, fmt.Errorf("jobspec: scenario clusters %d exceeds the node count %d",
 			s.Scenario.Deploy.Clusters, s.Scenario.Deploy.N)
 	}
-	if !solverNames[s.Campaign.Solver] {
+	if sv := s.Campaign.Solver; sv != "" && !policy.KnownSolver(sv) { // empty is the default CSA
 		return nil, fmt.Errorf("jobspec: unknown solver %q", s.Campaign.Solver)
 	}
 	if _, err = s.scheduler(); err != nil {
@@ -307,12 +298,9 @@ func (s Spec) WithSnapshot(snap *snapshot.Snapshot) (Spec, error) {
 // snapshot captured without a charger falls back to a fresh one).
 func (s Spec) world(snap *snapshot.Snapshot) (*wrsn.Network, *mc.Charger, error) {
 	if snap != nil {
-		nw, ch, _, err := snap.Fork()
+		nw, ch, err := snap.ForkWorld()
 		if err != nil {
 			return nil, nil, fmt.Errorf("jobspec: %w", err)
-		}
-		if ch == nil {
-			ch = mc.New(nw.Sink(), mc.DefaultParams())
 		}
 		return nw, ch, nil
 	}
@@ -335,6 +323,21 @@ type RunOptions struct {
 	Checkpoint *campaign.CheckpointPlan
 }
 
+// config is Config with the run's checkpoint plan armed; sc fills the
+// plan's Scenario when the caller left it zero.
+func (s Spec) config(opts RunOptions, n int, sc trace.Scenario) (campaign.Config, error) {
+	cfg, err := s.Config(obs.Or(opts.Probe), n)
+	if err != nil || opts.Checkpoint == nil {
+		return cfg, err
+	}
+	plan := *opts.Checkpoint
+	if plan.Scenario == (trace.Scenario{}) {
+		plan.Scenario = sc
+	}
+	cfg.Checkpoint = &plan
+	return cfg, nil
+}
+
 // Run executes the Spec: materialize the world (scenario build, or
 // snapshot fork when the spec carries one), park the charger(s) at the
 // sink, compile the fault plan, run the campaign. All randomness derives
@@ -353,23 +356,11 @@ func RunOpts(ctx context.Context, s Spec, opts RunOptions) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	probe := obs.Or(opts.Probe)
-	arm := func(cfg *campaign.Config, sc trace.Scenario) {
-		if opts.Checkpoint == nil {
-			return
-		}
-		plan := *opts.Checkpoint
-		if plan.Scenario == (trace.Scenario{}) {
-			plan.Scenario = sc
-		}
-		cfg.Checkpoint = &plan
-	}
 	if len(s.ResumeFrom) > 0 {
-		cfg, err := s.Config(probe, snap.NodeCount())
+		cfg, err := s.config(opts, snap.NodeCount(), snap.Scenario())
 		if err != nil {
 			return nil, err
 		}
-		arm(&cfg, snap.Scenario())
 		if s.Kind == KindFleet {
 			fo, err := campaign.ResumeFleet(ctx, snap, cfg)
 			if err != nil {
@@ -387,19 +378,41 @@ func RunOpts(ctx context.Context, s Spec, opts RunOptions) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg, err := s.Config(probe, nw.Len())
+	return s.runOn(ctx, nw, ch, opts)
+}
+
+// RunOn executes the Spec on a world the caller materialized — nw and a
+// charger ch parked where the run starts — instead of the one the Spec
+// describes; the experiment sweeps pass forks of their cached snapshots.
+// It validates the Spec as Run does, and the result equals Run's when
+// the world equals the Spec's. A Spec carrying ResumeFrom is rejected:
+// a checkpoint resumes on its own world, through RunOpts.
+func RunOn(ctx context.Context, s Spec, nw *wrsn.Network, ch *mc.Charger, opts RunOptions) (*Result, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	if len(s.ResumeFrom) > 0 {
+		return nil, errors.New("jobspec: RunOn cannot resume a checkpoint; run the spec with RunOpts")
+	}
+	return s.runOn(ctx, nw, ch, opts)
+}
+
+// runOn is RunOn after validation: the one place a job's kind picks its
+// campaign, the fleet is forked from the first charger, and the chargers
+// are instrumented.
+func (s Spec) runOn(ctx context.Context, nw *wrsn.Network, ch *mc.Charger, opts RunOptions) (*Result, error) {
+	cfg, err := s.config(opts, nw.Len(), s.Scenario)
 	if err != nil {
 		return nil, err
 	}
-	arm(&cfg, s.Scenario)
-	ch.Instrument(probe)
+	ch.Instrument(cfg.Probe)
 	switch s.Kind {
 	case KindFleet:
 		fleet := make([]*mc.Charger, s.Chargers)
 		fleet[0] = ch
 		for i := 1; i < len(fleet); i++ {
 			fleet[i] = ch.Fork()
-			fleet[i].Instrument(probe)
+			fleet[i].Instrument(cfg.Probe)
 		}
 		fo, err := campaign.RunLegitFleet(ctx, nw, fleet, cfg)
 		if err != nil {
@@ -412,7 +425,7 @@ func RunOpts(ctx context.Context, s Spec, opts RunOptions) (*Result, error) {
 			return nil, err
 		}
 		return &Result{Outcome: o}, nil
-	default: // KindLegit; Validate already rejected anything else
+	default: // KindLegit; validation already rejected anything else
 		o, err := campaign.RunLegit(ctx, nw, ch, cfg)
 		if err != nil {
 			return nil, err

@@ -57,6 +57,23 @@ func TestSnapshotSpecMatchesPlain(t *testing.T) {
 			if got := runDigest(t, decoded); got != want {
 				t.Errorf("decoded snapshot spec digest %s != plain %s", got, want)
 			}
+			// RunOn on a fork the caller made is the experiment sweeps'
+			// in-process path; it must agree with Run too.
+			snap, err := snapshot.Decode(withSnap.Snapshot)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nw, ch, err := snap.ForkWorld()
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := RunOn(context.Background(), plain, nw, ch, RunOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := res.mustDigest(t); got != want {
+				t.Errorf("RunOn digest %s != Run %s", got, want)
+			}
 		})
 	}
 }
@@ -126,5 +143,15 @@ func TestSnapshotRejectsLiveCheckpoint(t *testing.T) {
 	resumed.ResumeFrom = ckpt
 	if err := resumed.Validate(); err != nil {
 		t.Errorf("live checkpoint in resume_from rejected: %v", err)
+	}
+	// A checkpoint resumes on its own world, so RunOn, which runs on the
+	// caller's, refuses it.
+	nw, _, err := spec.Scenario.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch := mc.New(nw.Sink(), mc.DefaultParams())
+	if _, err := RunOn(context.Background(), resumed, nw, ch, RunOptions{}); err == nil || !strings.Contains(err.Error(), "resume") {
+		t.Errorf("RunOn with resume_from: err = %v, want a refusal", err)
 	}
 }

@@ -248,6 +248,21 @@ func (s *Snapshot) Fork() (*wrsn.Network, *mc.Charger, *rng.Stream, error) {
 	return nw, ch, rest, nil
 }
 
+// ForkWorld forks the world a campaign runs on: Fork's network and
+// charger, with a default charger parked at the sink when none was
+// captured. The post-placement stream is dropped; no campaign draws
+// from it.
+func (s *Snapshot) ForkWorld() (*wrsn.Network, *mc.Charger, error) {
+	nw, ch, _, err := s.Fork()
+	if err != nil {
+		return nil, nil, err
+	}
+	if ch == nil {
+		ch = mc.New(nw.Sink(), mc.DefaultParams())
+	}
+	return nw, ch, nil
+}
+
 // Scenario returns the captured scenario, the snapshot's provenance.
 func (s *Snapshot) Scenario() trace.Scenario { return s.w.Scenario }
 

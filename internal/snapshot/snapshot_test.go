@@ -267,6 +267,41 @@ func TestCaptureWithoutCharger(t *testing.T) {
 	}
 }
 
+// TestForkWorldParksDefaultCharger pins ForkWorld's fallback: a
+// charger-less snapshot forks with a default charger at the sink, and a
+// captured charger is forked, not replaced.
+func TestForkWorldParksDefaultCharger(t *testing.T) {
+	sc := trace.DefaultScenario(9, 40)
+	nw, rest, err := sc.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare, err := snapshot.Capture(sc, nw, nil, rest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fnw, fch, err := bare.ForkWorld()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fch == nil || fch.Pos() != fnw.Sink() || fch.Params() != mc.DefaultParams() {
+		t.Fatalf("charger-less fork got %+v, want a default charger at the sink", fch)
+	}
+	p := mc.DefaultParams()
+	p.SpeedMps *= 2
+	withCh, err := snapshot.Capture(sc, nw, mc.New(nw.Sink(), p), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, fch, err = withCh.ForkWorld()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fch.Params() != p {
+		t.Errorf("captured charger params %+v replaced by %+v", p, fch.Params())
+	}
+}
+
 // buildLiveSnap runs a campaign (campaign.RunLegit or RunAttack) to its
 // 50th checkpoint barrier and returns the live snapshot captured there.
 func buildLiveSnap(tb testing.TB, run func(context.Context, *wrsn.Network, *mc.Charger, campaign.Config) (*campaign.Outcome, error)) *snapshot.Snapshot {

@@ -248,15 +248,14 @@ func (nw *Network) initNode(i int, spec NodeSpec) error {
 	if frac <= 0 || frac > 1 {
 		frac = 1
 	}
-	bat, err := energy.NewBattery(capJ, capJ*frac, DefaultMeterQuantumJ)
-	if err != nil {
+	var err error
+	if nw.bats[i], err = energy.MakeBattery(capJ, capJ*frac, DefaultMeterQuantumJ); err != nil {
 		return fmt.Errorf("node %d: %w", i, err)
 	}
 	gen := spec.GenBps
 	if gen <= 0 {
 		gen = DefaultGenBps
 	}
-	nw.bats[i] = *bat
 	nw.pos[i] = spec.Pos
 	nw.genBps[i] = gen
 	nw.nodes[i] = Node{ID: NodeID(i), Pos: spec.Pos, Battery: &nw.bats[i], GenBps: gen, net: nw}

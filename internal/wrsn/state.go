@@ -79,11 +79,10 @@ func FromState(st State) (*Network, error) {
 	}
 	nw.grow(len(st.Nodes))
 	for i, ns := range st.Nodes {
-		bat, err := energy.NewBattery(ns.CapacityJ, ns.LevelJ, ns.QuantumJ)
-		if err != nil {
+		var err error
+		if nw.bats[i], err = energy.MakeBattery(ns.CapacityJ, ns.LevelJ, ns.QuantumJ); err != nil {
 			return nil, fmt.Errorf("wrsn: node %d: %w", i, err)
 		}
-		nw.bats[i] = *bat
 		nw.pos[i] = ns.Pos
 		nw.genBps[i] = ns.GenBps
 		if ns.Failed {

@@ -260,14 +260,7 @@ func (o *runOptions) forkRun(nw *Network, ch *Charger) (*Network, *Charger, erro
 	if o.snap == nil {
 		return nw, ch, nil
 	}
-	fnw, fch, _, err := o.snap.Fork()
-	if err != nil {
-		return nil, nil, err
-	}
-	if fch == nil {
-		fch = mc.New(fnw.Sink(), mc.DefaultParams())
-	}
-	return fnw, fch, nil
+	return o.snap.ForkWorld()
 }
 
 func applyRunOptions(opts []RunOption) runOptions {
@@ -434,7 +427,7 @@ func NewFaultPlan(spec FaultSpec, n int) *FaultPlan { return faults.New(spec, n)
 func LegitFleet(ctx context.Context, nw *Network, chargers []*Charger, cfg CampaignConfig, opts ...RunOption) (*FleetOutcome, error) {
 	o := applyRunOptions(opts)
 	if o.snap != nil {
-		fnw, ch, err := o.forkRun(nil, nil)
+		fnw, ch, err := o.snap.ForkWorld()
 		if err != nil {
 			return nil, err
 		}
