@@ -119,10 +119,11 @@ verify-snapshot:
 # and resumed — and must reproduce its exact golden Outcome digest —
 # under the race detector; then the service-layer drill (daemon drain
 # parks jobs at checkpoints, a restarted daemon resumes them to the same
-# digest) runs the same way.
+# digest) and the stateful-scheduler resume (a PeriodicTSP job stopped
+# mid-tour, single-charger and fleet) run the same way.
 verify-checkpoint:
 	WRSN_VERIFY_CHECKPOINT=1 $(GO) test -race -count=1 ./internal/campaign -run 'TestCheckpointResumeGolden|TestCheckpointPeriodicCapture' -timeout 20m
-	$(GO) test -race -count=1 ./internal/service -run 'Checkpoint|Drain|Restart|Healthz'
+	$(GO) test -race -count=1 ./internal/service ./internal/jobspec -run 'Checkpoint|Drain|Restart|Healthz|ResumePeriodicTSP'
 
 # verify-scale focuses the large-network contracts: the incremental
 # shortest-path-tree oracle (exact equality with a brute-force canonical

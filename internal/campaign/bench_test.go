@@ -98,8 +98,11 @@ func BenchmarkCheckpointCapture(b *testing.B) {
 			}
 			ch := mc.New(nw.Sink(), mc.DefaultParams())
 			cfg := Config{Seed: 42}
-			cfg.applyDefaults()
-			env, led, w := layers(context.Background(), nw, ch, cfg)
+			sched, err := cfg.prepare()
+			if err != nil {
+				b.Fatal(err)
+			}
+			env, led, w := layers(context.Background(), nw, ch, cfg, sched)
 			ck := &checkpointer{
 				plan: &CheckpointPlan{
 					Scenario: sc,

@@ -18,6 +18,7 @@ package campaign
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"github.com/reprolab/wrsn-csa/internal/attack"
@@ -48,66 +49,68 @@ const (
 // ErrUnknownSolver reports an unrecognized Config.Solver.
 var ErrUnknownSolver = policy.ErrUnknownSolver
 
-// Config parameterizes a campaign run.
+// Config parameterizes a campaign run. It is also the campaign knobs of
+// a job spec (internal/jobspec), whose wire form its JSON tags name; the
+// per-run fields (Probe, Faults, Checkpoint) never cross the wire.
 type Config struct {
 	// Seed drives jitter sampling and randomized baselines.
-	Seed uint64
+	Seed uint64 `json:"seed"`
 	// HorizonSec is the simulated duration; non-positive gets the builder
 	// default (14 days).
-	HorizonSec float64
+	HorizonSec float64 `json:"horizon_sec,omitempty"`
 	// RequestFrac is the battery fraction that triggers requests;
 	// out-of-range gets the wrsn default.
-	RequestFrac float64
+	RequestFrac float64 `json:"request_frac,omitempty"`
 	// CooldownSec is the post-session re-request suppression;
 	// non-positive gets the builder default (4 h).
-	CooldownSec float64
+	CooldownSec float64 `json:"cooldown_sec,omitempty"`
 	// PollSec bounds the request-scan granularity; non-positive gets
 	// DefaultPollSec.
-	PollSec float64
+	PollSec float64 `json:"poll_sec,omitempty"`
 	// Solver picks the attack planner (RunAttack only); empty gets CSA.
-	Solver string
-	// Scheduler picks the on-demand policy for legitimate service and for
-	// the attacker's opportunistic fill; nil gets charging.NJNP.
-	Scheduler charging.Scheduler
-	// Detectors is the audit suite; nil gets detect.Suite().
-	Detectors []detect.Detector
+	Solver string `json:"solver,omitempty"`
+	// Scheduler names the on-demand policy for legitimate service and for
+	// the attacker's opportunistic fill (see charging.ByName); empty gets
+	// NJNP. Each run resolves the name into its own instance, so a
+	// stateful scheduler never carries one run's state into another.
+	Scheduler string `json:"scheduler,omitempty"`
 	// MaxCovers caps the TIDE instance's optional sites; see attack.
-	MaxCovers int
+	MaxCovers int `json:"max_covers,omitempty"`
 	// InstanceBudgetJ overrides the TIDE instance budget (sweeps);
 	// non-positive uses the charger's remaining energy.
-	InstanceBudgetJ float64
+	InstanceBudgetJ float64 `json:"instance_budget_j,omitempty"`
 	// Band is the spoofing RF band; the zero value gets the default.
-	Band wpt.SpoofBand
-	// OpportunisticFill, when disabled, makes the attacker execute only
-	// the planned stops and ignore emergent requests — the ablation
-	// showing why live cover service matters.
-	NoFill bool
+	Band wpt.SpoofBand `json:"band,omitempty"`
+	// NoFill makes the attacker execute only the planned stops and
+	// ignore emergent requests — the ablation showing why live cover
+	// service matters.
+	NoFill bool `json:"no_fill,omitempty"`
 	// SingleEmitter ablates the superposition primitive: with one coherent
 	// element no null exists, so "spoof" stops degenerate into genuine
 	// focused charges. Shows the attack is impossible without the
 	// nonlinear superposition effect.
-	SingleEmitter bool
+	SingleEmitter bool `json:"single_emitter,omitempty"`
 	// Progressive lets the attacker re-derive key nodes as the topology
 	// degrades: nodes that become articulation points only after earlier
 	// kills join the target list mid-campaign. Off by default (the paper's
 	// CSA plans against the initial topology).
-	Progressive bool
+	Progressive bool `json:"progressive,omitempty"`
 	// SampleEverySec records a (time, alive, connected) sample at this
 	// cadence for lifetime figures; non-positive disables sampling.
-	SampleEverySec float64
+	SampleEverySec float64 `json:"sample_every_sec,omitempty"`
 	// AuditEverySec is the cadence of the sink's cumulative detector
 	// audit during attack runs. A flagged charger is impounded on the
 	// spot and replaced by an honest one, so early detection saves the
 	// remaining targets. Non-positive gets 24 h; negative one disables
 	// live audits (judgment happens only at the horizon).
-	AuditEverySec float64
+	AuditEverySec float64 `json:"audit_every_sec,omitempty"`
 	// MinAuditSessions delays live audits until enough evidence exists;
 	// non-positive gets 10.
-	MinAuditSessions int
+	MinAuditSessions int `json:"min_audit_sessions,omitempty"`
 	// PendingGraceSec is how long a request may sit in the queue before a
 	// live audit counts it as ignored — queueing delays of a day or two
 	// are normal for a single busy charger. Non-positive gets 48 h.
-	PendingGraceSec float64
+	PendingGraceSec float64 `json:"pending_grace_sec,omitempty"`
 	// BenignFailRate is the probability that a genuine charging session
 	// delivers nothing (misdocking, obstruction) — the background noise
 	// that forces detectors to tolerate isolated zero-gain sessions. A
@@ -115,27 +118,56 @@ type Config struct {
 	// one node cluster in time; the default 0.005 reflects the net rate
 	// after the operator's own redocking procedures. Non-positive gets
 	// the default; negative disables failures entirely.
-	BenignFailRate float64
+	BenignFailRate float64 `json:"benign_fail_rate,omitempty"`
 	// Defense enables the countermeasure extensions (harvest
 	// verification, neighbor witnessing); the zero value disables both.
-	Defense defense.Config
+	Defense defense.Config `json:"defense,omitempty"`
+	// Shards is decoded and ignored: it once set a world-stepping
+	// parallelism that never changed an Outcome, and it stays so that
+	// job files written with it still decode under the strict decoder.
+	Shards int `json:"shards,omitempty"`
+
 	// Probe receives campaign telemetry (sessions, spoofs, deaths,
 	// audits, defense exposures, charger travel, queueing delays); nil
 	// gets the no-op probe. Telemetry is strictly observational: a run
 	// with a recording probe produces a byte-identical Outcome to one
 	// without.
-	Probe obs.Probe
+	Probe obs.Probe `json:"-"`
 	// Faults is the fault plan to inject (node hardware failures,
 	// request loss, charger breakdowns, sink outages); nil or empty
 	// leaves the run byte-identical to a fault-free one. Plans carry a
 	// consumed loss stream and are single-use: build a fresh plan (same
 	// faults.Spec) per run.
-	Faults *faults.Plan
+	Faults *faults.Plan `json:"-"`
 	// Checkpoint arms live checkpointing: at handler-safe barriers the
 	// run captures a live snapshot and hands it to the plan's Sink.
 	// Capture is pure reads — a checkpointed run's Outcome is
 	// byte-identical to an unhooked one. Nil disables checkpointing.
-	Checkpoint *CheckpointPlan
+	Checkpoint *CheckpointPlan `json:"-"`
+}
+
+// Validate rejects an unknown solver (wrapping ErrUnknownSolver) or
+// scheduler, and a sampling cadence below the effective poll_sec: the
+// world changes only at steps, so a finer cadence records the same state
+// again and again, and at 1e-3 s over a day exhausts memory. Every run
+// checks it first; jobspec checks it when a job is submitted.
+func (c Config) Validate() error {
+	if c.Solver != "" && !policy.KnownSolver(c.Solver) {
+		return fmt.Errorf("%w: %q", ErrUnknownSolver, c.Solver)
+	}
+	if c.Scheduler != "" {
+		if _, err := charging.ByName(c.Scheduler); err != nil {
+			return fmt.Errorf("campaign: %w", err)
+		}
+	}
+	poll := c.PollSec
+	if poll <= 0 {
+		poll = DefaultPollSec
+	}
+	if c.SampleEverySec > 0 && c.SampleEverySec < poll {
+		return fmt.Errorf("campaign: sample_every_sec %v is below poll_sec %v", c.SampleEverySec, poll)
+	}
+	return nil
 }
 
 // Sample is one point of the lifetime time series.
@@ -144,7 +176,12 @@ type Sample = ledger.Sample
 // DefaultPollSec is the step bound a non-positive Config.PollSec gets.
 const DefaultPollSec = 900
 
-func (c *Config) applyDefaults() {
+// prepare readies c for one run: it validates the knobs, applies the
+// defaults and resolves the scheduler name into the run's own instance.
+func (c *Config) prepare() (charging.Scheduler, error) {
+	if err := c.Validate(); err != nil {
+		return nil, err
+	}
 	if c.HorizonSec <= 0 {
 		c.HorizonSec = attack.DefaultHorizonSec
 	}
@@ -160,11 +197,8 @@ func (c *Config) applyDefaults() {
 	if c.Solver == "" {
 		c.Solver = SolverCSA
 	}
-	if c.Scheduler == nil {
-		c.Scheduler = charging.NJNP{}
-	}
-	if c.Detectors == nil {
-		c.Detectors = detect.Suite()
+	if c.Scheduler == "" {
+		c.Scheduler = charging.NJNP{}.Name()
 	}
 	if c.Band == (wpt.SpoofBand{}) {
 		c.Band = wpt.DefaultSpoofBand()
@@ -185,6 +219,7 @@ func (c *Config) applyDefaults() {
 		c.BenignFailRate = 0
 	}
 	c.Probe = obs.Or(c.Probe)
+	return charging.ByName(c.Scheduler)
 }
 
 // Outcome is the result of one campaign run.
@@ -268,19 +303,19 @@ func (o *Outcome) KeyExhaustRatio() float64 {
 
 // layers wires the four layers for one single-charger run. The returned
 // Env carries the run configuration into the policy driver.
-func layers(ctx context.Context, nw *wrsn.Network, ch *mc.Charger, cfg Config) (*policy.Env, *ledger.L, *world.W) {
+func layers(ctx context.Context, nw *wrsn.Network, ch *mc.Charger, cfg Config, sched charging.Scheduler) (*policy.Env, *ledger.L, *world.W) {
 	led := ledger.New()
 	w := world.New(ctx, nw, led, worldParams(cfg), cfg.Probe)
 	// The campaign stream must be split before any draw so solver and
 	// session randomness stay on the pre-refactor sequence.
 	r := rng.New(cfg.Seed).Split("campaign")
-	return newEnv(w, led, ch, r, cfg), led, w
+	return newEnv(w, led, ch, r, cfg, sched), led, w
 }
 
 // newEnv puts the charger's session actor over the world and ledger and
 // wraps the three in the policy Env (shared by the fresh-run and resume
 // constructors). The actor and the Env draw from the one stream r.
-func newEnv(w *world.W, led *ledger.L, ch *mc.Charger, r *rng.Stream, cfg Config) *policy.Env {
+func newEnv(w *world.W, led *ledger.L, ch *mc.Charger, r *rng.Stream, cfg Config, sched charging.Scheduler) *policy.Env {
 	return &policy.Env{
 		W: w, L: led,
 		A:               session.NewActor(w, ch, led, r, sessionParams(cfg), cfg.Probe),
@@ -294,7 +329,7 @@ func newEnv(w *world.W, led *ledger.L, ch *mc.Charger, r *rng.Stream, cfg Config
 		MaxCovers:       cfg.MaxCovers,
 		InstanceBudgetJ: cfg.InstanceBudgetJ,
 		AuditEverySec:   cfg.AuditEverySec,
-		Scheduler:       cfg.Scheduler,
+		Scheduler:       sched,
 		Rand:            r,
 		Probe:           cfg.Probe,
 		Targets:         make(map[wrsn.NodeID]bool),
@@ -304,8 +339,8 @@ func newEnv(w *world.W, led *ledger.L, ch *mc.Charger, r *rng.Stream, cfg Config
 
 // run drives one single-charger campaign under the given policy and
 // assembles its Outcome.
-func run(ctx context.Context, nw *wrsn.Network, ch *mc.Charger, cfg Config, pol policy.Policy) (*Outcome, error) {
-	env, _, _ := layers(ctx, nw, ch, cfg)
+func run(ctx context.Context, nw *wrsn.Network, ch *mc.Charger, cfg Config, sched charging.Scheduler, pol policy.Policy) (*Outcome, error) {
+	env, _, _ := layers(ctx, nw, ch, cfg, sched)
 	return drive(ctx, env, cfg, pol, nw.KeyNodes(), nil)
 }
 
@@ -351,8 +386,11 @@ func drive(ctx context.Context, env *policy.Env, cfg Config, pol policy.Policy, 
 // context.Background(); the wrsncsa package keeps no-ctx convenience
 // wrappers.
 func RunLegit(ctx context.Context, nw *wrsn.Network, ch *mc.Charger, cfg Config) (*Outcome, error) {
-	cfg.applyDefaults()
-	return run(ctx, nw, ch, cfg, policy.NewLegit())
+	sched, err := cfg.prepare()
+	if err != nil {
+		return nil, err
+	}
+	return run(ctx, nw, ch, cfg, sched, policy.NewLegit())
 }
 
 // RunAttack simulates the compromised charger: it plans a TIDE solution at
@@ -365,8 +403,11 @@ func RunLegit(ctx context.Context, nw *wrsn.Network, ch *mc.Charger, cfg Config)
 // world-step, target-selection, and service boundary, and returns
 // ctx.Err() promptly once the context is canceled.
 func RunAttack(ctx context.Context, nw *wrsn.Network, ch *mc.Charger, cfg Config) (*Outcome, error) {
-	cfg.applyDefaults()
-	return run(ctx, nw, ch, cfg, policy.NewAttacker(cfg.Solver))
+	sched, err := cfg.prepare()
+	if err != nil {
+		return nil, err
+	}
+	return run(ctx, nw, ch, cfg, sched, policy.NewAttacker(cfg.Solver))
 }
 
 // finish assembles the outcome after the horizon.
@@ -429,7 +470,7 @@ func finish(led *ledger.L, w *world.W, ch *mc.Charger, cfg Config, solver string
 			o.Disconnected++
 		}
 	}
-	o.Verdicts = detect.JudgeProbed(led.Audit, cfg.Detectors, cfg.Probe, w.Now())
+	o.Verdicts = detect.JudgeProbed(led.Audit, detect.Suite(), cfg.Probe, w.Now())
 	o.Detected = led.Caught || detect.AnyFlagged(o.Verdicts)
 	if !cfg.Faults.Empty() {
 		rep := led.Faults

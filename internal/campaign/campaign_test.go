@@ -2,11 +2,14 @@ package campaign
 
 import (
 	"context"
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/reprolab/wrsn-csa/internal/charging"
 	"github.com/reprolab/wrsn-csa/internal/mc"
+	"github.com/reprolab/wrsn-csa/internal/snapshot"
 	"github.com/reprolab/wrsn-csa/internal/trace"
 	"github.com/reprolab/wrsn-csa/internal/wrsn"
 )
@@ -218,18 +221,70 @@ func TestUnknownSolver(t *testing.T) {
 	}
 }
 
+// Every campaign run checks its Config before it starts, so a library
+// caller gets the checks a job submission gets: an unknown solver or
+// scheduler, or a sampling cadence below the step bound, is an error
+// naming the knob, from the fresh runs and the resumes alike.
+func TestRunsValidateConfig(t *testing.T) {
+	nw, ch := buildScenario(t, 1, 60)
+	var ckpt *snapshot.Snapshot
+	_, err := RunLegit(context.Background(), nw, ch, Config{Seed: 1, Checkpoint: &CheckpointPlan{
+		Sink: func(s *snapshot.Snapshot) error { ckpt = s; return nil },
+		Stop: func() bool { return true },
+	}})
+	if !errors.Is(err, ErrStopped) {
+		t.Fatalf("checkpointed run: err = %v, want ErrStopped", err)
+	}
+	runs := map[string]func(Config) error{
+		"RunLegit": func(c Config) error {
+			nw, ch := buildScenario(t, 1, 60)
+			_, err := RunLegit(context.Background(), nw, ch, c)
+			return err
+		},
+		"RunAttack": func(c Config) error {
+			nw, ch := buildScenario(t, 1, 60)
+			_, err := RunAttack(context.Background(), nw, ch, c)
+			return err
+		},
+		"RunLegitFleet": func(c Config) error {
+			nw, ch := buildScenario(t, 1, 60)
+			_, err := RunLegitFleet(context.Background(), nw, ch.Fleet(2), c)
+			return err
+		},
+		"Resume": func(c Config) error {
+			_, err := Resume(context.Background(), ckpt, c)
+			return err
+		},
+	}
+	for name, run := range runs {
+		for knob, cfg := range map[string]Config{
+			"solver":           {Seed: 1, Solver: "Bogus"},
+			"scheduler":        {Seed: 1, Scheduler: "LIFO"},
+			"sample_every_sec": {Seed: 1, HorizonSec: 3600, SampleEverySec: 1e-3},
+		} {
+			err := run(cfg)
+			if err == nil || !strings.Contains(err.Error(), knob) {
+				t.Errorf("%s with a bad %s: err = %v, want one naming it", name, knob, err)
+			}
+			if knob == "solver" && !errors.Is(err, ErrUnknownSolver) {
+				t.Errorf("%s: err = %v, want ErrUnknownSolver", name, err)
+			}
+		}
+	}
+}
+
 func TestSchedulerVariants(t *testing.T) {
-	for _, sched := range []charging.Scheduler{charging.FCFS{}, charging.NJNP{}, charging.EDF{}} {
+	for _, sched := range []string{"FCFS", "NJNP", "EDF"} {
 		nw, ch := buildScenario(t, 42, 100)
 		o, err := RunLegit(context.Background(), nw, ch, Config{Seed: 42, Scheduler: sched})
 		if err != nil {
-			t.Fatalf("%s: %v", sched.Name(), err)
+			t.Fatalf("%s: %v", sched, err)
 		}
 		if o.Detected {
-			t.Errorf("%s: legit run flagged", sched.Name())
+			t.Errorf("%s: legit run flagged", sched)
 		}
 		if o.DeadTotal > 5 {
-			t.Errorf("%s: %d deaths under legit service", sched.Name(), o.DeadTotal)
+			t.Errorf("%s: %d deaths under legit service", sched, o.DeadTotal)
 		}
 	}
 }

@@ -20,6 +20,8 @@ import (
 	"github.com/reprolab/wrsn-csa/internal/campaign/policy"
 	"github.com/reprolab/wrsn-csa/internal/campaign/session"
 	"github.com/reprolab/wrsn-csa/internal/campaign/world"
+	"github.com/reprolab/wrsn-csa/internal/charging"
+	"github.com/reprolab/wrsn-csa/internal/detect"
 	"github.com/reprolab/wrsn-csa/internal/mc"
 	"github.com/reprolab/wrsn-csa/internal/rng"
 	"github.com/reprolab/wrsn-csa/internal/snapshot"
@@ -61,7 +63,7 @@ func worldParams(cfg Config) world.Params {
 		AuditEverySec:    cfg.AuditEverySec,
 		MinAuditSessions: cfg.MinAuditSessions,
 		PendingGraceSec:  cfg.PendingGraceSec,
-		Detectors:        cfg.Detectors,
+		Detectors:        detect.Suite(),
 		Faults:           cfg.Faults,
 	}
 }
@@ -74,6 +76,25 @@ func sessionParams(cfg Config) session.Params {
 		CooldownSec:    cfg.CooldownSec,
 		Defense:        cfg.Defense,
 	}
+}
+
+// schedTour is the run scheduler's checkpoint form: PeriodicTSP's
+// unserved tour, nil for the stateless schedulers.
+func schedTour(s charging.Scheduler) []wrsn.NodeID {
+	if p, ok := s.(*charging.PeriodicTSP); ok {
+		return p.Tour()
+	}
+	return nil
+}
+
+// resumeSched is prepare for a resumed run: the run's fresh scheduler
+// gets back the tour the checkpoint captured.
+func resumeSched(cfg *Config, cs *snapshot.CampaignState) (charging.Scheduler, error) {
+	sched, err := cfg.prepare()
+	if p, ok := sched.(*charging.PeriodicTSP); ok {
+		p.SetTour(cs.Tour)
+	}
+	return sched, err
 }
 
 // checkpointer drives single-charger captures at policy barriers.
@@ -106,6 +127,7 @@ func (c *checkpointer) barrier(b policy.Barrier) error {
 		Rand:   c.r.State(),
 		Keys:   append([]wrsn.KeyNode(nil), c.keys...),
 		Policy: ps,
+		Tour:   schedTour(c.env.Scheduler),
 	}
 	snap, err := snapshot.CaptureLive(c.plan.Scenario, c.nw, c.ch, c.w.Engine(), cs)
 	if err != nil {
@@ -140,7 +162,10 @@ func Resume(ctx context.Context, snap *snapshot.Snapshot, cfg Config) (*Outcome,
 	if cs.Policy == nil {
 		return nil, fmt.Errorf("campaign: snapshot lacks policy state")
 	}
-	cfg.applyDefaults()
+	sched, err := resumeSched(&cfg, cs)
+	if err != nil {
+		return nil, err
+	}
 	nw, ch, _, err := snap.Fork()
 	if err != nil {
 		return nil, err
@@ -156,7 +181,7 @@ func Resume(ctx context.Context, snap *snapshot.Snapshot, cfg Config) (*Outcome,
 	if err := w.Engine().RestorePending(snap.PendingEvents()); err != nil {
 		return nil, err
 	}
-	env := newEnv(w, led, ch, rng.FromState(cs.Rand), cfg)
+	env := newEnv(w, led, ch, rng.FromState(cs.Rand), cfg, sched)
 	pol, rp, err := policy.FromState(cs.Policy, env)
 	if err != nil {
 		return nil, err

@@ -92,6 +92,7 @@ type fleetCh struct {
 // actors, and the shared dispatch bookkeeping.
 type fleetRun struct {
 	cfg      Config
+	sched    charging.Scheduler
 	nw       *wrsn.Network
 	w        *world.W
 	led      *ledger.L
@@ -109,10 +110,10 @@ type fleetRun struct {
 // newFleetRun wires actors and binds the keyed fleet handlers on the
 // world's engine. It schedules nothing: a fresh run seeds the tick and
 // dispatch events itself, a resumed run restores the captured queue.
-func newFleetRun(nw *wrsn.Network, chargers []*mc.Charger, cfg Config, led *ledger.L, w *world.W, r *rng.Stream) *fleetRun {
+func newFleetRun(nw *wrsn.Network, chargers []*mc.Charger, cfg Config, sched charging.Scheduler, led *ledger.L, w *world.W, r *rng.Stream) *fleetRun {
 	sp := sessionParams(cfg)
 	f := &fleetRun{
-		cfg: cfg, nw: nw, w: w, led: led, r: r,
+		cfg: cfg, sched: sched, nw: nw, w: w, led: led, r: r,
 		chargers: chargers,
 		actors:   make([]*session.Actor, len(chargers)),
 		st:       make([]fleetCh, len(chargers)),
@@ -133,7 +134,7 @@ func newFleetRun(nw *wrsn.Network, chargers []*mc.Charger, cfg Config, led *ledg
 // pick returns the scheduler's choice among unreserved requests.
 func (f *fleetRun) pick(ch *mc.Charger) (charging.Request, bool) {
 	f.view.Filter(f.w.Queue(), func(r charging.Request) bool { return !f.reserved[r.Node] })
-	return f.cfg.Scheduler.Next(&f.view, ch.Pos(), f.w.Now())
+	return f.sched.Next(&f.view, ch.Pos(), f.w.Now())
 }
 
 // tick advances batteries, deaths, and requests between fleet events.
@@ -289,6 +290,7 @@ func (f *fleetRun) captureState() *snapshot.CampaignState {
 		Ledger: ledger.StateOf(f.led),
 		Rand:   f.r.State(),
 		Fleet:  fs,
+		Tour:   schedTour(f.sched),
 	}
 }
 
@@ -396,11 +398,14 @@ func RunLegitFleet(ctx context.Context, nw *wrsn.Network, chargers []*mc.Charger
 	if len(chargers) == 0 {
 		return nil, fmt.Errorf("campaign: fleet needs at least one charger")
 	}
-	cfg.applyDefaults()
+	sched, err := cfg.prepare()
+	if err != nil {
+		return nil, err
+	}
 	led := ledger.New()
 	w := world.New(ctx, nw, led, worldParams(cfg), cfg.Probe)
 	r := rng.New(cfg.Seed).Split("campaign")
-	f := newFleetRun(nw, chargers, cfg, led, w, r)
+	f := newFleetRun(nw, chargers, cfg, sched, led, w, r)
 	eng := w.Engine()
 	if err := eng.AtKeyed(0, fleetTickKind, 0, "world-tick"); err != nil {
 		return nil, err
@@ -431,7 +436,10 @@ func ResumeFleet(ctx context.Context, snap *snapshot.Snapshot, cfg Config) (*Fle
 	if len(cs.Fleet.Chargers) == 0 {
 		return nil, fmt.Errorf("campaign: fleet checkpoint has no chargers")
 	}
-	cfg.applyDefaults()
+	sched, err := resumeSched(&cfg, cs)
+	if err != nil {
+		return nil, err
+	}
 	nw, _, _, err := snap.Fork()
 	if err != nil {
 		return nil, err
@@ -449,7 +457,7 @@ func ResumeFleet(ctx context.Context, snap *snapshot.Snapshot, cfg Config) (*Fle
 		}
 		chargers[i] = ch
 	}
-	f := newFleetRun(nw, chargers, cfg, led, w, rng.FromState(cs.Rand))
+	f := newFleetRun(nw, chargers, cfg, sched, led, w, rng.FromState(cs.Rand))
 	f.busy = cs.Fleet.Busy
 	for _, id := range cs.Fleet.Reserved {
 		f.reserved[id] = true

@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"github.com/reprolab/wrsn-csa/internal/attack"
-	"github.com/reprolab/wrsn-csa/internal/charging"
 	"github.com/reprolab/wrsn-csa/internal/defense"
 	"github.com/reprolab/wrsn-csa/internal/faults"
 	"github.com/reprolab/wrsn-csa/internal/mc"
@@ -62,7 +61,7 @@ func forkSpecs() []forkSpec {
 		forkSpec{name: "sampled/seed42", seed: 42, n: 100, kind: "attack",
 			mutate: func(c *Config) { c.SampleEverySec = 6 * 3600 }},
 		forkSpec{name: "legit-edf/seed42", seed: 42, n: 120, kind: "legit",
-			mutate: func(c *Config) { c.Scheduler = charging.EDF{} }},
+			mutate: func(c *Config) { c.Scheduler = "EDF" }},
 		forkSpec{name: "fleet2/seed42", seed: 42, n: 150, kind: "fleet", fleet: 2},
 		forkSpec{name: "fleet3/seed11", seed: 11, n: 150, kind: "fleet", fleet: 3},
 		forkSpec{name: "faults-node/seed42", seed: 42, n: 120, kind: "attack",

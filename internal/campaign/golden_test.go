@@ -26,7 +26,6 @@ import (
 	"testing"
 
 	"github.com/reprolab/wrsn-csa/internal/attack"
-	"github.com/reprolab/wrsn-csa/internal/charging"
 	"github.com/reprolab/wrsn-csa/internal/defense"
 	"github.com/reprolab/wrsn-csa/internal/digest"
 	"github.com/reprolab/wrsn-csa/internal/faults"
@@ -192,7 +191,7 @@ func goldenCases() []goldenCase {
 		named("defense-verify/seed100", attackCase(100, 120, func(c *Config) { c.Defense = defense.Config{VerifyProb: 0.5} })),
 		named("defense-witness/seed42", attackCase(42, 120, func(c *Config) { c.Defense = defense.Config{WitnessDutyCycle: 1} })),
 		named("sampled/seed42", attackCase(42, 100, func(c *Config) { c.SampleEverySec = 6 * 3600 })),
-		named("legit-edf/seed42", legitCase(42, 120, func(c *Config) { c.Scheduler = charging.EDF{} })),
+		named("legit-edf/seed42", legitCase(42, 120, func(c *Config) { c.Scheduler = "EDF" })),
 		named("fleet2/seed42", fleetCase(42, 150, 2)),
 		named("fleet3/seed11", fleetCase(11, 150, 3)),
 		// Fault-injection flavors, one per fault family, pinned at the

@@ -387,8 +387,7 @@ func Drive(e *Env, pol Policy) error {
 	if err := pol.Bootstrap(e); err != nil {
 		return err
 	}
-	e.W.ScanRequests()
-	e.W.Sample()
+	e.W.Start()
 	if err := driveLoop(e, pol, OK); err != nil {
 		return err
 	}

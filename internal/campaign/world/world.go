@@ -225,7 +225,7 @@ func (w *W) step(target float64) {
 		}
 		w.nw.Recompute()
 	}
-	w.scanCandidates(w.pass.Low)
+	w.scanRequests()
 	w.Sample()
 	w.audit()
 	// Energy-aware routing responds to battery levels, not just deaths;
@@ -424,29 +424,29 @@ func (w *W) DrainNode(id wrsn.NodeID, j float64) {
 	}
 }
 
-// ScanRequests issues charging requests for alive, connected,
-// below-threshold nodes that are outside their cooldown and have nothing
-// pending. Under a fault plan, a sink outage defers issuance entirely
-// (requests cannot reach the sink), each transmission may be lost, and a
-// node whose request was lost retries with capped exponential backoff.
-func (w *W) ScanRequests() {
-	if w.sinkDown {
-		return
-	}
-	for _, n := range w.nw.Nodes() {
-		if w.wantsCharge(n.ID) {
-			w.issueRequest(n.ID)
-		}
-	}
+// Start takes the run's opening observations at the current clock,
+// before the first step: the request scan, then a lifetime sample. The
+// scan reads a zero-length fused pass, which drains nothing and lists
+// every alive node at or below the request threshold, so the opening
+// scan and every step's scan are the one scan over the pass's low list.
+func (w *W) Start() {
+	w.nw.AdvanceEnergyPass(0, w.now, w.p.RequestFrac, &w.pass)
+	w.scanRequests()
+	w.Sample()
 }
 
-// scanCandidates is ScanRequests over ids, which must be ascending and
-// hold every node the full scan would find eligible.
-func (w *W) scanCandidates(ids []wrsn.NodeID) {
+// scanRequests issues charging requests for the nodes on the last pass's
+// low list that are eligible: connected, outside their cooldown, with
+// nothing pending. The list is ascending and holds every eligible node,
+// so the loss draws consume the stream exactly as a scan over every node
+// would. Under a fault plan, a sink outage defers issuance entirely
+// (requests cannot reach the sink), each transmission may be lost, and a
+// node whose request was lost retries with capped exponential backoff.
+func (w *W) scanRequests() {
 	if w.sinkDown {
 		return
 	}
-	for _, id := range ids {
+	for _, id := range w.pass.Low {
 		if w.wantsCharge(id) {
 			w.issueRequest(id)
 		}

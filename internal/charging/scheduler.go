@@ -2,6 +2,7 @@ package charging
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/reprolab/wrsn-csa/internal/geom"
 	"github.com/reprolab/wrsn-csa/internal/wrsn"
@@ -106,6 +107,19 @@ type PeriodicTSP struct {
 
 // Name implements Scheduler.
 func (*PeriodicTSP) Name() string { return "PeriodicTSP" }
+
+// Tour returns the rest of the current tour in serve order, nil when it
+// is spent: the state a checkpoint captures.
+func (p *PeriodicTSP) Tour() []wrsn.NodeID {
+	if len(p.tour) == 0 {
+		return nil
+	}
+	return slices.Clone(p.tour)
+}
+
+// SetTour puts back a tour captured by Tour, so a resumed run picks as
+// the uninterrupted one would.
+func (p *PeriodicTSP) SetTour(stops []wrsn.NodeID) { p.tour = slices.Clone(stops) }
 
 // Next implements Scheduler: pop the next tour stop that is still
 // pending; plan a fresh tour when the current one is spent.

@@ -7,12 +7,12 @@
 // construction: every piece of randomness derives from seeds carried in
 // the Spec, never from submission order, worker identity, or wall clock.
 //
-// A Spec deliberately carries only serializable data. The non-wire
-// knobs of campaign.Config — a Scheduler implementation, a custom
-// detector suite, a live telemetry Probe, a compiled fault Plan — are
-// represented by their canonical serializable forms (a scheduler name,
-// the default suite, a caller-side probe, a faults.Spec compiled freshly
-// per run, honoring the plan's single-use contract).
+// A Spec deliberately carries only serializable data. Its campaign knobs
+// are campaign.Config itself, whose JSON tags are the wire form; the
+// per-run fields of campaign.Config never cross the wire. The telemetry
+// Probe comes from the caller, and the fault Plan is compiled from the
+// Spec's faults.Spec afresh for every run, honoring the plan's
+// single-use contract.
 package jobspec
 
 import (
@@ -24,16 +24,12 @@ import (
 	"io"
 
 	"github.com/reprolab/wrsn-csa/internal/campaign"
-	"github.com/reprolab/wrsn-csa/internal/campaign/policy"
-	"github.com/reprolab/wrsn-csa/internal/charging"
-	"github.com/reprolab/wrsn-csa/internal/defense"
 	"github.com/reprolab/wrsn-csa/internal/digest"
 	"github.com/reprolab/wrsn-csa/internal/faults"
 	"github.com/reprolab/wrsn-csa/internal/mc"
 	"github.com/reprolab/wrsn-csa/internal/obs"
 	"github.com/reprolab/wrsn-csa/internal/snapshot"
 	"github.com/reprolab/wrsn-csa/internal/trace"
-	"github.com/reprolab/wrsn-csa/internal/wpt"
 	"github.com/reprolab/wrsn-csa/internal/wrsn"
 )
 
@@ -80,37 +76,9 @@ type Spec struct {
 	ResumeFrom []byte `json:"resume_from,omitempty"`
 }
 
-// Campaign is the serializable mirror of campaign.Config: identical
-// knobs, with the interface-valued fields replaced by their canonical
-// wire forms (Scheduler by name; detectors fixed to the default suite;
-// probe and fault plan supplied at run time). Zero values defer to the
-// same defaults campaign.Config applies.
-type Campaign struct {
-	Seed             uint64         `json:"seed"`
-	HorizonSec       float64        `json:"horizon_sec,omitempty"`
-	RequestFrac      float64        `json:"request_frac,omitempty"`
-	CooldownSec      float64        `json:"cooldown_sec,omitempty"`
-	PollSec          float64        `json:"poll_sec,omitempty"`
-	Solver           string         `json:"solver,omitempty"`
-	Scheduler        string         `json:"scheduler,omitempty"`
-	MaxCovers        int            `json:"max_covers,omitempty"`
-	InstanceBudgetJ  float64        `json:"instance_budget_j,omitempty"`
-	Band             wpt.SpoofBand  `json:"band,omitempty"`
-	NoFill           bool           `json:"no_fill,omitempty"`
-	SingleEmitter    bool           `json:"single_emitter,omitempty"`
-	Progressive      bool           `json:"progressive,omitempty"`
-	SampleEverySec   float64        `json:"sample_every_sec,omitempty"`
-	AuditEverySec    float64        `json:"audit_every_sec,omitempty"`
-	MinAuditSessions int            `json:"min_audit_sessions,omitempty"`
-	PendingGraceSec  float64        `json:"pending_grace_sec,omitempty"`
-	BenignFailRate   float64        `json:"benign_fail_rate,omitempty"`
-	Defense          defense.Config `json:"defense,omitempty"`
-	// Shards is decoded and ignored. It once set a world-stepping
-	// parallelism that never changed an Outcome, and the world now
-	// always steps on one goroutine; the field stays so that specs
-	// written with it still decode under the strict decoder.
-	Shards int `json:"shards,omitempty"`
-}
+// Campaign is the campaign knobs inside a Spec: campaign.Config, whose
+// JSON tags name each knob on the wire.
+type Campaign = campaign.Config
 
 // Default returns the evaluation-default legit baseline at the given
 // scenario seed and node count; set Kind/Solver/etc. from there.
@@ -176,81 +144,21 @@ func (s Spec) validate() (*snapshot.Snapshot, error) {
 		return nil, fmt.Errorf("jobspec: scenario clusters %d exceeds the node count %d",
 			s.Scenario.Deploy.Clusters, s.Scenario.Deploy.N)
 	}
-	if sv := s.Campaign.Solver; sv != "" && !policy.KnownSolver(sv) { // empty is the default CSA
-		return nil, fmt.Errorf("jobspec: unknown solver %q", s.Campaign.Solver)
-	}
-	if _, err = s.scheduler(); err != nil {
-		return nil, err
+	if err := s.Campaign.Validate(); err != nil {
+		return nil, fmt.Errorf("jobspec: %w", err)
 	}
 	if s.Faults != nil && s.Faults.RequestLossProb < 0 {
 		return nil, fmt.Errorf("jobspec: negative request-loss probability %v", s.Faults.RequestLossProb)
 	}
-	// The world changes only at steps, at most poll_sec apart, so a
-	// finer cadence records the step-time state again and again; at
-	// 1e-3 s over a day it exhausts memory.
-	if c := s.Campaign; c.SampleEverySec > 0 && c.SampleEverySec < c.pollSec() {
-		return nil, fmt.Errorf("jobspec: sample_every_sec %v is below poll_sec %v", c.SampleEverySec, c.pollSec())
-	}
 	return snap, nil
 }
 
-// pollSec is the effective step bound: poll_sec, or the campaign
-// default when unset.
-func (c Campaign) pollSec() float64 {
-	if c.PollSec <= 0 {
-		return campaign.DefaultPollSec
-	}
-	return c.PollSec
-}
-
-// scheduler resolves the scheduler name; empty means the campaign
-// default (NJNP, applied by campaign.Config itself).
-func (s Spec) scheduler() (charging.Scheduler, error) {
-	if s.Campaign.Scheduler == "" {
-		return nil, nil
-	}
-	sched, err := charging.ByName(s.Campaign.Scheduler)
-	if err != nil {
-		return nil, fmt.Errorf("jobspec: %w", err)
-	}
-	return sched, nil
-}
-
 // Config materializes the campaign.Config for a run on an n-node
-// network: scheduler resolved by name, a fresh single-use fault plan
-// compiled from the fault spec, and the caller's probe attached.
+// network: the Spec's knobs, the caller's probe, and a fresh single-use
+// fault plan compiled from the fault spec. It does not fail; the knobs
+// are checked by Validate and again when the run starts.
 func (s Spec) Config(probe obs.Probe, n int) (campaign.Config, error) {
-	sched, err := s.scheduler()
-	if err != nil {
-		return campaign.Config{}, err
-	}
-	c := s.Campaign
-	cfg := campaign.Config{
-		Seed:             c.Seed,
-		HorizonSec:       c.HorizonSec,
-		RequestFrac:      c.RequestFrac,
-		CooldownSec:      c.CooldownSec,
-		PollSec:          c.PollSec,
-		Solver:           c.Solver,
-		Scheduler:        sched,
-		MaxCovers:        c.MaxCovers,
-		InstanceBudgetJ:  c.InstanceBudgetJ,
-		Band:             c.Band,
-		NoFill:           c.NoFill,
-		SingleEmitter:    c.SingleEmitter,
-		Progressive:      c.Progressive,
-		SampleEverySec:   c.SampleEverySec,
-		AuditEverySec:    c.AuditEverySec,
-		MinAuditSessions: c.MinAuditSessions,
-		PendingGraceSec:  c.PendingGraceSec,
-		BenignFailRate:   c.BenignFailRate,
-		Defense:          c.Defense,
-		Probe:            probe,
-	}
-	if s.Faults != nil {
-		cfg.Faults = faults.New(*s.Faults, n)
-	}
-	return cfg, nil
+	return s.config(RunOptions{Probe: probe}, n, s.Scenario), nil
 }
 
 // Result is what a run produces: exactly one of Outcome (single-charger
@@ -325,17 +233,23 @@ type RunOptions struct {
 
 // config is Config with the run's checkpoint plan armed; sc fills the
 // plan's Scenario when the caller left it zero.
-func (s Spec) config(opts RunOptions, n int, sc trace.Scenario) (campaign.Config, error) {
-	cfg, err := s.Config(obs.Or(opts.Probe), n)
-	if err != nil || opts.Checkpoint == nil {
-		return cfg, err
+func (s Spec) config(opts RunOptions, n int, sc trace.Scenario) campaign.Config {
+	// The per-run fields come from opts and s.Faults, never from
+	// s.Campaign: they do not cross the wire, so a run behind a daemon
+	// would not see them.
+	cfg := s.Campaign
+	cfg.Probe, cfg.Faults, cfg.Checkpoint = opts.Probe, nil, nil
+	if s.Faults != nil {
+		cfg.Faults = faults.New(*s.Faults, n)
 	}
-	plan := *opts.Checkpoint
-	if plan.Scenario == (trace.Scenario{}) {
-		plan.Scenario = sc
+	if opts.Checkpoint != nil {
+		plan := *opts.Checkpoint
+		if plan.Scenario == (trace.Scenario{}) {
+			plan.Scenario = sc
+		}
+		cfg.Checkpoint = &plan
 	}
-	cfg.Checkpoint = &plan
-	return cfg, nil
+	return cfg
 }
 
 // Run executes the Spec: materialize the world (scenario build, or
@@ -357,22 +271,11 @@ func RunOpts(ctx context.Context, s Spec, opts RunOptions) (*Result, error) {
 		return nil, err
 	}
 	if len(s.ResumeFrom) > 0 {
-		cfg, err := s.config(opts, snap.NodeCount(), snap.Scenario())
-		if err != nil {
-			return nil, err
-		}
+		cfg := s.config(opts, snap.NodeCount(), snap.Scenario())
 		if s.Kind == KindFleet {
-			fo, err := campaign.ResumeFleet(ctx, snap, cfg)
-			if err != nil {
-				return nil, err
-			}
-			return &Result{Fleet: fo}, nil
+			return fleetResult(campaign.ResumeFleet(ctx, snap, cfg))
 		}
-		o, err := campaign.Resume(ctx, snap, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Outcome: o}, nil
+		return outcomeResult(campaign.Resume(ctx, snap, cfg))
 	}
 	nw, ch, err := s.world(snap)
 	if err != nil {
@@ -401,37 +304,36 @@ func RunOn(ctx context.Context, s Spec, nw *wrsn.Network, ch *mc.Charger, opts R
 // campaign, the fleet is forked from the first charger, and the chargers
 // are instrumented.
 func (s Spec) runOn(ctx context.Context, nw *wrsn.Network, ch *mc.Charger, opts RunOptions) (*Result, error) {
-	cfg, err := s.config(opts, nw.Len(), s.Scenario)
-	if err != nil {
-		return nil, err
-	}
+	cfg := s.config(opts, nw.Len(), s.Scenario)
 	ch.Instrument(cfg.Probe)
 	switch s.Kind {
 	case KindFleet:
-		fleet := make([]*mc.Charger, s.Chargers)
-		fleet[0] = ch
-		for i := 1; i < len(fleet); i++ {
-			fleet[i] = ch.Fork()
-			fleet[i].Instrument(cfg.Probe)
+		fleet := ch.Fleet(s.Chargers)
+		for _, c := range fleet[1:] {
+			c.Instrument(cfg.Probe)
 		}
-		fo, err := campaign.RunLegitFleet(ctx, nw, fleet, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Fleet: fo}, nil
+		return fleetResult(campaign.RunLegitFleet(ctx, nw, fleet, cfg))
 	case KindAttack:
-		o, err := campaign.RunAttack(ctx, nw, ch, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Outcome: o}, nil
+		return outcomeResult(campaign.RunAttack(ctx, nw, ch, cfg))
 	default: // KindLegit; validation already rejected anything else
-		o, err := campaign.RunLegit(ctx, nw, ch, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Outcome: o}, nil
+		return outcomeResult(campaign.RunLegit(ctx, nw, ch, cfg))
 	}
+}
+
+// outcomeResult and fleetResult wrap what a campaign run returns as a
+// Result.
+func outcomeResult(o *campaign.Outcome, err error) (*Result, error) {
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Outcome: o}, nil
+}
+
+func fleetResult(fo *campaign.FleetOutcome, err error) (*Result, error) {
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Fleet: fo}, nil
 }
 
 // Decode parses a Spec from JSON, rejecting unknown fields so typos in

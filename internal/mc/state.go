@@ -96,3 +96,13 @@ func (c *Charger) Fork() *Charger {
 		probe:  obs.Nop(),
 	}
 }
+
+// Fleet returns a fleet of k chargers (at least one): c itself, then
+// k-1 forks of it.
+func (c *Charger) Fleet(k int) []*Charger {
+	fleet := []*Charger{c}
+	for len(fleet) < k {
+		fleet = append(fleet, c.Fork())
+	}
+	return fleet
+}

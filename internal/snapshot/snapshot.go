@@ -70,6 +70,9 @@ type CampaignState struct {
 	Policy *policy.State
 	// Fleet is the multi-charger state; nil on single-charger runs.
 	Fleet *FleetState
+	// Tour is the unserved tour of a PeriodicTSP scheduler, the one
+	// scheduler that keeps state between picks; nil for the others.
+	Tour []wrsn.NodeID
 }
 
 // FleetState is the fleet service's mid-run state: each charger's

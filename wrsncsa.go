@@ -83,7 +83,8 @@ type (
 	Charger = mc.Charger
 	// ChargerParams configures the charger.
 	ChargerParams = mc.Params
-	// CampaignConfig parameterizes campaign runs.
+	// CampaignConfig parameterizes campaign runs. Its JSON tags are the
+	// campaign knobs' wire form inside a JobSpec (see JobCampaign).
 	CampaignConfig = campaign.Config
 	// Outcome is a campaign result.
 	Outcome = campaign.Outcome
@@ -431,16 +432,7 @@ func LegitFleet(ctx context.Context, nw *Network, chargers []*Charger, cfg Campa
 		if err != nil {
 			return nil, err
 		}
-		nw = fnw
-		k := o.fleet
-		if k < 1 {
-			k = 1
-		}
-		chargers = make([]*Charger, k)
-		chargers[0] = ch
-		for i := 1; i < k; i++ {
-			chargers[i] = ch.Fork()
-		}
+		nw, chargers = fnw, ch.Fleet(o.fleet)
 	}
 	return campaign.RunLegitFleet(ctx, nw, chargers, cfg)
 }
@@ -496,8 +488,8 @@ type (
 	// JobSpec is one complete campaign job: kind, scenario, campaign
 	// knobs, fault load, fleet size.
 	JobSpec = jobspec.Spec
-	// JobCampaign is the serializable mirror of CampaignConfig used
-	// inside a JobSpec (scheduler by name, faults as a spec).
+	// JobCampaign is the campaign knobs inside a JobSpec: the same type
+	// as CampaignConfig, whose JSON tags are the wire form.
 	JobCampaign = jobspec.Campaign
 	// JobResult is a run's result: Outcome or Fleet, with canonical
 	// JSON and digest accessors.
