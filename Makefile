@@ -128,9 +128,10 @@ verify-checkpoint:
 # verify-scale focuses the large-network contracts: the incremental
 # shortest-path-tree oracle (exact equality with a brute-force canonical
 # Dijkstra through randomized fail/repair/depletion sequences and an
-# exact-tie lattice), the fused world step's lockstep oracle (against
-# separate drain/scan/forecast passes through random charge, drain,
-# fault and death sequences), and a 10k-node campaign smoke.
+# exact-tie lattice), the world step's lockstep oracle (the lazy drain
+# against a world that syncs every node every step and scans in full,
+# through random charge, drain, fault and death sequences), and a
+# 10k-node campaign smoke.
 verify-scale:
 	$(GO) test ./internal/wrsn -run 'Incremental' -count=1
 	$(GO) test ./internal/campaign/world -run 'FusedStepLockstep' -count=1
@@ -166,8 +167,9 @@ verify-dist:
 # routing on tie-heavy lattices (held to a brute-force Dijkstra and a
 # from-scratch rebuild), the static link table on arbitrary finite
 # layouts (held to the pairwise scan, its recomputes to the same
-# oracles), the world step's fused drain pass (held to the
-# separate drain, threshold scan and depletion forecast), the zero-gain
+# oracles), one lazy drain step and the lazy drain under random steps,
+# charges, drains, faults, forced levels, recomputes and forks (both
+# held to a dense per-step reference loop), the zero-gain
 # detector's one-pass scan (held to the sort-based score), the job-spec
 # decoder and the scenario file reader (no panics; a write → read round
 # trip is the identity on what each accepts, and accepted scenarios
@@ -187,6 +189,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzIncrementalRouting$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/wrsn
 	$(GO) test -run '^$$' -fuzz '^FuzzLinkTable$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/wrsn
 	$(GO) test -run '^$$' -fuzz '^FuzzAdvanceEnergyPass$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/wrsn
+	$(GO) test -run '^$$' -fuzz '^FuzzLazyDrain$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/wrsn
 	$(GO) test -run '^$$' -fuzz '^FuzzGainDetector$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/detect
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/jobspec
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJSON$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/trace

@@ -146,7 +146,7 @@ func buildSite(nw *wrsn.Network, ch *mc.Charger, cfg BuilderConfig, id wrsn.Node
 	}
 	// Service fills the battery from the request threshold: the energy a
 	// genuine session at this node is expected to deliver.
-	needJ := node.Battery.Capacity() * (1 - cfg.RequestFrac)
+	needJ := node.Capacity() * (1 - cfg.RequestFrac)
 	rate, err := chargeRateAt(ch, node)
 	if err != nil {
 		return Site{}, false, fmt.Errorf("attack: node %d unreachable for charging: %w", id, err)

@@ -150,7 +150,7 @@ func TestBuildInstanceSkipsDeadNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	leaf.Battery.SetLevel(0)
+	leaf.SetLevel(0)
 	nw.Recompute()
 	ch := mc.New(nw.Sink(), mc.DefaultParams())
 	in, err := BuildInstance(nw, ch, BuilderConfig{})

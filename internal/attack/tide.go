@@ -19,6 +19,7 @@ package attack
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"github.com/reprolab/wrsn-csa/internal/geom"
 	"github.com/reprolab/wrsn-csa/internal/wrsn"
@@ -111,10 +112,17 @@ type Instance struct {
 	// once on entry; while nil every distance query falls back to direct
 	// computation, so an Instance works unmodified without it. The matrix
 	// holds exactly the values Point.Dist would return, so indexed and
-	// direct evaluation are bit-identical.
-	dists []float64
-	dn    int
+	// direct evaluation are bit-identical. distBox is the distPool entry
+	// the matrix came in, handed back by ReleaseDistIndex.
+	dists   []float64
+	dn      int
+	distBox *[]float64
 }
+
+// distPool recycles distance matrices between instances. A campaign
+// plans once and then releases its matrix, so the next plan in the
+// process fills the same memory instead of allocating (1+sites)² floats.
+var distPool sync.Pool
 
 // EnsureDistIndex precomputes the site-to-site distance matrix used by
 // the solvers. Insertion-heavy planning probes the same legs thousands
@@ -126,20 +134,38 @@ func (in *Instance) EnsureDistIndex() {
 	if in.dists != nil && in.dn == n {
 		return
 	}
-	pts := make([]geom.Point, n)
-	pts[0] = in.Depot
-	for i, s := range in.Sites {
-		pts[i+1] = s.Pos
+	box := in.distBox
+	if box == nil {
+		box, _ = distPool.Get().(*[]float64)
+		if box == nil {
+			box = new([]float64)
+		}
 	}
-	d := make([]float64, n*n)
+	if cap(*box) < n*n {
+		*box = make([]float64, n*n)
+	}
+	d := (*box)[:n*n]
 	for i := 0; i < n; i++ {
+		d[i*n+i] = 0
 		for j := i + 1; j < n; j++ {
-			v := pts[i].Dist(pts[j])
+			v := in.pointOf(i - 1).Dist(in.pointOf(j - 1))
 			d[i*n+j] = v
 			d[j*n+i] = v
 		}
 	}
-	in.dists, in.dn = d, n
+	in.dists, in.dn, in.distBox = d, n, box
+}
+
+// ReleaseDistIndex drops the distance matrix and hands its memory to the
+// next instance that builds one. Distance queries then compute directly,
+// with bit-identical results. Only the instance's owner may call it, once
+// no solver is running on the instance or on a copy of it.
+func (in *Instance) ReleaseDistIndex() {
+	if in.distBox == nil {
+		return
+	}
+	distPool.Put(in.distBox)
+	in.dists, in.dn, in.distBox = nil, 0, nil
 }
 
 // dist returns the distance between endpoints i and j, where -1 denotes

@@ -450,7 +450,7 @@ func finish(led *ledger.L, w *world.W, ch *mc.Charger, cfg Config, solver string
 	// fault-free runs, where nothing is ever hardware-failed).
 	for _, k := range keys {
 		n, err := nw.Node(k.ID)
-		if err == nil && n.Battery.Depleted() {
+		if err == nil && n.Depleted() {
 			o.KeyDead++
 		}
 	}
@@ -461,7 +461,7 @@ func finish(led *ledger.L, w *world.W, ch *mc.Charger, cfg Config, solver string
 	}
 	for _, n := range nw.Nodes() {
 		switch {
-		case n.Battery.Depleted():
+		case n.Depleted():
 			o.DeadTotal++
 		case !n.Alive():
 			// Hardware-failed: out of service, counted in the fault

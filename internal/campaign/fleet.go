@@ -215,7 +215,7 @@ func (f *fleetRun) arrive(e *sim.Engine, idx int) {
 		delete(f.reserved, s.req.Node)
 		return
 	}
-	need := node.Battery.Capacity() - node.Battery.Level()
+	need := node.Capacity() - node.Level()
 	dur := need / rate
 	if err := ch.SpendRadiation(dur); err != nil {
 		delete(f.reserved, s.req.Node) // out of budget: parked
@@ -223,7 +223,7 @@ func (f *fleetRun) arrive(e *sim.Engine, idx int) {
 	}
 	f.busy += s.travelT + dur
 	s.solicited = w.Queue().Has(node.ID)
-	s.meterBefore = node.Battery.MeterRead()
+	s.meterBefore = node.MeterRead()
 	s.start = e.Now()
 	s.rate = rate
 	s.dur = dur
@@ -252,7 +252,7 @@ func (f *fleetRun) end(e *sim.Engine, idx int) {
 		Node: node.ID, Kind: charging.SessionFocus,
 		Start: s.start, End: e.Now(),
 		RequestedJ: s.req.NeedJ, DeliveredJ: delivered,
-		MeterGainJ: node.Battery.MeterRead() - s.meterBefore,
+		MeterGainJ: node.MeterRead() - s.meterBefore,
 	}
 	f.actors[idx].Complete(node.ID, sess, true, s.solicited)
 	_ = e.AfterKeyed(1, fleetDispatchKind, idx, "next")
@@ -372,7 +372,7 @@ func (f *fleetRun) finish(ctx context.Context) (*FleetOutcome, error) {
 	for _, n := range f.nw.Nodes() {
 		// Dead means battery-exhausted; a hardware-failed node counts in
 		// the fault report instead (identical on fault-free runs).
-		if n.Battery.Depleted() {
+		if n.Depleted() {
 			out.DeadTotal++
 		}
 	}

@@ -56,6 +56,8 @@ type Attacker struct {
 	// honest flips when the impounded charger's replacement takes over:
 	// spoof-on-request stops and every request is served genuinely.
 	honest bool
+	// fill is the slot fillAction hands out.
+	fill Fill
 }
 
 // NewAttacker returns the attack policy for the named solver; whether it
@@ -203,7 +205,7 @@ func (p *Attacker) targetsAction(e *Env) (Action, error) {
 			}
 			// Nothing to kill right now: serve covers and wait for the
 			// topology to yield new separators.
-			return Fill{Deadline: e.W.Now() + e.PollSec, ReturnPos: e.A.Ch.Pos(), FallbackCap: e.Horizon}, nil
+			return p.fillAction(Fill{Deadline: e.W.Now() + e.PollSec, ReturnPos: e.A.Ch.Pos(), FallbackCap: e.Horizon}), nil
 		}
 	}
 	bestIdx := -1
@@ -274,7 +276,7 @@ func (p *Attacker) targetsAction(e *Env) (Action, error) {
 	if e.W.Now() < bestDepart {
 		// No window due yet: keep the cover going, but stay free to make
 		// the next departure.
-		return Fill{Deadline: bestDepart, ReturnPos: p.pending[bestIdx].Pos, FallbackCap: bestDepart}, nil
+		return p.fillAction(Fill{Deadline: bestDepart, ReturnPos: p.pending[bestIdx].Pos, FallbackCap: bestDepart}), nil
 	}
 	site := p.pending[bestIdx]
 	if bestAppease {
@@ -285,6 +287,15 @@ func (p *Attacker) targetsAction(e *Env) (Action, error) {
 	}
 	p.pending = append(p.pending[:bestIdx], p.pending[bestIdx+1:]...)
 	return spoofAction{site: site}, nil
+}
+
+// fillAction returns f as an action held in the attacker's own slot:
+// boxing a Fill value into an Action allocates, and the target phase
+// hands one out at most decisions. The driver executes each action
+// before it asks for the next, so one slot suffices.
+func (p *Attacker) fillAction(f Fill) Action {
+	p.fill = f
+	return &p.fill
 }
 
 // staticAction executes the plan literally: travel to each stop, wait for
@@ -332,7 +343,7 @@ func (p *Attacker) recruitEmergentTargets(e *Env) int {
 		p.pending = append(p.pending, attack.Site{
 			Node:      k.ID,
 			Pos:       node.Pos,
-			Dur:       node.Battery.Capacity() * (1 - e.RequestFrac) / rate,
+			Dur:       node.Capacity() * (1 - e.RequestFrac) / rate,
 			Mandatory: true,
 			Kind:      attack.VisitSpoof,
 		})
@@ -406,7 +417,7 @@ func spoofTarget(e *Env, site attack.Site) error {
 	// right) but never outliving the victim's projected death.
 	dur := site.Dur
 	if drain := e.W.Network().DrainWatts(site.Node); drain > 0 {
-		if life := node.Battery.Level() / drain; life < dur {
+		if life := node.Level() / drain; life < dur {
 			dur = life
 		}
 	}
@@ -440,7 +451,7 @@ func (a staticStop) Exec(e *Env, _ Policy) (Result, error) {
 	}
 	dur := a.site.Dur
 	if drain := e.W.Network().DrainWatts(a.site.Node); drain > 0 && a.site.Mandatory {
-		if life := node.Battery.Level() / drain; life < dur {
+		if life := node.Level() / drain; life < dur {
 			dur = life
 		}
 	}

@@ -290,7 +290,7 @@ func (a Serve) Exec(e *Env, pol Policy) (Result, error) {
 		}
 		return Stopped, nil
 	}
-	need := node.Battery.Capacity() - node.Battery.Level()
+	need := node.Capacity() - node.Level()
 	if pol.OnArrival(e, node) == charging.SessionSpoof {
 		if _, err := e.A.Spoof(node, need/rate); err != nil {
 			return Stopped, nil
@@ -340,7 +340,7 @@ func fillOne(e *Env, deadline float64, returnPos geom.Point) bool {
 			continue
 		}
 		dock := e.A.Ch.ServicePoint(node.Pos)
-		serveDur := (node.Battery.Capacity() - node.Battery.Level()) / rate
+		serveDur := (node.Capacity() - node.Level()) / rate
 		finish := e.W.Now() + e.A.Ch.TravelTime(dock) + serveDur
 		back := finish + node.Pos.Dist(returnPos)/e.A.Ch.Params().SpeedMps
 		if back > deadline {
@@ -369,7 +369,7 @@ func fillOne(e *Env, deadline float64, returnPos geom.Point) bool {
 	if err != nil {
 		return false
 	}
-	need := node.Battery.Capacity() - node.Battery.Level()
+	need := node.Capacity() - node.Level()
 	_, err = e.A.Focus(node, need/rate)
 	return err == nil
 }
@@ -500,6 +500,8 @@ func BootstrapAttack(e *Env, solver string) (*attack.Instance, attack.Result, er
 	if err != nil {
 		return nil, attack.Result{}, err
 	}
+	// Planning is over; executing the plan reads only the sites.
+	in.ReleaseDistIndex()
 	for _, s := range in.Sites {
 		if s.Mandatory {
 			e.Targets[s.Node] = true

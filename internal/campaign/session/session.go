@@ -75,12 +75,12 @@ func (a *Actor) Focus(node *wrsn.Node, dur float64) (charging.Session, error) {
 	drain := a.W.Network().DrainWatts(node.ID)
 	if net := rate - drain; net > 0 {
 		// Clamp to topping the battery off at the *net* fill rate.
-		if fill := (node.Battery.Capacity() - node.Battery.Level()) / net; fill < dur {
+		if fill := (node.Capacity() - node.Level()) / net; fill < dur {
 			dur = fill
 		}
 	}
 	if drain > 0 {
-		if life := node.Battery.Level() / drain; dur > 0.95*life && rate <= drain {
+		if life := node.Level() / drain; dur > 0.95*life && rate <= drain {
 			dur = 0.95 * life
 		}
 	}
@@ -88,7 +88,7 @@ func (a *Actor) Focus(node *wrsn.Node, dur float64) (charging.Session, error) {
 		return charging.Session{}, err
 	}
 	solicited := a.W.Queue().Has(node.ID)
-	requested, meterBefore := a.PendingNeed(node), node.Battery.MeterRead()
+	requested, meterBefore := a.PendingNeed(node), node.MeterRead()
 	start := a.W.Now()
 	// Benign session failure: the charger misdocks or is obstructed and
 	// the session delivers nothing — the background noise real detectors
@@ -111,7 +111,7 @@ func (a *Actor) Focus(node *wrsn.Node, dur float64) (charging.Session, error) {
 		End:        a.W.Now(),
 		RequestedJ: requested,
 		DeliveredJ: delivered,
-		MeterGainJ: node.Battery.MeterRead() - meterBefore,
+		MeterGainJ: node.MeterRead() - meterBefore,
 		RFAtNodeW:  4 * a.Ch.Array().Model.Power(a.Ch.Params().ServiceDist),
 	}
 	a.Complete(node.ID, s, true, solicited)
@@ -163,7 +163,7 @@ func (a *Actor) Spoof(node *wrsn.Node, dur float64) (charging.Session, error) {
 		return charging.Session{}, err
 	}
 	solicited := a.W.Queue().Has(node.ID)
-	requested, meterBefore := a.PendingNeed(node), node.Battery.MeterRead()
+	requested, meterBefore := a.PendingNeed(node), node.MeterRead()
 	start := a.W.Now()
 	active := a.advance(dur)
 	delivered := a.W.Network().Charge(node.ID, a.rect.DCOutput(rf)*active)
@@ -174,7 +174,7 @@ func (a *Actor) Spoof(node *wrsn.Node, dur float64) (charging.Session, error) {
 		End:        a.W.Now(),
 		RequestedJ: requested,
 		DeliveredJ: delivered,
-		MeterGainJ: node.Battery.MeterRead() - meterBefore,
+		MeterGainJ: node.MeterRead() - meterBefore,
 		RFAtNodeW:  rf,
 	}
 	// Cooldown applies only when the victim's carrier detector saw an
@@ -229,7 +229,7 @@ func (a *Actor) PendingNeed(node *wrsn.Node) float64 {
 	if req, ok := a.W.Queue().Get(node.ID); ok {
 		return req.NeedJ
 	}
-	return node.Battery.Capacity() - node.Battery.Level()
+	return node.Capacity() - node.Level()
 }
 
 // Complete records a finished session: ground truth, the sink's

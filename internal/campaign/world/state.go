@@ -115,6 +115,7 @@ func (w *W) State() State {
 // carries both the step chain and the not-yet-fired fault events.
 func Resume(ctx context.Context, nw *wrsn.Network, led *ledger.L, p Params, probe obs.Probe, st State) (*W, error) {
 	n := len(nw.Nodes())
+	nw.SetRequestFraction(p.RequestFrac)
 	w := &W{
 		ctx:    ctx,
 		eng:    sim.New(),
@@ -125,6 +126,7 @@ func Resume(ctx context.Context, nw *wrsn.Network, led *ledger.L, p Params, prob
 		qu:     charging.NewQueue(n),
 		cool:   make([]float64, n),
 		keySet: make([]bool, n),
+		low:    make([]wrsn.NodeID, 0, n),
 	}
 	w.bindStep()
 	if !p.Faults.Empty() {

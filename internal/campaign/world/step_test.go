@@ -2,33 +2,37 @@ package world
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
 
 	"github.com/reprolab/wrsn-csa/internal/campaign/ledger"
+	"github.com/reprolab/wrsn-csa/internal/energy"
 	"github.com/reprolab/wrsn-csa/internal/faults"
 	"github.com/reprolab/wrsn-csa/internal/geom"
 	"github.com/reprolab/wrsn-csa/internal/trace"
 	"github.com/reprolab/wrsn-csa/internal/wrsn"
 )
 
-// Lockstep oracle for the fused world step. Two worlds over identically
+// Lockstep oracle for the lazy world step. Two worlds over identically
 // built networks receive the same random sequence of steps and
 // between-step mutations (charges, including to the forecast's argmin
 // and to just-depleted nodes, defense drains, fail/repair, cooldowns,
-// served requests, sink outages). One steps with the production fused
-// pass and forecast reuse; the other with refStep, the step as separate
-// passes and fresh forecasts. At every step the fused pass's deaths,
-// below-threshold list and (t, who) must equal the reference passes', the
-// requests issued must be exactly the full scan's, every forecast the
-// fused world consults must equal a fresh NextDepletion, and the two
-// worlds' batteries, queues and ledgers must stay identical. Forecasts
-// carried across a routing recompute by NextDepletionAfter are counted,
-// and a run must have some.
+// served requests, sink outages). One steps with the production step,
+// whose network syncs only the nodes it must; the other with refStep,
+// which reads every node's level after every drain, so its network
+// replays one step per node per step — the dense drain — and which
+// takes the low list, the forecast and the eligible set from full scans
+// in test code. At every step the deaths, the low and connected list
+// and the forecast must agree, the requests issued must be exactly the
+// full scan's, and the two worlds' levels, queues and ledgers must stay
+// identical. The production world's levels are compared through a Fork,
+// which replays each node's backlog into its copy, so the comparison
+// leaves the production network as lazy as the step left it.
 
-// refResult is what refStep's separate passes found; tied reports that
+// refResult is what refStep's full scans found; tied reports that
 // another survivor projected exactly the forecast time.
 type refResult struct {
 	died, low, eligible []wrsn.NodeID
@@ -37,39 +41,67 @@ type refResult struct {
 	tied                bool
 }
 
-// refStep is the world step without fusion or reuse: AdvanceEnergy, a
-// below-threshold scan and a fresh NextDepletion over the drained
-// network, then a full wantsCharge scan.
-func refStep(w *W, target float64) refResult {
+// denseForecast is NextDepletion as a full scan: the minimum of
+// now + Level/DrainWatts over the alive nodes with positive drain, ties
+// to the lowest ID. It reads every level through the syncing accessor.
+func denseForecast(w *W) (at float64, who wrsn.NodeID, tied bool) {
+	at, who = math.Inf(1), wrsn.ParentNone
+	for _, n := range w.nw.Nodes() {
+		d := w.nw.DrainWatts(n.ID)
+		if !n.Alive() || d <= 0 {
+			continue
+		}
+		if t := w.now + n.Level()/d; t < at {
+			at, who, tied = t, n.ID, false
+		} else if t == at {
+			tied = true
+		}
+	}
+	return at, who, tied
+}
+
+// refStep is the world step with every node synced at every step and
+// every list taken from a full scan.
+func refStep(t *testing.T, w *W, target float64) refResult {
+	t.Helper()
 	var r refResult
 	step := min(target, w.now+w.p.PollSec)
-	if dt, _ := w.nw.NextDepletion(w.now); dt > w.now && dt < step {
+	if dt, _, _ := denseForecast(w); dt > w.now && dt < step {
 		step = dt
 	}
-	r.died = w.nw.AdvanceEnergy(step - w.now)
+	alive := make([]bool, w.nw.Len())
+	for _, n := range w.nw.Nodes() {
+		alive[n.ID] = n.Alive()
+	}
+	died := w.nw.AdvanceEnergy(step - w.now)
 	w.now = step
 	for _, n := range w.nw.Nodes() {
-		if n.Alive() && n.Battery.Level() <= w.p.RequestFrac*n.Battery.Capacity() {
-			r.low = append(r.low, n.ID)
+		// Deaths come from the levels, not the live bit: the live bit
+		// falls only when the network's deaths heap pops the node.
+		if alive[n.ID] && n.Level() <= energy.DepletedEpsJ {
+			r.died = append(r.died, n.ID)
 		}
 	}
-	r.at, r.who = w.nw.NextDepletion(w.now)
-	for _, n := range w.nw.Nodes() {
-		if d := w.nw.DrainWatts(n.ID); n.ID != r.who && n.Alive() && d > 0 && w.now+n.Battery.Level()/d == r.at {
-			r.tied = true
-		}
+	if !slices.Equal(died, r.died) {
+		t.Fatalf("AdvanceEnergy reports %v died, the levels say %v", died, r.died)
 	}
+	r.at, r.who, r.tied = denseForecast(w)
 	if len(r.died) > 0 {
 		for _, id := range r.died {
 			w.RecordDeath(id)
 		}
 		w.nw.Recompute()
 	}
+	for _, n := range w.nw.Nodes() {
+		if n.Alive() && w.nw.Connected(n.ID) && n.Level() <= w.p.RequestFrac*n.Capacity() {
+			r.low = append(r.low, n.ID)
+		}
+	}
 	if !w.sinkDown {
-		for _, n := range w.nw.Nodes() {
-			if w.wantsCharge(n.ID) {
-				r.eligible = append(r.eligible, n.ID)
-				w.issueRequest(n.ID)
+		for _, id := range r.low {
+			if w.wantsCharge(id) {
+				r.eligible = append(r.eligible, id)
+				w.issueRequest(id)
 			}
 		}
 	}
@@ -113,7 +145,7 @@ func chainNetwork() (*wrsn.Network, error) {
 		return nil, err
 	}
 	for i, node := range nw.Nodes() {
-		node.Battery.SetLevel(nw.DrainWatts(node.ID) * 600 * (1 + 0.05*float64(n-1-i)))
+		node.SetLevel(nw.DrainWatts(node.ID) * 600 * (1 + 0.05*float64(n-1-i)))
 	}
 	return nw, nil
 }
@@ -131,7 +163,7 @@ func scenarioNetwork(policy wrsn.RoutingPolicy, seed int64) func() (*wrsn.Networ
 		}
 		r := rand.New(rand.NewSource(seed))
 		for _, n := range nw.Nodes() {
-			n.Battery.SetLevel((0.05 + 0.5*r.Float64()) * n.Battery.Capacity())
+			n.SetLevel((0.05 + 0.5*r.Float64()) * n.Capacity())
 		}
 		nw.Recompute()
 		return nw, nil
@@ -159,7 +191,7 @@ func lockstepWorld(t *testing.T, build func() (*wrsn.Network, error)) *W {
 // lockstepCoverage counts the situations the oracle must have exercised
 // for a run to count.
 type lockstepCoverage struct {
-	deaths, reused, after, argminCharges, revivals, defenseDrains, requests, ties int
+	deaths, argminCharges, revivals, defenseDrains, requests, ties int
 }
 
 func TestFusedStepLockstep(t *testing.T) {
@@ -181,7 +213,7 @@ func TestFusedStepLockstep(t *testing.T) {
 				return
 			}
 			t.Logf("coverage: %+v", cov)
-			if cov.deaths == 0 || cov.reused == 0 || cov.after == 0 || cov.argminCharges == 0 ||
+			if cov.deaths == 0 || cov.argminCharges == 0 ||
 				cov.revivals == 0 || cov.defenseDrains == 0 || cov.requests == 0 {
 				t.Errorf("oracle run missed a case: %+v", cov)
 			}
@@ -202,20 +234,21 @@ func runLockstep(t *testing.T, fused, ref *W, r *rand.Rand, steps int) lockstepC
 		if fused.now >= target {
 			target = fused.now + 3000*r.Float64()
 		}
-		if !checkForecast(t, fused, &cov, i, "step start") {
+		if !sameForecast(t, fused, ref, i, "step start") {
 			return cov
 		}
+		deaths := len(fused.led.Audit.Deaths)
 		fused.step(target)
-		want := refStep(ref, target)
-		got := fused.pass
-		if !slices.Equal(got.Died, want.died) || !slices.Equal(got.Low, want.low) {
-			t.Fatalf("step %d: fused died/low = %v/%v, separate passes %v/%v", i, got.Died, got.Low, want.died, want.low)
+		want := refStep(t, ref, target)
+		var died []wrsn.NodeID
+		for _, d := range fused.led.Audit.Deaths[deaths:] {
+			died = append(died, d.Node)
 		}
-		if got.NextAt != want.at || got.Next != want.who {
-			t.Fatalf("step %d: fused forecast (%v, %d), fresh NextDepletion (%v, %d)", i, got.NextAt, got.Next, want.at, want.who)
+		if !slices.Equal(died, want.died) {
+			t.Fatalf("step %d: lazy step died %v, dense step %v", i, died, want.died)
 		}
-		if !subset(want.eligible, got.Low) {
-			t.Fatalf("step %d: full scan found %v eligible, outside the below-threshold list %v", i, want.eligible, got.Low)
+		if !fused.sinkDown && !slices.Equal(fused.low, want.low) {
+			t.Fatalf("step %d: lazy low and connected list %v, full scan %v", i, fused.low, want.low)
 		}
 		if want.tied {
 			cov.ties++
@@ -224,7 +257,7 @@ func runLockstep(t *testing.T, fused, ref *W, r *rand.Rand, steps int) lockstepC
 		cov.requests += len(want.eligible)
 		sameWorlds(t, fused, ref, i)
 		// The forecast scheduleStep consults right after the step.
-		if !checkForecast(t, fused, &cov, i, "after step") {
+		if !sameForecast(t, fused, ref, i, "after step") {
 			return cov
 		}
 		if len(want.died) > 0 && r.Intn(2) == 0 {
@@ -241,20 +274,14 @@ func runLockstep(t *testing.T, fused, ref *W, r *rand.Rand, steps int) lockstepC
 	return cov
 }
 
-// checkForecast consults the fused world's forecast the way step and
-// scheduleStep do and holds it to a fresh NextDepletion.
-func checkForecast(t *testing.T, w *W, cov *lockstepCoverage, i int, where string) bool {
+// sameForecast holds the lazy world's forecast, as step and
+// scheduleStep consult it, to the reference world's full scan.
+func sameForecast(t *testing.T, fused, ref *W, i int, where string) bool {
 	t.Helper()
-	switch {
-	case w.forecastHolds():
-		cov.reused++
-	case w.argminHolds() && w.nw.Epoch() == w.fc.epoch+1:
-		cov.after++
-	}
-	at, who := w.nextDepletion()
-	fat, fwho := w.nw.NextDepletion(w.now)
+	at, who := fused.nw.NextDepletion(fused.now)
+	fat, fwho, _ := denseForecast(ref)
 	if at != fat || who != fwho {
-		t.Errorf("step %d (%s): forecast (%v, %d), fresh NextDepletion (%v, %d)", i, where, at, who, fat, fwho)
+		t.Errorf("step %d (%s): lazy forecast (%v, %d), full scan (%v, %d)", i, where, at, who, fat, fwho)
 		return false
 	}
 	return true
@@ -292,7 +319,7 @@ func mutate(r *rand.Rand, fused, ref *W, cov *lockstepCoverage) {
 		}
 	case 4, 5: // a defense drain, often lethal
 		if id, ok := pick(true); ok {
-			j := nodes[id].Battery.Level() * (0.5 + r.Float64())
+			j := nodes[id].Level() * (0.5 + r.Float64())
 			both(func(w *W) { w.DrainNode(id, j) })
 			cov.defenseDrains++
 		}
@@ -323,16 +350,22 @@ func mutate(r *rand.Rand, fused, ref *W, cov *lockstepCoverage) {
 	}
 }
 
-// sameWorlds compares the state the two worlds must share bit for bit.
+// sameWorlds compares the state the two worlds must share bit for bit,
+// reading the lazy world's levels off a fork.
 func sameWorlds(t *testing.T, a, b *W, i int) {
 	t.Helper()
 	if a.now != b.now {
 		t.Fatalf("step %d: clocks %v vs %v", i, a.now, b.now)
 	}
-	for id, n := range a.nw.Nodes() {
+	for id, n := range a.nw.Fork().State().Nodes {
 		m := b.nw.Nodes()[id]
-		if n.Battery.Level() != m.Battery.Level() || n.Failed() != m.Failed() {
-			t.Fatalf("step %d: node %d level/failed %v/%v vs %v/%v", i, id, n.Battery.Level(), n.Failed(), m.Battery.Level(), m.Failed())
+		if n.LevelJ != m.Level() || n.Failed != m.Failed() || a.nw.Nodes()[id].Alive() != m.Alive() {
+			t.Fatalf("step %d: node %d level/failed %v/%v vs %v/%v", i, id, n.LevelJ, n.Failed, m.Level(), m.Failed())
+		}
+		// A node is in service exactly when it is not failed and its
+		// level, replayed to now, is above the depletion mark.
+		if want := !m.Failed() && m.Level() > energy.DepletedEpsJ; m.Alive() != want {
+			t.Fatalf("step %d: node %d alive %v at level %v, failed %v", i, id, m.Alive(), m.Level(), m.Failed())
 		}
 	}
 	if !reflect.DeepEqual(a.qu.Pending(), b.qu.Pending()) {
@@ -343,19 +376,4 @@ func sameWorlds(t *testing.T, a, b *W, i int) {
 		t.Fatalf("step %d: ledgers diverged: issued %d/%d, deaths %d/%d", i,
 			a.led.Issued, b.led.Issued, len(a.led.Audit.Deaths), len(b.led.Audit.Deaths))
 	}
-}
-
-// subset reports whether every element of a (ascending) is in b
-// (ascending).
-func subset(a, b []wrsn.NodeID) bool {
-	j := 0
-	for _, id := range a {
-		for j < len(b) && b[j] < id {
-			j++
-		}
-		if j == len(b) || b[j] != id {
-			return false
-		}
-	}
-	return true
 }

@@ -69,11 +69,9 @@ type W struct {
 
 	now float64
 	qu  charging.Queue
-	// pass holds the last fused drain pass's lists (reused every step),
-	// and fc the last depletion forecast with what it was computed
-	// against.
-	pass wrsn.EnergyPass
-	fc   forecast
+	// low is the request scan's candidate list, reused every step and
+	// sized for every node once.
+	low []wrsn.NodeID
 	// cool and keySet are dense per-node tables (node IDs are the
 	// contiguous 0..n-1 range); zero values mean "no cooldown" / "not a
 	// key node", exactly matching the missing-key semantics of the maps
@@ -108,9 +106,11 @@ type W struct {
 // fresh event engine; callers needing engine telemetry instrument it via
 // Engine(). A non-empty fault plan in p compiles onto the engine here, so
 // fault events carry lower sequence numbers than any world step scheduled
-// later — at equal timestamps the fault applies first.
+// later — at equal timestamps the fault applies first. The network's
+// request fraction is set to p.RequestFrac, which its low set tracks.
 func New(ctx context.Context, nw *wrsn.Network, led *ledger.L, p Params, probe obs.Probe) *W {
 	n := len(nw.Nodes())
+	nw.SetRequestFraction(p.RequestFrac)
 	w := &W{
 		ctx:    ctx,
 		eng:    sim.New(),
@@ -121,6 +121,7 @@ func New(ctx context.Context, nw *wrsn.Network, led *ledger.L, p Params, probe o
 		qu:     charging.NewQueue(n),
 		cool:   make([]float64, n),
 		keySet: make([]bool, n),
+		low:    make([]wrsn.NodeID, 0, n),
 	}
 	w.bindStep()
 	if !p.Faults.Empty() {
@@ -203,24 +204,19 @@ func (w *W) Auditing() bool { return w.auditing }
 // are recorded, routing recomputes on topology change, and new requests,
 // samples, and audits are taken at the boundary.
 //
-// Each step makes one dense pass over the network
-// (wrsn.AdvanceEnergyPass): it drains, and in the same loop lists the
-// deaths and the below-threshold survivors and forecasts the next
-// depletion. The request scan then runs the full eligibility predicate
-// only over the below-threshold list — nothing moves a battery level
-// between the pass and the scan, so the list is a superset of the
-// eligible nodes, in the same ascending ID order, and the loss draws
-// consume the stream exactly as a full scan would.
+// The drain is the network's lazy one (wrsn.Network.AdvanceEnergy): a
+// step syncs only the nodes that can die or cross the request threshold
+// in it, plus the forecast's candidates, so its cost follows the events
+// rather than the node count.
 func (w *W) step(target float64) {
 	step := min(target, w.now+w.p.PollSec)
-	if dt, _ := w.nextDepletion(); dt > w.now && dt < step {
+	if dt, _ := w.nw.NextDepletion(w.now); dt > w.now && dt < step {
 		step = dt
 	}
-	w.nw.AdvanceEnergyPass(step-w.now, step, w.p.RequestFrac, &w.pass)
-	w.remember(step, w.pass.NextAt, w.pass.Next)
+	died := w.nw.AdvanceEnergy(step - w.now)
 	w.now = step
-	if len(w.pass.Died) > 0 {
-		for _, id := range w.pass.Died {
+	if len(died) > 0 {
+		for _, id := range died {
 			w.RecordDeath(id)
 		}
 		w.nw.Recompute()
@@ -233,77 +229,6 @@ func (w *W) step(target float64) {
 	// relays.
 	if w.nw.Policy() == wrsn.PolicyEnergyAware {
 		w.nw.Recompute()
-	}
-}
-
-// forecast is a depletion forecast — NextDepletion(now) = (at, who) —
-// with what it was computed against: the network epoch and the argmin
-// node's battery level.
-//
-// It still equals a fresh NextDepletion while the clock, the epoch and
-// the argmin's level are all unchanged. The epoch covers every change
-// that can move some other node's depletion earlier (a routing
-// recompute, an out-of-pass drain, a fail or repair, a revival; see
-// wrsn.Network.Epoch). What the epoch leaves out is a charge to an alive
-// node, which only moves that node's own depletion later: a node other
-// than the argmin already had a later time, or the same time and a
-// higher ID, and keeps it, so it cannot displace the argmin or win a tie
-// against it. A charge to the argmin itself changes its level.
-//
-// When the clock and the argmin's level hold but the epoch moved, the
-// forecast still seeds wrsn.Network.NextDepletionAfter, which rescans
-// only the drains an incremental Recompute rewrote when that Recompute
-// was the only bump.
-type forecast struct {
-	valid bool
-	now   float64
-	epoch uint64
-	at    float64
-	who   wrsn.NodeID
-	level float64
-}
-
-// nextDepletion forecasts the soonest death from the current clock. It
-// reuses the last forecast while it still holds: the forecast the step's
-// fused pass made serves the scheduleStep that follows it, and
-// scheduleStep's serves the next step, both at the same clock. Across
-// the step's routing recompute, the pass's forecast seeds
-// NextDepletionAfter.
-func (w *W) nextDepletion() (float64, wrsn.NodeID) {
-	if w.forecastHolds() {
-		return w.fc.at, w.fc.who
-	}
-	var at float64
-	var who wrsn.NodeID
-	if w.argminHolds() {
-		at, who = w.nw.NextDepletionAfter(w.now, w.fc.at, w.fc.who, w.fc.epoch)
-	} else {
-		at, who = w.nw.NextDepletion(w.now)
-	}
-	w.remember(w.now, at, who)
-	return at, who
-}
-
-// forecastHolds reports whether the last forecast is still
-// NextDepletion(now): same clock, same network epoch, same argmin level.
-func (w *W) forecastHolds() bool {
-	return w.argminHolds() && w.fc.epoch == w.nw.Epoch()
-}
-
-// argminHolds reports whether the last forecast was made at the current
-// clock and its argmin's level is unchanged.
-func (w *W) argminHolds() bool {
-	fc := w.fc
-	return fc.valid && fc.now == w.now &&
-		(fc.who == wrsn.ParentNone || w.nw.Nodes()[fc.who].Battery.Level() == fc.level)
-}
-
-// remember records (at, who) as the forecast at clock now, against the
-// network's current state.
-func (w *W) remember(now, at float64, who wrsn.NodeID) {
-	w.fc = forecast{valid: true, now: now, epoch: w.nw.Epoch(), at: at, who: who}
-	if who != wrsn.ParentNone {
-		w.fc.level = w.nw.Nodes()[who].Battery.Level()
 	}
 }
 
@@ -358,7 +283,7 @@ func (w *W) scheduleStep(target float64) {
 		return
 	}
 	next := min(target, w.now+w.p.PollSec)
-	if dt, _ := w.nextDepletion(); dt > w.now && dt < next {
+	if dt, _ := w.nw.NextDepletion(w.now); dt > w.now && dt < next {
 		next = dt
 	}
 	// AdvanceTo cannot be called from inside a handler, so at most one
@@ -418,70 +343,49 @@ func (w *W) DrainNode(id wrsn.NodeID, j float64) {
 		return
 	}
 	w.nw.Drain(id, j)
-	if w.nw.Nodes()[id].Battery.Depleted() {
+	if w.nw.Nodes()[id].Depleted() {
 		w.RecordDeath(id)
 		w.nw.Recompute()
 	}
 }
 
 // Start takes the run's opening observations at the current clock,
-// before the first step: the request scan, then a lifetime sample. The
-// scan reads a zero-length fused pass, which drains nothing and lists
-// every alive node at or below the request threshold, so the opening
-// scan and every step's scan are the one scan over the pass's low list.
+// before the first step: the request scan, then a lifetime sample.
 func (w *W) Start() {
-	w.nw.AdvanceEnergyPass(0, w.now, w.p.RequestFrac, &w.pass)
 	w.scanRequests()
 	w.Sample()
 }
 
-// scanRequests issues charging requests for the nodes on the last pass's
-// low list that are eligible: connected, outside their cooldown, with
-// nothing pending. The list is ascending and holds every eligible node,
-// so the loss draws consume the stream exactly as a scan over every node
-// would. Under a fault plan, a sink outage defers issuance entirely
-// (requests cannot reach the sink), each transmission may be lost, and a
-// node whose request was lost retries with capped exponential backoff.
+// scanRequests issues charging requests for the eligible nodes:
+// connected, at or below the request threshold, outside their cooldown,
+// with nothing pending. The network lists the alive nodes that are both
+// low and connected, ascending, which is every node that can pass the
+// first two tests, so the loss draws consume the stream exactly as a
+// scan over every node would. Under a fault plan, a sink outage defers
+// issuance entirely (requests cannot reach the sink), each transmission
+// may be lost, and a node whose request was lost retries with capped
+// exponential backoff.
 func (w *W) scanRequests() {
 	if w.sinkDown {
 		return
 	}
-	for _, id := range w.pass.Low {
+	w.low = w.nw.AppendLowConnected(w.low[:0])
+	for _, id := range w.low {
 		if w.wantsCharge(id) {
 			w.issueRequest(id)
 		}
 	}
 }
 
-// wantsCharge is the request-eligibility predicate: connected, below the
-// request threshold, alive, nothing pending, and outside cooldown and
-// retransmission backoff. It is a pure conjunction, so the order of its
-// tests does not change its result. Connectivity goes first: it is one
-// read of a dense array, small enough to inline into the scans, and in
-// a death-heavy world it rejects most of the nodes below the threshold,
-// which have lost their route to the sink.
+// wantsCharge is the request-eligibility predicate for a node the
+// network lists as alive, low and connected (AppendLowConnected, whose
+// threshold New sets to p.RequestFrac): nothing pending, outside
+// cooldown and retransmission backoff.
 func (w *W) wantsCharge(id wrsn.NodeID) bool {
-	return w.nw.Connected(id) && w.connectedWantsCharge(id)
-}
-
-// connectedWantsCharge is wantsCharge past its connectivity test: the
-// threshold, which rejects nearly every node in a full scan, then the
-// rest.
-func (w *W) connectedWantsCharge(id wrsn.NodeID) bool {
-	n := w.nw.Nodes()[id]
-	if n.Battery.Level() > w.p.RequestFrac*n.Battery.Capacity() {
+	if w.qu.Has(id) || w.now < w.cool[id] {
 		return false
 	}
-	if !n.Alive() || w.qu.Has(id) {
-		return false
-	}
-	if w.now < w.cool[id] {
-		return false
-	}
-	if w.retxNext != nil && w.now < w.retxNext[id] {
-		return false
-	}
-	return true
+	return w.retxNext == nil || w.now >= w.retxNext[id]
 }
 
 // issueRequest runs the mutating tail of the scan for one eligible node:
@@ -494,13 +398,13 @@ func (w *W) issueRequest(id wrsn.NodeID) {
 		return
 	}
 	n := w.nw.Nodes()[id]
-	cap := n.Battery.Capacity()
+	cap := n.Capacity()
 	drain := w.nw.DrainWatts(id)
 	deadline := math.Inf(1)
 	if drain > 0 {
-		deadline = w.now + n.Battery.Level()/drain
+		deadline = w.now + n.Level()/drain
 	}
-	need := cap - n.Battery.Level()
+	need := cap - n.Level()
 	err := w.qu.Add(charging.Request{
 		Node:     id,
 		Pos:      n.Pos,

@@ -51,10 +51,17 @@ func (r Request) Validate() error {
 // node; re-issuing replaces the older entry. Requests are kept in
 // (IssuedAt, Node) order at all times: an insert is a binary search
 // (nearly always landing at the end, since requests are issued at the
-// advancing clock) and a removal closes the gap in place, so reading the
-// queue in order never sorts. The zero value is ready to use.
+// advancing clock), so reading the queue in order never sorts. A removal
+// only marks its entry dropped; the marked entries keep their place and
+// their keys, so the order and the binary search hold through them, and
+// the next read of the whole queue (Pending, Filter) closes all the gaps
+// in one pass instead of one memmove per removal. The zero value is
+// ready to use.
 type Queue struct {
 	pending []Request
+	// dropped counts the entries of pending that are marked dropped: a
+	// negative NeedJ, which no valid request has.
+	dropped int
 	// byNode is a dense per-node table (node IDs are the contiguous
 	// 0..n-1 range) of each queued request's issue time, grown on demand.
 	// With the issue time, a node's slot in pending is one binary search
@@ -75,7 +82,7 @@ type slot struct {
 }
 
 // Len returns the number of pending requests.
-func (q *Queue) Len() int { return len(q.pending) }
+func (q *Queue) Len() int { return len(q.pending) - q.dropped }
 
 // Add inserts or replaces the node's pending request.
 func (q *Queue) Add(r Request) error {
@@ -87,12 +94,15 @@ func (q *Queue) Add(r Request) error {
 			q.pending[i] = r
 			return nil
 		}
-		q.pending = slices.Delete(q.pending, i, i+1)
+		q.drop(i)
 	}
 	if n := int(r.Node) + 1; n > len(q.byNode) {
 		q.byNode = append(q.byNode, make([]slot, n-len(q.byNode))...)
 	}
 	q.byNode[r.Node] = slot{issuedAt: r.IssuedAt, queued: true}
+	// The first slot not ordering before r's key holds no live entry of
+	// that key, so r lands before any dropped entry sharing it, and find
+	// meets r first.
 	q.pending = slices.Insert(q.pending, q.search(r.IssuedAt, r.Node), r)
 	return nil
 }
@@ -104,9 +114,34 @@ func (q *Queue) Remove(id wrsn.NodeID) bool {
 	if !ok {
 		return false
 	}
-	q.pending = slices.Delete(q.pending, i, i+1)
+	q.drop(i)
 	q.byNode[id] = slot{}
+	if q.dropped > len(q.pending)/2 {
+		q.compact()
+	}
 	return true
+}
+
+// drop marks entry i dropped.
+func (q *Queue) drop(i int) {
+	q.pending[i].NeedJ = -1
+	q.dropped++
+}
+
+// compact removes the dropped entries, keeping the order.
+func (q *Queue) compact() {
+	if q.dropped == 0 {
+		return
+	}
+	k := 0
+	for _, r := range q.pending {
+		if r.NeedJ >= 0 {
+			q.pending[k] = r
+			k++
+		}
+	}
+	q.pending = q.pending[:k]
+	q.dropped = 0
 }
 
 // Has reports whether the node has a pending request.
@@ -127,7 +162,10 @@ func (q *Queue) Get(id wrsn.NodeID) (Request, bool) {
 // ID. The slice is a read-only view of the queue itself, valid until the
 // next Add, Remove or Filter: callers must not modify it, and must not
 // mutate the queue while ranging over it.
-func (q *Queue) Pending() []Request { return q.pending }
+func (q *Queue) Pending() []Request {
+	q.compact()
+	return q.pending
+}
 
 // Filter replaces q's contents with the requests of src that keep
 // accepts (all of them when keep is nil), in src's order. Schedulers run
@@ -138,10 +176,11 @@ func (q *Queue) Filter(src *Queue, keep func(Request) bool) {
 		q.byNode[r.Node] = slot{}
 	}
 	q.pending = q.pending[:0]
+	q.dropped = 0
 	if len(q.byNode) < len(src.byNode) {
 		q.byNode = append(q.byNode, make([]slot, len(src.byNode)-len(q.byNode))...)
 	}
-	for _, r := range src.pending {
+	for _, r := range src.Pending() {
 		if keep != nil && !keep(r) {
 			continue
 		}

@@ -62,12 +62,12 @@ func (b *Battery) Level() float64 { return b.level }
 // Fraction returns Level/Capacity in [0,1].
 func (b *Battery) Fraction() float64 { return b.level / b.capacity }
 
-// depletedEpsJ absorbs floating-point residue when a drain lands exactly on
-// empty; levels below it count as dead.
-const depletedEpsJ = 1e-6
+// DepletedEpsJ absorbs floating-point residue when a drain lands exactly
+// on empty; levels at or below it count as dead.
+const DepletedEpsJ = 1e-6
 
 // Depleted reports whether the battery is empty (the node is dead).
-func (b *Battery) Depleted() bool { return b.level <= depletedEpsJ }
+func (b *Battery) Depleted() bool { return b.level <= DepletedEpsJ }
 
 // MeterRead returns the level as the node's coulomb counter reports it:
 // rounded down to the meter quantum.

@@ -129,9 +129,11 @@ type Snapshot struct {
 // Capture snapshots a built world at the barrier. The scenario records
 // provenance (and nothing more — restore never re-runs placement); nw is
 // required; ch and rest may be nil when the caller has no charger or
-// discarded the post-placement stream. Capture performs only pure reads
-// of its arguments, and the snapshot does not alias them: mutating the
-// world afterwards does not affect the snapshot or its forks.
+// discarded the post-placement stream. Capture changes nothing a user of
+// its arguments can observe (reading the network brings its lazily
+// drained levels up to date), and the snapshot does not alias them:
+// mutating the world afterwards does not affect the snapshot or its
+// forks.
 func Capture(sc trace.Scenario, nw *wrsn.Network, ch *mc.Charger, rest *rng.Stream) (*Snapshot, error) {
 	if nw == nil {
 		return nil, fmt.Errorf("snapshot: nil network")

@@ -75,20 +75,19 @@ func (s Scenario) Build() (*wrsn.Network, *rng.Stream, error) {
 			}
 			sink = geom.BoundingBox(pts).Center()
 		}
-		nw, err := wrsn.NewNetwork(specs, wrsn.Config{Sink: sink, CommRange: s.CommRange, Policy: s.Policy})
-		if err != nil {
-			return nil, nil, err
-		}
-		if s.RequireConnected && nw.ConnectedCount() != nw.Len() {
+		nwCfg := wrsn.Config{Sink: sink, CommRange: s.CommRange, Policy: s.Policy}
+		if s.RequireConnected {
 			// Repair rather than resample: pull each stranded node inside
 			// radio range of a connected one. Deterministic under the
 			// placement stream and convergent, where whole-field
 			// resampling becomes hopeless at large N.
-			repairPlacement(place, specs, nw)
-			nw, err = wrsn.NewNetwork(specs, wrsn.Config{Sink: sink, CommRange: s.CommRange, Policy: s.Policy})
-			if err != nil {
+			if err := repairPlacement(place, specs, nwCfg); err != nil {
 				return nil, nil, err
 			}
+		}
+		nw, err := wrsn.NewNetwork(specs, nwCfg)
+		if err != nil {
+			return nil, nil, err
 		}
 		if !s.RequireConnected || nw.ConnectedCount() == nw.Len() {
 			return nw, rest, nil
@@ -99,35 +98,48 @@ func (s Scenario) Build() (*wrsn.Network, *rng.Stream, error) {
 	return nil, nil, fmt.Errorf("trace: no connected placement after %d tries: %w", tries, lastErr)
 }
 
-// repairPlacement relocates each disconnected node to a random offset
-// within 80% of radio range of a random connected node, mutating specs in
-// place. One pass usually suffices; chains of stranded nodes resolve over
-// the caller's rebuild because newly reachable anchors join the pool.
-func repairPlacement(r *rng.Stream, specs []wrsn.NodeSpec, nw *wrsn.Network) {
+// repairPlacement relocates each node that a network built from specs
+// under cfg would leave disconnected to a random offset within 80% of
+// radio range of a random connected node, mutating specs in place. One
+// pass usually suffices; chains of stranded nodes resolve over the
+// caller's rebuild because newly reachable anchors join the pool.
+func repairPlacement(r *rng.Stream, specs []wrsn.NodeSpec, cfg wrsn.Config) error {
+	stranded, err := wrsn.Stranded(specs, cfg)
+	if err != nil {
+		return err
+	}
 	var anchors []geom.Point
-	for _, n := range nw.Nodes() {
-		if nw.Connected(n.ID) {
-			anchors = append(anchors, n.Pos)
+	for i, st := range stranded {
+		if !st {
+			anchors = append(anchors, specs[i].Pos)
 		}
 	}
-	if len(anchors) == 0 {
-		anchors = []geom.Point{nw.Sink()}
+	if len(anchors) == len(specs) {
+		return nil
 	}
-	reach := 0.8 * nw.CommRange()
-	for _, n := range nw.Nodes() {
-		if nw.Connected(n.ID) {
+	if len(anchors) == 0 {
+		anchors = []geom.Point{cfg.Sink}
+	}
+	commRange := cfg.CommRange
+	if commRange <= 0 {
+		commRange = wrsn.DefaultCommRange
+	}
+	reach := 0.8 * commRange
+	for i, st := range stranded {
+		if !st {
 			continue
 		}
 		anchor := anchors[r.Intn(len(anchors))]
 		angle := r.Uniform(0, 2*math.Pi)
 		dist := r.Uniform(0.3, 1) * reach
 		p := geom.Pt(anchor.X+dist*math.Cos(angle), anchor.Y+dist*math.Sin(angle))
-		specs[n.ID] = wrsn.NodeSpec{
-			Pos:         p,
-			GenBps:      n.GenBps,
-			BatteryJ:    n.Battery.Capacity(),
-			InitialFrac: n.Battery.Level() / n.Battery.Capacity(),
+		ns, err := specs[i].Normalized()
+		if err != nil {
+			return err
 		}
+		ns.Pos = p
+		specs[i] = ns
 		anchors = append(anchors, p)
 	}
+	return nil
 }

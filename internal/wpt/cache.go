@@ -25,7 +25,10 @@ import (
 //   - signature: a snapshot of the model, carrier, and emitter
 //     configuration taken when the cache was built. Any mutation — the
 //     steering solvers, Translate/MoveTo, or a caller writing an emitter
-//     field directly — changes the signature and drops every entry.
+//     field directly — changes the signature and drops every entry. The
+//     owner's cache is then re-snapshotted in place, so a charger that
+//     moves and steers between probes reuses its buffers rather than
+//     allocating a cache per configuration.
 //
 // The entry map materializes lazily on the second probe of an unchanged
 // configuration: one-shot probes of a freshly steered array (the mobile
@@ -48,9 +51,11 @@ type fieldCache struct {
 	entries map[geom.Point]complex128
 
 	// jitterPt/jitterTerms memoize the per-emitter (distance, amplitude)
-	// terms of the last jittered probe position. Monte-Carlo jitter loops
-	// re-probe one victim position with fresh phase errors; the phase
-	// changes every draw but the geometry does not.
+	// terms of the last jittered probe position, while jitterOK holds.
+	// Monte-Carlo jitter loops re-probe one victim position with fresh
+	// phase errors; the phase changes every draw but the geometry does
+	// not.
+	jitterOK    bool
 	jitterPt    geom.Point
 	jitterTerms []jitterTerm
 }
@@ -69,35 +74,34 @@ func (c *fieldCache) matches(a *Array) bool {
 		slices.Equal(c.emitters, a.Emitters)
 }
 
-// newFieldCache snapshots the array's current configuration.
-func newFieldCache(a *Array) *fieldCache {
-	return &fieldCache{
-		owner:     a,
-		model:     a.Model,
-		carrier:   a.Carrier,
-		emitters:  slices.Clone(a.Emitters),
-		k:         2 * math.Pi / a.Carrier.Wavelength(),
-		sqrtAlpha: math.Sqrt(a.Model.Alpha),
-	}
+// snapshot takes the array's current configuration into c, which a
+// owns, dropping every entry and reusing c's buffers.
+func (c *fieldCache) snapshot(a *Array) {
+	c.model = a.Model
+	c.carrier = a.Carrier
+	c.emitters = append(c.emitters[:0], a.Emitters...)
+	c.k = 2 * math.Pi / a.Carrier.Wavelength()
+	c.sqrtAlpha = math.Sqrt(a.Model.Alpha)
+	clear(c.entries)
+	c.jitterOK = false
 }
 
 // cacheFor returns a cache valid for the array's current configuration,
-// building a cold one (no entry map yet) when the configuration changed.
-// The returned cache is warm — safe for entry lookups — only when warm
-// is true.
+// re-snapshotting the array's own cache (or building one, for a copy or
+// a first probe) when the configuration changed. The returned cache is
+// warm — safe for entry lookups — only when warm is true.
 func (a *Array) cacheFor() (c *fieldCache, warm bool) {
 	c = a.cache
-	if c == nil || !c.matches(a) {
-		c = newFieldCache(a)
+	switch {
+	case c != nil && c.matches(a):
+		return c, true
+	case c == nil || c.owner != a:
+		c = &fieldCache{owner: a}
 		a.cache = c
-		return c, false
 	}
-	return c, true
+	c.snapshot(a)
+	return c, false
 }
-
-// invalidate drops the cache immediately. Mutators call it so stale
-// entries are released without waiting for the signature check.
-func (a *Array) invalidate() { a.cache = nil }
 
 // fieldSum computes the superposed field at x using the cache's
 // precomputed constants. It is the single source of truth for the field
@@ -122,7 +126,7 @@ func (c *fieldCache) fieldSum(a *Array, x geom.Point) complex128 {
 // jitterTermsAt returns the jitter-independent per-emitter terms at x,
 // memoizing the most recent probe position.
 func (c *fieldCache) jitterTermsAt(a *Array, x geom.Point) []jitterTerm {
-	if c.jitterTerms != nil && c.jitterPt == x {
+	if c.jitterOK && c.jitterPt == x {
 		return c.jitterTerms
 	}
 	terms := c.jitterTerms[:0]
@@ -136,6 +140,7 @@ func (c *fieldCache) jitterTermsAt(a *Array, x geom.Point) []jitterTerm {
 		}
 		terms = append(terms, t)
 	}
+	c.jitterOK = true
 	c.jitterPt = x
 	c.jitterTerms = terms
 	return terms

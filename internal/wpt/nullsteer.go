@@ -34,7 +34,6 @@ var ErrGainInfeasible = errors.New("wpt: amplitude equalization exceeds gain lim
 // k equal-amplitude elements the received RF power is k² times a single
 // element's (array gain). All gains are set to 1.
 func SteerFocus(a *Array, target geom.Point) error {
-	a.invalidate()
 	k := 2 * math.Pi / a.Carrier.Wavelength()
 	inRange := false
 	for i := range a.Emitters {
@@ -78,7 +77,6 @@ func SteerResidual(a *Array, victim geom.Point, targetRF float64) error {
 	if targetRF < 0 {
 		return fmt.Errorf("wpt: negative target residual %v", targetRF)
 	}
-	a.invalidate()
 	e0, e1 := &a.Emitters[0], &a.Emitters[1]
 	d0, d1 := e0.Pos.Dist(victim), e1.Pos.Dist(victim)
 	if d0 > a.Model.Range || d1 > a.Model.Range {

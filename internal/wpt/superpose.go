@@ -113,26 +113,27 @@ func (a *Array) Translate(offset geom.Point) {
 	for i := range a.Emitters {
 		a.Emitters[i].Pos = a.Emitters[i].Pos.Add(offset)
 	}
-	a.invalidate()
 }
 
 // MoveTo repositions the array so its centroid sits at dst, preserving the
 // relative element layout.
 func (a *Array) MoveTo(dst geom.Point) {
-	pts := make([]geom.Point, len(a.Emitters))
-	for i, e := range a.Emitters {
-		pts[i] = e.Pos
-	}
-	a.Translate(dst.Sub(geom.Centroid(pts)))
+	a.Translate(dst.Sub(a.Centroid()))
 }
 
-// Centroid returns the array's chassis position (emitter centroid).
+// Centroid returns the array's chassis position (emitter centroid), the
+// sum and division of geom.Centroid over the emitter positions.
 func (a *Array) Centroid() geom.Point {
-	pts := make([]geom.Point, len(a.Emitters))
-	for i, e := range a.Emitters {
-		pts[i] = e.Pos
+	if len(a.Emitters) == 0 {
+		return geom.Point{}
 	}
-	return geom.Centroid(pts)
+	var c geom.Point
+	for _, e := range a.Emitters {
+		c.X += e.Pos.X
+		c.Y += e.Pos.Y
+	}
+	n := float64(len(a.Emitters))
+	return geom.Point{X: c.X / n, Y: c.Y / n}
 }
 
 // FieldAt returns the complex superposed field amplitude at point x, in √W.

@@ -3,7 +3,7 @@ package wrsn
 import "math/bits"
 
 // bitset is a dense bit vector over node indices, sized once at network
-// construction. The alive and failed sets live here instead of in
+// construction. The alive, low, connected and failed sets live here instead of in
 // per-node structs: a 100k-node membership scan touches ~1.5 KB of
 // contiguous words instead of 100k scattered struct fields, and set
 // differences (the incremental router's dirty detection) become word-wise
@@ -23,6 +23,15 @@ func (b bitset) reset() {
 }
 
 func (b bitset) copyFrom(src bitset) { copy(b, src) }
+
+// count returns the number of set bits.
+func (b bitset) count() int {
+	c := 0
+	for _, w := range b {
+		c += bits.OnesCount64(w)
+	}
+	return c
+}
 
 // appendAndNot appends to dst the indices present in b but not in other
 // (b &^ other), ascending. Words are scanned via trailing-zero counts, so

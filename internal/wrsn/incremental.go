@@ -52,10 +52,11 @@ import (
 // Dirty nodes pop from a heap keyed by load order, so children usually
 // fold before their parents; a child that orders after its parent (equal
 // route distance, higher ID) re-dirties the parent when its relay
-// changes. A drain is rewritten, and listed for NextDepletionAfter, only
-// where it changed. The incremental oracle test and FuzzIncrementalRouting
-// pin every field (distances, predecessors, parents, children order,
-// loads, drains) against a from-scratch reference.
+// changes. A drain is rewritten only where it changed, and the node is
+// synced under its old drain first and re-keyed after (see drain.go).
+// The incremental oracle test and FuzzIncrementalRouting pin every field
+// (distances, predecessors, parents, children order, loads, drains)
+// against a from-scratch reference.
 //
 // A full rebuild remains the fallback: when no valid tree exists, when the
 // policy is energy-aware, when incremental maintenance is toggled off,
@@ -83,7 +84,6 @@ func (nw *Network) SetIncrementalRouting(on bool) { nw.fullOnly = !on }
 // true immediately: the tree, loads, and drains are already exact.
 func (nw *Network) recomputeIncremental() bool {
 	n := len(nw.nodes)
-	nw.rewritten = nw.rewritten[:0]
 	nw.inA.reset()
 	aff := nw.affected[:0]
 	stack := nw.stack[:0]
@@ -187,7 +187,7 @@ func (nw *Network) deriveAffected(aff []int32) bool {
 		v := int(v32)
 		old, p := nw.parent[v], nw.treeParent(v)
 		nw.hopDist[v] = nw.dist[v]
-		nw.parent[v] = p
+		nw.setParent(v, p)
 		nw.markDirty(v)
 		if old >= 0 {
 			nw.markDirty(int(old))
@@ -240,12 +240,18 @@ func (nw *Network) markDirty(i int) {
 	}
 }
 
-// setDrain stores node i's drain, listing i as rewritten when the value
-// changed.
+// setDrain stores node i's drain. A changed drain changes the node's
+// trajectory, so the node is synced under the old one and re-keyed. A
+// new network's first rebuild writes every drain before any node is
+// keyed (no tree is valid yet, and no step has run); recomputeFull then
+// keys them all at once.
 func (nw *Network) setDrain(i int, w float64) {
 	if nw.drainW[i] != w {
+		nw.sync(i)
 		nw.drainW[i] = w
-		nw.rewritten = append(nw.rewritten, int32(i))
+		if nw.treeValid {
+			nw.rekey(i)
+		}
 	}
 }
 

@@ -138,9 +138,9 @@ func mutate(rng *rand.Rand, nw *Network) {
 	case 1:
 		nw.ptrs[id].Repair()
 	case 2:
-		nw.bats[id].SetLevel(0)
+		nw.ptrs[id].SetLevel(0)
 	case 3:
-		nw.bats[id].SetLevel(nw.bats[id].Capacity() * rng.Float64())
+		nw.ptrs[id].SetLevel(nw.ptrs[id].Capacity() * rng.Float64())
 	case 4:
 		// Batch kill: usually a handful, occasionally most of the field
 		// (which must trip the affected-set bound into a full rebuild).
@@ -149,7 +149,7 @@ func mutate(rng *rand.Rand, nw *Network) {
 			k = n/2 + rng.Intn(n/2)
 		}
 		for j := 0; j < k; j++ {
-			nw.bats[rng.Intn(n)].SetLevel(0)
+			nw.ptrs[rng.Intn(n)].SetLevel(0)
 		}
 	case 5:
 		nw.AdvanceEnergy(600 + rng.Float64()*7200)
@@ -250,12 +250,12 @@ func TestIncrementalToggleIdentical(t *testing.T) {
 			nw.ptrs[id].Repair()
 			full.ptrs[id].Repair()
 		case 2:
-			nw.bats[id].SetLevel(0)
-			full.bats[id].SetLevel(0)
+			nw.ptrs[id].SetLevel(0)
+			full.ptrs[id].SetLevel(0)
 		case 3:
-			lvl := nw.bats[id].Capacity() * rng.Float64()
-			nw.bats[id].SetLevel(lvl)
-			full.bats[id].SetLevel(lvl)
+			lvl := nw.ptrs[id].Capacity() * rng.Float64()
+			nw.ptrs[id].SetLevel(lvl)
+			full.ptrs[id].SetLevel(lvl)
 		}
 		nw.Recompute()
 		full.Recompute()
@@ -272,8 +272,9 @@ func TestIncrementalToggleIdentical(t *testing.T) {
 // incremental path.
 func recomputeIncr(t *testing.T, nw *Network, tag string) {
 	t.Helper()
+	before := nw.fullRebuilds
 	nw.Recompute()
-	if nw.incrEpoch != nw.epoch {
+	if nw.fullRebuilds != before {
 		t.Fatalf("%s: Recompute took the full path", tag)
 	}
 }
@@ -311,12 +312,12 @@ func TestIncrementalLateChild(t *testing.T) {
 		}
 	}
 	relay("initial", 3*DefaultGenBps) // nodes 3, 4 (through 3) and 5
-	nw.bats[4].SetLevel(0)
-	nw.bats[5].SetLevel(0)
+	nw.ptrs[4].SetLevel(0)
+	nw.ptrs[5].SetLevel(0)
 	recomputeIncr(t, nw, "kill 4 and 5")
 	relay("kill 4 and 5", DefaultGenBps)
-	nw.bats[4].SetLevel(nw.bats[4].Capacity())
-	nw.bats[5].SetLevel(nw.bats[5].Capacity())
+	nw.ptrs[4].SetLevel(nw.ptrs[4].Capacity())
+	nw.ptrs[5].SetLevel(nw.ptrs[5].Capacity())
 	recomputeIncr(t, nw, "revive 4 and 5")
 	relay("revive 4 and 5", 3*DefaultGenBps)
 }
@@ -470,9 +471,9 @@ func FuzzIncrementalRouting(f *testing.F) {
 			case 1:
 				nw.ptrs[id].Repair()
 			case 2:
-				nw.bats[id].SetLevel(0)
+				nw.ptrs[id].SetLevel(0)
 			case 3:
-				nw.bats[id].SetLevel(nw.bats[id].Capacity())
+				nw.ptrs[id].SetLevel(nw.ptrs[id].Capacity())
 			}
 			if op&0x80 != 0 && k < len(data)-1 {
 				continue

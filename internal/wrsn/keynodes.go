@@ -24,7 +24,6 @@ type KeyNode struct {
 // Severed count is the total size of those subtrees.
 func (nw *Network) KeyNodes() []KeyNode {
 	n := len(nw.nodes)
-	nw.refreshLive()
 	lt := nw.links
 	const unvisited = -1
 	disc := make([]int, n+1)
@@ -106,7 +105,6 @@ func (nw *Network) KeyNodes() []KeyNode {
 // implementation KeyNodes is validated against and is also used by
 // simulation code for one-off queries.
 func (nw *Network) SeveredByDeath(id NodeID) int {
-	nw.refreshLive()
 	if !nw.nodes[id].Alive() {
 		return 0
 	}
@@ -130,7 +128,6 @@ func (nw *Network) SeveredSet(id NodeID) []NodeID {
 	if !nw.nodes[id].Alive() {
 		return nil
 	}
-	nw.refreshLive()
 	base, _ := nw.reach(-1)
 	after, _ := nw.reach(int(id))
 	var severed []NodeID
@@ -178,7 +175,6 @@ func (nw *Network) reach(skip int) ([]bool, int) {
 // secondary target scoring.
 func (nw *Network) Betweenness() []float64 {
 	n := len(nw.nodes)
-	nw.refreshLive()
 	cb := make([]float64, n+1)
 	// Scratch buffers reused across sources.
 	sigma := make([]float64, n+1)

@@ -130,7 +130,7 @@ func TestKeyNodesIgnoreDead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	last.Battery.SetLevel(0)
+	last.SetLevel(0)
 	nw.Recompute()
 	keys := nw.KeyNodes()
 	// Node 2 no longer severs anyone (its only child is dead).

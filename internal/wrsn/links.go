@@ -88,6 +88,53 @@ func (nw *Network) index() error {
 	return nil
 }
 
+// Stranded reports which nodes of a network built from specs under cfg
+// would start without a route to the sink: born depleted, or out of
+// multi-hop radio range of it through nodes that are not. It is the
+// connectivity NewNetwork's routing would find, read off a breadth-first
+// search of the link table from the sink: only the position grid and
+// the link table are built.
+func Stranded(specs []NodeSpec, cfg Config) ([]bool, error) {
+	n := len(specs)
+	if n == 0 {
+		return nil, ErrNoNodes
+	}
+	if cfg.CommRange <= 0 {
+		cfg.CommRange = DefaultCommRange
+	}
+	nw := &Network{sink: cfg.Sink, commRange: cfg.CommRange, pos: make([]geom.Point, n)}
+	alive := newBitset(n)
+	for i, s := range specs {
+		if err := s.checkPos(i); err != nil {
+			return nil, err
+		}
+		b, _, err := s.battery()
+		if err != nil {
+			return nil, fmt.Errorf("node %d: %w", i, err)
+		}
+		nw.pos[i] = s.Pos
+		setBit(alive, i, !b.Depleted())
+	}
+	if err := nw.index(); err != nil {
+		return nil, err
+	}
+	stranded := make([]bool, n)
+	for i := range stranded {
+		stranded[i] = true
+	}
+	queue := append(make([]int32, 0, n+1), int32(n))
+	for k := 0; k < len(queue); k++ {
+		to, _ := nw.links.row(int(queue[k]))
+		for _, v := range to {
+			if int(v) != n && alive.get(int(v)) && stranded[v] {
+				stranded[v] = false
+				queue = append(queue, v)
+			}
+		}
+	}
+	return stranded, nil
+}
+
 // rowScratch recycles index's row buffer, so a process that builds
 // many worlds in a row, such as a sweep, allocates it about once.
 var rowScratch = sync.Pool{New: func() any { return new([]int32) }}

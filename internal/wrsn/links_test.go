@@ -51,7 +51,6 @@ func graphPos(nw *Network, u int) geom.Point {
 // equal, bit for bit, to Dist measured from either end.
 func checkLinks(t *testing.T, nw *Network, tag string) {
 	t.Helper()
-	nw.refreshLive()
 	got, want := aliveRows(nw), bruteAdjacency(nw)
 	for u := range want {
 		if !slices.Equal(got[u], want[u]) {
@@ -214,4 +213,71 @@ func fuzzPoint(data []byte, rangeM float64, sink geom.Point, specs []NodeSpec) (
 		p.Y = 0
 	}
 	return p, data, true
+}
+
+// TestStrandedMatchesConnected holds Stranded's search over the link
+// table to the connectivity NewNetwork's routing finds: a node is
+// stranded exactly when the built network gives it no route. The fixed
+// cases put born-depleted relays on the only path and the sink out of
+// everyone's range; the random ones mix both into scattered fields,
+// some under the default radio range.
+func TestStrandedMatchesConnected(t *testing.T) {
+	const dead = 1e-12 // a born-depleted initial fraction
+	line := func(fracs ...float64) []NodeSpec {
+		specs := make([]NodeSpec, len(fracs))
+		for i, f := range fracs {
+			specs[i] = NodeSpec{Pos: geom.Point{X: float64(i+1) * 30}, InitialFrac: f}
+		}
+		return specs
+	}
+	type tc struct {
+		name  string
+		specs []NodeSpec
+		cfg   Config
+	}
+	cases := []tc{
+		{"chain", line(1, 1, 1, 1), Config{CommRange: 35}},
+		{"dead relay", line(1, dead, 1, 1), Config{CommRange: 35}},
+		{"dead first hop", line(dead, 1, 1), Config{CommRange: 35}},
+		{"sink out of range", line(1, 1, 1), Config{Sink: geom.Point{X: -100}, CommRange: 35}},
+	}
+	r := rand.New(rand.NewSource(7))
+	for k := 0; k < 60; k++ {
+		specs := make([]NodeSpec, 5+r.Intn(60))
+		for i := range specs {
+			specs[i] = NodeSpec{Pos: geom.Point{X: 300 * r.Float64(), Y: 300 * r.Float64()}, InitialFrac: 1}
+			if r.Intn(8) == 0 {
+				specs[i].InitialFrac = dead
+			}
+		}
+		cfg := Config{Sink: geom.Point{X: 300 * r.Float64(), Y: 300 * r.Float64()}, CommRange: 30 + 40*r.Float64()}
+		if k%4 == 0 {
+			cfg.CommRange = 0
+		}
+		cases = append(cases, tc{fmt.Sprintf("random %d", k), specs, cfg})
+	}
+	var stranded, reached int
+	for _, c := range cases {
+		got, err := Stranded(c.specs, c.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		nw, err := NewNetwork(c.specs, c.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		for i := range c.specs {
+			if got[i] != !nw.Connected(NodeID(i)) {
+				t.Fatalf("%s: node %d stranded %v, connected %v", c.name, i, got[i], nw.Connected(NodeID(i)))
+			}
+			if got[i] {
+				stranded++
+			} else {
+				reached++
+			}
+		}
+	}
+	if stranded == 0 || reached == 0 {
+		t.Fatalf("cases cover %d stranded and %d reached nodes, want both", stranded, reached)
+	}
 }

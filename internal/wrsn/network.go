@@ -35,14 +35,17 @@ var ErrNoNodes = errors.New("wrsn: network requires at least one node")
 // indexed by NodeID, so the hot loops (adjacency builds, energy advance,
 // depletion scans) stream contiguous memory instead of chasing per-node
 // pointers. The Node type is a view layer over this storage; Nodes() and
-// Node(id) hand out pointer-stable handles with the pre-SoA API.
+// Node(id) hand out pointer-stable handles whose battery accessors read
+// and write through the network.
 //
 // The routing tree and loads are recomputed by Recompute; they reflect only
 // nodes that were alive at that call. Recompute maintains the tree
 // incrementally across alive-set changes (see incremental.go) and falls
 // back to a full Dijkstra rebuild when that is cheaper or required; both
-// paths produce bit-identical results. Network is not safe for concurrent
-// mutation.
+// paths produce bit-identical results. The battery drain is lazy (see
+// drain.go), so reading a level can bring a node up to date: Network is
+// not safe for concurrent use, reads included, except that Fork only
+// reads its receiver.
 type Network struct {
 	// Struct-of-arrays primary state, all indexed by NodeID.
 	pos    []geom.Point
@@ -73,11 +76,29 @@ type Network struct {
 	loads    []energy.Load
 	children [][]NodeID
 	// drainW caches DrainWatts per node for the current tree; energy
-	// advance and depletion forecasting read it every step.
+	// advance and depletion forecasting read it.
 	drainW []float64
-	// epoch counts the changes that can move a depletion forecast other
-	// than the dense drain pass itself; see Epoch.
-	epoch uint64
+	// conn mirrors parent != ParentNone, written wherever parent is.
+	conn bitset
+
+	// Lazy drain state (see drain.go). dts logs the steps since every
+	// node was last synced, synced holds each node's position in it, and
+	// clock is the float sum of every step's dt. live is the in-service
+	// set and low its members at or below reqFrac of capacity, both kept
+	// exact event by event. deaths and crossings key the alive nodes by
+	// the earliest clock at which they can deplete or cross the request
+	// threshold; age counts the steps since they were last rebuilt.
+	dts       []float64
+	synced    []int32
+	clock     float64
+	age       int
+	reqFrac   float64
+	live      bitset
+	low       bitset
+	deaths    eventHeap
+	crossings eventHeap
+	died      []NodeID
+	popped    []int32
 
 	// Shortest-path state persisted between Recompute calls for
 	// incremental maintenance: Dijkstra distances and predecessors (graph
@@ -88,6 +109,9 @@ type Network struct {
 	prevLive  bitset
 	treeValid bool
 	fullOnly  bool
+	// fullRebuilds counts recomputeFull runs, so tests can tell the
+	// incremental path from the full one.
+	fullRebuilds int
 
 	// Scratch buffers reused across Recompute calls so steady-state
 	// routing rebuilds stop allocating. All are sized at construction
@@ -98,7 +122,6 @@ type Network struct {
 	queue    []int32
 	kids     []NodeID
 	nearBuf  []NodeID
-	live     bitset
 	inA      bitset
 	affected []int32
 	stack    []int32
@@ -109,12 +132,6 @@ type Network struct {
 	// (see deriveAll); incremental maintenance is suspended until a full
 	// rebuild finds none.
 	cyclic bool
-	// rewritten lists the nodes whose drain the last incremental
-	// Recompute changed, and incrEpoch is the epoch that Recompute left
-	// (zero when the last Recompute was a full rebuild);
-	// NextDepletionAfter reads both.
-	rewritten []int32
-	incrEpoch uint64
 }
 
 // RoutingPolicy selects the edge-weight objective of the sink-rooted
@@ -155,8 +172,8 @@ func (p RoutingPolicy) String() string {
 type Config struct {
 	// Sink is the base-station location.
 	Sink geom.Point
-	// CommRange is the radio disk radius in meters; non-positive gets the
-	// default 50 m.
+	// CommRange is the radio disk radius in meters; non-positive gets
+	// DefaultCommRange.
 	CommRange float64
 	// Radio overrides the consumption model; the zero value gets
 	// energy.DefaultRadioModel.
@@ -166,6 +183,10 @@ type Config struct {
 	Policy RoutingPolicy
 }
 
+// DefaultCommRange is the radio disk radius, in meters, of a Config that
+// leaves CommRange unset.
+const DefaultCommRange = 50.0
+
 // NewNetwork builds a network from node specs and immediately computes
 // routing and loads.
 func NewNetwork(specs []NodeSpec, cfg Config) (*Network, error) {
@@ -173,7 +194,7 @@ func NewNetwork(specs []NodeSpec, cfg Config) (*Network, error) {
 		return nil, ErrNoNodes
 	}
 	if cfg.CommRange <= 0 {
-		cfg.CommRange = 50
+		cfg.CommRange = DefaultCommRange
 	}
 	if cfg.Radio == (energy.RadioModel{}) {
 		cfg.Radio = energy.DefaultRadioModel()
@@ -196,6 +217,7 @@ func NewNetwork(specs []NodeSpec, cfg Config) (*Network, error) {
 			return nil, err
 		}
 	}
+	nw.initLive()
 	if err := nw.index(); err != nil {
 		return nil, err
 	}
@@ -209,56 +231,69 @@ func NewNetwork(specs []NodeSpec, cfg Config) (*Network, error) {
 // what keep the first large-N recompute (and everything after it)
 // reallocation-free.
 func (nw *Network) grow(n int) {
+	// Same-typed arrays are cut from one block per type: a fork builds
+	// every one of them, and a few large allocations cost less than
+	// thirty small ones.
+	words := (n + 63) / 64
+	sets := make([]uint64, 7*words)
+	f64 := make([]float64, 6*n+1+256)
+	i32 := make([]int32, 6*n+3*64)
 	nw.pos = make([]geom.Point, n)
-	nw.genBps = make([]float64, n)
+	nw.genBps = take(&f64, n)
 	nw.bats = make([]energy.Battery, n)
-	nw.failed = newBitset(n)
+	nw.failed = take(&sets, words)
 	nw.nodes = make([]Node, n)
 	nw.ptrs = make([]*Node, n)
 	nw.parent = make([]NodeID, n)
-	nw.hopDist = make([]float64, n)
+	nw.hopDist = take(&f64, n)
 	nw.loads = make([]energy.Load, n)
 	nw.children = make([][]NodeID, n)
-	nw.drainW = make([]float64, n)
-	nw.dist = make([]float64, n+1)
+	nw.drainW = take(&f64, n)
+	nw.conn = take(&sets, words)
+	nw.dist = take(&f64, n+1)
 	nw.pred = make([]int, n+1)
-	nw.prevLive = newBitset(n)
-	nw.live = newBitset(n)
-	nw.inA = newBitset(n)
+	nw.prevLive = take(&sets, words)
+	nw.dts = take(&f64, 256)[:0]
+	nw.synced = take(&i32, n)
+	nw.reqFrac = DefaultRequestFraction
+	nw.live = take(&sets, words)
+	nw.low = take(&sets, words)
+	nw.deaths = newEventHeap(take(&f64, n), take(&i32, n)[:0], take(&i32, n))
+	nw.crossings = newEventHeap(take(&f64, n), take(&i32, n)[:0], take(&i32, n))
+	nw.died = make([]NodeID, 0, 16)
+	nw.popped = take(&i32, 64)[:0]
+	nw.inA = take(&sets, words)
 	nw.pq = make(distHeap, 0, n+1)
-	nw.queue = make([]int32, 0, n)
-	nw.inDirty = newBitset(n)
+	nw.queue = take(&i32, n)[:0]
+	nw.inDirty = take(&sets, words)
 	nw.dirty = make(distHeap, 0, 64)
-	nw.rewritten = make([]int32, 0, 64)
-	nw.affected = make([]int32, 0, 64)
-	nw.stack = make([]int32, 0, 64)
+	nw.affected = take(&i32, 64)[:0]
+	nw.stack = take(&i32, 64)[:0]
+}
+
+// take cuts the next n elements off the front of *block, capped at n so
+// that an append past them reallocates rather than spilling into the
+// next slice cut from the block.
+func take[T any](block *[]T, n int) []T {
+	s := (*block)[:n:n]
+	*block = (*block)[n:]
+	return s
 }
 
 // initNode validates one spec and writes it into slot i of the dense
 // storage, wiring up the view handle.
 func (nw *Network) initNode(i int, spec NodeSpec) error {
-	if !finite(spec.Pos.X) || !finite(spec.Pos.Y) {
-		return fmt.Errorf("wrsn: node %d: non-finite position %v", i, spec.Pos)
+	if err := spec.checkPos(i); err != nil {
+		return err
 	}
-	capJ := spec.BatteryJ
-	if capJ <= 0 {
-		capJ = DefaultBatteryJ
-	}
-	frac := spec.InitialFrac
-	if frac <= 0 || frac > 1 {
-		frac = 1
-	}
+	var gen float64
 	var err error
-	if nw.bats[i], err = energy.MakeBattery(capJ, capJ*frac, DefaultMeterQuantumJ); err != nil {
+	if nw.bats[i], gen, err = spec.battery(); err != nil {
 		return fmt.Errorf("node %d: %w", i, err)
-	}
-	gen := spec.GenBps
-	if gen <= 0 {
-		gen = DefaultGenBps
 	}
 	nw.pos[i] = spec.Pos
 	nw.genBps[i] = gen
-	nw.nodes[i] = Node{ID: NodeID(i), Pos: spec.Pos, Battery: &nw.bats[i], GenBps: gen, net: nw}
+	nw.nodes[i] = Node{ID: NodeID(i), Pos: spec.Pos, GenBps: gen, net: nw}
 	nw.ptrs[i] = &nw.nodes[i]
 	return nil
 }
@@ -289,40 +324,16 @@ func (nw *Network) CommRange() float64 { return nw.commRange }
 // Radio returns the consumption model.
 func (nw *Network) Radio() energy.RadioModel { return nw.radio }
 
-// aliveIdx reports whether node i is in service, straight off the dense
-// storage.
-func (nw *Network) aliveIdx(i int) bool {
-	return !nw.failed.get(i) && !nw.bats[i].Depleted()
-}
-
-// refreshLive recomputes the alive bitset from the failed bits and
-// battery levels. Batteries mutate through shared pointers (drains,
-// charging sessions), so the set is re-derived wherever it is read rather
-// than maintained event-by-event. Each 64-node word is built in a
-// register from the battery levels, highest node first so each bit
-// shifts in by one, has the failed word cleared out of it, and is
-// stored once.
-func (nw *Network) refreshLive() {
-	for w := range nw.live {
-		bats := nw.bats[w<<6 : min(w<<6+64, len(nw.bats))]
-		var word uint64
-		for j := len(bats) - 1; j >= 0; j-- {
-			word = word<<1 | uint64(b2i(!bats[j].Depleted()))
-		}
-		nw.live[w] = word &^ nw.failed[w]
-	}
-}
-
-// AliveCount returns the number of nodes with residual energy.
-func (nw *Network) AliveCount() int {
-	alive := 0
+// initLive derives the live set from freshly written batteries and fault
+// bits; from then on it follows every death and revival.
+func (nw *Network) initLive() {
 	for i := range nw.bats {
-		if nw.aliveIdx(i) {
-			alive++
-		}
+		setBit(nw.live, i, !nw.failed.get(i) && !nw.bats[i].Depleted())
 	}
-	return alive
 }
+
+// AliveCount returns the number of nodes in service.
+func (nw *Network) AliveCount() int { return nw.live.count() }
 
 // NodesNear appends to dst every alive node whose position is within
 // rangeM of pos (by the exact Dist ≤ rangeM predicate), in ascending ID
@@ -335,7 +346,7 @@ func (nw *Network) NodesNear(dst []*Node, pos geom.Point, rangeM float64) []*Nod
 	ids := nw.nearBuf[:0]
 	for _, ci := range nw.cand {
 		i := int(ci)
-		if nw.aliveIdx(i) && pos.Dist(nw.pos[i]) <= rangeM {
+		if nw.live.get(i) && pos.Dist(nw.pos[i]) <= rangeM {
 			ids = append(ids, NodeID(ci))
 		}
 	}
@@ -366,11 +377,8 @@ func (nw *Network) NodesNear(dst []*Node, pos geom.Point, rangeM float64) []*Nod
 // rebuilds fully, because its edge weights depend on battery levels, not
 // just on the alive set.
 func (nw *Network) Recompute() {
-	nw.epoch++
-	nw.refreshLive()
 	if nw.treeValid && !nw.cyclic && !nw.fullOnly && nw.policy != PolicyEnergyAware && nw.recomputeIncremental() {
 		nw.prevLive.copyFrom(nw.live)
-		nw.incrEpoch = nw.epoch
 		return
 	}
 	nw.recomputeFull()
@@ -379,8 +387,15 @@ func (nw *Network) Recompute() {
 }
 
 // recomputeFull runs Dijkstra from the sink (graph index n) under the
-// configured edge-weight policy over the whole alive topology.
+// configured edge-weight policy over the whole alive topology. Under
+// energy-aware routing it syncs every node first, because the edge
+// weights read battery levels. The first rebuild, which writes every
+// drain of a new network, keys every node after it (see setDrain).
 func (nw *Network) recomputeFull() {
+	nw.fullRebuilds++
+	if nw.policy == PolicyEnergyAware {
+		nw.syncAll()
+	}
 	n := len(nw.nodes)
 	dist := nw.dist
 	pred := nw.pred
@@ -405,6 +420,9 @@ func (nw *Network) recomputeFull() {
 		}
 	}
 	nw.deriveAll()
+	if !nw.treeValid {
+		nw.rekeyAll()
+	}
 }
 
 // relax offers node v the path through u (graph index; n means the sink)
@@ -479,14 +497,14 @@ func (nw *Network) deriveAll() {
 	for i := range nw.nodes {
 		nw.hopDist[i] = nw.dist[i]
 		p := nw.treeParent(i)
-		nw.parent[i] = p
+		nw.setParent(i, p)
 		switch {
 		case p == ParentNone:
 			// Clear rather than leave the load a node carried while it was
 			// last connected, so aged and freshly rebuilt networks hold
 			// identical state.
 			nw.loads[i] = energy.Load{}
-			nw.drainW[i] = base
+			nw.setDrain(i, base)
 			continue
 		case p == ParentSink:
 			q = append(q, int32(i))
@@ -525,6 +543,12 @@ func (nw *Network) deriveAll() {
 	}
 }
 
+// setParent stores node i's routing parent and its connected bit.
+func (nw *Network) setParent(i int, p NodeID) {
+	nw.parent[i] = p
+	setBit(nw.conn, i, p != ParentNone)
+}
+
 // foldLoad derives connected node i's load from its children's: its own
 // traffic, plus the sum of each child's generated and relayed traffic,
 // accumulated in load order (descending route distance, ascending ID;
@@ -560,7 +584,7 @@ func (nw *Network) foldLoad(i int) energy.Load {
 // forecasts into array reads.
 func (nw *Network) setLoad(i int, ld energy.Load) {
 	nw.loads[i] = ld
-	nw.drainW[i] = nw.radio.DrainWatts(ld)
+	nw.setDrain(i, nw.radio.DrainWatts(ld))
 }
 
 // orderKeyLess is the load order's canonical key: descending route
@@ -582,7 +606,7 @@ func (nw *Network) weight(d float64, to int) float64 {
 		// Penalize relaying through drained nodes: a nearly-empty relay
 		// costs up to 4× its distance, pushing traffic to healthier paths
 		// when any exist.
-		frac := nw.bats[to].Fraction()
+		frac := nw.bats[to].Fraction() // synced by recomputeFull
 		return d * (1 + 3*(1-frac))
 	default:
 		return d
@@ -611,15 +635,7 @@ func (nw *Network) DrainWatts(id NodeID) float64 { return nw.drainW[id] }
 func (nw *Network) Connected(id NodeID) bool { return nw.parent[id] != ParentNone }
 
 // ConnectedCount returns the number of alive nodes with a route to the sink.
-func (nw *Network) ConnectedCount() int {
-	c := 0
-	for i := range nw.nodes {
-		if nw.parent[i] != ParentNone {
-			c++
-		}
-	}
-	return c
-}
+func (nw *Network) ConnectedCount() int { return nw.conn.count() }
 
 // distHeap is a min-heap for Dijkstra, stored by value and sifted
 // manually so pushes never box through an interface. Items order by the

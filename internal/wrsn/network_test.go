@@ -147,7 +147,7 @@ func TestRecomputeAfterDeath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mid.Battery.SetLevel(0)
+	mid.SetLevel(0)
 	nw.Recompute()
 	if nw.Connected(1) {
 		t.Error("dead node reported connected")
@@ -185,14 +185,14 @@ func TestNodeSpecDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n.Battery.Capacity() != DefaultBatteryJ {
-		t.Errorf("default capacity = %v", n.Battery.Capacity())
+	if n.Capacity() != DefaultBatteryJ {
+		t.Errorf("default capacity = %v", n.Capacity())
 	}
 	if n.GenBps != DefaultGenBps {
 		t.Errorf("default gen = %v", n.GenBps)
 	}
-	if n.Battery.Fraction() != 1 {
-		t.Errorf("default initial fraction = %v", n.Battery.Fraction())
+	if n.Fraction() != 1 {
+		t.Errorf("default initial fraction = %v", n.Fraction())
 	}
 }
 

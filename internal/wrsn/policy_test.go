@@ -51,7 +51,7 @@ func TestEnergyAwareAvoidsDrainedRelay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.Battery.SetLevel(0.05 * b.Battery.Capacity())
+	b.SetLevel(0.05 * b.Capacity())
 	nw.Recompute()
 	if p := nw.Parent(2); p != 0 {
 		t.Errorf("drained: C's parent = %v, want relay A (0)", p)
@@ -62,7 +62,7 @@ func TestEnergyAwareAvoidsDrainedRelay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2.Battery.SetLevel(0.05 * b2.Battery.Capacity())
+	b2.SetLevel(0.05 * b2.Capacity())
 	nw2.Recompute()
 	if p := nw2.Parent(2); p != 1 {
 		t.Errorf("shortest-distance shifted anyway: parent = %v", p)

@@ -64,12 +64,12 @@ func (nw *Network) RobustnessSweep(strategy RemovalStrategy, steps int, r *rng.S
 	}
 	// Save battery levels to restore the network afterward.
 	saved := make([]float64, len(nw.nodes))
-	for i, n := range nw.nodes {
-		saved[i] = n.Battery.Level()
+	for i, n := range nw.ptrs {
+		saved[i] = n.Level()
 	}
 	defer func() {
-		for i, n := range nw.nodes {
-			n.Battery.SetLevel(saved[i])
+		for i := range nw.nodes {
+			nw.SetLevel(NodeID(i), saved[i])
 		}
 		nw.Recompute()
 	}()
@@ -81,7 +81,7 @@ func (nw *Network) RobustnessSweep(strategy RemovalStrategy, steps int, r *rng.S
 		if !ok {
 			break // nobody left to remove
 		}
-		nw.nodes[victim].Battery.SetLevel(0)
+		nw.SetLevel(victim, 0)
 		nw.Recompute()
 		points = append(points, RobustnessPoint{Removed: k, Connected: nw.ConnectedCount()})
 	}

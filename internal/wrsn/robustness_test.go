@@ -12,13 +12,13 @@ func TestRobustnessSweepRestoresState(t *testing.T) {
 	nw := mustNetwork(t, lineSpecs(6, 40), Config{Sink: geom.Pt(0, 0), CommRange: 50})
 	before := make([]float64, nw.Len())
 	for i, n := range nw.Nodes() {
-		before[i] = n.Battery.Level()
+		before[i] = n.Level()
 	}
 	if _, err := nw.RobustnessSweep(RemoveBySeverance, 4, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i, n := range nw.Nodes() {
-		if n.Battery.Level() != before[i] {
+		if n.Level() != before[i] {
 			t.Fatalf("node %d battery not restored", i)
 		}
 	}

@@ -61,12 +61,11 @@ func TestGridAdjacencyMatchesBrute(t *testing.T) {
 		for _, n := range nw.nodes {
 			switch rng.Intn(5) {
 			case 0:
-				n.Battery.Drain(n.Battery.Level() + 1)
+				nw.Drain(n.ID, n.Level()+1)
 			case 1:
 				n.Fail()
 			}
 		}
-		nw.refreshLive()
 		got := aliveRows(nw)
 		want := bruteAdjacency(nw)
 		if len(got) != len(want) {
@@ -147,7 +146,7 @@ func TestRecomputeAfterDeathsStillCorrect(t *testing.T) {
 	for round := 0; round < 4; round++ {
 		for i, n := range nw.nodes {
 			if (i+round)%7 == 0 {
-				n.Battery.Drain(n.Battery.Level() + 1)
+				nw.Drain(n.ID, n.Level()+1)
 			}
 		}
 		nw.Recompute()
@@ -158,7 +157,7 @@ func TestRecomputeAfterDeathsStillCorrect(t *testing.T) {
 		}
 		for i, n := range nw.nodes {
 			if !n.Alive() {
-				ref.nodes[i].Battery.Drain(ref.nodes[i].Battery.Level() + 1)
+				ref.Drain(NodeID(i), ref.nodes[i].Level()+1)
 			}
 		}
 		ref.Recompute()

@@ -34,9 +34,12 @@ type State struct {
 	Nodes     []NodeState       `json:"nodes"`
 }
 
-// State captures the network's current primary state. The result is
+// State captures the network's current primary state. It syncs every
+// node first (see drain.go), which changes no level a reader can see
+// and leaves the next capture only the steps taken since. The result is
 // self-contained: mutating the network afterwards does not alter it.
 func (nw *Network) State() State {
+	nw.syncAll()
 	st := State{
 		Sink:      nw.sink,
 		CommRange: nw.commRange,
@@ -45,12 +48,13 @@ func (nw *Network) State() State {
 		Nodes:     make([]NodeState, len(nw.nodes)),
 	}
 	for i := range nw.nodes {
+		b := &nw.bats[i]
 		st.Nodes[i] = NodeState{
 			Pos:       nw.pos[i],
 			GenBps:    nw.genBps[i],
-			CapacityJ: nw.bats[i].Capacity(),
-			LevelJ:    nw.bats[i].Level(),
-			QuantumJ:  nw.bats[i].Quantum(),
+			CapacityJ: b.Capacity(),
+			LevelJ:    b.Level(),
+			QuantumJ:  b.Quantum(),
 			Failed:    nw.failed.get(i),
 		}
 	}
@@ -88,9 +92,10 @@ func FromState(st State) (*Network, error) {
 		if ns.Failed {
 			nw.failed.set(i)
 		}
-		nw.nodes[i] = Node{ID: NodeID(i), Pos: ns.Pos, Battery: &nw.bats[i], GenBps: ns.GenBps, net: nw}
+		nw.nodes[i] = Node{ID: NodeID(i), Pos: ns.Pos, GenBps: ns.GenBps, net: nw}
 		nw.ptrs[i] = &nw.nodes[i]
 	}
+	nw.initLive()
 	if err := nw.index(); err != nil {
 		return nil, err
 	}
@@ -99,14 +104,15 @@ func FromState(st State) (*Network, error) {
 }
 
 // Fork returns an independent copy-on-write copy of the network: the dense
-// primary state is block-copied (batteries are one memcpy instead of
-// per-node clones) so the fork's energy dynamics never touch the original,
-// while the position grid and the link table — immutable after
-// construction — are shared. The derived routing state and the persisted
-// shortest-path state (distances, predecessors, the alive set the tree
-// was computed over) are copied rather than recomputed, so forking skips
-// the Dijkstra pass the original already paid for and the fork's first
-// Recompute can continue incrementally.
+// primary state is block-copied so the fork's energy dynamics never touch
+// the original, while the position grid and the link table — immutable
+// after construction — are shared. Each battery is copied brought up to
+// the original's clock, so the fork starts with an empty step log. The
+// derived routing state, the persisted shortest-path state (distances,
+// predecessors, the alive set the tree was computed over) and the lazy
+// drain's sets and heaps are copied rather than recomputed, so forking
+// skips the Dijkstra pass the original already paid for and the fork's
+// first Recompute can continue incrementally.
 //
 // Fork performs only pure reads of the receiver, so many goroutines may
 // fork the same template network concurrently as long as none of them
@@ -125,11 +131,22 @@ func (nw *Network) Fork() *Network {
 	copy(f.pos, nw.pos)
 	copy(f.genBps, nw.genBps)
 	copy(f.bats, nw.bats)
+	if len(nw.dts) > 0 {
+		for i := range f.bats {
+			f.bats[i] = nw.replayed(i)
+		}
+	}
 	f.failed.copyFrom(nw.failed)
 	for i := range f.nodes {
-		f.nodes[i] = Node{ID: NodeID(i), Pos: f.pos[i], Battery: &f.bats[i], GenBps: f.genBps[i], net: f}
+		f.nodes[i] = Node{ID: NodeID(i), Pos: f.pos[i], GenBps: f.genBps[i], net: f}
 		f.ptrs[i] = &f.nodes[i]
 	}
+	f.clock, f.age, f.reqFrac = nw.clock, nw.age, nw.reqFrac
+	f.live.copyFrom(nw.live)
+	f.low.copyFrom(nw.low)
+	f.conn.copyFrom(nw.conn)
+	f.deaths.copyFrom(&nw.deaths)
+	f.crossings.copyFrom(&nw.crossings)
 	copy(f.parent, nw.parent)
 	copy(f.hopDist, nw.hopDist)
 	copy(f.loads, nw.loads)
