@@ -102,19 +102,15 @@ func BenchmarkCheckpointCapture(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			env, led, w := layers(context.Background(), nw, ch, cfg, sched)
-			ck := &checkpointer{
-				plan: &CheckpointPlan{
-					Scenario: sc,
-					Sink:     func(*snapshot.Snapshot) error { return nil },
-				},
-				nw: nw, ch: ch, w: w, led: led, env: env,
-				pol: policy.NewLegit(), keys: nw.KeyNodes(), r: env.Rand,
-			}
+			env, _, _ := layers(context.Background(), nw, ch, cfg, sched)
+			armCheckpoints(&CheckpointPlan{
+				Scenario: sc,
+				Sink:     func(*snapshot.Snapshot) error { return nil },
+			}, env, policy.NewLegit(), nw.KeyNodes())
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := ck.barrier(policy.Barrier{}); err != nil {
+				if err := env.Checkpoint(policy.Barrier{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -19,7 +19,6 @@ package campaign
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"github.com/reprolab/wrsn-csa/internal/attack"
 	"github.com/reprolab/wrsn-csa/internal/campaign/ledger"
@@ -353,11 +352,7 @@ func drive(ctx context.Context, env *policy.Env, cfg Config, pol policy.Policy, 
 		w.MarkKey(k.ID)
 	}
 	if cfg.Checkpoint != nil {
-		ck := &checkpointer{
-			plan: cfg.Checkpoint, nw: w.Network(), ch: ch, w: w, led: env.L,
-			env: env, pol: pol, keys: keys, r: env.Rand, last: time.Now(),
-		}
-		env.Checkpoint = ck.barrier
+		armCheckpoints(cfg.Checkpoint, env, pol, keys)
 	}
 	var err error
 	if rp == nil {

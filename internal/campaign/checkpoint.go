@@ -16,13 +16,11 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/reprolab/wrsn-csa/internal/campaign/ledger"
 	"github.com/reprolab/wrsn-csa/internal/campaign/policy"
 	"github.com/reprolab/wrsn-csa/internal/campaign/session"
 	"github.com/reprolab/wrsn-csa/internal/campaign/world"
 	"github.com/reprolab/wrsn-csa/internal/charging"
 	"github.com/reprolab/wrsn-csa/internal/detect"
-	"github.com/reprolab/wrsn-csa/internal/mc"
 	"github.com/reprolab/wrsn-csa/internal/rng"
 	"github.com/reprolab/wrsn-csa/internal/snapshot"
 	"github.com/reprolab/wrsn-csa/internal/trace"
@@ -78,8 +76,32 @@ func sessionParams(cfg Config) session.Params {
 	}
 }
 
-// schedTour is the run scheduler's checkpoint form: PeriodicTSP's
-// unserved tour, nil for the stateless schedulers.
+// offer is the one capture gate of the single-charger and fleet runs,
+// called at every barrier. When Stop fires, or Every has passed since
+// *last (or Every is non-positive), it captures a snapshot through take
+// and hands it to Sink; when Stop fired it then ends the run with
+// ErrStopped.
+func (p *CheckpointPlan) offer(last *time.Time, take func() (*snapshot.Snapshot, error)) error {
+	stop := p.Stop != nil && p.Stop()
+	if !stop && p.Every > 0 && time.Since(*last) < p.Every {
+		return nil
+	}
+	snap, err := take()
+	if err != nil {
+		return err
+	}
+	if err := p.Sink(snap); err != nil {
+		return err
+	}
+	*last = time.Now()
+	if stop {
+		return ErrStopped
+	}
+	return nil
+}
+
+// schedTour is a scheduler's checkpoint form: PeriodicTSP's unserved
+// tour, nil for the stateless schedulers.
 func schedTour(s charging.Scheduler) []wrsn.NodeID {
 	if p, ok := s.(*charging.PeriodicTSP); ok {
 		return p.Tour()
@@ -87,60 +109,35 @@ func schedTour(s charging.Scheduler) []wrsn.NodeID {
 	return nil
 }
 
-// resumeSched is prepare for a resumed run: the run's fresh scheduler
-// gets back the tour the checkpoint captured.
-func resumeSched(cfg *Config, cs *snapshot.CampaignState) (charging.Scheduler, error) {
-	sched, err := cfg.prepare()
-	if p, ok := sched.(*charging.PeriodicTSP); ok {
-		p.SetTour(cs.Tour)
+// setTour gives a resumed run's fresh scheduler back the tour schedTour
+// captured.
+func setTour(s charging.Scheduler, tour []wrsn.NodeID) {
+	if p, ok := s.(*charging.PeriodicTSP); ok {
+		p.SetTour(tour)
 	}
-	return sched, err
 }
 
-// checkpointer drives single-charger captures at policy barriers.
-type checkpointer struct {
-	plan *CheckpointPlan
-	nw   *wrsn.Network
-	ch   *mc.Charger
-	w    *world.W
-	led  *ledger.L
-	env  *policy.Env
-	pol  policy.Policy
-	keys []wrsn.KeyNode
-	r    *rng.Stream
-	last time.Time
-}
-
-// barrier is the Env.Checkpoint hook.
-func (c *checkpointer) barrier(b policy.Barrier) error {
-	stop := c.plan.Stop != nil && c.plan.Stop()
-	if !stop && c.plan.Every > 0 && time.Since(c.last) < c.plan.Every {
-		return nil
+// armCheckpoints makes every policy barrier of a single-charger run a
+// capture point of plan.
+func armCheckpoints(plan *CheckpointPlan, env *policy.Env, pol policy.Policy, keys []wrsn.KeyNode) {
+	last := time.Now()
+	env.Checkpoint = func(b policy.Barrier) error {
+		return plan.offer(&last, func() (*snapshot.Snapshot, error) {
+			ps, err := policy.CaptureState(pol, env, b)
+			if err != nil {
+				return nil, err
+			}
+			w := env.W
+			return snapshot.CaptureLive(plan.Scenario, w.Network(), env.A.Ch, w.Engine(), &snapshot.CampaignState{
+				World:  w.State(),
+				Ledger: env.L.Clone(),
+				Rand:   env.Rand.State(),
+				Keys:   append([]wrsn.KeyNode(nil), keys...),
+				Policy: ps,
+				Tour:   schedTour(env.Scheduler),
+			})
+		})
 	}
-	ps, err := policy.CaptureState(c.pol, c.env, b)
-	if err != nil {
-		return err
-	}
-	cs := &snapshot.CampaignState{
-		World:  c.w.State(),
-		Ledger: ledger.StateOf(c.led),
-		Rand:   c.r.State(),
-		Keys:   append([]wrsn.KeyNode(nil), c.keys...),
-		Policy: ps,
-		Tour:   schedTour(c.env.Scheduler),
-	}
-	snap, err := snapshot.CaptureLive(c.plan.Scenario, c.nw, c.ch, c.w.Engine(), cs)
-	if err != nil {
-		return err
-	}
-	if err := c.plan.Sink(snap); err != nil {
-		return err
-	}
-	c.last = time.Now()
-	if stop {
-		return ErrStopped
-	}
-	return nil
 }
 
 // Resume continues a single-charger campaign from a live checkpoint. The
@@ -162,10 +159,11 @@ func Resume(ctx context.Context, snap *snapshot.Snapshot, cfg Config) (*Outcome,
 	if cs.Policy == nil {
 		return nil, fmt.Errorf("campaign: snapshot lacks policy state")
 	}
-	sched, err := resumeSched(&cfg, cs)
+	sched, err := cfg.prepare()
 	if err != nil {
 		return nil, err
 	}
+	setTour(sched, cs.Tour)
 	nw, ch, _, err := snap.Fork()
 	if err != nil {
 		return nil, err
@@ -173,15 +171,15 @@ func Resume(ctx context.Context, snap *snapshot.Snapshot, cfg Config) (*Outcome,
 	if ch == nil {
 		return nil, fmt.Errorf("campaign: single-charger checkpoint has no charger")
 	}
-	led := ledger.FromState(cs.Ledger)
-	w, err := world.Resume(ctx, nw, led, worldParams(cfg), cfg.Probe, cs.World)
+	led := cs.Ledger.Clone()
+	w, err := world.Resume(ctx, nw, &led, worldParams(cfg), cfg.Probe, cs.World)
 	if err != nil {
 		return nil, err
 	}
 	if err := w.Engine().RestorePending(snap.PendingEvents()); err != nil {
 		return nil, err
 	}
-	env := newEnv(w, led, ch, rng.FromState(cs.Rand), cfg, sched)
+	env := newEnv(w, &led, ch, rng.FromState(cs.Rand), cfg, sched)
 	pol, rp, err := policy.FromState(cs.Policy, env)
 	if err != nil {
 		return nil, err

@@ -72,12 +72,15 @@ type FleetOutcome struct {
 // had no fault plan.
 func (o *FleetOutcome) FaultReport() *faults.Report { return o.faults }
 
-// fleetCh is one charger's in-flight assignment state — the fields the
-// old closure handlers captured, now addressable so they checkpoint.
-// Fields other than phase/req are meaningful only while EnRoute or
-// Serving; they keep their last values while Idle (and checkpoint as
-// such, which keeps resumed runs byte-identical to uninterrupted ones).
+// fleetCh is one charger's scheduler and in-flight assignment state,
+// addressable so it checkpoints. Fields other than sched/phase/req are
+// meaningful only while EnRoute or Serving; they keep their last values
+// while Idle (and checkpoint as such, which keeps resumed runs
+// byte-identical to uninterrupted ones).
 type fleetCh struct {
+	// sched is this charger's own scheduler, so a stateful one
+	// (PeriodicTSP) plans each tour from the charger that walks it.
+	sched       charging.Scheduler
 	phase       int // snapshot.FleetIdle / FleetEnRoute / FleetServing
 	req         charging.Request
 	rate        float64
@@ -92,7 +95,6 @@ type fleetCh struct {
 // actors, and the shared dispatch bookkeeping.
 type fleetRun struct {
 	cfg      Config
-	sched    charging.Scheduler
 	nw       *wrsn.Network
 	w        *world.W
 	led      *ledger.L
@@ -107,19 +109,25 @@ type fleetRun struct {
 	view charging.Queue
 }
 
-// newFleetRun wires actors and binds the keyed fleet handlers on the
-// world's engine. It schedules nothing: a fresh run seeds the tick and
-// dispatch events itself, a resumed run restores the captured queue.
-func newFleetRun(nw *wrsn.Network, chargers []*mc.Charger, cfg Config, sched charging.Scheduler, led *ledger.L, w *world.W, r *rng.Stream) *fleetRun {
+// newFleetRun resolves each charger's scheduler, wires actors and binds
+// the keyed fleet handlers on the world's engine. It schedules nothing: a
+// fresh run seeds the tick and dispatch events itself, a resumed run
+// restores the captured queue. cfg must be prepared.
+func newFleetRun(nw *wrsn.Network, chargers []*mc.Charger, cfg Config, led *ledger.L, w *world.W, r *rng.Stream) (*fleetRun, error) {
 	sp := sessionParams(cfg)
 	f := &fleetRun{
-		cfg: cfg, sched: sched, nw: nw, w: w, led: led, r: r,
+		cfg: cfg, nw: nw, w: w, led: led, r: r,
 		chargers: chargers,
 		actors:   make([]*session.Actor, len(chargers)),
 		st:       make([]fleetCh, len(chargers)),
 		reserved: make(map[wrsn.NodeID]bool),
 	}
 	for i, ch := range chargers {
+		sched, err := charging.ByName(cfg.Scheduler)
+		if err != nil {
+			return nil, err
+		}
+		f.st[i].sched = sched
 		f.actors[i] = session.NewActor(w, ch, led, r, sp, cfg.Probe)
 	}
 	eng := w.Engine()
@@ -128,13 +136,14 @@ func newFleetRun(nw *wrsn.Network, chargers []*mc.Charger, cfg Config, sched cha
 	eng.Bind(fleetDispatchKind, f.dispatch)
 	eng.Bind(fleetArriveKind, f.arrive)
 	eng.Bind(fleetEndKind, f.end)
-	return f
+	return f, nil
 }
 
-// pick returns the scheduler's choice among unreserved requests.
-func (f *fleetRun) pick(ch *mc.Charger) (charging.Request, bool) {
+// pick returns charger idx's scheduler's choice among unreserved
+// requests.
+func (f *fleetRun) pick(idx int) (charging.Request, bool) {
 	f.view.Filter(f.w.Queue(), func(r charging.Request) bool { return !f.reserved[r.Node] })
-	return f.sched.Next(&f.view, ch.Pos(), f.w.Now())
+	return f.st[idx].sched.Next(&f.view, f.chargers[idx].Pos(), f.w.Now())
 }
 
 // tick advances batteries, deaths, and requests between fleet events.
@@ -168,7 +177,7 @@ func (f *fleetRun) dispatch(e *sim.Engine, idx int) {
 		_ = e.AtKeyed(at, fleetDispatchKind, idx, "breakdown-standby")
 		return
 	}
-	req, ok := f.pick(ch)
+	req, ok := f.pick(idx)
 	if !ok {
 		_ = e.AfterKeyed(f.cfg.PollSec, fleetDispatchKind, idx, "idle-poll")
 		return
@@ -275,68 +284,45 @@ func (f *fleetRun) captureState() *snapshot.CampaignState {
 		s := f.st[i]
 		fc := snapshot.FleetCharger{
 			Charger: ch.State(), Phase: s.phase,
+			Tour: schedTour(s.sched),
 			Rate: s.rate, Dur: s.dur, Start: s.start,
 			MeterBefore: s.meterBefore, TravelT: s.travelT,
 			Solicited: s.solicited,
 		}
 		if s.phase != snapshot.FleetIdle {
-			rs := world.RequestStateOf(s.req)
-			fc.Req = &rs
+			req := s.req
+			fc.Req = &req
 		}
 		fs.Chargers[i] = fc
 	}
 	return &snapshot.CampaignState{
 		World:  f.w.State(),
-		Ledger: ledger.StateOf(f.led),
+		Ledger: f.led.Clone(),
 		Rand:   f.r.State(),
 		Fleet:  fs,
-		Tour:   schedTour(f.sched),
 	}
 }
 
-// fleetCheckpointer captures after engine events; the fleet has no
-// policy drive loop, so every executed event is a barrier (handlers
-// CatchUp first, so the world clock equals the engine clock).
-type fleetCheckpointer struct {
-	plan *CheckpointPlan
-	f    *fleetRun
-	last time.Time
-}
-
-func (c *fleetCheckpointer) afterEvent() error {
-	if c.f.w.Canceled() {
-		// A canceled handler returns without CatchUp; the world may lag
-		// the engine, so this is not a capturable barrier. The pump
-		// drains and the run reports ctx.Err().
-		return nil
-	}
-	stop := c.plan.Stop != nil && c.plan.Stop()
-	if !stop && c.plan.Every > 0 && time.Since(c.last) < c.plan.Every {
-		return nil
-	}
-	snap, err := snapshot.CaptureLive(c.plan.Scenario, c.f.nw, nil, c.f.w.Engine(), c.f.captureState())
-	if err != nil {
-		return err
-	}
-	if err := c.plan.Sink(snap); err != nil {
-		return err
-	}
-	c.last = time.Now()
-	if stop {
-		return ErrStopped
-	}
-	return nil
-}
-
-// pump runs the engine to the horizon, hooked when checkpointing.
+// pump runs the engine to the horizon. When checkpointing, every
+// executed event is a barrier: the fleet has no policy drive loop, and
+// its handlers CatchUp first, so the world clock equals the engine clock.
 func (f *fleetRun) pump() error {
-	eng := f.w.Engine()
-	if f.cfg.Checkpoint == nil {
+	eng, plan := f.w.Engine(), f.cfg.Checkpoint
+	if plan == nil {
 		return eng.RunUntil(f.cfg.HorizonSec, 50_000_000)
 	}
-	ck := &fleetCheckpointer{plan: f.cfg.Checkpoint, f: f, last: time.Now()}
+	last := time.Now()
+	take := func() (*snapshot.Snapshot, error) {
+		return snapshot.CaptureLive(plan.Scenario, f.nw, nil, eng, f.captureState())
+	}
 	return eng.RunUntilHook(f.cfg.HorizonSec, 50_000_000, func(string, string) error {
-		return ck.afterEvent()
+		if f.w.Canceled() {
+			// A canceled handler returns without CatchUp; the world may
+			// lag the engine, so this is not a capturable barrier. The
+			// pump drains and the run reports ctx.Err().
+			return nil
+		}
+		return plan.offer(&last, take)
 	})
 }
 
@@ -398,14 +384,16 @@ func RunLegitFleet(ctx context.Context, nw *wrsn.Network, chargers []*mc.Charger
 	if len(chargers) == 0 {
 		return nil, fmt.Errorf("campaign: fleet needs at least one charger")
 	}
-	sched, err := cfg.prepare()
-	if err != nil {
+	if _, err := cfg.prepare(); err != nil {
 		return nil, err
 	}
 	led := ledger.New()
 	w := world.New(ctx, nw, led, worldParams(cfg), cfg.Probe)
 	r := rng.New(cfg.Seed).Split("campaign")
-	f := newFleetRun(nw, chargers, cfg, sched, led, w, r)
+	f, err := newFleetRun(nw, chargers, cfg, led, w, r)
+	if err != nil {
+		return nil, err
+	}
 	eng := w.Engine()
 	if err := eng.AtKeyed(0, fleetTickKind, 0, "world-tick"); err != nil {
 		return nil, err
@@ -436,16 +424,15 @@ func ResumeFleet(ctx context.Context, snap *snapshot.Snapshot, cfg Config) (*Fle
 	if len(cs.Fleet.Chargers) == 0 {
 		return nil, fmt.Errorf("campaign: fleet checkpoint has no chargers")
 	}
-	sched, err := resumeSched(&cfg, cs)
-	if err != nil {
+	if _, err := cfg.prepare(); err != nil {
 		return nil, err
 	}
 	nw, _, _, err := snap.Fork()
 	if err != nil {
 		return nil, err
 	}
-	led := ledger.FromState(cs.Ledger)
-	w, err := world.Resume(ctx, nw, led, worldParams(cfg), cfg.Probe, cs.World)
+	led := cs.Ledger.Clone()
+	w, err := world.Resume(ctx, nw, &led, worldParams(cfg), cfg.Probe, cs.World)
 	if err != nil {
 		return nil, err
 	}
@@ -457,7 +444,10 @@ func ResumeFleet(ctx context.Context, snap *snapshot.Snapshot, cfg Config) (*Fle
 		}
 		chargers[i] = ch
 	}
-	f := newFleetRun(nw, chargers, cfg, sched, led, w, rng.FromState(cs.Rand))
+	f, err := newFleetRun(nw, chargers, cfg, &led, w, rng.FromState(cs.Rand))
+	if err != nil {
+		return nil, err
+	}
 	f.busy = cs.Fleet.Busy
 	for _, id := range cs.Fleet.Reserved {
 		f.reserved[id] = true
@@ -468,8 +458,9 @@ func ResumeFleet(ctx context.Context, snap *snapshot.Snapshot, cfg Config) (*Fle
 		s.rate, s.dur, s.start = fc.Rate, fc.Dur, fc.Start
 		s.meterBefore, s.travelT = fc.MeterBefore, fc.TravelT
 		s.solicited = fc.Solicited
+		setTour(s.sched, fc.Tour)
 		if fc.Req != nil {
-			req, err := fc.Req.Request(nw)
+			req, err := world.RestoreRequest(nw, *fc.Req)
 			if err != nil {
 				return nil, fmt.Errorf("campaign: resume charger %d assignment: %w", i, err)
 			}

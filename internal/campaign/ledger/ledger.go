@@ -65,6 +65,25 @@ type L struct {
 // New returns an empty ledger.
 func New() *L { return &L{FirstDeath: math.Inf(1)} }
 
+// Clone returns a deep copy: the copy shares no slice with l, so a
+// checkpoint taken with Clone stays fixed while the run goes on, and a
+// resumed run never writes into the checkpoint it started from. An
+// empty slice clones to nil, so a checkpoint encodes it as null however
+// the run came to hold it.
+func (l *L) Clone() L {
+	c := *l
+	c.Sessions = clone(l.Sessions)
+	c.Audit.Sessions = clone(l.Audit.Sessions)
+	c.Audit.Deaths = clone(l.Audit.Deaths)
+	c.Audit.Unserved = clone(l.Audit.Unserved)
+	c.Samples = clone(l.Samples)
+	c.Exposures = clone(l.Exposures)
+	c.Faults.SinkWindows = clone(l.Faults.SinkWindows)
+	return c
+}
+
+func clone[S ~[]E, E any](s S) S { return append(S(nil), s...) }
+
 // Catch records the charger's impoundment; only the first catch counts.
 func (l *L) Catch(at float64, by string) {
 	if l.Caught {

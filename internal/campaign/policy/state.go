@@ -15,24 +15,24 @@ import (
 // and contributes only its name and the loop position.
 type State struct {
 	// Policy is "legit" or the attack solver name.
-	Policy string `json:"policy"`
+	Policy string
 	// Stage/Prev/WaitUntil record the drive-loop barrier (see ResumePoint).
-	Stage     string  `json:"stage"`
-	Prev      int     `json:"prev,omitempty"`
-	WaitUntil float64 `json:"wait_until,omitempty"`
+	Stage     string
+	Prev      int
+	WaitUntil float64
 
 	// Attacker phase machine; zero for legit.
-	Phase    int              `json:"phase,omitempty"`
-	Honest   bool             `json:"honest,omitempty"`
-	Idx      int              `json:"idx,omitempty"`
-	Pending  []attack.Site    `json:"pending,omitempty"`
-	Engaged  []wrsn.NodeID    `json:"engaged,omitempty"`
-	Instance *attack.Instance `json:"instance,omitempty"`
-	Result   *attack.Result   `json:"result,omitempty"`
+	Phase    int
+	Honest   bool
+	Idx      int
+	Pending  []attack.Site
+	Engaged  []wrsn.NodeID
+	Instance *attack.Instance
+	Result   *attack.Result
 
 	// Env bookkeeping.
-	Targets []wrsn.NodeID `json:"targets,omitempty"`
-	Blocked []wrsn.NodeID `json:"blocked,omitempty"`
+	Targets []wrsn.NodeID
+	Blocked []wrsn.NodeID
 }
 
 // sortedIDs flattens a node-ID set deterministically.

@@ -16,7 +16,7 @@ import (
 // op starts from a fork of the same template, made outside the timed
 // region, so every op does the same work: the drain, the request scan,
 // the depletion forecasts, and the routing recomputes after the day's
-// deaths. Batteries start between 12% and 90%, so nodes cross the
+// deaths. Batteries start between 20% and 90%, so nodes cross the
 // request threshold and some die within the day.
 func BenchmarkWorldStep(b *testing.B) {
 	for _, n := range []int{1000, 10_000} {
@@ -29,6 +29,10 @@ func BenchmarkWorldStep(b *testing.B) {
 			}
 			p := Params{PollSec: 900, RequestFrac: wrsn.DefaultRequestFraction, AuditEverySec: -1}
 			b.ReportAllocs()
+			// The template build is set-up, not an op: left on the clock it
+			// lands in the timed total once per call and its share of
+			// ns/op and allocs/op shrinks as b.N grows.
+			b.ResetTimer()
 			var issued, deaths int
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()

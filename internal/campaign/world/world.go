@@ -109,6 +109,20 @@ type W struct {
 // later — at equal timestamps the fault applies first. The network's
 // request fraction is set to p.RequestFrac, which its low set tracks.
 func New(ctx context.Context, nw *wrsn.Network, led *ledger.L, p Params, probe obs.Probe) *W {
+	w := build(ctx, nw, led, p, probe)
+	if w.plan != nil {
+		// ErrPast is impossible here: the engine clock is zero and plan
+		// events are non-negative.
+		_ = faults.Compile(w.plan, w.eng, w.faultHooks())
+	}
+	return w
+}
+
+// build is the construction New and Resume share: the world at clock
+// zero on a fresh engine with the step chain bound, and the dense
+// per-node tables sized for the network. It schedules nothing and binds
+// no fault handler; New compiles the fault plan, Resume only binds it.
+func build(ctx context.Context, nw *wrsn.Network, led *ledger.L, p Params, probe obs.Probe) *W {
 	n := len(nw.Nodes())
 	nw.SetRequestFraction(p.RequestFrac)
 	w := &W{
@@ -128,19 +142,22 @@ func New(ctx context.Context, nw *wrsn.Network, led *ledger.L, p Params, probe o
 		w.plan = p.Faults
 		w.retxAttempt = make([]int, n)
 		w.retxNext = make([]float64, n)
-		// ErrPast is impossible here: the engine clock is zero and plan
-		// events are non-negative.
-		_ = faults.Compile(w.plan, w.eng, faults.Hooks{
-			Sync:        w.CatchUp,
-			NodeDown:    w.failNode,
-			NodeUp:      w.repairNode,
-			ChargerDown: w.chargerDown,
-			ChargerUp:   w.chargerUp,
-			SinkDown:    w.sinkOutage,
-			SinkUp:      w.sinkRestore,
-		})
 	}
 	return w
+}
+
+// faultHooks routes the fault plan's events to the world's handlers.
+// Each method value allocates, so a fault-free run never builds them.
+func (w *W) faultHooks() faults.Hooks {
+	return faults.Hooks{
+		Sync:        w.CatchUp,
+		NodeDown:    w.failNode,
+		NodeUp:      w.repairNode,
+		ChargerDown: w.chargerDown,
+		ChargerUp:   w.chargerUp,
+		SinkDown:    w.sinkOutage,
+		SinkUp:      w.sinkRestore,
+	}
 }
 
 // stepKind is the keyed-event kind of the world's step chain. Keyed
@@ -209,10 +226,7 @@ func (w *W) Auditing() bool { return w.auditing }
 // in it, plus the forecast's candidates, so its cost follows the events
 // rather than the node count.
 func (w *W) step(target float64) {
-	step := min(target, w.now+w.p.PollSec)
-	if dt, _ := w.nw.NextDepletion(w.now); dt > w.now && dt < step {
-		step = dt
-	}
+	step := w.boundary(target)
 	died := w.nw.AdvanceEnergy(step - w.now)
 	w.now = step
 	if len(died) > 0 {
@@ -230,6 +244,17 @@ func (w *W) step(target float64) {
 	if w.nw.Policy() == wrsn.PolicyEnergyAware {
 		w.nw.Recompute()
 	}
+}
+
+// boundary is the next step boundary toward target: the target, the
+// next poll tick, or the forecast's next depletion when that is later
+// than now, whichever is soonest.
+func (w *W) boundary(target float64) float64 {
+	next := min(target, w.now+w.p.PollSec)
+	if dt, _ := w.nw.NextDepletion(w.now); dt > w.now && dt < next {
+		next = dt
+	}
+	return next
 }
 
 // AdvanceTo moves the world clock to t through the event engine: each
@@ -282,10 +307,7 @@ func (w *W) scheduleStep(target float64) {
 	if w.now >= target || w.Canceled() {
 		return
 	}
-	next := min(target, w.now+w.p.PollSec)
-	if dt, _ := w.nw.NextDepletion(w.now); dt > w.now && dt < next {
-		next = dt
-	}
+	next := w.boundary(target)
 	// AdvanceTo cannot be called from inside a handler, so at most one
 	// step chain is in flight and a single target field suffices.
 	w.stepTarget = target

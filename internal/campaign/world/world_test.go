@@ -95,11 +95,11 @@ func TestCatchUpReentrantCall(t *testing.T) {
 	}}
 	w, led, _ := testWorld(t, context.Background(), plan)
 	var sawDown bool
-	err := w.Engine().At(1000, "test.reentrant", func(e *sim.Engine) {
+	w.Engine().Bind("test.reentrant", func(e *sim.Engine, _ int) {
 		w.CatchUp(e.Now())
 		sawDown = w.ChargerDownUntil() > 0
 	})
-	if err != nil {
+	if err := w.Engine().AtKeyed(1000, "test.reentrant", 0, "test.reentrant"); err != nil {
 		t.Fatal(err)
 	}
 	w.AdvanceTo(3000)

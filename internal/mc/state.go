@@ -8,45 +8,30 @@ import (
 	"github.com/reprolab/wrsn-csa/internal/wpt"
 )
 
-// ArrayState is the serializable form of the charger's emitter array:
-// model constants plus per-element position/gain/phase. The field cache is
-// derived state and is not captured.
-type ArrayState struct {
-	Model          wpt.ChargeModel `json:"model"`
-	Carrier        wpt.Carrier     `json:"carrier"`
-	Emitters       []wpt.Emitter   `json:"emitters"`
-	MaxGain        float64         `json:"max_gain"`
-	PhaseJitterRad float64         `json:"phase_jitter_rad"`
-}
-
 // State is the serializable form of a Charger: configuration, position,
 // spent budget, the full array (including any steering applied), and the
-// assumed rectifier. Telemetry probes and the steered-array memo are
-// runtime-only and are not captured.
+// assumed rectifier. The array is captured as itself: its exported
+// fields are its configuration, and its field cache is unexported, so it
+// is neither encoded nor copied. Telemetry probes and the steered-array
+// memo are runtime-only and are not captured.
 type State struct {
-	Params    Params        `json:"params"`
-	Pos       geom.Point    `json:"pos"`
-	Depot     geom.Point    `json:"depot"`
-	SpentJ    float64       `json:"spent_j"`
-	Array     ArrayState    `json:"array"`
-	Rectifier wpt.Rectifier `json:"rectifier"`
+	Params    Params
+	Pos       geom.Point
+	Depot     geom.Point
+	SpentJ    float64
+	Array     wpt.Array
+	Rectifier wpt.Rectifier
 }
 
 // State captures the charger's current state. The result is self-contained:
 // mutating the charger afterwards does not alter it.
 func (c *Charger) State() State {
 	return State{
-		Params: c.params,
-		Pos:    c.pos,
-		Depot:  c.depot,
-		SpentJ: c.spent,
-		Array: ArrayState{
-			Model:          c.array.Model,
-			Carrier:        c.array.Carrier,
-			Emitters:       append([]wpt.Emitter(nil), c.array.Emitters...),
-			MaxGain:        c.array.MaxGain,
-			PhaseJitterRad: c.array.PhaseJitterRad,
-		},
+		Params:    c.params,
+		Pos:       c.pos,
+		Depot:     c.depot,
+		SpentJ:    c.spent,
+		Array:     *c.array.Clone(),
 		Rectifier: c.rect,
 	}
 }
@@ -56,13 +41,7 @@ func (c *Charger) State() State {
 // needed. Probes never alter charger behavior, so a restored run replays
 // identically regardless.
 func FromState(st State) (*Charger, error) {
-	arr := &wpt.Array{
-		Model:          st.Array.Model,
-		Carrier:        st.Array.Carrier,
-		Emitters:       append([]wpt.Emitter(nil), st.Array.Emitters...),
-		MaxGain:        st.Array.MaxGain,
-		PhaseJitterRad: st.Array.PhaseJitterRad,
-	}
+	arr := st.Array.Clone()
 	if err := arr.Validate(); err != nil {
 		return nil, fmt.Errorf("mc: restoring charger array: %w", err)
 	}

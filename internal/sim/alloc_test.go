@@ -12,11 +12,8 @@ import (
 func TestSteadyStateAllocFree(t *testing.T) {
 	e := New()
 	e.Grow(4)
-	var tick Handler
-	tick = func(en *Engine) {
-		_ = en.After(1, "tick", tick)
-	}
-	if err := e.At(0, "tick", tick); err != nil {
+	e.Bind("tick", func(en *Engine, _ int) { _ = en.AfterKeyed(1, "tick", 0, "tick") })
+	if err := e.AtKeyed(0, "tick", 0, "tick"); err != nil {
 		t.Fatal(err)
 	}
 	// Warm up so the queue is at steady-state occupancy.
@@ -37,14 +34,11 @@ func TestSteadyStateAllocFree(t *testing.T) {
 func TestMixedLoadAllocFree(t *testing.T) {
 	e := New()
 	e.Grow(16)
-	mk := func(period float64, name string) Handler {
-		var h Handler
-		h = func(en *Engine) { _ = en.After(period, name, h) }
-		return h
-	}
-	for i, period := range []float64{1, 2.5, 7, 30} {
-		name := []string{"poll", "sample", "audit", "watch"}[i]
-		if err := e.At(0, name, mk(period, name)); err != nil {
+	periods := []float64{1, 2.5, 7, 30}
+	names := []string{"poll", "sample", "audit", "watch"}
+	e.Bind("periodic", func(en *Engine, i int) { _ = en.AfterKeyed(periods[i], "periodic", i, names[i]) })
+	for i, name := range names {
+		if err := e.AtKeyed(0, "periodic", i, name); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -64,9 +58,10 @@ func TestMixedLoadAllocFree(t *testing.T) {
 func TestGrowPreallocates(t *testing.T) {
 	e := New()
 	e.Grow(64)
+	e.Bind("burst", func(*Engine, int) {})
 	allocs := testing.AllocsPerRun(10, func() {
 		for i := 0; i < 64; i++ {
-			if err := e.After(float64(i), "burst", func(*Engine) {}); err != nil {
+			if err := e.AfterKeyed(float64(i), "burst", i, "burst"); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -16,16 +16,13 @@ import (
 // ErrPast is returned when an event is scheduled before the current clock.
 var ErrPast = errors.New("sim: event scheduled in the past")
 
-// Handler is an event callback. It runs with the engine clock set to the
-// event's timestamp and may schedule further events.
-type Handler func(e *Engine)
-
-// KeyedHandler is the registry-bound form of Handler: the event carries a
-// kind (resolved through the engine's handler registry at execution time)
-// and an integer argument instead of a closure. Keyed events are the unit
-// of live checkpointing — (t, seq, kind, arg, name) serializes, a closure
-// does not — and late binding means a restored engine re-binds handlers
-// once and the restored queue finds them.
+// KeyedHandler is an event callback. It runs with the engine clock set to
+// the event's timestamp and may schedule further events. An event names
+// its handler by kind (resolved through the engine's registry when the
+// event pops) and carries an integer argument, never a closure, so every
+// queued event serializes as (t, seq, kind, arg, name) into a live
+// checkpoint, and late binding means a restored engine re-binds its
+// handlers once and the restored queue finds them.
 type KeyedHandler func(e *Engine, arg int)
 
 // Engine drives a single-threaded discrete-event simulation. It is not
@@ -75,25 +72,6 @@ func (e *Engine) Grow(n int) {
 	e.queue = slices.Grow(e.queue, n)
 }
 
-// At schedules fn at absolute time t. Scheduling at the current time is
-// allowed (the event runs after the current handler returns).
-func (e *Engine) At(t float64, name string, fn Handler) error {
-	if t < e.now {
-		return fmt.Errorf("%w: t=%v now=%v (%s)", ErrPast, t, e.now, name)
-	}
-	if math.IsNaN(t) {
-		return fmt.Errorf("sim: NaN timestamp for event %q", name)
-	}
-	e.seq++
-	e.queue.push(event{t: t, seq: e.seq, name: name, fn: fn})
-	return nil
-}
-
-// After schedules fn dt seconds from now.
-func (e *Engine) After(dt float64, name string, fn Handler) error {
-	return e.At(e.now+dt, name, fn)
-}
-
 // Bind registers the handler for a keyed-event kind. Rebinding a kind
 // replaces the previous handler; queued events of that kind execute the
 // new one (late binding). There is no unbind: a bound kind stays valid
@@ -111,6 +89,8 @@ func (e *Engine) Bind(kind string, fn KeyedHandler) {
 // AtKeyed schedules a keyed event at absolute time t: kind selects the
 // bound handler, arg is its integer payload, and name is the display
 // label probes and PendingEvents report. The kind must already be bound.
+// Scheduling at the current time is allowed (the event runs after the
+// current handler returns).
 func (e *Engine) AtKeyed(t float64, kind string, arg int, name string) error {
 	if _, ok := e.handlers[kind]; !ok {
 		return fmt.Errorf("sim: AtKeyed: kind %q not bound (event %q)", kind, name)
@@ -122,25 +102,13 @@ func (e *Engine) AtKeyed(t float64, kind string, arg int, name string) error {
 		return fmt.Errorf("sim: NaN timestamp for event %q", name)
 	}
 	e.seq++
-	e.queue.push(event{t: t, seq: e.seq, name: name, fn: nil, kind: kind, arg: arg})
+	e.queue.push(event{t: t, seq: e.seq, name: name, kind: kind, arg: arg})
 	return nil
 }
 
 // AfterKeyed schedules a keyed event dt seconds from now.
 func (e *Engine) AfterKeyed(dt float64, kind string, arg int, name string) error {
 	return e.AtKeyed(e.now+dt, kind, arg, name)
-}
-
-// Serializable reports whether every queued event is keyed — i.e. the
-// pending queue round-trips through PendingEvents/RestorePending without
-// losing work. Closure-scheduled events (At/After) are not serializable.
-func (e *Engine) Serializable() bool {
-	for i := range e.queue {
-		if e.queue[i].kind == "" {
-			return false
-		}
-	}
-	return true
 }
 
 // HasPendingKind reports whether any queued event has the given kind.
@@ -171,14 +139,11 @@ func (e *Engine) ResumeAt(t float64) error {
 // RestorePending re-schedules a captured pending queue. Events are
 // inserted in (T, Seq) order with fresh sequence numbers, so relative
 // tie-break order — and therefore execution order — is preserved exactly.
-// Every event must be keyed and its kind already bound.
+// Every event's kind must already be bound.
 func (e *Engine) RestorePending(evs []PendingEvent) error {
 	sorted := append([]PendingEvent(nil), evs...)
 	slices.SortFunc(sorted, comparePending)
 	for _, ev := range sorted {
-		if ev.Kind == "" {
-			return fmt.Errorf("sim: restore: event %q at t=%v is not keyed", ev.Name, ev.T)
-		}
 		if err := e.AtKeyed(ev.T, ev.Kind, ev.Arg, ev.Name); err != nil {
 			return fmt.Errorf("sim: restore: %w", err)
 		}
@@ -199,18 +164,15 @@ func (e *Engine) PeekTime() float64 {
 }
 
 // PendingEvent describes one queued event: its timestamp, scheduling
-// sequence number, display name, and — for keyed events — the registry
-// kind and integer argument. A keyed event (Kind != "") round-trips
-// through a snapshot: RestorePending re-schedules it against the same
-// kind on a freshly bound engine. A closure event (Kind == "") cannot be
-// serialized; snapshot code uses PendingEvents to see — and refuse —
-// such in-flight work rather than to capture it.
+// sequence number, display name, registry kind and integer argument. It
+// round-trips through a snapshot: RestorePending re-schedules it against
+// the same kind on a freshly bound engine.
 type PendingEvent struct {
-	T    float64 `json:"t"`
-	Seq  uint64  `json:"seq"`
-	Name string  `json:"name"`
-	Kind string  `json:"kind,omitempty"`
-	Arg  int     `json:"arg,omitempty"`
+	T    float64
+	Seq  uint64
+	Name string
+	Kind string
+	Arg  int
 }
 
 // comparePending orders events by (T, Seq) — execution order.
@@ -253,27 +215,18 @@ func (e *Engine) Step() bool {
 	ev := e.queue.pop()
 	e.now = ev.t
 	e.processed++
+	// AtKeyed guarantees the kind is bound, and Bind never removes one.
+	fn := e.handlers[ev.kind]
 	if p := e.probe; p != nil {
 		start := time.Now()
-		e.exec(ev)
+		fn(e, ev.arg)
 		p.Observe("sim.handler_sec."+ev.name, time.Since(start).Seconds())
 		p.Add("sim.events", 1)
 		p.Set("sim.queue_depth", float64(len(e.queue)))
 		return true
 	}
-	e.exec(ev)
+	fn(e, ev.arg)
 	return true
-}
-
-// exec dispatches one popped event: keyed events resolve through the
-// registry (AtKeyed guarantees the kind is bound and Bind never removes
-// entries), closure events call their captured handler.
-func (e *Engine) exec(ev event) {
-	if ev.kind != "" {
-		e.handlers[ev.kind](e, ev.arg)
-		return
-	}
-	ev.fn(e)
 }
 
 // RunUntil executes events until the clock would pass deadline or the
@@ -334,14 +287,12 @@ func (e *Engine) Run(maxEvents uint64) error {
 	return nil
 }
 
-// event is a queued callback. seq breaks timestamp ties in scheduling
-// order, making execution deterministic. Exactly one of fn (closure
-// event) or kind (keyed event, fn nil) is set.
+// event is a queued keyed event. seq breaks timestamp ties in scheduling
+// order, making execution deterministic.
 type event struct {
 	t    float64
 	seq  uint64
 	name string
-	fn   Handler
 	kind string
 	arg  int
 }
@@ -375,8 +326,8 @@ func (h *eventHeap) pop() event {
 	n := len(old) - 1
 	old[0], old[n] = old[n], old[0]
 	ev := old[n]
-	// Zero the vacated slot so the queue does not pin the handler closure
-	// (and its captures) past execution.
+	// Zero the vacated slot so the queue does not pin its strings past
+	// execution.
 	old[n] = event{}
 	*h = old[:n]
 	h.siftDown(0)

@@ -6,22 +6,27 @@ import (
 	"testing"
 )
 
+// record binds kind to a handler that appends each event's argument to
+// the returned log.
+func record(e *Engine, kind string) *[]int {
+	var log []int
+	e.Bind(kind, func(_ *Engine, arg int) { log = append(log, arg) })
+	return &log
+}
+
 func TestEventOrdering(t *testing.T) {
 	e := New()
-	var order []int
-	add := func(at float64, id int) {
-		if err := e.At(at, "evt", func(*Engine) { order = append(order, id) }); err != nil {
+	order := record(e, "evt")
+	for _, at := range []int{3, 1, 2} {
+		if err := e.AtKeyed(float64(at), "evt", at, "evt"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	add(3, 3)
-	add(1, 1)
-	add(2, 2)
 	if err := e.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
-		t.Errorf("order = %v", order)
+	if got := *order; len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
+		t.Errorf("order = %v", got)
 	}
 	if e.Now() != 3 {
 		t.Errorf("clock = %v, want 3", e.Now())
@@ -30,54 +35,56 @@ func TestEventOrdering(t *testing.T) {
 
 func TestTieBreakBySchedulingOrder(t *testing.T) {
 	e := New()
-	var order []int
+	order := record(e, "tie")
 	for i := 0; i < 5; i++ {
-		i := i
-		if err := e.At(7, "tie", func(*Engine) { order = append(order, i) }); err != nil {
+		if err := e.AtKeyed(7, "tie", i, "tie"); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := e.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	for i, v := range order {
+	for i, v := range *order {
 		if v != i {
-			t.Fatalf("ties executed out of scheduling order: %v", order)
+			t.Fatalf("ties executed out of scheduling order: %v", *order)
 		}
 	}
 }
 
 func TestPastSchedulingRejected(t *testing.T) {
 	e := New()
-	if err := e.At(5, "x", func(*Engine) {}); err != nil {
+	record(e, "x")
+	if err := e.AtKeyed(5, "x", 0, "x"); err != nil {
 		t.Fatal(err)
 	}
 	e.Step()
-	if err := e.At(4, "late", func(*Engine) {}); !errors.Is(err, ErrPast) {
+	if err := e.AtKeyed(4, "x", 0, "late"); !errors.Is(err, ErrPast) {
 		t.Errorf("err = %v, want ErrPast", err)
 	}
 	// Scheduling exactly at now is allowed.
-	if err := e.At(e.Now(), "now", func(*Engine) {}); err != nil {
+	if err := e.AtKeyed(e.Now(), "x", 0, "now"); err != nil {
 		t.Errorf("at-now rejected: %v", err)
 	}
-	if err := e.At(math.NaN(), "nan", func(*Engine) {}); err == nil {
+	if err := e.AtKeyed(math.NaN(), "x", 0, "nan"); err == nil {
 		t.Error("NaN timestamp accepted")
+	}
+	if err := e.AtKeyed(6, "unbound", 0, "unbound"); err == nil {
+		t.Error("event of an unbound kind accepted")
 	}
 }
 
 func TestHandlersScheduleMore(t *testing.T) {
 	e := New()
 	count := 0
-	var tick Handler
-	tick = func(en *Engine) {
+	e.Bind("tick", func(en *Engine, _ int) {
 		count++
 		if count < 10 {
-			if err := en.After(1, "tick", tick); err != nil {
+			if err := en.AfterKeyed(1, "tick", 0, "tick"); err != nil {
 				t.Fatal(err)
 			}
 		}
-	}
-	if err := e.At(0, "tick", tick); err != nil {
+	})
+	if err := e.AtKeyed(0, "tick", 0, "tick"); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Run(0); err != nil {
@@ -90,18 +97,17 @@ func TestHandlersScheduleMore(t *testing.T) {
 
 func TestRunUntil(t *testing.T) {
 	e := New()
-	var fired []float64
-	for _, at := range []float64{1, 2, 3, 10} {
-		at := at
-		if err := e.At(at, "evt", func(*Engine) { fired = append(fired, at) }); err != nil {
+	fired := record(e, "evt")
+	for _, at := range []int{1, 2, 3, 10} {
+		if err := e.AtKeyed(float64(at), "evt", at, "evt"); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := e.RunUntil(5, 0); err != nil {
 		t.Fatal(err)
 	}
-	if len(fired) != 3 {
-		t.Errorf("fired %v, want events ≤5 only", fired)
+	if len(*fired) != 3 {
+		t.Errorf("fired %v, want events ≤5 only", *fired)
 	}
 	if e.Now() != 5 {
 		t.Errorf("clock = %v, want 5 (advanced to deadline)", e.Now())
@@ -114,13 +120,15 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
+// bindLoop binds a handler that reschedules itself dt after every run.
+func bindLoop(e *Engine, dt float64) {
+	e.Bind("loop", func(en *Engine, _ int) { _ = en.AfterKeyed(dt, "loop", 0, "loop") })
+}
+
 func TestRunawayGuard(t *testing.T) {
 	e := New()
-	var loop Handler
-	loop = func(en *Engine) {
-		_ = en.After(0.001, "loop", loop)
-	}
-	if err := e.At(0, "loop", loop); err != nil {
+	bindLoop(e, 0.001)
+	if err := e.AtKeyed(0, "loop", 0, "loop"); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Run(100); err == nil {
@@ -133,11 +141,8 @@ func TestRunawayGuard(t *testing.T) {
 
 func TestRunUntilGuard(t *testing.T) {
 	e := New()
-	var loop Handler
-	loop = func(en *Engine) {
-		_ = en.After(0.0001, "loop", loop)
-	}
-	if err := e.At(0, "loop", loop); err != nil {
+	bindLoop(e, 0.0001)
+	if err := e.AtKeyed(0, "loop", 0, "loop"); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.RunUntil(1, 50); err == nil {
@@ -147,8 +152,9 @@ func TestRunUntilGuard(t *testing.T) {
 
 func TestProcessedCount(t *testing.T) {
 	e := New()
+	record(e, "e")
 	for i := 0; i < 4; i++ {
-		if err := e.After(float64(i), "e", func(*Engine) {}); err != nil {
+		if err := e.AfterKeyed(float64(i), "e", i, "e"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -163,14 +169,14 @@ func TestProcessedCount(t *testing.T) {
 func TestClockNeverRewinds(t *testing.T) {
 	e := New()
 	last := -1.0
+	e.Bind("e", func(en *Engine, _ int) {
+		if en.Now() < last {
+			t.Fatalf("clock rewound: %v after %v", en.Now(), last)
+		}
+		last = en.Now()
+	})
 	for i := 100; i > 0; i-- {
-		at := float64(i % 17)
-		if err := e.At(at, "e", func(en *Engine) {
-			if en.Now() < last {
-				t.Fatalf("clock rewound: %v after %v", en.Now(), last)
-			}
-			last = en.Now()
-		}); err != nil {
+		if err := e.AtKeyed(float64(i%17), "e", i, "e"); err != nil {
 			t.Fatal(err)
 		}
 	}

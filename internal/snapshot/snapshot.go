@@ -26,6 +26,7 @@ import (
 	"github.com/reprolab/wrsn-csa/internal/campaign/ledger"
 	"github.com/reprolab/wrsn-csa/internal/campaign/policy"
 	"github.com/reprolab/wrsn-csa/internal/campaign/world"
+	"github.com/reprolab/wrsn-csa/internal/charging"
 	"github.com/reprolab/wrsn-csa/internal/digest"
 	"github.com/reprolab/wrsn-csa/internal/mc"
 	"github.com/reprolab/wrsn-csa/internal/rng"
@@ -36,7 +37,7 @@ import (
 
 // Version is the wire version, shared by barrier and live snapshots.
 // Decode reads this version only.
-const Version = 3
+const Version = 4
 
 // wire is the serialized form. Its canonical digest encoding keys each
 // field by its Go name, so renaming a field changes the layout.
@@ -58,8 +59,9 @@ type CampaignState struct {
 	// World is the environment layer: clock, request queue, cadence
 	// cursors, fault-window state, loss-stream position.
 	World world.State
-	// Ledger is the accumulated run record.
-	Ledger ledger.State
+	// Ledger is the accumulated run record, captured as itself
+	// (ledger.L.Clone).
+	Ledger ledger.L
 	// Rand is the single campaign stream's generator position (the
 	// session actor and policy Env share one stream).
 	Rand [4]uint64
@@ -70,8 +72,9 @@ type CampaignState struct {
 	Policy *policy.State
 	// Fleet is the multi-charger state; nil on single-charger runs.
 	Fleet *FleetState
-	// Tour is the unserved tour of a PeriodicTSP scheduler, the one
-	// scheduler that keeps state between picks; nil for the others.
+	// Tour is the unserved tour of a single-charger run's PeriodicTSP
+	// scheduler, the one scheduler that keeps state between picks; nil
+	// for the others. A fleet charger carries its own (FleetCharger.Tour).
 	Tour []wrsn.NodeID
 }
 
@@ -101,7 +104,10 @@ type FleetCharger struct {
 	Charger mc.State
 	Phase   int
 	// Req is the reserved assignment (EnRoute/Serving phases).
-	Req *world.RequestState
+	Req *charging.Request
+	// Tour is the unserved tour of this charger's own PeriodicTSP
+	// scheduler; nil for the stateless schedulers.
+	Tour []wrsn.NodeID
 	// Session parameters captured across the arrive→end window.
 	Rate        float64
 	Dur         float64
@@ -167,21 +173,18 @@ func capture(sc trace.Scenario, nw *wrsn.Network, ch *mc.Charger, rest *rng.Stre
 	return s
 }
 
-// CaptureLive snapshots a mid-run campaign as a live snapshot. The
-// engine must be serializable (every pending event keyed); ch may be nil
-// — fleet runs carry their chargers inside cs.Fleet. Capture is pure
-// reads, so checkpointing never perturbs the run it observes. No fork
-// template is primed: a live snapshot is typically forked once, by the
-// resuming campaign.
+// CaptureLive snapshots a mid-run campaign as a live snapshot. Every
+// engine event is keyed, so the pending queue is captured as it stands;
+// ch may be nil — fleet runs carry their chargers inside cs.Fleet.
+// Capture is pure reads, so checkpointing never perturbs the run it
+// observes. No fork template is primed: a live snapshot is typically
+// forked once, by the resuming campaign.
 func CaptureLive(sc trace.Scenario, nw *wrsn.Network, ch *mc.Charger, eng *sim.Engine, cs *CampaignState) (*Snapshot, error) {
 	if nw == nil {
 		return nil, fmt.Errorf("snapshot: nil network")
 	}
 	if eng == nil || cs == nil {
 		return nil, fmt.Errorf("snapshot: live capture needs an engine and campaign state")
-	}
-	if !eng.Serializable() {
-		return nil, fmt.Errorf("snapshot: engine has closure-scheduled pending events; only keyed events checkpoint")
 	}
 	s := &Snapshot{w: wire{
 		Version:  Version,

@@ -3,6 +3,7 @@ package snapshot_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -337,7 +338,7 @@ func buildLiveSnap(tb testing.TB, run func(context.Context, *wrsn.Network, *mc.C
 // canonical layout — of an encoded snapshot.
 func withVersion(t *testing.T, b []byte, tail string) string {
 	t.Helper()
-	cur := `"Version":3}`
+	cur := `"Version":4}`
 	if !strings.HasSuffix(string(b), cur) {
 		t.Fatalf("encoding does not end with %s", cur)
 	}
@@ -353,7 +354,7 @@ func TestDecodeRejectsUnknownFields(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		patched := withVersion(t, b, `"Version":3,"Zfuture":7}`)
+		patched := withVersion(t, b, `"Version":4,"Zfuture":7}`)
 		_, err = snapshot.Decode([]byte(patched))
 		var de *digest.DecodeError
 		if !errors.As(err, &de) {
@@ -362,17 +363,21 @@ func TestDecodeRejectsUnknownFields(t *testing.T) {
 	}
 }
 
-// A wire version beyond this build's horizon fails with the version the
-// build does read, so operators can tell a stale binary from corruption.
+// A wire version other than this build's fails with the version it
+// carries and the one the build does read, so operators can tell a stale
+// binary from corruption: a version-3 checkpoint from a build before the
+// live layout changed, or a version from a newer build.
 func TestDecodeRejectsFutureVersion(t *testing.T) {
 	for name, s := range map[string]*snapshot.Snapshot{"barrier": buildSnap(t, 7, 40), "live": buildLiveSnap(t, campaign.RunLegit)} {
 		b, err := s.Encode()
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = snapshot.Decode([]byte(withVersion(t, b, `"Version":4}`)))
-		if err == nil || !strings.Contains(err.Error(), "unsupported wire version 4") {
-			t.Errorf("%s: future version error = %v", name, err)
+		for _, v := range []int{3, 5} {
+			_, err = snapshot.Decode([]byte(withVersion(t, b, fmt.Sprintf(`"Version":%d}`, v))))
+			if want := fmt.Sprintf("unsupported wire version %d (this build reads version 4)", v); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: version %d error = %v, want one containing %q", name, v, err, want)
+			}
 		}
 	}
 }

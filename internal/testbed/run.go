@@ -38,8 +38,6 @@ type RunConfig struct {
 	ScaleSimPerReal float64
 	// RequestFrac triggers node requests; out-of-range gets the default.
 	RequestFrac float64
-	// Detectors judges the audit; nil gets detect.Suite().
-	Detectors []detect.Detector
 	// VerifyProb enables the harvest-verification countermeasure on every
 	// node (extension); zero disables.
 	VerifyProb float64
@@ -81,9 +79,6 @@ func Run(cfg RunConfig) (*Report, error) {
 	}
 	if cfg.RequestFrac <= 0 || cfg.RequestFrac >= 1 {
 		cfg.RequestFrac = wrsn.DefaultRequestFraction
-	}
-	if cfg.Detectors == nil {
-		cfg.Detectors = detect.Suite()
 	}
 
 	sink, err := NewSink()
@@ -179,7 +174,7 @@ func Run(cfg RunConfig) (*Report, error) {
 	audit := sink.Audit()
 	rep := &Report{
 		Audit:     audit,
-		Verdicts:  detect.Judge(audit, cfg.Detectors),
+		Verdicts:  detect.Judge(audit, detect.Suite()),
 		Sessions:  len(audit.Sessions),
 		NodesDead: len(audit.Deaths),
 		Alarms:    len(sink.Alarms()),

@@ -11,12 +11,12 @@ import (
 // to reconstruct the node exactly, including the true (un-metered) battery
 // level and the hardware-fault flag.
 type NodeState struct {
-	Pos       geom.Point `json:"pos"`
-	GenBps    float64    `json:"gen_bps"`
-	CapacityJ float64    `json:"capacity_j"`
-	LevelJ    float64    `json:"level_j"`
-	QuantumJ  float64    `json:"quantum_j"`
-	Failed    bool       `json:"failed,omitempty"`
+	Pos       geom.Point
+	GenBps    float64
+	CapacityJ float64
+	LevelJ    float64
+	QuantumJ  float64
+	Failed    bool
 }
 
 // State is the serializable form of a Network. It carries only primary
@@ -27,11 +27,11 @@ type NodeState struct {
 // struct-of-arrays block and writes them back, so snapshots taken before
 // the SoA refactor decode into identical networks.
 type State struct {
-	Sink      geom.Point        `json:"sink"`
-	CommRange float64           `json:"comm_range"`
-	Radio     energy.RadioModel `json:"radio"`
-	Policy    RoutingPolicy     `json:"policy"`
-	Nodes     []NodeState       `json:"nodes"`
+	Sink      geom.Point
+	CommRange float64
+	Radio     energy.RadioModel
+	Policy    RoutingPolicy
+	Nodes     []NodeState
 }
 
 // State captures the network's current primary state. It syncs every
