@@ -77,10 +77,8 @@ func (e *JobError) Error() string { return fmt.Sprintf("job %d: %v", e.Job, e.Er
 // Unwrap exposes the wrapped error.
 func (e *JobError) Unwrap() error { return e.Err }
 
-// Options harden a pool run. The zero value reproduces the classic
-// MapTimed behavior exactly (fail-fast, no timeout, no retries) — except
-// that a panicking job surfaces as a *PanicError instead of killing the
-// process.
+// Options harden a pool run. The zero value is the classic fail-fast
+// pool: no timeout, no retries, and the lowest-indexed failure returns.
 type Options struct {
 	// Timeout bounds each attempt of each job; 0 means none. A job that
 	// overruns fails with a context.DeadlineExceeded-wrapping error (the
@@ -104,10 +102,10 @@ type Options struct {
 	KeepGoing bool
 }
 
-// Workers normalizes a worker-count request: non-positive means "size to
+// workers normalizes a worker-count request: non-positive means "size to
 // the hardware" (GOMAXPROCS), and a pool never needs more workers than
 // jobs.
-func Workers(requested, jobs int) int {
+func workers(requested, jobs int) int {
 	w := requested
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
@@ -121,39 +119,30 @@ func Workers(requested, jobs int) int {
 	return w
 }
 
-// MapTimed runs fn(ctx, i) for every i in [0, n) over a pool of at most
-// `workers` goroutines (non-positive: GOMAXPROCS) and returns the results
-// indexed by job, each with its elapsed wall clock. A failure cancels
-// the in-flight jobs above it so they can abort promptly, and lets the
-// ones below it finish; the returned error is the lowest-indexed
-// failure, which is what a sequential run would have hit first. A
-// canceled parent context surfaces as its ctx.Err().
-func MapTimed[T any](ctx context.Context, workers, n int, fn func(ctx context.Context, i int) (T, error)) ([]Result[T], error) {
-	return MapTimedProbed(ctx, workers, n, obs.Nop(), fn)
-}
-
-// MapTimedProbed is MapTimed with pool telemetry: each job's latency is
-// observed into the "engine.job_sec" histogram and counted into
-// "engine.jobs", the resolved pool size lands in the "engine.workers"
-// gauge, and the pool's utilization — total job time over workers ×
-// wall time, 1.0 meaning every worker was busy the whole run — in
-// "engine.pool_utilization". Telemetry never affects job scheduling or
-// result order; a nil probe disables it.
-func MapTimedProbed[T any](ctx context.Context, workers, n int, probe obs.Probe, fn func(ctx context.Context, i int) (T, error)) ([]Result[T], error) {
-	return MapTimedOpts(ctx, workers, n, probe, Options{}, fn)
-}
-
-// MapTimedOpts is MapTimedProbed hardened by Options: per-job panic
-// recovery (always), and optionally per-attempt timeouts, bounded
-// retry-with-backoff, and keep-going error aggregation. See Options for
-// the exact semantics of each knob; the zero value matches
-// MapTimedProbed.
-func MapTimedOpts[T any](ctx context.Context, workers, n int, probe obs.Probe, opts Options, fn func(ctx context.Context, i int) (T, error)) ([]Result[T], error) {
+// MapTimedOpts runs fn(ctx, i) for every i in [0, n) over a pool of at
+// most `requested` goroutines (non-positive: GOMAXPROCS) and returns the
+// results indexed by job, each with its elapsed wall clock. By default
+// (zero Options) a failure cancels the in-flight jobs above it so they
+// can abort promptly, and lets the ones below it finish; the returned
+// error is the lowest-indexed failure, which is what a sequential run
+// would have hit first. A canceled parent context surfaces as its
+// ctx.Err(). A panicking job always surfaces as a *PanicError; Options
+// adds per-attempt timeouts, bounded retry-with-backoff, and keep-going
+// error aggregation (see Options for the exact semantics of each knob).
+//
+// Pool telemetry goes to probe: each job's latency is observed into the
+// "engine.job_sec" histogram and counted into "engine.jobs", the
+// resolved pool size lands in the "engine.workers" gauge, and the pool's
+// utilization — total job time over workers × wall time, 1.0 meaning
+// every worker was busy the whole run — in "engine.pool_utilization".
+// Telemetry never affects job scheduling or result order; a nil probe
+// disables it.
+func MapTimedOpts[T any](ctx context.Context, requested, n int, probe obs.Probe, opts Options, fn func(ctx context.Context, i int) (T, error)) ([]Result[T], error) {
 	if n <= 0 {
 		return nil, ctx.Err()
 	}
 	probe = obs.Or(probe)
-	workers = Workers(workers, n)
+	workers := workers(requested, n)
 
 	ff := newFailFast(n)
 	poolStart := time.Now()
@@ -371,26 +360,4 @@ func sleepBackoff(ctx context.Context, d time.Duration) bool {
 	case <-ctx.Done():
 		return false
 	}
-}
-
-// Map is MapTimed without the timing data.
-func Map[T any](ctx context.Context, workers, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
-	timed, err := MapTimed(ctx, workers, n, fn)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]T, len(timed))
-	for i, r := range timed {
-		out[i] = r.Value
-	}
-	return out, nil
-}
-
-// ForEach runs fn(ctx, i) for every i in [0, n) over the pool, for jobs
-// that write their results into caller-owned, per-index storage.
-func ForEach(ctx context.Context, workers, n int, fn func(ctx context.Context, i int) error) error {
-	_, err := MapTimed(ctx, workers, n, func(ctx context.Context, i int) (struct{}, error) {
-		return struct{}{}, fn(ctx, i)
-	})
-	return err
 }

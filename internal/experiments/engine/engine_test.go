@@ -11,7 +11,7 @@ import (
 
 func TestMapOrderIsDeterministic(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 16} {
-		got, err := Map(context.Background(), workers, 100, func(_ context.Context, i int) (int, error) {
+		got, err := MapTimedOpts(context.Background(), workers, 100, nil, Options{}, func(_ context.Context, i int) (int, error) {
 			return i * i, nil
 		})
 		if err != nil {
@@ -20,9 +20,9 @@ func TestMapOrderIsDeterministic(t *testing.T) {
 		if len(got) != 100 {
 			t.Fatalf("workers=%d: len=%d", workers, len(got))
 		}
-		for i, v := range got {
-			if v != i*i {
-				t.Fatalf("workers=%d: got[%d]=%d, want %d", workers, i, v, i*i)
+		for i, r := range got {
+			if r.Value != i*i {
+				t.Fatalf("workers=%d: got[%d]=%d, want %d", workers, i, r.Value, i*i)
 			}
 		}
 	}
@@ -32,7 +32,7 @@ func TestMapReturnsLowestIndexedError(t *testing.T) {
 	errLow, errHigh := errors.New("low"), errors.New("high")
 	// Make the high-index job fail fast and the low-index job fail slow, so
 	// a naive first-error-wins pool would report the wrong one.
-	_, err := Map(context.Background(), 4, 8, func(_ context.Context, i int) (int, error) {
+	_, err := MapTimedOpts(context.Background(), 4, 8, nil, Options{}, func(_ context.Context, i int) (int, error) {
 		switch i {
 		case 2:
 			time.Sleep(30 * time.Millisecond)
@@ -58,7 +58,7 @@ func TestMapReturnsLowestIndexedError(t *testing.T) {
 // so job 1's error is the one to report.
 func TestMapReportsCauseNotInducedCancel(t *testing.T) {
 	boom := errors.New("boom")
-	_, err := Map(context.Background(), 3, 3, func(ctx context.Context, i int) (int, error) {
+	_, err := MapTimedOpts(context.Background(), 3, 3, nil, Options{}, func(ctx context.Context, i int) (int, error) {
 		switch i {
 		case 1:
 			return 0, boom
@@ -79,7 +79,7 @@ func TestMapReportsCauseNotInducedCancel(t *testing.T) {
 func TestFailFastLetsLowerJobsFinish(t *testing.T) {
 	errLow, errHigh := errors.New("job 0"), errors.New("job 1")
 	failed := make(chan struct{})
-	_, err := Map(context.Background(), 2, 2, func(ctx context.Context, i int) (int, error) {
+	_, err := MapTimedOpts(context.Background(), 2, 2, nil, Options{}, func(ctx context.Context, i int) (int, error) {
 		if i == 1 {
 			close(failed)
 			return 0, errHigh
@@ -101,7 +101,7 @@ func TestFailFastLetsLowerJobsFinish(t *testing.T) {
 func TestMapCanceledParent(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := Map(ctx, 4, 10, func(context.Context, int) (int, error) { return 0, nil })
+	_, err := MapTimedOpts(ctx, 4, 10, nil, Options{}, func(context.Context, int) (int, error) { return 0, nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -110,7 +110,7 @@ func TestMapCanceledParent(t *testing.T) {
 func TestMapErrorCancelsPool(t *testing.T) {
 	boom := errors.New("boom")
 	var ran atomic.Int64
-	_, err := Map(context.Background(), 1, 1000, func(_ context.Context, i int) (int, error) {
+	_, err := MapTimedOpts(context.Background(), 1, 1000, nil, Options{}, func(_ context.Context, i int) (int, error) {
 		ran.Add(1)
 		if i == 3 {
 			return 0, boom
@@ -128,7 +128,7 @@ func TestMapErrorCancelsPool(t *testing.T) {
 func TestMapBoundsConcurrency(t *testing.T) {
 	const workers = 3
 	var inflight, peak atomic.Int64
-	_, err := Map(context.Background(), workers, 64, func(context.Context, int) (int, error) {
+	_, err := MapTimedOpts(context.Background(), workers, 64, nil, Options{}, func(context.Context, int) (int, error) {
 		cur := inflight.Add(1)
 		for {
 			p := peak.Load()
@@ -149,7 +149,7 @@ func TestMapBoundsConcurrency(t *testing.T) {
 }
 
 func TestMapTimedRecordsElapsed(t *testing.T) {
-	res, err := MapTimed(context.Background(), 2, 4, func(context.Context, int) (int, error) {
+	res, err := MapTimedOpts(context.Background(), 2, 4, nil, Options{}, func(context.Context, int) (int, error) {
 		time.Sleep(2 * time.Millisecond)
 		return 0, nil
 	})
@@ -163,22 +163,6 @@ func TestMapTimedRecordsElapsed(t *testing.T) {
 	}
 }
 
-func TestForEach(t *testing.T) {
-	out := make([]int, 50)
-	err := ForEach(context.Background(), 8, len(out), func(_ context.Context, i int) error {
-		out[i] = i + 1
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out {
-		if v != i+1 {
-			t.Fatalf("out[%d] = %d", i, v)
-		}
-	}
-}
-
 func TestWorkers(t *testing.T) {
 	cases := []struct{ req, jobs, min, max int }{
 		{0, 10, 1, 1 << 20}, // GOMAXPROCS-sized, clamped to jobs
@@ -188,17 +172,21 @@ func TestWorkers(t *testing.T) {
 		{5, 0, 1, 1},
 	}
 	for _, c := range cases {
-		got := Workers(c.req, c.jobs)
+		got := workers(c.req, c.jobs)
 		if got < c.min || got > c.max {
-			t.Errorf("Workers(%d, %d) = %d, want in [%d, %d]", c.req, c.jobs, got, c.min, c.max)
+			t.Errorf("workers(%d, %d) = %d, want in [%d, %d]", c.req, c.jobs, got, c.min, c.max)
 		}
 	}
 }
 
-func ExampleMap() {
-	squares, _ := Map(context.Background(), 4, 5, func(_ context.Context, i int) (int, error) {
+func ExampleMapTimedOpts() {
+	results, _ := MapTimedOpts(context.Background(), 4, 5, nil, Options{}, func(_ context.Context, i int) (int, error) {
 		return i * i, nil
 	})
+	squares := make([]int, len(results))
+	for i, r := range results {
+		squares[i] = r.Value
+	}
 	fmt.Println(squares)
 	// Output: [0 1 4 9 16]
 }

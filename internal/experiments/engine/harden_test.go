@@ -11,7 +11,7 @@ import (
 )
 
 func TestPanicRecoveredAsError(t *testing.T) {
-	_, err := MapTimed(context.Background(), 4, 10, func(_ context.Context, i int) (int, error) {
+	_, err := MapTimedOpts(context.Background(), 4, 10, nil, Options{}, func(_ context.Context, i int) (int, error) {
 		if i == 3 {
 			panic("boom at three")
 		}

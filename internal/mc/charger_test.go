@@ -124,6 +124,27 @@ func TestDeliveredPowerPositionIndependent(t *testing.T) {
 	}
 }
 
+// TestDeliveredPowerAllocFree alternates delivery estimates over a few
+// nodes, two probes each: every switch re-steers the memoized scratch
+// array and the repeat probe is served from the memo. Neither allocates.
+func TestDeliveredPowerAllocFree(t *testing.T) {
+	c := New(geom.Pt(0, 0), Params{})
+	nodes := []geom.Point{geom.Pt(3, 4), geom.Pt(-7, 1), geom.Pt(12, -5), geom.Pt(0.25, 9)}
+	sweep := func() {
+		for _, x := range nodes {
+			for range 2 {
+				if _, err := c.DeliveredPower(x); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	sweep()
+	if allocs := testing.AllocsPerRun(200, sweep); allocs != 0 {
+		t.Fatalf("DeliveredPower allocates %v times per sweep of %d probes, want 0", allocs, 2*len(nodes))
+	}
+}
+
 func TestFullRechargeTime(t *testing.T) {
 	c := New(geom.Pt(0, 0), Params{})
 	rate, err := c.DeliveredPower(geom.Pt(10, 10))

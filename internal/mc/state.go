@@ -10,10 +10,10 @@ import (
 
 // State is the serializable form of a Charger: configuration, position,
 // spent budget, the full array (including any steering applied), and the
-// assumed rectifier. The array is captured as itself: its exported
-// fields are its configuration, and its field cache is unexported, so it
-// is neither encoded nor copied. Telemetry probes and the steered-array
-// memo are runtime-only and are not captured.
+// assumed rectifier. The array is captured as itself: it is a plain
+// value whose exported fields are its whole configuration. Telemetry
+// probes and the steered-array memo are runtime-only and are not
+// captured.
 type State struct {
 	Params    Params
 	Pos       geom.Point

@@ -5,41 +5,53 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/reprolab/wrsn-csa/internal/geom"
 	"github.com/reprolab/wrsn-csa/internal/wrsn"
 )
 
 func TestScenarioJSONRoundTrip(t *testing.T) {
-	orig := DefaultScenario(77, 60)
-	orig.Deploy.Pattern = DeployClustered
-	orig.Deploy.Clusters = 4
-	orig.CommRange = 45
+	clustered := DefaultScenario(77, 60)
+	clustered.Deploy.Pattern = DeployClustered
+	clustered.Deploy.Clusters = 4
+	clustered.CommRange = 45
 
-	var sb strings.Builder
-	if err := orig.WriteJSON(&sb); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadJSON(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The round-tripped scenario must build the identical network.
-	a, _, err := orig.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _, err := back.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Len() != b.Len() || a.Sink() != b.Sink() {
-		t.Fatalf("round trip changed the network: %d/%v vs %d/%v",
-			a.Len(), a.Sink(), b.Len(), b.Sink())
-	}
-	for i := 0; i < a.Len(); i++ {
-		na, _ := a.Node(wrsn.NodeID(i))
-		nb, _ := b.Node(wrsn.NodeID(i))
-		if na.Pos != nb.Pos || na.GenBps != nb.GenBps {
-			t.Fatalf("node %d differs after round trip", i)
+	// A hop-count tree over a field away from the origin: the file must
+	// keep both the policy and where the field sits.
+	offset := DefaultScenario(77, 60)
+	offset.Policy = wrsn.PolicyHopCount
+	offset.Deploy.Field = geom.NewRect(geom.Pt(100, 100), geom.Pt(300, 260))
+
+	for _, orig := range []Scenario{clustered, offset} {
+		var sb strings.Builder
+		if err := orig.WriteJSON(&sb); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadJSON(strings.NewReader(sb.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back != orig {
+			t.Fatalf("round trip changed the scenario:\n in: %+v\nout: %+v\nwire: %s", orig, back, sb.String())
+		}
+		// The round-tripped scenario must build the identical network.
+		a, _, err := orig.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _, err := back.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Len() != b.Len() || a.Sink() != b.Sink() || a.Policy() != b.Policy() {
+			t.Fatalf("round trip changed the network: %d/%v/%v vs %d/%v/%v",
+				a.Len(), a.Sink(), a.Policy(), b.Len(), b.Sink(), b.Policy())
+		}
+		for i := 0; i < a.Len(); i++ {
+			na, _ := a.Node(wrsn.NodeID(i))
+			nb, _ := b.Node(wrsn.NodeID(i))
+			if na.Pos != nb.Pos || na.GenBps != nb.GenBps {
+				t.Fatalf("node %d differs after round trip", i)
+			}
 		}
 	}
 }
@@ -69,12 +81,19 @@ func TestReadJSONErrors(t *testing.T) {
 	if _, err := ReadJSON(strings.NewReader(`{"pattern":"hexagonal","n":5}`)); err == nil {
 		t.Error("unknown pattern accepted")
 	}
+	if _, err := ReadJSON(strings.NewReader(`{"pattern":"uniform","n":5,"policy":"widest"}`)); err == nil {
+		t.Error("unknown policy accepted")
+	}
+	// 1 + 1e-20 rounds to 1, so WriteJSON would spell a zero width.
+	if _, err := ReadJSON(strings.NewReader(`{"pattern":"uniform","n":5,"field_x":1,"field_w":1e-20,"field_h":1}`)); err == nil {
+		t.Error("field whose corner swallows its width accepted")
+	}
 }
 
 func TestExplicitFieldRoundTrip(t *testing.T) {
 	orig := DefaultScenario(3, 40)
 	orig.Deploy.Pattern = DeployCorridor
-	orig.Deploy.Field = fieldFromDims(1000, 30)
+	orig.Deploy.Field = geom.NewRect(geom.Pt(0, 0), geom.Pt(1000, 30))
 	var sb strings.Builder
 	if err := orig.WriteJSON(&sb); err != nil {
 		t.Fatal(err)

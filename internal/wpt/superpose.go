@@ -38,12 +38,6 @@ type Array struct {
 	// in radians. It bounds the achievable null depth: a perfect null needs
 	// exact anti-phase, and jitter leaves residual field.
 	PhaseJitterRad float64
-
-	// cache memoizes field probes for the current configuration; see
-	// fieldCache. It is owned by this exact *Array value — a copy of the
-	// struct shares the pointer but fails the cache's owner check and
-	// transparently recomputes.
-	cache *fieldCache
 }
 
 // DefaultPhaseJitterRad is the RMS phase error of the attack rig's
@@ -72,13 +66,11 @@ func NewArray(positions ...geom.Point) *Array {
 
 // Clone returns an independent deep copy of the array: the emitter slice
 // is copied so steering or moving the clone never disturbs the original.
-// The field cache does not carry over; the clone rebuilds it lazily on
-// first probe. Clone reads the source without mutating it, so a shared
-// template array may be cloned concurrently.
+// Clone reads the source without mutating it, so a shared template array
+// may be cloned concurrently.
 func (a *Array) Clone() *Array {
 	b := *a
 	b.Emitters = append([]Emitter(nil), a.Emitters...)
-	b.cache = nil
 	return &b
 }
 
@@ -140,62 +132,53 @@ func (a *Array) Centroid() geom.Point {
 // Each element contributes gain·A(dᵢ)·exp(j(φᵢ − k·dᵢ)) where A is the
 // single-emitter amplitude from the charge model, k = 2π/λ the wavenumber,
 // and dᵢ the element-to-point distance. Elements beyond the charging range
-// contribute nothing.
-//
-// Repeated probes of an unchanged configuration are served from a
-// position-keyed cache; any mutation of the array (steering, movement, a
-// direct emitter write) invalidates it. Cached and uncached results are
-// bit-identical.
-func (a *Array) FieldAt(x geom.Point) complex128 {
-	c, warm := a.cacheFor()
-	if !warm {
-		return c.fieldSum(a, x)
+// contribute nothing. A probe only reads the array, so a shared array may
+// be probed concurrently.
+func (a *Array) FieldAt(x geom.Point) complex128 { return a.field(x, nil) }
+
+// field is the one superposition sum behind FieldAt and
+// RFPowerAtWithJitter. errs, when non-nil, adds a phase error to each
+// element: φᵢ becomes φᵢ + errs[i].
+func (a *Array) field(x geom.Point, errs []float64) complex128 {
+	k := 2 * math.Pi / a.Carrier.Wavelength()
+	var sum complex128
+	for i, e := range a.Emitters {
+		if e.Gain == 0 {
+			continue
+		}
+		d := e.Pos.Dist(x)
+		if d > a.Model.Range {
+			continue
+		}
+		amp := e.Gain * a.Model.Amplitude(d)
+		phase := e.PhaseRad
+		if errs != nil {
+			phase += errs[i]
+		}
+		sum += cmplx.Rect(amp, phase-k*d)
 	}
-	if c.entries == nil {
-		c.entries = make(map[geom.Point]complex128, 8)
-	} else if v, ok := c.entries[x]; ok {
-		return v
-	}
-	v := c.fieldSum(a, x)
-	c.entries[x] = v
-	return v
+	return sum
 }
 
 // RFPowerAt returns the superposed RF power at point x in watts: the squared
 // magnitude of the coherent field sum.
 func (a *Array) RFPowerAt(x geom.Point) float64 {
-	f := a.FieldAt(x)
-	return real(f)*real(f) + imag(f)*imag(f)
+	return power(a.FieldAt(x))
 }
 
-// RFPowerAtAll returns the superposed RF power at every point, in watts.
-// It is the batch form of RFPowerAt: the cache is validated once for the
-// whole batch instead of per probe, which is what campaign witness scans
-// and testbed sweeps want. When dst has sufficient capacity the result
+// power is the squared magnitude |f|².
+func power(f complex128) float64 { return real(f)*real(f) + imag(f)*imag(f) }
+
+// RFPowerAtAll returns the superposed RF power at every point, in watts:
+// the batch form of RFPowerAt. When dst has sufficient capacity the result
 // reuses it; otherwise a new slice is allocated.
 func (a *Array) RFPowerAtAll(dst []float64, points []geom.Point) []float64 {
 	if cap(dst) < len(points) {
 		dst = make([]float64, len(points))
 	}
 	dst = dst[:len(points)]
-	c, warm := a.cacheFor()
-	if !warm {
-		for i, x := range points {
-			f := c.fieldSum(a, x)
-			dst[i] = real(f)*real(f) + imag(f)*imag(f)
-		}
-		return dst
-	}
-	if c.entries == nil {
-		c.entries = make(map[geom.Point]complex128, len(points))
-	}
 	for i, x := range points {
-		f, ok := c.entries[x]
-		if !ok {
-			f = c.fieldSum(a, x)
-			c.entries[x] = f
-		}
-		dst[i] = real(f)*real(f) + imag(f)*imag(f)
+		dst[i] = a.RFPowerAt(x)
 	}
 	return dst
 }
@@ -204,26 +187,11 @@ func (a *Array) RFPowerAtAll(dst []float64, points []geom.Point) []float64 {
 // perturbed by the given per-element phase errors (radians). Callers sample
 // the errors from N(0, PhaseJitterRad²) to evaluate realistic null depth.
 // len(errs) must equal the emitter count.
-//
-// The jitter-independent geometry terms (per-emitter distance and
-// amplitude at x) are memoized for the most recent probe position, so
-// Monte-Carlo loops that redraw phase errors at a fixed victim pay only
-// the phase rotation per draw.
 func (a *Array) RFPowerAtWithJitter(x geom.Point, errs []float64) (float64, error) {
 	if len(errs) != len(a.Emitters) {
 		return 0, fmt.Errorf("wpt: got %d phase errors for %d emitters", len(errs), len(a.Emitters))
 	}
-	c, _ := a.cacheFor()
-	terms := c.jitterTermsAt(a, x)
-	var sum complex128
-	for i, e := range a.Emitters {
-		t := terms[i]
-		if t.skip {
-			continue
-		}
-		sum += cmplx.Rect(t.amp, e.PhaseRad+errs[i]-c.k*t.d)
-	}
-	return real(sum)*real(sum) + imag(sum)*imag(sum), nil
+	return power(a.field(x, errs)), nil
 }
 
 // IncoherentPowerAt returns the power sum Σ|Aᵢ|² at x, the value a naive
