@@ -26,7 +26,7 @@
 //
 //	wrsncsad [-addr :8077] [-queue 64] [-workers 0] [-job-timeout 0]
 //	         [-job-retries 0] [-retry-after 1s] [-drain-timeout 30s]
-//	         [-max-results 0] [-persist-dir dir] [-checkpoint-every 0]
+//	         [-max-results 10000] [-persist-dir dir] [-checkpoint-every 0]
 //	         [-metrics daemon.csv] [-events events.json] [-smoke]
 package main
 
@@ -57,7 +57,23 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+// defaultMaxResults is -max-results' default: enough finished jobs for a
+// client to collect its results, few enough that a long-lived daemon's
+// memory stops growing with every job it has ever run.
+const defaultMaxResults = 10_000
+
+// config is the daemon's parsed command line.
+type config struct {
+	addr         string
+	drainTimeout time.Duration
+	smoke        bool
+	opts         service.Options
+	tel          cliexport.Telemetry
+}
+
+// parseFlags parses the command line into the service options and the
+// daemon's own settings.
+func parseFlags(args []string) (*config, error) {
 	fs := flag.NewFlagSet("wrsncsad", flag.ContinueOnError)
 	addr := fs.String("addr", ":8077", "listen address")
 	queue := fs.Int("queue", 64, "job intake queue depth (full queue → 429 + Retry-After)")
@@ -66,17 +82,20 @@ func run(args []string) error {
 	jobRetries := fs.Int("job-retries", 0, "extra attempts for a failed job")
 	retryAfter := fs.Duration("retry-after", time.Second, "Retry-After hint returned with 429/503")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful-drain budget on SIGTERM before in-flight jobs are canceled")
-	maxResults := fs.Int("max-results", 0, "finished jobs to retain; older ones are evicted and answer 410 Gone (0 = unbounded)")
+	maxResults := fs.Int("max-results", defaultMaxResults, "finished jobs to retain; older ones are evicted and answer 410 Gone (0 = unbounded)")
 	persistDir := fs.String("persist-dir", "", "directory for durable job specs; queued/running jobs are re-run after a restart (empty = no persistence)")
 	checkpointEvery := fs.Duration("checkpoint-every", 0, "live-checkpoint interval for running jobs (requires -persist-dir; 0 = off); checkpointed jobs survive kills and resume mid-campaign on restart")
 	smoke := fs.Bool("smoke", false, "self-test: serve on a loopback port, run jobs through the HTTP path, verify digests against the library path, drain, exit")
-	var tel cliexport.Telemetry
-	tel.Register(fs)
+	cfg := &config{}
+	cfg.tel.Register(fs)
 	if err := fs.Parse(args); err != nil {
-		return err
+		return nil, err
 	}
-
-	opts := service.Options{
+	if *checkpointEvery > 0 && *persistDir == "" {
+		return nil, errors.New("-checkpoint-every needs -persist-dir: checkpoints must land somewhere durable")
+	}
+	cfg.addr, cfg.drainTimeout, cfg.smoke = *addr, *drainTimeout, *smoke
+	cfg.opts = service.Options{
 		QueueDepth:      *queue,
 		Workers:         *workers,
 		Job:             engine.Options{Timeout: *jobTimeout, Retries: *jobRetries},
@@ -84,21 +103,26 @@ func run(args []string) error {
 		MaxResults:      *maxResults,
 		PersistDir:      *persistDir,
 		CheckpointEvery: *checkpointEvery,
-		Probe:           tel.Probe(),
+		Probe:           cfg.tel.Probe(),
 	}
-	if *checkpointEvery > 0 && *persistDir == "" {
-		return errors.New("-checkpoint-every needs -persist-dir: checkpoints must land somewhere durable")
+	return cfg, nil
+}
+
+func run(args []string) error {
+	cfg, err := parseFlags(args)
+	if err != nil {
+		return err
 	}
-	if *smoke {
-		return runSmoke(opts, tel)
+	if cfg.smoke {
+		return runSmoke(cfg.opts, cfg.tel)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	svc := service.New(opts)
-	srv := &http.Server{Addr: *addr, Handler: svc.Handler()}
-	ln, err := net.Listen("tcp", *addr)
+	svc := service.New(cfg.opts)
+	srv := &http.Server{Addr: cfg.addr, Handler: svc.Handler()}
+	ln, err := net.Listen("tcp", cfg.addr)
 	if err != nil {
 		return err
 	}
@@ -114,11 +138,11 @@ func run(args []string) error {
 	}
 	fmt.Println("wrsncsad: draining (intake closed, finishing queued and in-flight jobs)")
 
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	drainCtx, cancel := context.WithTimeout(context.Background(), cfg.drainTimeout)
 	defer cancel()
 	drainErr := svc.Shutdown(drainCtx)
 	if errors.Is(drainErr, context.DeadlineExceeded) {
-		if *checkpointEvery > 0 {
+		if cfg.opts.CheckpointEvery > 0 {
 			fmt.Println("wrsncsad: drain budget exhausted; in-flight jobs parked at live checkpoints (restart with the same -persist-dir to resume)")
 		} else {
 			fmt.Println("wrsncsad: drain budget exhausted; in-flight jobs canceled")
@@ -128,7 +152,7 @@ func run(args []string) error {
 	if err := srv.Shutdown(drainCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		_ = srv.Close()
 	}
-	if err := tel.Export(); err != nil {
+	if err := cfg.tel.Export(); err != nil {
 		return err
 	}
 	fmt.Println("wrsncsad: drained; bye")

@@ -16,3 +16,19 @@ func TestBadFlags(t *testing.T) {
 		t.Fatal("unknown flag accepted")
 	}
 }
+
+// TestMaxResultsDefault pins a finite retention bound by default, so a
+// long-lived daemon does not keep every finished job it ever ran, while
+// -max-results 0 still asks for the unbounded library behavior.
+func TestMaxResultsDefault(t *testing.T) {
+	cfg, err := parseFlags(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.opts.MaxResults <= 0 {
+		t.Fatalf("default -max-results = %d, want a positive bound", cfg.opts.MaxResults)
+	}
+	if cfg, err = parseFlags([]string{"-max-results", "0"}); err != nil || cfg.opts.MaxResults != 0 {
+		t.Fatalf("-max-results 0 gave %+v, %v; want unbounded", cfg, err)
+	}
+}

@@ -102,6 +102,19 @@ func (b *Battery) Drain(j float64) float64 {
 	return removed
 }
 
+// DrainSpan drains w·dt for each dt in order, as a bare chain of
+// subtractions. It equals one Drain(w·dt) per entry whenever w ≥ 0 and
+// the level stays above every draw, so no Drain would clamp; the caller
+// must know that it does. The explicit conversion rounds each draw on its
+// own, so no platform fuses the product into the subtraction.
+func (b *Battery) DrainSpan(w float64, dts []float64) {
+	level := b.level
+	for _, dt := range dts {
+		level -= float64(w * dt)
+	}
+	b.level = level
+}
+
 // SetLevel forces the level (clamped to [0, capacity]); used by scenario
 // setup and tests, not by simulation dynamics.
 func (b *Battery) SetLevel(j float64) { b.level = clamp(j, 0, b.capacity) }

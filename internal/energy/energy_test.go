@@ -2,6 +2,7 @@ package energy
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -99,6 +100,49 @@ func TestLevelInvariant(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestDrainSpanMatchesDrain holds DrainSpan to one Drain per entry, bit
+// for bit, over random spans that keep the level above every draw,
+// including spans that end as close to empty as the draws allow.
+func TestDrainSpanMatchesDrain(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	compared := 0
+	for trial := 0; trial < 2000; trial++ {
+		capacity := 1 + rng.Float64()*1e4
+		w := math.Ldexp(0.5+rng.Float64(), -rng.Intn(40))
+		dts := make([]float64, 1+rng.Intn(64))
+		var need float64
+		for k := range dts {
+			dts[k] = math.Ldexp(0.5+rng.Float64(), rng.Intn(24)-8)
+			need += w * dts[k]
+		}
+		level := need * (1 + math.Ldexp(rng.Float64(), -rng.Intn(50)))
+		if level > capacity {
+			capacity = level
+		}
+		want := mustBattery(t, capacity, level, 1)
+		clamped := false
+		for _, dt := range dts {
+			if w*dt > want.Level() {
+				clamped = true
+				break
+			}
+			want.Drain(w * dt)
+		}
+		if clamped {
+			continue // the span would empty the battery: outside the contract
+		}
+		got := mustBattery(t, capacity, level, 1)
+		got.DrainSpan(w, dts)
+		if math.Float64bits(got.Level()) != math.Float64bits(want.Level()) {
+			t.Fatalf("trial %d: DrainSpan left %v, Drain per entry %v", trial, got.Level(), want.Level())
+		}
+		compared++
+	}
+	if compared < 1500 {
+		t.Fatalf("only %d of 2000 spans stayed above every draw", compared)
 	}
 }
 

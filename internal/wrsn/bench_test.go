@@ -49,31 +49,70 @@ func benchVictim(b *testing.B, nw *Network) int {
 	return -1
 }
 
+// benchTrunk picks the sink child with the largest routing subtree, so
+// each kill/repair cycle reroutes a trunk of the tree: the case that
+// dominates a death-heavy campaign's recompute time.
+func benchTrunk(b *testing.B, nw *Network) int {
+	b.Helper()
+	trunk, best := -1, 0
+	for i := range nw.nodes {
+		if nw.Parent(NodeID(i)) != ParentSink {
+			continue
+		}
+		size := 0
+		stack := []NodeID{NodeID(i)}
+		for len(stack) > 0 {
+			v := stack[len(stack)-1]
+			stack = append(stack[:len(stack)-1], nw.Children(v)...)
+			size++
+		}
+		if size > best {
+			trunk, best = i, size
+		}
+	}
+	if trunk < 0 {
+		b.Fatal("no sink child to use as trunk")
+	}
+	return trunk
+}
+
 // BenchmarkRecomputeIncremental measures the routing recompute that
 // follows a node death or repair — the dominant cost of death-heavy
 // campaign runs — comparing incremental subtree patching against the
 // full-Dijkstra rebuild at matched topology. Each iteration alternates
 // failing and repairing one mid-field relay, so both the deletion
 // (subtree invalidation) and insertion (boundary re-relaxation) paths are
-// on the clock.
+// on the clock. The trunk rows do the same to the sink child with the
+// largest subtree (3,645 of 10,000 nodes).
 func BenchmarkRecomputeIncremental(b *testing.B) {
 	for _, n := range []int{1_000, 10_000, 100_000} {
 		for _, mode := range []string{"incr", "full"} {
 			b.Run(fmt.Sprintf("n=%d/%s", n, mode), func(b *testing.B) {
-				nw := benchNetwork(b, n)
-				nw.SetIncrementalRouting(mode == "incr")
-				victim := benchVictim(b, nw)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if i%2 == 0 {
-						nw.ptrs[victim].Fail()
-					} else {
-						nw.ptrs[victim].Repair()
-					}
-					nw.Recompute()
-				}
+				benchKillRepair(b, n, mode == "incr", benchVictim)
 			})
 		}
+	}
+	for _, mode := range []string{"incr", "full"} {
+		b.Run("n=10000/trunk-"+mode, func(b *testing.B) {
+			benchKillRepair(b, 10_000, mode == "incr", benchTrunk)
+		})
+	}
+}
+
+// benchKillRepair alternates failing and repairing the node pick chooses
+// on benchNetwork(n), recomputing after each.
+func benchKillRepair(b *testing.B, n int, incr bool, pick func(*testing.B, *Network) int) {
+	nw := benchNetwork(b, n)
+	nw.SetIncrementalRouting(incr)
+	victim := pick(b, nw)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%2 == 0 {
+			nw.ptrs[victim].Fail()
+		} else {
+			nw.ptrs[victim].Repair()
+		}
+		nw.Recompute()
 	}
 }

@@ -71,6 +71,16 @@ import (
 // C/w overflows) is stored as −Inf: always popped, always a candidate,
 // which is slow but exact.
 //
+// The fast span. Sync a node that is still queued in deaths while the
+// clock is below its key k. Every entry of the span ends at a clock
+// T_m ≤ clock < k, and the span starts at the keying or at a later
+// entry, so by the claim (e = DepletedEpsJ) the level the span starts
+// from and every level it replays exceed DepletedEpsJ. A Drain that
+// clamped would leave 0, and a depleted battery would stop the replay;
+// neither can happen, so each entry is exactly level −= fl(w·dt). Such a
+// span replays as that bare chain (Battery.DrainSpan) with no depletion
+// test per entry; every other span keeps the checked loop.
+//
 // The forecast margin. NextDepletion judges the minimum-key node first,
 // exactly, giving best = fl(now + fl(L/w)). A node j with projection
 // f_j ≤ best has now ≤ f_j, hence R_j = L_j/w_j ≤ best − now + 5u·A with
@@ -252,8 +262,17 @@ func (nw *Network) sync(i int) {
 // node's drain while it is not depleted, so none after the step that
 // depletes it. The caller has checked that the node was in service at
 // entry k.
+//
+// A node still queued in deaths with the clock below its key stays above
+// DepletedEpsJ at every entry of the span (see the header comment), so
+// no Drain on it can clamp and the span replays as a bare subtraction
+// chain.
 func (nw *Network) replay(b *energy.Battery, i, k int) {
 	w := nw.drainW[i]
+	if nw.deaths.pos[i] >= 0 && nw.clock < nw.deaths.key[i] {
+		b.DrainSpan(w, nw.dts[k:])
+		return
+	}
 	for _, dt := range nw.dts[k:] {
 		if b.Depleted() {
 			return

@@ -1,6 +1,7 @@
 package wrsn
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -98,6 +99,61 @@ func checkLazy(t *testing.T, got *Network, ref *denseRef, died []NodeID, dt, now
 	}
 	if gat, gwho := got.NextDepletion(now); math.Float64bits(gat) != math.Float64bits(at) || gwho != who {
 		t.Fatalf("%s: lazy forecast (%v, %d), dense scan (%v, %d)", tag, gat, gwho, at, who)
+	}
+}
+
+// TestSyncAtDeathKey drives a node to one step either side of its death
+// key and holds sync to a dense replay of the same steps, bit for bit.
+// Below the key the node is still queued in deaths and its span replays
+// as a bare subtraction chain; the step that reaches the key pops it, and
+// its sync goes through the checked loop. The levels put its death in
+// the step after the key, or exactly on the depletion mark.
+func TestSyncAtDeathKey(t *testing.T) {
+	specs := []NodeSpec{{Pos: geom.Pt(0, 0)}, {Pos: geom.Pt(30, 0)}}
+	const i = 1
+	for _, dt := range []float64{1, 7.3, 60} {
+		for _, steps := range []float64{100, 100.5, 100 + 0x1p-30} {
+			tag := fmt.Sprintf("dt=%v steps=%v", dt, steps)
+			below := mustNetwork(t, specs, Config{Sink: geom.Pt(0, -30), CommRange: 35})
+			w := below.DrainWatts(i)
+			below.SetLevel(i, energy.DepletedEpsJ+w*dt*steps)
+			start, key := below.bats[i], below.deaths.key[i]
+			past := below.Fork()
+			var dts []float64
+			for below.clock+dt < key {
+				below.AdvanceEnergy(dt)
+				past.AdvanceEnergy(dt)
+				dts = append(dts, dt)
+			}
+			if below.deaths.pos[i] < 0 || int(below.synced[i]) != 0 {
+				t.Fatalf("%s: node left the deaths heap or synced before its key", tag)
+			}
+			dense := func(dts []float64) energy.Battery {
+				b := start
+				for _, dt := range dts {
+					if b.Depleted() {
+						break
+					}
+					b.Drain(w * dt)
+				}
+				return b
+			}
+			check := func(got energy.Battery, dts []float64, side string) {
+				t.Helper()
+				want := dense(dts)
+				if math.Float64bits(got.Level()) != math.Float64bits(want.Level()) {
+					t.Fatalf("%s, %s the key after %d steps: level %v synced, %v densely", tag, side, len(dts), got.Level(), want.Level())
+				}
+			}
+			below.sync(i)
+			check(below.bats[i], dts, "below")
+			died := past.AdvanceEnergy(dt)
+			dts = append(dts, dt)
+			check(past.bats[i], dts, "past")
+			if dead := past.bats[i].Depleted(); dead != slices.Contains(died, i) || !dead && past.deaths.pos[i] < 0 {
+				t.Fatalf("%s: the step past the key died %v with the node's level at %v", tag, died, past.bats[i].Level())
+			}
+		}
 	}
 }
 

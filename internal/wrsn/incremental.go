@@ -46,14 +46,28 @@ import (
 // gen + relay over its children in load order, the same fold the full
 // rebuild runs (deriveAll), so a node needs re-folding only when its
 // children, their order or their relay changed, or its own parent did.
-// The dirty set starts as A plus every member's old and new parent;
-// folding a node whose relay changed dirties its parent, so the fold
-// climbs the ancestor chains and stops where a relay comes out the same.
-// Dirty nodes pop from a heap keyed by load order, so children usually
-// fold before their parents; a child that orders after its parent (equal
-// route distance, higher ID) re-dirties the parent when its relay
-// changes. A drain is rewritten only where it changed, and the node is
-// synced under its old drain first and re-keyed after (see drain.go).
+// Every member of A and every member's old and new parent must fold;
+// folding a node whose relay changed makes its parent fold again, so the
+// fold climbs the ancestor chains and stops where a relay comes out the
+// same.
+//
+// The wave records the order in which it settles nodes, and every node
+// it settles is in A. A node is offered its parent when the parent
+// settles, or at seeding by a node the wave does not settle, so a
+// settled node's parent is the sink, a node the wave did not settle, or
+// a node settled before it; only a link that adds exactly nothing to a
+// route distance lets a node settled later win the equal branch. Folding
+// the settled nodes in reverse settle order therefore folds each settled
+// child before its parent, with no heap. The dirty heap, keyed by load
+// order, holds the rest: ancestors outside A, members the wave never
+// popped (dead or stranded nodes, and nodes that joined through relax's
+// equal branch) and a parent that was already folded when a child's
+// relay changed, such as a settled node whose equal-branch child folds
+// after the settle-order pass. Within the heap, a child that orders
+// after its parent (equal route distance, higher ID) re-dirties the
+// parent when its relay changes. A drain is rewritten only where it
+// changed, and the node is synced under its old drain first and re-keyed
+// after (see drain.go).
 // The incremental oracle test and FuzzIncrementalRouting pin every field
 // (distances, predecessors, parents, children order, loads, drains)
 // against a from-scratch reference.
@@ -65,7 +79,9 @@ import (
 // deriveAll).
 
 // incrementalMaxAffectedFrac bounds the affected set; past this fraction
-// of the network a full rebuild is cheaper than patching.
+// of the network a full rebuild is cheaper than patching. At 10k nodes
+// the patch still wins at 64% affected but loses at 99.7%, where the
+// loss of one sink child strands nearly every node (see DESIGN.md).
 const incrementalMaxAffectedFrac = 0.5
 
 // SetIncrementalRouting toggles incremental tree maintenance (on by
@@ -155,11 +171,14 @@ func (nw *Network) recomputeIncremental() bool {
 	// — by a strictly shorter path or through relax's equal branch — joins
 	// the affected set, so derivation sees every moved node, not just the
 	// invalidated ones.
+	settled := nw.settled[:0]
 	for len(nw.pq) > 0 {
 		it := nw.pq.pop()
 		if it.d > nw.dist[it.idx] {
 			continue
 		}
+		settled = append(settled, int32(it.idx))
+		nw.unfolded.set(it.idx)
 		to, ln := nw.links.row(it.idx)
 		for k, v32 := range to {
 			v := int(v32)
@@ -174,29 +193,30 @@ func (nw *Network) recomputeIncremental() bool {
 	}
 
 	nw.affected = aff[:0]
-	return nw.deriveAffected(aff)
+	return nw.deriveAffected(aff, settled)
 }
 
 // deriveAffected re-derives the tree after the wave: parent, route
 // distance and children-list membership for the affected nodes, then
-// loads and drains by folding the dirty set (see the header comment). It
-// returns false, leaving the derived state for a full rebuild to
-// overwrite, when the patched tree has a pred cycle.
-func (nw *Network) deriveAffected(aff []int32) bool {
+// loads and drains, folding the settled nodes in reverse settle order and
+// the rest from the dirty heap (see the header comment). It returns
+// false, leaving the derived state for a full rebuild to overwrite, when
+// the patched tree has a pred cycle.
+func (nw *Network) deriveAffected(aff, settled []int32) bool {
 	for _, v32 := range aff {
 		v := int(v32)
 		old, p := nw.parent[v], nw.treeParent(v)
 		nw.hopDist[v] = nw.dist[v]
 		nw.setParent(v, p)
-		nw.markDirty(v)
+		nw.schedule(v)
 		if old >= 0 {
-			nw.markDirty(int(old))
+			nw.schedule(int(old))
 			if old != p {
 				nw.children[old] = removeChild(nw.children[old], NodeID(v))
 			}
 		}
 		if p >= 0 {
-			nw.markDirty(int(p))
+			nw.schedule(int(p))
 			if old != p {
 				nw.children[p] = insertChild(nw.children[p], NodeID(v))
 			}
@@ -206,35 +226,51 @@ func (nw *Network) deriveAffected(aff []int32) bool {
 		for len(nw.dirty) > 0 {
 			nw.inDirty.clear(nw.dirty.pop().idx)
 		}
+		for _, v := range settled {
+			nw.unfolded.clear(int(v))
+		}
 		return false
 	}
-	base := nw.radio.SenseW + nw.radio.IdleW
+	for k := len(settled) - 1; k >= 0; k-- {
+		i := int(settled[k])
+		nw.unfolded.clear(i)
+		nw.fold(i)
+	}
 	for len(nw.dirty) > 0 {
 		i := nw.dirty.pop().idx
 		nw.inDirty.clear(i)
-		p := nw.parent[i]
-		if p == ParentNone {
-			nw.loads[i] = energy.Load{}
-			nw.setDrain(i, base)
-			continue
-		}
-		ld := nw.foldLoad(i)
-		if p >= 0 && ld.RelayBps != nw.loads[i].RelayBps {
-			nw.markDirty(int(p))
-		}
-		nw.loads[i] = ld
-		nw.setDrain(i, nw.radio.DrainWatts(ld))
+		nw.fold(i)
 	}
 	return true
 }
 
-// markDirty queues node i for re-folding unless it is already queued.
-// Keyed by negated route distance, the (distance, index) heap pops in
-// load order: descending route distance, ascending ID. The key reads
-// dist, which the wave has settled, rather than hopDist, which an
-// affected node's derivation may not have reached yet.
-func (nw *Network) markDirty(i int) {
-	if !nw.inDirty.get(i) {
+// fold re-derives node i's load and drain from its children's loads. A
+// changed relay makes the parent fold again, unless the parent is a
+// settled node the settle-order pass has yet to reach.
+func (nw *Network) fold(i int) {
+	p := nw.parent[i]
+	if p == ParentNone {
+		nw.loads[i] = energy.Load{}
+		nw.setDrain(i, nw.radio.SenseW+nw.radio.IdleW)
+		return
+	}
+	ld := nw.foldLoad(i)
+	if p >= 0 && ld.RelayBps != nw.loads[i].RelayBps {
+		nw.schedule(int(p))
+	}
+	nw.loads[i] = ld
+	nw.setDrain(i, nw.radio.DrainWatts(ld))
+}
+
+// schedule makes node i fold again. The settle-order pass folds it if the
+// wave settled it and the pass has not reached it yet; otherwise it joins
+// the dirty heap unless it is already queued there. Keyed by negated
+// route distance, the (distance, index) heap pops in load order:
+// descending route distance, ascending ID. The key reads dist, which the
+// wave has settled, rather than hopDist, which an affected node's
+// derivation may not have reached yet.
+func (nw *Network) schedule(i int) {
+	if !nw.unfolded.get(i) && !nw.inDirty.get(i) {
 		nw.inDirty.set(i)
 		nw.dirty.push(distItem{idx: i, d: -nw.dist[i]})
 	}

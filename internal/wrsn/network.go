@@ -127,6 +127,8 @@ type Network struct {
 	stack    []int32
 	dirty    distHeap
 	inDirty  bitset
+	settled  []int32
+	unfolded bitset
 
 	// cyclic records that the last full rebuild found a routing cycle
 	// (see deriveAll); incremental maintenance is suspended until a full
@@ -235,9 +237,9 @@ func (nw *Network) grow(n int) {
 	// every one of them, and a few large allocations cost less than
 	// thirty small ones.
 	words := (n + 63) / 64
-	sets := make([]uint64, 7*words)
+	sets := make([]uint64, 8*words)
 	f64 := make([]float64, 6*n+1+256)
-	i32 := make([]int32, 6*n+3*64)
+	i32 := make([]int32, 7*n+3*64)
 	nw.pos = make([]geom.Point, n)
 	nw.genBps = take(&f64, n)
 	nw.bats = make([]energy.Battery, n)
@@ -269,6 +271,8 @@ func (nw *Network) grow(n int) {
 	nw.dirty = make(distHeap, 0, 64)
 	nw.affected = take(&i32, 64)[:0]
 	nw.stack = take(&i32, 64)[:0]
+	nw.settled = take(&i32, n)[:0]
+	nw.unfolded = take(&sets, words)
 }
 
 // take cuts the next n elements off the front of *block, capped at n so
