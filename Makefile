@@ -14,7 +14,7 @@ GATED_BENCH = BenchmarkExperimentSweep|BenchmarkCampaignRun|BenchmarkSeedSweep|B
 BENCH_PKGS = . ./internal/campaign ./internal/campaign/world ./internal/wrsn ./internal/detect
 BENCH_SHA = $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
 
-.PHONY: all build vet fmt-check staticcheck test race bench bench-all bench-json bench-gate bench-baseline bench-smoke verify verify-faults verify-daemon verify-snapshot verify-checkpoint verify-scale verify-dist fuzz results clean
+.PHONY: all build vet fmt-check staticcheck test race bench bench-all bench-json bench-gate bench-baseline bench-smoke verify verify-faults verify-daemon verify-snapshot verify-checkpoint verify-scale verify-dist fuzz results loc clean
 
 all: verify
 
@@ -197,6 +197,12 @@ fuzz:
 results:
 	mkdir -p results
 	$(GO) run ./cmd/experiments -out results/
+
+# loc prints the number of non-test Go lines outside perfbench/ (hidden
+# directories skipped), the size figure ROADMAP item 9 tracks. It
+# reports; it gates nothing.
+loc:
+	@find . \( -path ./perfbench -o -path './.*' \) -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l
 
 # clean removes generated results, scratch benchmark manifests (keeping
 # the committed BENCH_baseline.json), and distributed-worker scratch —

@@ -26,9 +26,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"time"
 
-	"github.com/reprolab/wrsn-csa/client"
 	"github.com/reprolab/wrsn-csa/internal/attack"
 	"github.com/reprolab/wrsn-csa/internal/campaign"
 	"github.com/reprolab/wrsn-csa/internal/charging"
@@ -37,6 +35,7 @@ import (
 	"github.com/reprolab/wrsn-csa/internal/jobspec"
 	"github.com/reprolab/wrsn-csa/internal/mc"
 	"github.com/reprolab/wrsn-csa/internal/report"
+	"github.com/reprolab/wrsn-csa/internal/rng"
 	"github.com/reprolab/wrsn-csa/internal/trace"
 	"github.com/reprolab/wrsn-csa/internal/wrsn"
 )
@@ -85,7 +84,7 @@ func run(ctx context.Context, args []string) error {
 	seed := fs.Uint64("seed", 42, "scenario seed")
 	n := fs.Int("n", 200, "node count")
 	days := fs.Float64("days", 14, "simulated horizon in days")
-	solver := fs.String("solver", campaign.SolverCSA, "planner: CSA, Random, GreedyNearest, Direct")
+	solver := fs.String("solver", campaign.SolverCSA, "planner: CSA, CSA+polish, Random, GreedyNearest, Direct")
 	planOnly := fs.Bool("plan-only", false, "print the TIDE plan and exit without executing")
 	showMap := fs.Bool("map", false, "render the field, targets and planned route as ASCII art")
 	timeline := fs.Bool("timeline", false, "print the campaign's chronological event narrative")
@@ -137,7 +136,10 @@ func run(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	res, err := attack.SolveCSA(in)
+	// The campaign's planner draws from this stream (the run's "campaign"
+	// stream, split for the solver), so the plan printed here is the plan
+	// the campaign executes.
+	res, err := attack.Solve(in, *solver, rng.New(*seed).Split("campaign").Split("solver"))
 	if err != nil {
 		return err
 	}
@@ -164,7 +166,7 @@ func run(ctx context.Context, args []string) error {
 	}
 
 	if *daemon != "" {
-		return runDaemon(ctx, *daemon, spec)
+		return cliexport.RunDaemon(ctx, *daemon, spec)
 	}
 
 	// The executed campaign runs from the spec — the exact computation a
@@ -174,11 +176,7 @@ func run(ctx context.Context, args []string) error {
 		return err
 	}
 	o := runRes.Outcome
-	if rep := o.FaultReport(); rep != nil {
-		fmt.Printf("faults: %d injected, %d survived, %d fatal (node failures %d, lost requests %d, charger breakdowns %d, sink outages %d)\n",
-			rep.Injected(), rep.Survived(), rep.Fatal(),
-			rep.NodeFailures, rep.RequestsLost, rep.ChargerBreakdowns, rep.SinkOutages)
-	}
+	cliexport.PrintFaults(o.FaultReport())
 
 	spoofedAt := make(map[wrsn.NodeID]float64)
 	for _, s := range o.Sessions {
@@ -230,28 +228,4 @@ func run(ctx context.Context, args []string) error {
 		}
 	}
 	return tel.Export()
-}
-
-// runDaemon submits the campaign spec to a wrsncsad daemon, waits for
-// the terminal state, and prints the summary plus the outcome digest.
-func runDaemon(ctx context.Context, baseURL string, spec jobspec.Spec) error {
-	c := client.New(baseURL)
-	st, err := c.SubmitWait(ctx, spec)
-	if err != nil {
-		return fmt.Errorf("daemon submit: %w", err)
-	}
-	fmt.Printf("\nsubmitted job %s to %s\n", st.ID, baseURL)
-	st, err = c.Wait(ctx, st.ID, 250*time.Millisecond)
-	if err != nil {
-		return fmt.Errorf("daemon wait: %w", err)
-	}
-	if st.Error != nil {
-		return fmt.Errorf("daemon job %s: %s: %s", st.ID, st.Error.Kind, st.Error.Message)
-	}
-	if s := st.Summary; s != nil {
-		fmt.Printf("exhaustion: %d/%d, dead total %d, detected: %v, caught: %v\n",
-			s.KeyDead, s.KeyNodes, s.DeadTotal, s.Detected, s.Caught)
-	}
-	fmt.Printf("outcome digest: %s\n", st.Digest)
-	return nil
 }

@@ -37,7 +37,7 @@ func run(args []string) error {
 	targets := fs.Int("targets", 2, "mandatory targets in the synthesized instance")
 	seed := fs.Uint64("seed", 1, "seed for -random")
 	emit := fs.String("emit", "", "write the (possibly synthesized) instance as canonical JSON to this file")
-	planner := fs.String("planner", "CSA", "planner: CSA, Random, GreedyNearest, Direct")
+	planner := fs.String("planner", attack.SolverCSA, "planner: CSA, CSA+polish, Random, GreedyNearest, Direct")
 	compareOpt := fs.Bool("compare-opt", false, "also solve exactly and report the approximation ratio")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -73,22 +73,8 @@ func run(args []string) error {
 		fmt.Println("wrote instance to", *emit)
 	}
 
-	var (
-		res attack.Result
-		err error
-	)
-	switch *planner {
-	case "CSA":
-		res, err = attack.SolveCSA(in)
-	case "Random":
-		res, err = attack.SolveRandom(in, rng.New(*seed).Split("random-planner"))
-	case "GreedyNearest":
-		res, err = attack.SolveGreedyNearest(in)
-	case "Direct":
-		res, err = attack.SolveDirect(in)
-	default:
-		return fmt.Errorf("unknown planner %q", *planner)
-	}
+	// Only the Random planner draws from the stream.
+	res, err := attack.Solve(in, *planner, rng.New(*seed).Split("random-planner"))
 	if err != nil {
 		return err
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/reprolab/wrsn-csa/internal/attack"
+	"github.com/reprolab/wrsn-csa/internal/campaign"
 	"github.com/reprolab/wrsn-csa/internal/digest"
 )
 
@@ -78,6 +79,16 @@ func TestErrors(t *testing.T) {
 	for _, args := range cases {
 		if err := run(args); err == nil {
 			t.Errorf("args %v accepted", args)
+		}
+	}
+}
+
+// tide-solve accepts every planner name a campaign accepts.
+func TestEveryCampaignSolver(t *testing.T) {
+	for _, planner := range []string{campaign.SolverCSA, campaign.SolverCSAPolished,
+		campaign.SolverRandom, campaign.SolverGreedyNearest, campaign.SolverDirect} {
+		if err := run([]string{"-random", "8", "-planner", planner}); err != nil {
+			t.Errorf("%s: %v", planner, err)
 		}
 	}
 }

@@ -27,13 +27,10 @@ import (
 	"math"
 	"os"
 	"os/signal"
-	"time"
 
-	"github.com/reprolab/wrsn-csa/client"
 	"github.com/reprolab/wrsn-csa/internal/campaign"
 	"github.com/reprolab/wrsn-csa/internal/cliexport"
 	"github.com/reprolab/wrsn-csa/internal/defense"
-	"github.com/reprolab/wrsn-csa/internal/faults"
 	"github.com/reprolab/wrsn-csa/internal/jobspec"
 	"github.com/reprolab/wrsn-csa/internal/trace"
 )
@@ -55,7 +52,7 @@ func run(ctx context.Context, args []string) error {
 	days := fs.Float64("days", 14, "simulated horizon in days")
 	schedName := fs.String("scheduler", "NJNP", "charging scheduler: NJNP, FCFS, EDF, PeriodicTSP")
 	doAttack := fs.Bool("attack", false, "run the charging spoofing attack instead of legitimate service")
-	solver := fs.String("solver", campaign.SolverCSA, "attack planner: CSA, Random, GreedyNearest, Direct")
+	solver := fs.String("solver", campaign.SolverCSA, "attack planner: CSA, CSA+polish, Random, GreedyNearest, Direct")
 	chargers := fs.Int("chargers", 1, "fleet size for legitimate service (>1 uses the event-driven fleet)")
 	verify := fs.Float64("verify", 0, "harvest-verification probability (countermeasure extension)")
 	scenarioIn := fs.String("scenario", "", "load the scenario from this JSON file (overrides -seed/-n/-pattern)")
@@ -86,18 +83,11 @@ func run(ctx context.Context, args []string) error {
 		*pattern = sc.Deploy.Pattern.String()
 	} else {
 		sc = trace.DefaultScenario(*seed, *n)
-		switch *pattern {
-		case "uniform":
-			sc.Deploy.Pattern = trace.DeployUniform
-		case "clustered":
-			sc.Deploy.Pattern = trace.DeployClustered
-		case "grid":
-			sc.Deploy.Pattern = trace.DeployGrid
-		case "corridor":
-			sc.Deploy.Pattern = trace.DeployCorridor
-		default:
-			return fmt.Errorf("unknown pattern %q", *pattern)
+		d, err := trace.ParseDeployment(*pattern)
+		if err != nil {
+			return err
 		}
+		sc.Deploy.Pattern = d
 	}
 	if *scenarioOut != "" {
 		if err := sc.SaveScenario(*scenarioOut); err != nil {
@@ -149,7 +139,7 @@ func run(ctx context.Context, args []string) error {
 		nw.Len(), *pattern, len(nw.KeyNodes()), nw.Sink(), *days)
 
 	if *daemon != "" {
-		return runDaemon(ctx, *daemon, spec)
+		return cliexport.RunDaemon(ctx, *daemon, spec)
 	}
 
 	res, err := jobspec.Run(ctx, spec, tel.Probe())
@@ -163,7 +153,7 @@ func run(ctx context.Context, args []string) error {
 			len(fo.Audit.Sessions), fo.RequestsServed, fo.RequestsIssued,
 			fo.CoverUtilityJ/1000, fo.EnergySpentJ/1e6, 100*fo.BusyFrac)
 		fmt.Printf("dead: %d/%d\n", fo.DeadTotal, nw.Len())
-		printFaults(fo.FaultReport())
+		cliexport.PrintFaults(fo.FaultReport())
 		return tel.Export()
 	}
 
@@ -187,43 +177,6 @@ func run(ctx context.Context, args []string) error {
 	if *doAttack {
 		fmt.Printf("key-node exhaustion: %.0f%%, detected: %v\n", 100*o.KeyExhaustRatio(), o.Detected)
 	}
-	printFaults(o.FaultReport())
+	cliexport.PrintFaults(o.FaultReport())
 	return tel.Export()
-}
-
-// runDaemon submits the spec to a wrsncsad daemon, waits for the
-// terminal state, and prints the summary plus the outcome digest.
-func runDaemon(ctx context.Context, baseURL string, spec jobspec.Spec) error {
-	c := client.New(baseURL)
-	st, err := c.SubmitWait(ctx, spec)
-	if err != nil {
-		return fmt.Errorf("daemon submit: %w", err)
-	}
-	fmt.Printf("\nsubmitted job %s to %s\n", st.ID, baseURL)
-	st, err = c.Wait(ctx, st.ID, 250*time.Millisecond)
-	if err != nil {
-		return fmt.Errorf("daemon wait: %w", err)
-	}
-	if st.Error != nil {
-		return fmt.Errorf("daemon job %s: %s: %s", st.ID, st.Error.Kind, st.Error.Message)
-	}
-	if s := st.Summary; s != nil {
-		fmt.Printf("mode: %s, dead %d, key dead %d/%d, requests served %d/%d, energy %.2f MJ\n",
-			s.Solver, s.DeadTotal, s.KeyDead, s.KeyNodes, s.RequestsServed, s.RequestsIssued, s.EnergySpentJ/1e6)
-		if spec.Kind == jobspec.KindAttack {
-			fmt.Printf("detected: %v, caught: %v\n", s.Detected, s.Caught)
-		}
-	}
-	fmt.Printf("outcome digest: %s\n", st.Digest)
-	return nil
-}
-
-// printFaults summarizes the run's fault ledger; nil (no plan) is silent.
-func printFaults(rep *faults.Report) {
-	if rep == nil {
-		return
-	}
-	fmt.Printf("faults: %d injected, %d survived, %d fatal (node failures %d, lost requests %d, charger breakdowns %d, sink outages %d)\n",
-		rep.Injected(), rep.Survived(), rep.Fatal(),
-		rep.NodeFailures, rep.RequestsLost, rep.ChargerBreakdowns, rep.SinkOutages)
 }

@@ -18,7 +18,7 @@ func SolveRandom(in *Instance, r *rng.Stream) (Result, error) {
 		return Result{}, err
 	}
 	in.EnsureDistIndex()
-	res := Result{Solver: "Random"}
+	res := Result{Solver: SolverRandom}
 	targets := in.Mandatories()
 	r.Shuffle(len(targets), func(i, j int) { targets[i], targets[j] = targets[j], targets[i] })
 	var route []int
@@ -72,7 +72,7 @@ func SolveGreedyNearest(in *Instance) (Result, error) {
 		return Result{}, err
 	}
 	in.EnsureDistIndex()
-	res := Result{Solver: "GreedyNearest"}
+	res := Result{Solver: SolverGreedyNearest}
 	var route []int
 	used := make(map[int]bool, len(in.Sites))
 	pos := in.Depot
@@ -125,7 +125,7 @@ func SolveDirect(in *Instance) (Result, error) {
 		return Result{}, err
 	}
 	in.EnsureDistIndex()
-	res := Result{Solver: "Direct"}
+	res := Result{Solver: SolverDirect}
 	skeleton, skipped := buildSkeleton(in)
 	res.SkippedTargets = skipped
 	compact(in, skeleton)

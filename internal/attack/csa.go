@@ -44,7 +44,7 @@ func solveCSA(in *Instance, pack packer) (Result, error) {
 		return Result{}, err
 	}
 	in.EnsureDistIndex()
-	res := Result{Solver: "CSA"}
+	res := Result{Solver: SolverCSA}
 
 	skeleton, skipped := buildSkeleton(in)
 	res.SkippedTargets = skipped

@@ -87,7 +87,7 @@ func solveCSAPolished(in *Instance, pack packer) (Result, error) {
 	}
 	if p.UtilityJ >= res.Plan.UtilityJ && p.SpoofCount >= res.Plan.SpoofCount {
 		res.Plan = p
-		res.Solver = "CSA+polish"
+		res.Solver = SolverCSAPolished
 	}
 	return res, nil
 }

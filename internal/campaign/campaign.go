@@ -38,15 +38,15 @@ import (
 
 // Solver names accepted by Config.Solver.
 const (
-	SolverCSA           = policy.SolverCSA
-	SolverCSAPolished   = policy.SolverCSAPolished
-	SolverRandom        = policy.SolverRandom
-	SolverGreedyNearest = policy.SolverGreedyNearest
-	SolverDirect        = policy.SolverDirect
+	SolverCSA           = attack.SolverCSA
+	SolverCSAPolished   = attack.SolverCSAPolished
+	SolverRandom        = attack.SolverRandom
+	SolverGreedyNearest = attack.SolverGreedyNearest
+	SolverDirect        = attack.SolverDirect
 )
 
 // ErrUnknownSolver reports an unrecognized Config.Solver.
-var ErrUnknownSolver = policy.ErrUnknownSolver
+var ErrUnknownSolver = attack.ErrUnknownSolver
 
 // Config parameterizes a campaign run. It is also the campaign knobs of
 // a job spec (internal/jobspec), whose wire form its JSON tags name; the
@@ -151,7 +151,7 @@ type Config struct {
 // again and again, and at 1e-3 s over a day exhausts memory. Every run
 // checks it first; jobspec checks it when a job is submitted.
 func (c Config) Validate() error {
-	if c.Solver != "" && !policy.KnownSolver(c.Solver) {
+	if c.Solver != "" && !attack.KnownSolver(c.Solver) {
 		return fmt.Errorf("%w: %q", ErrUnknownSolver, c.Solver)
 	}
 	if c.Scheduler != "" {
@@ -317,22 +317,12 @@ func layers(ctx context.Context, nw *wrsn.Network, ch *mc.Charger, cfg Config, s
 func newEnv(w *world.W, led *ledger.L, ch *mc.Charger, r *rng.Stream, cfg Config, sched charging.Scheduler) *policy.Env {
 	return &policy.Env{
 		W: w, L: led,
-		A:               session.NewActor(w, ch, led, r, sessionParams(cfg), cfg.Probe),
-		Horizon:         cfg.HorizonSec,
-		PollSec:         cfg.PollSec,
-		RequestFrac:     cfg.RequestFrac,
-		CooldownSec:     cfg.CooldownSec,
-		PendingGraceSec: cfg.PendingGraceSec,
-		NoFill:          cfg.NoFill,
-		Progressive:     cfg.Progressive,
-		MaxCovers:       cfg.MaxCovers,
-		InstanceBudgetJ: cfg.InstanceBudgetJ,
-		AuditEverySec:   cfg.AuditEverySec,
-		Scheduler:       sched,
-		Rand:            r,
-		Probe:           cfg.Probe,
-		Targets:         make(map[wrsn.NodeID]bool),
-		Blocked:         make(map[wrsn.NodeID]bool),
+		A:         session.NewActor(w, ch, led, r, cfg.Probe),
+		Scheduler: sched,
+		Rand:      r,
+		Probe:     cfg.Probe,
+		Targets:   make(map[wrsn.NodeID]bool),
+		Blocked:   make(map[wrsn.NodeID]bool),
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"github.com/reprolab/wrsn-csa/internal/campaign/policy"
-	"github.com/reprolab/wrsn-csa/internal/campaign/session"
 	"github.com/reprolab/wrsn-csa/internal/campaign/world"
 	"github.com/reprolab/wrsn-csa/internal/charging"
 	"github.com/reprolab/wrsn-csa/internal/detect"
@@ -50,29 +49,31 @@ type CheckpointPlan struct {
 	Stop func() bool
 }
 
-// worldParams and sessionParams map the run config onto the world and
-// session layers (shared by the fresh-run and resume constructors, and
-// by the single-charger and fleet runs, so they can never drift apart).
+// worldParams maps the prepared run config onto the one knob set every
+// layer reads (world.Params): the world holds it, and the session and
+// policy layers read it through the world. It is the one place a Config
+// knob is copied, shared by the fresh-run and resume constructors and by
+// the single-charger and fleet runs.
 func worldParams(cfg Config) world.Params {
 	return world.Params{
+		HorizonSec:       cfg.HorizonSec,
 		PollSec:          cfg.PollSec,
 		RequestFrac:      cfg.RequestFrac,
+		CooldownSec:      cfg.CooldownSec,
 		SampleEverySec:   cfg.SampleEverySec,
 		AuditEverySec:    cfg.AuditEverySec,
 		MinAuditSessions: cfg.MinAuditSessions,
 		PendingGraceSec:  cfg.PendingGraceSec,
 		Detectors:        detect.Suite(),
 		Faults:           cfg.Faults,
-	}
-}
-
-func sessionParams(cfg Config) session.Params {
-	return session.Params{
-		Band:           cfg.Band,
-		BenignFailRate: cfg.BenignFailRate,
-		SingleEmitter:  cfg.SingleEmitter,
-		CooldownSec:    cfg.CooldownSec,
-		Defense:        cfg.Defense,
+		NoFill:           cfg.NoFill,
+		Progressive:      cfg.Progressive,
+		MaxCovers:        cfg.MaxCovers,
+		InstanceBudgetJ:  cfg.InstanceBudgetJ,
+		Band:             cfg.Band,
+		BenignFailRate:   cfg.BenignFailRate,
+		SingleEmitter:    cfg.SingleEmitter,
+		Defense:          cfg.Defense,
 	}
 }
 

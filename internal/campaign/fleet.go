@@ -114,7 +114,6 @@ type fleetRun struct {
 // fresh run seeds the tick and dispatch events itself, a resumed run
 // restores the captured queue. cfg must be prepared.
 func newFleetRun(nw *wrsn.Network, chargers []*mc.Charger, cfg Config, led *ledger.L, w *world.W, r *rng.Stream) (*fleetRun, error) {
-	sp := sessionParams(cfg)
 	f := &fleetRun{
 		cfg: cfg, nw: nw, w: w, led: led, r: r,
 		chargers: chargers,
@@ -128,7 +127,7 @@ func newFleetRun(nw *wrsn.Network, chargers []*mc.Charger, cfg Config, led *ledg
 			return nil, err
 		}
 		f.st[i].sched = sched
-		f.actors[i] = session.NewActor(w, ch, led, r, sp, cfg.Probe)
+		f.actors[i] = session.NewActor(w, ch, led, r, cfg.Probe)
 	}
 	eng := w.Engine()
 	eng.Instrument(cfg.Probe)

@@ -132,14 +132,14 @@ func (p *Attacker) NextAction(e *Env, prev Result) (Action, error) {
 		// Plan handled: keep the cover by running on-demand service for
 		// the remaining horizon — unless filling is ablated off or the
 		// charger is already impounded.
-		if !e.NoFill && !caught(e) {
+		if !e.W.Params().NoFill && !caught(e) {
 			p.phase = phCover
 		} else {
 			p.phase = phWrap
 		}
 		return Noop{}, nil
 	case phCover:
-		if prev == Stopped || e.W.Now() >= e.Horizon || caught(e) {
+		if prev == Stopped || e.W.Now() >= e.W.Params().HorizonSec || caught(e) {
 			p.phase = phWrap
 			return Noop{}, nil
 		}
@@ -148,7 +148,7 @@ func (p *Attacker) NextAction(e *Env, prev Result) (Action, error) {
 		}
 		req, ok := e.PickFiltered(func(r charging.Request) bool { return p.OnRequest(e, r) })
 		if !ok {
-			return Wait{Until: math.Min(e.Horizon, e.W.Now()+e.PollSec)}, nil
+			return e.pollWait(), nil
 		}
 		return Serve{Req: req}, nil
 	case phWrap:
@@ -164,7 +164,7 @@ func (p *Attacker) NextAction(e *Env, prev Result) (Action, error) {
 		}
 		return Done{}, nil
 	case phHonest:
-		if prev == Stopped || e.W.Now() >= e.Horizon {
+		if prev == Stopped || e.W.Now() >= e.W.Params().HorizonSec {
 			return Done{}, nil
 		}
 		if act, ok := e.breakdownWait(); ok {
@@ -172,7 +172,7 @@ func (p *Attacker) NextAction(e *Env, prev Result) (Action, error) {
 		}
 		req, ok := e.PickFiltered(nil)
 		if !ok {
-			return Wait{Until: math.Min(e.Horizon, e.W.Now()+e.PollSec)}, nil
+			return e.pollWait(), nil
 		}
 		return Serve{Req: req}, nil
 	}
@@ -186,7 +186,8 @@ func (p *Attacker) NextAction(e *Env, prev Result) (Action, error) {
 // drift out of danger (their relay load vanished with an upstream death)
 // or die early are dropped.
 func (p *Attacker) targetsAction(e *Env) (Action, error) {
-	if !(len(p.pending) > 0 || e.Progressive) || caught(e) {
+	cfg := e.W.Params()
+	if !(len(p.pending) > 0 || cfg.Progressive) || caught(e) {
 		p.phase = phCoverGuard
 		return Noop{}, nil
 	}
@@ -195,17 +196,17 @@ func (p *Attacker) targetsAction(e *Env) (Action, error) {
 	if act, ok := e.breakdownWait(); ok {
 		return act, nil
 	}
-	if e.Progressive {
+	if cfg.Progressive {
 		added := p.recruitEmergentTargets(e)
 		e.L.ExtraTargets += added
 		if len(p.pending) == 0 {
-			if e.W.Now() >= e.Horizon {
+			if e.W.Now() >= cfg.HorizonSec {
 				p.phase = phCoverGuard
 				return Noop{}, nil
 			}
 			// Nothing to kill right now: serve covers and wait for the
 			// topology to yield new separators.
-			return p.fillAction(Fill{Deadline: e.W.Now() + e.PollSec, ReturnPos: e.A.Ch.Pos(), FallbackCap: e.Horizon}), nil
+			return p.fillAction(Fill{Deadline: e.W.Now() + cfg.PollSec, ReturnPos: e.A.Ch.Pos(), FallbackCap: cfg.HorizonSec}), nil
 		}
 	}
 	bestIdx := -1
@@ -220,7 +221,7 @@ func (p *Attacker) targetsAction(e *Env) (Action, error) {
 		if !node.Alive() {
 			continue // died before we got to it; still exhausted
 		}
-		f, err := e.W.Network().ForecastAt(s.Node, e.W.Now(), e.RequestFrac)
+		f, err := e.W.Network().ForecastAt(s.Node, e.W.Now(), cfg.RequestFrac)
 		if err != nil {
 			return nil, err
 		}
@@ -245,14 +246,14 @@ func (p *Attacker) targetsAction(e *Env) (Action, error) {
 		// spoof after death−cooldown, but a late spoof also shrinks the
 		// window in which post-spoof load drift could let the victim
 		// outlive its cooldown and re-request.
-		finalAt := math.Max(f.RequestAt, f.DeathAt-e.CooldownSec/2)
+		finalAt := math.Max(f.RequestAt, f.DeathAt-cfg.CooldownSec/2)
 		appease := false
 		// Slow-draining targets request long before they die; letting the
 		// request age past the sink's patience is starvation evidence.
 		// Appease such a request with a token partial charge before it
 		// goes stale.
 		if req, ok := e.W.Queue().Get(s.Node); ok {
-			staleAt := req.IssuedAt + e.PendingGraceSec - appeaseMarginSec
+			staleAt := req.IssuedAt + cfg.PendingGraceSec - appeaseMarginSec
 			if staleAt < finalAt {
 				finalAt = staleAt
 				appease = true
@@ -265,7 +266,7 @@ func (p *Attacker) targetsAction(e *Env) (Action, error) {
 	}
 	p.pending = alivePending
 	if bestIdx < 0 {
-		if !e.Progressive {
+		if !cfg.Progressive {
 			p.phase = phCoverGuard
 			return Noop{}, nil
 		}
@@ -343,7 +344,7 @@ func (p *Attacker) recruitEmergentTargets(e *Env) int {
 		p.pending = append(p.pending, attack.Site{
 			Node:      k.ID,
 			Pos:       node.Pos,
-			Dur:       node.Capacity() * (1 - e.RequestFrac) / rate,
+			Dur:       node.Capacity() * (1 - e.W.Params().RequestFrac) / rate,
 			Mandatory: true,
 			Kind:      attack.VisitSpoof,
 		})
@@ -401,14 +402,14 @@ func spoofTarget(e *Env, site attack.Site) error {
 		return nil // budget exhausted: the attack fizzles out
 	}
 	for !caught(e) && !e.W.Canceled() && node.Alive() && !e.W.Queue().Has(site.Node) {
-		f, err := e.W.Network().ForecastAt(site.Node, e.W.Now(), e.RequestFrac)
+		f, err := e.W.Network().ForecastAt(site.Node, e.W.Now(), e.W.Params().RequestFrac)
 		if err != nil {
 			return err
 		}
 		if math.IsInf(f.DeathAt, 1) || e.W.Now() >= f.DeathAt {
 			return nil
 		}
-		e.W.AdvanceTo(math.Min(f.DeathAt, e.W.Now()+e.PollSec))
+		e.W.AdvanceTo(math.Min(f.DeathAt, e.W.Now()+e.W.Params().PollSec))
 	}
 	if caught(e) || !node.Alive() {
 		return nil

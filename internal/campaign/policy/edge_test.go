@@ -26,9 +26,9 @@ import (
 )
 
 // testEnv wires the four layers for a policy test, mirroring the
-// campaign composition root with its defaults. wpMut adjusts the world
-// parameters and envMut the Env before anything runs.
-func testEnv(t *testing.T, seed uint64, n int, chp mc.Params, wpMut func(*world.Params), envMut func(*Env)) *Env {
+// campaign composition root with its defaults. wpMut adjusts the run's
+// knobs before anything runs.
+func testEnv(t *testing.T, seed uint64, n int, chp mc.Params, wpMut func(*world.Params)) *Env {
 	t.Helper()
 	nw, _, err := trace.DefaultScenario(seed, n).Build()
 	if err != nil {
@@ -37,41 +37,31 @@ func testEnv(t *testing.T, seed uint64, n int, chp mc.Params, wpMut func(*world.
 	ch := mc.New(nw.Sink(), chp)
 	led := ledger.New()
 	wp := world.Params{
+		HorizonSec:       attack.DefaultHorizonSec,
 		PollSec:          900,
 		RequestFrac:      wrsn.DefaultRequestFraction,
+		CooldownSec:      attack.DefaultCooldownSec,
 		AuditEverySec:    24 * 3600,
 		MinAuditSessions: 10,
 		PendingGraceSec:  48 * 3600,
 		Detectors:        detect.Suite(),
+		Band:             wpt.DefaultSpoofBand(),
+		BenignFailRate:   0.005,
 	}
 	if wpMut != nil {
 		wpMut(&wp)
 	}
 	w := world.New(context.Background(), nw, led, wp, nil)
 	r := rng.New(seed).Split("campaign")
-	a := session.NewActor(w, ch, led, r, session.Params{
-		Band:           wpt.DefaultSpoofBand(),
-		BenignFailRate: 0.005,
-		CooldownSec:    attack.DefaultCooldownSec,
-	}, nil)
-	env := &Env{
-		W: w, A: a, L: led,
-		Horizon:         attack.DefaultHorizonSec,
-		PollSec:         wp.PollSec,
-		RequestFrac:     wp.RequestFrac,
-		CooldownSec:     attack.DefaultCooldownSec,
-		PendingGraceSec: wp.PendingGraceSec,
-		AuditEverySec:   wp.AuditEverySec,
-		Scheduler:       charging.NJNP{},
-		Rand:            r,
-		Probe:           obs.Or(nil),
-		Targets:         make(map[wrsn.NodeID]bool),
-		Blocked:         make(map[wrsn.NodeID]bool),
+	return &Env{
+		W: w, L: led,
+		A:         session.NewActor(w, ch, led, r, nil),
+		Scheduler: charging.NJNP{},
+		Rand:      r,
+		Probe:     obs.Or(nil),
+		Targets:   make(map[wrsn.NodeID]bool),
+		Blocked:   make(map[wrsn.NodeID]bool),
 	}
-	if envMut != nil {
-		envMut(env)
-	}
-	return env
 }
 
 // flagAfter is a deterministic test detector: it flags as soon as the
@@ -91,9 +81,8 @@ func TestAttackerCaughtMidCampaign(t *testing.T) {
 			wp.AuditEverySec = 6 * 3600
 			wp.MinAuditSessions = 1
 			wp.Detectors = []detect.Detector{flagAfter{n: 3}}
-		},
-		func(e *Env) { e.AuditEverySec = 6 * 3600 })
-	p := NewAttacker(SolverCSA)
+		})
+	p := NewAttacker(attack.SolverCSA)
 	if err := Drive(env, p); err != nil {
 		t.Fatal(err)
 	}
@@ -103,8 +92,8 @@ func TestAttackerCaughtMidCampaign(t *testing.T) {
 	if env.L.CaughtBy != "flag-after" {
 		t.Errorf("CaughtBy = %q, want flag-after", env.L.CaughtBy)
 	}
-	if env.L.CaughtAt >= env.Horizon {
-		t.Errorf("CaughtAt = %v, want before the horizon %v", env.L.CaughtAt, env.Horizon)
+	if env.L.CaughtAt >= env.W.Params().HorizonSec {
+		t.Errorf("CaughtAt = %v, want before the horizon %v", env.L.CaughtAt, env.W.Params().HorizonSec)
 	}
 	if env.W.Auditing() {
 		t.Error("auditing still armed after the impoundment")
@@ -131,9 +120,9 @@ func TestAttackerCaughtMidCampaign(t *testing.T) {
 // in Progressive mode and checks that separators emerging mid-campaign
 // join the target list (and are counted in the ledger).
 func TestProgressiveRecruitsEmergentTargets(t *testing.T) {
-	env := testEnv(t, 42, 150, mc.DefaultParams(), nil,
-		func(e *Env) { e.Progressive = true })
-	p := NewAttacker(SolverCSA)
+	env := testEnv(t, 42, 150, mc.DefaultParams(),
+		func(wp *world.Params) { wp.Progressive = true })
+	p := NewAttacker(attack.SolverCSA)
 	if err := Drive(env, p); err != nil {
 		t.Fatal(err)
 	}
@@ -160,13 +149,13 @@ func TestMissedWindowDropsTarget(t *testing.T) {
 	// than any depletion forecast.
 	chp := mc.DefaultParams()
 	chp.SpeedMps = 1e-6
-	env := testEnv(t, 42, 120, chp, nil, nil)
+	env := testEnv(t, 42, 120, chp, nil)
 
 	// Pick a node with a finite projected death — a loaded relay.
 	var site attack.Site
 	found := false
 	for _, n := range env.W.Network().Nodes() {
-		f, err := env.W.Network().ForecastAt(n.ID, 0, env.RequestFrac)
+		f, err := env.W.Network().ForecastAt(n.ID, 0, env.W.Params().RequestFrac)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,7 +169,7 @@ func TestMissedWindowDropsTarget(t *testing.T) {
 		t.Fatal("scenario has no node with a finite depletion forecast")
 	}
 
-	p := NewAttacker(SolverCSA)
+	p := NewAttacker(attack.SolverCSA)
 	p.pending = []attack.Site{site}
 	p.engaged = map[wrsn.NodeID]bool{site.Node: true}
 	env.Targets[site.Node] = true

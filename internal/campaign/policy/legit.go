@@ -1,8 +1,6 @@
 package policy
 
 import (
-	"math"
-
 	"github.com/reprolab/wrsn-csa/internal/attack"
 	"github.com/reprolab/wrsn-csa/internal/charging"
 	"github.com/reprolab/wrsn-csa/internal/wrsn"
@@ -38,7 +36,7 @@ func (*Legit) OnArrival(*Env, *wrsn.Node) charging.SessionKind {
 // step when the queue is empty, and finishes at the horizon or on budget
 // exhaustion. A broken-down charger parks until its scheduled repair.
 func (*Legit) NextAction(e *Env, prev Result) (Action, error) {
-	if prev == Stopped || e.W.Now() >= e.Horizon {
+	if prev == Stopped || e.W.Now() >= e.W.Params().HorizonSec {
 		return Done{}, nil
 	}
 	if act, ok := e.breakdownWait(); ok {
@@ -46,7 +44,7 @@ func (*Legit) NextAction(e *Env, prev Result) (Action, error) {
 	}
 	req, ok := e.PickLive()
 	if !ok {
-		return Wait{Until: math.Min(e.Horizon, e.W.Now()+e.PollSec)}, nil
+		return e.pollWait(), nil
 	}
 	return Serve{Req: req, Strict: true}, nil
 }

@@ -14,10 +14,13 @@
 // which pending requests the serve path may pick; OnArrival chooses the
 // session kind once the charger is docked. Policies must draw randomness
 // only from Env.Rand (and only in a fixed order) to keep runs replayable.
+// They read the run's knobs (horizon, poll step, request threshold,
+// cooldown, grace age, audit cadence, fill and cover settings) from
+// Env.W.Params(), the one knob set the world and session layers read
+// too; the attackers plan through attack.Solve, the one planner table.
 package policy
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -32,78 +35,25 @@ import (
 	"github.com/reprolab/wrsn-csa/internal/wrsn"
 )
 
-// Solver names accepted by the attack policies.
-const (
-	SolverCSA           = "CSA"
-	SolverCSAPolished   = "CSA+polish"
-	SolverRandom        = "Random"
-	SolverGreedyNearest = "GreedyNearest"
-	SolverDirect        = "Direct"
-)
-
-// ErrUnknownSolver reports an unrecognized solver name.
-var ErrUnknownSolver = errors.New("campaign: unknown solver")
-
-// planner is an attack planner; r feeds the randomized ones.
-type planner func(in *attack.Instance, r *rng.Stream) (attack.Result, error)
-
-// solvers is the one table of attack planners by solver name.
-var solvers = map[string]planner{
-	SolverCSA:           deterministic(attack.SolveCSA),
-	SolverCSAPolished:   deterministic(attack.SolveCSAPolished),
-	SolverRandom:        attack.SolveRandom,
-	SolverGreedyNearest: deterministic(attack.SolveGreedyNearest),
-	SolverDirect:        deterministic(attack.SolveDirect),
-}
-
-// deterministic adapts a planner that draws no randomness.
-func deterministic(solve func(*attack.Instance) (attack.Result, error)) planner {
-	return func(in *attack.Instance, _ *rng.Stream) (attack.Result, error) { return solve(in) }
-}
-
-// KnownSolver reports whether solver names an attack planner.
-func KnownSolver(solver string) bool {
-	_, ok := solvers[solver]
-	return ok
-}
-
-// Solve dispatches to the named attack planner; r feeds the randomized
-// ones.
-func Solve(in *attack.Instance, solver string, r *rng.Stream) (attack.Result, error) {
-	solve, ok := solvers[solver]
-	if !ok {
-		return attack.Result{}, fmt.Errorf("%w: %q", ErrUnknownSolver, solver)
-	}
-	return solve(in, r)
-}
-
 // WindowAware reports whether the solver's policy re-derives target
 // windows live during execution (CSA and Direct's skeleton do; the
 // baselines execute their schedule as planned).
 func WindowAware(solver string) bool {
-	return solver == SolverCSA || solver == SolverCSAPolished || solver == SolverDirect
+	return solver == attack.SolverCSA || solver == attack.SolverCSAPolished || solver == attack.SolverDirect
 }
 
 // Env is the execution environment a policy acts in: the three lower
-// layers plus the run's configuration and shared target bookkeeping.
+// layers plus the run's scheduler, stream and shared target bookkeeping.
+// The run's knobs are the world's: policies read them through
+// W.Params().
 type Env struct {
 	W *world.W
 	A *session.Actor
 	L *ledger.L
 
-	Horizon         float64
-	PollSec         float64
-	RequestFrac     float64
-	CooldownSec     float64
-	PendingGraceSec float64
-	NoFill          bool
-	Progressive     bool
-	MaxCovers       int
-	InstanceBudgetJ float64
-	AuditEverySec   float64
-	Scheduler       charging.Scheduler
-	Rand            *rng.Stream
-	Probe           obs.Probe
+	Scheduler charging.Scheduler
+	Rand      *rng.Stream
+	Probe     obs.Probe
 
 	// Targets holds the attack's spoof targets (empty for legit runs);
 	// the opportunistic fill never genuinely serves them. Blocked holds
@@ -174,11 +124,17 @@ type ResumePoint struct {
 // the horizon has been reached — the phase machine's own terminal logic
 // must then run, or a never-repaired window would spin the action loop.
 func (e *Env) breakdownWait() (Action, bool) {
-	until := e.W.ChargerDownUntil()
-	if until <= e.W.Now() || e.W.Now() >= e.Horizon {
+	until, horizon := e.W.ChargerDownUntil(), e.W.Params().HorizonSec
+	if until <= e.W.Now() || e.W.Now() >= horizon {
 		return nil, false
 	}
-	return Wait{Until: math.Min(until, e.Horizon)}, true
+	return Wait{Until: math.Min(until, horizon)}, true
+}
+
+// pollWait waits one poll step, bounded by the horizon.
+func (e *Env) pollWait() Wait {
+	p := e.W.Params()
+	return Wait{Until: math.Min(p.HorizonSec, e.W.Now()+p.PollSec)}
 }
 
 // PickLive runs the scheduler over the live queue (legit service mutates
@@ -315,10 +271,11 @@ type Fill struct {
 
 // Exec attempts one opportunistic fill, else waits a poll step.
 func (a Fill) Exec(e *Env, _ Policy) (Result, error) {
-	if e.NoFill || !fillOne(e, a.Deadline, a.ReturnPos) {
+	p := e.W.Params()
+	if p.NoFill || !fillOne(e, a.Deadline, a.ReturnPos) {
 		// The fallback bound uses the post-attempt clock: a failed fill
 		// may still have spent travel time.
-		e.W.AdvanceTo(math.Min(a.FallbackCap, e.W.Now()+e.PollSec))
+		e.W.AdvanceTo(math.Min(a.FallbackCap, e.W.Now()+p.PollSec))
 	}
 	return OK, nil
 }
@@ -471,11 +428,12 @@ func advanceHooked(e *Env, until float64, prev Result) error {
 // finalAdvance runs the trailing advance to the horizon, hooked when a
 // checkpoint hook is armed.
 func finalAdvance(e *Env) error {
+	horizon := e.W.Params().HorizonSec
 	if e.Checkpoint == nil {
-		e.W.AdvanceTo(e.Horizon)
+		e.W.AdvanceTo(horizon)
 		return nil
 	}
-	return e.W.AdvanceToHook(e.Horizon, func() error {
+	return e.W.AdvanceToHook(horizon, func() error {
 		return e.Checkpoint(Barrier{Final: true})
 	})
 }
@@ -485,18 +443,19 @@ func finalAdvance(e *Env) error {
 // the named planner, mark every mandatory site as a blocked target, and
 // arm the sink's live audit.
 func BootstrapAttack(e *Env, solver string) (*attack.Instance, attack.Result, error) {
+	p := e.W.Params()
 	in, err := attack.BuildInstance(e.W.Network(), e.A.Ch, attack.BuilderConfig{
 		Now:         0,
-		RequestFrac: e.RequestFrac,
-		CooldownSec: e.CooldownSec,
-		HorizonSec:  e.Horizon,
-		MaxCovers:   e.MaxCovers,
-		BudgetJ:     e.InstanceBudgetJ,
+		RequestFrac: p.RequestFrac,
+		CooldownSec: p.CooldownSec,
+		HorizonSec:  p.HorizonSec,
+		MaxCovers:   p.MaxCovers,
+		BudgetJ:     p.InstanceBudgetJ,
 	})
 	if err != nil {
 		return nil, attack.Result{}, err
 	}
-	res, err := Solve(in, solver, e.Rand.Split("solver"))
+	res, err := attack.Solve(in, solver, e.Rand.Split("solver"))
 	if err != nil {
 		return nil, attack.Result{}, err
 	}
@@ -510,7 +469,7 @@ func BootstrapAttack(e *Env, solver string) (*attack.Instance, attack.Result, er
 	for id := range e.Targets {
 		e.Blocked[id] = true
 	}
-	e.W.StartAuditing(e.AuditEverySec)
+	e.W.StartAuditing()
 	return in, res, nil
 }
 

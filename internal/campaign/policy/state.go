@@ -96,8 +96,8 @@ func FromState(st *State, e *Env) (Policy, ResumePoint, error) {
 	if st.Policy == "legit" {
 		return NewLegit(), rp, nil
 	}
-	if !KnownSolver(st.Policy) {
-		return nil, rp, fmt.Errorf("%w: %q in checkpoint state", ErrUnknownSolver, st.Policy)
+	if !attack.KnownSolver(st.Policy) {
+		return nil, rp, fmt.Errorf("%w: %q in checkpoint state", attack.ErrUnknownSolver, st.Policy)
 	}
 	p := NewAttacker(st.Policy)
 	p.phase = phase(st.Phase)

@@ -25,22 +25,6 @@ import (
 	"github.com/reprolab/wrsn-csa/internal/wrsn"
 )
 
-// Params fixes the session-physics knobs for one run.
-type Params struct {
-	// Band is the spoofing RF band.
-	Band wpt.SpoofBand
-	// BenignFailRate is the probability a genuine session delivers
-	// nothing (misdocking, obstruction).
-	BenignFailRate float64
-	// SingleEmitter ablates the superposition primitive: spoof sessions
-	// degenerate into genuine charges.
-	SingleEmitter bool
-	// CooldownSec is the post-session re-request suppression.
-	CooldownSec float64
-	// Defense enables the countermeasure extensions.
-	Defense defense.Config
-}
-
 // Actor performs charging sessions with one charger against the shared
 // world, drawing session randomness (benign failures, phase jitter,
 // countermeasure duty cycles) from the campaign's stream in a fixed order.
@@ -49,7 +33,6 @@ type Actor struct {
 	Ch    *mc.Charger
 	L     *ledger.L
 	R     *rng.Stream
-	P     Params
 	rect  wpt.Rectifier
 	probe obs.Probe
 
@@ -59,9 +42,10 @@ type Actor struct {
 	witnessRF  []float64
 }
 
-// NewActor wires an actor over the world, ledger, and charger.
-func NewActor(w *world.W, ch *mc.Charger, led *ledger.L, r *rng.Stream, p Params, probe obs.Probe) *Actor {
-	return &Actor{W: w, Ch: ch, L: led, R: r, P: p, rect: ch.Rectifier(), probe: obs.Or(probe)}
+// NewActor wires an actor over the world, ledger, and charger. The
+// session knobs are the world's (see world.Params).
+func NewActor(w *world.W, ch *mc.Charger, led *ledger.L, r *rng.Stream, probe obs.Probe) *Actor {
+	return &Actor{W: w, Ch: ch, L: led, R: r, rect: ch.Rectifier(), probe: obs.Or(probe)}
 }
 
 // Focus performs a genuine charge of the node for up to dur seconds
@@ -95,7 +79,7 @@ func (a *Actor) Focus(node *wrsn.Node, dur float64) (charging.Session, error) {
 	// must tolerate (which is why the gain detector needs consecutive
 	// zeros to fire).
 	nominalRate := rate
-	if a.R.Bool(a.P.BenignFailRate) {
+	if a.R.Bool(a.W.Params().BenignFailRate) {
 		rate = 0
 	}
 	// The victim drains with everyone else during the session; the charge
@@ -140,13 +124,13 @@ func (a *Actor) Focus(node *wrsn.Node, dur float64) (charging.Session, error) {
 // nothing. With the SingleEmitter ablation the null is physically
 // impossible and the "spoof" degenerates into a genuine charge.
 func (a *Actor) Spoof(node *wrsn.Node, dur float64) (charging.Session, error) {
-	if a.P.SingleEmitter {
+	if a.W.Params().SingleEmitter {
 		// One coherent element cannot cancel itself; to keep up
 		// appearances it must radiate, and radiating charges the victim.
 		return a.Focus(node, dur)
 	}
 	arr := a.Ch.Array()
-	scale, err := wpt.SteerSpoof(arr, node.Pos, a.P.Band)
+	scale, err := wpt.SteerSpoof(arr, node.Pos, a.W.Params().Band)
 	if err != nil {
 		return charging.Session{}, err
 	}
@@ -180,7 +164,7 @@ func (a *Actor) Spoof(node *wrsn.Node, dur float64) (charging.Session, error) {
 	// Cooldown applies only when the victim's carrier detector saw an
 	// active charger; a failed spoof (null too deep) leaves the node free
 	// to re-request immediately.
-	a.Complete(node.ID, s, rf >= a.P.Band.CarrierDetectW, solicited)
+	a.Complete(node.ID, s, rf >= a.W.Params().Band.CarrierDetectW, solicited)
 	claimed, err := a.Ch.DeliveredPower(node.Pos)
 	if err != nil {
 		claimed = 0
@@ -252,7 +236,7 @@ func (a *Actor) Complete(id wrsn.NodeID, s charging.Session, carrierSeen, solici
 		a.probe.Add("campaign.requests.served", 1)
 	}
 	if carrierSeen {
-		a.W.SetCooldown(id, s.End+a.P.CooldownSec)
+		a.W.SetCooldown(id, s.End+a.W.Params().CooldownSec)
 	}
 	if a.probe.Enabled() {
 		kind := "session.focus"
@@ -287,7 +271,7 @@ func (a *Actor) TravelTo(node *wrsn.Node) error {
 // shaped); spoofed is simulation ground truth deciding exposure vs false
 // alarm.
 func (a *Actor) applyDefenses(node *wrsn.Node, s charging.Session, claimedRateW, actualDCW float64, spoofed bool, fieldAt func([]float64, []geom.Point) []float64) {
-	def := a.P.Defense
+	def := a.W.Params().Defense
 	if !def.Enabled() {
 		return
 	}

@@ -19,10 +19,12 @@ import (
 
 	"github.com/reprolab/wrsn-csa/internal/campaign/ledger"
 	"github.com/reprolab/wrsn-csa/internal/charging"
+	"github.com/reprolab/wrsn-csa/internal/defense"
 	"github.com/reprolab/wrsn-csa/internal/detect"
 	"github.com/reprolab/wrsn-csa/internal/faults"
 	"github.com/reprolab/wrsn-csa/internal/obs"
 	"github.com/reprolab/wrsn-csa/internal/sim"
+	"github.com/reprolab/wrsn-csa/internal/wpt"
 	"github.com/reprolab/wrsn-csa/internal/wrsn"
 )
 
@@ -35,12 +37,19 @@ const (
 	retxCapSec  = 4 * 3600.0
 )
 
-// Params fixes the world's cadences and audit rules for one run.
+// Params is the one set of prepared run knobs. The world reads the
+// cadences and audit rules; the session and policy layers above it read
+// the rest through Params, so the network's threshold, the sink's audit
+// and the attacker's spoof windows all see the same numbers.
 type Params struct {
+	// HorizonSec is the simulated duration.
+	HorizonSec float64
 	// PollSec bounds the step granularity of the clock.
 	PollSec float64
 	// RequestFrac is the battery fraction that triggers charging requests.
 	RequestFrac float64
+	// CooldownSec is the post-session re-request suppression.
+	CooldownSec float64
 	// SampleEverySec is the lifetime-sampling cadence; non-positive off.
 	SampleEverySec float64
 	// AuditEverySec is the live-audit cadence; negative disables live
@@ -56,6 +65,29 @@ type Params struct {
 	// Faults is the fault plan to compile onto the engine; nil or empty
 	// leaves the run byte-identical to a fault-free one.
 	Faults *faults.Plan
+
+	// The knobs below are read only by the session and policy layers.
+
+	// NoFill makes the attacker execute only its planned stops.
+	NoFill bool
+	// Progressive lets the attacker recruit key nodes that emerge
+	// mid-campaign.
+	Progressive bool
+	// MaxCovers caps the TIDE instance's optional sites.
+	MaxCovers int
+	// InstanceBudgetJ overrides the TIDE instance budget; non-positive
+	// uses the charger's remaining energy.
+	InstanceBudgetJ float64
+	// Band is the spoofing RF band.
+	Band wpt.SpoofBand
+	// BenignFailRate is the probability a genuine session delivers
+	// nothing (misdocking, obstruction).
+	BenignFailRate float64
+	// SingleEmitter ablates the superposition primitive: spoof sessions
+	// degenerate into genuine charges.
+	SingleEmitter bool
+	// Defense enables the countermeasure extensions.
+	Defense defense.Config
 }
 
 // W is the mutable world of one campaign run.
@@ -186,6 +218,9 @@ func (w *W) Now() float64 { return w.now }
 // handlers on it; tests and telemetry instrument it).
 func (w *W) Engine() *sim.Engine { return w.eng }
 
+// Params returns the run's knobs. The layers above read them here.
+func (w *W) Params() *Params { return &w.p }
+
 // Network returns the live network.
 func (w *W) Network() *wrsn.Network { return w.nw }
 
@@ -202,11 +237,11 @@ func (w *W) MarkKey(id wrsn.NodeID) { w.keySet[id] = true }
 // SetCooldown suppresses re-requests from id until the given time.
 func (w *W) SetCooldown(id wrsn.NodeID, until float64) { w.cool[id] = until }
 
-// StartAuditing arms the sink's periodic live audit with its first
-// boundary at firstAt.
-func (w *W) StartAuditing(firstAt float64) {
+// StartAuditing arms the sink's periodic live audit, its first boundary
+// at AuditEverySec.
+func (w *W) StartAuditing() {
 	w.auditing = true
-	w.nextAudit = firstAt
+	w.nextAudit = w.p.AuditEverySec
 }
 
 // StopAuditing disarms live audits (the impounded charger's honest

@@ -1,15 +1,18 @@
-// Package cliexport centralizes the telemetry-export and fault-load flag
-// wiring previously duplicated across cmd/experiments, cmd/csa-attack
-// and cmd/wrsn-sim (and now shared by cmd/wrsncsad): register the flags
-// on a FlagSet, get a probe for the run, export the recording at the
-// end.
+// Package cliexport is the glue the commands share: the telemetry-export
+// and fault-load flags (register them on a FlagSet, get a probe for the
+// run, export the recording at the end), the fault-summary line, and
+// the submit-and-wait path to a wrsncsad daemon.
 package cliexport
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"time"
 
+	"github.com/reprolab/wrsn-csa/client"
 	"github.com/reprolab/wrsn-csa/internal/faults"
+	"github.com/reprolab/wrsn-csa/internal/jobspec"
 	"github.com/reprolab/wrsn-csa/internal/obs"
 )
 
@@ -96,12 +99,40 @@ func (f *FaultLoad) Spec(seed uint64, horizonSec float64) *faults.Spec {
 	return &spec
 }
 
-// Plan compiles the scaled spec for an n-node network, or nil when the
-// load is zero. Plans are single-use; call Plan once per run.
-func (f *FaultLoad) Plan(seed uint64, horizonSec float64, n int) *faults.Plan {
-	spec := f.Spec(seed, horizonSec)
-	if spec == nil {
-		return nil
+// PrintFaults prints the run's fault-ledger summary line; nil (no plan)
+// prints nothing.
+func PrintFaults(rep *faults.Report) {
+	if rep == nil {
+		return
 	}
-	return faults.New(*spec, n)
+	fmt.Printf("faults: %d injected, %d survived, %d fatal (node failures %d, lost requests %d, charger breakdowns %d, sink outages %d)\n",
+		rep.Injected(), rep.Survived(), rep.Fatal(),
+		rep.NodeFailures, rep.RequestsLost, rep.ChargerBreakdowns, rep.SinkOutages)
+}
+
+// RunDaemon submits the spec to the wrsncsad daemon at baseURL, waits for
+// the terminal state, and prints the summary plus the outcome digest.
+func RunDaemon(ctx context.Context, baseURL string, spec jobspec.Spec) error {
+	c := client.New(baseURL)
+	st, err := c.SubmitWait(ctx, spec)
+	if err != nil {
+		return fmt.Errorf("daemon submit: %w", err)
+	}
+	fmt.Printf("\nsubmitted job %s to %s\n", st.ID, baseURL)
+	st, err = c.Wait(ctx, st.ID, 250*time.Millisecond)
+	if err != nil {
+		return fmt.Errorf("daemon wait: %w", err)
+	}
+	if st.Error != nil {
+		return fmt.Errorf("daemon job %s: %s: %s", st.ID, st.Error.Kind, st.Error.Message)
+	}
+	if s := st.Summary; s != nil {
+		fmt.Printf("mode: %s, dead %d, key dead %d/%d, requests served %d/%d, energy %.2f MJ\n",
+			s.Solver, s.DeadTotal, s.KeyDead, s.KeyNodes, s.RequestsServed, s.RequestsIssued, s.EnergySpentJ/1e6)
+		if spec.Kind == jobspec.KindAttack {
+			fmt.Printf("detected: %v, caught: %v\n", s.Detected, s.Caught)
+		}
+	}
+	fmt.Printf("outcome digest: %s\n", st.Digest)
+	return nil
 }

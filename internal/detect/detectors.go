@@ -6,8 +6,9 @@
 package detect
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/reprolab/wrsn-csa/internal/obs"
 	"github.com/reprolab/wrsn-csa/internal/wrsn"
@@ -205,17 +206,25 @@ func zeroRunsInOrder(ss []SessionObs, zero float64) (longest int, ok bool) {
 }
 
 // zeroRunsSorted groups the sessions by node and sorts each node's list
-// by start time before scanning it; it handles any input.
+// by start time before scanning it; it handles any input. A stable sort
+// of one copy by node leaves each node's segment in input order, and
+// startLess then orders the segment by start; slices.SortFunc runs the
+// same pdqsort as sort.Slice, so tied or NaN starts land exactly where
+// sorting a per-node list would put them.
 func zeroRunsSorted(ss []SessionObs, zero float64) int {
-	byNode := make(map[wrsn.NodeID][]SessionObs)
-	for _, s := range ss {
-		byNode[s.Node] = append(byNode[s.Node], s)
-	}
+	byNode := slices.Clone(ss)
+	slices.SortStableFunc(byNode, func(a, b SessionObs) int { return cmp.Compare(a.Node, b.Node) })
 	longest := 0
-	for _, ss := range byNode {
-		sort.Slice(ss, func(i, j int) bool { return ss[i].Start < ss[j].Start })
+	for len(byNode) > 0 {
+		end := 1
+		for end < len(byNode) && byNode[end].Node == byNode[0].Node {
+			end++
+		}
+		seg := byNode[:end]
+		byNode = byNode[end:]
+		slices.SortFunc(seg, startLess)
 		run := 0
-		for _, s := range ss {
+		for _, s := range seg {
 			if s.MeterGainJ <= zero {
 				run++
 				if run > longest {
@@ -227,6 +236,16 @@ func zeroRunsSorted(ss []SessionObs, zero float64) int {
 		}
 	}
 	return longest
+}
+
+// startLess orders sessions by start as a three-way comparison that
+// reports only "less", the one answer pdqsort asks for: sorting with it
+// makes the same moves as sort.Slice with Start < Start.
+func startLess(a, b SessionObs) int {
+	if a.Start < b.Start {
+		return -1
+	}
+	return 0
 }
 
 // denseNodes returns the size of a table indexed by the sessions' node

@@ -7,7 +7,6 @@ import (
 
 	"github.com/reprolab/wrsn-csa/internal/attack"
 	"github.com/reprolab/wrsn-csa/internal/campaign"
-	"github.com/reprolab/wrsn-csa/internal/campaign/policy"
 	"github.com/reprolab/wrsn-csa/internal/jobspec"
 	"github.com/reprolab/wrsn-csa/internal/metrics"
 	"github.com/reprolab/wrsn-csa/internal/report"
@@ -157,7 +156,7 @@ func RunUtilityVsBudget(ctx context.Context, cfg Config) (*Output, error) {
 		if err != nil {
 			return cell{}, err
 		}
-		res, err := policy.Solve(in, j.solver, rngFor(j.seed))
+		res, err := attack.Solve(in, j.solver, rngFor(j.seed))
 		if err != nil {
 			return cell{}, err
 		}

@@ -22,6 +22,7 @@ import (
 
 	"github.com/reprolab/wrsn-csa/internal/jobspec"
 	"github.com/reprolab/wrsn-csa/internal/obs"
+	"github.com/reprolab/wrsn-csa/internal/snapshot"
 )
 
 // slowSpec is a legit campaign big enough that a daemon drain reliably
@@ -30,6 +31,30 @@ import (
 // before the test's drain in 7 of 80 tries.
 func slowSpec(seed uint64) jobspec.Spec {
 	return jobspec.Default(seed, 400)
+}
+
+// parkRunner runs jobs for real but holds each at its first checkpoint
+// past clock zero until a drain asks it to stop, so the drain lands
+// mid-run however fast the campaign is: a 14-day 400-node legit run
+// takes under 3 ms, and its first checkpoint, gated by a 1 ms
+// CheckpointEvery, lands past day 11.
+func parkRunner(ctx context.Context, spec jobspec.Spec, opts jobspec.RunOptions) (*jobspec.Result, error) {
+	if opts.Checkpoint != nil {
+		plan := *opts.Checkpoint
+		sink, parked := plan.Sink, false
+		plan.Sink = func(snap *snapshot.Snapshot) error {
+			if err := sink(snap); err != nil {
+				return err
+			}
+			for !parked && snap.ClockSec() > 0 && !plan.Stop() && ctx.Err() == nil {
+				time.Sleep(time.Millisecond)
+			}
+			parked = parked || snap.ClockSec() > 0
+			return nil
+		}
+		opts.Checkpoint = &plan
+	}
+	return jobspec.RunOpts(ctx, spec, opts)
 }
 
 // expiredContext returns an already-expired context — the "drain
@@ -111,7 +136,7 @@ func TestDaemonRestartResumesCheckpointedJob(t *testing.T) {
 
 	dir := t.TempDir()
 	s1 := New(Options{
-		QueueDepth: 4, Workers: 1,
+		QueueDepth: 4, Workers: 1, Runner: parkRunner,
 		PersistDir: dir, CheckpointEvery: time.Millisecond,
 	})
 	st, err := s1.Submit(spec)

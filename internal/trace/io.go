@@ -46,7 +46,9 @@ func patternName(d Deployment) string {
 	return d.String()
 }
 
-func patternByName(name string) (Deployment, error) {
+// ParseDeployment returns the deployment pattern a name spells (see
+// Deployment.String).
+func ParseDeployment(name string) (Deployment, error) {
 	for _, d := range []Deployment{DeployUniform, DeployClustered, DeployGrid, DeployCorridor} {
 		if d.String() == name {
 			return d, nil
@@ -112,7 +114,7 @@ func ReadJSON(r io.Reader) (Scenario, error) {
 	if err := json.NewDecoder(r).Decode(&j); err != nil {
 		return Scenario{}, fmt.Errorf("trace: decode scenario: %w", err)
 	}
-	pat, err := patternByName(j.Pattern)
+	pat, err := ParseDeployment(j.Pattern)
 	if err != nil {
 		return Scenario{}, err
 	}

@@ -334,11 +334,11 @@ func PlanTIDE(nw *Network, ch *Charger, opts ...PlanOption) (*Instance, PlanResu
 	if err != nil {
 		return nil, PlanResult{}, err
 	}
-	solve := attack.SolveCSA
+	solver := attack.SolverCSA
 	if o.polish {
-		solve = attack.SolveCSAPolished
+		solver = attack.SolverCSAPolished
 	}
-	res, err := solve(in)
+	res, err := attack.Solve(in, solver, nil)
 	if err != nil {
 		return nil, PlanResult{}, err
 	}
