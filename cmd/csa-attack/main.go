@@ -53,8 +53,8 @@ func main() {
 // route to stdout.
 func renderMap(nw *wrsn.Network, keys []wrsn.KeyNode, in *attack.Instance, res attack.Result) error {
 	pts := make([]geom.Point, 0, nw.Len())
-	for _, n := range nw.Nodes() {
-		pts = append(pts, n.Pos)
+	for i := range nw.Len() {
+		pts = append(pts, nw.Pos(wrsn.NodeID(i)))
 	}
 	m := report.NewFieldMap(geom.BoundingBox(pts), 100, 32)
 	route := make([]geom.Point, 0, len(res.Plan.Order)+1)
@@ -65,11 +65,7 @@ func renderMap(nw *wrsn.Network, keys []wrsn.KeyNode, in *attack.Instance, res a
 	m.Path(route, '.')
 	m.MarkAll(pts, 'o')
 	for _, k := range keys {
-		node, err := nw.Node(k.ID)
-		if err != nil {
-			return err
-		}
-		m.Mark(node.Pos, '#')
+		m.Mark(nw.Pos(k.ID), '#')
 	}
 	m.Mark(nw.Sink(), 'S')
 	m.Legend('S', "sink / charger depot")

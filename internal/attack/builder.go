@@ -101,11 +101,12 @@ func BuildInstance(nw *wrsn.Network, ch *mc.Charger, cfg BuilderConfig) (*Instan
 		}
 	}
 	covers := make([]Site, 0, nw.Len())
-	for _, n := range nw.Nodes() {
-		if isKey[n.ID] || !n.Alive() {
+	for i := range nw.Len() {
+		id := wrsn.NodeID(i)
+		if isKey[id] || !nw.Alive(id) {
 			continue
 		}
-		site, ok, err := buildSite(nw, ch, cfg, n.ID, false)
+		site, ok, err := buildSite(nw, ch, cfg, id, false)
 		if err != nil {
 			return nil, err
 		}
@@ -140,14 +141,10 @@ func buildSite(nw *wrsn.Network, ch *mc.Charger, cfg BuilderConfig, id wrsn.Node
 	if math.IsInf(f.RequestAt, 1) || f.RequestAt > cfg.Now+cfg.HorizonSec {
 		return Site{}, false, nil
 	}
-	node, err := nw.Node(id)
-	if err != nil {
-		return Site{}, false, err
-	}
 	// Service fills the battery from the request threshold: the energy a
 	// genuine session at this node is expected to deliver.
-	needJ := node.Capacity() * (1 - cfg.RequestFrac)
-	rate, err := chargeRateAt(ch, node)
+	needJ := nw.Capacity(id) * (1 - cfg.RequestFrac)
+	rate, err := chargeRateAt(ch, nw, id)
 	if err != nil {
 		return Site{}, false, fmt.Errorf("attack: node %d unreachable for charging: %w", id, err)
 	}
@@ -174,7 +171,7 @@ func buildSite(nw *wrsn.Network, ch *mc.Charger, cfg BuilderConfig, id wrsn.Node
 	}
 	s := Site{
 		Node:      id,
-		Pos:       node.Pos,
+		Pos:       nw.Pos(id),
 		Window:    w,
 		Dur:       dur,
 		Mandatory: key,
@@ -193,15 +190,15 @@ func buildSite(nw *wrsn.Network, ch *mc.Charger, cfg BuilderConfig, id wrsn.Node
 
 // chargeRateAt returns the DC power the charger delivers to the node when
 // docked and focused.
-func chargeRateAt(ch *mc.Charger, node *wrsn.Node) (float64, error) {
+func chargeRateAt(ch *mc.Charger, nw *wrsn.Network, id wrsn.NodeID) (float64, error) {
 	// The delivered rate is position-independent because the docking
 	// distance is fixed; DeliveredPower is a pure query.
-	p, err := ch.DeliveredPower(node.Pos)
+	p, err := ch.DeliveredPower(nw.Pos(id))
 	if err != nil {
 		return 0, err
 	}
 	if p <= 0 {
-		return 0, fmt.Errorf("attack: zero deliverable power at node %d", node.ID)
+		return 0, fmt.Errorf("attack: zero deliverable power at node %d", id)
 	}
 	return p, nil
 }

@@ -146,11 +146,7 @@ func TestBuildInstanceMaxTargets(t *testing.T) {
 
 func TestBuildInstanceSkipsDeadNodes(t *testing.T) {
 	nw := chainNetwork(t, 5)
-	leaf, err := nw.Node(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	leaf.SetLevel(0)
+	nw.SetLevel(4, 0)
 	nw.Recompute()
 	ch := mc.New(nw.Sink(), mc.DefaultParams())
 	in, err := BuildInstance(nw, ch, BuilderConfig{})

@@ -434,8 +434,7 @@ func finish(led *ledger.L, w *world.W, ch *mc.Charger, cfg Config, solver string
 	// horizon is out of service but not dead (identical predicates on
 	// fault-free runs, where nothing is ever hardware-failed).
 	for _, k := range keys {
-		n, err := nw.Node(k.ID)
-		if err == nil && n.Depleted() {
+		if nw.Depleted(k.ID) {
 			o.KeyDead++
 		}
 	}
@@ -444,14 +443,14 @@ func finish(led *ledger.L, w *world.W, ch *mc.Charger, cfg Config, solver string
 			o.CoverUtilityJ += s.Utility()
 		}
 	}
-	for _, n := range nw.Nodes() {
-		switch {
-		case n.Depleted():
+	for i := range nw.Len() {
+		switch id := wrsn.NodeID(i); {
+		case nw.Depleted(id):
 			o.DeadTotal++
-		case !n.Alive():
+		case !nw.Alive(id):
 			// Hardware-failed: out of service, counted in the fault
 			// report rather than as dead or disconnected.
-		case !nw.Connected(n.ID):
+		case !nw.Connected(id):
 			o.Disconnected++
 		}
 	}

@@ -172,6 +172,11 @@ func Resume(ctx context.Context, snap *snapshot.Snapshot, cfg Config) (*Outcome,
 	if ch == nil {
 		return nil, fmt.Errorf("campaign: single-charger checkpoint has no charger")
 	}
+	for _, k := range cs.Keys {
+		if !nw.Has(k.ID) {
+			return nil, fmt.Errorf("campaign: checkpoint key node %d out of range [0,%d)", k.ID, nw.Len())
+		}
+	}
 	led := cs.Ledger.Clone()
 	w, err := world.Resume(ctx, nw, &led, worldParams(cfg), cfg.Probe, cs.World)
 	if err != nil {

@@ -181,14 +181,13 @@ func (f *fleetRun) dispatch(e *sim.Engine, idx int) {
 		_ = e.AfterKeyed(f.cfg.PollSec, fleetDispatchKind, idx, "idle-poll")
 		return
 	}
-	node, err := f.nw.Node(req.Node)
-	if err != nil || !node.Alive() {
+	if !f.nw.Alive(req.Node) {
 		w.Queue().Remove(req.Node)
 		_ = e.AfterKeyed(1, fleetDispatchKind, idx, "retry")
 		return
 	}
 	f.reserved[req.Node] = true
-	dock := ch.ServicePoint(node.Pos)
+	dock := ch.ServicePoint(f.nw.Pos(req.Node))
 	travelT := ch.TravelTime(dock)
 	if err := ch.Travel(dock); err != nil {
 		// This charger is out of budget; it parks forever.
@@ -207,31 +206,27 @@ func (f *fleetRun) arrive(e *sim.Engine, idx int) {
 	w, ch, s := f.w, f.chargers[idx], &f.st[idx]
 	w.CatchUp(e.Now())
 	s.phase = snapshot.FleetIdle // back to idle unless the session starts
-	node, err := f.nw.Node(s.req.Node)
-	if err != nil {
-		delete(f.reserved, s.req.Node)
-		return
-	}
-	if !node.Alive() {
-		delete(f.reserved, s.req.Node)
-		w.Queue().Remove(s.req.Node)
+	id := s.req.Node
+	if !f.nw.Alive(id) {
+		delete(f.reserved, id)
+		w.Queue().Remove(id)
 		_ = e.AfterKeyed(1, fleetDispatchKind, idx, "next")
 		return
 	}
-	rate, err := ch.DeliveredPower(node.Pos)
+	rate, err := ch.DeliveredPower(f.nw.Pos(id))
 	if err != nil || rate <= 0 {
-		delete(f.reserved, s.req.Node)
+		delete(f.reserved, id)
 		return
 	}
-	need := node.Capacity() - node.Level()
+	need := f.nw.Capacity(id) - f.nw.Level(id)
 	dur := need / rate
 	if err := ch.SpendRadiation(dur); err != nil {
 		delete(f.reserved, s.req.Node) // out of budget: parked
 		return
 	}
 	f.busy += s.travelT + dur
-	s.solicited = w.Queue().Has(node.ID)
-	s.meterBefore = node.MeterRead()
+	s.solicited = w.Queue().Has(id)
+	s.meterBefore = f.nw.MeterRead(id)
 	s.start = e.Now()
 	s.rate = rate
 	s.dur = dur
@@ -245,24 +240,21 @@ func (f *fleetRun) end(e *sim.Engine, idx int) {
 	w.CatchUp(e.Now())
 	delete(f.reserved, s.req.Node)
 	s.phase = snapshot.FleetIdle
-	node, err := f.nw.Node(s.req.Node)
-	if err != nil {
-		return
-	}
-	if !node.Alive() {
+	id := s.req.Node
+	if !f.nw.Alive(id) {
 		// Died mid-session (was nearly empty on arrival);
 		// nothing to record beyond the death itself.
 		_ = e.AfterKeyed(1, fleetDispatchKind, idx, "next")
 		return
 	}
-	delivered := f.nw.Charge(node.ID, s.rate*s.dur)
+	delivered := f.nw.Charge(id, s.rate*s.dur)
 	sess := charging.Session{
-		Node: node.ID, Kind: charging.SessionFocus,
+		Node: id, Kind: charging.SessionFocus,
 		Start: s.start, End: e.Now(),
 		RequestedJ: s.req.NeedJ, DeliveredJ: delivered,
-		MeterGainJ: node.MeterRead() - s.meterBefore,
+		MeterGainJ: f.nw.MeterRead(id) - s.meterBefore,
 	}
-	f.actors[idx].Complete(node.ID, sess, true, s.solicited)
+	f.actors[idx].Complete(id, sess, true, s.solicited)
 	_ = e.AfterKeyed(1, fleetDispatchKind, idx, "next")
 }
 
@@ -354,10 +346,10 @@ func (f *fleetRun) finish(ctx context.Context) (*FleetOutcome, error) {
 	for _, ch := range f.chargers {
 		out.EnergySpentJ += ch.Spent()
 	}
-	for _, n := range f.nw.Nodes() {
+	for i := range f.nw.Len() {
 		// Dead means battery-exhausted; a hardware-failed node counts in
 		// the fault report instead (identical on fault-free runs).
-		if n.Depleted() {
+		if f.nw.Depleted(wrsn.NodeID(i)) {
 			out.DeadTotal++
 		}
 	}

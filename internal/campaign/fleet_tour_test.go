@@ -30,7 +30,6 @@ func TestFleetToursStayWithTheirPlanner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes := nw.Nodes()
 	chargers := mc.New(nw.Sink(), mc.DefaultParams()).Fleet(2)
 	own := make([]charging.PeriodicTSP, len(chargers))
 	var (
@@ -51,12 +50,12 @@ func TestFleetToursStayWithTheirPlanner(t *testing.T) {
 			if enRoute {
 				delete(reserved, fc.Req.Node) // reserved by this dispatch
 			}
-			view := charging.NewQueue(len(nodes))
+			view := charging.NewQueue(nw.Len())
 			for _, r := range cs.World.Requests {
 				if reserved[r.Node] {
 					continue
 				}
-				req := charging.Request{Node: r.Node, Pos: nodes[r.Node].Pos, IssuedAt: r.IssuedAt, Deadline: math.Inf(1), NeedJ: r.NeedJ}
+				req := charging.Request{Node: r.Node, Pos: nw.Pos(r.Node), IssuedAt: r.IssuedAt, Deadline: math.Inf(1), NeedJ: r.NeedJ}
 				if err := view.Add(req); err != nil {
 					t.Fatal(err)
 				}

@@ -114,8 +114,8 @@ func (p *Attacker) OnRequest(e *Env, req charging.Request) bool {
 
 // OnArrival answers a window-unaware attacker's target re-requests with
 // yet another spoof; every other docking charges genuinely.
-func (p *Attacker) OnArrival(e *Env, node *wrsn.Node) charging.SessionKind {
-	if !p.windowAware && !p.honest && e.Targets[node.ID] {
+func (p *Attacker) OnArrival(e *Env, id wrsn.NodeID) charging.SessionKind {
+	if !p.windowAware && !p.honest && e.Targets[id] {
 		return charging.SessionSpoof
 	}
 	return charging.SessionFocus
@@ -213,15 +213,12 @@ func (p *Attacker) targetsAction(e *Env) (Action, error) {
 	var bestDepart float64
 	bestAppease := false
 	alivePending := p.pending[:0]
+	nw := e.W.Network()
 	for _, s := range p.pending {
-		node, err := e.W.Network().Node(s.Node)
-		if err != nil {
-			return nil, err
-		}
-		if !node.Alive() {
+		if !nw.Alive(s.Node) {
 			continue // died before we got to it; still exhausted
 		}
-		f, err := e.W.Network().ForecastAt(s.Node, e.W.Now(), cfg.RequestFrac)
+		f, err := nw.ForecastAt(s.Node, e.W.Now(), cfg.RequestFrac)
 		if err != nil {
 			return nil, err
 		}
@@ -231,7 +228,7 @@ func (p *Attacker) targetsAction(e *Env) (Action, error) {
 			delete(e.Blocked, s.Node)
 			continue
 		}
-		travel := e.A.Ch.TravelTime(e.A.Ch.ServicePoint(node.Pos))
+		travel := e.A.Ch.TravelTime(e.A.Ch.ServicePoint(nw.Pos(s.Node)))
 		if e.W.Now()+travel >= f.DeathAt-s.Dur/2 {
 			// Irrecoverably late: a spoof can no longer complete before
 			// death. Give the kill up — a genuine serve on its pending
@@ -325,15 +322,13 @@ func (p *Attacker) staticAction(e *Env, prev Result) (Action, error) {
 // joined.
 func (p *Attacker) recruitEmergentTargets(e *Env) int {
 	added := 0
-	for _, k := range e.W.Network().KeyNodes() {
-		if p.engaged[k.ID] {
+	nw := e.W.Network()
+	for _, k := range nw.KeyNodes() {
+		if p.engaged[k.ID] || !nw.Alive(k.ID) {
 			continue
 		}
-		node, err := e.W.Network().Node(k.ID)
-		if err != nil || !node.Alive() {
-			continue
-		}
-		rate, err := e.A.Ch.DeliveredPower(node.Pos)
+		pos := nw.Pos(k.ID)
+		rate, err := e.A.Ch.DeliveredPower(pos)
 		if err != nil || rate <= 0 {
 			continue
 		}
@@ -343,8 +338,8 @@ func (p *Attacker) recruitEmergentTargets(e *Env) int {
 		e.Probe.Event(obs.Event{T: e.W.Now(), Kind: "target.recruited", Node: int(k.ID), Value: float64(k.Severed)})
 		p.pending = append(p.pending, attack.Site{
 			Node:      k.ID,
-			Pos:       node.Pos,
-			Dur:       node.Capacity() * (1 - e.W.Params().RequestFrac) / rate,
+			Pos:       pos,
+			Dur:       nw.Capacity(k.ID) * (1 - e.W.Params().RequestFrac) / rate,
 			Mandatory: true,
 			Kind:      attack.VisitSpoof,
 		})
@@ -360,17 +355,13 @@ type appeaseAction struct{ site attack.Site }
 
 // Exec travels and runs the token charge.
 func (a appeaseAction) Exec(e *Env, _ Policy) (Result, error) {
-	node, err := e.W.Network().Node(a.site.Node)
-	if err != nil {
-		return Stopped, err
-	}
-	if err := e.A.TravelTo(node); err != nil {
+	if err := e.A.TravelTo(a.site.Node); err != nil {
 		return OK, nil // budget exhausted
 	}
-	if caught(e) || !node.Alive() {
+	if caught(e) || !e.W.Network().Alive(a.site.Node) {
 		return OK, nil
 	}
-	if _, err := e.A.Focus(node, a.site.Dur*appeaseFraction); err != nil {
+	if _, err := e.A.Focus(a.site.Node, a.site.Dur*appeaseFraction); err != nil {
 		return Stopped, err
 	}
 	return OK, nil
@@ -394,15 +385,12 @@ func (a spoofAction) Exec(e *Env, _ Policy) (Result, error) {
 }
 
 func spoofTarget(e *Env, site attack.Site) error {
-	node, err := e.W.Network().Node(site.Node)
-	if err != nil {
-		return err
-	}
-	if err := e.A.TravelTo(node); err != nil {
+	nw := e.W.Network()
+	if err := e.A.TravelTo(site.Node); err != nil {
 		return nil // budget exhausted: the attack fizzles out
 	}
-	for !caught(e) && !e.W.Canceled() && node.Alive() && !e.W.Queue().Has(site.Node) {
-		f, err := e.W.Network().ForecastAt(site.Node, e.W.Now(), e.W.Params().RequestFrac)
+	for !caught(e) && !e.W.Canceled() && nw.Alive(site.Node) && !e.W.Queue().Has(site.Node) {
+		f, err := nw.ForecastAt(site.Node, e.W.Now(), e.W.Params().RequestFrac)
 		if err != nil {
 			return err
 		}
@@ -411,18 +399,18 @@ func spoofTarget(e *Env, site attack.Site) error {
 		}
 		e.W.AdvanceTo(math.Min(f.DeathAt, e.W.Now()+e.W.Params().PollSec))
 	}
-	if caught(e) || !node.Alive() {
+	if caught(e) || !nw.Alive(site.Node) {
 		return nil
 	}
 	// Session length: as long as a genuine recharge (the claim must look
 	// right) but never outliving the victim's projected death.
 	dur := site.Dur
-	if drain := e.W.Network().DrainWatts(site.Node); drain > 0 {
-		if life := node.Level() / drain; life < dur {
+	if drain := nw.DrainWatts(site.Node); drain > 0 {
+		if life := nw.Level(site.Node) / drain; life < dur {
 			dur = life
 		}
 	}
-	_, err = e.A.Spoof(node, dur)
+	_, err := e.A.Spoof(site.Node, dur)
 	return err
 }
 
@@ -434,34 +422,31 @@ type staticStop struct {
 
 // Exec travels, waits for the scheduled begin, and serves or spoofs.
 func (a staticStop) Exec(e *Env, _ Policy) (Result, error) {
-	node, err := e.W.Network().Node(a.site.Node)
-	if err != nil {
-		return Stopped, err
-	}
-	if !node.Alive() {
+	nw, id := e.W.Network(), a.site.Node
+	if !nw.Alive(id) {
 		return OK, nil
 	}
-	if err := e.A.TravelTo(node); err != nil {
+	if err := e.A.TravelTo(id); err != nil {
 		return Stopped, nil // budget exhausted
 	}
 	if e.W.Now() < a.begin {
 		e.W.AdvanceTo(a.begin)
 	}
-	if caught(e) || !node.Alive() {
+	if caught(e) || !nw.Alive(id) {
 		return OK, nil
 	}
 	dur := a.site.Dur
-	if drain := e.W.Network().DrainWatts(a.site.Node); drain > 0 && a.site.Mandatory {
-		if life := node.Level() / drain; life < dur {
+	if drain := nw.DrainWatts(id); drain > 0 && a.site.Mandatory {
+		if life := nw.Level(id) / drain; life < dur {
 			dur = life
 		}
 	}
 	if a.site.Mandatory {
-		if _, err := e.A.Spoof(node, dur); err != nil {
+		if _, err := e.A.Spoof(id, dur); err != nil {
 			return Stopped, nil
 		}
 	} else {
-		if _, err := e.A.Focus(node, dur); err != nil {
+		if _, err := e.A.Focus(id, dur); err != nil {
 			return Stopped, nil
 		}
 	}

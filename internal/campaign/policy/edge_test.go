@@ -154,13 +154,15 @@ func TestMissedWindowDropsTarget(t *testing.T) {
 	// Pick a node with a finite projected death — a loaded relay.
 	var site attack.Site
 	found := false
-	for _, n := range env.W.Network().Nodes() {
-		f, err := env.W.Network().ForecastAt(n.ID, 0, env.W.Params().RequestFrac)
+	nw := env.W.Network()
+	for i := range nw.Len() {
+		id := wrsn.NodeID(i)
+		f, err := nw.ForecastAt(id, 0, env.W.Params().RequestFrac)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !math.IsInf(f.DeathAt, 1) {
-			site = attack.Site{Node: n.ID, Pos: n.Pos, Dur: 4 * 3600, Mandatory: true, Kind: attack.VisitSpoof}
+			site = attack.Site{Node: id, Pos: nw.Pos(id), Dur: 4 * 3600, Mandatory: true, Kind: attack.VisitSpoof}
 			found = true
 			break
 		}

@@ -28,7 +28,7 @@ func (*Legit) Planned() *attack.Result { return nil }
 func (*Legit) OnRequest(*Env, charging.Request) bool { return true }
 
 // OnArrival always charges genuinely.
-func (*Legit) OnArrival(*Env, *wrsn.Node) charging.SessionKind {
+func (*Legit) OnArrival(*Env, wrsn.NodeID) charging.SessionKind {
 	return charging.SessionFocus
 }
 

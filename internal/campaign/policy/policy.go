@@ -176,7 +176,7 @@ type Policy interface {
 	OnRequest(e *Env, req charging.Request) bool
 	// OnArrival chooses the session kind once the charger is docked at
 	// the node; the serve executor honors it.
-	OnArrival(e *Env, node *wrsn.Node) charging.SessionKind
+	OnArrival(e *Env, id wrsn.NodeID) charging.SessionKind
 	// Planned returns the TIDE plan executed, nil for legit service.
 	Planned() *attack.Result
 }
@@ -210,8 +210,8 @@ func (a Wait) Exec(e *Env, _ Policy) (Result, error) {
 
 // Serve travels to the request's node and runs a full session there, of
 // the kind the policy's OnArrival picks. Strict marks the legit baseline,
-// where a vanished node or a power-model error is a run-aborting fault
-// rather than a reason to move on.
+// where a power-model error is a run-aborting fault rather than a reason
+// to move on.
 type Serve struct {
 	Req    charging.Request
 	Strict bool
@@ -219,41 +219,34 @@ type Serve struct {
 
 // Exec performs the serve skeleton shared by every on-demand loop.
 func (a Serve) Exec(e *Env, pol Policy) (Result, error) {
-	node, err := e.W.Network().Node(a.Req.Node)
-	if err != nil {
-		if a.Strict {
-			return Stopped, err
-		}
-		e.W.Queue().Remove(a.Req.Node)
+	nw, id := e.W.Network(), a.Req.Node
+	if !nw.Alive(id) {
+		e.W.Queue().Remove(id)
 		return OK, nil
 	}
-	if !node.Alive() {
-		e.W.Queue().Remove(a.Req.Node)
-		return OK, nil
-	}
-	if err := e.A.TravelTo(node); err != nil {
+	if err := e.A.TravelTo(id); err != nil {
 		// Budget exhausted: the phase is over.
 		return Stopped, nil
 	}
-	if !node.Alive() { // died while we were driving over
-		e.W.Queue().Remove(a.Req.Node)
+	if !nw.Alive(id) { // died while we were driving over
+		e.W.Queue().Remove(id)
 		return OK, nil
 	}
-	rate, err := e.A.Ch.DeliveredPower(node.Pos)
+	rate, err := e.A.Ch.DeliveredPower(nw.Pos(id))
 	if err != nil {
 		if a.Strict {
 			return Stopped, err
 		}
 		return Stopped, nil
 	}
-	need := node.Capacity() - node.Level()
-	if pol.OnArrival(e, node) == charging.SessionSpoof {
-		if _, err := e.A.Spoof(node, need/rate); err != nil {
+	need := nw.Capacity(id) - nw.Level(id)
+	if pol.OnArrival(e, id) == charging.SessionSpoof {
+		if _, err := e.A.Spoof(id, need/rate); err != nil {
 			return Stopped, nil
 		}
 		return OK, nil
 	}
-	if _, err := e.A.Focus(node, need/rate); err != nil {
+	if _, err := e.A.Focus(id, need/rate); err != nil {
 		return Stopped, nil
 	}
 	return OK, nil
@@ -284,22 +277,23 @@ func (a Fill) Exec(e *Env, _ Policy) (Result, error) {
 // served in time to reach returnPos by the deadline. It reports whether a
 // session happened.
 func fillOne(e *Env, deadline float64, returnPos geom.Point) bool {
+	nw := e.W.Network()
 	best := charging.Request{}
 	found := false
 	bestD := math.Inf(1)
 	for _, req := range e.W.Queue().Pending() {
-		node, err := e.W.Network().Node(req.Node)
-		if err != nil || !node.Alive() || e.Blocked[req.Node] {
+		if !nw.Alive(req.Node) || e.Blocked[req.Node] {
 			continue
 		}
-		rate, err := e.A.Ch.DeliveredPower(node.Pos)
+		pos := nw.Pos(req.Node)
+		rate, err := e.A.Ch.DeliveredPower(pos)
 		if err != nil || rate <= 0 {
 			continue
 		}
-		dock := e.A.Ch.ServicePoint(node.Pos)
-		serveDur := (node.Capacity() - node.Level()) / rate
+		dock := e.A.Ch.ServicePoint(pos)
+		serveDur := (nw.Capacity(req.Node) - nw.Level(req.Node)) / rate
 		finish := e.W.Now() + e.A.Ch.TravelTime(dock) + serveDur
-		back := finish + node.Pos.Dist(returnPos)/e.A.Ch.Params().SpeedMps
+		back := finish + pos.Dist(returnPos)/e.A.Ch.Params().SpeedMps
 		if back > deadline {
 			continue
 		}
@@ -310,24 +304,20 @@ func fillOne(e *Env, deadline float64, returnPos geom.Point) bool {
 	if !found {
 		return false
 	}
-	node, err := e.W.Network().Node(best.Node)
-	if err != nil || !node.Alive() {
-		e.W.Queue().Remove(best.Node)
+	id := best.Node
+	if err := e.A.TravelTo(id); err != nil {
 		return false
 	}
-	if err := e.A.TravelTo(node); err != nil {
+	if !nw.Alive(id) {
+		e.W.Queue().Remove(id)
 		return false
 	}
-	if !node.Alive() {
-		e.W.Queue().Remove(best.Node)
-		return false
-	}
-	rate, err := e.A.Ch.DeliveredPower(node.Pos)
+	rate, err := e.A.Ch.DeliveredPower(nw.Pos(id))
 	if err != nil {
 		return false
 	}
-	need := node.Capacity() - node.Level()
-	_, err = e.A.Focus(node, need/rate)
+	need := nw.Capacity(id) - nw.Level(id)
+	_, err = e.A.Focus(id, need/rate)
 	return err == nil
 }
 

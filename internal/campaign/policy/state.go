@@ -79,13 +79,19 @@ func CaptureState(pol Policy, e *Env, b Barrier) (*State, error) {
 }
 
 // FromState rebuilds the policy and refills the Env's target sets. It
-// returns the restored policy and the drive-loop resume point.
+// returns the restored policy and the drive-loop resume point. A state
+// naming a node the Env's network does not have, or a plan stop its
+// instance does not have, is rejected: checkpoints arrive from outside
+// the process, and the policy indexes the network by these IDs.
 func FromState(st *State, e *Env) (Policy, ResumePoint, error) {
 	rp := ResumePoint{Stage: st.Stage, Prev: Result(st.Prev), WaitUntil: st.WaitUntil}
 	switch rp.Stage {
 	case StageLoop, StageWait, StageFinal:
 	default:
 		return nil, rp, fmt.Errorf("policy: state has unknown stage %q", st.Stage)
+	}
+	if err := st.check(e.W.Network()); err != nil {
+		return nil, rp, err
 	}
 	for _, id := range st.Targets {
 		e.Targets[id] = true
@@ -115,4 +121,32 @@ func FromState(st *State, e *Env) (Policy, ResumePoint, error) {
 		p.res = *st.Result
 	}
 	return p, rp, nil
+}
+
+// check holds every node ID and plan stop of the state to the network it
+// resumes on.
+func (st *State) check(nw *wrsn.Network) error {
+	var sites []attack.Site
+	if st.Instance != nil {
+		sites = st.Instance.Sites
+	}
+	ids := append(append(append([]wrsn.NodeID(nil), st.Targets...), st.Blocked...), st.Engaged...)
+	for _, list := range [][]attack.Site{st.Pending, sites} {
+		for _, s := range list {
+			ids = append(ids, s.Node)
+		}
+	}
+	for _, id := range ids {
+		if !nw.Has(id) {
+			return fmt.Errorf("policy: state names node %d, out of range [0,%d)", id, nw.Len())
+		}
+	}
+	if st.Result != nil {
+		for _, stop := range st.Result.Plan.Schedule {
+			if stop.Site < 0 || stop.Site >= len(sites) {
+				return fmt.Errorf("policy: state plan stop names site %d, out of range [0,%d)", stop.Site, len(sites))
+			}
+		}
+	}
+	return nil
 }

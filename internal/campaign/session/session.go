@@ -37,7 +37,7 @@ type Actor struct {
 	probe obs.Probe
 
 	// Witness-scan scratch, reused across sessions.
-	witnessBuf []*wrsn.Node
+	witnessBuf []wrsn.NodeID
 	witnessPts []geom.Point
 	witnessRF  []float64
 }
@@ -51,28 +51,30 @@ func NewActor(w *world.W, ch *mc.Charger, led *ledger.L, r *rng.Stream, probe ob
 // Focus performs a genuine charge of the node for up to dur seconds
 // (clamped so the victim cannot die mid-session), returning the session.
 // The caller must already have positioned the charger at the node's dock.
-func (a *Actor) Focus(node *wrsn.Node, dur float64) (charging.Session, error) {
-	rate, err := a.Ch.DeliveredPower(node.Pos)
+func (a *Actor) Focus(id wrsn.NodeID, dur float64) (charging.Session, error) {
+	nw := a.W.Network()
+	pos := nw.Pos(id)
+	rate, err := a.Ch.DeliveredPower(pos)
 	if err != nil {
 		return charging.Session{}, err
 	}
-	drain := a.W.Network().DrainWatts(node.ID)
+	drain := nw.DrainWatts(id)
 	if net := rate - drain; net > 0 {
 		// Clamp to topping the battery off at the *net* fill rate.
-		if fill := (node.Capacity() - node.Level()) / net; fill < dur {
+		if fill := (nw.Capacity(id) - nw.Level(id)) / net; fill < dur {
 			dur = fill
 		}
 	}
 	if drain > 0 {
-		if life := node.Level() / drain; dur > 0.95*life && rate <= drain {
+		if life := nw.Level(id) / drain; dur > 0.95*life && rate <= drain {
 			dur = 0.95 * life
 		}
 	}
 	if err := a.Ch.SpendRadiation(dur); err != nil {
 		return charging.Session{}, err
 	}
-	solicited := a.W.Queue().Has(node.ID)
-	requested, meterBefore := a.PendingNeed(node), node.MeterRead()
+	solicited := a.W.Queue().Has(id)
+	requested, meterBefore := a.PendingNeed(id), nw.MeterRead(id)
 	start := a.W.Now()
 	// Benign session failure: the charger misdocks or is obstructed and
 	// the session delivers nothing — the background noise real detectors
@@ -87,20 +89,20 @@ func (a *Actor) Focus(node *wrsn.Node, dur float64) (charging.Session, error) {
 	// guarantees survival). Charger breakdowns suspend delivery: only the
 	// actively-radiating seconds charge the battery.
 	active := a.advance(dur)
-	delivered := a.W.Network().Charge(node.ID, rate*active)
+	delivered := nw.Charge(id, rate*active)
 	s := charging.Session{
-		Node:       node.ID,
+		Node:       id,
 		Kind:       charging.SessionFocus,
 		Start:      start,
 		End:        a.W.Now(),
 		RequestedJ: requested,
 		DeliveredJ: delivered,
-		MeterGainJ: node.MeterRead() - meterBefore,
+		MeterGainJ: nw.MeterRead(id) - meterBefore,
 		RFAtNodeW:  4 * a.Ch.Array().Model.Power(a.Ch.Params().ServiceDist),
 	}
-	a.Complete(node.ID, s, true, solicited)
-	a.applyDefenses(node, s, nominalRate, rate, false, func(dst []float64, pts []geom.Point) []float64 {
-		out, err := a.Ch.RadiatedPowerAtAll(node.Pos, dst, pts)
+	a.Complete(id, s, true, solicited)
+	a.applyDefenses(id, s, nominalRate, rate, false, func(dst []float64, pts []geom.Point) []float64 {
+		out, err := a.Ch.RadiatedPowerAtAll(pos, dst, pts)
 		if err != nil {
 			// An unsteerable session measures zero everywhere, matching
 			// the scalar query's per-point error fallback.
@@ -123,14 +125,16 @@ func (a *Actor) Focus(node *wrsn.Node, dur float64) (charging.Session, error) {
 // see a normal charging session — while the victim harvests (almost)
 // nothing. With the SingleEmitter ablation the null is physically
 // impossible and the "spoof" degenerates into a genuine charge.
-func (a *Actor) Spoof(node *wrsn.Node, dur float64) (charging.Session, error) {
+func (a *Actor) Spoof(id wrsn.NodeID, dur float64) (charging.Session, error) {
 	if a.W.Params().SingleEmitter {
 		// One coherent element cannot cancel itself; to keep up
 		// appearances it must radiate, and radiating charges the victim.
-		return a.Focus(node, dur)
+		return a.Focus(id, dur)
 	}
+	nw := a.W.Network()
+	pos := nw.Pos(id)
 	arr := a.Ch.Array()
-	scale, err := wpt.SteerSpoof(arr, node.Pos, a.W.Params().Band)
+	scale, err := wpt.SteerSpoof(arr, pos, a.W.Params().Band)
 	if err != nil {
 		return charging.Session{}, err
 	}
@@ -138,7 +142,7 @@ func (a *Actor) Spoof(node *wrsn.Node, dur float64) (charging.Session, error) {
 		a.R.NormMeanStd(0, arr.PhaseJitterRad),
 		a.R.NormMeanStd(0, arr.PhaseJitterRad),
 	}
-	rf, err := arr.RFPowerAtWithJitter(node.Pos, errs)
+	rf, err := arr.RFPowerAtWithJitter(pos, errs)
 	if err != nil {
 		return charging.Session{}, err
 	}
@@ -146,30 +150,30 @@ func (a *Actor) Spoof(node *wrsn.Node, dur float64) (charging.Session, error) {
 	if err := a.Ch.SpendEnergy(spoofPower * dur); err != nil {
 		return charging.Session{}, err
 	}
-	solicited := a.W.Queue().Has(node.ID)
-	requested, meterBefore := a.PendingNeed(node), node.MeterRead()
+	solicited := a.W.Queue().Has(id)
+	requested, meterBefore := a.PendingNeed(id), nw.MeterRead(id)
 	start := a.W.Now()
 	active := a.advance(dur)
-	delivered := a.W.Network().Charge(node.ID, a.rect.DCOutput(rf)*active)
+	delivered := nw.Charge(id, a.rect.DCOutput(rf)*active)
 	s := charging.Session{
-		Node:       node.ID,
+		Node:       id,
 		Kind:       charging.SessionSpoof,
 		Start:      start,
 		End:        a.W.Now(),
 		RequestedJ: requested,
 		DeliveredJ: delivered,
-		MeterGainJ: node.MeterRead() - meterBefore,
+		MeterGainJ: nw.MeterRead(id) - meterBefore,
 		RFAtNodeW:  rf,
 	}
 	// Cooldown applies only when the victim's carrier detector saw an
 	// active charger; a failed spoof (null too deep) leaves the node free
 	// to re-request immediately.
-	a.Complete(node.ID, s, rf >= a.W.Params().Band.CarrierDetectW, solicited)
-	claimed, err := a.Ch.DeliveredPower(node.Pos)
+	a.Complete(id, s, rf >= a.W.Params().Band.CarrierDetectW, solicited)
+	claimed, err := a.Ch.DeliveredPower(pos)
 	if err != nil {
 		claimed = 0
 	}
-	a.applyDefenses(node, s, claimed, a.rect.DCOutput(rf), true, arr.RFPowerAtAll)
+	a.applyDefenses(id, s, claimed, a.rect.DCOutput(rf), true, arr.RFPowerAtAll)
 	return s, nil
 }
 
@@ -209,11 +213,11 @@ func (a *Actor) advance(dur float64) float64 {
 // PendingNeed returns the node's pending requested energy, or its current
 // shortfall when no request is pending (an unsolicited session still
 // claims a requested amount in telemetry).
-func (a *Actor) PendingNeed(node *wrsn.Node) float64 {
-	if req, ok := a.W.Queue().Get(node.ID); ok {
+func (a *Actor) PendingNeed(id wrsn.NodeID) float64 {
+	if req, ok := a.W.Queue().Get(id); ok {
 		return req.NeedJ
 	}
-	return node.Capacity() - node.Level()
+	return a.W.Network().Capacity(id) - a.W.Network().Level(id)
 }
 
 // Complete records a finished session: ground truth, the sink's
@@ -251,11 +255,11 @@ func (a *Actor) Complete(id wrsn.NodeID, s charging.Session, carrierSeen, solici
 
 // TravelTo moves the charger to the node's dock, advancing the world by
 // the travel time.
-func (a *Actor) TravelTo(node *wrsn.Node) error {
-	dock := a.Ch.ServicePoint(node.Pos)
+func (a *Actor) TravelTo(id wrsn.NodeID) error {
+	dock := a.Ch.ServicePoint(a.W.Network().Pos(id))
 	dt := a.Ch.TravelTime(dock)
 	if a.probe.Enabled() {
-		a.probe.Event(obs.Event{T: a.W.Now(), Kind: "charger.travel", Node: int(node.ID), Value: a.Ch.Pos().Dist(dock)})
+		a.probe.Event(obs.Event{T: a.W.Now(), Kind: "charger.travel", Node: int(id), Value: a.Ch.Pos().Dist(dock)})
 	}
 	if err := a.Ch.Travel(dock); err != nil {
 		return err
@@ -270,20 +274,20 @@ func (a *Actor) TravelTo(node *wrsn.Node) error {
 // the charger's RF field at a batch of points for witnesses (RFPowerAtAll
 // shaped); spoofed is simulation ground truth deciding exposure vs false
 // alarm.
-func (a *Actor) applyDefenses(node *wrsn.Node, s charging.Session, claimedRateW, actualDCW float64, spoofed bool, fieldAt func([]float64, []geom.Point) []float64) {
+func (a *Actor) applyDefenses(id wrsn.NodeID, s charging.Session, claimedRateW, actualDCW float64, spoofed bool, fieldAt func([]float64, []geom.Point) []float64) {
 	def := a.W.Params().Defense
 	if !def.Enabled() {
 		return
 	}
 	expose := func(by string, dc, rf float64) {
 		e := defense.Exposure{
-			By: by, At: a.W.Now(), Victim: int(node.ID),
+			By: by, At: a.W.Now(), Victim: int(id),
 			MeasuredDCW: dc, WitnessRFW: rf,
 		}
 		if spoofed {
 			a.L.Exposures = append(a.L.Exposures, e)
 			a.probe.Add("campaign.defense.exposures", 1)
-			a.probe.Event(obs.Event{T: a.W.Now(), Kind: "defense.exposure", Node: int(node.ID), Value: dc, Detail: by})
+			a.probe.Event(obs.Event{T: a.W.Now(), Kind: "defense.exposure", Node: int(id), Value: dc, Detail: by})
 			if a.W.Auditing() {
 				a.L.Catch(a.W.Now(), by)
 			}
@@ -292,17 +296,17 @@ func (a *Actor) applyDefenses(node *wrsn.Node, s charging.Session, claimedRateW,
 			// measurement; the operator investigates and finds a misdock.
 			a.L.FalseAlarms++
 			a.probe.Add("campaign.defense.false_alarms", 1)
-			a.probe.Event(obs.Event{T: a.W.Now(), Kind: "defense.false_alarm", Node: int(node.ID), Value: dc, Detail: by})
+			a.probe.Event(obs.Event{T: a.W.Now(), Kind: "defense.false_alarm", Node: int(id), Value: dc, Detail: by})
 		}
 	}
 
 	// Harvest verification: the victim samples its own DC mid-session.
-	if def.VerifyProb > 0 && node.Alive() && a.R.Bool(def.VerifyProb) {
+	if def.VerifyProb > 0 && a.W.Network().Alive(id) && a.R.Bool(def.VerifyProb) {
 		cost := def.VerifyCostJ
 		if cost <= 0 {
 			cost = defense.DefaultVerifyCostJ
 		}
-		a.W.DrainNode(node.ID, cost)
+		a.W.DrainNode(id, cost)
 		if def.Judge(claimedRateW, actualDCW) == defense.VerifyFail {
 			expose("harvest-verification", actualDCW, 0)
 		}
@@ -327,13 +331,13 @@ func (a *Actor) applyDefenses(node *wrsn.Node, s charging.Session, claimedRateW,
 			// skips — changes nothing observable.
 			pts := a.witnessPts[:0]
 			for _, w := range wit {
-				pts = append(pts, w.Pos)
+				pts = append(pts, a.W.Network().Pos(w))
 			}
 			a.witnessPts = pts
 			a.witnessRF = fieldAt(a.witnessRF[:0], pts)
 		}
 		for i, w := range wit {
-			if w.ID == node.ID {
+			if w == id {
 				continue
 			}
 			if !a.R.Bool(def.WitnessDutyCycle) {
@@ -345,7 +349,7 @@ func (a *Actor) applyDefenses(node *wrsn.Node, s charging.Session, claimedRateW,
 			if cost <= 0 {
 				cost = defense.DefaultWitnessCostJ
 			}
-			a.W.DrainNode(w.ID, cost)
+			a.W.DrainNode(w, cost)
 			rf := a.witnessRF[i]
 			if rf >= def.WitnessThreshold() && gainLow {
 				expose("neighbor-witness", actualDCW, rf)

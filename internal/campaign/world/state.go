@@ -79,7 +79,7 @@ func Resume(ctx context.Context, nw *wrsn.Network, led *ledger.L, p Params, prob
 			w.plan.RestoreLoss(*st.FaultLoss)
 		}
 	}
-	n := len(nw.Nodes())
+	n := nw.Len()
 	if len(st.Cool) > n {
 		return nil, fmt.Errorf("world: resume: cooldown table has %d entries for %d nodes", len(st.Cool), n)
 	}
@@ -119,10 +119,9 @@ func Resume(ctx context.Context, nw *wrsn.Network, led *ledger.L, p Params, prob
 // taken from the network, which is exact because positions never
 // change. The fleet restores its in-flight assignments through it too.
 func RestoreRequest(nw *wrsn.Network, req charging.Request) (charging.Request, error) {
-	n, err := nw.Node(req.Node)
-	if err != nil {
-		return charging.Request{}, fmt.Errorf("request for node %d: %w", req.Node, err)
+	if !nw.Has(req.Node) {
+		return charging.Request{}, fmt.Errorf("request for node %d: out of range [0,%d)", req.Node, nw.Len())
 	}
-	req.Pos = n.Pos
+	req.Pos = nw.Pos(req.Node)
 	return req, nil
 }

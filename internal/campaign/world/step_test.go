@@ -46,13 +46,14 @@ type refResult struct {
 // to the lowest ID. It reads every level through the syncing accessor.
 func denseForecast(w *W) (at float64, who wrsn.NodeID, tied bool) {
 	at, who = math.Inf(1), wrsn.ParentNone
-	for _, n := range w.nw.Nodes() {
-		d := w.nw.DrainWatts(n.ID)
-		if !n.Alive() || d <= 0 {
+	for i := range w.nw.Len() {
+		id := wrsn.NodeID(i)
+		d := w.nw.DrainWatts(id)
+		if !w.nw.Alive(id) || d <= 0 {
 			continue
 		}
-		if t := w.now + n.Level()/d; t < at {
-			at, who, tied = t, n.ID, false
+		if t := w.now + w.nw.Level(id)/d; t < at {
+			at, who, tied = t, id, false
 		} else if t == at {
 			tied = true
 		}
@@ -70,16 +71,16 @@ func refStep(t *testing.T, w *W, target float64) refResult {
 		step = dt
 	}
 	alive := make([]bool, w.nw.Len())
-	for _, n := range w.nw.Nodes() {
-		alive[n.ID] = n.Alive()
+	for i := range alive {
+		alive[i] = w.nw.Alive(wrsn.NodeID(i))
 	}
 	died := w.nw.AdvanceEnergy(step - w.now)
 	w.now = step
-	for _, n := range w.nw.Nodes() {
+	for i := range alive {
 		// Deaths come from the levels, not the live bit: the live bit
 		// falls only when the network's deaths heap pops the node.
-		if alive[n.ID] && n.Level() <= energy.DepletedEpsJ {
-			r.died = append(r.died, n.ID)
+		if id := wrsn.NodeID(i); alive[i] && w.nw.Level(id) <= energy.DepletedEpsJ {
+			r.died = append(r.died, id)
 		}
 	}
 	if !slices.Equal(died, r.died) {
@@ -92,9 +93,10 @@ func refStep(t *testing.T, w *W, target float64) refResult {
 		}
 		w.nw.Recompute()
 	}
-	for _, n := range w.nw.Nodes() {
-		if n.Alive() && w.nw.Connected(n.ID) && n.Level() <= w.p.RequestFrac*n.Capacity() {
-			r.low = append(r.low, n.ID)
+	for i := range w.nw.Len() {
+		id := wrsn.NodeID(i)
+		if w.nw.Alive(id) && w.nw.Connected(id) && w.nw.Level(id) <= w.p.RequestFrac*w.nw.Capacity(id) {
+			r.low = append(r.low, id)
 		}
 	}
 	if !w.sinkDown {
@@ -144,8 +146,9 @@ func chainNetwork() (*wrsn.Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i, node := range nw.Nodes() {
-		node.SetLevel(nw.DrainWatts(node.ID) * 600 * (1 + 0.05*float64(n-1-i)))
+	for i := range nw.Len() {
+		id := wrsn.NodeID(i)
+		nw.SetLevel(id, nw.DrainWatts(id)*600*(1+0.05*float64(n-1-i)))
 	}
 	return nw, nil
 }
@@ -162,8 +165,9 @@ func scenarioNetwork(policy wrsn.RoutingPolicy, seed int64) func() (*wrsn.Networ
 			return nil, err
 		}
 		r := rand.New(rand.NewSource(seed))
-		for _, n := range nw.Nodes() {
-			n.SetLevel((0.05 + 0.5*r.Float64()) * n.Capacity())
+		for i := range nw.Len() {
+			id := wrsn.NodeID(i)
+			nw.SetLevel(id, (0.05+0.5*r.Float64())*nw.Capacity(id))
 		}
 		nw.Recompute()
 		return nw, nil
@@ -289,10 +293,10 @@ func sameForecast(t *testing.T, fused, ref *W, i int, where string) bool {
 
 // mutate applies one random between-step event to both worlds.
 func mutate(r *rand.Rand, fused, ref *W, cov *lockstepCoverage) {
-	nodes := fused.nw.Nodes()
+	nw := fused.nw
 	pick := func(alive bool) (wrsn.NodeID, bool) {
 		for tries := 0; tries < 20; tries++ {
-			if id := wrsn.NodeID(r.Intn(len(nodes))); nodes[id].Alive() == alive {
+			if id := wrsn.NodeID(r.Intn(nw.Len())); nw.Alive(id) == alive {
 				return id, true
 			}
 		}
@@ -312,14 +316,14 @@ func mutate(r *rand.Rand, fused, ref *W, cov *lockstepCoverage) {
 			both(func(w *W) { w.nw.Charge(id, j) })
 		}
 	case 3: // a charge landing on a depleted node
-		if id, ok := pick(false); ok && !nodes[id].Failed() {
+		if id, ok := pick(false); ok && !nw.Failed(id) {
 			j := 50 * r.Float64()
 			both(func(w *W) { w.nw.Charge(id, j) })
 			cov.revivals++
 		}
 	case 4, 5: // a defense drain, often lethal
 		if id, ok := pick(true); ok {
-			j := nodes[id].Level() * (0.5 + r.Float64())
+			j := nw.Level(id) * (0.5 + r.Float64())
 			both(func(w *W) { w.DrainNode(id, j) })
 			cov.defenseDrains++
 		}
@@ -357,15 +361,15 @@ func sameWorlds(t *testing.T, a, b *W, i int) {
 	if a.now != b.now {
 		t.Fatalf("step %d: clocks %v vs %v", i, a.now, b.now)
 	}
-	for id, n := range a.nw.Fork().State().Nodes {
-		m := b.nw.Nodes()[id]
-		if n.LevelJ != m.Level() || n.Failed != m.Failed() || a.nw.Nodes()[id].Alive() != m.Alive() {
-			t.Fatalf("step %d: node %d level/failed %v/%v vs %v/%v", i, id, n.LevelJ, n.Failed, m.Level(), m.Failed())
+	for k, n := range a.nw.Fork().State().Nodes {
+		id, m := wrsn.NodeID(k), b.nw
+		if n.LevelJ != m.Level(id) || n.Failed != m.Failed(id) || a.nw.Alive(id) != m.Alive(id) {
+			t.Fatalf("step %d: node %d level/failed %v/%v vs %v/%v", i, id, n.LevelJ, n.Failed, m.Level(id), m.Failed(id))
 		}
 		// A node is in service exactly when it is not failed and its
 		// level, replayed to now, is above the depletion mark.
-		if want := !m.Failed() && m.Level() > energy.DepletedEpsJ; m.Alive() != want {
-			t.Fatalf("step %d: node %d alive %v at level %v, failed %v", i, id, m.Alive(), m.Level(), m.Failed())
+		if want := !m.Failed(id) && m.Level(id) > energy.DepletedEpsJ; m.Alive(id) != want {
+			t.Fatalf("step %d: node %d alive %v at level %v, failed %v", i, id, m.Alive(id), m.Level(id), m.Failed(id))
 		}
 	}
 	if !reflect.DeepEqual(a.qu.Pending(), b.qu.Pending()) {

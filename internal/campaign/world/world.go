@@ -155,7 +155,7 @@ func New(ctx context.Context, nw *wrsn.Network, led *ledger.L, p Params, probe o
 // per-node tables sized for the network. It schedules nothing and binds
 // no fault handler; New compiles the fault plan, Resume only binds it.
 func build(ctx context.Context, nw *wrsn.Network, led *ledger.L, p Params, probe obs.Probe) *W {
-	n := len(nw.Nodes())
+	n := nw.Len()
 	nw.SetRequestFraction(p.RequestFrac)
 	w := &W{
 		ctx:    ctx,
@@ -396,11 +396,11 @@ func (w *W) RecordDeath(id wrsn.NodeID) {
 // cause, which the step pass would otherwise be the one to notice. It is
 // a no-op on a node out of service.
 func (w *W) DrainNode(id wrsn.NodeID, j float64) {
-	if !w.nw.Nodes()[id].Alive() {
+	if !w.nw.Alive(id) {
 		return
 	}
 	w.nw.Drain(id, j)
-	if w.nw.Nodes()[id].Depleted() {
+	if w.nw.Depleted(id) {
 		w.RecordDeath(id)
 		w.nw.Recompute()
 	}
@@ -454,17 +454,16 @@ func (w *W) issueRequest(id wrsn.NodeID) {
 		w.noteRequestLost(id)
 		return
 	}
-	n := w.nw.Nodes()[id]
-	cap := n.Capacity()
+	level := w.nw.Level(id)
 	drain := w.nw.DrainWatts(id)
 	deadline := math.Inf(1)
 	if drain > 0 {
-		deadline = w.now + n.Level()/drain
+		deadline = w.now + level/drain
 	}
-	need := cap - n.Level()
+	need := w.nw.Capacity(id) - level
 	err := w.qu.Add(charging.Request{
 		Node:     id,
-		Pos:      n.Pos,
+		Pos:      w.nw.Pos(id),
 		IssuedAt: w.now,
 		Deadline: deadline,
 		NeedJ:    need,
@@ -511,15 +510,16 @@ func (w *W) Sample() {
 	}
 	for w.nextSample <= w.now {
 		s := ledger.Sample{T: w.nextSample}
-		for _, n := range w.nw.Nodes() {
-			if !n.Alive() {
+		for i := range w.nw.Len() {
+			id := wrsn.NodeID(i)
+			if !w.nw.Alive(id) {
 				continue
 			}
 			s.Alive++
-			if w.nw.Connected(n.ID) {
+			if w.nw.Connected(id) {
 				s.Connected++
 			}
-			if w.keySet[n.ID] {
+			if w.keySet[id] {
 				s.KeyAlive++
 			}
 		}
@@ -582,17 +582,18 @@ func (w *W) audit() {
 // failNode applies a node hardware fault: the node powers off — out of
 // routing, not draining, its pending request withdrawn (the sink treats
 // the dropout as maintenance, not an ignored request). A draw landing on
-// an already-dead or already-failed node is a no-op.
+// an already-dead or already-failed node, or naming no node of the
+// network, is a no-op.
 func (w *W) failNode(id int) {
-	n, err := w.nw.Node(wrsn.NodeID(id))
-	if err != nil || !n.Alive() {
+	n := wrsn.NodeID(id)
+	if !w.nw.Has(n) || !w.nw.Alive(n) {
 		return
 	}
-	n.Fail()
-	w.qu.Remove(n.ID)
+	w.nw.Fail(n)
+	w.qu.Remove(n)
 	if w.retxAttempt != nil {
-		w.retxAttempt[n.ID] = 0
-		w.retxNext[n.ID] = 0
+		w.retxAttempt[n] = 0
+		w.retxNext[n] = 0
 	}
 	w.nw.Recompute()
 	w.led.Faults.NodeFailures++
@@ -603,13 +604,14 @@ func (w *W) failNode(id int) {
 }
 
 // repairNode returns a hardware-failed node to service with whatever
-// charge its battery kept.
+// charge its battery kept. A node that is not failed, or not a node of
+// the network, is left alone.
 func (w *W) repairNode(id int) {
-	n, err := w.nw.Node(wrsn.NodeID(id))
-	if err != nil || !n.Failed() {
+	n := wrsn.NodeID(id)
+	if !w.nw.Has(n) || !w.nw.Failed(n) {
 		return
 	}
-	n.Repair()
+	w.nw.Repair(n)
 	w.nw.Recompute()
 	w.led.Faults.NodeRecoveries++
 	if w.probe.Enabled() {

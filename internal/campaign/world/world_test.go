@@ -72,11 +72,7 @@ func TestCatchUpReentrancy(t *testing.T) {
 	if want := 3500.9 - 2000.1; math.Abs(w.ChargerDownSecTotal()-want) > 1e-9 {
 		t.Errorf("ChargerDownSecTotal = %v, want %v", w.ChargerDownSecTotal(), want)
 	}
-	n, err := nw.Node(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n.Failed() {
+	if nw.Failed(3) {
 		t.Error("node 3 still hardware-failed after its NodeUp event")
 	}
 	w.CloseFaultWindows()
@@ -163,5 +159,29 @@ func TestCatchUpAfterCancelIsNoOp(t *testing.T) {
 	w.CatchUp(9000)
 	if w.Now() != before {
 		t.Errorf("CatchUp moved a canceled world: %v -> %v", before, w.Now())
+	}
+}
+
+// TestFaultOnUnknownNodeIsNoOp: a fault plan event naming no node of
+// the network — negative, or past the last ID — fires as a no-op, like
+// a draw landing on a node already down, while the in-range events of
+// the same plan still apply.
+func TestFaultOnUnknownNodeIsNoOp(t *testing.T) {
+	plan := &faults.Plan{Events: []faults.Event{
+		{T: 100, Kind: faults.NodeDown, Node: -1, Until: 300},
+		{T: 150, Kind: faults.NodeDown, Node: 60, Until: 400},
+		{T: 200, Kind: faults.NodeDown, Node: 5, Until: 500},
+		{T: 300, Kind: faults.NodeUp, Node: -1},
+		{T: 400, Kind: faults.NodeUp, Node: 1 << 30},
+		{T: 500, Kind: faults.NodeUp, Node: 5},
+	}}
+	w, led, nw := testWorld(t, context.Background(), plan)
+	w.AdvanceTo(1000)
+	if led.Faults.NodeFailures != 1 || led.Faults.NodeRecoveries != 1 {
+		t.Errorf("node fault counts = %d/%d, want 1/1 (only node 5's)",
+			led.Faults.NodeFailures, led.Faults.NodeRecoveries)
+	}
+	if nw.Len() != 60 || nw.Failed(5) {
+		t.Errorf("network of %d nodes, node 5 failed %v after its NodeUp", nw.Len(), nw.Failed(5))
 	}
 }

@@ -1,0 +1,125 @@
+package jobspec
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math"
+	"regexp"
+	"testing"
+
+	"github.com/reprolab/wrsn-csa/internal/attack"
+	"github.com/reprolab/wrsn-csa/internal/campaign"
+	"github.com/reprolab/wrsn-csa/internal/charging"
+	"github.com/reprolab/wrsn-csa/internal/faults"
+	"github.com/reprolab/wrsn-csa/internal/snapshot"
+	"github.com/reprolab/wrsn-csa/internal/wrsn"
+)
+
+// checkpointAt runs spec to barrier k and returns the live checkpoint it
+// stops with, decoded.
+func checkpointAt(t *testing.T, spec Spec, k int) *snapshot.Snapshot {
+	t.Helper()
+	var (
+		ckpt     *snapshot.Snapshot
+		barriers int
+	)
+	_, err := RunOpts(context.Background(), spec, RunOptions{Checkpoint: &campaign.CheckpointPlan{
+		Every: 1 << 62, // only the Stop capture
+		Sink:  func(s *snapshot.Snapshot) error { ckpt = s; return nil },
+		Stop:  func() bool { barriers++; return barriers == k },
+	}})
+	if !errors.Is(err, campaign.ErrStopped) {
+		t.Fatalf("stop at barrier %d: err = %v, want ErrStopped", k, err)
+	}
+	return ckpt
+}
+
+// reencode returns s's bytes with edit applied to the campaign state of
+// a decoded copy, leaving s alone.
+func reencode(t *testing.T, s *snapshot.Snapshot, edit func(*snapshot.CampaignState)) []byte {
+	t.Helper()
+	b, err := s.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := snapshot.Decode(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edit(c.Campaign())
+	if b, err = c.Encode(); err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestResumeRejectsOutOfRangeNode resumes attack checkpoints whose
+// policy state, key list or request queue names a node the checkpoint's
+// network does not have. A resume_from spec is outside input, and the
+// campaign layers index the network by node ID, so each must end in an
+// error at the restore boundary, never a panic mid-run.
+func TestResumeRejectsOutOfRangeNode(t *testing.T) {
+	spec := Default(42, 120)
+	spec.Kind = KindAttack
+	snap := checkpointAt(t, spec, 20)
+	n := wrsn.NodeID(snap.NodeCount())
+	if cs := snap.Campaign(); cs.Policy == nil || cs.Policy.Instance == nil || len(cs.Policy.Pending) == 0 {
+		t.Fatal("checkpoint carries no attack plan to corrupt")
+	}
+	cases := map[string]func(cs *snapshot.CampaignState){
+		"targets":       func(cs *snapshot.CampaignState) { cs.Policy.Targets = append(cs.Policy.Targets, n) },
+		"blocked":       func(cs *snapshot.CampaignState) { cs.Policy.Blocked = append(cs.Policy.Blocked, -1) },
+		"engaged":       func(cs *snapshot.CampaignState) { cs.Policy.Engaged = append(cs.Policy.Engaged, n+7) },
+		"pending site":  func(cs *snapshot.CampaignState) { cs.Policy.Pending[0].Node = n },
+		"instance site": func(cs *snapshot.CampaignState) { cs.Policy.Instance.Sites[0].Node = -3 },
+		"plan stop": func(cs *snapshot.CampaignState) {
+			cs.Policy.Result.Plan.Schedule = append(cs.Policy.Result.Plan.Schedule, attack.Stop{Site: len(cs.Policy.Instance.Sites)})
+		},
+		"key node": func(cs *snapshot.CampaignState) { cs.Keys = append(cs.Keys, wrsn.KeyNode{ID: n}) },
+		"request": func(cs *snapshot.CampaignState) {
+			cs.World.Requests = append(cs.World.Requests, charging.Request{Node: n, Deadline: math.Inf(1)})
+		},
+	}
+	for name, edit := range cases {
+		t.Run(name, func(t *testing.T) {
+			bad := spec
+			bad.ResumeFrom = reencode(t, snap, edit)
+			res, err := Run(context.Background(), bad, nil)
+			if err == nil {
+				t.Fatalf("resume succeeded: %+v", res.Outcome)
+			}
+		})
+	}
+}
+
+// faultArg matches the plan-index argument of a pending fault event in
+// a snapshot's canonical bytes.
+var faultArg = regexp.MustCompile(`"Arg":-?[0-9]+,"Kind":"` + faults.EventKind + `"`)
+
+// TestResumeIgnoresOutOfRangeFaultEvent resumes a checkpoint whose
+// pending fault events point past the fault plan. A checkpoint carries a
+// fault event as an index into the plan, which the resume rebuilds from
+// the spec at the checkpoint's node count, so the index is the only part
+// of the event a corrupt checkpoint can move out of range; such an event
+// fires as a no-op and the run completes.
+func TestResumeIgnoresOutOfRangeFaultEvent(t *testing.T) {
+	spec := Default(42, 120)
+	spec.Faults = &faults.Spec{Seed: 42, HorizonSec: 14 * 24 * 3600, NodeFailures: 6}
+	snap := checkpointAt(t, spec, 5)
+	b, err := snap.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(faultArg.FindAll(b, -1)) == 0 {
+		t.Fatal("checkpoint has no pending fault event")
+	}
+	for _, arg := range []int{1 << 20, -1} {
+		moved := faultArg.ReplaceAll(b, fmt.Appendf(nil, `"Arg":%d,"Kind":"%s"`, arg, faults.EventKind))
+		bad := spec
+		bad.ResumeFrom = moved
+		if _, err := Run(context.Background(), bad, nil); err != nil {
+			t.Errorf("arg %d: resume failed: %v", arg, err)
+		}
+	}
+}

@@ -1,0 +1,66 @@
+package service
+
+import (
+	"context"
+	"errors"
+	"testing"
+	"time"
+
+	"github.com/reprolab/wrsn-csa/internal/campaign"
+	"github.com/reprolab/wrsn-csa/internal/jobspec"
+	"github.com/reprolab/wrsn-csa/internal/snapshot"
+	"github.com/reprolab/wrsn-csa/internal/wrsn"
+)
+
+// TestOutOfRangeCheckpointFailsJobNotDaemon submits a resume_from spec
+// whose attack checkpoint names a node past the network's last ID. The
+// job must fail with the campaign's structured error (not a recovered
+// panic), and the daemon must go on to run the next job.
+func TestOutOfRangeCheckpointFailsJobNotDaemon(t *testing.T) {
+	spec := jobspec.Default(42, 120)
+	spec.Kind = jobspec.KindAttack
+	var ckpt *snapshot.Snapshot
+	barriers := 0
+	_, err := jobspec.RunOpts(context.Background(), spec, jobspec.RunOptions{Checkpoint: &campaign.CheckpointPlan{
+		Every: 1 << 62,
+		Sink:  func(s *snapshot.Snapshot) error { ckpt = s; return nil },
+		Stop:  func() bool { barriers++; return barriers == 20 },
+	}})
+	if !errors.Is(err, campaign.ErrStopped) {
+		t.Fatalf("checkpoint run: %v", err)
+	}
+	b, err := ckpt.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad, err := snapshot.Decode(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol := bad.Campaign().Policy
+	pol.Targets = append(pol.Targets, wrsn.NodeID(bad.NodeCount()))
+	if spec.ResumeFrom, err = bad.Encode(); err != nil {
+		t.Fatal(err)
+	}
+
+	s := New(Options{QueueDepth: 2, Workers: 1})
+	defer shutdownOrFail(t, s, 10*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	for i, sp := range []jobspec.Spec{spec, quickSpec(3)} {
+		st, err := s.Submit(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.WaitDone(ctx, st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case i == 0 && (got.State != StateFailed || got.Error == nil || got.Error.Kind != "campaign"):
+			t.Fatalf("corrupt checkpoint job = %s / %+v, want failed/campaign", got.State, got.Error)
+		case i == 1 && got.State != StateDone:
+			t.Fatalf("job after the corrupt one = %s / %+v, want done", got.State, got.Error)
+		}
+	}
+}

@@ -10,8 +10,12 @@ import (
 
 // FuzzDecode feeds arbitrary bytes to the snapshot decoder. It must never
 // panic, and whatever it accepts must re-encode to the identical bytes:
-// the decoder reads only the canonical layout. The seeds are a barrier
-// snapshot and live checkpoints of a legit and an attack campaign.
+// the decoder reads only the canonical layout. Every accepted snapshot is
+// then forked, which rebuilds its network and charger from the decoded
+// state; the fork must return an error or a world, never panic. The
+// seeds are a barrier snapshot and live checkpoints of a legit and an
+// attack campaign; testdata adds one with a NaN node position, which the
+// codec decodes and the fork must refuse.
 func FuzzDecode(f *testing.F) {
 	for _, s := range []*snapshot.Snapshot{
 		buildSnap(f, 7, 40),
@@ -41,6 +45,10 @@ func FuzzDecode(f *testing.F) {
 			lo := max(i-40, 0)
 			t.Fatalf("accepted snapshot re-encodes differently from offset %d:\n in: %q\nout: %q",
 				i, data[lo:min(i+40, len(data))], again[lo:min(i+40, len(again))])
+		}
+		nw, _, _, err := s.Fork()
+		if err == nil && nw == nil {
+			t.Fatal("Fork returned neither a network nor an error")
 		}
 	})
 }

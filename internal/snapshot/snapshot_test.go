@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -124,6 +125,23 @@ func TestDecodeRejectsBadInput(t *testing.T) {
 
 // A fork is fully detached: running a campaign to exhaustion on one fork
 // must leave later forks producing the same outcome as the first.
+// TestForkRejectsNonFinitePosition: the codec decodes "NaN" and "+Inf"
+// floats, so a submitted snapshot can place a node nowhere; the fork
+// must refuse it as a fresh build would, not index the grid with it.
+func TestForkRejectsNonFinitePosition(t *testing.T) {
+	s := buildSnap(t, 7, 12)
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		b := rewrite(t, s, func(m *mirror) { m.Network.Nodes[3].Pos.X = bad })
+		d, err := snapshot.Decode(b)
+		if err != nil {
+			t.Fatalf("decode with a node at x=%v: %v", bad, err)
+		}
+		if _, _, _, err := d.Fork(); err == nil {
+			t.Errorf("fork of a snapshot with a node at x=%v succeeded", bad)
+		}
+	}
+}
+
 func TestForkIsolation(t *testing.T) {
 	s := buildSnap(t, 42, 60)
 	run := func() string {

@@ -46,9 +46,9 @@ func TestScenarioJSONRoundTrip(t *testing.T) {
 			t.Fatalf("round trip changed the network: %d/%v/%v vs %d/%v/%v",
 				a.Len(), a.Sink(), a.Policy(), b.Len(), b.Sink(), b.Policy())
 		}
+		stA, stB := a.State(), b.State()
 		for i := 0; i < a.Len(); i++ {
-			na, _ := a.Node(wrsn.NodeID(i))
-			nb, _ := b.Node(wrsn.NodeID(i))
+			na, nb := stA.Nodes[i], stB.Nodes[i]
 			if na.Pos != nb.Pos || na.GenBps != nb.GenBps {
 				t.Fatalf("node %d differs after round trip", i)
 			}

@@ -99,9 +99,9 @@ func TestScenarioBuildDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sa, sb := a.State(), b.State()
 	for i := 0; i < a.Len(); i++ {
-		na, _ := a.Node(wrsn.NodeID(i))
-		nb, _ := b.Node(wrsn.NodeID(i))
+		na, nb := sa.Nodes[i], sb.Nodes[i]
 		if na.Pos != nb.Pos || na.GenBps != nb.GenBps {
 			t.Fatalf("node %d differs across identical builds", i)
 		}
@@ -119,9 +119,7 @@ func TestScenarioSeedsDiffer(t *testing.T) {
 	}
 	same := 0
 	for i := 0; i < a.Len(); i++ {
-		na, _ := a.Node(wrsn.NodeID(i))
-		nb, _ := b.Node(wrsn.NodeID(i))
-		if na.Pos == nb.Pos {
+		if a.Pos(wrsn.NodeID(i)) == b.Pos(wrsn.NodeID(i)) {
 			same++
 		}
 	}

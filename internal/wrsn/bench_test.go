@@ -34,7 +34,7 @@ func benchNetwork(b *testing.B, n int) *Network {
 // each kill/repair cycle invalidates a real subtree rather than a leaf.
 func benchVictim(b *testing.B, nw *Network) int {
 	b.Helper()
-	n := len(nw.nodes)
+	n := nw.Len()
 	for i := n / 2; i < n; i++ {
 		if nw.Parent(NodeID(i)) != ParentNone && len(nw.Children(NodeID(i))) > 0 {
 			return i
@@ -55,7 +55,7 @@ func benchVictim(b *testing.B, nw *Network) int {
 func benchTrunk(b *testing.B, nw *Network) int {
 	b.Helper()
 	trunk, best := -1, 0
-	for i := range nw.nodes {
+	for i := range nw.Len() {
 		if nw.Parent(NodeID(i)) != ParentSink {
 			continue
 		}
@@ -109,9 +109,9 @@ func benchKillRepair(b *testing.B, n int, incr bool, pick func(*testing.B, *Netw
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if i%2 == 0 {
-			nw.ptrs[victim].Fail()
+			nw.Fail(NodeID(victim))
 		} else {
-			nw.ptrs[victim].Repair()
+			nw.Repair(NodeID(victim))
 		}
 		nw.Recompute()
 	}

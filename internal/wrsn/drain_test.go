@@ -161,7 +161,7 @@ func TestSyncAtDeathKey(t *testing.T) {
 // near-empty, exactly at the threshold, anywhere, or a level shared for
 // forecast ties; bits 2–7 scale it.
 func fuzzLevel(nw *Network, i int, lv byte, frac float64) {
-	c, v := nw.ptrs[i].Capacity(), float64(lv>>2)
+	c, v := nw.Capacity(NodeID(i)), float64(lv>>2)
 	switch lv & 3 {
 	case 0:
 		nw.SetLevel(NodeID(i), c*v/1024)
@@ -239,7 +239,7 @@ func FuzzAdvanceEnergyPass(f *testing.F) {
 		for i := range specs {
 			fuzzLevel(nw, i, data[3*i+1], frac)
 			if data[3*i+2]&1 != 0 {
-				nw.ptrs[i].Fail()
+				nw.Fail(NodeID(i))
 			}
 		}
 		if flags&(1<<6) != 0 {
@@ -333,7 +333,7 @@ func FuzzLazyDrain(f *testing.F) {
 			op, p := data[k], data[k+1]
 			i := int(op>>3) % n
 			id := NodeID(i)
-			c := nw.ptrs[i].Capacity()
+			c := nw.Capacity(NodeID(i))
 			dt := 0.0
 			switch op & 7 {
 			case 0: // a step of a fixed length

@@ -99,7 +99,7 @@ func (nw *Network) SetIncrementalRouting(on bool) { nw.fullOnly = !on }
 // is too large, or a pred cycle formed). An unchanged alive set returns
 // true immediately: the tree, loads, and drains are already exact.
 func (nw *Network) recomputeIncremental() bool {
-	n := len(nw.nodes)
+	n := len(nw.pos)
 	nw.inA.reset()
 	aff := nw.affected[:0]
 	stack := nw.stack[:0]
@@ -305,7 +305,7 @@ func (nw *Network) formsCycle(aff []int32) bool {
 		d := nw.hopDist[v]
 		u := nw.parent[v]
 		for steps := 0; u >= 0 && nw.hopDist[u] == d; steps++ {
-			if u == v || steps > len(nw.nodes) {
+			if u == v || steps > len(nw.pos) {
 				return true
 			}
 			u = nw.parent[u]

@@ -19,7 +19,7 @@ import (
 // a function of the final distances alone, which is exactly the property
 // incremental maintenance relies on.
 func bruteSPT(nw *Network) ([]float64, []int) {
-	n := len(nw.nodes)
+	n := nw.Len()
 	adj := bruteAdjacency(nw)
 	dist := make([]float64, n+1)
 	for i := range dist {
@@ -84,7 +84,7 @@ func bruteSPT(nw *Network) ([]float64, []int) {
 // children order, loads, and drains.
 func checkAgainstOracles(t *testing.T, nw *Network, tag string) {
 	t.Helper()
-	n := len(nw.nodes)
+	n := nw.Len()
 	dist, pred := bruteSPT(nw)
 	for i := 0; i <= n; i++ {
 		if nw.dist[i] != dist[i] && !(math.IsInf(nw.dist[i], 1) && math.IsInf(dist[i], 1)) {
@@ -130,17 +130,17 @@ func checkAgainstOracles(t *testing.T, nw *Network, tag string) {
 // fail/repair, battery depletion or refill, a batch kill (sometimes big
 // enough to force the full-rebuild fallback), or a plain energy advance.
 func mutate(rng *rand.Rand, nw *Network) {
-	n := len(nw.nodes)
+	n := nw.Len()
 	id := rng.Intn(n)
 	switch rng.Intn(6) {
 	case 0:
-		nw.ptrs[id].Fail()
+		nw.Fail(NodeID(id))
 	case 1:
-		nw.ptrs[id].Repair()
+		nw.Repair(NodeID(id))
 	case 2:
-		nw.ptrs[id].SetLevel(0)
+		nw.SetLevel(NodeID(id), 0)
 	case 3:
-		nw.ptrs[id].SetLevel(nw.ptrs[id].Capacity() * rng.Float64())
+		nw.SetLevel(NodeID(id), nw.Capacity(NodeID(id))*rng.Float64())
 	case 4:
 		// Batch kill: usually a handful, occasionally most of the field
 		// (which must trip the affected-set bound into a full rebuild).
@@ -149,7 +149,7 @@ func mutate(rng *rand.Rand, nw *Network) {
 			k = n/2 + rng.Intn(n/2)
 		}
 		for j := 0; j < k; j++ {
-			nw.ptrs[rng.Intn(n)].SetLevel(0)
+			nw.SetLevel(NodeID(rng.Intn(n)), 0)
 		}
 	case 5:
 		nw.AdvanceEnergy(600 + rng.Float64()*7200)
@@ -244,18 +244,18 @@ func TestIncrementalToggleIdentical(t *testing.T) {
 		id := rng.Intn(140)
 		switch rng.Intn(4) {
 		case 0:
-			nw.ptrs[id].Fail()
-			full.ptrs[id].Fail()
+			nw.Fail(NodeID(id))
+			full.Fail(NodeID(id))
 		case 1:
-			nw.ptrs[id].Repair()
-			full.ptrs[id].Repair()
+			nw.Repair(NodeID(id))
+			full.Repair(NodeID(id))
 		case 2:
-			nw.ptrs[id].SetLevel(0)
-			full.ptrs[id].SetLevel(0)
+			nw.SetLevel(NodeID(id), 0)
+			full.SetLevel(NodeID(id), 0)
 		case 3:
-			lvl := nw.ptrs[id].Capacity() * rng.Float64()
-			nw.ptrs[id].SetLevel(lvl)
-			full.ptrs[id].SetLevel(lvl)
+			lvl := nw.Capacity(NodeID(id)) * rng.Float64()
+			nw.SetLevel(NodeID(id), lvl)
+			full.SetLevel(NodeID(id), lvl)
 		}
 		nw.Recompute()
 		full.Recompute()
@@ -312,12 +312,12 @@ func TestIncrementalLateChild(t *testing.T) {
 		}
 	}
 	relay("initial", 3*DefaultGenBps) // nodes 3, 4 (through 3) and 5
-	nw.ptrs[4].SetLevel(0)
-	nw.ptrs[5].SetLevel(0)
+	nw.SetLevel(4, 0)
+	nw.SetLevel(5, 0)
 	recomputeIncr(t, nw, "kill 4 and 5")
 	relay("kill 4 and 5", DefaultGenBps)
-	nw.ptrs[4].SetLevel(nw.ptrs[4].Capacity())
-	nw.ptrs[5].SetLevel(nw.ptrs[5].Capacity())
+	nw.SetLevel(4, nw.Capacity(4))
+	nw.SetLevel(5, nw.Capacity(5))
 	recomputeIncr(t, nw, "revive 4 and 5")
 	relay("revive 4 and 5", 3*DefaultGenBps)
 }
@@ -344,13 +344,13 @@ func TestIncrementalTieRepair(t *testing.T) {
 	if nw.Parent(7) != 1 {
 		t.Fatalf("node 7 routes via %d, want 1", nw.Parent(7))
 	}
-	nw.ptrs[1].Fail()
+	nw.Fail(1)
 	nw.Recompute() // node 1's subtree is most of the lattice: a full rebuild
 	checkAgainstOracles(t, nw, "fail 1")
 	if nw.Parent(7) != 6 {
 		t.Fatalf("after failing node 1, node 7 routes via %d, want 6", nw.Parent(7))
 	}
-	nw.ptrs[1].Repair()
+	nw.Repair(1)
 	recomputeIncr(t, nw, "repair 1")
 	checkAgainstOracles(t, nw, "repair 1")
 	if nw.Parent(7) != 1 {
@@ -388,9 +388,9 @@ func TestIncrementalPredCycles(t *testing.T) {
 		for k := 0; k < 6; k++ {
 			id := rng.Intn(n)
 			if rng.Intn(2) == 0 {
-				nw.ptrs[id].Fail()
+				nw.Fail(NodeID(id))
 			} else {
-				nw.ptrs[id].Repair()
+				nw.Repair(NodeID(id))
 			}
 			was := nw.cyclic
 			nw.Recompute()
@@ -467,13 +467,13 @@ func FuzzIncrementalRouting(f *testing.F) {
 			id := int(op>>2&31) % n
 			switch op & 3 {
 			case 0:
-				nw.ptrs[id].Fail()
+				nw.Fail(NodeID(id))
 			case 1:
-				nw.ptrs[id].Repair()
+				nw.Repair(NodeID(id))
 			case 2:
-				nw.ptrs[id].SetLevel(0)
+				nw.SetLevel(NodeID(id), 0)
 			case 3:
-				nw.ptrs[id].SetLevel(nw.ptrs[id].Capacity())
+				nw.SetLevel(NodeID(id), nw.Capacity(NodeID(id)))
 			}
 			if op&0x80 != 0 && k < len(data)-1 {
 				continue

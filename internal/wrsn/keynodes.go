@@ -23,7 +23,7 @@ type KeyNode struct {
 // exactly the DFS subtrees of children c with low(c) ≥ disc(v), and the
 // Severed count is the total size of those subtrees.
 func (nw *Network) KeyNodes() []KeyNode {
-	n := len(nw.nodes)
+	n := len(nw.pos)
 	lt := nw.links
 	const unvisited = -1
 	disc := make([]int, n+1)
@@ -102,10 +102,9 @@ func (nw *Network) KeyNodes() []KeyNode {
 // SeveredByDeath returns how many other alive, currently connected nodes
 // would lose their sink route if node id died, computed by brute force
 // (re-running reachability without the node). It is the reference
-// implementation KeyNodes is validated against and is also used by
-// simulation code for one-off queries.
+// implementation KeyNodes is validated against.
 func (nw *Network) SeveredByDeath(id NodeID) int {
-	if !nw.nodes[id].Alive() {
+	if !nw.Alive(id) {
 		return 0
 	}
 	seen, base := nw.reach(-1)
@@ -119,52 +118,25 @@ func (nw *Network) SeveredByDeath(id NodeID) int {
 	return base - 1 - after
 }
 
-// SeveredSet returns the IDs of the alive, currently connected nodes that
-// would lose their sink route if node id died (excluding id itself),
-// computed by reachability difference. Attack planning uses it to prune
-// subsumed targets: a key node inside another target's severed set dies of
-// the partition for free.
-func (nw *Network) SeveredSet(id NodeID) []NodeID {
-	if !nw.nodes[id].Alive() {
-		return nil
-	}
-	base, _ := nw.reach(-1)
-	after, _ := nw.reach(int(id))
-	var severed []NodeID
-	for i := range nw.nodes {
-		if i != int(id) && base[i] && !after[i] {
-			severed = append(severed, NodeID(i))
-		}
-	}
-	return severed
-}
-
 // reach runs a breadth-first search from the sink over the alive
 // topology, never entering graph index skip. It returns the reached set
 // (indexed by graph index, sink included) and the number of nodes in it.
 func (nw *Network) reach(skip int) ([]bool, int) {
-	n := len(nw.nodes)
+	n := len(nw.pos)
 	seen := make([]bool, n+1)
-	queue := []int{n}
+	queue := append(make([]int32, 0, n+1), int32(n))
 	seen[n] = true
-	count := 0
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		to, _ := nw.links.row(v)
-		for _, w32 := range to {
-			w := int(w32)
-			if w == skip || seen[w] || !nw.inGraph(w) {
+	for k := 0; k < len(queue); k++ {
+		to, _ := nw.links.row(int(queue[k]))
+		for _, w := range to {
+			if int(w) == skip || seen[w] || !nw.inGraph(int(w)) {
 				continue
 			}
 			seen[w] = true
-			if w < n {
-				count++
-			}
 			queue = append(queue, w)
 		}
 	}
-	return seen, count
+	return seen, len(queue) - 1
 }
 
 // Betweenness returns the shortest-path betweenness centrality of every
@@ -174,7 +146,7 @@ func (nw *Network) reach(skip int) ([]bool, int) {
 // most routes without being strict separators — and feeds the attack's
 // secondary target scoring.
 func (nw *Network) Betweenness() []float64 {
-	n := len(nw.nodes)
+	n := len(nw.pos)
 	cb := make([]float64, n+1)
 	// Scratch buffers reused across sources.
 	sigma := make([]float64, n+1)
@@ -185,7 +157,7 @@ func (nw *Network) Betweenness() []float64 {
 	queue := make([]int, 0, n+1)
 
 	for s := 0; s <= n; s++ {
-		if s < n && !nw.nodes[s].Alive() {
+		if s < n && !nw.live.get(s) {
 			continue
 		}
 		for i := 0; i <= n; i++ {

@@ -66,26 +66,6 @@ func TestKeyNodesNoneInClique(t *testing.T) {
 	}
 }
 
-func TestSeveredSetMatchesCount(t *testing.T) {
-	r := rand.New(rand.NewSource(12))
-	for trial := 0; trial < 15; trial++ {
-		nw := mustNetwork(t, randomMesh(r, 35), Config{Sink: geom.Pt(150, 150), CommRange: 60})
-		for i := 0; i < nw.Len(); i++ {
-			id := NodeID(i)
-			set := nw.SeveredSet(id)
-			if len(set) != nw.SeveredByDeath(id) {
-				t.Fatalf("trial %d node %d: |SeveredSet|=%d, SeveredByDeath=%d",
-					trial, i, len(set), nw.SeveredByDeath(id))
-			}
-			for _, s := range set {
-				if s == id {
-					t.Fatalf("SeveredSet contains the node itself")
-				}
-			}
-		}
-	}
-}
-
 func TestBetweennessStar(t *testing.T) {
 	// Star: center node relays every leaf; leaves have betweenness 0 and
 	// the center carries all leaf-pair and leaf-sink shortest paths.
@@ -126,11 +106,7 @@ func TestBetweennessChain(t *testing.T) {
 
 func TestKeyNodesIgnoreDead(t *testing.T) {
 	nw := mustNetwork(t, lineSpecs(4, 40), Config{Sink: geom.Pt(0, 0), CommRange: 50})
-	last, err := nw.Node(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	last.SetLevel(0)
+	nw.SetLevel(3, 0)
 	nw.Recompute()
 	keys := nw.KeyNodes()
 	// Node 2 no longer severs anyone (its only child is dead).

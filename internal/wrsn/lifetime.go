@@ -47,7 +47,7 @@ func (f Forecast) Window() float64 {
 // with requests issued at the given battery fraction. Fractions outside
 // (0,1) get DefaultRequestFraction.
 func (nw *Network) ForecastAt(id NodeID, now, requestFrac float64) (Forecast, error) {
-	if int(id) < 0 || int(id) >= len(nw.nodes) {
+	if !nw.Has(id) {
 		return Forecast{}, fmt.Errorf("wrsn: forecast for node %d out of range", id)
 	}
 	if requestFrac <= 0 || requestFrac >= 1 {
@@ -73,19 +73,4 @@ func (nw *Network) ForecastAt(id NodeID, now, requestFrac float64) (Forecast, er
 	}
 	f.DeathAt = now + level/drain
 	return f, nil
-}
-
-// ForecastAll projects every node; see ForecastAt.
-func (nw *Network) ForecastAll(now, requestFrac float64) []Forecast {
-	out := make([]Forecast, len(nw.nodes))
-	for i := range nw.nodes {
-		f, err := nw.ForecastAt(NodeID(i), now, requestFrac)
-		if err != nil {
-			// Unreachable: i is always in range. Keep the zero Forecast
-			// rather than panicking in library code.
-			continue
-		}
-		out[i] = f
-	}
-	return out
 }

@@ -9,17 +9,13 @@ import (
 
 func TestForecastClosedForm(t *testing.T) {
 	nw := mustNetwork(t, lineSpecs(1, 40), Config{Sink: geom.Pt(0, 0), CommRange: 50})
-	node, err := nw.Node(0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	drain := nw.DrainWatts(0)
 	f, err := nw.ForecastAt(0, 100, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	level := node.Level()
-	threshold := 0.3 * node.Capacity()
+	level := nw.Level(0)
+	threshold := 0.3 * nw.Capacity(0)
 	wantReq := 100 + (level-threshold)/drain
 	wantDeath := 100 + level/drain
 	if math.Abs(f.RequestAt-wantReq) > 1e-9 {
@@ -35,8 +31,7 @@ func TestForecastClosedForm(t *testing.T) {
 
 func TestForecastBelowThreshold(t *testing.T) {
 	nw := mustNetwork(t, lineSpecs(1, 40), Config{Sink: geom.Pt(0, 0), CommRange: 50})
-	node, _ := nw.Node(0)
-	node.SetLevel(0.1 * node.Capacity())
+	nw.SetLevel(0, 0.1*nw.Capacity(0))
 	f, err := nw.ForecastAt(0, 500, 0.3)
 	if err != nil {
 		t.Fatal(err)
@@ -48,8 +43,7 @@ func TestForecastBelowThreshold(t *testing.T) {
 
 func TestForecastDeadNode(t *testing.T) {
 	nw := mustNetwork(t, lineSpecs(1, 40), Config{Sink: geom.Pt(0, 0), CommRange: 50})
-	node, _ := nw.Node(0)
-	node.SetLevel(0)
+	nw.SetLevel(0, 0)
 	f, err := nw.ForecastAt(0, 7, 0.3)
 	if err != nil {
 		t.Fatal(err)
@@ -76,13 +70,12 @@ func TestForecastErrors(t *testing.T) {
 
 func TestAdvanceEnergy(t *testing.T) {
 	nw := mustNetwork(t, lineSpecs(2, 40), Config{Sink: geom.Pt(0, 0), CommRange: 50})
-	n0, _ := nw.Node(0)
-	before := n0.Level()
+	before := nw.Level(0)
 	died := nw.AdvanceEnergy(1000)
 	if len(died) != 0 {
 		t.Fatalf("unexpected deaths: %v", died)
 	}
-	drained := before - n0.Level()
+	drained := before - nw.Level(0)
 	want := nw.DrainWatts(0) * 1000
 	if math.Abs(drained-want) > 1e-9 {
 		t.Errorf("drained %v, want %v", drained, want)
@@ -94,8 +87,7 @@ func TestAdvanceEnergy(t *testing.T) {
 
 func TestAdvanceEnergyDeath(t *testing.T) {
 	nw := mustNetwork(t, lineSpecs(2, 40), Config{Sink: geom.Pt(0, 0), CommRange: 50})
-	n1, _ := nw.Node(1)
-	n1.SetLevel(nw.DrainWatts(1) * 10) // 10 seconds of life
+	nw.SetLevel(1, nw.DrainWatts(1)*10) // 10 seconds of life
 	died := nw.AdvanceEnergy(11)
 	if len(died) != 1 || died[0] != 1 {
 		t.Fatalf("died = %v, want [1]", died)
@@ -109,8 +101,7 @@ func TestNextDepletion(t *testing.T) {
 	if who != 0 {
 		t.Errorf("first to die = %v, want 0", who)
 	}
-	n0, _ := nw.Node(0)
-	want := 50 + n0.Level()/nw.DrainWatts(0)
+	want := 50 + nw.Level(0)/nw.DrainWatts(0)
 	if math.Abs(at-want) > 1e-6 {
 		t.Errorf("depletion at %v, want %v", at, want)
 	}
@@ -123,27 +114,11 @@ func TestNextDepletion(t *testing.T) {
 		t.Fatalf("died = %v, want [0]", died)
 	}
 	// After everyone dies, NextDepletion reports +Inf.
-	for _, n := range nw.Nodes() {
-		n.SetLevel(0)
+	for i := range nw.Len() {
+		nw.SetLevel(NodeID(i), 0)
 	}
 	at, who = nw.NextDepletion(0)
 	if !math.IsInf(at, 1) || who != ParentNone {
 		t.Errorf("NextDepletion on dead network = %v, %v", at, who)
-	}
-}
-
-func TestForecastAllCoversEveryNode(t *testing.T) {
-	nw := mustNetwork(t, lineSpecs(4, 40), Config{Sink: geom.Pt(0, 0), CommRange: 50})
-	fs := nw.ForecastAll(0, 0.3)
-	if len(fs) != 4 {
-		t.Fatalf("forecast count = %d", len(fs))
-	}
-	for i, f := range fs {
-		if f.ID != NodeID(i) {
-			t.Errorf("forecast %d has ID %v", i, f.ID)
-		}
-		if f.DeathAt <= f.RequestAt {
-			t.Errorf("node %d: death %v before request %v", i, f.DeathAt, f.RequestAt)
-		}
 	}
 }

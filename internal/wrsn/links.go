@@ -3,8 +3,6 @@ package wrsn
 import (
 	"fmt"
 	"math"
-	"slices"
-	"sync"
 
 	"github.com/reprolab/wrsn-csa/internal/geom"
 )
@@ -40,17 +38,16 @@ func (lt *linkTable) row(u int) ([]int32, []float64) {
 
 // index builds the position grid and the link table from the node
 // positions, which are final by then. One grid query per node gathers
-// its sorted row into a scratch buffer; the table's arrays are then
-// allocated at their exact size and filled from it, the sink row last.
+// its sorted row into this build's row buffer; the table's arrays are
+// then allocated at their exact size and filled from it, the sink row
+// last.
 func (nw *Network) index() error {
 	n := len(nw.pos)
 	nw.grid = geom.NewGrid(nw.pos, nw.commRange)
 	off := make([]int32, n+2)
-	scratch := rowScratch.Get().(*[]int32)
-	defer rowScratch.Put(scratch)
 	// Room for eight links a node: the default deployment density holds
 	// about six plus the sink's, and a denser layout grows the buffer.
-	rows := slices.Grow((*scratch)[:0], 8*n)
+	rows := make([]int32, 0, 8*n)
 	sinkDeg := 0
 	for i, p := range nw.pos {
 		row := nw.inRange(i, p)
@@ -65,7 +62,6 @@ func (nw *Network) index() error {
 		}
 		off[i+1] = int32(len(rows))
 	}
-	*scratch = rows
 	off[n+1] = off[n] + int32(sinkDeg)
 	lt := &linkTable{off: off, to: make([]int32, off[n+1]), ln: make([]float64, off[n+1])}
 	copy(lt.to, rows)
@@ -91,9 +87,9 @@ func (nw *Network) index() error {
 // Stranded reports which nodes of a network built from specs under cfg
 // would start without a route to the sink: born depleted, or out of
 // multi-hop radio range of it through nodes that are not. It is the
-// connectivity NewNetwork's routing would find, read off a breadth-first
-// search of the link table from the sink: only the position grid and
-// the link table are built.
+// connectivity NewNetwork's routing would find, read off the network's
+// own reachability search over the link table: only the position grid
+// and the link table are built, no batteries or routing.
 func Stranded(specs []NodeSpec, cfg Config) ([]bool, error) {
 	n := len(specs)
 	if n == 0 {
@@ -102,42 +98,24 @@ func Stranded(specs []NodeSpec, cfg Config) ([]bool, error) {
 	if cfg.CommRange <= 0 {
 		cfg.CommRange = DefaultCommRange
 	}
-	nw := &Network{sink: cfg.Sink, commRange: cfg.CommRange, pos: make([]geom.Point, n)}
-	alive := newBitset(n)
+	nw := &Network{sink: cfg.Sink, commRange: cfg.CommRange, pos: make([]geom.Point, n), live: newBitset(n)}
 	for i, s := range specs {
-		if err := s.checkPos(i); err != nil {
+		b, err := s.state().battery(i)
+		if err != nil {
 			return nil, err
 		}
-		b, _, err := s.battery()
-		if err != nil {
-			return nil, fmt.Errorf("node %d: %w", i, err)
-		}
 		nw.pos[i] = s.Pos
-		setBit(alive, i, !b.Depleted())
+		setBit(nw.live, i, !b.Depleted())
 	}
 	if err := nw.index(); err != nil {
 		return nil, err
 	}
-	stranded := make([]bool, n)
-	for i := range stranded {
-		stranded[i] = true
+	stranded, _ := nw.reach(-1)
+	for i := range n {
+		stranded[i] = !stranded[i]
 	}
-	queue := append(make([]int32, 0, n+1), int32(n))
-	for k := 0; k < len(queue); k++ {
-		to, _ := nw.links.row(int(queue[k]))
-		for _, v := range to {
-			if int(v) != n && alive.get(int(v)) && stranded[v] {
-				stranded[v] = false
-				queue = append(queue, v)
-			}
-		}
-	}
-	return stranded, nil
+	return stranded[:n], nil
 }
-
-// rowScratch recycles index's row buffer, so a process that builds
-// many worlds in a row, such as a sweep, allocates it about once.
-var rowScratch = sync.Pool{New: func() any { return new([]int32) }}
 
 // inRange returns node i's in-range neighbours at position p, in grid
 // order, in the reused candidate buffer.
@@ -162,7 +140,7 @@ func (nw *Network) linked(a, b geom.Point) bool {
 // in the alive topology. It reads the live set as it stands, so callers
 // refresh it first.
 func (nw *Network) inGraph(w int) bool {
-	return w == len(nw.nodes) || nw.live.get(w)
+	return w == len(nw.pos) || nw.live.get(w)
 }
 
 // sort32 insertion-sorts a small neighbour list ascending; rows are a

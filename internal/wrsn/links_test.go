@@ -22,7 +22,7 @@ func (nw *Network) edgeWeight(from geom.Point, to int) float64 {
 // each alive node's row and the sink's, with nodes outside the live set
 // skipped. Dead nodes get empty lists, as in bruteAdjacency.
 func aliveRows(nw *Network) [][]int {
-	n := len(nw.nodes)
+	n := nw.Len()
 	adj := make([][]int, n+1)
 	for u := 0; u <= n; u++ {
 		if !nw.inGraph(u) {
@@ -40,7 +40,7 @@ func aliveRows(nw *Network) [][]int {
 
 // graphPos is the position of graph index u: a node, or n for the sink.
 func graphPos(nw *Network, u int) geom.Point {
-	if u == len(nw.nodes) {
+	if u == nw.Len() {
 		return nw.sink
 	}
 	return nw.pos[u]
@@ -57,7 +57,7 @@ func checkLinks(t *testing.T, nw *Network, tag string) {
 			t.Fatalf("%s: row %d = %v, want %v (order matters)", tag, u, got[u], want[u])
 		}
 	}
-	for u := 0; u <= len(nw.nodes); u++ {
+	for u := 0; u <= nw.Len(); u++ {
 		to, ln := nw.links.row(u)
 		a := graphPos(nw, u)
 		for k, v := range to {
@@ -149,9 +149,9 @@ func FuzzLinkTable(f *testing.F) {
 		for k, op := range data {
 			id := int(op>>1) % len(specs)
 			if op&1 == 0 {
-				nw.ptrs[id].Fail()
+				nw.Fail(NodeID(id))
 			} else {
-				nw.ptrs[id].Repair()
+				nw.Repair(NodeID(id))
 			}
 			nw.Recompute()
 			checkAgainstOracles(t, nw, fmt.Sprintf("event %d", k))

@@ -34,9 +34,8 @@ var ErrNoNodes = errors.New("wrsn: network requires at least one node")
 // rates, batteries, and the hardware-fault bits are dense parallel slices
 // indexed by NodeID, so the hot loops (adjacency builds, energy advance,
 // depletion scans) stream contiguous memory instead of chasing per-node
-// pointers. The Node type is a view layer over this storage; Nodes() and
-// Node(id) hand out pointer-stable handles whose battery accessors read
-// and write through the network.
+// pointers. Callers address a node by its NodeID through the network's
+// accessors (Pos, Alive, Level, Charge, ...); there is no per-node object.
 //
 // The routing tree and loads are recomputed by Recompute; they reflect only
 // nodes that were alive at that call. Recompute maintains the tree
@@ -52,12 +51,6 @@ type Network struct {
 	genBps []float64
 	bats   []energy.Battery
 	failed bitset
-
-	// nodes is the view layer: stable Node handles over the dense
-	// storage; ptrs caches &nodes[i] so the accessor API allocates
-	// nothing.
-	nodes []Node
-	ptrs  []*Node
 
 	sink      geom.Point
 	commRange float64
@@ -121,7 +114,6 @@ type Network struct {
 	pq       distHeap
 	queue    []int32
 	kids     []NodeID
-	nearBuf  []NodeID
 	inA      bitset
 	affected []int32
 	stack    []int32
@@ -192,20 +184,34 @@ const DefaultCommRange = 50.0
 // NewNetwork builds a network from node specs and immediately computes
 // routing and loads.
 func NewNetwork(specs []NodeSpec, cfg Config) (*Network, error) {
-	if len(specs) == 0 {
-		return nil, ErrNoNodes
-	}
 	if cfg.CommRange <= 0 {
 		cfg.CommRange = DefaultCommRange
 	}
 	if cfg.Radio == (energy.RadioModel{}) {
 		cfg.Radio = energy.DefaultRadioModel()
 	}
-	if err := cfg.Radio.Validate(); err != nil {
-		return nil, err
-	}
 	if cfg.Policy == 0 {
 		cfg.Policy = PolicyShortestDistance
+	}
+	return assemble(cfg, len(specs), func(i int) NodeState { return specs[i].state() })
+}
+
+// assemble is the one construction path NewNetwork and FromState share:
+// it validates the configuration and every node row, writes the rows
+// into the dense storage, indexes the positions and computes routing.
+// row returns node i's row; cfg is taken as given, without defaults.
+func assemble(cfg Config, n int, row func(i int) NodeState) (*Network, error) {
+	if n == 0 {
+		return nil, ErrNoNodes
+	}
+	if !(cfg.CommRange > 0) || math.IsInf(cfg.CommRange, 1) {
+		return nil, fmt.Errorf("wrsn: comm range %v is not positive and finite", cfg.CommRange)
+	}
+	if !finite(cfg.Sink.X) || !finite(cfg.Sink.Y) {
+		return nil, fmt.Errorf("wrsn: non-finite sink position %v", cfg.Sink)
+	}
+	if err := cfg.Radio.Validate(); err != nil {
+		return nil, err
 	}
 	nw := &Network{
 		sink:      cfg.Sink,
@@ -213,11 +219,17 @@ func NewNetwork(specs []NodeSpec, cfg Config) (*Network, error) {
 		radio:     cfg.Radio,
 		policy:    cfg.Policy,
 	}
-	nw.grow(len(specs))
-	for i, s := range specs {
-		if err := nw.initNode(i, s); err != nil {
+	nw.grow(n)
+	for i := range n {
+		ns := row(i)
+		b, err := ns.battery(i)
+		if err != nil {
 			return nil, err
 		}
+		nw.bats[i] = b
+		nw.pos[i] = ns.Pos
+		nw.genBps[i] = ns.GenBps
+		setBit(nw.failed, i, ns.Failed)
 	}
 	nw.initLive()
 	if err := nw.index(); err != nil {
@@ -244,8 +256,6 @@ func (nw *Network) grow(n int) {
 	nw.genBps = take(&f64, n)
 	nw.bats = make([]energy.Battery, n)
 	nw.failed = take(&sets, words)
-	nw.nodes = make([]Node, n)
-	nw.ptrs = make([]*Node, n)
 	nw.parent = make([]NodeID, n)
 	nw.hopDist = take(&f64, n)
 	nw.loads = make([]energy.Load, n)
@@ -284,40 +294,11 @@ func take[T any](block *[]T, n int) []T {
 	return s
 }
 
-// initNode validates one spec and writes it into slot i of the dense
-// storage, wiring up the view handle.
-func (nw *Network) initNode(i int, spec NodeSpec) error {
-	if err := spec.checkPos(i); err != nil {
-		return err
-	}
-	var gen float64
-	var err error
-	if nw.bats[i], gen, err = spec.battery(); err != nil {
-		return fmt.Errorf("node %d: %w", i, err)
-	}
-	nw.pos[i] = spec.Pos
-	nw.genBps[i] = gen
-	nw.nodes[i] = Node{ID: NodeID(i), Pos: spec.Pos, GenBps: gen, net: nw}
-	nw.ptrs[i] = &nw.nodes[i]
-	return nil
-}
-
 // finite reports whether x is neither infinite nor NaN.
 func finite(x float64) bool { return !math.IsInf(x, 0) && !math.IsNaN(x) }
 
 // Len returns the number of nodes (alive or dead).
-func (nw *Network) Len() int { return len(nw.nodes) }
-
-// Node returns the node with the given ID, or an error when out of range.
-func (nw *Network) Node(id NodeID) (*Node, error) {
-	if int(id) < 0 || int(id) >= len(nw.nodes) {
-		return nil, fmt.Errorf("wrsn: node %d out of range [0,%d)", id, len(nw.nodes))
-	}
-	return nw.ptrs[id], nil
-}
-
-// Nodes returns the node handles. Callers must not reorder the slice.
-func (nw *Network) Nodes() []*Node { return nw.ptrs }
+func (nw *Network) Len() int { return len(nw.pos) }
 
 // Sink returns the base-station location.
 func (nw *Network) Sink() geom.Point { return nw.sink }
@@ -339,29 +320,24 @@ func (nw *Network) initLive() {
 // AliveCount returns the number of nodes in service.
 func (nw *Network) AliveCount() int { return nw.live.count() }
 
-// NodesNear appends to dst every alive node whose position is within
-// rangeM of pos (by the exact Dist ≤ rangeM predicate), in ascending ID
-// order. It is the indexed replacement for brute-force witness scans.
-func (nw *Network) NodesNear(dst []*Node, pos geom.Point, rangeM float64) []*Node {
+// NodesNear appends to dst the ID of every alive node whose position is
+// within rangeM of pos (by the exact Dist ≤ rangeM predicate), in
+// ascending ID order. It is the indexed replacement for brute-force
+// witness scans.
+func (nw *Network) NodesNear(dst []NodeID, pos geom.Point, rangeM float64) []NodeID {
 	nw.cand = nw.grid.Candidates(nw.cand[:0], pos, rangeM)
-	if cap(nw.nearBuf) < len(nw.cand) {
-		nw.nearBuf = make([]NodeID, 0, len(nw.cand))
-	}
-	ids := nw.nearBuf[:0]
+	base := len(dst)
 	for _, ci := range nw.cand {
 		i := int(ci)
 		if nw.live.get(i) && pos.Dist(nw.pos[i]) <= rangeM {
-			ids = append(ids, NodeID(ci))
+			dst = append(dst, NodeID(ci))
 		}
 	}
-	nw.nearBuf = ids
+	ids := dst[base:]
 	for i := 1; i < len(ids); i++ {
 		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
 			ids[j], ids[j-1] = ids[j-1], ids[j]
 		}
-	}
-	for _, id := range ids {
-		dst = append(dst, nw.ptrs[id])
 	}
 	return dst
 }
@@ -400,7 +376,7 @@ func (nw *Network) recomputeFull() {
 	if nw.policy == PolicyEnergyAware {
 		nw.syncAll()
 	}
-	n := len(nw.nodes)
+	n := len(nw.pos)
 	dist := nw.dist
 	pred := nw.pred
 	for i := range dist {
@@ -472,7 +448,7 @@ func (nw *Network) treeParent(i int) NodeID {
 	switch {
 	case !nw.live.get(i) || math.IsInf(nw.dist[i], 1):
 		return ParentNone
-	case nw.pred[i] == len(nw.nodes):
+	case nw.pred[i] == len(nw.pos):
 		return ParentSink
 	default:
 		return NodeID(nw.pred[i])
@@ -498,7 +474,7 @@ func (nw *Network) deriveAll() {
 	for i := range nw.children {
 		nw.children[i] = nw.children[i][:0]
 	}
-	for i := range nw.nodes {
+	for i := range nw.pos {
 		nw.hopDist[i] = nw.dist[i]
 		p := nw.treeParent(i)
 		nw.setParent(i, p)
@@ -535,12 +511,12 @@ func (nw *Network) deriveAll() {
 	for _, i := range q {
 		reached.set(int(i))
 	}
-	for i := range nw.nodes {
+	for i := range nw.pos {
 		if nw.parent[i] != ParentNone && !reached.get(i) {
 			nw.loads[i].RelayBps = 0
 		}
 	}
-	for i := range nw.nodes {
+	for i := range nw.pos {
 		if nw.parent[i] != ParentNone && !reached.get(i) {
 			nw.setLoad(i, nw.foldLoad(i))
 		}

@@ -12,35 +12,10 @@ import (
 )
 
 // NodeID identifies a sensor node within its network; IDs are dense indices
-// assigned at construction.
+// assigned at construction. Every per-node read and write goes through the
+// Network by ID; indexing with an ID outside [0, Len()) panics, so input
+// from outside the process is checked with Has first.
 type NodeID int
-
-// Node is the view over one rechargeable sensor node. The node's primary
-// state lives in the network's dense struct-of-arrays storage (positions,
-// batteries, generation rates, and the failed bitset are parallel slices
-// indexed by NodeID); Node is a stable handle over that storage carrying
-// the public per-node API, so callers keep the same contract they had
-// when nodes were freestanding structs. Handles are pointer-stable for
-// the life of the network and safe to copy.
-//
-// Battery reads and writes go through the handle, never through a
-// pointer into the storage: the network drains lazily (see drain.go), so
-// a stored level can lag the clock, and every accessor first brings the
-// node up to date. A write through a raw pointer would also bypass the
-// live, low and event bookkeeping that the lazy drain keeps per node.
-type Node struct {
-	// ID is the node's index within the network.
-	ID NodeID
-	// Pos is the deployment location in meters.
-	Pos geom.Point
-	// GenBps is the node's locally generated (sensed) data rate in bits
-	// per second.
-	GenBps float64
-
-	// net backs the battery and the hardware-fault bit, which live in the
-	// network's dense storage rather than in the view.
-	net *Network
-}
 
 // NodeSpec describes a node to be constructed by NewNetwork.
 type NodeSpec struct {
@@ -55,18 +30,9 @@ type NodeSpec struct {
 	InitialFrac float64
 }
 
-// checkPos rejects a spec, the i-th of its network, with a non-finite
-// position.
-func (s NodeSpec) checkPos(i int) error {
-	if !finite(s.Pos.X) || !finite(s.Pos.Y) {
-		return fmt.Errorf("wrsn: node %d: non-finite position %v", i, s.Pos)
-	}
-	return nil
-}
-
-// battery applies the spec's defaults: it returns the node's initial
-// battery and its generation rate, as NewNetwork builds them.
-func (s NodeSpec) battery() (energy.Battery, float64, error) {
+// state applies the spec's defaults: it returns the node row NewNetwork
+// builds the node from.
+func (s NodeSpec) state() NodeState {
 	capJ := s.BatteryJ
 	if capJ <= 0 {
 		capJ = DefaultBatteryJ
@@ -79,19 +45,39 @@ func (s NodeSpec) battery() (energy.Battery, float64, error) {
 	if gen <= 0 {
 		gen = DefaultGenBps
 	}
-	b, err := energy.MakeBattery(capJ, capJ*frac, DefaultMeterQuantumJ)
-	return b, gen, err
+	return NodeState{Pos: s.Pos, GenBps: gen, CapacityJ: capJ, LevelJ: capJ * frac, QuantumJ: DefaultMeterQuantumJ}
 }
 
 // Normalized returns the spec as NewNetwork applies it: the generation
 // rate and capacity with their defaults filled in, and InitialFrac
 // re-derived as the initial level over the capacity.
 func (s NodeSpec) Normalized() (NodeSpec, error) {
-	b, gen, err := s.battery()
+	ns := s.state()
+	b, err := ns.battery(0)
 	if err != nil {
 		return NodeSpec{}, err
 	}
-	return NodeSpec{Pos: s.Pos, GenBps: gen, BatteryJ: b.Capacity(), InitialFrac: b.Level() / b.Capacity()}, nil
+	return NodeSpec{Pos: s.Pos, GenBps: ns.GenBps, BatteryJ: b.Capacity(), InitialFrac: b.Level() / b.Capacity()}, nil
+}
+
+// battery validates the row of node i, the one check every construction
+// path applies: the position, the rate and the battery figures must be
+// finite and the battery well formed. It returns the node's initial
+// battery.
+func (ns NodeState) battery(i int) (energy.Battery, error) {
+	if !finite(ns.Pos.X) || !finite(ns.Pos.Y) {
+		return energy.Battery{}, fmt.Errorf("wrsn: node %d: non-finite position %v", i, ns.Pos)
+	}
+	for _, v := range [...]float64{ns.GenBps, ns.CapacityJ, ns.LevelJ, ns.QuantumJ} {
+		if !finite(v) {
+			return energy.Battery{}, fmt.Errorf("wrsn: node %d: non-finite rate or battery figure %v", i, v)
+		}
+	}
+	b, err := energy.MakeBattery(ns.CapacityJ, ns.LevelJ, ns.QuantumJ)
+	if err != nil {
+		return energy.Battery{}, fmt.Errorf("wrsn: node %d: %w", i, err)
+	}
+	return b, nil
 }
 
 // Default node parameters: a 10.8 kJ battery (the 2×AA-equivalent constant
@@ -106,50 +92,52 @@ const (
 	DefaultMeterQuantumJ = 0.5
 )
 
-// Alive reports whether the node is in service: not hardware-failed and
+// Has reports whether id names a node of the network.
+func (nw *Network) Has(id NodeID) bool { return id >= 0 && int(id) < len(nw.pos) }
+
+// Pos returns node id's deployment location in meters.
+func (nw *Network) Pos(id NodeID) geom.Point { return nw.pos[id] }
+
+// Alive reports whether node id is in service: not hardware-failed and
 // not battery-depleted. Routing, drain, and forecasting all key off
 // Alive, so a failed node drops out of the network exactly like a dead
 // one — but its battery is preserved and it returns on Repair.
-func (n *Node) Alive() bool { return n.net.live.get(int(n.ID)) }
+func (nw *Network) Alive(id NodeID) bool { return nw.live.get(int(id)) }
 
-// Fail powers the node off with a hardware fault. Idempotent.
-func (n *Node) Fail() { n.net.setFailed(int(n.ID), true) }
+// Fail powers node id off with a hardware fault. Idempotent.
+func (nw *Network) Fail(id NodeID) { nw.setFailed(int(id), true) }
 
-// Repair clears a hardware fault; the node rejoins with whatever charge
-// its battery held when it failed. Idempotent.
-func (n *Node) Repair() { n.net.setFailed(int(n.ID), false) }
+// Repair clears node id's hardware fault; the node rejoins with whatever
+// charge its battery held when it failed. Idempotent.
+func (nw *Network) Repair(id NodeID) { nw.setFailed(int(id), false) }
 
-// Failed reports whether the node is hardware-failed (independent of
+// Failed reports whether node id is hardware-failed (independent of
 // battery state).
-func (n *Node) Failed() bool { return n.net.failed.get(int(n.ID)) }
+func (nw *Network) Failed(id NodeID) bool { return nw.failed.get(int(id)) }
 
-// battery returns the node's battery brought up to the network clock.
-func (n *Node) battery() *energy.Battery {
-	n.net.sync(int(n.ID))
-	return &n.net.bats[n.ID]
+// Battery reads bring the node up to the network clock first: the drain
+// is lazy (see drain.go), so a stored level can lag it.
+
+// Level returns node id's true battery charge in joules.
+func (nw *Network) Level(id NodeID) float64 {
+	nw.sync(int(id))
+	return nw.bats[id].Level()
 }
 
-// Level returns the battery's true charge in joules.
-func (n *Node) Level() float64 { return n.battery().Level() }
+// Capacity returns node id's battery capacity in joules.
+func (nw *Network) Capacity(id NodeID) float64 { return nw.bats[id].Capacity() }
 
-// Capacity returns the battery capacity in joules.
-func (n *Node) Capacity() float64 { return n.net.bats[n.ID].Capacity() }
-
-// Fraction returns Level/Capacity in [0,1].
-func (n *Node) Fraction() float64 { return n.battery().Fraction() }
-
-// MeterRead returns the level as the node's coulomb counter reports it.
-func (n *Node) MeterRead() float64 { return n.battery().MeterRead() }
-
-// Depleted reports whether the battery is empty, whatever the fault bit.
-// It needs no sync: a node in service is not depleted, one out of
-// service and not failed is, and a failed node's level was synced when
-// it failed and has not drained since.
-func (n *Node) Depleted() bool {
-	i := int(n.ID)
-	return !n.net.live.get(i) && (!n.net.failed.get(i) || n.net.bats[i].Depleted())
+// MeterRead returns node id's level as its coulomb counter reports it.
+func (nw *Network) MeterRead(id NodeID) float64 {
+	nw.sync(int(id))
+	return nw.bats[id].MeterRead()
 }
 
-// SetLevel forces the battery level (clamped to [0, capacity]); it is for
-// scenario setup and tests, not for simulation dynamics.
-func (n *Node) SetLevel(j float64) { n.net.SetLevel(n.ID, j) }
+// Depleted reports whether node id's battery is empty, whatever the
+// fault bit. It needs no sync: a node in service is not depleted, one
+// out of service and not failed is, and a failed node's level was synced
+// when it failed and has not drained since.
+func (nw *Network) Depleted(id NodeID) bool {
+	i := int(id)
+	return !nw.live.get(i) && (!nw.failed.get(i) || nw.bats[i].Depleted())
+}

@@ -47,22 +47,14 @@ func TestEnergyAwareAvoidsDrainedRelay(t *testing.T) {
 		t.Fatalf("fresh: C's parent = %v, want 1", p)
 	}
 	// Drain B: traffic must shift to A.
-	b, err := nw.Node(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.SetLevel(0.05 * b.Capacity())
+	nw.SetLevel(1, 0.05*nw.Capacity(1))
 	nw.Recompute()
 	if p := nw.Parent(2); p != 0 {
 		t.Errorf("drained: C's parent = %v, want relay A (0)", p)
 	}
 	// Shortest-distance routing would NOT shift.
 	nw2 := mustNetwork(t, diamondSpecs(), Config{Sink: geom.Pt(0, 0), CommRange: 50})
-	b2, err := nw2.Node(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2.SetLevel(0.05 * b2.Capacity())
+	nw2.SetLevel(1, 0.05*nw2.Capacity(1))
 	nw2.Recompute()
 	if p := nw2.Parent(2); p != 1 {
 		t.Errorf("shortest-distance shifted anyway: parent = %v", p)

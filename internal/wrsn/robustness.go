@@ -63,12 +63,12 @@ func (nw *Network) RobustnessSweep(strategy RemovalStrategy, steps int, r *rng.S
 		return nil, fmt.Errorf("wrsn: RemoveRandom needs a random stream")
 	}
 	// Save battery levels to restore the network afterward.
-	saved := make([]float64, len(nw.nodes))
-	for i, n := range nw.ptrs {
-		saved[i] = n.Level()
+	saved := make([]float64, len(nw.pos))
+	for i := range saved {
+		saved[i] = nw.Level(NodeID(i))
 	}
 	defer func() {
-		for i := range nw.nodes {
+		for i := range saved {
 			nw.SetLevel(NodeID(i), saved[i])
 		}
 		nw.Recompute()
@@ -91,8 +91,8 @@ func (nw *Network) RobustnessSweep(strategy RemovalStrategy, steps int, r *rng.S
 // pickRemoval chooses the next node to remove under the strategy.
 func (nw *Network) pickRemoval(strategy RemovalStrategy, r *rng.Stream) (NodeID, bool) {
 	var alive []NodeID
-	for i, n := range nw.nodes {
-		if n.Alive() {
+	for i := range nw.pos {
+		if nw.live.get(i) {
 			alive = append(alive, NodeID(i))
 		}
 	}

@@ -11,14 +11,14 @@ import (
 func TestRobustnessSweepRestoresState(t *testing.T) {
 	nw := mustNetwork(t, lineSpecs(6, 40), Config{Sink: geom.Pt(0, 0), CommRange: 50})
 	before := make([]float64, nw.Len())
-	for i, n := range nw.Nodes() {
-		before[i] = n.Level()
+	for i := range before {
+		before[i] = nw.Level(NodeID(i))
 	}
 	if _, err := nw.RobustnessSweep(RemoveBySeverance, 4, nil); err != nil {
 		t.Fatal(err)
 	}
-	for i, n := range nw.Nodes() {
-		if n.Level() != before[i] {
+	for i := range before {
+		if nw.Level(NodeID(i)) != before[i] {
 			t.Fatalf("node %d battery not restored", i)
 		}
 	}

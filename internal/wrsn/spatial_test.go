@@ -29,20 +29,20 @@ func randomNetwork(t *testing.T, rng *rand.Rand, n int, commRange float64) *Netw
 // tie-breaking — and through it the golden Outcome digests — depends on
 // adjacency order.
 func bruteAdjacency(nw *Network) [][]int {
-	n := len(nw.nodes)
+	n := nw.Len()
 	adj := make([][]int, n+1)
-	for i, a := range nw.nodes {
-		if !a.Alive() {
+	for i := range n {
+		if !nw.Alive(NodeID(i)) {
 			continue
 		}
+		a := nw.Pos(NodeID(i))
 		for j := i + 1; j < n; j++ {
-			b := nw.nodes[j]
-			if b.Alive() && nw.linked(a.Pos, b.Pos) {
+			if nw.Alive(NodeID(j)) && nw.linked(a, nw.Pos(NodeID(j))) {
 				adj[i] = append(adj[i], j)
 				adj[j] = append(adj[j], i)
 			}
 		}
-		if nw.linked(a.Pos, nw.sink) {
+		if nw.linked(a, nw.sink) {
 			adj[i] = append(adj[i], n)
 			adj[n] = append(adj[n], i)
 		}
@@ -58,12 +58,13 @@ func TestGridAdjacencyMatchesBrute(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		nw := randomNetwork(t, rng, 1+rng.Intn(150), 30+rng.Float64()*60)
 		// Kill a random subset (battery depletion and hardware faults).
-		for _, n := range nw.nodes {
+		for i := range nw.Len() {
+			id := NodeID(i)
 			switch rng.Intn(5) {
 			case 0:
-				nw.Drain(n.ID, n.Level()+1)
+				nw.Drain(id, nw.Level(id)+1)
 			case 1:
-				n.Fail()
+				nw.Fail(id)
 			}
 		}
 		got := aliveRows(nw)
@@ -90,18 +91,18 @@ func TestGridAdjacencyMatchesBrute(t *testing.T) {
 func TestNodesNearMatchesBrute(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	nw := randomNetwork(t, rng, 120, 50)
-	for _, n := range nw.nodes {
+	for i := range nw.Len() {
 		if rng.Intn(6) == 0 {
-			n.Fail()
+			nw.Fail(NodeID(i))
 		}
 	}
 	for q := 0; q < 50; q++ {
 		pos := geom.Point{X: rng.Float64()*350 - 50, Y: rng.Float64()*350 - 50}
 		r := rng.Float64() * 100
-		var want []*Node
-		for i := range nw.nodes {
-			if n := &nw.nodes[i]; n.Alive() && pos.Dist(n.Pos) <= r {
-				want = append(want, n)
+		var want []NodeID
+		for i := range nw.Len() {
+			if id := NodeID(i); nw.Alive(id) && pos.Dist(nw.Pos(id)) <= r {
+				want = append(want, id)
 			}
 		}
 		got := nw.NodesNear(nil, pos, r)
@@ -110,7 +111,7 @@ func TestNodesNearMatchesBrute(t *testing.T) {
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("query %d: node %d is %d, want %d (ascending ID order)", q, i, got[i].ID, want[i].ID)
+				t.Fatalf("query %d: node %d is %d, want %d (ascending ID order)", q, i, got[i], want[i])
 			}
 		}
 	}
@@ -144,9 +145,9 @@ func TestRecomputeAfterDeathsStillCorrect(t *testing.T) {
 		t.Fatal(err)
 	}
 	for round := 0; round < 4; round++ {
-		for i, n := range nw.nodes {
-			if (i+round)%7 == 0 {
-				nw.Drain(n.ID, n.Level()+1)
+		for i := range nw.Len() {
+			if id := NodeID(i); (i+round)%7 == 0 {
+				nw.Drain(id, nw.Level(id)+1)
 			}
 		}
 		nw.Recompute()
@@ -155,13 +156,13 @@ func TestRecomputeAfterDeathsStillCorrect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, n := range nw.nodes {
-			if !n.Alive() {
-				ref.Drain(NodeID(i), ref.nodes[i].Level()+1)
+		for i := range nw.Len() {
+			if id := NodeID(i); !nw.Alive(id) {
+				ref.Drain(id, ref.Level(id)+1)
 			}
 		}
 		ref.Recompute()
-		for i := range nw.nodes {
+		for i := range nw.Len() {
 			if nw.Parent(NodeID(i)) != ref.Parent(NodeID(i)) {
 				t.Fatalf("round %d: parent[%d] = %d, want %d", round, i, nw.Parent(NodeID(i)), ref.Parent(NodeID(i)))
 			}

@@ -1,8 +1,6 @@
 package wrsn
 
 import (
-	"fmt"
-
 	"github.com/reprolab/wrsn-csa/internal/energy"
 	"github.com/reprolab/wrsn-csa/internal/geom"
 )
@@ -45,9 +43,9 @@ func (nw *Network) State() State {
 		CommRange: nw.commRange,
 		Radio:     nw.radio,
 		Policy:    nw.policy,
-		Nodes:     make([]NodeState, len(nw.nodes)),
+		Nodes:     make([]NodeState, len(nw.pos)),
 	}
-	for i := range nw.nodes {
+	for i := range nw.pos {
 		b := &nw.bats[i]
 		st.Nodes[i] = NodeState{
 			Pos:       nw.pos[i],
@@ -64,43 +62,11 @@ func (nw *Network) State() State {
 // FromState reconstructs a network from captured state and recomputes
 // routing. Because Recompute is a pure function of the primary state, the
 // result is indistinguishable from the network State was called on:
-// identical routing tree, loads, and drain rates.
+// identical routing tree, loads, and drain rates. It validates st as
+// NewNetwork validates specs; only the defaults are not applied.
 func FromState(st State) (*Network, error) {
-	if len(st.Nodes) == 0 {
-		return nil, ErrNoNodes
-	}
-	if st.CommRange <= 0 {
-		return nil, fmt.Errorf("wrsn: state has non-positive comm range %v", st.CommRange)
-	}
-	if err := st.Radio.Validate(); err != nil {
-		return nil, err
-	}
-	nw := &Network{
-		sink:      st.Sink,
-		commRange: st.CommRange,
-		radio:     st.Radio,
-		policy:    st.Policy,
-	}
-	nw.grow(len(st.Nodes))
-	for i, ns := range st.Nodes {
-		var err error
-		if nw.bats[i], err = energy.MakeBattery(ns.CapacityJ, ns.LevelJ, ns.QuantumJ); err != nil {
-			return nil, fmt.Errorf("wrsn: node %d: %w", i, err)
-		}
-		nw.pos[i] = ns.Pos
-		nw.genBps[i] = ns.GenBps
-		if ns.Failed {
-			nw.failed.set(i)
-		}
-		nw.nodes[i] = Node{ID: NodeID(i), Pos: ns.Pos, GenBps: ns.GenBps, net: nw}
-		nw.ptrs[i] = &nw.nodes[i]
-	}
-	nw.initLive()
-	if err := nw.index(); err != nil {
-		return nil, err
-	}
-	nw.Recompute()
-	return nw, nil
+	cfg := Config{Sink: st.Sink, CommRange: st.CommRange, Radio: st.Radio, Policy: st.Policy}
+	return assemble(cfg, len(st.Nodes), func(i int) NodeState { return st.Nodes[i] })
 }
 
 // Fork returns an independent copy-on-write copy of the network: the dense
@@ -118,7 +84,7 @@ func FromState(st State) (*Network, error) {
 // fork the same template network concurrently as long as none of them
 // mutates it.
 func (nw *Network) Fork() *Network {
-	n := len(nw.nodes)
+	n := len(nw.pos)
 	f := &Network{
 		sink:      nw.sink,
 		commRange: nw.commRange,
@@ -137,10 +103,6 @@ func (nw *Network) Fork() *Network {
 		}
 	}
 	f.failed.copyFrom(nw.failed)
-	for i := range f.nodes {
-		f.nodes[i] = Node{ID: NodeID(i), Pos: f.pos[i], GenBps: f.genBps[i], net: f}
-		f.ptrs[i] = &f.nodes[i]
-	}
 	f.clock, f.age, f.reqFrac = nw.clock, nw.age, nw.reqFrac
 	f.live.copyFrom(nw.live)
 	f.low.copyFrom(nw.low)

@@ -72,8 +72,8 @@ func TestScenarioOptions(t *testing.T) {
 		t.Errorf("node counts differ: uniform %d, grid %d", uniform.Len(), grid.Len())
 	}
 	same := true
-	for i, n := range uniform.Nodes() {
-		if n.Pos != grid.Nodes()[i].Pos {
+	for i := range uniform.Len() {
+		if id := wrsncsa.NodeID(i); uniform.Pos(id) != grid.Pos(id) {
 			same = false
 			break
 		}
