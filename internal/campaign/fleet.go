@@ -299,22 +299,23 @@ func (f *fleetRun) captureState() *snapshot.CampaignState {
 // its handlers CatchUp first, so the world clock equals the engine clock.
 func (f *fleetRun) pump() error {
 	eng, plan := f.w.Engine(), f.cfg.Checkpoint
-	if plan == nil {
-		return eng.RunUntil(f.cfg.HorizonSec, 50_000_000)
-	}
-	last := time.Now()
-	take := func() (*snapshot.Snapshot, error) {
-		return snapshot.CaptureLive(plan.Scenario, f.nw, nil, eng, f.captureState())
-	}
-	return eng.RunUntilHook(f.cfg.HorizonSec, 50_000_000, func(string, string) error {
-		if f.w.Canceled() {
-			// A canceled handler returns without CatchUp; the world may
-			// lag the engine, so this is not a capturable barrier. The
-			// pump drains and the run reports ctx.Err().
-			return nil
+	var after func(string) error
+	if plan != nil {
+		last := time.Now()
+		take := func() (*snapshot.Snapshot, error) {
+			return snapshot.CaptureLive(plan.Scenario, f.nw, nil, eng, f.captureState())
 		}
-		return plan.offer(&last, take)
-	})
+		after = func(string) error {
+			if f.w.Canceled() {
+				// A canceled handler returns without CatchUp; the world may
+				// lag the engine, so this is not a capturable barrier. The
+				// pump drains and the run reports ctx.Err().
+				return nil
+			}
+			return plan.offer(&last, take)
+		}
+	}
+	return eng.RunUntil(f.cfg.HorizonSec, 50_000_000, after)
 }
 
 // finish assembles the FleetOutcome after the pump drains.

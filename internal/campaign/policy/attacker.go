@@ -397,7 +397,7 @@ func spoofTarget(e *Env, site attack.Site) error {
 		if math.IsInf(f.DeathAt, 1) || e.W.Now() >= f.DeathAt {
 			return nil
 		}
-		e.W.AdvanceTo(math.Min(f.DeathAt, e.W.Now()+e.W.Params().PollSec))
+		e.W.AdvanceTo(math.Min(f.DeathAt, e.W.Now()+e.W.Params().PollSec), nil)
 	}
 	if caught(e) || !nw.Alive(site.Node) {
 		return nil
@@ -430,7 +430,7 @@ func (a staticStop) Exec(e *Env, _ Policy) (Result, error) {
 		return Stopped, nil // budget exhausted
 	}
 	if e.W.Now() < a.begin {
-		e.W.AdvanceTo(a.begin)
+		e.W.AdvanceTo(a.begin, nil)
 	}
 	if caught(e) || !nw.Alive(id) {
 		return OK, nil

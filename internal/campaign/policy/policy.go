@@ -18,6 +18,13 @@
 // cooldown, grace age, audit cadence, fill and cover settings) from
 // Env.W.Params(), the one knob set the world and session layers read
 // too; the attackers plan through attack.Solve, the one planner table.
+//
+// Drive executes Done and Wait itself; their Exec methods never run.
+// Every Wait, like the trailing advance to the horizon, is one world
+// advance. When Env.Checkpoint is set, that same advance carries the
+// checkpoint barrier as an argument, so a checkpointed run executes the
+// plain run's code and captures only at points the plain run also
+// passes.
 package policy
 
 import (
@@ -66,10 +73,11 @@ type Env struct {
 
 	// Checkpoint, when set, is invoked at every handler-safe barrier of
 	// the drive loop — the top of each action-loop iteration and after
-	// each world step inside Wait advances (including the trailing
-	// advance to the horizon). The hook must only read; a non-nil error
-	// aborts the drive and propagates out of Drive/DriveResume. Nil
-	// disables barriers with zero overhead on the action path.
+	// each world step of a Wait's advance or of the trailing advance to
+	// the horizon. Set or nil, the loop runs the same code: the barriers
+	// ride the one world advance (world.W.AdvanceTo) as an argument,
+	// which is nil when Checkpoint is. The hook must only read; a non-nil
+	// error aborts the drive and propagates out of Drive/DriveResume.
 	Checkpoint func(Barrier) error
 
 	// view is PickFiltered's filtered queue, refilled per pick.
@@ -83,8 +91,8 @@ type Env struct {
 type Barrier struct {
 	// Prev is the Result that feeds the next NextAction call.
 	Prev Result
-	// InWait marks a barrier inside a hooked Wait advance; WaitUntil is
-	// the advance target.
+	// InWait marks a barrier inside a Wait's advance; WaitUntil is the
+	// advance target.
 	InWait    bool
 	WaitUntil float64
 	// Final marks a barrier inside the trailing advance to the horizon.
@@ -202,11 +210,9 @@ func (Noop) Exec(*Env, Policy) (Result, error) { return OK, nil }
 // Wait advances the world clock to Until.
 type Wait struct{ Until float64 }
 
-// Exec advances the world.
-func (a Wait) Exec(e *Env, _ Policy) (Result, error) {
-	e.W.AdvanceTo(a.Until)
-	return OK, nil
-}
+// Exec never runs — Drive advances the world for a Wait itself, so the
+// advance can carry the checkpoint barrier.
+func (Wait) Exec(*Env, Policy) (Result, error) { return OK, nil }
 
 // Serve travels to the request's node and runs a full session there, of
 // the kind the policy's OnArrival picks. Strict marks the legit baseline,
@@ -268,7 +274,7 @@ func (a Fill) Exec(e *Env, _ Policy) (Result, error) {
 	if p.NoFill || !fillOne(e, a.Deadline, a.ReturnPos) {
 		// The fallback bound uses the post-attempt clock: a failed fill
 		// may still have spent travel time.
-		e.W.AdvanceTo(math.Min(a.FallbackCap, e.W.Now()+p.PollSec))
+		e.W.AdvanceTo(math.Min(a.FallbackCap, e.W.Now()+p.PollSec), nil)
 	}
 	return OK, nil
 }
@@ -326,10 +332,10 @@ func fillOne(e *Env, deadline float64, returnPos geom.Point) bool {
 // cancellation, then the trailing advance to the horizon. The caller
 // checks ctx.Err() afterwards and assembles the Outcome from the ledger.
 //
-// With Env.Checkpoint set, the loop additionally fires the hook at every
-// barrier; a nil-returning hook leaves the executed action and event
-// sequence identical to an unhooked drive, so checkpointing can never
-// move a digest.
+// With Env.Checkpoint set, the same loop and the same advances also fire
+// the hook at every barrier; a nil-returning hook leaves the executed
+// action and event sequence identical to an unhooked drive, so
+// checkpointing can never move a digest.
 func Drive(e *Env, pol Policy) error {
 	if err := pol.Bootstrap(e); err != nil {
 		return err
@@ -348,28 +354,29 @@ func Drive(e *Env, pol Policy) error {
 // initial scan/sample are never re-run — their effects are part of the
 // restored state.
 func DriveResume(e *Env, pol Policy, rp ResumePoint) error {
+	var err error
 	switch rp.Stage {
 	case StageFinal:
-		return finalAdvance(e)
+		// Only the trailing advance remains.
 	case StageWait:
-		if err := advanceHooked(e, rp.WaitUntil, rp.Prev); err != nil {
-			return err
+		err = e.advance(rp.WaitUntil, Barrier{Prev: rp.Prev, InWait: true, WaitUntil: rp.WaitUntil})
+		if err == nil {
+			err = driveLoop(e, pol, OK)
 		}
-		if err := driveLoop(e, pol, OK); err != nil {
-			return err
-		}
-		return finalAdvance(e)
 	case StageLoop:
-		if err := driveLoop(e, pol, rp.Prev); err != nil {
-			return err
-		}
-		return finalAdvance(e)
+		err = driveLoop(e, pol, rp.Prev)
 	default:
 		return fmt.Errorf("policy: unknown resume stage %q", rp.Stage)
 	}
+	if err != nil {
+		return err
+	}
+	return finalAdvance(e)
 }
 
-// driveLoop is the action loop shared by Drive and DriveResume.
+// driveLoop is the action loop shared by Drive and DriveResume. A Wait
+// runs through advance whether or not Checkpoint is set; prev rides in
+// its barrier so a checkpoint taken mid-wait re-enters exactly.
 func driveLoop(e *Env, pol Policy, prev Result) error {
 	for !e.W.Canceled() {
 		if e.Checkpoint != nil {
@@ -381,19 +388,15 @@ func driveLoop(e *Env, pol Policy, prev Result) error {
 		if err != nil {
 			return err
 		}
-		if _, done := act.(Done); done {
-			break
-		}
-		if wait, ok := act.(Wait); ok && e.Checkpoint != nil {
-			// Hook the wait's world steps so multi-hour idle advances
-			// stay checkpointable; Wait.Exec always returns OK.
-			if err := advanceHooked(e, wait.Until, prev); err != nil {
-				return err
-			}
+		switch a := act.(type) {
+		case Done:
+			return nil
+		case Wait:
+			err = e.advance(a.Until, Barrier{Prev: prev, InWait: true, WaitUntil: a.Until})
 			prev = OK
-			continue
+		default:
+			prev, err = act.Exec(e, pol)
 		}
-		prev, err = act.Exec(e, pol)
 		if err != nil {
 			return err
 		}
@@ -401,31 +404,21 @@ func driveLoop(e *Env, pol Policy, prev Result) error {
 	return nil
 }
 
-// advanceHooked advances the world to until, firing mid-wait barriers
-// after each world step. prev is the result the interrupted loop will
-// resume NextAction with — it rides in the barrier so a checkpoint taken
-// here can re-enter exactly.
-func advanceHooked(e *Env, until float64, prev Result) error {
-	if e.Checkpoint == nil {
-		e.W.AdvanceTo(until)
-		return nil
+// advance moves the world to until, the one advance of the drive loop's
+// waits and of the trailing advance. With Checkpoint set the hook fires
+// as b after every world step, so multi-hour idle advances stay
+// checkpointable; without it no barrier is built.
+func (e *Env) advance(until float64, b Barrier) error {
+	var barrier func() error
+	if e.Checkpoint != nil {
+		barrier = func() error { return e.Checkpoint(b) }
 	}
-	return e.W.AdvanceToHook(until, func() error {
-		return e.Checkpoint(Barrier{Prev: prev, InWait: true, WaitUntil: until})
-	})
+	return e.W.AdvanceTo(until, barrier)
 }
 
-// finalAdvance runs the trailing advance to the horizon, hooked when a
-// checkpoint hook is armed.
+// finalAdvance runs the trailing advance to the horizon.
 func finalAdvance(e *Env) error {
-	horizon := e.W.Params().HorizonSec
-	if e.Checkpoint == nil {
-		e.W.AdvanceTo(horizon)
-		return nil
-	}
-	return e.W.AdvanceToHook(horizon, func() error {
-		return e.Checkpoint(Barrier{Final: true})
-	})
+	return e.advance(e.W.Params().HorizonSec, Barrier{Final: true})
 }
 
 // BootstrapAttack is the shared planning step of both attack policies:
@@ -449,8 +442,6 @@ func BootstrapAttack(e *Env, solver string) (*attack.Instance, attack.Result, er
 	if err != nil {
 		return nil, attack.Result{}, err
 	}
-	// Planning is over; executing the plan reads only the sites.
-	in.ReleaseDistIndex()
 	for _, s := range in.Sites {
 		if s.Mandatory {
 			e.Targets[s.Node] = true

@@ -193,7 +193,7 @@ func (a *Actor) advance(dur float64) float64 {
 	// session or extends past one breakdown window; plans with more
 	// than 8 windows inside one session are beyond the model.
 	for i := 0; i < 8; i++ {
-		a.W.AdvanceTo(target)
+		a.W.AdvanceTo(target, nil)
 		down := a.W.ChargerDownSecTotal() - base
 		active = a.W.Now() - start - down
 		if short := dur - active; short <= 1e-6 {
@@ -264,7 +264,7 @@ func (a *Actor) TravelTo(id wrsn.NodeID) error {
 	if err := a.Ch.Travel(dock); err != nil {
 		return err
 	}
-	a.W.AdvanceTo(a.W.Now() + dt)
+	a.W.AdvanceTo(a.W.Now()+dt, nil)
 	return nil
 }
 

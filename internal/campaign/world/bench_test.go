@@ -39,7 +39,7 @@ func BenchmarkWorldStep(b *testing.B) {
 				led := ledger.New()
 				w := New(context.Background(), tmpl.Fork(), led, p, nil)
 				b.StartTimer()
-				w.AdvanceTo(24 * 3600)
+				w.AdvanceTo(24*3600, nil)
 				issued += led.Issued
 				deaths += len(led.Audit.Deaths)
 			}

@@ -296,30 +296,28 @@ func (w *W) boundary(target float64) float64 {
 // step boundary is an engine event, and the engine is pumped until t. A
 // canceled context stops the advance at the current boundary. AdvanceTo
 // must not be called from inside an engine handler — use CatchUp there.
-func (w *W) AdvanceTo(t float64) {
-	if t <= w.now {
-		return
-	}
-	w.armStep(t)
-	_ = w.eng.RunUntil(t, 0)
-}
-
-// AdvanceToHook is AdvanceTo with a checkpoint hook invoked after every
-// executed world-step event — the points where no handler is mid-flight
-// and the world clock equals the engine clock. A non-nil hook error
-// aborts the advance and is returned; with a nil-returning hook the
-// executed event sequence is identical to AdvanceTo.
-func (w *W) AdvanceToHook(t float64, hook func() error) error {
+//
+// barrier, when non-nil, is the checkpoint barrier: it is called after
+// every executed world-step event, the points where no handler is
+// mid-flight and the world clock equals the engine clock. A non-nil
+// error from it stops the advance and is returned. The events executed
+// do not depend on barrier, and with a nil barrier AdvanceTo always
+// returns nil.
+func (w *W) AdvanceTo(t float64, barrier func() error) error {
 	if t <= w.now {
 		return nil
 	}
 	w.armStep(t)
-	return w.eng.RunUntilHook(t, 0, func(kind, _ string) error {
-		if kind != stepKind {
-			return nil
+	var after func(kind string) error
+	if barrier != nil {
+		after = func(kind string) error {
+			if kind != stepKind {
+				return nil
+			}
+			return barrier()
 		}
-		return hook()
-	})
+	}
+	return w.eng.RunUntil(t, 0, after)
 }
 
 // armStep points the step chain at target. On a fresh advance no chain

@@ -47,14 +47,14 @@ func TestCatchUpReentrancy(t *testing.T) {
 	w, led, nw := testWorld(t, context.Background(), plan)
 
 	// Advance in two legs, the first stopping inside the outage window.
-	w.AdvanceTo(6500)
+	w.AdvanceTo(6500, nil)
 	if got := w.Now(); got != 6500 {
 		t.Fatalf("Now() = %v after AdvanceTo(6500)", got)
 	}
 	if !w.SinkDown() {
 		t.Error("sink outage window not open at t=6500")
 	}
-	w.AdvanceTo(10000)
+	w.AdvanceTo(10000, nil)
 	if got := w.Now(); got != 10000 {
 		t.Fatalf("Now() = %v after AdvanceTo(10000)", got)
 	}
@@ -98,7 +98,7 @@ func TestCatchUpReentrantCall(t *testing.T) {
 	if err := w.Engine().AtKeyed(1000, "test.reentrant", 0, "test.reentrant"); err != nil {
 		t.Fatal(err)
 	}
-	w.AdvanceTo(3000)
+	w.AdvanceTo(3000, nil)
 	if got := w.Now(); got != 3000 {
 		t.Fatalf("Now() = %v after AdvanceTo(3000)", got)
 	}
@@ -121,12 +121,12 @@ func TestCancelMidFaultWindow(t *testing.T) {
 		{T: 2000.5, Kind: faults.SinkDown, Node: -1, Until: 90000},
 	}}
 	w, led, _ := testWorld(t, ctx, plan)
-	w.AdvanceTo(1500)
+	w.AdvanceTo(1500, nil)
 	if w.ChargerDownUntil() != 90000 {
 		t.Fatalf("breakdown window not open: until = %v", w.ChargerDownUntil())
 	}
 	cancel()
-	w.AdvanceTo(50000)
+	w.AdvanceTo(50000, nil)
 	if !w.Canceled() {
 		t.Fatal("Canceled() = false after cancel")
 	}
@@ -153,7 +153,7 @@ func TestCancelMidFaultWindow(t *testing.T) {
 func TestCatchUpAfterCancelIsNoOp(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	w, _, _ := testWorld(t, ctx, nil)
-	w.AdvanceTo(3000)
+	w.AdvanceTo(3000, nil)
 	cancel()
 	before := w.Now()
 	w.CatchUp(9000)
@@ -176,7 +176,7 @@ func TestFaultOnUnknownNodeIsNoOp(t *testing.T) {
 		{T: 500, Kind: faults.NodeUp, Node: 5},
 	}}
 	w, led, nw := testWorld(t, context.Background(), plan)
-	w.AdvanceTo(1000)
+	w.AdvanceTo(1000, nil)
 	if led.Faults.NodeFailures != 1 || led.Faults.NodeRecoveries != 1 {
 		t.Errorf("node fault counts = %d/%d, want 1/1 (only node 5's)",
 			led.Faults.NodeFailures, led.Faults.NodeRecoveries)

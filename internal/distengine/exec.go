@@ -110,7 +110,7 @@ func NewExecPool(ctx context.Context, cfg ExecConfig) (*Pool, error) {
 // handshakeTimeout runs the hello exchange under a deadline; a worker
 // that never says hello (wrong binary, hung start) fails construction
 // instead of hanging it.
-func handshakeTimeout(c wireConn, d time.Duration) error {
+func handshakeTimeout(c *streamConn, d time.Duration) error {
 	done := make(chan error, 1)
 	go func() { done <- handshake(c) }()
 	t := time.NewTimer(d)

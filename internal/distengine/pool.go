@@ -67,7 +67,7 @@ func (e *WorkerLostError) Error() string {
 // shard is one worker connection plus its coordinator-side bookkeeping.
 type shard struct {
 	idx  int
-	conn wireConn
+	conn *streamConn
 	// kill force-terminates the worker (process kill or conn close);
 	// reap, when non-nil, waits for the worker process to be collected.
 	kill func()

@@ -29,7 +29,7 @@ import (
 // replying nil frames is modeled by simply not calling reply). die
 // severs the connection from the worker side, simulating a crash.
 type scriptedWorker struct {
-	conn wireConn // coordinator side
+	conn *streamConn // coordinator side
 	die  func()
 }
 

@@ -96,18 +96,12 @@ type frame struct {
 	Stack   string `json:"stack,omitempty"`
 }
 
-// wireConn is one framed, bidirectional connection. send is safe for
-// concurrent use; recv must be called from a single goroutine.
-type wireConn interface {
-	send(frame) error
-	recv() (frame, error)
-	close() error
-}
-
-// streamConn frames messages with a 4-byte big-endian length prefix over
-// any byte stream — a child process's stdin/stdout in exec mode, a TCP
-// connection in TCP mode — so message boundaries survive arbitrary
-// buffering.
+// streamConn is one framed, bidirectional connection. It frames
+// messages with a 4-byte big-endian length prefix over any byte stream —
+// a child process's stdin/stdout in exec mode, a TCP connection in TCP
+// mode, net.Pipe in tests — so message boundaries survive arbitrary
+// buffering. send is safe for concurrent use; recv must be called from a
+// single goroutine.
 type streamConn struct {
 	r      io.Reader
 	closer io.Closer
@@ -187,7 +181,7 @@ func (c *streamConn) close() error {
 }
 
 // handshake completes the coordinator side of the hello exchange.
-func handshake(c wireConn) error {
+func handshake(c *streamConn) error {
 	f, err := c.recv()
 	if err != nil {
 		return fmt.Errorf("distengine: handshake: %w", err)

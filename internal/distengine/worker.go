@@ -24,7 +24,7 @@ import (
 // cancel" from "worker is wedged". Serve returns when the peer
 // disconnects, a shutdown frame arrives (after in-flight jobs drain), or
 // ctx is canceled.
-func Serve(ctx context.Context, conn wireConn, probe obs.Probe) error {
+func Serve(ctx context.Context, conn *streamConn, probe obs.Probe) error {
 	if err := conn.send(frame{Type: frameHello, Proto: ProtoVersion}); err != nil {
 		return err
 	}

@@ -106,12 +106,20 @@ func New(depot geom.Point, params Params) *Charger {
 		geom.Pt(depot.X-half, depot.Y),
 		geom.Pt(depot.X+half, depot.Y),
 	)
+	return assemble(params, depot, depot, 0, arr, wpt.DefaultRectifier())
+}
+
+// assemble is the one charger constructor New, FromState and Fork share.
+// The charger takes ownership of arr and starts with the no-op telemetry
+// probe and a cold steered-array memo.
+func assemble(params Params, pos, depot geom.Point, spentJ float64, arr *wpt.Array, rect wpt.Rectifier) *Charger {
 	return &Charger{
 		params: params,
-		pos:    depot,
+		pos:    pos,
 		depot:  depot,
+		spent:  spentJ,
 		array:  arr,
-		rect:   wpt.DefaultRectifier(),
+		rect:   rect,
 		probe:  obs.Nop(),
 	}
 }

@@ -2,9 +2,9 @@ package mc
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/reprolab/wrsn-csa/internal/geom"
-	"github.com/reprolab/wrsn-csa/internal/obs"
 	"github.com/reprolab/wrsn-csa/internal/wpt"
 )
 
@@ -39,24 +39,50 @@ func (c *Charger) State() State {
 // FromState reconstructs a charger from captured state. The restored
 // charger carries the no-op telemetry probe; attach one with Instrument if
 // needed. Probes never alter charger behavior, so a restored run replays
-// identically regardless.
+// identically regardless. A state no charger can reach — a non-finite or
+// non-positive speed, any non-finite parameter, a non-finite position or
+// depot, a non-finite or negative spent energy, an invalid array or
+// rectifier — is refused, since the snapshot codec decodes "NaN" and
+// "+Inf" and a restored run would otherwise carry them into its Outcome.
 func FromState(st State) (*Charger, error) {
-	arr := st.Array.Clone()
-	if err := arr.Validate(); err != nil {
-		return nil, fmt.Errorf("mc: restoring charger array: %w", err)
+	if err := st.validate(); err != nil {
+		return nil, fmt.Errorf("mc: invalid charger state: %w", err)
+	}
+	return assemble(st.Params, st.Pos, st.Depot, st.SpentJ, st.Array.Clone(), st.Rectifier), nil
+}
+
+// validate reports the first field of st that no charger can hold.
+func (st *State) validate() error {
+	p := st.Params
+	switch {
+	case !(p.SpeedMps > 0) || math.IsInf(p.SpeedMps, 1):
+		return fmt.Errorf("SpeedMps %v is not positive and finite", p.SpeedMps)
+	case !finite(p.MoveJPerM, p.RadiateW, p.BudgetJ, p.ServiceDist, p.ElementSpacing):
+		return fmt.Errorf("non-finite Params %+v", p)
+	case !finite(st.Pos.X, st.Pos.Y):
+		return fmt.Errorf("non-finite Pos %v", st.Pos)
+	case !finite(st.Depot.X, st.Depot.Y):
+		return fmt.Errorf("non-finite Depot %v", st.Depot)
+	case !(st.SpentJ >= 0) || math.IsInf(st.SpentJ, 1):
+		return fmt.Errorf("SpentJ %v is not finite and non-negative", st.SpentJ)
+	}
+	if err := st.Array.Validate(); err != nil {
+		return fmt.Errorf("array: %w", err)
 	}
 	if err := st.Rectifier.Validate(); err != nil {
-		return nil, fmt.Errorf("mc: restoring charger rectifier: %w", err)
+		return fmt.Errorf("rectifier: %w", err)
 	}
-	return &Charger{
-		params: st.Params,
-		pos:    st.Pos,
-		depot:  st.Depot,
-		spent:  st.SpentJ,
-		array:  arr,
-		rect:   st.Rectifier,
-		probe:  obs.Nop(),
-	}, nil
+	return nil
+}
+
+// finite reports whether every value is neither NaN nor infinite.
+func finite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // Fork returns an independent copy of the charger: the array is
@@ -65,15 +91,7 @@ func FromState(st State) (*Charger, error) {
 // only pure reads of the receiver, so a shared template charger may be
 // forked concurrently as long as nothing mutates it.
 func (c *Charger) Fork() *Charger {
-	return &Charger{
-		params: c.params,
-		pos:    c.pos,
-		depot:  c.depot,
-		spent:  c.spent,
-		array:  c.array.Clone(),
-		rect:   c.rect,
-		probe:  obs.Nop(),
-	}
+	return assemble(c.params, c.pos, c.depot, c.spent, c.array.Clone(), c.rect)
 }
 
 // Fleet returns a fleet of k chargers (at least one): c itself, then

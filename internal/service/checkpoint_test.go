@@ -72,7 +72,7 @@ func expiredContext() context.Context {
 func TestDrainParksJobAtCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	s := New(Options{
-		QueueDepth: 4, Workers: 1,
+		QueueDepth: 4, Workers: 1, Runner: parkRunner,
 		PersistDir: dir, CheckpointEvery: time.Millisecond,
 	})
 	st, err := s.Submit(slowSpec(7))
@@ -102,7 +102,12 @@ func TestDrainParksJobAtCheckpoint(t *testing.T) {
 	}
 
 	// Same drain without checkpointing: the job is canceled the hard way.
-	s2 := New(Options{QueueDepth: 4, Workers: 1})
+	// The runner holds the job until its context is canceled, so the
+	// drain lands mid-run however fast the campaign is.
+	s2 := New(Options{QueueDepth: 4, Workers: 1, Runner: func(ctx context.Context, spec jobspec.Spec, opts jobspec.RunOptions) (*jobspec.Result, error) {
+		<-ctx.Done()
+		return jobspec.RunOpts(ctx, spec, opts)
+	}})
 	st2, err := s2.Submit(slowSpec(7))
 	if err != nil {
 		t.Fatal(err)

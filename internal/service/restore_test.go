@@ -3,11 +3,14 @@ package service
 import (
 	"context"
 	"errors"
+	"regexp"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/reprolab/wrsn-csa/internal/campaign"
 	"github.com/reprolab/wrsn-csa/internal/jobspec"
+	"github.com/reprolab/wrsn-csa/internal/mc"
 	"github.com/reprolab/wrsn-csa/internal/snapshot"
 	"github.com/reprolab/wrsn-csa/internal/wrsn"
 )
@@ -61,6 +64,69 @@ func TestOutOfRangeCheckpointFailsJobNotDaemon(t *testing.T) {
 			t.Fatalf("corrupt checkpoint job = %s / %+v, want failed/campaign", got.State, got.Error)
 		case i == 1 && got.State != StateDone:
 			t.Fatalf("job after the corrupt one = %s / %+v, want done", got.State, got.Error)
+		}
+	}
+}
+
+// spentJ matches a charger state's SpentJ field in canonical JSON.
+var spentJ = regexp.MustCompile(`"SpentJ":[^,}]+`)
+
+// TestNaNChargerSnapshotFailsJobNotDaemon submits a barrier snapshot and
+// a live checkpoint whose charger has spent "NaN" joules, which the
+// snapshot codec decodes. Each job must fail with the campaign's
+// structured error when the charger is restored, instead of running on
+// and reporting NaN energy, and the daemon must go on to run the next
+// job.
+func TestNaNChargerSnapshotFailsJobNotDaemon(t *testing.T) {
+	spec := jobspec.Default(42, 60)
+	spec.Kind = jobspec.KindAttack
+	var ckpt *snapshot.Snapshot
+	_, err := jobspec.RunOpts(context.Background(), spec, jobspec.RunOptions{Checkpoint: &campaign.CheckpointPlan{
+		Every: 1 << 62,
+		Sink:  func(s *snapshot.Snapshot) error { ckpt = s; return nil },
+		Stop:  func() bool { return true },
+	}})
+	if !errors.Is(err, campaign.ErrStopped) {
+		t.Fatalf("checkpoint run: %v", err)
+	}
+	barrier, err := snapshot.Build(spec.Scenario, mc.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	nanSpent := func(s *snapshot.Snapshot) []byte {
+		b, err := s.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := spentJ.ReplaceAll(b, []byte(`"SpentJ":"NaN"`))
+		if n := strings.Count(string(out), `"SpentJ":"NaN"`); n != 1 {
+			t.Fatalf("edited %d SpentJ fields, want the charger's one", n)
+		}
+		return out
+	}
+	fromSnap, fromCkpt := spec, spec
+	fromSnap.Snapshot = nanSpent(barrier)
+	fromCkpt.ResumeFrom = nanSpent(ckpt)
+
+	s := New(Options{QueueDepth: 3, Workers: 1})
+	defer shutdownOrFail(t, s, 10*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	for i, sp := range []jobspec.Spec{fromSnap, fromCkpt, quickSpec(3)} {
+		st, err := s.Submit(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.WaitDone(ctx, st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case i < 2 && (got.State != StateFailed || got.Error == nil || got.Error.Kind != "campaign" ||
+			!strings.Contains(got.Error.Message, "SpentJ")):
+			t.Fatalf("job %d with a NaN-SpentJ charger = %s / %+v, want failed/campaign naming SpentJ", i, got.State, got.Error)
+		case i == 2 && got.State != StateDone:
+			t.Fatalf("job after the corrupt ones = %s / %+v, want done", got.State, got.Error)
 		}
 	}
 }

@@ -230,43 +230,30 @@ func (e *Engine) Step() bool {
 }
 
 // RunUntil executes events until the clock would pass deadline or the
-// queue empties; the clock is left at min(deadline, last event time)…
-// precisely: after the call, Now() ≤ deadline and no executed event had
-// t > deadline. Events beyond the deadline remain queued. maxEvents guards
-// against runaway self-scheduling loops; 0 means no guard.
-func (e *Engine) RunUntil(deadline float64, maxEvents uint64) error {
+// queue empties: after the call, Now() ≤ deadline and no executed event
+// had t > deadline, and events beyond the deadline remain queued.
+// maxEvents guards against runaway self-scheduling loops; 0 means no
+// guard.
+//
+// after, when non-nil, is the checkpoint barrier: it is called with each
+// executed event's kind, once the handler has returned, while the clock
+// sits at the event's timestamp and no handler is mid-flight. A non-nil
+// error from it stops the pump at once and is returned; queued events
+// stay queued and the clock is not moved on to the deadline. An after
+// that returns nil changes none of the events executed, so a barrier
+// never moves a run.
+func (e *Engine) RunUntil(deadline float64, maxEvents uint64, after func(kind string) error) error {
 	start := e.processed
 	for len(e.queue) > 0 && e.queue[0].t <= deadline {
 		if maxEvents > 0 && e.processed-start >= maxEvents {
 			return fmt.Errorf("sim: exceeded %d events before deadline %v (now %v)", maxEvents, deadline, e.now)
 		}
+		kind := e.queue[0].kind
 		e.Step()
-	}
-	if e.now < deadline {
-		e.now = deadline
-	}
-	return nil
-}
-
-// RunUntilHook is RunUntil with a checkpoint hook: after each executed
-// event the hook is called with the event's kind and name. The clock sits
-// at the event's timestamp and no handler is mid-flight, so the hook sees
-// a consistent world — this is the fleet-path checkpoint barrier. A
-// non-nil hook error aborts the pump immediately and is returned; queued
-// events remain queued and the clock is not advanced to the deadline.
-func (e *Engine) RunUntilHook(deadline float64, maxEvents uint64, hook func(kind, name string) error) error {
-	if hook == nil {
-		return e.RunUntil(deadline, maxEvents)
-	}
-	start := e.processed
-	for len(e.queue) > 0 && e.queue[0].t <= deadline {
-		if maxEvents > 0 && e.processed-start >= maxEvents {
-			return fmt.Errorf("sim: exceeded %d events before deadline %v (now %v)", maxEvents, deadline, e.now)
-		}
-		kind, name := e.queue[0].kind, e.queue[0].name
-		e.Step()
-		if err := hook(kind, name); err != nil {
-			return err
+		if after != nil {
+			if err := after(kind); err != nil {
+				return err
+			}
 		}
 	}
 	if e.now < deadline {

@@ -2,7 +2,9 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -95,28 +97,95 @@ func TestHandlersScheduleMore(t *testing.T) {
 	}
 }
 
+// nopBarrier is a checkpoint barrier that never stops the pump.
+func nopBarrier(string) error { return nil }
+
+// TestRunUntil runs with a nil barrier and with one that never stops
+// the pump: both execute the same events and leave the same clock.
 func TestRunUntil(t *testing.T) {
+	for _, after := range []func(string) error{nil, nopBarrier} {
+		e := New()
+		fired := record(e, "evt")
+		for _, at := range []int{1, 2, 3, 10} {
+			if err := e.AtKeyed(float64(at), "evt", at, "evt"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.RunUntil(5, 0, after); err != nil {
+			t.Fatal(err)
+		}
+		if len(*fired) != 3 {
+			t.Errorf("fired %v, want events ≤5 only", *fired)
+		}
+		if e.Now() != 5 {
+			t.Errorf("clock = %v, want 5 (advanced to deadline)", e.Now())
+		}
+		if e.Pending() != 1 {
+			t.Errorf("pending = %d, want 1", e.Pending())
+		}
+		if pt := e.PeekTime(); pt != 10 {
+			t.Errorf("peek = %v", pt)
+		}
+	}
+}
+
+// TestRunUntilBarrierSeesEachEvent: the barrier is called once per
+// executed event, after its handler, with that event's kind, in
+// execution order.
+func TestRunUntilBarrierSeesEachEvent(t *testing.T) {
+	e := New()
+	var log []string
+	for _, kind := range []string{"a", "b"} {
+		e.Bind(kind, func(en *Engine, arg int) { log = append(log, fmt.Sprintf("run %s%d", kind, arg)) })
+	}
+	for i, kind := range []string{"b", "a", "b", "a", "b"} {
+		if err := e.AtKeyed(float64(5-i), kind, i, kind); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err := e.RunUntil(3.5, 0, func(kind string) error {
+		log = append(log, "after "+kind)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"run b4", "after b", "run a3", "after a", "run b2", "after b"}
+	if !slices.Equal(log, want) {
+		t.Errorf("log = %q, want %q", log, want)
+	}
+}
+
+// TestRunUntilBarrierErrorStops: an error from the barrier stops the
+// pump at the event it followed. Later events stay queued and the clock
+// stays at the last executed event instead of moving to the deadline.
+func TestRunUntilBarrierErrorStops(t *testing.T) {
 	e := New()
 	fired := record(e, "evt")
-	for _, at := range []int{1, 2, 3, 10} {
+	for _, at := range []int{1, 2, 3, 4} {
 		if err := e.AtKeyed(float64(at), "evt", at, "evt"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := e.RunUntil(5, 0); err != nil {
-		t.Fatal(err)
+	stop := errors.New("stop")
+	calls := 0
+	err := e.RunUntil(10, 0, func(string) error {
+		if calls++; calls == 2 {
+			return stop
+		}
+		return nil
+	})
+	if !errors.Is(err, stop) {
+		t.Fatalf("err = %v, want the barrier's error", err)
 	}
-	if len(*fired) != 3 {
-		t.Errorf("fired %v, want events ≤5 only", *fired)
+	if !slices.Equal(*fired, []int{1, 2}) || calls != 2 {
+		t.Errorf("fired %v with %d barrier calls, want [1 2] and 2", *fired, calls)
 	}
-	if e.Now() != 5 {
-		t.Errorf("clock = %v, want 5 (advanced to deadline)", e.Now())
+	if e.Now() != 2 {
+		t.Errorf("clock = %v, want 2 (the last executed event)", e.Now())
 	}
-	if e.Pending() != 1 {
-		t.Errorf("pending = %d, want 1", e.Pending())
-	}
-	if pt := e.PeekTime(); pt != 10 {
-		t.Errorf("peek = %v", pt)
+	if e.Pending() != 2 || e.PeekTime() != 3 {
+		t.Errorf("pending = %d, peek = %v; want 2 events from t=3", e.Pending(), e.PeekTime())
 	}
 }
 
@@ -139,14 +208,21 @@ func TestRunawayGuard(t *testing.T) {
 	}
 }
 
+// TestRunUntilGuard: maxEvents stops a runaway loop before the
+// deadline, with or without a barrier.
 func TestRunUntilGuard(t *testing.T) {
-	e := New()
-	bindLoop(e, 0.0001)
-	if err := e.AtKeyed(0, "loop", 0, "loop"); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.RunUntil(1, 50); err == nil {
-		t.Error("runaway loop not caught before deadline")
+	for _, after := range []func(string) error{nil, nopBarrier} {
+		e := New()
+		bindLoop(e, 0.0001)
+		if err := e.AtKeyed(0, "loop", 0, "loop"); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.RunUntil(1, 50, after); err == nil {
+			t.Error("runaway loop not caught before deadline")
+		}
+		if e.Processed() != 50 {
+			t.Errorf("processed = %d, want the guard's 50", e.Processed())
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package snapshot_test
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"github.com/reprolab/wrsn-csa/internal/campaign"
@@ -14,8 +15,9 @@ import (
 // then forked, which rebuilds its network and charger from the decoded
 // state; the fork must return an error or a world, never panic. The
 // seeds are a barrier snapshot and live checkpoints of a legit and an
-// attack campaign; testdata adds one with a NaN node position, which the
-// codec decodes and the fork must refuse.
+// attack campaign; testdata adds barrier snapshots with a NaN node
+// position and a NaN charger SpentJ, which the codec decodes and the
+// fork must refuse.
 func FuzzDecode(f *testing.F) {
 	for _, s := range []*snapshot.Snapshot{
 		buildSnap(f, 7, 40),
@@ -46,9 +48,18 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("accepted snapshot re-encodes differently from offset %d:\n in: %q\nout: %q",
 				i, data[lo:min(i+40, len(data))], again[lo:min(i+40, len(again))])
 		}
-		nw, _, _, err := s.Fork()
+		nw, ch, _, err := s.Fork()
 		if err == nil && nw == nil {
 			t.Fatal("Fork returned neither a network nor an error")
+		}
+		// An Outcome reports the charger's spent energy and position, so
+		// a forked charger must hold finite ones (x-x is NaN unless x is
+		// finite).
+		if ch != nil {
+			spent, pos := ch.Spent(), ch.Pos()
+			if !(spent >= 0) || math.IsInf(spent, 1) || math.IsNaN(pos.X-pos.X) || math.IsNaN(pos.Y-pos.Y) {
+				t.Fatalf("Fork built a charger that has spent %v at %v", spent, pos)
+			}
 		}
 	})
 }

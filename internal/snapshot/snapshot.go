@@ -154,8 +154,9 @@ func Capture(sc trace.Scenario, nw *wrsn.Network, ch *mc.Charger, rest *rng.Stre
 	return s, nil
 }
 
-// capture records the barrier state of a world; the caller primes the
-// fork template.
+// capture records the barrier state of a world, the fields a barrier
+// and a live snapshot share; the caller primes the fork template or adds
+// the live fields.
 func capture(sc trace.Scenario, nw *wrsn.Network, ch *mc.Charger, rest *rng.Stream) *Snapshot {
 	s := &Snapshot{w: wire{
 		Version:  Version,
@@ -186,18 +187,8 @@ func CaptureLive(sc trace.Scenario, nw *wrsn.Network, ch *mc.Charger, eng *sim.E
 	if eng == nil || cs == nil {
 		return nil, fmt.Errorf("snapshot: live capture needs an engine and campaign state")
 	}
-	s := &Snapshot{w: wire{
-		Version:  Version,
-		Scenario: sc,
-		ClockSec: eng.Now(),
-		Pending:  eng.PendingEvents(),
-		Network:  nw.State(),
-		Campaign: cs,
-	}}
-	if ch != nil {
-		st := ch.State()
-		s.w.Charger = &st
-	}
+	s := capture(sc, nw, ch, nil)
+	s.w.ClockSec, s.w.Pending, s.w.Campaign = eng.Now(), eng.PendingEvents(), cs
 	return s, nil
 }
 
