@@ -55,8 +55,8 @@ func (r Request) Validate() error {
 // only marks its entry dropped; the marked entries keep their place and
 // their keys, so the order and the binary search hold through them, and
 // the next read of the whole queue (Pending, Filter) closes all the gaps
-// in one pass instead of one memmove per removal. The zero value is
-// ready to use.
+// in one pass instead of one memmove per removal; NJNP's pick skips them
+// without closing them. The zero value is ready to use.
 type Queue struct {
 	pending []Request
 	// dropped counts the entries of pending that are marked dropped: a

@@ -51,20 +51,23 @@ type NJNP struct{}
 // Name implements Scheduler.
 func (NJNP) Name() string { return "NJNP" }
 
-// Next implements Scheduler.
+// Next implements Scheduler. It scans the queue's storage in place,
+// skipping dropped entries, rather than compacting it through Pending
+// on every pick; ties still go to the earlier request in queue order.
 func (NJNP) Next(q *Queue, chargerPos geom.Point, _ float64) (Request, bool) {
-	p := q.Pending()
-	if len(p) == 0 {
-		return Request{}, false
-	}
-	best := 0
-	bestD := chargerPos.Dist2(p[0].Pos)
-	for i := 1; i < len(p); i++ {
-		if d := chargerPos.Dist2(p[i].Pos); d < bestD {
+	best, bestD := -1, 0.0
+	for i := range q.pending {
+		if q.pending[i].NeedJ < 0 {
+			continue
+		}
+		if d := chargerPos.Dist2(q.pending[i].Pos); best < 0 || d < bestD {
 			best, bestD = i, d
 		}
 	}
-	return p[best], true
+	if best < 0 {
+		return Request{}, false
+	}
+	return q.pending[best], true
 }
 
 // EDF serves the request with the earliest deadline (soonest projected

@@ -10,6 +10,7 @@ package distengine
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -468,6 +469,22 @@ func TestHandshakeRejectsVersionMismatch(t *testing.T) {
 	}
 }
 
+// TestHandshakeRejectsV2Hello: a worker built for protocol 2, whose
+// frames are JSON bodies with no header-length field, is refused at the
+// handshake with an error rather than a hang or a panic.
+func TestHandshakeRejectsV2Hello(t *testing.T) {
+	cside, wside := net.Pipe()
+	defer cside.Close()
+	go func() {
+		body := `{"type":"hello","proto":2}`
+		_, _ = wside.Write(append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...))
+	}()
+	err := handshakeTimeout(newStreamConn(cside, cside, cside), 10*time.Second)
+	if err == nil || strings.Contains(err.Error(), "timed out") {
+		t.Fatalf("err = %v, want a refusal of the v2 hello", err)
+	}
+}
+
 // TestHandshakeRejectsNonHello: anything but a hello first is refused.
 func TestHandshakeRejectsNonHello(t *testing.T) {
 	cside, wside := net.Pipe()
@@ -483,24 +500,49 @@ func TestHandshakeRejectsNonHello(t *testing.T) {
 }
 
 // TestStreamConnRoundTrip: the length-prefixed transport preserves
-// frames byte for byte, including binary outcome payloads.
+// frames byte for byte, including binary payloads on job and result
+// frames: NUL, quotes, backslashes, newlines and invalid UTF-8, which
+// cross raw after the JSON header.
 func TestStreamConnRoundTrip(t *testing.T) {
-	pr, pw := io.Pipe()
-	a := newStreamConn(nil, pw, nil)
-	b := newStreamConn(pr, nil, nil)
-	sent := frame{Type: frameResult, ID: 42, Outcome: []byte{0, 1, 2, 0xff, '\n', 0x80}, Digest: "abc", ElapsedSec: 1.5}
-	go func() {
-		if err := a.send(sent); err != nil {
-			t.Errorf("send: %v", err)
+	raw := []byte{0, 1, 2, 0xff, '\n', 0x80, '"', '\\', 0xc3, 0x28, 0}
+	for _, sent := range []frame{
+		{Type: frameResult, ID: 42, Outcome: raw, Digest: "abc", ElapsedSec: 1.5},
+		{Type: frameJob, ID: 43, Spec: raw},
+	} {
+		pr, pw := io.Pipe()
+		a := newStreamConn(nil, pw, nil)
+		b := newStreamConn(pr, nil, nil)
+		go func() {
+			if err := a.send(sent); err != nil {
+				t.Errorf("send: %v", err)
+			}
+		}()
+		got, err := b.recv()
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
-	got, err := b.recv()
-	if err != nil {
-		t.Fatal(err)
+		if got.Type != sent.Type || got.ID != sent.ID || !bytes.Equal(got.Outcome, sent.Outcome) ||
+			!bytes.Equal(got.Spec, sent.Spec) || got.Digest != sent.Digest || got.ElapsedSec != sent.ElapsedSec {
+			t.Errorf("round trip mangled the frame: %+v != %+v", got, sent)
+		}
 	}
-	if got.Type != sent.Type || got.ID != sent.ID || !bytes.Equal(got.Outcome, sent.Outcome) ||
-		got.Digest != sent.Digest || got.ElapsedSec != sent.ElapsedSec {
-		t.Errorf("round trip mangled the frame: %+v != %+v", got, sent)
+}
+
+// TestSendRejectsMisplacedPayload: only a job frame carries a spec and
+// only a result frame an outcome; send refuses anything else before a
+// byte reaches the wire.
+func TestSendRejectsMisplacedPayload(t *testing.T) {
+	for _, f := range []frame{
+		{Type: frameHello, Proto: ProtoVersion, Spec: []byte("x")},
+		{Type: frameCancel, ID: 1, Outcome: []byte("x")},
+		{Type: frameShutdown, Spec: []byte("x")},
+		{Type: frameJob, ID: 1, Outcome: []byte("x")},
+		{Type: frameResult, ID: 1, Spec: []byte("x")},
+	} {
+		var buf bytes.Buffer
+		if err := newStreamConn(nil, &buf, nil).send(f); err == nil || buf.Len() != 0 {
+			t.Errorf("send(%+v) = %v with %d bytes written, want a refusal", f, err, buf.Len())
+		}
 	}
 }
 

@@ -2,7 +2,7 @@
 // worker processes: a coordinator-side Pool shards serializable campaign
 // jobs (jobspec.Spec) over workers it either spawned itself (exec mode,
 // over the child's stdin/stdout) or dialed over TCP — both speaking the
-// same length-prefixed JSON frames — while preserving the engine
+// same length-prefixed frames — while preserving the engine
 // package's contracts exactly: deterministic order-preserving merge,
 // lowest-index-error fail-fast, keep-going aggregation, per-job
 // timeout/retry, panic capture, and context cancellation that tears the
@@ -20,6 +20,13 @@
 // SHA-256 of those bytes, and the coordinator decodes the outcome and
 // re-digests it — a lossy transport or decoder fails loudly instead of
 // silently shifting results.
+//
+// A frame is a small JSON header followed by a raw payload: the job's
+// spec bytes or the result's canonical outcome bytes. The header stays
+// JSON so the wire is still inspectable with a hex dump. The payloads
+// are nearly all of a frame's bytes and are already encoded, so they
+// cross as they are: inside a JSON body the outcome would travel as
+// base64, a third larger, and the spec would be re-scanned on both ends.
 package distengine
 
 import (
@@ -28,15 +35,17 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"sync"
 )
 
 // ProtoVersion is the wire protocol version exchanged in the hello
-// handshake; coordinator and worker must agree exactly. Version 2 carries
-// outcomes as canonical JSON and frames TCP like exec mode.
-const ProtoVersion = 2
+// handshake; coordinator and worker must agree exactly. Version 3 sends
+// the spec and the outcome as raw payload bytes after a JSON header.
+const ProtoVersion = 3
 
-// maxFrame bounds one frame's encoded size.
+// maxFrame bounds one frame's encoded size (header length field, header
+// and payload).
 // Outcomes with full session records reach megabytes; snapshots of large
 // worlds more. 256 MiB is far above any real payload while still
 // rejecting a corrupt length prefix before it turns into an allocation.
@@ -68,10 +77,16 @@ const (
 	errKindCanceled = "canceled"
 )
 
-// frame is the single wire message shape, fields used per type. JSON
-// keeps the wire inspectable; the outcome inside a result frame is the
-// canonical JSON of internal/digest (see result.go), which carries the
-// non-finite floats encoding/json refuses.
+// frame is the single wire message shape, fields used per type. On the
+// wire a frame is
+//
+//	[4-byte length N][4-byte header length H][H bytes of header JSON][N-4-H payload bytes]
+//
+// both lengths big-endian. The header holds every field but Spec and
+// Outcome, which are the payload: only job frames (Spec) and result
+// frames (Outcome) carry one, and the payload bytes cross unchanged. The
+// outcome is the canonical JSON of internal/digest (see result.go),
+// which carries the non-finite floats encoding/json refuses.
 type frame struct {
 	Type string `json:"type"`
 	// Proto is the protocol version (hello frames).
@@ -80,11 +95,11 @@ type frame struct {
 	// per coordinator, so a late result can never be mistaken for the
 	// answer to a different job.
 	ID int64 `json:"id,omitempty"`
-	// Spec is the encoded jobspec.Spec (job frames).
-	Spec json.RawMessage `json:"spec,omitempty"`
-	// Outcome is the result's canonical JSON (result frames): a
+	// Spec is the encoded jobspec.Spec (job frames' payload).
+	Spec []byte `json:"-"`
+	// Outcome is the result's canonical JSON (result frames' payload): a
 	// campaign.FleetOutcome for fleet specs, a campaign.Outcome otherwise.
-	Outcome []byte `json:"outcome,omitempty"`
+	Outcome []byte `json:"-"`
 	// Digest is the SHA-256 of Outcome; the coordinator re-digests the
 	// decoded outcome and compares.
 	Digest string `json:"digest,omitempty"`
@@ -96,8 +111,36 @@ type frame struct {
 	Stack   string `json:"stack,omitempty"`
 }
 
+// payload returns the bytes f carries after its header: the spec of a
+// job frame, the outcome of a result frame, none for the other types.
+func (f *frame) payload() ([]byte, error) {
+	switch {
+	case f.Type == frameJob && len(f.Outcome) == 0:
+		return f.Spec, nil
+	case f.Type == frameResult && len(f.Spec) == 0:
+		return f.Outcome, nil
+	case len(f.Spec) == 0 && len(f.Outcome) == 0:
+		return nil, nil
+	}
+	return nil, fmt.Errorf("distengine: send %s frame: only a job frame carries a spec and only a result frame an outcome", f.Type)
+}
+
+// setPayload stores a received payload in the field f's type carries.
+func (f *frame) setPayload(p []byte) error {
+	switch {
+	case len(p) == 0:
+	case f.Type == frameJob:
+		f.Spec = p
+	case f.Type == frameResult:
+		f.Outcome = p
+	default:
+		return fmt.Errorf("distengine: recv: %q frame carries a %d-byte payload", f.Type, len(p))
+	}
+	return nil
+}
+
 // streamConn is one framed, bidirectional connection. It frames
-// messages with a 4-byte big-endian length prefix over any byte stream —
+// messages with the length prefixes of frame's layout over any byte stream —
 // a child process's stdin/stdout in exec mode, a TCP connection in TCP
 // mode, net.Pipe in tests — so message boundaries survive arbitrary
 // buffering. send is safe for concurrent use; recv must be called from a
@@ -117,37 +160,65 @@ func newStreamConn(r io.Reader, w io.Writer, closer io.Closer) *streamConn {
 }
 
 func (c *streamConn) send(f frame) error {
-	body, err := json.Marshal(f)
+	payload, err := f.payload()
+	if err != nil {
+		return err
+	}
+	hdr, err := json.Marshal(f)
 	if err != nil {
 		return fmt.Errorf("distengine: encode %s frame: %w", f.Type, err)
 	}
-	buf := make([]byte, 4+len(body))
-	binary.BigEndian.PutUint32(buf, uint32(len(body)))
-	copy(buf[4:], body)
+	n := 4 + len(hdr) + len(payload)
+	if n > maxFrame {
+		return fmt.Errorf("distengine: send %s frame: length %d exceeds %d", f.Type, n, maxFrame)
+	}
+	head := make([]byte, 8, 8+len(hdr))
+	binary.BigEndian.PutUint32(head, uint32(n))
+	binary.BigEndian.PutUint32(head[4:], uint32(len(hdr)))
+	// The payload is written as it is, never copied into a frame buffer;
+	// over TCP the two pieces go out in one writev. An empty payload is
+	// left out: net.Pipe blocks a zero-byte write until the peer reads.
+	bufs := net.Buffers{append(head, hdr...)}
+	if len(payload) > 0 {
+		bufs = append(bufs, payload)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, err := c.w.Write(buf); err != nil {
+	if _, err := bufs.WriteTo(c.w); err != nil {
 		return fmt.Errorf("distengine: send %s frame: %w", f.Type, err)
 	}
 	return nil
 }
 
 func (c *streamConn) recv() (frame, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(c.r, hdr[:]); err != nil {
+	var prefix [4]byte
+	if _, err := io.ReadFull(c.r, prefix[:]); err != nil {
 		return frame{}, fmt.Errorf("distengine: recv: %w", err)
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(prefix[:])
 	if n > maxFrame {
 		return frame{}, fmt.Errorf("distengine: recv: frame length %d exceeds %d", n, maxFrame)
 	}
-	body, err := readBody(c.r, int(n))
+	if n < 4 {
+		return frame{}, fmt.Errorf("distengine: recv: frame length %d cannot hold a header length", n)
+	}
+	if _, err := io.ReadFull(c.r, prefix[:]); err != nil {
+		return frame{}, fmt.Errorf("distengine: recv header length: %w", err)
+	}
+	h := binary.BigEndian.Uint32(prefix[:])
+	if h > n-4 {
+		return frame{}, fmt.Errorf("distengine: recv: frame length %d cannot hold a %d-byte header", n, h)
+	}
+	body, err := readBody(c.r, int(n-4))
 	if err != nil {
 		return frame{}, fmt.Errorf("distengine: recv body: %w", err)
 	}
 	var f frame
-	if err := json.Unmarshal(body, &f); err != nil {
-		return frame{}, fmt.Errorf("distengine: decode frame: %w", err)
+	if err := json.Unmarshal(body[:h], &f); err != nil {
+		return frame{}, fmt.Errorf("distengine: decode frame header: %w", err)
+	}
+	if err := f.setPayload(body[h:]); err != nil {
+		return frame{}, err
 	}
 	return f, nil
 }
