@@ -114,15 +114,18 @@ verify-snapshot:
 	$(GO) test -race -count=1 ./internal/snapshot/...
 	$(GO) test -count=1 ./internal/jobspec -run 'Snapshot'
 
-# verify-checkpoint is the kill-and-resume fence: EVERY golden flavor is
-# stopped at a deterministic pseudo-random barrier, serialized, decoded,
-# and resumed — and must reproduce its exact golden Outcome digest —
-# under the race detector; then the service-layer drill (daemon drain
-# parks jobs at checkpoints, a restarted daemon resumes them to the same
-# digest) and the stateful-scheduler resume (a PeriodicTSP job stopped
-# mid-tour, single-charger and fleet) run the same way.
+# verify-checkpoint is the kill-and-resume fence under the race
+# detector: EVERY golden flavor is stopped at a deterministic
+# pseudo-random barrier, serialized, decoded, and resumed — and must
+# reproduce its exact golden Outcome digest (plain `go test` runs the
+# same 22 flavors without -race) — and every single-charger flavor's
+# resumed run must recapture the barrier it resumed from; then the
+# service-layer drill (daemon drain parks jobs at checkpoints, a
+# restarted daemon resumes them to the same digest) and the
+# stateful-scheduler resume (a PeriodicTSP job stopped mid-tour,
+# single-charger and fleet) run the same way.
 verify-checkpoint:
-	WRSN_VERIFY_CHECKPOINT=1 $(GO) test -race -count=1 ./internal/campaign -run 'TestCheckpointResumeGolden|TestCheckpointPeriodicCapture' -timeout 20m
+	$(GO) test -race -count=1 ./internal/campaign -run 'TestCheckpointResumeGolden|TestCheckpointPeriodicCapture|TestResumeInvertsCapture' -timeout 20m
 	$(GO) test -race -count=1 ./internal/service ./internal/jobspec -run 'Checkpoint|Drain|Restart|Healthz|ResumePeriodicTSP'
 
 # verify-scale focuses the large-network contracts: the incremental

@@ -110,7 +110,7 @@ func BenchmarkCheckpointCapture(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := env.Checkpoint(policy.Barrier{}); err != nil {
+				if err := env.Checkpoint(policy.Barrier{Stage: policy.StageLoop}); err != nil {
 					b.Fatal(err)
 				}
 			}

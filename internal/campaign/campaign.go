@@ -335,8 +335,8 @@ func run(ctx context.Context, nw *wrsn.Network, ch *mc.Charger, cfg Config, sche
 
 // drive is the tail every single-charger run shares: mark the key
 // nodes, arm checkpointing, drive pol to the horizon — from the start,
-// or from rp when resuming — and assemble the Outcome.
-func drive(ctx context.Context, env *policy.Env, cfg Config, pol policy.Policy, keys []wrsn.KeyNode, rp *policy.ResumePoint) (*Outcome, error) {
+// or from the barrier b when resuming — and assemble the Outcome.
+func drive(ctx context.Context, env *policy.Env, cfg Config, pol policy.Policy, keys []wrsn.KeyNode, b *policy.Barrier) (*Outcome, error) {
 	w, ch := env.W, env.A.Ch
 	for _, k := range keys {
 		w.MarkKey(k.ID)
@@ -345,10 +345,10 @@ func drive(ctx context.Context, env *policy.Env, cfg Config, pol policy.Policy, 
 		armCheckpoints(cfg.Checkpoint, env, pol, keys)
 	}
 	var err error
-	if rp == nil {
+	if b == nil {
 		err = policy.Drive(env, pol)
 	} else {
-		err = policy.DriveResume(env, pol, *rp)
+		err = policy.DriveResume(env, pol, *b)
 	}
 	if err != nil {
 		return nil, err
@@ -397,15 +397,7 @@ func RunAttack(ctx context.Context, nw *wrsn.Network, ch *mc.Charger, cfg Config
 
 // finish assembles the outcome after the horizon.
 func finish(led *ledger.L, w *world.W, ch *mc.Charger, cfg Config, solver string, keys []wrsn.KeyNode, planned *attack.Result) *Outcome {
-	if !cfg.Faults.Empty() {
-		w.CloseFaultWindows()
-	}
-	// Requests still pending at the horizon were never served.
-	for _, req := range w.Queue().Pending() {
-		led.Audit.Unserved = append(led.Audit.Unserved, detect.RequestObs{
-			Node: req.Node, IssuedAt: req.IssuedAt, NeedJ: req.NeedJ,
-		})
-	}
+	rep := w.Close() // first: it adds the still-pending requests to the audit
 	o := &Outcome{
 		Solver:         solver,
 		KeyNodes:       keys,
@@ -425,6 +417,7 @@ func finish(led *ledger.L, w *world.W, ch *mc.Charger, cfg Config, solver string
 		WitnessSamples: led.WitnessSamples,
 		ExtraTargets:   led.ExtraTargets,
 		MeanWaitSec:    led.MeanWaitSec(),
+		faults:         rep,
 	}
 	if planned != nil {
 		o.SkippedTargets = len(planned.SkippedTargets)
@@ -456,10 +449,6 @@ func finish(led *ledger.L, w *world.W, ch *mc.Charger, cfg Config, solver string
 	}
 	o.Verdicts = detect.JudgeProbed(led.Audit, detect.Suite(), cfg.Probe, w.Now())
 	o.Detected = led.Caught || detect.AnyFlagged(o.Verdicts)
-	if !cfg.Faults.Empty() {
-		rep := led.Faults
-		o.faults = &rep
-	}
 	if cfg.Probe.Enabled() {
 		cfg.Probe.Set("campaign.key_dead", float64(o.KeyDead))
 		cfg.Probe.Set("campaign.dead_total", float64(o.DeadTotal))

@@ -186,9 +186,9 @@ func Resume(ctx context.Context, snap *snapshot.Snapshot, cfg Config) (*Outcome,
 		return nil, err
 	}
 	env := newEnv(w, &led, ch, rng.FromState(cs.Rand), cfg, sched)
-	pol, rp, err := policy.FromState(cs.Policy, env)
+	pol, b, err := policy.FromState(cs.Policy, env)
 	if err != nil {
 		return nil, err
 	}
-	return drive(ctx, env, cfg, pol, append([]wrsn.KeyNode(nil), cs.Keys...), &rp)
+	return drive(ctx, env, cfg, pol, append([]wrsn.KeyNode(nil), cs.Keys...), &b)
 }

@@ -4,20 +4,19 @@ package campaign
 // pseudo-randomly chosen barrier, serialized to bytes, decoded, and
 // resumed must reproduce the exact golden Outcome digest. The stop
 // ordinal is derived deterministically from the case name so each flavor
-// interrupts at a different, reproducible point. Plain `go test` fences a
-// representative subset; the full 22-flavor sweep runs under
-// WRSN_VERIFY_CHECKPOINT=1 (wired as `make verify-checkpoint`, with
-// -race, in CI).
+// interrupts at a different, reproducible point. Plain `go test` runs
+// all 22 flavors; `make verify-checkpoint` runs them again under -race.
 
 import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
-	"os"
 	"testing"
 	"time"
 
+	"github.com/reprolab/wrsn-csa/internal/campaign/policy"
+	"github.com/reprolab/wrsn-csa/internal/sim"
 	"github.com/reprolab/wrsn-csa/internal/snapshot"
 )
 
@@ -111,29 +110,14 @@ func fenceCase(t *testing.T, gc goldenCase, want string) {
 	}
 }
 
-// TestCheckpointResumeGolden is the kill-and-resume fence. The subset
-// covers every mechanism (legit loop, attacker phase machine, defense,
-// fault loss stream, fleet); WRSN_VERIFY_CHECKPOINT=1 sweeps all flavors.
+// TestCheckpointResumeGolden is the kill-and-resume fence over every
+// golden flavor.
 func TestCheckpointResumeGolden(t *testing.T) {
 	want := loadGolden(t)
-	full := os.Getenv("WRSN_VERIFY_CHECKPOINT") != ""
-	subset := map[string]bool{
-		"legit/seed42":           true,
-		"csa/seed42":             true,
-		"progressive/seed42":     true,
-		"defense-witness/seed42": true,
-		"faults-loss/seed42":     true,
-		"fleet2/seed42":          true,
-	}
 	for _, gc := range goldenCases() {
 		gc := gc
-		if !full && !subset[gc.name] {
-			continue
-		}
 		t.Run(gc.name, func(t *testing.T) {
-			if full {
-				t.Parallel()
-			}
+			t.Parallel()
 			exp, ok := want[gc.name]
 			if !ok {
 				t.Fatalf("no pinned digest for %q", gc.name)
@@ -181,4 +165,95 @@ func TestCheckpointPeriodicCapture(t *testing.T) {
 			t.Logf("%d captures", captures)
 		})
 	}
+}
+
+// errHalt ends a run from its checkpoint sink once the wanted capture is
+// in hand.
+var errHalt = errors.New("halt at the wanted barrier")
+
+// TestResumeInvertsCapture holds resume to be the exact inverse of
+// capture, field by field rather than through the final Outcome alone:
+// a field that is captured but not adopted on resume can leave the
+// Outcome unmoved. For each single-charger golden flavor the run stops
+// at its first loop-stage barrier at or after the case's stop ordinal;
+// the resumed run's first barrier is that same loop barrier, and its
+// capture must equal the one it resumed from — the campaign state, the
+// network's and the charger's state, the clock and the pending events.
+// Pending events compare by rank in execution order, not by sequence
+// number: RestorePending renumbers them, and the engine's counter is not
+// on the wire.
+func TestResumeInvertsCapture(t *testing.T) {
+	for _, gc := range goldenCases() {
+		if gc.kind == kindFleet {
+			continue
+		}
+		gc := gc
+		t.Run(gc.name, func(t *testing.T) {
+			t.Parallel()
+			k := stopOrdinal(gc.name)
+			var before, after *snapshot.Snapshot
+			barriers := 0
+			_, err := gc.runPlan(t, nil, &CheckpointPlan{Sink: func(s *snapshot.Snapshot) error {
+				barriers++
+				if barriers < k || s.Campaign().Policy.Stage != policy.StageLoop {
+					return nil
+				}
+				before = s
+				return errHalt
+			}})
+			if !errors.Is(err, errHalt) {
+				t.Fatalf("run to loop barrier %d: err = %v", k, err)
+			}
+			b, err := before.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap, err := snapshot.Decode(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := gc.config(nil)
+			cfg.Checkpoint = &CheckpointPlan{Scenario: gc.scenario(), Sink: func(s *snapshot.Snapshot) error {
+				after = s
+				return errHalt
+			}}
+			if _, err := Resume(context.Background(), snap, cfg); !errors.Is(err, errHalt) {
+				t.Fatalf("resume: err = %v", err)
+			}
+			if stage := after.Campaign().Policy.Stage; stage != policy.StageLoop {
+				t.Fatalf("resumed run's first barrier is at stage %q", stage)
+			}
+			if before.ClockSec() != after.ClockSec() {
+				t.Errorf("clock %v resumed as %v", before.ClockSec(), after.ClockSec())
+			}
+			same := func(what string, x, y any) {
+				t.Helper()
+				if dx, dy := digestOf(t, x), digestOf(t, y); dx != dy {
+					t.Errorf("%s differs after resume: %s != %s", what, dx, dy)
+				}
+			}
+			same("campaign state", before.Campaign(), after.Campaign())
+			same("pending events", rankSeqs(before.PendingEvents()), rankSeqs(after.PendingEvents()))
+			nwB, chB, _, err := before.Fork()
+			if err != nil {
+				t.Fatal(err)
+			}
+			nwA, chA, _, err := after.Fork()
+			if err != nil {
+				t.Fatal(err)
+			}
+			same("network state", nwB.State(), nwA.State())
+			same("charger state", chB.State(), chA.State())
+		})
+	}
+}
+
+// rankSeqs returns evs, which are in execution order, with each Seq
+// replaced by its rank.
+func rankSeqs(evs []sim.PendingEvent) []sim.PendingEvent {
+	out := append([]sim.PendingEvent(nil), evs...)
+	for i := range out {
+		out[i].Seq = uint64(i + 1)
+	}
+	return out
 }

@@ -72,23 +72,17 @@ type FleetOutcome struct {
 // had no fault plan.
 func (o *FleetOutcome) FaultReport() *faults.Report { return o.faults }
 
-// fleetCh is one charger's scheduler and in-flight assignment state,
-// addressable so it checkpoints. Fields other than sched/phase/req are
-// meaningful only while EnRoute or Serving; they keep their last values
-// while Idle (and checkpoint as such, which keeps resumed runs
-// byte-identical to uninterrupted ones).
+// fleetCh is one charger's scheduler and its checkpointed assignment
+// state, held as itself. Charger and Tour stay zero during the run: the
+// live charger and the scheduler own them. Req is the in-flight
+// assignment. The other fields are meaningful only while EnRoute or
+// Serving; they keep their last values while Idle (and checkpoint as
+// such, which keeps resumed runs byte-identical to uninterrupted ones).
 type fleetCh struct {
 	// sched is this charger's own scheduler, so a stateful one
 	// (PeriodicTSP) plans each tour from the charger that walks it.
-	sched       charging.Scheduler
-	phase       int // snapshot.FleetIdle / FleetEnRoute / FleetServing
-	req         charging.Request
-	rate        float64
-	dur         float64
-	start       float64
-	meterBefore float64
-	travelT     float64
-	solicited   bool
+	sched charging.Scheduler
+	snapshot.FleetCharger
 }
 
 // fleetRun is the fleet's runtime: the world, the chargers, their
@@ -195,9 +189,12 @@ func (f *fleetRun) dispatch(e *sim.Engine, idx int) {
 		return
 	}
 	s := &f.st[idx]
-	s.phase = snapshot.FleetEnRoute
-	s.req = req
-	s.travelT = travelT
+	s.Phase = snapshot.FleetEnRoute
+	if s.Req == nil {
+		s.Req = new(charging.Request)
+	}
+	*s.Req = req
+	s.TravelT = travelT
 	_ = e.AfterKeyed(travelT, fleetArriveKind, idx, "arrive")
 }
 
@@ -205,8 +202,8 @@ func (f *fleetRun) dispatch(e *sim.Engine, idx int) {
 func (f *fleetRun) arrive(e *sim.Engine, idx int) {
 	w, ch, s := f.w, f.chargers[idx], &f.st[idx]
 	w.CatchUp(e.Now())
-	s.phase = snapshot.FleetIdle // back to idle unless the session starts
-	id := s.req.Node
+	s.Phase = snapshot.FleetIdle // back to idle unless the session starts
+	id := s.Req.Node
 	if !f.nw.Alive(id) {
 		delete(f.reserved, id)
 		w.Queue().Remove(id)
@@ -221,16 +218,16 @@ func (f *fleetRun) arrive(e *sim.Engine, idx int) {
 	need := f.nw.Capacity(id) - f.nw.Level(id)
 	dur := need / rate
 	if err := ch.SpendRadiation(dur); err != nil {
-		delete(f.reserved, s.req.Node) // out of budget: parked
+		delete(f.reserved, id) // out of budget: parked
 		return
 	}
-	f.busy += s.travelT + dur
-	s.solicited = w.Queue().Has(id)
-	s.meterBefore = f.nw.MeterRead(id)
-	s.start = e.Now()
-	s.rate = rate
-	s.dur = dur
-	s.phase = snapshot.FleetServing
+	f.busy += s.TravelT + dur
+	s.Solicited = w.Queue().Has(id)
+	s.MeterBefore = f.nw.MeterRead(id)
+	s.Start = e.Now()
+	s.Rate = rate
+	s.Dur = dur
+	s.Phase = snapshot.FleetServing
 	_ = e.AfterKeyed(dur, fleetEndKind, idx, "session-end")
 }
 
@@ -238,23 +235,23 @@ func (f *fleetRun) arrive(e *sim.Engine, idx int) {
 func (f *fleetRun) end(e *sim.Engine, idx int) {
 	w, s := f.w, &f.st[idx]
 	w.CatchUp(e.Now())
-	delete(f.reserved, s.req.Node)
-	s.phase = snapshot.FleetIdle
-	id := s.req.Node
+	id := s.Req.Node
+	delete(f.reserved, id)
+	s.Phase = snapshot.FleetIdle
 	if !f.nw.Alive(id) {
 		// Died mid-session (was nearly empty on arrival);
 		// nothing to record beyond the death itself.
 		_ = e.AfterKeyed(1, fleetDispatchKind, idx, "next")
 		return
 	}
-	delivered := f.nw.Charge(id, s.rate*s.dur)
+	delivered := f.nw.Charge(id, s.Rate*s.Dur)
 	sess := charging.Session{
 		Node: id, Kind: charging.SessionFocus,
-		Start: s.start, End: e.Now(),
-		RequestedJ: s.req.NeedJ, DeliveredJ: delivered,
-		MeterGainJ: f.nw.MeterRead(id) - s.meterBefore,
+		Start: s.Start, End: e.Now(),
+		RequestedJ: s.Req.NeedJ, DeliveredJ: delivered,
+		MeterGainJ: f.nw.MeterRead(id) - s.MeterBefore,
 	}
-	f.actors[idx].Complete(id, sess, true, s.solicited)
+	f.actors[idx].Complete(id, sess, true, s.Solicited)
 	_ = e.AfterKeyed(1, fleetDispatchKind, idx, "next")
 }
 
@@ -272,16 +269,13 @@ func (f *fleetRun) captureState() *snapshot.CampaignState {
 	}
 	fs.Chargers = make([]snapshot.FleetCharger, len(f.chargers))
 	for i, ch := range f.chargers {
-		s := f.st[i]
-		fc := snapshot.FleetCharger{
-			Charger: ch.State(), Phase: s.phase,
-			Tour: schedTour(s.sched),
-			Rate: s.rate, Dur: s.dur, Start: s.start,
-			MeterBefore: s.meterBefore, TravelT: s.travelT,
-			Solicited: s.solicited,
-		}
-		if s.phase != snapshot.FleetIdle {
-			req := s.req
+		fc := f.st[i].FleetCharger
+		fc.Charger = ch.State()
+		fc.Tour = schedTour(f.st[i].sched)
+		if fc.Phase == snapshot.FleetIdle {
+			fc.Req = nil
+		} else {
+			req := *fc.Req
 			fc.Req = &req
 		}
 		fs.Chargers[i] = fc
@@ -326,17 +320,7 @@ func (f *fleetRun) finish(ctx context.Context) (*FleetOutcome, error) {
 	cfg, w, led := f.cfg, f.w, f.led
 	out := &FleetOutcome{Chargers: len(f.chargers), FirstDeathAt: math.Inf(1)}
 	w.CatchUp(cfg.HorizonSec)
-	if !cfg.Faults.Empty() {
-		w.CloseFaultWindows()
-		rep := led.Faults
-		out.faults = &rep
-	}
-
-	for _, req := range w.Queue().Pending() {
-		led.Audit.Unserved = append(led.Audit.Unserved, detect.RequestObs{
-			Node: req.Node, IssuedAt: req.IssuedAt, NeedJ: req.NeedJ,
-		})
-	}
+	out.faults = w.Close()
 	out.Audit = led.Audit
 	out.RequestsIssued = led.Issued
 	out.RequestsServed = led.Served
@@ -445,21 +429,18 @@ func ResumeFleet(ctx context.Context, snap *snapshot.Snapshot, cfg Config) (*Fle
 		f.reserved[id] = true
 	}
 	for i, fc := range cs.Fleet.Chargers {
-		s := &f.st[i]
-		s.phase = fc.Phase
-		s.rate, s.dur, s.start = fc.Rate, fc.Dur, fc.Start
-		s.meterBefore, s.travelT = fc.MeterBefore, fc.TravelT
-		s.solicited = fc.Solicited
-		setTour(s.sched, fc.Tour)
 		if fc.Req != nil {
 			req, err := world.RestoreRequest(nw, *fc.Req)
 			if err != nil {
 				return nil, fmt.Errorf("campaign: resume charger %d assignment: %w", i, err)
 			}
-			s.req = req
+			fc.Req = &req
 		} else if fc.Phase != snapshot.FleetIdle {
 			return nil, fmt.Errorf("campaign: charger %d checkpointed in phase %d without its assignment", i, fc.Phase)
 		}
+		setTour(f.st[i].sched, fc.Tour)
+		fc.Charger, fc.Tour = mc.State{}, nil
+		f.st[i].FleetCharger = fc
 	}
 	if err := w.Engine().RestorePending(snap.PendingEvents()); err != nil {
 		return nil, err

@@ -84,47 +84,25 @@ type Env struct {
 	view charging.Queue
 }
 
-// Barrier describes where in the drive loop a checkpoint hook fires, and
-// carries exactly the loop position needed to resume there: the pending
-// action result (loop barriers), the wait target (mid-wait barriers), or
-// the final-advance flag.
+// Barrier is a drive-loop position: where a checkpoint hook fires, and
+// exactly what DriveResume needs to re-enter there.
 type Barrier struct {
+	// Stage is StageLoop (the top of an action-loop iteration), StageWait
+	// (inside a Wait's advance) or StageFinal (inside the trailing
+	// advance to the horizon).
+	Stage string
 	// Prev is the Result that feeds the next NextAction call.
 	Prev Result
-	// InWait marks a barrier inside a Wait's advance; WaitUntil is the
-	// advance target.
-	InWait    bool
+	// WaitUntil is the advance target of a StageWait barrier.
 	WaitUntil float64
-	// Final marks a barrier inside the trailing advance to the horizon.
-	Final bool
 }
 
-// Stage names for ResumePoint (the serialized form of a Barrier position).
+// Barrier stages, as State.Stage records them.
 const (
 	StageLoop  = "loop"
 	StageWait  = "wait"
 	StageFinal = "final"
 )
-
-// Stage returns the barrier's resume-stage name.
-func (b Barrier) Stage() string {
-	switch {
-	case b.Final:
-		return StageFinal
-	case b.InWait:
-		return StageWait
-	default:
-		return StageLoop
-	}
-}
-
-// ResumePoint is the drive-loop position a checkpoint captured; it tells
-// DriveResume where to re-enter.
-type ResumePoint struct {
-	Stage     string
-	Prev      Result
-	WaitUntil float64
-}
 
 // breakdownWait parks the charger through an open breakdown window: the
 // policy waits for the scheduled repair (bounded by the horizon) before
@@ -341,46 +319,43 @@ func Drive(e *Env, pol Policy) error {
 		return err
 	}
 	e.W.Start()
-	if err := driveLoop(e, pol, OK); err != nil {
-		return err
-	}
-	return finalAdvance(e)
+	return DriveResume(e, pol, Barrier{Stage: StageLoop})
 }
 
-// DriveResume re-enters the drive loop of a restored run at the captured
-// barrier: mid-final-advance runs only the trailing advance; mid-wait
-// finishes the interrupted Wait then continues the loop; a loop barrier
-// continues the loop with the captured pending result. Bootstrap and the
-// initial scan/sample are never re-run — their effects are part of the
-// restored state.
-func DriveResume(e *Env, pol Policy, rp ResumePoint) error {
+// DriveResume enters the drive loop at barrier b — a restored run at its
+// captured barrier, or Drive at the first loop barrier: mid-final-advance
+// runs only the trailing advance; mid-wait finishes the interrupted Wait
+// then continues the loop; a loop barrier continues the loop with the
+// pending result. Bootstrap and the initial scan/sample are never run
+// here — on resume their effects are part of the restored state.
+func DriveResume(e *Env, pol Policy, b Barrier) error {
 	var err error
-	switch rp.Stage {
+	switch b.Stage {
 	case StageFinal:
 		// Only the trailing advance remains.
 	case StageWait:
-		err = e.advance(rp.WaitUntil, Barrier{Prev: rp.Prev, InWait: true, WaitUntil: rp.WaitUntil})
+		err = e.advance(b.WaitUntil, b)
 		if err == nil {
 			err = driveLoop(e, pol, OK)
 		}
 	case StageLoop:
-		err = driveLoop(e, pol, rp.Prev)
+		err = driveLoop(e, pol, b.Prev)
 	default:
-		return fmt.Errorf("policy: unknown resume stage %q", rp.Stage)
+		return fmt.Errorf("policy: unknown resume stage %q", b.Stage)
 	}
 	if err != nil {
 		return err
 	}
-	return finalAdvance(e)
+	return e.advance(e.W.Params().HorizonSec, Barrier{Stage: StageFinal})
 }
 
-// driveLoop is the action loop shared by Drive and DriveResume. A Wait
-// runs through advance whether or not Checkpoint is set; prev rides in
-// its barrier so a checkpoint taken mid-wait re-enters exactly.
+// driveLoop is DriveResume's action loop. A Wait runs through advance
+// whether or not Checkpoint is set; prev rides in its barrier so a
+// checkpoint taken mid-wait re-enters exactly.
 func driveLoop(e *Env, pol Policy, prev Result) error {
 	for !e.W.Canceled() {
 		if e.Checkpoint != nil {
-			if err := e.Checkpoint(Barrier{Prev: prev}); err != nil {
+			if err := e.Checkpoint(Barrier{Stage: StageLoop, Prev: prev}); err != nil {
 				return err
 			}
 		}
@@ -392,7 +367,7 @@ func driveLoop(e *Env, pol Policy, prev Result) error {
 		case Done:
 			return nil
 		case Wait:
-			err = e.advance(a.Until, Barrier{Prev: prev, InWait: true, WaitUntil: a.Until})
+			err = e.advance(a.Until, Barrier{Stage: StageWait, Prev: prev, WaitUntil: a.Until})
 			prev = OK
 		default:
 			prev, err = act.Exec(e, pol)
@@ -414,11 +389,6 @@ func (e *Env) advance(until float64, b Barrier) error {
 		barrier = func() error { return e.Checkpoint(b) }
 	}
 	return e.W.AdvanceTo(until, barrier)
-}
-
-// finalAdvance runs the trailing advance to the horizon.
-func finalAdvance(e *Env) error {
-	return e.advance(e.W.Params().HorizonSec, Barrier{Final: true})
 }
 
 // BootstrapAttack is the shared planning step of both attack policies:

@@ -16,7 +16,7 @@ import (
 type State struct {
 	// Policy is "legit" or the attack solver name.
 	Policy string
-	// Stage/Prev/WaitUntil record the drive-loop barrier (see ResumePoint).
+	// Stage/Prev/WaitUntil record the drive-loop Barrier.
 	Stage     string
 	Prev      int
 	WaitUntil float64
@@ -55,7 +55,7 @@ func sortedIDs(set map[wrsn.NodeID]bool) []wrsn.NodeID {
 func CaptureState(pol Policy, e *Env, b Barrier) (*State, error) {
 	st := &State{
 		Policy:    pol.Name(),
-		Stage:     b.Stage(),
+		Stage:     b.Stage,
 		Prev:      int(b.Prev),
 		WaitUntil: b.WaitUntil,
 		Targets:   sortedIDs(e.Targets),
@@ -79,19 +79,19 @@ func CaptureState(pol Policy, e *Env, b Barrier) (*State, error) {
 }
 
 // FromState rebuilds the policy and refills the Env's target sets. It
-// returns the restored policy and the drive-loop resume point. A state
-// naming a node the Env's network does not have, or a plan stop its
-// instance does not have, is rejected: checkpoints arrive from outside
-// the process, and the policy indexes the network by these IDs.
-func FromState(st *State, e *Env) (Policy, ResumePoint, error) {
-	rp := ResumePoint{Stage: st.Stage, Prev: Result(st.Prev), WaitUntil: st.WaitUntil}
-	switch rp.Stage {
+// returns the restored policy and the drive-loop barrier to resume at. A
+// state naming a node the Env's network does not have, or a plan stop
+// its instance does not have, is rejected: checkpoints arrive from
+// outside the process, and the policy indexes the network by these IDs.
+func FromState(st *State, e *Env) (Policy, Barrier, error) {
+	b := Barrier{Stage: st.Stage, Prev: Result(st.Prev), WaitUntil: st.WaitUntil}
+	switch b.Stage {
 	case StageLoop, StageWait, StageFinal:
 	default:
-		return nil, rp, fmt.Errorf("policy: state has unknown stage %q", st.Stage)
+		return nil, b, fmt.Errorf("policy: state has unknown stage %q", st.Stage)
 	}
 	if err := st.check(e.W.Network()); err != nil {
-		return nil, rp, err
+		return nil, b, err
 	}
 	for _, id := range st.Targets {
 		e.Targets[id] = true
@@ -100,10 +100,10 @@ func FromState(st *State, e *Env) (Policy, ResumePoint, error) {
 		e.Blocked[id] = true
 	}
 	if st.Policy == "legit" {
-		return NewLegit(), rp, nil
+		return NewLegit(), b, nil
 	}
 	if !attack.KnownSolver(st.Policy) {
-		return nil, rp, fmt.Errorf("%w: %q in checkpoint state", attack.ErrUnknownSolver, st.Policy)
+		return nil, b, fmt.Errorf("%w: %q in checkpoint state", attack.ErrUnknownSolver, st.Policy)
 	}
 	p := NewAttacker(st.Policy)
 	p.phase = phase(st.Phase)
@@ -120,7 +120,7 @@ func FromState(st *State, e *Env) (Policy, ResumePoint, error) {
 	if st.Result != nil {
 		p.res = *st.Result
 	}
-	return p, rp, nil
+	return p, b, nil
 }
 
 // check holds every node ID and plan stop of the state to the network it

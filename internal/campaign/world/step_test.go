@@ -52,7 +52,7 @@ func denseForecast(w *W) (at float64, who wrsn.NodeID, tied bool) {
 		if !w.nw.Alive(id) || d <= 0 {
 			continue
 		}
-		if t := w.now + w.nw.Level(id)/d; t < at {
+		if t := w.st.Now + w.nw.Level(id)/d; t < at {
 			at, who, tied = t, id, false
 		} else if t == at {
 			tied = true
@@ -66,16 +66,16 @@ func denseForecast(w *W) (at float64, who wrsn.NodeID, tied bool) {
 func refStep(t *testing.T, w *W, target float64) refResult {
 	t.Helper()
 	var r refResult
-	step := min(target, w.now+w.p.PollSec)
-	if dt, _, _ := denseForecast(w); dt > w.now && dt < step {
+	step := min(target, w.st.Now+w.p.PollSec)
+	if dt, _, _ := denseForecast(w); dt > w.st.Now && dt < step {
 		step = dt
 	}
 	alive := make([]bool, w.nw.Len())
 	for i := range alive {
 		alive[i] = w.nw.Alive(wrsn.NodeID(i))
 	}
-	died := w.nw.AdvanceEnergy(step - w.now)
-	w.now = step
+	died := w.nw.AdvanceEnergy(step - w.st.Now)
+	w.st.Now = step
 	for i := range alive {
 		// Deaths come from the levels, not the live bit: the live bit
 		// falls only when the network's deaths heap pops the node.
@@ -99,7 +99,7 @@ func refStep(t *testing.T, w *W, target float64) refResult {
 			r.low = append(r.low, id)
 		}
 	}
-	if !w.sinkDown {
+	if !w.st.SinkDown {
 		for _, id := range r.low {
 			if w.wantsCharge(id) {
 				r.eligible = append(r.eligible, id)
@@ -235,8 +235,8 @@ func runLockstep(t *testing.T, fused, ref *W, r *rand.Rand, steps int) lockstepC
 	var cov lockstepCoverage
 	target := 0.0
 	for i := 0; i < steps; i++ {
-		if fused.now >= target {
-			target = fused.now + 3000*r.Float64()
+		if fused.st.Now >= target {
+			target = fused.st.Now + 3000*r.Float64()
 		}
 		if !sameForecast(t, fused, ref, i, "step start") {
 			return cov
@@ -251,7 +251,7 @@ func runLockstep(t *testing.T, fused, ref *W, r *rand.Rand, steps int) lockstepC
 		if !slices.Equal(died, want.died) {
 			t.Fatalf("step %d: lazy step died %v, dense step %v", i, died, want.died)
 		}
-		if !fused.sinkDown && !slices.Equal(fused.low, want.low) {
+		if !fused.st.SinkDown && !slices.Equal(fused.low, want.low) {
 			t.Fatalf("step %d: lazy low and connected list %v, full scan %v", i, fused.low, want.low)
 		}
 		if want.tied {
@@ -282,7 +282,7 @@ func runLockstep(t *testing.T, fused, ref *W, r *rand.Rand, steps int) lockstepC
 // scheduleStep consult it, to the reference world's full scan.
 func sameForecast(t *testing.T, fused, ref *W, i int, where string) bool {
 	t.Helper()
-	at, who := fused.nw.NextDepletion(fused.now)
+	at, who := fused.nw.NextDepletion(fused.st.Now)
 	fat, fwho, _ := denseForecast(ref)
 	if at != fat || who != fwho {
 		t.Errorf("step %d (%s): lazy forecast (%v, %d), full scan (%v, %d)", i, where, at, who, fat, fwho)
@@ -305,7 +305,7 @@ func mutate(r *rand.Rand, fused, ref *W, cov *lockstepCoverage) {
 	both := func(f func(w *W)) { f(fused); f(ref) }
 	switch op := r.Intn(10); op {
 	case 0, 1: // a charge to the forecast's argmin
-		if _, who := fused.nw.NextDepletion(fused.now); who != wrsn.ParentNone {
+		if _, who := fused.nw.NextDepletion(fused.st.Now); who != wrsn.ParentNone {
 			j := 2000 * r.Float64()
 			both(func(w *W) { w.nw.Charge(who, j) })
 			cov.argminCharges++
@@ -336,7 +336,7 @@ func mutate(r *rand.Rand, fused, ref *W, cov *lockstepCoverage) {
 	case 7: // a served request, with its cooldown
 		if p := fused.qu.Pending(); len(p) > 0 {
 			id := p[r.Intn(len(p))].Node
-			until := fused.now + 5000*r.Float64()
+			until := fused.st.Now + 5000*r.Float64()
 			both(func(w *W) {
 				w.qu.Remove(id)
 				w.SetCooldown(id, until)
@@ -344,10 +344,10 @@ func mutate(r *rand.Rand, fused, ref *W, cov *lockstepCoverage) {
 		}
 	case 8: // a sink outage opening or closing
 		both(func(w *W) {
-			if w.sinkDown {
+			if w.st.SinkDown {
 				w.sinkRestore()
 			} else {
-				w.sinkOutage(w.now + 3600)
+				w.sinkOutage(w.st.Now + 3600)
 			}
 		})
 	case 9: // nothing between these steps
@@ -358,8 +358,8 @@ func mutate(r *rand.Rand, fused, ref *W, cov *lockstepCoverage) {
 // reading the lazy world's levels off a fork.
 func sameWorlds(t *testing.T, a, b *W, i int) {
 	t.Helper()
-	if a.now != b.now {
-		t.Fatalf("step %d: clocks %v vs %v", i, a.now, b.now)
+	if a.st.Now != b.st.Now {
+		t.Fatalf("step %d: clocks %v vs %v", i, a.st.Now, b.st.Now)
 	}
 	for k, n := range a.nw.Fork().State().Nodes {
 		id, m := wrsn.NodeID(k), b.nw

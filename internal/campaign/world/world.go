@@ -99,39 +99,19 @@ type W struct {
 	p     Params
 	probe obs.Probe
 
-	now float64
-	qu  charging.Queue
+	// st is the world's checkpointed state, held as itself: capture
+	// copies it and Resume adopts it.
+	st State
+	qu charging.Queue
 	// low is the request scan's candidate list, reused every step and
 	// sized for every node once.
 	low []wrsn.NodeID
-	// cool and keySet are dense per-node tables (node IDs are the
-	// contiguous 0..n-1 range); zero values mean "no cooldown" / "not a
-	// key node", exactly matching the missing-key semantics of the maps
-	// they replaced.
-	cool       []float64
-	keySet     []bool
-	nextSample float64
-	nextAudit  float64
-	auditing   bool
-
-	// stepTarget is where the in-flight step chain is headed; the chain's
-	// single keyed handler (bound under stepKind at construction) re-reads
-	// it on every event, so re-targeting is a field write.
-	stepTarget float64
-
-	// Fault state. plan is nil on fault-free runs; every field below then
-	// stays zero and costs nothing on the hot path.
-	plan        *faults.Plan
-	chDown      bool
-	chDownSince float64
-	chDownUntil float64
-	chDownTotal float64
-	sinkDown    bool
-	sinkSince   float64
-	// retxAttempt/retxNext are dense per-node tables, nil on fault-free
-	// runs so the hot path stays a nil check.
-	retxAttempt []int
-	retxNext    []float64
+	// keySet is a dense per-node table (node IDs are the contiguous
+	// 0..n-1 range); false means "not a key node".
+	keySet []bool
+	// plan is nil on fault-free runs; the fault fields of st then stay
+	// zero and cost nothing on the hot path.
+	plan *faults.Plan
 }
 
 // New builds a world over the network, writing into led. The world owns a
@@ -164,16 +144,16 @@ func build(ctx context.Context, nw *wrsn.Network, led *ledger.L, p Params, probe
 		led:    led,
 		p:      p,
 		probe:  obs.Or(probe),
+		st:     State{Cool: make([]float64, n)},
 		qu:     charging.NewQueue(n),
-		cool:   make([]float64, n),
 		keySet: make([]bool, n),
 		low:    make([]wrsn.NodeID, 0, n),
 	}
 	w.bindStep()
 	if !p.Faults.Empty() {
 		w.plan = p.Faults
-		w.retxAttempt = make([]int, n)
-		w.retxNext = make([]float64, n)
+		w.st.RetxAttempt = make([]int, n)
+		w.st.RetxNext = make([]float64, n)
 	}
 	return w
 }
@@ -202,17 +182,17 @@ const stepKind = "world.step"
 // event's boundary (its Sync hook calls CatchUp), and after any such
 // re-entrancy the world clock must land exactly on engine-now before
 // rescheduling, or the next At would be in the past and kill the chain.
-// With no faults w.now is exactly one step behind e.Now() and CatchUp
+// With no faults w.st.Now is exactly one step behind e.Now() and CatchUp
 // performs the identical single step.
 func (w *W) bindStep() {
 	w.eng.Bind(stepKind, func(e *sim.Engine, _ int) {
 		w.CatchUp(e.Now())
-		w.scheduleStep(w.stepTarget)
+		w.scheduleStep(w.st.StepTarget)
 	})
 }
 
 // Now returns the world clock in seconds.
-func (w *W) Now() float64 { return w.now }
+func (w *W) Now() float64 { return w.st.Now }
 
 // Engine exposes the event engine (the fleet schedules its charger
 // handlers on it; tests and telemetry instrument it).
@@ -235,21 +215,21 @@ func (w *W) Canceled() bool { return w.ctx.Err() != nil }
 func (w *W) MarkKey(id wrsn.NodeID) { w.keySet[id] = true }
 
 // SetCooldown suppresses re-requests from id until the given time.
-func (w *W) SetCooldown(id wrsn.NodeID, until float64) { w.cool[id] = until }
+func (w *W) SetCooldown(id wrsn.NodeID, until float64) { w.st.Cool[id] = until }
 
 // StartAuditing arms the sink's periodic live audit, its first boundary
 // at AuditEverySec.
 func (w *W) StartAuditing() {
-	w.auditing = true
-	w.nextAudit = w.p.AuditEverySec
+	w.st.Auditing = true
+	w.st.NextAudit = w.p.AuditEverySec
 }
 
 // StopAuditing disarms live audits (the impounded charger's honest
 // replacement is beyond suspicion).
-func (w *W) StopAuditing() { w.auditing = false }
+func (w *W) StopAuditing() { w.st.Auditing = false }
 
 // Auditing reports whether live audits are armed.
-func (w *W) Auditing() bool { return w.auditing }
+func (w *W) Auditing() bool { return w.st.Auditing }
 
 // step moves the clock one boundary toward target: the next poll tick or
 // the next battery depletion, whichever is sooner. Batteries drain, deaths
@@ -262,8 +242,8 @@ func (w *W) Auditing() bool { return w.auditing }
 // rather than the node count.
 func (w *W) step(target float64) {
 	step := w.boundary(target)
-	died := w.nw.AdvanceEnergy(step - w.now)
-	w.now = step
+	died := w.nw.AdvanceEnergy(step - w.st.Now)
+	w.st.Now = step
 	if len(died) > 0 {
 		for _, id := range died {
 			w.RecordDeath(id)
@@ -285,8 +265,8 @@ func (w *W) step(target float64) {
 // next poll tick, or the forecast's next depletion when that is later
 // than now, whichever is soonest.
 func (w *W) boundary(target float64) float64 {
-	next := min(target, w.now+w.p.PollSec)
-	if dt, _ := w.nw.NextDepletion(w.now); dt > w.now && dt < next {
+	next := min(target, w.st.Now+w.p.PollSec)
+	if dt, _ := w.nw.NextDepletion(w.st.Now); dt > w.st.Now && dt < next {
 		next = dt
 	}
 	return next
@@ -304,7 +284,7 @@ func (w *W) boundary(target float64) float64 {
 // do not depend on barrier, and with a nil barrier AdvanceTo always
 // returns nil.
 func (w *W) AdvanceTo(t float64, barrier func() error) error {
-	if t <= w.now {
+	if t <= w.st.Now {
 		return nil
 	}
 	w.armStep(t)
@@ -327,7 +307,7 @@ func (w *W) AdvanceTo(t float64, barrier func() error) error {
 // fork a duplicate chain and diverge later snapshots).
 func (w *W) armStep(target float64) {
 	if w.eng.HasPendingKind(stepKind) {
-		w.stepTarget = target
+		w.st.StepTarget = target
 		return
 	}
 	w.scheduleStep(target)
@@ -337,15 +317,15 @@ func (w *W) armStep(target float64) {
 // re-schedules itself from inside the handler until the target is reached
 // or the context is canceled.
 func (w *W) scheduleStep(target float64) {
-	if w.now >= target || w.Canceled() {
+	if w.st.Now >= target || w.Canceled() {
 		return
 	}
 	next := w.boundary(target)
 	// AdvanceTo cannot be called from inside a handler, so at most one
 	// step chain is in flight and a single target field suffices.
-	w.stepTarget = target
+	w.st.StepTarget = target
 	if err := w.eng.AtKeyed(next, stepKind, 0, stepKind); err != nil {
-		// The engine clock can sit past w.now only after a canceled run's
+		// The engine clock can sit past w.st.Now only after a canceled run's
 		// drained RunUntil; stepping is over either way.
 		return
 	}
@@ -356,7 +336,7 @@ func (w *W) scheduleStep(target float64) {
 // where the engine is already mid-pump (the fleet's dispatch/arrival
 // handlers sync the world this way).
 func (w *W) CatchUp(t float64) {
-	for w.now < t && !w.Canceled() {
+	for w.st.Now < t && !w.Canceled() {
 		w.step(t)
 	}
 }
@@ -367,7 +347,7 @@ func (w *W) CatchUp(t float64) {
 func (w *W) RecordDeath(id wrsn.NodeID) {
 	reachable := w.nw.Connected(id)
 	w.led.Audit.Deaths = append(w.led.Audit.Deaths, detect.DeathObs{
-		Node: id, Time: w.now,
+		Node: id, Time: w.st.Now,
 		// Routing still reflects the pre-death topology here (Recompute
 		// runs after the batch), so this is the node's state as it died.
 		Reachable: reachable,
@@ -378,15 +358,19 @@ func (w *W) RecordDeath(id wrsn.NodeID) {
 			detail = "reachable"
 		}
 		w.probe.Add("campaign.deaths", 1)
-		w.probe.Event(obs.Event{T: w.now, Kind: "node.death", Node: int(id), Detail: detail})
+		w.probe.Event(obs.Event{T: w.st.Now, Kind: "node.death", Node: int(id), Detail: detail})
 	}
-	w.led.NoteDeath(w.now)
+	w.led.NoteDeath(w.st.Now)
 	if req, ok := w.qu.Get(id); ok {
-		w.led.Audit.Unserved = append(w.led.Audit.Unserved, detect.RequestObs{
-			Node: id, IssuedAt: req.IssuedAt, NeedJ: req.NeedJ,
-		})
+		w.led.Audit.Unserved = append(w.led.Audit.Unserved, requestObs(req))
 		w.qu.Remove(id)
 	}
+}
+
+// requestObs is the audit trail's record of a request that was never
+// served.
+func requestObs(req charging.Request) detect.RequestObs {
+	return detect.RequestObs{Node: req.Node, IssuedAt: req.IssuedAt, NeedJ: req.NeedJ}
 }
 
 // DrainNode takes j joules from an alive node outside the step pass — the
@@ -421,7 +405,7 @@ func (w *W) Start() {
 // may be lost, and a node whose request was lost retries with capped
 // exponential backoff.
 func (w *W) scanRequests() {
-	if w.sinkDown {
+	if w.st.SinkDown {
 		return
 	}
 	w.low = w.nw.AppendLowConnected(w.low[:0])
@@ -437,10 +421,10 @@ func (w *W) scanRequests() {
 // threshold New sets to p.RequestFrac): nothing pending, outside
 // cooldown and retransmission backoff.
 func (w *W) wantsCharge(id wrsn.NodeID) bool {
-	if w.qu.Has(id) || w.now < w.cool[id] {
+	if w.qu.Has(id) || w.st.Now < w.st.Cool[id] {
 		return false
 	}
-	return w.retxNext == nil || w.now >= w.retxNext[id]
+	return w.st.RetxNext == nil || w.st.Now >= w.st.RetxNext[id]
 }
 
 // issueRequest runs the mutating tail of the scan for one eligible node:
@@ -456,27 +440,27 @@ func (w *W) issueRequest(id wrsn.NodeID) {
 	drain := w.nw.DrainWatts(id)
 	deadline := math.Inf(1)
 	if drain > 0 {
-		deadline = w.now + level/drain
+		deadline = w.st.Now + level/drain
 	}
 	need := w.nw.Capacity(id) - level
 	err := w.qu.Add(charging.Request{
 		Node:     id,
 		Pos:      w.nw.Pos(id),
-		IssuedAt: w.now,
+		IssuedAt: w.st.Now,
 		Deadline: deadline,
 		NeedJ:    need,
 	})
 	if err == nil {
 		w.led.Issued++
-		if w.retxAttempt != nil && w.retxAttempt[id] > 0 {
+		if w.st.RetxAttempt != nil && w.st.RetxAttempt[id] > 0 {
 			// The request finally got through after one or more losses.
 			w.led.Faults.RequestsRecovered++
-			w.retxAttempt[id] = 0
-			w.retxNext[id] = 0
+			w.st.RetxAttempt[id] = 0
+			w.st.RetxNext[id] = 0
 		}
 		if w.probe.Enabled() {
 			w.probe.Add("campaign.requests.issued", 1)
-			w.probe.Event(obs.Event{T: w.now, Kind: "request", Node: int(id), Value: need})
+			w.probe.Event(obs.Event{T: w.st.Now, Kind: "request", Node: int(id), Value: need})
 		}
 	}
 }
@@ -487,17 +471,17 @@ func (w *W) issueRequest(id wrsn.NodeID) {
 // boundary past the backoff — request timing stays on the world's
 // deterministic step grid.
 func (w *W) noteRequestLost(id wrsn.NodeID) {
-	attempt := w.retxAttempt[id]
+	attempt := w.st.RetxAttempt[id]
 	backoff := retxBaseSec * math.Pow(2, float64(attempt))
 	if backoff > retxCapSec {
 		backoff = retxCapSec
 	}
-	w.retxAttempt[id] = attempt + 1
-	w.retxNext[id] = w.now + backoff
+	w.st.RetxAttempt[id] = attempt + 1
+	w.st.RetxNext[id] = w.st.Now + backoff
 	w.led.Faults.RequestsLost++
 	if w.probe.Enabled() {
 		w.probe.Add("campaign.faults.requests_lost", 1)
-		w.probe.Event(obs.Event{T: w.now, Kind: "fault.request.lost", Node: int(id), Value: backoff})
+		w.probe.Event(obs.Event{T: w.st.Now, Kind: "fault.request.lost", Node: int(id), Value: backoff})
 	}
 }
 
@@ -506,8 +490,8 @@ func (w *W) Sample() {
 	if w.p.SampleEverySec <= 0 {
 		return
 	}
-	for w.nextSample <= w.now {
-		s := ledger.Sample{T: w.nextSample}
+	for w.st.NextSample <= w.st.Now {
+		s := ledger.Sample{T: w.st.NextSample}
 		for i := range w.nw.Len() {
 			id := wrsn.NodeID(i)
 			if !w.nw.Alive(id) {
@@ -522,7 +506,7 @@ func (w *W) Sample() {
 			}
 		}
 		w.led.Samples = append(w.led.Samples, s)
-		w.nextSample += w.p.SampleEverySec
+		w.st.NextSample += w.p.SampleEverySec
 	}
 }
 
@@ -534,10 +518,8 @@ func (w *W) AuditView() detect.Audit {
 	view := w.led.Audit
 	stale := make([]detect.RequestObs, 0, 4)
 	for _, req := range w.qu.Pending() {
-		if w.now-req.IssuedAt >= w.p.PendingGraceSec {
-			stale = append(stale, detect.RequestObs{
-				Node: req.Node, IssuedAt: req.IssuedAt, NeedJ: req.NeedJ,
-			})
+		if w.st.Now-req.IssuedAt >= w.p.PendingGraceSec {
+			stale = append(stale, requestObs(req))
 		}
 	}
 	if len(stale) > 0 {
@@ -550,12 +532,12 @@ func (w *W) AuditView() detect.Audit {
 // any detector fires, the ledger records the catch — the policy layer
 // observes it and hands the network back to honest service.
 func (w *W) audit() {
-	if !w.auditing || w.led.Caught || w.p.AuditEverySec < 0 {
+	if !w.st.Auditing || w.led.Caught || w.p.AuditEverySec < 0 {
 		return
 	}
-	for w.nextAudit <= w.now {
-		w.nextAudit += w.p.AuditEverySec
-		if w.sinkDown {
+	for w.st.NextAudit <= w.st.Now {
+		w.st.NextAudit += w.p.AuditEverySec
+		if w.st.SinkDown {
 			// The sink is out: it cannot judge, but its audit clock keeps
 			// ticking so the cadence realigns on restore.
 			continue
@@ -565,10 +547,10 @@ func (w *W) audit() {
 			continue
 		}
 		w.probe.Add("campaign.audits", 1)
-		for _, v := range detect.JudgeProbed(view, w.p.Detectors, w.probe, w.now) {
+		for _, v := range detect.JudgeProbed(view, w.p.Detectors, w.probe, w.st.Now) {
 			if v.Flagged {
-				w.led.Catch(w.now, v.Detector)
-				w.probe.Event(obs.Event{T: w.now, Kind: "charger.impounded", Node: -1, Value: v.Score, Detail: v.Detector})
+				w.led.Catch(w.st.Now, v.Detector)
+				w.probe.Event(obs.Event{T: w.st.Now, Kind: "charger.impounded", Node: -1, Value: v.Score, Detail: v.Detector})
 				return
 			}
 		}
@@ -589,15 +571,15 @@ func (w *W) failNode(id int) {
 	}
 	w.nw.Fail(n)
 	w.qu.Remove(n)
-	if w.retxAttempt != nil {
-		w.retxAttempt[n] = 0
-		w.retxNext[n] = 0
+	if w.st.RetxAttempt != nil {
+		w.st.RetxAttempt[n] = 0
+		w.st.RetxNext[n] = 0
 	}
 	w.nw.Recompute()
 	w.led.Faults.NodeFailures++
 	if w.probe.Enabled() {
 		w.probe.Add("campaign.faults.node_failures", 1)
-		w.probe.Event(obs.Event{T: w.now, Kind: "fault.node.down", Node: id})
+		w.probe.Event(obs.Event{T: w.st.Now, Kind: "fault.node.down", Node: id})
 	}
 }
 
@@ -614,67 +596,67 @@ func (w *W) repairNode(id int) {
 	w.led.Faults.NodeRecoveries++
 	if w.probe.Enabled() {
 		w.probe.Add("campaign.faults.node_recoveries", 1)
-		w.probe.Event(obs.Event{T: w.now, Kind: "fault.node.up", Node: id})
+		w.probe.Event(obs.Event{T: w.st.Now, Kind: "fault.node.up", Node: id})
 	}
 }
 
 // chargerDown opens a charger breakdown window until the given time.
 func (w *W) chargerDown(until float64) {
-	if w.chDown {
+	if w.st.ChDown {
 		return
 	}
-	w.chDown = true
-	w.chDownSince = w.now
-	w.chDownUntil = until
+	w.st.ChDown = true
+	w.st.ChDownSince = w.st.Now
+	w.st.ChDownUntil = until
 	w.led.Faults.ChargerBreakdowns++
 	if w.probe.Enabled() {
 		w.probe.Add("campaign.faults.charger_breakdowns", 1)
-		w.probe.Event(obs.Event{T: w.now, Kind: "fault.charger.down", Node: -1, Value: until - w.now})
+		w.probe.Event(obs.Event{T: w.st.Now, Kind: "fault.charger.down", Node: -1, Value: until - w.st.Now})
 	}
 }
 
 // chargerUp closes the breakdown window and accounts its downtime.
 func (w *W) chargerUp() {
-	if !w.chDown {
+	if !w.st.ChDown {
 		return
 	}
-	w.chDown = false
-	w.chDownTotal += w.now - w.chDownSince
-	w.chDownUntil = 0
+	w.st.ChDown = false
+	w.st.ChDownTotal += w.st.Now - w.st.ChDownSince
+	w.st.ChDownUntil = 0
 	w.led.Faults.ChargerRepairs++
 	if w.probe.Enabled() {
 		w.probe.Add("campaign.faults.charger_repairs", 1)
-		w.probe.Event(obs.Event{T: w.now, Kind: "fault.charger.up", Node: -1})
+		w.probe.Event(obs.Event{T: w.st.Now, Kind: "fault.charger.up", Node: -1})
 	}
 }
 
 // sinkOutage opens a sink outage window: no requests reach the sink and
 // audits pass judgment-free until restore.
 func (w *W) sinkOutage(until float64) {
-	if w.sinkDown {
+	if w.st.SinkDown {
 		return
 	}
-	w.sinkDown = true
-	w.sinkSince = w.now
+	w.st.SinkDown = true
+	w.st.SinkSince = w.st.Now
 	w.led.Faults.SinkOutages++
 	if w.probe.Enabled() {
 		w.probe.Add("campaign.faults.sink_outages", 1)
-		w.probe.Event(obs.Event{T: w.now, Kind: "fault.sink.down", Node: -1, Value: until - w.now})
+		w.probe.Event(obs.Event{T: w.st.Now, Kind: "fault.sink.down", Node: -1, Value: until - w.st.Now})
 	}
 }
 
 // sinkRestore closes the outage window, recording the interval.
 func (w *W) sinkRestore() {
-	if !w.sinkDown {
+	if !w.st.SinkDown {
 		return
 	}
-	w.sinkDown = false
-	w.led.Faults.SinkDownSec += w.now - w.sinkSince
-	w.led.Faults.SinkWindows = append(w.led.Faults.SinkWindows, faults.Window{From: w.sinkSince, To: w.now})
+	w.st.SinkDown = false
+	w.led.Faults.SinkDownSec += w.st.Now - w.st.SinkSince
+	w.led.Faults.SinkWindows = append(w.led.Faults.SinkWindows, faults.Window{From: w.st.SinkSince, To: w.st.Now})
 	w.led.Faults.SinkRestores++
 	if w.probe.Enabled() {
 		w.probe.Add("campaign.faults.sink_restores", 1)
-		w.probe.Event(obs.Event{T: w.now, Kind: "fault.sink.up", Node: -1})
+		w.probe.Event(obs.Event{T: w.st.Now, Kind: "fault.sink.up", Node: -1})
 	}
 }
 
@@ -684,39 +666,48 @@ func (w *W) sinkRestore() {
 // breakdown window, or 0 when the charger is operational. Sessions
 // suspend and policies park until then.
 func (w *W) ChargerDownUntil() float64 {
-	if !w.chDown {
+	if !w.st.ChDown {
 		return 0
 	}
-	return w.chDownUntil
+	return w.st.ChDownUntil
 }
 
 // ChargerDownSecTotal returns cumulative charger downtime including any
 // window still open at the current clock; sessions difference it across
 // an advance to measure suspended time.
 func (w *W) ChargerDownSecTotal() float64 {
-	if w.chDown {
-		return w.chDownTotal + (w.now - w.chDownSince)
+	if w.st.ChDown {
+		return w.st.ChDownTotal + (w.st.Now - w.st.ChDownSince)
 	}
-	return w.chDownTotal
+	return w.st.ChDownTotal
 }
 
-// SinkDown reports whether a sink outage window is open.
-func (w *W) SinkDown() bool { return w.sinkDown }
-
-// CloseFaultWindows accounts fault windows still open when the run ends:
-// their downtime is added to the ledger (a sink window is recorded) but
-// no repair or restore is counted — an unrepaired fault stays fatal in
-// the report. Call once at campaign finish.
-func (w *W) CloseFaultWindows() {
-	if w.chDown {
-		w.chDown = false
-		w.chDownTotal += w.now - w.chDownSince
-		w.chDownUntil = 0
+// Close ends the run's world at its final clock; call it once, when the
+// run finishes. Under a fault plan it first accounts the fault windows
+// still open: their downtime is added to the ledger (a sink window is
+// recorded) but no repair or restore is counted — an unrepaired fault
+// stays fatal in the report. Then every request still pending joins the
+// audit's unserved list. It returns a copy of the run's fault report,
+// nil on a fault-free run.
+func (w *W) Close() *faults.Report {
+	var rep *faults.Report
+	if w.plan != nil {
+		if w.st.ChDown {
+			w.st.ChDown = false
+			w.st.ChDownTotal += w.st.Now - w.st.ChDownSince
+			w.st.ChDownUntil = 0
+		}
+		w.led.Faults.ChargerDownSec = w.st.ChDownTotal
+		if w.st.SinkDown {
+			w.st.SinkDown = false
+			w.led.Faults.SinkDownSec += w.st.Now - w.st.SinkSince
+			w.led.Faults.SinkWindows = append(w.led.Faults.SinkWindows, faults.Window{From: w.st.SinkSince, To: w.st.Now})
+		}
+		f := w.led.Faults
+		rep = &f
 	}
-	w.led.Faults.ChargerDownSec = w.chDownTotal
-	if w.sinkDown {
-		w.sinkDown = false
-		w.led.Faults.SinkDownSec += w.now - w.sinkSince
-		w.led.Faults.SinkWindows = append(w.led.Faults.SinkWindows, faults.Window{From: w.sinkSince, To: w.now})
+	for _, req := range w.qu.Pending() {
+		w.led.Audit.Unserved = append(w.led.Audit.Unserved, requestObs(req))
 	}
+	return rep
 }

@@ -51,14 +51,14 @@ func TestCatchUpReentrancy(t *testing.T) {
 	if got := w.Now(); got != 6500 {
 		t.Fatalf("Now() = %v after AdvanceTo(6500)", got)
 	}
-	if !w.SinkDown() {
+	if !w.st.SinkDown {
 		t.Error("sink outage window not open at t=6500")
 	}
 	w.AdvanceTo(10000, nil)
 	if got := w.Now(); got != 10000 {
 		t.Fatalf("Now() = %v after AdvanceTo(10000)", got)
 	}
-	if w.SinkDown() {
+	if w.st.SinkDown {
 		t.Error("sink outage window still open after its SinkUp event")
 	}
 	if led.Faults.NodeFailures != 1 || led.Faults.NodeRecoveries != 1 {
@@ -75,7 +75,7 @@ func TestCatchUpReentrancy(t *testing.T) {
 	if nw.Failed(3) {
 		t.Error("node 3 still hardware-failed after its NodeUp event")
 	}
-	w.CloseFaultWindows()
+	w.Close()
 	if want := 7200.7 - 6100.3; math.Abs(led.Faults.SinkDownSec-want) > 1e-9 {
 		t.Errorf("SinkDownSec = %v, want %v", led.Faults.SinkDownSec, want)
 	}
@@ -112,8 +112,8 @@ func TestCatchUpReentrantCall(t *testing.T) {
 }
 
 // TestCancelMidFaultWindow: a context canceled while a fault window is
-// open stops the advance at the next boundary, and CloseFaultWindows
-// still accounts the open window's downtime up to the stopped clock.
+// open stops the advance at the next boundary, and Close still accounts
+// the open window's downtime up to the stopped clock.
 func TestCancelMidFaultWindow(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	plan := &faults.Plan{Events: []faults.Event{
@@ -134,7 +134,7 @@ func TestCancelMidFaultWindow(t *testing.T) {
 		t.Errorf("Now() = %v; canceled advance ran on", w.Now())
 	}
 	stopped := w.Now()
-	w.CloseFaultWindows()
+	w.Close()
 	if want := stopped - 1000.5; math.Abs(led.Faults.ChargerDownSec-want) > 1e-9 {
 		t.Errorf("ChargerDownSec = %v, want %v (downtime up to the stopped clock)",
 			led.Faults.ChargerDownSec, want)

@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"math"
 	"regexp"
+	"strings"
 	"testing"
 
 	"github.com/reprolab/wrsn-csa/internal/attack"
 	"github.com/reprolab/wrsn-csa/internal/campaign"
+	"github.com/reprolab/wrsn-csa/internal/campaign/world"
 	"github.com/reprolab/wrsn-csa/internal/charging"
 	"github.com/reprolab/wrsn-csa/internal/faults"
 	"github.com/reprolab/wrsn-csa/internal/snapshot"
@@ -120,6 +122,63 @@ func TestResumeIgnoresOutOfRangeFaultEvent(t *testing.T) {
 		bad.ResumeFrom = moved
 		if _, err := Run(context.Background(), bad, nil); err != nil {
 			t.Errorf("arg %d: resume failed: %v", arg, err)
+		}
+	}
+}
+
+// TestResumeRejectsInvalidWorldState resumes checkpoints whose world
+// state holds a value no run reaches: a NaN or infinite clock, cursor,
+// fault-window time, cooldown, backoff or request figure, a cooldown
+// table longer than the network, or retransmission tables that disagree
+// with the fault plan. The snapshot codec decodes "NaN" and "±Inf", and
+// without the check such a run completes and reports the value (a NaN
+// ChDownTotal ends as a NaN ChargerDownSec in the fault report), so each
+// must fail at the restore boundary with an error naming the field.
+func TestResumeRejectsInvalidWorldState(t *testing.T) {
+	faulted := Default(42, 120)
+	faulted.Faults = &faults.Spec{Seed: 7, HorizonSec: 14 * 24 * 3600, ChargerBreakdowns: 2, SinkOutages: 1, RequestLossProb: 0.2}
+	plain := Default(42, 120)
+	snaps := map[*Spec]*snapshot.Snapshot{&faulted: checkpointAt(t, faulted, 50), &plain: checkpointAt(t, plain, 50)}
+	nan := math.NaN()
+	cases := []struct {
+		name  string
+		spec  *Spec
+		field string
+		edit  func(w *world.State)
+	}{
+		{"ChDownTotal NaN", &faulted, "ChDownTotal", func(w *world.State) { w.ChDownTotal = nan }},
+		{"NextAudit NaN", &faulted, "NextAudit", func(w *world.State) { w.NextAudit = nan }},
+		{"NextSample NaN", &plain, "NextSample", func(w *world.State) { w.NextSample = nan }},
+		{"StepTarget +Inf", &plain, "StepTarget", func(w *world.State) { w.StepTarget = math.Inf(1) }},
+		{"SinkSince -Inf", &faulted, "SinkSince", func(w *world.State) { w.SinkSince = math.Inf(-1) }},
+		{"Cool NaN", &plain, "Cool", func(w *world.State) { w.Cool[3] = nan }},
+		{"Cool too long", &plain, "Cool", func(w *world.State) { w.Cool = append(w.Cool, 0) }},
+		{"RetxNext +Inf", &faulted, "RetxNext", func(w *world.State) { w.RetxNext[5] = math.Inf(1) }},
+		{"Retx short", &faulted, "RetxAttempt", func(w *world.State) { w.RetxAttempt = w.RetxAttempt[:7] }},
+		{"Retx without plan", &plain, "RetxAttempt", func(w *world.State) { w.RetxAttempt = make([]int, len(w.Cool)) }},
+		{"request NeedJ NaN", &plain, "Requests", func(w *world.State) {
+			w.Requests = append(w.Requests, charging.Request{Node: 0, IssuedAt: w.Now, Deadline: math.Inf(1), NeedJ: nan})
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			bad := *c.spec
+			bad.ResumeFrom = reencode(t, snaps[c.spec], func(cs *snapshot.CampaignState) { c.edit(&cs.World) })
+			_, err := Run(context.Background(), bad, nil)
+			if err == nil {
+				t.Fatal("resume succeeded")
+			}
+			if !strings.Contains(err.Error(), c.field) {
+				t.Fatalf("error %q does not name %s", err, c.field)
+			}
+		})
+	}
+	// The unedited checkpoints resume.
+	for spec, snap := range snaps {
+		ok := *spec
+		ok.ResumeFrom = reencode(t, snap, func(*snapshot.CampaignState) {})
+		if _, err := Run(context.Background(), ok, nil); err != nil {
+			t.Errorf("unedited checkpoint: %v", err)
 		}
 	}
 }

@@ -75,18 +75,15 @@ func (p *Params) applyDefaults() {
 // budget; all mutation is explicit (Travel, SpendRadiation) so planners can
 // also use the pure cost queries. Charger is not safe for concurrent use.
 type Charger struct {
-	params Params
-	pos    geom.Point
-	depot  geom.Point
-	spent  float64
-	array  *wpt.Array
-	rect   wpt.Rectifier
+	// st is the charger's checkpointed state, held as itself: capture
+	// copies it and FromState adopts it.
+	st State
 	// probe receives charger telemetry (travel distance/energy, radiated
 	// energy); always non-nil (the no-op probe when uninstrumented).
 	probe obs.Probe
 
 	// steered memoizes the docked, focus-steered scratch array that
-	// DeliveredPower and RadiatedPowerAt evaluate. SteerFocus fully
+	// DeliveredPower and RadiatedPowerAtAll evaluate. SteerFocus fully
 	// overwrites every emitter's gain and phase and the dock depends only
 	// on (charger position, node position), so the steered state is a pure
 	// function of those two points while the chassis is parked; the memo
@@ -106,22 +103,14 @@ func New(depot geom.Point, params Params) *Charger {
 		geom.Pt(depot.X-half, depot.Y),
 		geom.Pt(depot.X+half, depot.Y),
 	)
-	return assemble(params, depot, depot, 0, arr, wpt.DefaultRectifier())
+	return assemble(State{Params: params, Pos: depot, Depot: depot, Array: *arr, Rectifier: wpt.DefaultRectifier()})
 }
 
 // assemble is the one charger constructor New, FromState and Fork share.
-// The charger takes ownership of arr and starts with the no-op telemetry
-// probe and a cold steered-array memo.
-func assemble(params Params, pos, depot geom.Point, spentJ float64, arr *wpt.Array, rect wpt.Rectifier) *Charger {
-	return &Charger{
-		params: params,
-		pos:    pos,
-		depot:  depot,
-		spent:  spentJ,
-		array:  arr,
-		rect:   rect,
-		probe:  obs.Nop(),
-	}
+// The charger takes ownership of st's array and starts with the no-op
+// telemetry probe and a cold steered-array memo.
+func assemble(st State) *Charger {
+	return &Charger{st: st, probe: obs.Nop()}
 }
 
 // Instrument attaches a telemetry probe: travel accumulates into the
@@ -132,41 +121,41 @@ func assemble(params Params, pos, depot geom.Point, spentJ float64, arr *wpt.Arr
 func (c *Charger) Instrument(p obs.Probe) { c.probe = obs.Or(p) }
 
 // Params returns the charger's configuration.
-func (c *Charger) Params() Params { return c.params }
+func (c *Charger) Params() Params { return c.st.Params }
 
 // Pos returns the charger's current position.
-func (c *Charger) Pos() geom.Point { return c.pos }
+func (c *Charger) Pos() geom.Point { return c.st.Pos }
 
 // Depot returns the charger's home position.
-func (c *Charger) Depot() geom.Point { return c.depot }
+func (c *Charger) Depot() geom.Point { return c.st.Depot }
 
 // Array exposes the emitter array for steering. The array tracks the
 // charger chassis; do not reposition it directly — use Travel.
-func (c *Charger) Array() *wpt.Array { return c.array }
+func (c *Charger) Array() *wpt.Array { return &c.st.Array }
 
 // Rectifier returns the node-side rectifier model the charger assumes when
 // predicting delivered power.
-func (c *Charger) Rectifier() wpt.Rectifier { return c.rect }
+func (c *Charger) Rectifier() wpt.Rectifier { return c.st.Rectifier }
 
 // Spent returns the energy consumed so far this tour.
-func (c *Charger) Spent() float64 { return c.spent }
+func (c *Charger) Spent() float64 { return c.st.SpentJ }
 
 // Remaining returns the unspent budget.
-func (c *Charger) Remaining() float64 { return c.params.BudgetJ - c.spent }
+func (c *Charger) Remaining() float64 { return c.st.Params.BudgetJ - c.st.SpentJ }
 
 // TravelTime returns the time to reach dst from the current position.
 func (c *Charger) TravelTime(dst geom.Point) float64 {
-	return c.pos.Dist(dst) / c.params.SpeedMps
+	return c.st.Pos.Dist(dst) / c.st.Params.SpeedMps
 }
 
 // TravelEnergy returns the locomotion energy to reach dst.
 func (c *Charger) TravelEnergy(dst geom.Point) float64 {
-	return c.pos.Dist(dst) * c.params.MoveJPerM
+	return c.st.Pos.Dist(dst) * c.st.Params.MoveJPerM
 }
 
 // RadiationEnergy returns the electrical energy to radiate for dt seconds.
 func (c *Charger) RadiationEnergy(dt float64) float64 {
-	return c.params.RadiateW * dt
+	return c.st.Params.RadiateW * dt
 }
 
 // Travel moves the charger (and its array) to dst, deducting locomotion
@@ -177,12 +166,12 @@ func (c *Charger) Travel(dst geom.Point) error {
 		return fmt.Errorf("mc: travel to %v needs %.0f J, only %.0f J remain", dst, cost, c.Remaining())
 	}
 	if c.probe.Enabled() {
-		c.probe.Add("charger.travel_m", c.pos.Dist(dst))
+		c.probe.Add("charger.travel_m", c.st.Pos.Dist(dst))
 		c.probe.Add("charger.travel_j", cost)
 	}
-	c.spent += cost
-	c.pos = dst
-	c.array.MoveTo(dst)
+	c.st.SpentJ += cost
+	c.st.Pos = dst
+	c.st.Array.MoveTo(dst)
 	c.dropSteered()
 	return nil
 }
@@ -203,7 +192,7 @@ func (c *Charger) SpendEnergy(j float64) error {
 		return fmt.Errorf("mc: spending %.0f J exceeds remaining %.0f J", j, c.Remaining())
 	}
 	c.probe.Add("charger.spend_j", j)
-	c.spent += j
+	c.st.SpentJ += j
 	return nil
 }
 
@@ -211,12 +200,12 @@ func (c *Charger) SpendEnergy(j float64) error {
 // nodePos: ServiceDist meters from the node, approached from the charger's
 // current direction (or due west when already at the node).
 func (c *Charger) ServicePoint(nodePos geom.Point) geom.Point {
-	d := c.pos.Dist(nodePos)
-	if d <= c.params.ServiceDist {
-		return c.pos
+	d := c.st.Pos.Dist(nodePos)
+	if d <= c.st.Params.ServiceDist {
+		return c.st.Pos
 	}
-	t := (d - c.params.ServiceDist) / d
-	return c.pos.Lerp(nodePos, t)
+	t := (d - c.st.Params.ServiceDist) / d
+	return c.st.Pos.Lerp(nodePos, t)
 }
 
 // steeredArray returns the scratch array docked at nodePos's service point
@@ -229,8 +218,8 @@ func (c *Charger) steeredArray(nodePos geom.Point) (*wpt.Array, error) {
 	}
 	c.steeredOK = false
 	dock := c.ServicePoint(nodePos)
-	c.steeredEm = append(c.steeredEm[:0], c.array.Emitters...)
-	c.steered = *c.array
+	c.steeredEm = append(c.steeredEm[:0], c.st.Array.Emitters...)
+	c.steered = c.st.Array
 	c.steered.Emitters = c.steeredEm
 	c.steered.MoveTo(dock)
 	if err := wpt.SteerFocus(&c.steered, nodePos); err != nil {
@@ -252,25 +241,15 @@ func (c *Charger) DeliveredPower(nodePos geom.Point) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return c.rect.DCOutput(arr.RFPowerAt(nodePos)), nil
+	return c.st.Rectifier.DCOutput(arr.RFPowerAt(nodePos)), nil
 }
 
-// RadiatedPowerAt returns the RF power an observer at `at` measures while
+// RadiatedPowerAtAll returns the RF power observers at pts measure while
 // the charger, docked for a session at nodePos, focuses its array on the
-// node — what a neighbor witness sees during a genuine charge. The query
-// does not disturb the charger's state.
-func (c *Charger) RadiatedPowerAt(nodePos, at geom.Point) (float64, error) {
-	arr, err := c.steeredArray(nodePos)
-	if err != nil {
-		return 0, err
-	}
-	return arr.RFPowerAt(at), nil
-}
-
-// RadiatedPowerAtAll is the batch form of RadiatedPowerAt: the session
-// array is steered once and evaluated at every probe point, which is what
-// witness scans over a neighborhood want. When dst has sufficient capacity
-// the result reuses it.
+// node — what neighbor witnesses see during a genuine charge. The session
+// array is steered once and evaluated at every probe point; the query
+// does not disturb the charger's state, and reuses dst when it has the
+// capacity.
 func (c *Charger) RadiatedPowerAtAll(nodePos geom.Point, dst []float64, pts []geom.Point) ([]float64, error) {
 	arr, err := c.steeredArray(nodePos)
 	if err != nil {
@@ -296,8 +275,8 @@ func (c *Charger) FullRechargeTime(nodePos geom.Point, joules float64) (float64,
 // new tour. Position and array follow.
 func (c *Charger) Reset() {
 	c.probe.Add("charger.resets", 1)
-	c.pos = c.depot
-	c.spent = 0
-	c.array.MoveTo(c.depot)
+	c.st.Pos = c.st.Depot
+	c.st.SpentJ = 0
+	c.st.Array.MoveTo(c.st.Depot)
 	c.dropSteered()
 }

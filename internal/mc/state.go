@@ -8,12 +8,12 @@ import (
 	"github.com/reprolab/wrsn-csa/internal/wpt"
 )
 
-// State is the serializable form of a Charger: configuration, position,
-// spent budget, the full array (including any steering applied), and the
-// assumed rectifier. The array is captured as itself: it is a plain
-// value whose exported fields are its whole configuration. Telemetry
-// probes and the steered-array memo are runtime-only and are not
-// captured.
+// State is the serializable form of a Charger and the state a Charger
+// runs on: configuration, position, spent budget, the full array
+// (including any steering applied), and the assumed rectifier. The array
+// is held as itself: it is a plain value whose exported fields are its
+// whole configuration. Telemetry probes and the steered-array memo are
+// runtime-only and are not captured.
 type State struct {
 	Params    Params
 	Pos       geom.Point
@@ -26,14 +26,9 @@ type State struct {
 // State captures the charger's current state. The result is self-contained:
 // mutating the charger afterwards does not alter it.
 func (c *Charger) State() State {
-	return State{
-		Params:    c.params,
-		Pos:       c.pos,
-		Depot:     c.depot,
-		SpentJ:    c.spent,
-		Array:     *c.array.Clone(),
-		Rectifier: c.rect,
-	}
+	st := c.st
+	st.Array = *c.st.Array.Clone()
+	return st
 }
 
 // FromState reconstructs a charger from captured state. The restored
@@ -48,7 +43,8 @@ func FromState(st State) (*Charger, error) {
 	if err := st.validate(); err != nil {
 		return nil, fmt.Errorf("mc: invalid charger state: %w", err)
 	}
-	return assemble(st.Params, st.Pos, st.Depot, st.SpentJ, st.Array.Clone(), st.Rectifier), nil
+	st.Array = *st.Array.Clone()
+	return assemble(st), nil
 }
 
 // validate reports the first field of st that no charger can hold.
@@ -91,7 +87,7 @@ func finite(vs ...float64) bool {
 // only pure reads of the receiver, so a shared template charger may be
 // forked concurrently as long as nothing mutates it.
 func (c *Charger) Fork() *Charger {
-	return assemble(c.params, c.pos, c.depot, c.spent, c.array.Clone(), c.rect)
+	return assemble(c.State())
 }
 
 // Fleet returns a fleet of k chargers (at least one): c itself, then

@@ -3,12 +3,14 @@ package service
 import (
 	"context"
 	"errors"
+	"math"
 	"regexp"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/reprolab/wrsn-csa/internal/campaign"
+	"github.com/reprolab/wrsn-csa/internal/faults"
 	"github.com/reprolab/wrsn-csa/internal/jobspec"
 	"github.com/reprolab/wrsn-csa/internal/mc"
 	"github.com/reprolab/wrsn-csa/internal/snapshot"
@@ -127,6 +129,61 @@ func TestNaNChargerSnapshotFailsJobNotDaemon(t *testing.T) {
 			t.Fatalf("job %d with a NaN-SpentJ charger = %s / %+v, want failed/campaign naming SpentJ", i, got.State, got.Error)
 		case i == 2 && got.State != StateDone:
 			t.Fatalf("job after the corrupt ones = %s / %+v, want done", got.State, got.Error)
+		}
+	}
+}
+
+// TestNaNWorldCheckpointFailsJobNotDaemon submits a faulted live
+// checkpoint whose world has accumulated "NaN" seconds of charger
+// downtime, which the snapshot codec decodes. The job must fail with the
+// campaign's structured error naming the field when the world is
+// restored, instead of running on and reporting a NaN ChargerDownSec,
+// and the daemon must go on to run the next job.
+func TestNaNWorldCheckpointFailsJobNotDaemon(t *testing.T) {
+	spec := jobspec.Default(42, 120)
+	spec.Faults = &faults.Spec{Seed: 7, HorizonSec: 14 * 24 * 3600, ChargerBreakdowns: 2}
+	var ckpt *snapshot.Snapshot
+	barriers := 0
+	_, err := jobspec.RunOpts(context.Background(), spec, jobspec.RunOptions{Checkpoint: &campaign.CheckpointPlan{
+		Every: 1 << 62,
+		Sink:  func(s *snapshot.Snapshot) error { ckpt = s; return nil },
+		Stop:  func() bool { barriers++; return barriers == 50 },
+	}})
+	if !errors.Is(err, campaign.ErrStopped) {
+		t.Fatalf("checkpoint run: %v", err)
+	}
+	b, err := ckpt.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad, err := snapshot.Decode(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad.Campaign().World.ChDownTotal = math.NaN()
+	if spec.ResumeFrom, err = bad.Encode(); err != nil {
+		t.Fatal(err)
+	}
+
+	s := New(Options{QueueDepth: 2, Workers: 1})
+	defer shutdownOrFail(t, s, 10*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	for i, sp := range []jobspec.Spec{spec, quickSpec(3)} {
+		st, err := s.Submit(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.WaitDone(ctx, st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case i == 0 && (got.State != StateFailed || got.Error == nil || got.Error.Kind != "campaign" ||
+			!strings.Contains(got.Error.Message, "ChDownTotal")):
+			t.Fatalf("job with a NaN-ChDownTotal world = %s / %+v, want failed/campaign naming ChDownTotal", got.State, got.Error)
+		case i == 1 && got.State != StateDone:
+			t.Fatalf("job after the corrupt one = %s / %+v, want done", got.State, got.Error)
 		}
 	}
 }

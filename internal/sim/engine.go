@@ -4,6 +4,7 @@
 package sim
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -102,7 +103,7 @@ func (e *Engine) AtKeyed(t float64, kind string, arg int, name string) error {
 		return fmt.Errorf("sim: NaN timestamp for event %q", name)
 	}
 	e.seq++
-	e.queue.push(event{t: t, seq: e.seq, name: name, kind: kind, arg: arg})
+	e.queue.push(PendingEvent{T: t, Seq: e.seq, Name: name, Kind: kind, Arg: arg})
 	return nil
 }
 
@@ -116,7 +117,7 @@ func (e *Engine) AfterKeyed(dt float64, kind string, arg int, name string) error
 // a handful of fault and fleet events).
 func (e *Engine) HasPendingKind(kind string) bool {
 	for i := range e.queue {
-		if e.queue[i].kind == kind {
+		if e.queue[i].Kind == kind {
 			return true
 		}
 	}
@@ -160,13 +161,16 @@ func (e *Engine) PeekTime() float64 {
 	if len(e.queue) == 0 {
 		return math.Inf(1)
 	}
-	return e.queue[0].t
+	return e.queue[0].T
 }
 
-// PendingEvent describes one queued event: its timestamp, scheduling
-// sequence number, display name, registry kind and integer argument. It
-// round-trips through a snapshot: RestorePending re-schedules it against
-// the same kind on a freshly bound engine.
+// PendingEvent is one queued keyed event: its timestamp, scheduling
+// sequence number (which breaks timestamp ties in scheduling order,
+// making execution deterministic), display name, registry kind and
+// integer argument. The queue stores these values themselves, so a
+// snapshot's pending list is a sorted copy of the queue, and
+// RestorePending re-schedules each against the same kind on a freshly
+// bound engine.
 type PendingEvent struct {
 	T    float64
 	Seq  uint64
@@ -177,32 +181,19 @@ type PendingEvent struct {
 
 // comparePending orders events by (T, Seq) — execution order.
 func comparePending(a, b PendingEvent) int {
-	if a.T != b.T {
-		if a.T < b.T {
-			return -1
-		}
-		return 1
+	if c := cmp.Compare(a.T, b.T); c != 0 {
+		return c
 	}
-	switch {
-	case a.Seq < b.Seq:
-		return -1
-	case a.Seq > b.Seq:
-		return 1
-	}
-	return 0
+	return cmp.Compare(a.Seq, b.Seq)
 }
 
-// PendingEvents returns descriptions of all queued events in execution
-// order (by timestamp, then scheduling sequence). The engine is not
-// modified.
+// PendingEvents returns a copy of the queued events in execution order
+// (by timestamp, then scheduling sequence). The engine is not modified.
 func (e *Engine) PendingEvents() []PendingEvent {
 	if len(e.queue) == 0 {
 		return nil
 	}
-	evs := make([]PendingEvent, len(e.queue))
-	for i, ev := range e.queue {
-		evs[i] = PendingEvent{T: ev.t, Seq: ev.seq, Name: ev.name, Kind: ev.kind, Arg: ev.arg}
-	}
+	evs := slices.Clone(e.queue)
 	slices.SortFunc(evs, comparePending)
 	return evs
 }
@@ -213,19 +204,19 @@ func (e *Engine) Step() bool {
 		return false
 	}
 	ev := e.queue.pop()
-	e.now = ev.t
+	e.now = ev.T
 	e.processed++
 	// AtKeyed guarantees the kind is bound, and Bind never removes one.
-	fn := e.handlers[ev.kind]
+	fn := e.handlers[ev.Kind]
 	if p := e.probe; p != nil {
 		start := time.Now()
-		fn(e, ev.arg)
-		p.Observe("sim.handler_sec."+ev.name, time.Since(start).Seconds())
+		fn(e, ev.Arg)
+		p.Observe("sim.handler_sec."+ev.Name, time.Since(start).Seconds())
 		p.Add("sim.events", 1)
 		p.Set("sim.queue_depth", float64(len(e.queue)))
 		return true
 	}
-	fn(e, ev.arg)
+	fn(e, ev.Arg)
 	return true
 }
 
@@ -244,11 +235,11 @@ func (e *Engine) Step() bool {
 // never moves a run.
 func (e *Engine) RunUntil(deadline float64, maxEvents uint64, after func(kind string) error) error {
 	start := e.processed
-	for len(e.queue) > 0 && e.queue[0].t <= deadline {
+	for len(e.queue) > 0 && e.queue[0].T <= deadline {
 		if maxEvents > 0 && e.processed-start >= maxEvents {
 			return fmt.Errorf("sim: exceeded %d events before deadline %v (now %v)", maxEvents, deadline, e.now)
 		}
-		kind := e.queue[0].kind
+		kind := e.queue[0].Kind
 		e.Step()
 		if after != nil {
 			if err := after(kind); err != nil {
@@ -274,16 +265,6 @@ func (e *Engine) Run(maxEvents uint64) error {
 	return nil
 }
 
-// event is a queued keyed event. seq breaks timestamp ties in scheduling
-// order, making execution deterministic.
-type event struct {
-	t    float64
-	seq  uint64
-	name string
-	kind string
-	arg  int
-}
-
 // eventHeap is a binary min-heap of events ordered by timestamp, then
 // scheduling sequence. Events are stored by value and sifted manually,
 // so the queue performs zero heap allocations at steady state (push
@@ -291,31 +272,31 @@ type event struct {
 // order — seq is unique — the pop sequence is identical to any other
 // correct heap over the same comparator, including the previous
 // container/heap implementation.
-type eventHeap []event
+type eventHeap []PendingEvent
 
 // less reports whether the event at i sorts before the event at j.
 func (h eventHeap) less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
+	if h[i].T != h[j].T {
+		return h[i].T < h[j].T
 	}
-	return h[i].seq < h[j].seq
+	return h[i].Seq < h[j].Seq
 }
 
 // push inserts an event maintaining heap order.
-func (h *eventHeap) push(ev event) {
+func (h *eventHeap) push(ev PendingEvent) {
 	*h = append(*h, ev)
 	h.siftUp(len(*h) - 1)
 }
 
 // pop removes and returns the earliest event.
-func (h *eventHeap) pop() event {
+func (h *eventHeap) pop() PendingEvent {
 	old := *h
 	n := len(old) - 1
 	old[0], old[n] = old[n], old[0]
 	ev := old[n]
 	// Zero the vacated slot so the queue does not pin its strings past
 	// execution.
-	old[n] = event{}
+	old[n] = PendingEvent{}
 	*h = old[:n]
 	h.siftDown(0)
 	return ev
