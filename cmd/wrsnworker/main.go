@@ -13,7 +13,7 @@
 //	wrsnworker -listen 127.0.0.1:7601   # TCP mode: frames over each connection
 //
 // Both modes speak the same length-prefixed frames, a JSON header and a
-// raw payload (distengine protocol version 3).
+// raw payload (distengine protocol version 4).
 //
 // Exec mode serves exactly one coordinator — the parent process — and
 // exits when stdin closes or a shutdown frame arrives. TCP mode accepts

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/reprolab/wrsn-csa/internal/campaign/ledger"
 	"github.com/reprolab/wrsn-csa/internal/campaign/policy"
 	"github.com/reprolab/wrsn-csa/internal/campaign/world"
 	"github.com/reprolab/wrsn-csa/internal/charging"
@@ -118,6 +119,15 @@ func setTour(s charging.Scheduler, tour []wrsn.NodeID) {
 	}
 }
 
+// restoreLedger checks a checkpoint's ledger and returns the resumed
+// run's own copy of it.
+func restoreLedger(l *ledger.L) (ledger.L, error) {
+	if err := l.Validate(); err != nil {
+		return ledger.L{}, fmt.Errorf("campaign: resume: %w", err)
+	}
+	return l.Clone(), nil
+}
+
 // armCheckpoints makes every policy barrier of a single-charger run a
 // capture point of plan.
 func armCheckpoints(plan *CheckpointPlan, env *policy.Env, pol policy.Policy, keys []wrsn.KeyNode) {
@@ -177,7 +187,10 @@ func Resume(ctx context.Context, snap *snapshot.Snapshot, cfg Config) (*Outcome,
 			return nil, fmt.Errorf("campaign: checkpoint key node %d out of range [0,%d)", k.ID, nw.Len())
 		}
 	}
-	led := cs.Ledger.Clone()
+	led, err := restoreLedger(&cs.Ledger)
+	if err != nil {
+		return nil, err
+	}
 	w, err := world.Resume(ctx, nw, &led, worldParams(cfg), cfg.Probe, cs.World)
 	if err != nil {
 		return nil, err

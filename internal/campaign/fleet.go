@@ -407,7 +407,10 @@ func ResumeFleet(ctx context.Context, snap *snapshot.Snapshot, cfg Config) (*Fle
 	if err != nil {
 		return nil, err
 	}
-	led := cs.Ledger.Clone()
+	led, err := restoreLedger(&cs.Ledger)
+	if err != nil {
+		return nil, err
+	}
 	w, err := world.Resume(ctx, nw, &led, worldParams(cfg), cfg.Probe, cs.World)
 	if err != nil {
 		return nil, err

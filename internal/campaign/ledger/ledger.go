@@ -10,7 +10,9 @@
 package ledger
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 
 	"github.com/reprolab/wrsn-csa/internal/charging"
 	"github.com/reprolab/wrsn-csa/internal/defense"
@@ -83,6 +85,51 @@ func (l *L) Clone() L {
 }
 
 func clone[S ~[]E, E any](s S) S { return append(S(nil), s...) }
+
+// Validate checks a ledger restored from a checkpoint and names the
+// first field it refuses: NaN in any float, ±Inf in any float but a
+// FirstDeath of +Inf (no death yet), or a negative integer. Every
+// integer of the ledger, nested records included, is a count, a node
+// ID or a session kind, none of which a run makes negative.
+func (l *L) Validate() error {
+	c := *l
+	if math.IsInf(c.FirstDeath, 1) {
+		c.FirstDeath = 0
+	}
+	if where, err := check(reflect.ValueOf(c)); err != nil {
+		return fmt.Errorf("ledger: %s %v", where[1:], err)
+	}
+	return nil
+}
+
+// check walks v and reports the first non-finite float or negative
+// integer, with its path below v (".Field" and "[i]" steps), built only
+// on the way out of a failure.
+func check(v reflect.Value) (where string, err error) {
+	switch v.Kind() {
+	case reflect.Float32, reflect.Float64:
+		if f := v.Float(); math.IsNaN(f) || math.IsInf(f, 0) {
+			return "", fmt.Errorf("holds %v", f)
+		}
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		if n := v.Int(); n < 0 {
+			return "", fmt.Errorf("is %d, want ≥ 0", n)
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if where, err := check(v.Field(i)); err != nil {
+				return "." + v.Type().Field(i).Name + where, err
+			}
+		}
+	case reflect.Slice, reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			if where, err := check(v.Index(i)); err != nil {
+				return fmt.Sprintf("[%d]%s", i, where), err
+			}
+		}
+	}
+	return "", nil
+}
 
 // Catch records the charger's impoundment; only the first catch counts.
 func (l *L) Catch(at float64, by string) {

@@ -83,12 +83,17 @@ func CaptureState(pol Policy, e *Env, b Barrier) (*State, error) {
 // state naming a node the Env's network does not have, or a plan stop
 // its instance does not have, is rejected: checkpoints arrive from
 // outside the process, and the policy indexes the network by these IDs.
+// So is a Prev that is neither OK nor Stopped, which NextAction would
+// branch on although no run produces it.
 func FromState(st *State, e *Env) (Policy, Barrier, error) {
 	b := Barrier{Stage: st.Stage, Prev: Result(st.Prev), WaitUntil: st.WaitUntil}
 	switch b.Stage {
 	case StageLoop, StageWait, StageFinal:
 	default:
 		return nil, b, fmt.Errorf("policy: state has unknown stage %q", st.Stage)
+	}
+	if b.Prev != OK && b.Prev != Stopped {
+		return nil, b, fmt.Errorf("policy: state has Prev %d, want %d (OK) or %d (Stopped)", st.Prev, OK, Stopped)
 	}
 	if err := st.check(e.W.Network()); err != nil {
 		return nil, b, err

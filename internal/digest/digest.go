@@ -31,8 +31,19 @@
 // reports anything else, including maps, interfaces and types with their
 // own JSON methods, as a *DecodeError carrying the byte offset. An empty
 // array decodes to an empty, non-nil slice, so a value survives
-// Canonical → Decode → Canonical byte for byte, and any input Decode
-// accepts re-encodes to the identical bytes.
+// Canonical → Decode → Canonical byte for byte.
+//
+// Decode enforces the layout in two steps. Its walk over the type's plan
+// checks the structure: field names and order, literals, commas, the
+// JSON number and string grammar, integer range, array length and the
+// non-finite strings; a failure there is reported at the byte where the
+// walk stopped. It then re-encodes the decoded value once, with
+// Canonical's encoder, and requires the identical bytes. That checks the
+// spelling of every token — a float in its shortest form, a string
+// escaped as Canonical escapes it, an integer without a minus zero — so
+// any input Decode accepts re-encodes to the identical bytes by
+// construction. A spelling failure is reported at the offset where the
+// first input token that differs from its canonical spelling begins.
 package digest
 
 import (
@@ -348,14 +359,70 @@ func Decode(data []byte, v any) error {
 	if rv.Kind() != reflect.Pointer || rv.IsNil() {
 		return &DecodeError{Msg: fmt.Sprintf("need a non-nil pointer, got %T", v)}
 	}
+	p := planFor(rv.Elem().Type())
 	d := decoder{data: data}
-	if err := d.value(rv.Elem(), planFor(rv.Elem().Type())); err != nil {
+	if err := d.value(rv.Elem(), p); err != nil {
 		return err
 	}
 	if d.off != len(d.data) {
 		return d.errorf("trailing bytes after the value")
 	}
+	e := getEncoder()
+	defer encoders.Put(e)
+	if err := e.value(rv.Elem(), p); err != nil {
+		return &DecodeError{Msg: fmt.Sprintf("re-encode the decoded value: %v", err)}
+	}
+	if !bytes.Equal(e.buf, data) {
+		off, got, want := firstDifferentToken(data, e.buf)
+		return &DecodeError{Offset: off, Msg: fmt.Sprintf("want %s, the canonical spelling, not %s", want, got)}
+	}
 	return nil
+}
+
+// firstDifferentToken returns the offset of the first token of data that
+// differs from the token at the same offset of canon, with both tokens.
+// The two inputs agree byte for byte before it, so up to there they
+// split into the same tokens. When every token of data matches, canon
+// goes on past its end and the offset is len(data).
+func firstDifferentToken(data, canon []byte) (off int, got, want []byte) {
+	for off < len(data) {
+		end, cend := tokenEnd(data, off), tokenEnd(canon, off)
+		if !bytes.Equal(data[off:end], canon[off:cend]) {
+			return off, data[off:end], canon[off:cend]
+		}
+		off = end
+	}
+	return off, nil, canon[off:tokenEnd(canon, off)]
+}
+
+// tokenEnd returns the end of the JSON token that starts at b[i]: one
+// structural byte, a string with its quotes, or a run of number or
+// literal bytes.
+func tokenEnd(b []byte, i int) int {
+	if i >= len(b) {
+		return i
+	}
+	switch b[i] {
+	case '{', '}', '[', ']', ',', ':':
+		return i + 1
+	case '"':
+		for i++; i < len(b); i++ {
+			switch b[i] {
+			case '\\':
+				i++
+			case '"':
+				return i + 1
+			}
+		}
+		return len(b)
+	}
+	for ; i < len(b); i++ {
+		switch b[i] {
+		case '{', '}', '[', ']', ',', ':', '"':
+			return i
+		}
+	}
+	return i
 }
 
 // decoder reads canonical JSON from data, starting at off.
@@ -464,7 +531,7 @@ func (d *decoder) value(v reflect.Value, p *plan) error {
 		start := d.off
 		tok, isInt := d.number()
 		n, err := strconv.ParseInt(string(tok), 10, 64)
-		if !isInt || err != nil || v.OverflowInt(n) || string(tok) == "-0" {
+		if !isInt || err != nil || v.OverflowInt(n) {
 			d.off = start
 			return d.errorf("want an integer for %s", v.Type())
 		}
@@ -563,11 +630,6 @@ func (d *decoder) float(v reflect.Value) error {
 		d.off = start
 		return d.errorf("want a finite number for %s", v.Type())
 	}
-	var buf [32]byte
-	if string(appendFloat(buf[:0], f)) != string(tok) {
-		d.off = start
-		return d.errorf("want %s in its shortest form", tok)
-	}
 	v.SetFloat(f)
 	return nil
 }
@@ -617,8 +679,7 @@ func (d *decoder) number() (tok []byte, isInt bool) {
 }
 
 // str reads one JSON string. Plain printable ASCII is taken as is;
-// escapes and other bytes are decoded by encoding/json and must be
-// escaped as Canonical escapes them.
+// escapes and other bytes are decoded by encoding/json.
 func (d *decoder) str() (string, error) {
 	start := d.off
 	if err := d.expect('"'); err != nil {
@@ -637,10 +698,6 @@ func (d *decoder) str() (string, error) {
 			if err := json.Unmarshal(raw, &s); err != nil {
 				d.off = start
 				return "", d.errorf("bad string: %v", err)
-			}
-			if string(appendString(nil, s)) != string(raw) {
-				d.off = start
-				return "", d.errorf("string not escaped canonically")
 			}
 			return s, nil
 		case c == '\\':

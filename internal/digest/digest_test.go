@@ -332,3 +332,27 @@ func TestDecodeRejects(t *testing.T) {
 		t.Error("non-pointer target accepted")
 	}
 }
+
+// TestDecodeRejectsNonCanonicalAfterWalk: inputs the structural walk
+// reads without complaint but Canonical would spell differently — HTML
+// characters written raw in a string, a float32 written as its float64
+// shortest form — are refused by the re-encode at the differing token.
+func TestDecodeRejectsNonCanonicalAfterWalk(t *testing.T) {
+	var in inner
+	var f32 struct{ F float32 }
+	for _, c := range []struct {
+		in     string
+		v      any
+		offset int
+	}{
+		{`{"A":"<b>","B":1}`, &in, 5},
+		{`{"A":"x&y","B":1}`, &in, 5},
+		{`{"F":0.1}`, &f32, 5},
+	} {
+		err := Decode([]byte(c.in), c.v)
+		var de *DecodeError
+		if !errors.As(err, &de) || de.Offset != c.offset {
+			t.Errorf("Decode(%q) = %v, want a *DecodeError at offset %d", c.in, err, c.offset)
+		}
+	}
+}

@@ -38,11 +38,11 @@ func headed(hdr, payload string) []byte {
 
 // FuzzFrameRecv feeds arbitrary bytes to the frame reader both
 // transports share. It must never panic; a frame it accepts must carry
-// its payload through another send and recv byte for byte, and a result
-// frame it accepts is then decoded as a coordinator would, as either
-// outcome type, which must not panic either. The seeds named malformed
-// below must each be rejected without allocating for a length that
-// never arrived.
+// its payload sections through another send and recv byte for byte,
+// and a result frame it accepts is then decoded as a coordinator would,
+// as either outcome type, which must not panic either. The seeds named
+// malformed below must each be rejected without allocating for a length
+// that never arrived.
 func FuzzFrameRecv(f *testing.F) {
 	payload, dg, err := encodeResult(&jobspec.Result{Outcome: &campaign.Outcome{KeyDead: 3}})
 	if err != nil {
@@ -52,6 +52,7 @@ func FuzzFrameRecv(f *testing.F) {
 	f.Add(rawFrame(f, frame{Type: frameHello, Proto: ProtoVersion}))
 	f.Add(result)
 	f.Add(rawFrame(f, frame{Type: frameJob, ID: 1, Spec: []byte(`{"kind":"legit"}`)}))
+	f.Add(rawFrame(f, frame{Type: frameJob, ID: 2, Spec: []byte(`{"kind":"legit"}`), Snapshot: []byte(`{"Version":4}`)}))
 	f.Add(rawFrame(f, frame{Type: frameCancel, ID: 1}))
 
 	malformed := map[string][]byte{
@@ -74,6 +75,13 @@ func FuzzFrameRecv(f *testing.F) {
 		"payload on cancel":       headed(`{"type":"cancel","id":1}`, `{"kind":"legit"}`),
 		"payload on shutdown":     headed(`{"type":"shutdown"}`, "\x00"),
 		"payload on unknown type": headed(`{"type":"gossip"}`, "x"),
+		// Seeds for protocol 4's snapshot section.
+		"negative snapshot_len":     headed(`{"type":"job","id":1,"snapshot_len":-1}`, `{"kind":"legit"}`),
+		"snapshot_len past payload": headed(`{"type":"job","id":1,"snapshot_len":17}`, `{"kind":"legit"}`),
+		"snapshot_len, no payload":  headed(`{"type":"job","id":1,"snapshot_len":1}`, ""),
+		"huge snapshot_len":         headed(`{"type":"job","id":1,"snapshot_len":4294967296}`, `{"kind":"legit"}`),
+		"snapshot on result":        headed(`{"type":"result","id":1,"snapshot_len":1}`, "xy"),
+		"snapshot on cancel":        headed(`{"type":"cancel","id":1,"snapshot_len":1}`, "x"),
 	}
 	for name, in := range malformed {
 		var before, after runtime.MemStats
@@ -98,7 +106,7 @@ func FuzzFrameRecv(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-sent %q frame not accepted: %v", fr.Type, err)
 		}
-		if !bytes.Equal(again.Spec, fr.Spec) || !bytes.Equal(again.Outcome, fr.Outcome) {
+		if !bytes.Equal(again.Spec, fr.Spec) || !bytes.Equal(again.Snapshot, fr.Snapshot) || !bytes.Equal(again.Outcome, fr.Outcome) {
 			t.Fatalf("re-sent %q frame changed its payload", fr.Type)
 		}
 		if fr.Type != frameResult {

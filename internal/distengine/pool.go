@@ -223,15 +223,18 @@ func (p *Pool) release(s *shard) {
 // cancel grace) for the ack before the shard is reused — a worker that
 // ignores the cancel is killed as wedged. These crash retries are
 // transport-level failover and are invisible to engine.Options.Retries,
-// which stays the per-job *attempt* budget.
+// which stays the per-job *attempt* budget. The spec's snapshot crosses
+// as the job frame's snapshot section, not inside the spec JSON.
 func (p *Pool) Submit(ctx context.Context, spec jobspec.Spec) (*jobspec.Result, error) {
-	specJSON, err := json.Marshal(spec)
-	if err != nil {
+	job := frame{Type: frameJob, Snapshot: spec.Snapshot}
+	spec.Snapshot = nil
+	var err error
+	if job.Spec, err = json.Marshal(spec); err != nil {
 		return nil, fmt.Errorf("distengine: encode spec: %w", err)
 	}
 	var lastShard int
 	for attempt := 0; ; attempt++ {
-		res, err, crashed := p.trySubmit(ctx, spec.Kind, specJSON, &lastShard)
+		res, err, crashed := p.trySubmit(ctx, spec.Kind, job, &lastShard)
 		if !crashed {
 			return res, err
 		}
@@ -241,10 +244,10 @@ func (p *Pool) Submit(ctx context.Context, spec jobspec.Spec) (*jobspec.Result, 
 	}
 }
 
-// trySubmit runs the spec (of the given kind) on one leased shard.
-// crashed=true means the shard died mid-job and the caller may fail
-// over; any other failure is final for this attempt.
-func (p *Pool) trySubmit(ctx context.Context, kind string, specJSON []byte, lastShard *int) (_ *jobspec.Result, _ error, crashed bool) {
+// trySubmit runs the job frame (a spec of the given kind) on one leased
+// shard. crashed=true means the shard died mid-job and the caller may
+// fail over; any other failure is final for this attempt.
+func (p *Pool) trySubmit(ctx context.Context, kind string, job frame, lastShard *int) (_ *jobspec.Result, _ error, crashed bool) {
 	s, err := p.acquire(ctx)
 	if err != nil {
 		return nil, err, false
@@ -252,6 +255,7 @@ func (p *Pool) trySubmit(ctx context.Context, kind string, specJSON []byte, last
 	*lastShard = s.idx
 
 	id := p.nextID.Add(1)
+	job.ID = id
 	ch := make(chan frame, 1)
 	s.mu.Lock()
 	s.pending[id] = ch
@@ -262,7 +266,7 @@ func (p *Pool) trySubmit(ctx context.Context, kind string, specJSON []byte, last
 		s.mu.Unlock()
 	}
 
-	if err := s.conn.send(frame{Type: frameJob, ID: id, Spec: specJSON}); err != nil {
+	if err := s.conn.send(job); err != nil {
 		unregister()
 		p.retire(s)
 		return nil, err, true
@@ -303,7 +307,7 @@ func (p *Pool) trySubmit(ctx context.Context, kind string, specJSON []byte, last
 
 // decodeResultFrame maps a worker's result frame back into the engine's
 // error vocabulary and — for successes — decodes the outcome as the
-// spec kind's type and re-verifies its canonical digest against the
+// spec kind's type and checks the payload's digest against the
 // worker's.
 func decodeResultFrame(ctx context.Context, kind string, f frame) (*jobspec.Result, error, bool) {
 	switch f.ErrKind {

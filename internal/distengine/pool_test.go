@@ -485,6 +485,47 @@ func TestHandshakeRejectsV2Hello(t *testing.T) {
 	}
 }
 
+// TestHandshakeRejectsV3Hello: a worker built for protocol 3, whose
+// frames have protocol 4's layout but carry the spec's snapshot inside
+// the spec JSON, is refused at the handshake by its version.
+func TestHandshakeRejectsV3Hello(t *testing.T) {
+	cside, wside := net.Pipe()
+	defer cside.Close()
+	go func() { _, _ = wside.Write(headed(`{"type":"hello","proto":3}`, "")) }()
+	err := handshakeTimeout(newStreamConn(cside, cside, cside), 10*time.Second)
+	if err == nil || !strings.Contains(err.Error(), "protocol 3") {
+		t.Fatalf("err = %v, want a refusal of the v3 hello", err)
+	}
+}
+
+// TestSubmitSendsSnapshotSection: Submit sends a snapshot-carrying spec
+// as spec JSON without the snapshot plus the snapshot bytes as the job
+// frame's own section, unchanged.
+func TestSubmitSendsSnapshotSection(t *testing.T) {
+	snap := []byte("\x00snapshot bytes\xff")
+	p := scriptedPool(t, 0, func(f frame, reply func(frame)) {
+		if ackCancel(f, reply) || f.Type != frameJob {
+			return
+		}
+		if !bytes.Equal(f.Snapshot, snap) {
+			t.Errorf("snapshot section = %q, want %q", f.Snapshot, snap)
+		}
+		if bytes.Contains(f.Spec, []byte(`"snapshot"`)) {
+			t.Errorf("spec JSON still carries the snapshot: %s", f.Spec)
+		}
+		reply(okReply(t, specIndex(t, f)))
+	})
+	spec := markedSpec(5)
+	spec.Snapshot = snap
+	res, err := p.Submit(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Outcome.KeyDead != 5 {
+		t.Errorf("result echoes job %d, want 5", res.Outcome.KeyDead)
+	}
+}
+
 // TestHandshakeRejectsNonHello: anything but a hello first is refused.
 func TestHandshakeRejectsNonHello(t *testing.T) {
 	cside, wside := net.Pipe()
@@ -508,6 +549,8 @@ func TestStreamConnRoundTrip(t *testing.T) {
 	for _, sent := range []frame{
 		{Type: frameResult, ID: 42, Outcome: raw, Digest: "abc", ElapsedSec: 1.5},
 		{Type: frameJob, ID: 43, Spec: raw},
+		{Type: frameJob, ID: 44, Spec: raw, Snapshot: raw[3:]},
+		{Type: frameJob, ID: 45, Snapshot: raw},
 	} {
 		pr, pw := io.Pipe()
 		a := newStreamConn(nil, pw, nil)
@@ -522,15 +565,16 @@ func TestStreamConnRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got.Type != sent.Type || got.ID != sent.ID || !bytes.Equal(got.Outcome, sent.Outcome) ||
-			!bytes.Equal(got.Spec, sent.Spec) || got.Digest != sent.Digest || got.ElapsedSec != sent.ElapsedSec {
+			!bytes.Equal(got.Spec, sent.Spec) || !bytes.Equal(got.Snapshot, sent.Snapshot) ||
+			got.Digest != sent.Digest || got.ElapsedSec != sent.ElapsedSec {
 			t.Errorf("round trip mangled the frame: %+v != %+v", got, sent)
 		}
 	}
 }
 
 // TestSendRejectsMisplacedPayload: only a job frame carries a spec and
-// only a result frame an outcome; send refuses anything else before a
-// byte reaches the wire.
+// a snapshot and only a result frame an outcome; send refuses anything
+// else before a byte reaches the wire.
 func TestSendRejectsMisplacedPayload(t *testing.T) {
 	for _, f := range []frame{
 		{Type: frameHello, Proto: ProtoVersion, Spec: []byte("x")},
@@ -538,6 +582,8 @@ func TestSendRejectsMisplacedPayload(t *testing.T) {
 		{Type: frameShutdown, Spec: []byte("x")},
 		{Type: frameJob, ID: 1, Outcome: []byte("x")},
 		{Type: frameResult, ID: 1, Spec: []byte("x")},
+		{Type: frameResult, ID: 1, Snapshot: []byte("x")},
+		{Type: frameHello, Proto: ProtoVersion, Snapshot: []byte("x")},
 	} {
 		var buf bytes.Buffer
 		if err := newStreamConn(nil, &buf, nil).send(f); err == nil || buf.Len() != 0 {
@@ -556,8 +602,9 @@ func TestStreamConnOversizeFrame(t *testing.T) {
 	}
 }
 
-// TestServeAnswersBadSpec: a job frame carrying undecodable spec JSON
-// gets an error result, not a dead worker.
+// TestServeAnswersBadSpec: a job frame carrying undecodable spec JSON,
+// or spec JSON that carries the snapshot the frame's snapshot section
+// is for, gets an error result, not a dead worker.
 func TestServeAnswersBadSpec(t *testing.T) {
 	cside, wside := net.Pipe()
 	sctx, scancel := context.WithCancel(context.Background())
@@ -568,15 +615,17 @@ func TestServeAnswersBadSpec(t *testing.T) {
 	if err := handshake(coord); err != nil {
 		t.Fatal(err)
 	}
-	if err := coord.send(frame{Type: frameJob, ID: 9, Spec: []byte(`{"kind": [42]}`)}); err != nil {
-		t.Fatal(err)
-	}
-	res, err := coord.recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Type != frameResult || res.ID != 9 || res.ErrKind != errKindError {
-		t.Fatalf("bad spec answered with %+v, want an error result for job 9", res)
+	for id, spec := range map[int64]string{9: `{"kind": [42]}`, 10: `{"kind":"legit","snapshot":"AA=="}`} {
+		if err := coord.send(frame{Type: frameJob, ID: id, Spec: []byte(spec)}); err != nil {
+			t.Fatal(err)
+		}
+		res, err := coord.recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Type != frameResult || res.ID != id || res.ErrKind != errKindError {
+			t.Fatalf("bad spec %s answered with %+v, want an error result for job %d", spec, res, id)
+		}
 	}
 }
 

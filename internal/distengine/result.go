@@ -20,11 +20,16 @@ func encodeResult(r *jobspec.Result) (payload []byte, dg string, err error) {
 }
 
 // decodeResult decodes a wire payload as the outcome type of the spec
-// kind the coordinator sent, then re-digests the decoded value and
-// compares it with the digest the worker computed before encoding. A
-// mismatch means the transport or the decoder changed the outcome — the
-// whole point of the byte-identity fence — so it fails the job loudly
-// instead of letting results shift silently.
+// kind the coordinator sent and checks it against the digest the worker
+// computed before encoding. A mismatch means the transport changed the
+// outcome — the whole point of the byte-identity fence — so it fails the
+// job loudly instead of letting results shift silently.
+//
+// Hashing the payload is the whole fence, with no second re-encode:
+// digest.Decode accepts only input that its decoded value re-encodes to
+// byte for byte. So for every accepted result the canonical bytes of the
+// decoded outcome are computed once, equal the payload, and hash to the
+// worker's digest.
 func decodeResult(kind string, payload []byte, wantDigest string) (*jobspec.Result, error) {
 	r := &jobspec.Result{}
 	var target any
@@ -38,12 +43,8 @@ func decodeResult(kind string, payload []byte, wantDigest string) (*jobspec.Resu
 	if err := digest.Decode(payload, target); err != nil {
 		return nil, fmt.Errorf("distengine: decode result: %w", err)
 	}
-	got, err := r.Digest()
-	if err != nil {
-		return nil, fmt.Errorf("distengine: digest decoded result: %w", err)
-	}
-	if got != wantDigest {
-		return nil, fmt.Errorf("distengine: wire integrity: decoded outcome digest %s != worker digest %s", got, wantDigest)
+	if got := digest.Hash(payload); got != wantDigest {
+		return nil, fmt.Errorf("distengine: wire integrity: payload digest %s != worker digest %s", got, wantDigest)
 	}
 	return r, nil
 }

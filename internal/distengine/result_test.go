@@ -1,9 +1,14 @@
 package distengine
 
 import (
+	"bytes"
 	"context"
+	"errors"
+	"strings"
 	"testing"
 
+	"github.com/reprolab/wrsn-csa/internal/campaign"
+	"github.com/reprolab/wrsn-csa/internal/digest"
 	"github.com/reprolab/wrsn-csa/internal/jobspec"
 )
 
@@ -68,4 +73,45 @@ func TestResultWireRoundTrip(t *testing.T) {
 			t.Errorf("exec-pool digest %s != library digest %s", d, want)
 		}
 	})
+}
+
+// TestResultFenceRejectsTamperedFloat: the coordinator checks a result
+// by decoding it, which accepts only canonical bytes, and hashing the
+// payload against the worker's digest. A float with one digit changed
+// is still canonical, so the hash must catch it as a wire-integrity
+// failure; a float respelled with a trailing zero is not canonical, so
+// the decoder must refuse it at that token.
+func TestResultFenceRejectsTamperedFloat(t *testing.T) {
+	res, err := jobspec.Run(context.Background(), jobspec.Default(11, 200), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Outcome.EnergySpentJ = 1234.5
+	payload, dg, err := encodeResult(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const key = `"EnergySpentJ":`
+	at := bytes.Index(payload, []byte(key+"1234.5,"))
+	if at < 0 {
+		t.Fatalf("payload has no %s1234.5", key)
+	}
+	tok := at + len(key)
+	tamper := func(from, to string) []byte {
+		return append(append(bytes.Clone(payload[:tok]), to...), payload[tok+len(from):]...)
+	}
+
+	digit := tamper("1234.5", "1234.6")
+	if err := digest.Decode(digit, new(campaign.Outcome)); err != nil {
+		t.Fatalf("a changed digit should stay canonical: %v", err)
+	}
+	if _, err := decodeResult(jobspec.KindLegit, digit, dg); err == nil || !strings.Contains(err.Error(), "wire integrity") {
+		t.Errorf("changed digit: err = %v, want a wire-integrity failure", err)
+	}
+
+	_, err = decodeResult(jobspec.KindLegit, tamper("1234.5", "1234.50"), dg)
+	var de *digest.DecodeError
+	if !errors.As(err, &de) || de.Offset != tok {
+		t.Errorf("respelled float: err = %v, want a *digest.DecodeError at offset %d", err, tok)
+	}
 }

@@ -22,11 +22,20 @@
 // silently shifting results.
 //
 // A frame is a small JSON header followed by a raw payload: the job's
-// spec bytes or the result's canonical outcome bytes. The header stays
-// JSON so the wire is still inspectable with a hex dump. The payloads
-// are nearly all of a frame's bytes and are already encoded, so they
-// cross as they are: inside a JSON body the outcome would travel as
-// base64, a third larger, and the spec would be re-scanned on both ends.
+// spec bytes and its snapshot bytes, or the result's canonical outcome
+// bytes. The header stays JSON so the wire is still inspectable with a
+// hex dump. The payloads are nearly all of a frame's bytes and are
+// already encoded, so they cross as they are: inside a JSON body the
+// outcome would travel as base64, a third larger, and the spec would be
+// re-scanned on both ends. A spec's barrier snapshot is most of the
+// spec, so it crosses as a section of its own after the spec JSON
+// rather than as base64 inside it, and the worker's spec decode scans
+// only the knobs.
+//
+// The fence costs one codec pass per result: digest.Decode re-encodes
+// the decoded outcome once and accepts only the identical bytes, so the
+// coordinator checks integrity by hashing the payload it received
+// against the worker's digest, without encoding the outcome again.
 package distengine
 
 import (
@@ -40,9 +49,11 @@ import (
 )
 
 // ProtoVersion is the wire protocol version exchanged in the hello
-// handshake; coordinator and worker must agree exactly. Version 3 sends
-// the spec and the outcome as raw payload bytes after a JSON header.
-const ProtoVersion = 3
+// handshake; coordinator and worker must agree exactly. Version 3 sent
+// the spec and the outcome as raw payload bytes after a JSON header;
+// version 4 moves the spec's snapshot out of the spec JSON into a
+// payload section of its own.
+const ProtoVersion = 4
 
 // maxFrame bounds one frame's encoded size (header length field, header
 // and payload).
@@ -55,7 +66,7 @@ const maxFrame = 256 << 20
 const (
 	// frameHello is the worker's first message: its protocol version.
 	frameHello = "hello"
-	// frameJob carries one job (id + spec) coordinator→worker.
+	// frameJob carries one job (id, spec and snapshot) coordinator→worker.
 	frameJob = "job"
 	// frameCancel asks the worker to abandon the identified job; the
 	// worker still answers it with a result frame (kind "canceled").
@@ -82,9 +93,11 @@ const (
 //
 //	[4-byte length N][4-byte header length H][H bytes of header JSON][N-4-H payload bytes]
 //
-// both lengths big-endian. The header holds every field but Spec and
-// Outcome, which are the payload: only job frames (Spec) and result
-// frames (Outcome) carry one, and the payload bytes cross unchanged. The
+// both lengths big-endian. The header holds every field but Spec,
+// Snapshot and Outcome, which are the payload: only job frames (Spec,
+// then Snapshot) and result frames (Outcome) carry one, and the payload
+// bytes cross unchanged. A job frame's payload has two sections: the
+// spec JSON, then the last SnapshotLen bytes, the spec's snapshot. The
 // outcome is the canonical JSON of internal/digest (see result.go),
 // which carries the non-finite floats encoding/json refuses.
 type frame struct {
@@ -95,13 +108,19 @@ type frame struct {
 	// per coordinator, so a late result can never be mistaken for the
 	// answer to a different job.
 	ID int64 `json:"id,omitempty"`
-	// Spec is the encoded jobspec.Spec (job frames' payload).
+	// Spec is the encoded jobspec.Spec with its Snapshot cleared (job
+	// frames' first payload section).
 	Spec []byte `json:"-"`
+	// Snapshot is the spec's encoded snapshot (job frames' second payload
+	// section), and SnapshotLen its length on the wire, which send fills
+	// in.
+	Snapshot    []byte `json:"-"`
+	SnapshotLen int    `json:"snapshot_len,omitempty"`
 	// Outcome is the result's canonical JSON (result frames' payload): a
 	// campaign.FleetOutcome for fleet specs, a campaign.Outcome otherwise.
 	Outcome []byte `json:"-"`
-	// Digest is the SHA-256 of Outcome; the coordinator re-digests the
-	// decoded outcome and compares.
+	// Digest is the SHA-256 of Outcome; the coordinator hashes the
+	// payload it decoded and compares.
 	Digest string `json:"digest,omitempty"`
 	// ElapsedSec is the worker-side wall clock of the job.
 	ElapsedSec float64 `json:"elapsed_sec,omitempty"`
@@ -111,26 +130,34 @@ type frame struct {
 	Stack   string `json:"stack,omitempty"`
 }
 
-// payload returns the bytes f carries after its header: the spec of a
-// job frame, the outcome of a result frame, none for the other types.
-func (f *frame) payload() ([]byte, error) {
+// payload returns the sections f carries after its header, in wire
+// order: the spec and the snapshot of a job frame, the outcome of a
+// result frame, none for the other types.
+func (f *frame) payload() ([][]byte, error) {
 	switch {
 	case f.Type == frameJob && len(f.Outcome) == 0:
-		return f.Spec, nil
-	case f.Type == frameResult && len(f.Spec) == 0:
-		return f.Outcome, nil
-	case len(f.Spec) == 0 && len(f.Outcome) == 0:
+		return [][]byte{f.Spec, f.Snapshot}, nil
+	case f.Type == frameResult && len(f.Spec)+len(f.Snapshot) == 0:
+		return [][]byte{f.Outcome}, nil
+	case len(f.Spec)+len(f.Snapshot)+len(f.Outcome) == 0:
 		return nil, nil
 	}
-	return nil, fmt.Errorf("distengine: send %s frame: only a job frame carries a spec and only a result frame an outcome", f.Type)
+	return nil, fmt.Errorf("distengine: send %s frame: only a job frame carries a spec and a snapshot and only a result frame an outcome", f.Type)
 }
 
-// setPayload stores a received payload in the field f's type carries.
+// setPayload splits a received payload into the sections f's type
+// carries. The header's snapshot_len must fit the payload and may be
+// nonzero only on a job frame.
 func (f *frame) setPayload(p []byte) error {
 	switch {
+	case f.SnapshotLen != 0 && f.Type != frameJob:
+		return fmt.Errorf("distengine: recv: %q frame carries a snapshot section", f.Type)
+	case f.SnapshotLen < 0 || f.SnapshotLen > len(p):
+		return fmt.Errorf("distengine: recv: snapshot_len %d does not fit a %d-byte payload", f.SnapshotLen, len(p))
 	case len(p) == 0:
 	case f.Type == frameJob:
-		f.Spec = p
+		cut := len(p) - f.SnapshotLen
+		f.Spec, f.Snapshot = p[:cut], p[cut:]
 	case f.Type == frameResult:
 		f.Outcome = p
 	default:
@@ -160,15 +187,19 @@ func newStreamConn(r io.Reader, w io.Writer, closer io.Closer) *streamConn {
 }
 
 func (c *streamConn) send(f frame) error {
-	payload, err := f.payload()
+	sections, err := f.payload()
 	if err != nil {
 		return err
 	}
+	f.SnapshotLen = len(f.Snapshot)
 	hdr, err := json.Marshal(f)
 	if err != nil {
 		return fmt.Errorf("distengine: encode %s frame: %w", f.Type, err)
 	}
-	n := 4 + len(hdr) + len(payload)
+	n := 4 + len(hdr)
+	for _, s := range sections {
+		n += len(s)
+	}
 	if n > maxFrame {
 		return fmt.Errorf("distengine: send %s frame: length %d exceeds %d", f.Type, n, maxFrame)
 	}
@@ -176,11 +207,13 @@ func (c *streamConn) send(f frame) error {
 	binary.BigEndian.PutUint32(head, uint32(n))
 	binary.BigEndian.PutUint32(head[4:], uint32(len(hdr)))
 	// The payload is written as it is, never copied into a frame buffer;
-	// over TCP the two pieces go out in one writev. An empty payload is
-	// left out: net.Pipe blocks a zero-byte write until the peer reads.
+	// over TCP the pieces go out in one writev. An empty section is left
+	// out: net.Pipe blocks a zero-byte write until the peer reads.
 	bufs := net.Buffers{append(head, hdr...)}
-	if len(payload) > 0 {
-		bufs = append(bufs, payload)
+	for _, s := range sections {
+		if len(s) > 0 {
+			bufs = append(bufs, s)
+		}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -66,7 +66,7 @@ func Serve(ctx context.Context, conn *streamConn, probe obs.Probe) error {
 		}
 		switch f.Type {
 		case frameJob:
-			spec, derr := jobspec.Decode(f.Spec)
+			spec, derr := jobSpec(f)
 			if derr != nil {
 				if serr := conn.send(frame{
 					Type: frameResult, ID: f.ID,
@@ -112,6 +112,21 @@ func Serve(ctx context.Context, conn *streamConn, probe obs.Probe) error {
 			return fmt.Errorf("distengine: worker: unexpected %q frame", f.Type)
 		}
 	}
+}
+
+// jobSpec decodes a job frame's spec and attaches the frame's snapshot
+// section. A spec JSON that carries a snapshot itself is refused: the
+// snapshot crosses in one place, the section.
+func jobSpec(f frame) (jobspec.Spec, error) {
+	spec, err := jobspec.Decode(f.Spec)
+	if err != nil {
+		return jobspec.Spec{}, err
+	}
+	if spec.Snapshot != nil {
+		return jobspec.Spec{}, errors.New("distengine: job spec JSON carries a snapshot; protocol 4 sends it as the frame's snapshot section")
+	}
+	spec.Snapshot = f.Snapshot
+	return spec, nil
 }
 
 // runWorkerJob executes one spec and renders the answer frame. A panic

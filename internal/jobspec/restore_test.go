@@ -182,3 +182,59 @@ func TestResumeRejectsInvalidWorldState(t *testing.T) {
 		}
 	}
 }
+
+// TestResumeRejectsInvalidLedgerOrPrev resumes live checkpoints edited in
+// one restored field: a NaN or infinite float of the ledger, nested
+// records included, a negative ledger count, or a drive-loop Prev that
+// is neither OK nor Stopped. Without the checks each resumes without
+// error and reports the value (a NaN WaitSum ends as a NaN MeanWaitSec,
+// Served −5 as five served requests fewer) or branches on a Prev no run
+// produces, so each must fail at the restore boundary with an error
+// naming the field. The unedited checkpoints, whose FirstDeath is the
+// legitimate +Inf of a run with no death yet, still resume.
+func TestResumeRejectsInvalidLedgerOrPrev(t *testing.T) {
+	legit := Default(42, 120)
+	fleet := Default(42, 120)
+	fleet.Kind, fleet.Chargers = KindFleet, 2
+	snaps := map[*Spec]*snapshot.Snapshot{&legit: checkpointAt(t, legit, 300), &fleet: checkpointAt(t, fleet, 50)}
+	if fd := snaps[&legit].Campaign().Ledger.FirstDeath; !math.IsInf(fd, 1) {
+		t.Fatalf("legit checkpoint FirstDeath = %v, want +Inf so the exemption is exercised", fd)
+	}
+	nan := math.NaN()
+	cases := []struct {
+		name  string
+		spec  *Spec
+		field string
+		edit  func(cs *snapshot.CampaignState)
+	}{
+		{"WaitSum NaN", &legit, "WaitSum", func(cs *snapshot.CampaignState) { cs.Ledger.WaitSum = nan }},
+		{"FirstDeath NaN", &legit, "FirstDeath", func(cs *snapshot.CampaignState) { cs.Ledger.FirstDeath = nan }},
+		{"FirstDeath -Inf", &legit, "FirstDeath", func(cs *snapshot.CampaignState) { cs.Ledger.FirstDeath = math.Inf(-1) }},
+		{"CaughtAt +Inf", &legit, "CaughtAt", func(cs *snapshot.CampaignState) { cs.Ledger.CaughtAt = math.Inf(1) }},
+		{"Served negative", &legit, "Served", func(cs *snapshot.CampaignState) { cs.Ledger.Served = -5 }},
+		{"session DeliveredJ NaN", &legit, "Sessions[0].DeliveredJ", func(cs *snapshot.CampaignState) { cs.Ledger.Sessions[0].DeliveredJ = nan }},
+		{"Prev 7", &legit, "Prev", func(cs *snapshot.CampaignState) { cs.Policy.Prev = 7 }},
+		{"fleet Issued negative", &fleet, "Issued", func(cs *snapshot.CampaignState) { cs.Ledger.Issued = -1 }},
+		{"fleet SinkDownSec -Inf", &fleet, "Faults.SinkDownSec", func(cs *snapshot.CampaignState) { cs.Ledger.Faults.SinkDownSec = math.Inf(-1) }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			bad := *c.spec
+			bad.ResumeFrom = reencode(t, snaps[c.spec], c.edit)
+			_, err := Run(context.Background(), bad, nil)
+			if err == nil {
+				t.Fatal("resume succeeded")
+			}
+			if !strings.Contains(err.Error(), c.field) {
+				t.Fatalf("error %q does not name %s", err, c.field)
+			}
+		})
+	}
+	for spec, snap := range snaps {
+		ok := *spec
+		ok.ResumeFrom = reencode(t, snap, func(*snapshot.CampaignState) {})
+		if _, err := Run(context.Background(), ok, nil); err != nil {
+			t.Errorf("unedited %s checkpoint: %v", spec.Kind, err)
+		}
+	}
+}

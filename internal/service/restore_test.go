@@ -142,6 +142,23 @@ func TestNaNChargerSnapshotFailsJobNotDaemon(t *testing.T) {
 func TestNaNWorldCheckpointFailsJobNotDaemon(t *testing.T) {
 	spec := jobspec.Default(42, 120)
 	spec.Faults = &faults.Spec{Seed: 7, HorizonSec: 14 * 24 * 3600, ChargerBreakdowns: 2}
+	editedCheckpointFailsJobNotDaemon(t, spec, "ChDownTotal", func(cs *snapshot.CampaignState) { cs.World.ChDownTotal = math.NaN() })
+}
+
+// TestNaNLedgerCheckpointFailsJobNotDaemon submits a live checkpoint
+// whose ledger holds a "NaN" queueing-delay sum. The job must fail when
+// the ledger is restored, naming WaitSum, instead of reporting a NaN
+// mean wait, and the daemon must go on to run the next job.
+func TestNaNLedgerCheckpointFailsJobNotDaemon(t *testing.T) {
+	editedCheckpointFailsJobNotDaemon(t, jobspec.Default(42, 120), "WaitSum", func(cs *snapshot.CampaignState) { cs.Ledger.WaitSum = math.NaN() })
+}
+
+// editedCheckpointFailsJobNotDaemon stops spec at its 50th barrier,
+// applies edit to the checkpoint's campaign state and submits it as
+// resume_from, then a quick job. The first must fail with kind
+// "campaign" and a message naming field; the second must complete.
+func editedCheckpointFailsJobNotDaemon(t *testing.T, spec jobspec.Spec, field string, edit func(*snapshot.CampaignState)) {
+	t.Helper()
 	var ckpt *snapshot.Snapshot
 	barriers := 0
 	_, err := jobspec.RunOpts(context.Background(), spec, jobspec.RunOptions{Checkpoint: &campaign.CheckpointPlan{
@@ -160,7 +177,7 @@ func TestNaNWorldCheckpointFailsJobNotDaemon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad.Campaign().World.ChDownTotal = math.NaN()
+	edit(bad.Campaign())
 	if spec.ResumeFrom, err = bad.Encode(); err != nil {
 		t.Fatal(err)
 	}
@@ -180,8 +197,8 @@ func TestNaNWorldCheckpointFailsJobNotDaemon(t *testing.T) {
 		}
 		switch {
 		case i == 0 && (got.State != StateFailed || got.Error == nil || got.Error.Kind != "campaign" ||
-			!strings.Contains(got.Error.Message, "ChDownTotal")):
-			t.Fatalf("job with a NaN-ChDownTotal world = %s / %+v, want failed/campaign naming ChDownTotal", got.State, got.Error)
+			!strings.Contains(got.Error.Message, field)):
+			t.Fatalf("job with an edited %s = %s / %+v, want failed/campaign naming %s", field, got.State, got.Error, field)
 		case i == 1 && got.State != StateDone:
 			t.Fatalf("job after the corrupt one = %s / %+v, want done", got.State, got.Error)
 		}
