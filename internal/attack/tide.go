@@ -323,10 +323,3 @@ func (in *Instance) probeEnergy(ord []int) (float64, bool) {
 	}
 	return energy, true
 }
-
-// Feasible reports whether the route is valid (windows, budget, and all
-// mandatory sites).
-func (in *Instance) Feasible(ord []int) bool {
-	_, err := in.Evaluate(ord, true)
-	return err == nil
-}

@@ -114,9 +114,6 @@ func TestEvaluateMandatoryCheck(t *testing.T) {
 	if p.SpoofCount != 1 {
 		t.Errorf("spoof count = %d", p.SpoofCount)
 	}
-	if !in.Feasible([]int{0, 1}) || in.Feasible([]int{1}) {
-		t.Error("Feasible disagrees with Evaluate")
-	}
 }
 
 func TestPerSitePower(t *testing.T) {

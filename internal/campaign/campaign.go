@@ -321,8 +321,6 @@ func newEnv(w *world.W, led *ledger.L, ch *mc.Charger, r *rng.Stream, cfg Config
 		Scheduler: sched,
 		Rand:      r,
 		Probe:     cfg.Probe,
-		Targets:   make(map[wrsn.NodeID]bool),
-		Blocked:   make(map[wrsn.NodeID]bool),
 	}
 }
 

@@ -134,7 +134,7 @@ func armCheckpoints(plan *CheckpointPlan, env *policy.Env, pol policy.Policy, ke
 	last := time.Now()
 	env.Checkpoint = func(b policy.Barrier) error {
 		return plan.offer(&last, func() (*snapshot.Snapshot, error) {
-			ps, err := policy.CaptureState(pol, env, b)
+			ps, err := policy.CaptureState(pol, b)
 			if err != nil {
 				return nil, err
 			}
@@ -199,7 +199,7 @@ func Resume(ctx context.Context, snap *snapshot.Snapshot, cfg Config) (*Outcome,
 		return nil, err
 	}
 	env := newEnv(w, &led, ch, rng.FromState(cs.Rand), cfg, sched)
-	pol, b, err := policy.FromState(cs.Policy, env)
+	pol, b, err := policy.FromState(cs.Policy, nw)
 	if err != nil {
 		return nil, err
 	}

@@ -14,6 +14,7 @@ package policy
 
 import (
 	"math"
+	"slices"
 
 	"github.com/reprolab/wrsn-csa/internal/attack"
 	"github.com/reprolab/wrsn-csa/internal/charging"
@@ -30,32 +31,21 @@ const appeaseMarginSec = 3 * 3600
 // postpone the victim's death.
 const appeaseFraction = 0.15
 
-type phase int
-
+// Attacker phases, as State.Phase records them.
 const (
-	phTargets phase = iota // window-aware adaptive target execution
-	phStatic               // window-unaware literal schedule execution
-	phCoverGuard
-	phCover
-	phWrap
-	phHonest
+	phTargets    = iota // window-aware adaptive target execution
+	phStatic            // window-unaware literal schedule execution
+	phCoverGuard        // plan handled: choose cover service or wrap-up
+	phCover             // on-demand cover service for the remaining horizon
+	phWrap              // check whether a live audit impounded the charger
+	phHonest            // the honest replacement serves everyone
 )
 
-// Attacker executes a TIDE plan produced by the named solver.
+// Attacker executes a TIDE plan produced by the named solver. It runs on
+// its checkpoint form: st is the State CaptureState copies.
 type Attacker struct {
-	solver      string
+	st          State
 	windowAware bool
-
-	in  *attack.Instance
-	res attack.Result
-
-	phase   phase
-	pending []attack.Site
-	engaged map[wrsn.NodeID]bool
-	idx     int // next schedule stop (window-unaware)
-	// honest flips when the impounded charger's replacement takes over:
-	// spoof-on-request stops and every request is served genuinely.
-	honest bool
 	// fill is the slot fillAction hands out.
 	fill Fill
 }
@@ -63,59 +53,81 @@ type Attacker struct {
 // NewAttacker returns the attack policy for the named solver; whether it
 // tracks windows live follows from the solver family.
 func NewAttacker(solver string) *Attacker {
-	p := &Attacker{solver: solver, windowAware: WindowAware(solver)}
+	p := &Attacker{st: State{Policy: solver, Phase: phStatic}, windowAware: windowAware(solver)}
 	if p.windowAware {
-		p.phase = phTargets
-	} else {
-		p.phase = phStatic
+		p.st.Phase = phTargets
 	}
 	return p
 }
 
+// windowAware reports whether the solver's policy re-derives target
+// windows live during execution (CSA and Direct's skeleton do; the
+// baselines execute their schedule as planned).
+func windowAware(solver string) bool {
+	return solver == attack.SolverCSA || solver == attack.SolverCSAPolished || solver == attack.SolverDirect
+}
+
 // Name reports the solver driving this attacker.
-func (p *Attacker) Name() string { return p.solver }
+func (p *Attacker) Name() string { return p.st.Policy }
 
 // Planned returns the executed TIDE plan.
-func (p *Attacker) Planned() *attack.Result { return &p.res }
+func (p *Attacker) Planned() *attack.Result { return p.st.Result }
 
-// Bootstrap plans the TIDE instance and primes the phase machine.
+// Bootstrap builds the TIDE instance against the time-zero topology,
+// solves it with the attacker's planner, makes every mandatory site a
+// blocked target, primes the window-aware target list, and arms the
+// sink's live audit.
 func (p *Attacker) Bootstrap(e *Env) error {
-	in, res, err := BootstrapAttack(e, p.solver)
+	cfg := e.W.Params()
+	in, err := attack.BuildInstance(e.W.Network(), e.A.Ch, attack.BuilderConfig{
+		Now:         0,
+		RequestFrac: cfg.RequestFrac,
+		CooldownSec: cfg.CooldownSec,
+		HorizonSec:  cfg.HorizonSec,
+		MaxCovers:   cfg.MaxCovers,
+		BudgetJ:     cfg.InstanceBudgetJ,
+	})
 	if err != nil {
 		return err
 	}
-	p.in, p.res = in, res
-	if p.windowAware {
-		targets := make([]attack.Site, 0, len(res.Plan.Schedule))
-		for _, stop := range res.Plan.Schedule {
-			if site := in.Sites[stop.Site]; site.Mandatory {
-				targets = append(targets, site)
-			}
-		}
-		p.pending = append([]attack.Site(nil), targets...)
-		p.engaged = make(map[wrsn.NodeID]bool, len(targets))
-		for _, s := range targets {
-			p.engaged[s.Node] = true
+	res, err := attack.Solve(in, p.st.Policy, e.Rand.Split("solver"))
+	if err != nil {
+		return err
+	}
+	p.st.Instance, p.st.Result = in, &res
+	for _, s := range in.Sites {
+		if s.Mandatory {
+			p.st.Targets = insert(p.st.Targets, s.Node)
 		}
 	}
+	p.st.Blocked = slices.Clone(p.st.Targets)
+	if p.windowAware {
+		for _, stop := range res.Plan.Schedule {
+			if site := in.Sites[stop.Site]; site.Mandatory {
+				p.st.Pending = append(p.st.Pending, site)
+				p.st.Engaged = insert(p.st.Engaged, site.Node)
+			}
+		}
+	}
+	e.W.StartAuditing()
 	return nil
 }
 
-// OnRequest rejects blocked targets during the window-aware cover phase
-// (their kills are pending); everything else may be served. The
-// window-unaware attacker accepts target requests — OnArrival turns them
-// into spoofs.
-func (p *Attacker) OnRequest(e *Env, req charging.Request) bool {
-	if p.windowAware && !p.honest {
-		return !e.Blocked[req.Node]
+// OnRequest rejects blocked targets during the window-aware target and
+// cover phases (their kills are pending); everything else may be served.
+// The window-unaware attacker accepts target requests — OnArrival turns
+// them into spoofs.
+func (p *Attacker) OnRequest(_ *Env, req charging.Request) bool {
+	if p.windowAware && !p.st.Honest {
+		return !has(p.st.Blocked, req.Node)
 	}
 	return true
 }
 
 // OnArrival answers a window-unaware attacker's target re-requests with
 // yet another spoof; every other docking charges genuinely.
-func (p *Attacker) OnArrival(e *Env, id wrsn.NodeID) charging.SessionKind {
-	if !p.windowAware && !p.honest && e.Targets[id] {
+func (p *Attacker) OnArrival(_ *Env, id wrsn.NodeID) charging.SessionKind {
+	if !p.windowAware && !p.st.Honest && has(p.st.Targets, id) {
 		return charging.SessionSpoof
 	}
 	return charging.SessionFocus
@@ -123,7 +135,7 @@ func (p *Attacker) OnArrival(e *Env, id wrsn.NodeID) charging.SessionKind {
 
 // NextAction advances the phase machine.
 func (p *Attacker) NextAction(e *Env, prev Result) (Action, error) {
-	switch p.phase {
+	switch p.st.Phase {
 	case phTargets:
 		return p.targetsAction(e)
 	case phStatic:
@@ -133,14 +145,14 @@ func (p *Attacker) NextAction(e *Env, prev Result) (Action, error) {
 		// the remaining horizon — unless filling is ablated off or the
 		// charger is already impounded.
 		if !e.W.Params().NoFill && !caught(e) {
-			p.phase = phCover
+			p.st.Phase = phCover
 		} else {
-			p.phase = phWrap
+			p.st.Phase = phWrap
 		}
 		return Noop{}, nil
 	case phCover:
 		if prev == Stopped || e.W.Now() >= e.W.Params().HorizonSec || caught(e) {
-			p.phase = phWrap
+			p.st.Phase = phWrap
 			return Noop{}, nil
 		}
 		if act, ok := e.breakdownWait(); ok {
@@ -157,9 +169,9 @@ func (p *Attacker) NextAction(e *Env, prev Result) (Action, error) {
 			// honest replacement that serves everyone, including
 			// surviving targets.
 			e.W.StopAuditing()
-			p.honest = true
+			p.st.Honest = true
 			e.A.Ch.Reset()
-			p.phase = phHonest
+			p.st.Phase = phHonest
 			return Noop{}, nil
 		}
 		return Done{}, nil
@@ -187,8 +199,8 @@ func (p *Attacker) NextAction(e *Env, prev Result) (Action, error) {
 // or die early are dropped.
 func (p *Attacker) targetsAction(e *Env) (Action, error) {
 	cfg := e.W.Params()
-	if !(len(p.pending) > 0 || cfg.Progressive) || caught(e) {
-		p.phase = phCoverGuard
+	if !(len(p.st.Pending) > 0 || cfg.Progressive) || caught(e) {
+		p.st.Phase = phCoverGuard
 		return Noop{}, nil
 	}
 	// A broken-down charger can neither spoof nor cover: park until
@@ -199,9 +211,9 @@ func (p *Attacker) targetsAction(e *Env) (Action, error) {
 	if cfg.Progressive {
 		added := p.recruitEmergentTargets(e)
 		e.L.ExtraTargets += added
-		if len(p.pending) == 0 {
+		if len(p.st.Pending) == 0 {
 			if e.W.Now() >= cfg.HorizonSec {
-				p.phase = phCoverGuard
+				p.st.Phase = phCoverGuard
 				return Noop{}, nil
 			}
 			// Nothing to kill right now: serve covers and wait for the
@@ -212,9 +224,9 @@ func (p *Attacker) targetsAction(e *Env) (Action, error) {
 	bestIdx := -1
 	var bestDepart float64
 	bestAppease := false
-	alivePending := p.pending[:0]
+	alivePending := p.st.Pending[:0]
 	nw := e.W.Network()
-	for _, s := range p.pending {
+	for _, s := range p.st.Pending {
 		if !nw.Alive(s.Node) {
 			continue // died before we got to it; still exhausted
 		}
@@ -225,7 +237,7 @@ func (p *Attacker) targetsAction(e *Env) (Action, error) {
 		if math.IsInf(f.DeathAt, 1) {
 			// Drift saved it: no longer dies. Drop the target and let
 			// ordinary service have it again.
-			delete(e.Blocked, s.Node)
+			p.st.Blocked = remove(p.st.Blocked, s.Node)
 			continue
 		}
 		travel := e.A.Ch.TravelTime(e.A.Ch.ServicePoint(nw.Pos(s.Node)))
@@ -235,7 +247,7 @@ func (p *Attacker) targetsAction(e *Env) (Action, error) {
 			// request keeps the telemetry clean, whereas letting it die
 			// starved is exactly what the died-awaiting-charge detector
 			// looks for.
-			delete(e.Blocked, s.Node)
+			p.st.Blocked = remove(p.st.Blocked, s.Node)
 			continue
 		}
 		alivePending = append(alivePending, s)
@@ -261,10 +273,10 @@ func (p *Attacker) targetsAction(e *Env) (Action, error) {
 			bestIdx, bestDepart, bestAppease = len(alivePending)-1, depart, appease
 		}
 	}
-	p.pending = alivePending
+	p.st.Pending = alivePending
 	if bestIdx < 0 {
 		if !cfg.Progressive {
-			p.phase = phCoverGuard
+			p.st.Phase = phCoverGuard
 			return Noop{}, nil
 		}
 		// Progressive mode: no viable target right now; the next pass
@@ -274,17 +286,17 @@ func (p *Attacker) targetsAction(e *Env) (Action, error) {
 	if e.W.Now() < bestDepart {
 		// No window due yet: keep the cover going, but stay free to make
 		// the next departure.
-		return p.fillAction(Fill{Deadline: bestDepart, ReturnPos: p.pending[bestIdx].Pos, FallbackCap: bestDepart}), nil
+		return p.fillAction(Fill{Deadline: bestDepart, ReturnPos: p.st.Pending[bestIdx].Pos, FallbackCap: bestDepart}), nil
 	}
-	site := p.pending[bestIdx]
+	site := p.st.Pending[bestIdx]
 	if bestAppease {
 		// Token service: clears the pending request and restarts its
 		// cooldown; the victim's death slips a little, and the target
 		// stays on the list for its real (final) spoof.
 		return appeaseAction{site: site}, nil
 	}
-	p.pending = append(p.pending[:bestIdx], p.pending[bestIdx+1:]...)
-	return spoofAction{site: site}, nil
+	p.st.Pending = slices.Delete(p.st.Pending, bestIdx, bestIdx+1)
+	return spoofAction{site: site, pol: p}, nil
 }
 
 // fillAction returns f as an action held in the attacker's own slot:
@@ -302,8 +314,8 @@ func (p *Attacker) fillAction(f Fill) Action {
 // window-unaware attacker behaves, and it is what forecast drift and the
 // provenance/zero-gain detectors punish.
 func (p *Attacker) staticAction(e *Env, prev Result) (Action, error) {
-	if prev == Stopped || p.idx >= len(p.res.Plan.Schedule) || caught(e) {
-		p.phase = phCoverGuard
+	if prev == Stopped || p.st.Idx >= len(p.st.Result.Plan.Schedule) || caught(e) {
+		p.st.Phase = phCoverGuard
 		return Noop{}, nil
 	}
 	// Even the window-unaware attacker cannot execute a stop on a
@@ -311,9 +323,9 @@ func (p *Attacker) staticAction(e *Env, prev Result) (Action, error) {
 	if act, ok := e.breakdownWait(); ok {
 		return act, nil
 	}
-	stop := p.res.Plan.Schedule[p.idx]
-	p.idx++
-	return staticStop{site: p.in.Sites[stop.Site], begin: stop.Begin}, nil
+	stop := p.st.Result.Plan.Schedule[p.st.Idx]
+	p.st.Idx++
+	return staticStop{site: p.st.Instance.Sites[stop.Site], begin: stop.Begin}, nil
 }
 
 // recruitEmergentTargets (Progressive mode) recomputes the alive
@@ -324,7 +336,7 @@ func (p *Attacker) recruitEmergentTargets(e *Env) int {
 	added := 0
 	nw := e.W.Network()
 	for _, k := range nw.KeyNodes() {
-		if p.engaged[k.ID] || !nw.Alive(k.ID) {
+		if has(p.st.Engaged, k.ID) || !nw.Alive(k.ID) {
 			continue
 		}
 		pos := nw.Pos(k.ID)
@@ -332,11 +344,11 @@ func (p *Attacker) recruitEmergentTargets(e *Env) int {
 		if err != nil || rate <= 0 {
 			continue
 		}
-		p.engaged[k.ID] = true
-		e.Blocked[k.ID] = true
-		e.Targets[k.ID] = true
+		p.st.Engaged = insert(p.st.Engaged, k.ID)
+		p.st.Blocked = insert(p.st.Blocked, k.ID)
+		p.st.Targets = insert(p.st.Targets, k.ID)
 		e.Probe.Event(obs.Event{T: e.W.Now(), Kind: "target.recruited", Node: int(k.ID), Value: float64(k.Severed)})
-		p.pending = append(p.pending, attack.Site{
+		p.st.Pending = append(p.st.Pending, attack.Site{
 			Node:      k.ID,
 			Pos:       pos,
 			Dur:       nw.Capacity(k.ID) * (1 - e.W.Params().RequestFrac) / rate,
@@ -370,7 +382,10 @@ func (a appeaseAction) Exec(e *Env, _ Policy) (Result, error) {
 // spoofAction travels to the victim and runs the spoof session, waiting
 // for the victim's request first if forecast drift made the charger early
 // (an uninvited session is what the unsolicited-session detector catches).
-type spoofAction struct{ site attack.Site }
+type spoofAction struct {
+	site attack.Site
+	pol  *Attacker
+}
 
 // Exec runs the spoof; on any conclusive outcome the target unblocks so a
 // post-drift re-request gets a genuine charge instead of starving.
@@ -380,7 +395,7 @@ func (a spoofAction) Exec(e *Env, _ Policy) (Result, error) {
 	}
 	// Spoofed (or conclusively missed): if drift lets the victim
 	// re-request, serve it genuinely rather than leave evidence.
-	delete(e.Blocked, a.site.Node)
+	a.pol.st.Blocked = remove(a.pol.st.Blocked, a.site.Node)
 	return OK, nil
 }
 

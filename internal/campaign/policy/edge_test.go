@@ -9,6 +9,7 @@ package policy
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/reprolab/wrsn-csa/internal/attack"
@@ -59,8 +60,6 @@ func testEnv(t *testing.T, seed uint64, n int, chp mc.Params, wpMut func(*world.
 		Scheduler: charging.NJNP{},
 		Rand:      r,
 		Probe:     obs.Or(nil),
-		Targets:   make(map[wrsn.NodeID]bool),
-		Blocked:   make(map[wrsn.NodeID]bool),
 	}
 }
 
@@ -98,7 +97,7 @@ func TestAttackerCaughtMidCampaign(t *testing.T) {
 	if env.W.Auditing() {
 		t.Error("auditing still armed after the impoundment")
 	}
-	if !p.honest {
+	if !p.st.Honest {
 		t.Error("attacker never flipped to the honest replacement")
 	}
 	after := 0
@@ -130,14 +129,14 @@ func TestProgressiveRecruitsEmergentTargets(t *testing.T) {
 		t.Fatal("progressive attacker recruited no emergent targets")
 	}
 	planTargets := 0
-	for _, stop := range p.res.Plan.Schedule {
-		if p.in.Sites[stop.Site].Mandatory {
+	for _, stop := range p.st.Result.Plan.Schedule {
+		if p.st.Instance.Sites[stop.Site].Mandatory {
 			planTargets++
 		}
 	}
-	if len(p.engaged) != planTargets+env.L.ExtraTargets {
+	if len(p.st.Engaged) != planTargets+env.L.ExtraTargets {
 		t.Errorf("engaged %d targets, want plan-time %d + recruited %d",
-			len(p.engaged), planTargets, env.L.ExtraTargets)
+			len(p.st.Engaged), planTargets, env.L.ExtraTargets)
 	}
 }
 
@@ -172,10 +171,10 @@ func TestMissedWindowDropsTarget(t *testing.T) {
 	}
 
 	p := NewAttacker(attack.SolverCSA)
-	p.pending = []attack.Site{site}
-	p.engaged = map[wrsn.NodeID]bool{site.Node: true}
-	env.Targets[site.Node] = true
-	env.Blocked[site.Node] = true
+	p.st.Pending = []attack.Site{site}
+	p.st.Engaged = []wrsn.NodeID{site.Node}
+	p.st.Targets = []wrsn.NodeID{site.Node}
+	p.st.Blocked = []wrsn.NodeID{site.Node}
 
 	act, err := p.targetsAction(env)
 	if err != nil {
@@ -184,13 +183,13 @@ func TestMissedWindowDropsTarget(t *testing.T) {
 	if _, ok := act.(Noop); !ok {
 		t.Errorf("action = %T, want Noop", act)
 	}
-	if len(p.pending) != 0 {
-		t.Errorf("pending = %d targets, want the missed window dropped", len(p.pending))
+	if len(p.st.Pending) != 0 {
+		t.Errorf("pending = %d targets, want the missed window dropped", len(p.st.Pending))
 	}
-	if env.Blocked[site.Node] {
+	if slices.Contains(p.st.Blocked, site.Node) {
 		t.Error("dropped target still blocked from genuine service")
 	}
-	if p.phase != phCoverGuard {
-		t.Errorf("phase = %d, want phCoverGuard", p.phase)
+	if p.st.Phase != phCoverGuard {
+		t.Errorf("phase = %d, want phCoverGuard", p.st.Phase)
 	}
 }

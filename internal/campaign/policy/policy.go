@@ -25,6 +25,11 @@
 // checkpoint barrier as an argument, so a checkpointed run executes the
 // plain run's code and captures only at points the plain run also
 // passes.
+//
+// The attacker runs on its checkpoint form: it holds a State (phase
+// machine, plan, and its target, blocked and engaged lists as ascending
+// node IDs), CaptureState copies it, and FromState validates a
+// checkpoint's State and adopts a copy.
 package policy
 
 import (
@@ -42,17 +47,9 @@ import (
 	"github.com/reprolab/wrsn-csa/internal/wrsn"
 )
 
-// WindowAware reports whether the solver's policy re-derives target
-// windows live during execution (CSA and Direct's skeleton do; the
-// baselines execute their schedule as planned).
-func WindowAware(solver string) bool {
-	return solver == attack.SolverCSA || solver == attack.SolverCSAPolished || solver == attack.SolverDirect
-}
-
 // Env is the execution environment a policy acts in: the three lower
-// layers plus the run's scheduler, stream and shared target bookkeeping.
-// The run's knobs are the world's: policies read them through
-// W.Params().
+// layers plus the run's scheduler and stream. The run's knobs are the
+// world's: policies read them through W.Params().
 type Env struct {
 	W *world.W
 	A *session.Actor
@@ -61,15 +58,6 @@ type Env struct {
 	Scheduler charging.Scheduler
 	Rand      *rng.Stream
 	Probe     obs.Probe
-
-	// Targets holds the attack's spoof targets (empty for legit runs);
-	// the opportunistic fill never genuinely serves them. Blocked holds
-	// targets the attacker must not genuinely serve yet; a target leaves
-	// the set once spoofed (a post-drift re-request gets a genuine charge
-	// — the kill is lost, stealth is not) or once its window is
-	// irrecoverably missed.
-	Targets map[wrsn.NodeID]bool
-	Blocked map[wrsn.NodeID]bool
 
 	// Checkpoint, when set, is invoked at every handler-safe barrier of
 	// the drive loop — the top of each action-loop iteration and after
@@ -236,10 +224,10 @@ func (a Serve) Exec(e *Env, pol Policy) (Result, error) {
 	return OK, nil
 }
 
-// Fill serves the nearest pending non-blocked request that can be fully
-// served in time to reach ReturnPos by Deadline; when no such request
-// exists (or filling is disabled), the world advances one poll step
-// bounded by FallbackCap instead.
+// Fill serves the nearest pending request the policy's OnRequest accepts
+// that can be fully served in time to reach ReturnPos by Deadline; when
+// no such request exists (or filling is disabled), the world advances one
+// poll step bounded by FallbackCap instead.
 type Fill struct {
 	Deadline    float64
 	ReturnPos   geom.Point
@@ -247,9 +235,9 @@ type Fill struct {
 }
 
 // Exec attempts one opportunistic fill, else waits a poll step.
-func (a Fill) Exec(e *Env, _ Policy) (Result, error) {
+func (a Fill) Exec(e *Env, pol Policy) (Result, error) {
 	p := e.W.Params()
-	if p.NoFill || !fillOne(e, a.Deadline, a.ReturnPos) {
+	if p.NoFill || !fillOne(e, pol, a.Deadline, a.ReturnPos) {
 		// The fallback bound uses the post-attempt clock: a failed fill
 		// may still have spent travel time.
 		e.W.AdvanceTo(math.Min(a.FallbackCap, e.W.Now()+p.PollSec), nil)
@@ -257,16 +245,16 @@ func (a Fill) Exec(e *Env, _ Policy) (Result, error) {
 	return OK, nil
 }
 
-// fillOne serves the nearest pending non-target request that can be fully
-// served in time to reach returnPos by the deadline. It reports whether a
-// session happened.
-func fillOne(e *Env, deadline float64, returnPos geom.Point) bool {
+// fillOne serves the nearest pending request pol accepts (the attacker
+// rejects its blocked targets) that can be fully served in time to reach
+// returnPos by the deadline. It reports whether a session happened.
+func fillOne(e *Env, pol Policy, deadline float64, returnPos geom.Point) bool {
 	nw := e.W.Network()
 	best := charging.Request{}
 	found := false
 	bestD := math.Inf(1)
 	for _, req := range e.W.Queue().Pending() {
-		if !nw.Alive(req.Node) || e.Blocked[req.Node] {
+		if !nw.Alive(req.Node) || !pol.OnRequest(e, req) {
 			continue
 		}
 		pos := nw.Pos(req.Node)
@@ -389,39 +377,6 @@ func (e *Env) advance(until float64, b Barrier) error {
 		barrier = func() error { return e.Checkpoint(b) }
 	}
 	return e.W.AdvanceTo(until, barrier)
-}
-
-// BootstrapAttack is the shared planning step of both attack policies:
-// build the TIDE instance against the time-zero topology, solve it with
-// the named planner, mark every mandatory site as a blocked target, and
-// arm the sink's live audit.
-func BootstrapAttack(e *Env, solver string) (*attack.Instance, attack.Result, error) {
-	p := e.W.Params()
-	in, err := attack.BuildInstance(e.W.Network(), e.A.Ch, attack.BuilderConfig{
-		Now:         0,
-		RequestFrac: p.RequestFrac,
-		CooldownSec: p.CooldownSec,
-		HorizonSec:  p.HorizonSec,
-		MaxCovers:   p.MaxCovers,
-		BudgetJ:     p.InstanceBudgetJ,
-	})
-	if err != nil {
-		return nil, attack.Result{}, err
-	}
-	res, err := attack.Solve(in, solver, e.Rand.Split("solver"))
-	if err != nil {
-		return nil, attack.Result{}, err
-	}
-	for _, s := range in.Sites {
-		if s.Mandatory {
-			e.Targets[s.Node] = true
-		}
-	}
-	for id := range e.Targets {
-		e.Blocked[id] = true
-	}
-	e.W.StartAuditing()
-	return in, res, nil
 }
 
 // caught is the ledger shorthand the attack policies branch on.

@@ -119,15 +119,6 @@ func (b *Battery) DrainSpan(w float64, dts []float64) {
 // setup and tests, not by simulation dynamics.
 func (b *Battery) SetLevel(j float64) { b.level = clamp(j, 0, b.capacity) }
 
-// TimeToDepletion returns how long the battery lasts under a constant drain
-// of watts, in seconds. It returns +Inf for a non-positive drain.
-func (b *Battery) TimeToDepletion(watts float64) float64 {
-	if watts <= 0 {
-		return math.Inf(1)
-	}
-	return b.level / watts
-}
-
 func clamp(x, lo, hi float64) float64 {
 	return max(lo, min(hi, x))
 }

@@ -159,16 +159,6 @@ func TestMeterRead(t *testing.T) {
 	}
 }
 
-func TestTimeToDepletion(t *testing.T) {
-	b := mustBattery(t, 100, 50, 1)
-	if got := b.TimeToDepletion(5); got != 10 {
-		t.Errorf("TimeToDepletion = %v, want 10", got)
-	}
-	if got := b.TimeToDepletion(0); !math.IsInf(got, 1) {
-		t.Errorf("TimeToDepletion(0) = %v, want +Inf", got)
-	}
-}
-
 func TestFractionAndSetLevel(t *testing.T) {
 	b := mustBattery(t, 200, 50, 1)
 	if f := b.Fraction(); f != 0.25 {

@@ -28,9 +28,6 @@ func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
 // Scale returns p scaled by s.
 func (p Point) Scale(s float64) Point { return Point{p.X * s, p.Y * s} }
 
-// Dot returns the dot product p · q.
-func (p Point) Dot(q Point) float64 { return p.X*q.X + p.Y*q.Y }
-
 // Norm returns the Euclidean norm of p treated as a vector.
 func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
 
@@ -98,10 +95,6 @@ func (r Rect) Clamp(p Point) Point {
 		Y: math.Max(r.Min.Y, math.Min(r.Max.Y, p.Y)),
 	}
 }
-
-// Diagonal returns the length of r's diagonal, the maximum distance between
-// any two points in r.
-func (r Rect) Diagonal() float64 { return r.Min.Dist(r.Max) }
 
 // BoundingBox returns the smallest Rect containing all pts. It returns the
 // zero Rect when pts is empty.

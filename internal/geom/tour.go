@@ -16,15 +16,6 @@ func TourLength(pts []Point) float64 {
 	return total
 }
 
-// ClosedTourLength returns the length of the cycle visiting pts in order and
-// returning to pts[0]. It returns 0 for fewer than two points.
-func ClosedTourLength(pts []Point) float64 {
-	if len(pts) < 2 {
-		return 0
-	}
-	return TourLength(pts) + pts[len(pts)-1].Dist(pts[0])
-}
-
 // NearestNeighborOrder returns a permutation of indices into pts visiting
 // them greedily by proximity, starting from the point closest to start.
 // It is the classic O(n²) constructive TSP heuristic.
@@ -55,29 +46,6 @@ func NearestNeighborOrder(start Point, pts []Point) []int {
 // consecutive tour points a and b: d(a,p) + d(p,b) − d(a,b).
 func InsertionCost(a, b, p Point) float64 {
 	return a.Dist(p) + p.Dist(b) - a.Dist(b)
-}
-
-// CheapestInsertionPosition returns the index i (1 ≤ i ≤ len(tour)) at which
-// inserting p into the open tour minimizes added length, together with that
-// added length. For an empty tour it returns (0, 0). Position i means
-// "insert before tour[i]"; i == len(tour) appends. The tour is treated as
-// anchored: insertions before position 1 are allowed only when the tour has
-// a single point, since position 0 would displace the depot anchor.
-func CheapestInsertionPosition(tour []Point, p Point) (int, float64) {
-	switch len(tour) {
-	case 0:
-		return 0, 0
-	case 1:
-		return 1, tour[0].Dist(p)
-	}
-	bestPos, bestCost := len(tour), tour[len(tour)-1].Dist(p) // append
-	for i := 1; i < len(tour); i++ {
-		c := InsertionCost(tour[i-1], tour[i], p)
-		if c < bestCost {
-			bestPos, bestCost = i, c
-		}
-	}
-	return bestPos, bestCost
 }
 
 // TwoOpt improves the open tour in place using 2-opt moves until no

@@ -24,9 +24,6 @@ func TestTourLength(t *testing.T) {
 	if l := TourLength(square); l != 3 {
 		t.Errorf("open square length = %v, want 3", l)
 	}
-	if l := ClosedTourLength(square); l != 4 {
-		t.Errorf("closed square length = %v, want 4", l)
-	}
 }
 
 func TestNearestNeighborOrder(t *testing.T) {
@@ -67,25 +64,6 @@ func TestInsertionCost(t *testing.T) {
 	// Off-segment detour is positive.
 	if c := InsertionCost(a, b, Pt(5, 5)); c <= 0 {
 		t.Errorf("detour cost = %v, want > 0", c)
-	}
-}
-
-func TestCheapestInsertionPosition(t *testing.T) {
-	if pos, cost := CheapestInsertionPosition(nil, Pt(1, 1)); pos != 0 || cost != 0 {
-		t.Errorf("empty tour: pos=%d cost=%v", pos, cost)
-	}
-	tour := []Point{Pt(0, 0), Pt(10, 0), Pt(10, 10)}
-	pos, cost := CheapestInsertionPosition(tour, Pt(5, 0.1))
-	if pos != 1 {
-		t.Errorf("pos = %d, want 1 (between first two)", pos)
-	}
-	if cost <= 0 || cost > 1 {
-		t.Errorf("cost = %v, want small positive", cost)
-	}
-	// Appending must also be considered.
-	pos, _ = CheapestInsertionPosition(tour, Pt(10, 20))
-	if pos != len(tour) {
-		t.Errorf("pos = %d, want append at %d", pos, len(tour))
 	}
 }
 

@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"math"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
 	"github.com/reprolab/wrsn-csa/internal/attack"
 	"github.com/reprolab/wrsn-csa/internal/campaign"
+	"github.com/reprolab/wrsn-csa/internal/campaign/policy"
 	"github.com/reprolab/wrsn-csa/internal/campaign/world"
 	"github.com/reprolab/wrsn-csa/internal/charging"
 	"github.com/reprolab/wrsn-csa/internal/faults"
@@ -235,6 +237,74 @@ func TestResumeRejectsInvalidLedgerOrPrev(t *testing.T) {
 		ok.ResumeFrom = reencode(t, snap, func(*snapshot.CampaignState) {})
 		if _, err := Run(context.Background(), ok, nil); err != nil {
 			t.Errorf("unedited %s checkpoint: %v", spec.Kind, err)
+		}
+	}
+}
+
+// TestResumeRejectsInvalidPolicyState resumes live checkpoints edited in
+// one field of the policy state to a value no run reaches. Without the
+// checks a negative Idx panics indexing the window-unaware attacker's
+// schedule, a Phase outside the attacker's six ends the run at once (the
+// resumed CSA run serves no request), a NaN pending duration spins the
+// world step forever, as does a plan stop beginning at +Inf, a NaN site
+// duration in the plan changes what the window-unaware attacker serves,
+// a non-finite wait target is chased by the resumed advance, and a
+// target list out of strictly ascending order defeats the attacker's
+// binary searches. Each must fail at the restore boundary
+// with an error naming the field; the unedited checkpoints resume.
+func TestResumeRejectsInvalidPolicyState(t *testing.T) {
+	random := Default(42, 120)
+	random.Kind, random.Campaign.Solver = KindAttack, campaign.SolverRandom
+	csa := Default(42, 120)
+	csa.Kind = KindAttack
+	legit := Default(42, 120)
+	snaps := map[*Spec]*snapshot.Snapshot{&random: checkpointAt(t, random, 2), &csa: checkpointAt(t, csa, 20), &legit: checkpointAt(t, legit, 50)}
+	if p := snaps[&random].Campaign().Policy; p.Idx != 1 {
+		t.Fatalf("random checkpoint Idx = %d, want 1 so the schedule is being executed", p.Idx)
+	}
+	if p := snaps[&csa].Campaign().Policy; len(p.Pending) == 0 || len(p.Targets) < 2 || len(p.Blocked) < 2 || len(p.Engaged) < 2 {
+		t.Fatalf("CSA checkpoint has %d pending sites and target lists %v/%v/%v, want some to edit", len(p.Pending), p.Targets, p.Blocked, p.Engaged)
+	}
+	if p := snaps[&legit].Campaign().Policy; p.Stage != policy.StageWait {
+		t.Fatalf("legit checkpoint stage = %q, want a wait barrier", p.Stage)
+	}
+	nan := math.NaN()
+	cases := []struct {
+		name  string
+		spec  *Spec
+		field string
+		edit  func(p *policy.State)
+	}{
+		{"Idx -1", &random, "Idx", func(p *policy.State) { p.Idx = -1 }},
+		{"Phase 99", &csa, "Phase", func(p *policy.State) { p.Phase = 99 }},
+		{"Pending Dur NaN", &csa, "Pending[0].Dur", func(p *policy.State) { p.Pending[0].Dur = nan }},
+		{"Pending Pos +Inf", &csa, "Pending[0].Pos", func(p *policy.State) { p.Pending[0].Pos.Y = math.Inf(1) }},
+		{"site Dur NaN", &random, "Instance.Sites[0].Dur", func(p *policy.State) { p.Instance.Sites[0].Dur = nan }},
+		{"stop Begin +Inf", &random, "Result.Plan.Schedule[1].Begin", func(p *policy.State) { p.Result.Plan.Schedule[1].Begin = math.Inf(1) }},
+		{"Targets descending", &csa, "Targets", func(p *policy.State) { slices.Reverse(p.Targets) }},
+		{"Blocked repeated", &csa, "Blocked", func(p *policy.State) { p.Blocked = append(p.Blocked, p.Blocked[len(p.Blocked)-1]) }},
+		{"Engaged descending", &csa, "Engaged", func(p *policy.State) { slices.Reverse(p.Engaged) }},
+		{"WaitUntil NaN", &legit, "WaitUntil", func(p *policy.State) { p.WaitUntil = nan }},
+		{"WaitUntil +Inf", &legit, "WaitUntil", func(p *policy.State) { p.WaitUntil = math.Inf(1) }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			bad := *c.spec
+			bad.ResumeFrom = reencode(t, snaps[c.spec], func(cs *snapshot.CampaignState) { c.edit(cs.Policy) })
+			_, err := Run(context.Background(), bad, nil)
+			if err == nil {
+				t.Fatal("resume succeeded")
+			}
+			if !strings.Contains(err.Error(), c.field) {
+				t.Fatalf("error %q does not name %s", err, c.field)
+			}
+		})
+	}
+	for spec, snap := range snaps {
+		ok := *spec
+		ok.ResumeFrom = reencode(t, snap, func(*snapshot.CampaignState) {})
+		if _, err := Run(context.Background(), ok, nil); err != nil {
+			t.Errorf("unedited %s/%s checkpoint: %v", spec.Kind, spec.Campaign.Solver, err)
 		}
 	}
 }

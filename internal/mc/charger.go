@@ -7,7 +7,6 @@ package mc
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/reprolab/wrsn-csa/internal/geom"
 	"github.com/reprolab/wrsn-csa/internal/obs"
@@ -256,19 +255,6 @@ func (c *Charger) RadiatedPowerAtAll(nodePos geom.Point, dst []float64, pts []ge
 		return nil, err
 	}
 	return arr.RFPowerAtAll(dst, pts), nil
-}
-
-// FullRechargeTime returns how long a focused session must last to deliver
-// joules of DC energy to a node at nodePos.
-func (c *Charger) FullRechargeTime(nodePos geom.Point, joules float64) (float64, error) {
-	p, err := c.DeliveredPower(nodePos)
-	if err != nil {
-		return 0, err
-	}
-	if p <= 0 {
-		return math.Inf(1), fmt.Errorf("mc: no deliverable power at %v", nodePos)
-	}
-	return joules / p, nil
 }
 
 // Reset returns the charger to its depot with a full budget, beginning a

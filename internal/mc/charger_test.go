@@ -145,21 +145,6 @@ func TestDeliveredPowerAllocFree(t *testing.T) {
 	}
 }
 
-func TestFullRechargeTime(t *testing.T) {
-	c := New(geom.Pt(0, 0), Params{})
-	rate, err := c.DeliveredPower(geom.Pt(10, 10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tt, err := c.FullRechargeTime(geom.Pt(10, 10), 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(tt-1000/rate) > 1e-9 {
-		t.Errorf("recharge time = %v, want %v", tt, 1000/rate)
-	}
-}
-
 func TestReset(t *testing.T) {
 	c := New(geom.Pt(5, 5), Params{BudgetJ: 1000, MoveJPerM: 1})
 	if err := c.Travel(geom.Pt(50, 5)); err != nil {

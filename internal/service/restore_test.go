@@ -153,6 +153,17 @@ func TestNaNLedgerCheckpointFailsJobNotDaemon(t *testing.T) {
 	editedCheckpointFailsJobNotDaemon(t, jobspec.Default(42, 120), "WaitSum", func(cs *snapshot.CampaignState) { cs.Ledger.WaitSum = math.NaN() })
 }
 
+// TestNaNPolicyCheckpointFailsJobNotDaemon submits an attack checkpoint
+// whose first pending target has a "NaN" session length. The job must
+// fail when the policy is restored, naming Pending[0].Dur, instead of
+// spinning the world step on a NaN target, and the daemon must go on to
+// run the next job.
+func TestNaNPolicyCheckpointFailsJobNotDaemon(t *testing.T) {
+	spec := jobspec.Default(42, 120)
+	spec.Kind = jobspec.KindAttack
+	editedCheckpointFailsJobNotDaemon(t, spec, "Pending[0].Dur", func(cs *snapshot.CampaignState) { cs.Policy.Pending[0].Dur = math.NaN() })
+}
+
 // editedCheckpointFailsJobNotDaemon stops spec at its 50th barrier,
 // applies edit to the checkpoint's campaign state and submits it as
 // resume_from, then a quick job. The first must fail with kind

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"sync"
 	"time"
@@ -204,17 +203,4 @@ func (n *NodeAgent) Level() float64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.Battery.Level()
-}
-
-// TimeToDeath returns the projected seconds of virtual time left.
-func (n *NodeAgent) TimeToDeath() float64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.dead {
-		return 0
-	}
-	if n.DrainW <= 0 {
-		return math.Inf(1)
-	}
-	return n.Battery.Level() / n.DrainW
 }

@@ -19,7 +19,6 @@
 package wpt
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
@@ -82,24 +81,6 @@ func (m ChargeModel) Power(d float64) float64 {
 // amplitudes, not powers.
 func (m ChargeModel) Amplitude(d float64) float64 {
 	return math.Sqrt(m.Alpha) / (d + m.Beta)
-}
-
-// DistanceForPower returns the distance at which a single emitter delivers
-// the given RF power, or an error if the power is unreachable (greater than
-// the contact power or non-positive).
-func (m ChargeModel) DistanceForPower(p float64) (float64, error) {
-	if p <= 0 {
-		return 0, errors.New("wpt: power must be positive")
-	}
-	max := m.Alpha / (m.Beta * m.Beta)
-	if p > max {
-		return 0, fmt.Errorf("wpt: power %v exceeds contact power %v", p, max)
-	}
-	d := math.Sqrt(m.Alpha/p) - m.Beta
-	if d > m.Range {
-		return 0, fmt.Errorf("wpt: power %v only reachable beyond range %v m", p, m.Range)
-	}
-	return d, nil
 }
 
 // Carrier describes the RF carrier shared by all coherent emitters on a

@@ -59,33 +59,6 @@ func TestAmplitudePowerConsistency(t *testing.T) {
 	}
 }
 
-func TestDistanceForPowerRoundTrip(t *testing.T) {
-	m := DefaultChargeModel()
-	for _, d := range []float64{0.1, 0.5, 1, 3, 7.9} {
-		p := m.Power(d)
-		back, err := m.DistanceForPower(p)
-		if err != nil {
-			t.Fatalf("d=%v: %v", d, err)
-		}
-		if math.Abs(back-d) > 1e-9 {
-			t.Errorf("round trip d=%v -> %v", d, back)
-		}
-	}
-}
-
-func TestDistanceForPowerErrors(t *testing.T) {
-	m := DefaultChargeModel()
-	if _, err := m.DistanceForPower(0); err == nil {
-		t.Error("zero power accepted")
-	}
-	if _, err := m.DistanceForPower(m.Alpha/(m.Beta*m.Beta) + 1); err == nil {
-		t.Error("super-contact power accepted")
-	}
-	if _, err := m.DistanceForPower(1e-12); err == nil {
-		t.Error("beyond-range power accepted")
-	}
-}
-
 func TestCarrier(t *testing.T) {
 	c := DefaultCarrier()
 	if err := c.Validate(); err != nil {

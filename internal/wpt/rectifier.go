@@ -87,9 +87,3 @@ func (r Rectifier) DCOutput(rfW float64) float64 {
 	}
 	return r.Efficiency(in) * in
 }
-
-// MaxDCOutput returns the DC output at saturation, the ceiling of what any
-// RF input can harvest.
-func (r Rectifier) MaxDCOutput() float64 {
-	return r.DCOutput(r.SaturationW)
-}

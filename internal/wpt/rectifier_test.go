@@ -71,7 +71,7 @@ func TestDCOutputMonotoneProperty(t *testing.T) {
 
 func TestSaturationClamp(t *testing.T) {
 	r := DefaultRectifier()
-	max := r.MaxDCOutput()
+	max := r.DCOutput(r.SaturationW)
 	for _, rf := range []float64{r.SaturationW, 2 * r.SaturationW, 100 * r.SaturationW} {
 		if out := r.DCOutput(rf); math.Abs(out-max) > 1e-12 {
 			t.Errorf("DCOutput(%v) = %v, want clamp at %v", rf, out, max)

@@ -317,9 +317,6 @@ func (nw *Network) initLive() {
 	}
 }
 
-// AliveCount returns the number of nodes in service.
-func (nw *Network) AliveCount() int { return nw.live.count() }
-
 // NodesNear appends to dst the ID of every alive node whose position is
 // within rangeM of pos (by the exact Dist ≤ rangeM predicate), in
 // ascending ID order. It is the indexed replacement for brute-force
