@@ -14,7 +14,7 @@ GATED_BENCH = BenchmarkExperimentSweep|BenchmarkCampaignRun|BenchmarkSeedSweep|B
 BENCH_PKGS = . ./internal/campaign ./internal/campaign/world ./internal/wrsn ./internal/detect
 BENCH_SHA = $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
 
-.PHONY: all build vet fmt-check staticcheck test race bench bench-all bench-json bench-gate bench-baseline bench-smoke verify verify-faults verify-daemon verify-snapshot verify-checkpoint verify-scale verify-dist fuzz results loc clean
+.PHONY: all build vet fmt-check staticcheck test race bench bench-all bench-json bench-gate bench-baseline bench-smoke verify verify-faults verify-daemon verify-snapshot verify-checkpoint verify-scale verify-dist fuzz fuzz-list results loc clean
 
 all: verify
 
@@ -162,6 +162,17 @@ verify-dist:
 	done
 	rm -rf .distwork
 
+# fuzz-list prints every Fuzz* target of the module, one "package
+# target" pair a line; fuzz runs exactly these, so a new target joins the
+# run without an edit here. A package whose tests fail to build fails both.
+FUZZ_LIST = for pkg in $$($(GO) list ./...); do \
+		out=$$($(GO) test -list '^Fuzz' $$pkg) || exit 1; \
+		echo "$$out" | grep '^Fuzz' | sed "s|^|$$pkg |"; \
+	done
+
+fuzz-list:
+	@$(FUZZ_LIST)
+
 # fuzz runs every fuzz target for a bounded time: the strict outcome
 # decoder, the snapshot decoder, the worker frame reader, the attack
 # planner's evaluator, route oracle and incremental cover packer (held
@@ -182,20 +193,11 @@ verify-dist:
 # shrinking. A crasher is written to the package's testdata/fuzz/
 # directory; commit it as a regression seed.
 fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/digest
-	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/snapshot
-	$(GO) test -run '^$$' -fuzz '^FuzzFrameRecv$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/distengine
-	$(GO) test -run '^$$' -fuzz '^FuzzEvaluate$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/attack
-	$(GO) test -run '^$$' -fuzz '^FuzzRouteOracle$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/attack
-	$(GO) test -run '^$$' -fuzz '^FuzzPackCovers$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/attack
-	$(GO) test -run '^$$' -fuzz '^FuzzQueue$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/charging
-	$(GO) test -run '^$$' -fuzz '^FuzzIncrementalRouting$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/wrsn
-	$(GO) test -run '^$$' -fuzz '^FuzzLinkTable$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/wrsn
-	$(GO) test -run '^$$' -fuzz '^FuzzAdvanceEnergyPass$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/wrsn
-	$(GO) test -run '^$$' -fuzz '^FuzzLazyDrain$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/wrsn
-	$(GO) test -run '^$$' -fuzz '^FuzzGainDetector$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/detect
-	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/jobspec
-	$(GO) test -run '^$$' -fuzz '^FuzzReadJSON$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/trace
+	@targets=$$($(FUZZ_LIST)) || exit 1; \
+	echo "$$targets" | while read pkg target; do \
+		echo "fuzz $$target ($$pkg)"; \
+		$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s -fuzzminimizetime 100x $$pkg || exit 1; \
+	done
 
 results:
 	mkdir -p results

@@ -27,7 +27,7 @@
 //
 //	experiments [-quick] [-seeds N] [-workers N] [-only rfig4] [-out results/]
 //	            [-metrics telemetry.csv] [-events events.json]
-//	            [-job-timeout 5m] [-job-retries 2]
+//	            [-job-timeout 5m]
 //	            [-shards N -worker-cmd ./wrsnworker | -connect host1:7601,host2:7601]
 package main
 
@@ -71,7 +71,6 @@ func run(ctx context.Context, args []string, stdout, errw io.Writer) error {
 	baseSeed := fs.Uint64("seed", 0, "base seed offset for independent replications")
 	timing := fs.Bool("timing", true, "print per-experiment timing to stderr")
 	jobTimeout := fs.Duration("job-timeout", 0, "per-campaign-job wall-clock bound (0 = none)")
-	jobRetries := fs.Int("job-retries", 0, "retries per failed campaign job (re-seeded identically)")
 	shards := fs.Int("shards", 0, "spawn this many worker processes and shard campaign jobs across them (needs -worker-cmd)")
 	workerCmd := fs.String("worker-cmd", "", "worker binary to spawn per shard (cmd/wrsnworker; exec mode, stdin/stdout)")
 	connect := fs.String("connect", "", "comma-separated addresses of listening workers to shard jobs across (TCP mode)")
@@ -88,7 +87,6 @@ func run(ctx context.Context, args []string, stdout, errw io.Writer) error {
 		experiments.WithBaseSeed(*baseSeed),
 		experiments.WithProbe(probe),
 		experiments.WithJobTimeout(*jobTimeout),
-		experiments.WithJobRetries(*jobRetries),
 	)
 	pool, err := dialPool(ctx, *shards, *workerCmd, *connect)
 	if err != nil {

@@ -25,7 +25,7 @@
 // Usage:
 //
 //	wrsncsad [-addr :8077] [-queue 64] [-workers 0] [-job-timeout 0]
-//	         [-job-retries 0] [-retry-after 1s] [-drain-timeout 30s]
+//	         [-retry-after 1s] [-drain-timeout 30s]
 //	         [-max-results 10000] [-persist-dir dir] [-checkpoint-every 0]
 //	         [-metrics daemon.csv] [-events events.json] [-smoke]
 package main
@@ -44,7 +44,6 @@ import (
 
 	"github.com/reprolab/wrsn-csa/client"
 	"github.com/reprolab/wrsn-csa/internal/cliexport"
-	"github.com/reprolab/wrsn-csa/internal/experiments/engine"
 	"github.com/reprolab/wrsn-csa/internal/jobspec"
 	"github.com/reprolab/wrsn-csa/internal/obs"
 	"github.com/reprolab/wrsn-csa/internal/service"
@@ -78,8 +77,7 @@ func parseFlags(args []string) (*config, error) {
 	addr := fs.String("addr", ":8077", "listen address")
 	queue := fs.Int("queue", 64, "job intake queue depth (full queue → 429 + Retry-After)")
 	workers := fs.Int("workers", 0, "concurrent campaign workers (0 = GOMAXPROCS)")
-	jobTimeout := fs.Duration("job-timeout", 0, "per-attempt wall-clock limit for one job (0 = none)")
-	jobRetries := fs.Int("job-retries", 0, "extra attempts for a failed job")
+	jobTimeout := fs.Duration("job-timeout", 0, "wall-clock limit for one job (0 = none)")
 	retryAfter := fs.Duration("retry-after", time.Second, "Retry-After hint returned with 429/503")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful-drain budget on SIGTERM before in-flight jobs are canceled")
 	maxResults := fs.Int("max-results", defaultMaxResults, "finished jobs to retain; older ones are evicted and answer 410 Gone (0 = unbounded)")
@@ -98,7 +96,7 @@ func parseFlags(args []string) (*config, error) {
 	cfg.opts = service.Options{
 		QueueDepth:      *queue,
 		Workers:         *workers,
-		Job:             engine.Options{Timeout: *jobTimeout, Retries: *jobRetries},
+		JobTimeout:      *jobTimeout,
 		RetryAfter:      *retryAfter,
 		MaxResults:      *maxResults,
 		PersistDir:      *persistDir,

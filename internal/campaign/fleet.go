@@ -96,9 +96,11 @@ type fleetRun struct {
 	chargers []*mc.Charger
 	actors   []*session.Actor
 	st       []fleetCh
-	// reserved prevents two chargers from chasing one request.
-	reserved map[wrsn.NodeID]bool
-	busy     float64
+	// fs is the shared dispatch state, the fleet's checkpoint form: the
+	// ascending Reserved node IDs (one per charger with an assignment in
+	// flight, so two chargers never chase one request) and the Busy time
+	// sum. Its Chargers stay nil; st holds them.
+	fs snapshot.FleetState
 	// view is the unreserved part of the queue, refilled per pick.
 	view charging.Queue
 }
@@ -113,7 +115,6 @@ func newFleetRun(nw *wrsn.Network, chargers []*mc.Charger, cfg Config, led *ledg
 		chargers: chargers,
 		actors:   make([]*session.Actor, len(chargers)),
 		st:       make([]fleetCh, len(chargers)),
-		reserved: make(map[wrsn.NodeID]bool),
 	}
 	for i, ch := range chargers {
 		sched, err := charging.ByName(cfg.Scheduler)
@@ -135,8 +136,25 @@ func newFleetRun(nw *wrsn.Network, chargers []*mc.Charger, cfg Config, led *ledg
 // pick returns charger idx's scheduler's choice among unreserved
 // requests.
 func (f *fleetRun) pick(idx int) (charging.Request, bool) {
-	f.view.Filter(f.w.Queue(), func(r charging.Request) bool { return !f.reserved[r.Node] })
+	f.view.Filter(f.w.Queue(), func(r charging.Request) bool {
+		_, reserved := slices.BinarySearch(f.fs.Reserved, r.Node)
+		return !reserved
+	})
 	return f.st[idx].sched.Next(&f.view, f.chargers[idx].Pos(), f.w.Now())
+}
+
+// reserve marks id as some charger's assignment.
+func (f *fleetRun) reserve(id wrsn.NodeID) {
+	if i, found := slices.BinarySearch(f.fs.Reserved, id); !found {
+		f.fs.Reserved = slices.Insert(f.fs.Reserved, i, id)
+	}
+}
+
+// release frees id's reservation, if it holds one.
+func (f *fleetRun) release(id wrsn.NodeID) {
+	if i, found := slices.BinarySearch(f.fs.Reserved, id); found {
+		f.fs.Reserved = slices.Delete(f.fs.Reserved, i, i+1)
+	}
 }
 
 // tick advances batteries, deaths, and requests between fleet events.
@@ -180,12 +198,12 @@ func (f *fleetRun) dispatch(e *sim.Engine, idx int) {
 		_ = e.AfterKeyed(1, fleetDispatchKind, idx, "retry")
 		return
 	}
-	f.reserved[req.Node] = true
+	f.reserve(req.Node)
 	dock := ch.ServicePoint(f.nw.Pos(req.Node))
 	travelT := ch.TravelTime(dock)
 	if err := ch.Travel(dock); err != nil {
 		// This charger is out of budget; it parks forever.
-		delete(f.reserved, req.Node)
+		f.release(req.Node)
 		return
 	}
 	s := &f.st[idx]
@@ -205,23 +223,23 @@ func (f *fleetRun) arrive(e *sim.Engine, idx int) {
 	s.Phase = snapshot.FleetIdle // back to idle unless the session starts
 	id := s.Req.Node
 	if !f.nw.Alive(id) {
-		delete(f.reserved, id)
+		f.release(id)
 		w.Queue().Remove(id)
 		_ = e.AfterKeyed(1, fleetDispatchKind, idx, "next")
 		return
 	}
 	rate, err := ch.DeliveredPower(f.nw.Pos(id))
 	if err != nil || rate <= 0 {
-		delete(f.reserved, id)
+		f.release(id)
 		return
 	}
 	need := f.nw.Capacity(id) - f.nw.Level(id)
 	dur := need / rate
 	if err := ch.SpendRadiation(dur); err != nil {
-		delete(f.reserved, id) // out of budget: parked
+		f.release(id) // out of budget: parked
 		return
 	}
-	f.busy += s.TravelT + dur
+	f.fs.Busy += s.TravelT + dur
 	s.Solicited = w.Queue().Has(id)
 	s.MeterBefore = f.nw.MeterRead(id)
 	s.Start = e.Now()
@@ -236,7 +254,7 @@ func (f *fleetRun) end(e *sim.Engine, idx int) {
 	w, s := f.w, &f.st[idx]
 	w.CatchUp(e.Now())
 	id := s.Req.Node
-	delete(f.reserved, id)
+	f.release(id)
 	s.Phase = snapshot.FleetIdle
 	if !f.nw.Alive(id) {
 		// Died mid-session (was nearly empty on arrival);
@@ -255,18 +273,11 @@ func (f *fleetRun) end(e *sim.Engine, idx int) {
 	_ = e.AfterKeyed(1, fleetDispatchKind, idx, "next")
 }
 
-// captureState assembles the fleet half of a live checkpoint. Pure
-// reads; charger order is slice order, reservations sort by node ID.
+// captureState assembles the fleet half of a live checkpoint: a copy of
+// the fleet state, with the chargers in slice order. Pure reads.
 func (f *fleetRun) captureState() *snapshot.CampaignState {
-	fs := &snapshot.FleetState{Busy: f.busy}
-	if len(f.reserved) > 0 {
-		ids := make([]wrsn.NodeID, 0, len(f.reserved))
-		for id := range f.reserved {
-			ids = append(ids, id)
-		}
-		slices.Sort(ids)
-		fs.Reserved = ids
-	}
+	fs := f.fs
+	fs.Reserved = append([]wrsn.NodeID(nil), f.fs.Reserved...)
 	fs.Chargers = make([]snapshot.FleetCharger, len(f.chargers))
 	for i, ch := range f.chargers {
 		fc := f.st[i].FleetCharger
@@ -284,7 +295,7 @@ func (f *fleetRun) captureState() *snapshot.CampaignState {
 		World:  f.w.State(),
 		Ledger: f.led.Clone(),
 		Rand:   f.r.State(),
-		Fleet:  fs,
+		Fleet:  &fs,
 	}
 }
 
@@ -338,7 +349,7 @@ func (f *fleetRun) finish(ctx context.Context) (*FleetOutcome, error) {
 			out.DeadTotal++
 		}
 	}
-	out.BusyFrac = f.busy / (cfg.HorizonSec * float64(len(f.chargers)))
+	out.BusyFrac = f.fs.Busy / (cfg.HorizonSec * float64(len(f.chargers)))
 	if cfg.Probe.Enabled() {
 		cfg.Probe.Set("fleet.chargers", float64(out.Chargers))
 		cfg.Probe.Set("fleet.busy_frac", out.BusyFrac)
@@ -407,6 +418,9 @@ func ResumeFleet(ctx context.Context, snap *snapshot.Snapshot, cfg Config) (*Fle
 	if err != nil {
 		return nil, err
 	}
+	if err := validateFleet(cs.Fleet, nw); err != nil {
+		return nil, fmt.Errorf("campaign: resume: fleet state %w", err)
+	}
 	led, err := restoreLedger(&cs.Ledger)
 	if err != nil {
 		return nil, err
@@ -427,10 +441,8 @@ func ResumeFleet(ctx context.Context, snap *snapshot.Snapshot, cfg Config) (*Fle
 	if err != nil {
 		return nil, err
 	}
-	f.busy = cs.Fleet.Busy
-	for _, id := range cs.Fleet.Reserved {
-		f.reserved[id] = true
-	}
+	f.fs = *cs.Fleet
+	f.fs.Chargers, f.fs.Reserved = nil, slices.Clone(cs.Fleet.Reserved)
 	for i, fc := range cs.Fleet.Chargers {
 		if fc.Req != nil {
 			req, err := world.RestoreRequest(nw, *fc.Req)
@@ -452,4 +464,45 @@ func ResumeFleet(ctx context.Context, snap *snapshot.Snapshot, cfg Config) (*Fle
 		return nil, err
 	}
 	return f.finish(ctx)
+}
+
+// validateFleet reports the first field of a fleet checkpoint state that
+// no run on nw reaches: a negative or non-finite Busy, which BusyFrac
+// reports; a charger Phase other than idle, en route and serving; a
+// non-finite session figure, or a negative Rate, Dur, TravelT or Start,
+// which the resumed session would deliver, meter or count as busy time;
+// and a Reserved list out of strictly ascending order, naming a node the
+// network does not have, or longer than the fleet, which holds at most
+// one reservation per charger.
+func validateFleet(fs *snapshot.FleetState, nw *wrsn.Network) error {
+	bad := func(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) }
+	if bad(fs.Busy) || fs.Busy < 0 {
+		return fmt.Errorf("has Busy %v", fs.Busy)
+	}
+	if len(fs.Reserved) > len(fs.Chargers) {
+		return fmt.Errorf("has %d Reserved nodes for %d chargers", len(fs.Reserved), len(fs.Chargers))
+	}
+	for i, id := range fs.Reserved {
+		if i > 0 && id <= fs.Reserved[i-1] {
+			return fmt.Errorf("has Reserved not strictly ascending at index %d", i)
+		}
+		if !nw.Has(id) {
+			return fmt.Errorf("names node %d in Reserved, out of range [0,%d)", id, nw.Len())
+		}
+	}
+	for i, c := range fs.Chargers {
+		if c.Phase < snapshot.FleetIdle || c.Phase > snapshot.FleetServing {
+			return fmt.Errorf("has Chargers[%d].Phase %d, out of range [%d,%d]", i, c.Phase, snapshot.FleetIdle, snapshot.FleetServing)
+		}
+		for _, f := range []struct {
+			name string
+			v    float64
+			min  float64
+		}{{"Rate", c.Rate, 0}, {"Dur", c.Dur, 0}, {"TravelT", c.TravelT, 0}, {"Start", c.Start, 0}, {"MeterBefore", c.MeterBefore, math.Inf(-1)}} {
+			if bad(f.v) || f.v < f.min {
+				return fmt.Errorf("has Chargers[%d].%s %v", i, f.name, f.v)
+			}
+		}
+	}
+	return nil
 }

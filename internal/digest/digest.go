@@ -11,27 +11,28 @@
 //   - a struct is an object of its exported fields keyed by Go field name
 //     (json tags are ignored), sorted by name in byte order; an embedded
 //     struct is nested under its type name, not flattened;
-//   - a map is an object keyed by fmt.Sprint of each key, sorted the same
-//     way;
 //   - a slice or array is an array, and a nil slice is null;
-//   - a pointer or interface is its pointee, and nil is null;
+//   - a pointer is its pointee, and nil is null;
 //   - a finite float is formatted as encoding/json formats a float64;
 //     +Inf, -Inf and NaN are the strings "+Inf", "-Inf" and "NaN";
 //   - integers, bools and strings are written as encoding/json writes
 //     them, strings with its escaping (HTML characters included).
 //
-// The field order of each type is computed once and cached as the type's
+// These are the kinds outcomes and snapshots are made of: pointers,
+// structs, slices, arrays, floats, integers, bools and strings. Any other
+// kind — a map, an interface, a chan, a func, a complex number — and a
+// scalar type with its own JSON or text marshaler has no canonical form:
+// Canonical refuses it with an error and Decode with a *DecodeError. The
+// field order of each type is computed once and cached as the type's
 // plan; Canonical and Decode both walk it.
 //
-// Decode is the strict inverse for the kinds outcomes and snapshots are
-// made of: pointers, structs, slices, arrays, floats, integers, bools and
-// strings. It accepts exactly the layout above — every exported field
-// present and in canonical order, every number and string written as
-// Canonical writes it, no whitespace, nothing after the value — and
-// reports anything else, including maps, interfaces and types with their
-// own JSON methods, as a *DecodeError carrying the byte offset. An empty
-// array decodes to an empty, non-nil slice, so a value survives
-// Canonical → Decode → Canonical byte for byte.
+// Decode is the strict inverse of Canonical. It accepts exactly the
+// layout above — every exported field present and in canonical order,
+// every number and string written as Canonical writes it, no whitespace,
+// nothing after the value — and reports anything else as a *DecodeError
+// carrying the byte offset. An empty array decodes to an empty, non-nil
+// slice, so a value survives Canonical → Decode → Canonical byte for
+// byte.
 //
 // Decode enforces the layout in two steps. Its walk over the type's plan
 // checks the structure: field names and order, literals, commas, the
@@ -90,11 +91,11 @@ func Hash(canonical []byte) string {
 // plan is the cached codec layout of one Go type.
 type plan struct {
 	kind reflect.Kind
-	// viaJSON marks a scalar type that encoding/json renders itself — one
-	// with its own JSON or text marshaler, or a kind JSON rejects (chan,
-	// func, complex). Canonical defers to json.Marshal; Decode refuses it.
-	viaJSON bool
-	// elem is the pointee, element or map-value plan.
+	// unsupported marks a type with no canonical form: a kind other than
+	// the package's eight, or a scalar with its own JSON or text
+	// marshaler. Canonical and Decode both refuse it.
+	unsupported bool
+	// elem is the pointee or element plan.
 	elem *plan
 	// fields are a struct's exported fields, sorted by name.
 	fields []field
@@ -145,7 +146,7 @@ func buildPlan(t reflect.Type, building map[reflect.Type]*plan) *plan {
 	p := &plan{kind: t.Kind()}
 	building[t] = p
 	switch p.kind {
-	case reflect.Pointer, reflect.Slice, reflect.Array, reflect.Map:
+	case reflect.Pointer, reflect.Slice, reflect.Array:
 		p.elem = buildPlan(t.Elem(), building)
 	case reflect.Struct:
 		for i := 0; i < t.NumField(); i++ {
@@ -162,13 +163,12 @@ func buildPlan(t reflect.Type, building map[reflect.Type]*plan) *plan {
 			})
 		}
 		sort.Slice(p.fields, func(i, j int) bool { return p.fields[i].name < p.fields[j].name })
-	case reflect.Float32, reflect.Float64, reflect.Interface:
-	case reflect.Bool, reflect.String,
+	case reflect.Float32, reflect.Float64, reflect.Bool, reflect.String,
 		reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
 		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
-		p.viaJSON = t.Implements(jsonMarshaler) || t.Implements(textMarshaler)
+		p.unsupported = t.Implements(jsonMarshaler) || t.Implements(textMarshaler)
 	default:
-		p.viaJSON = true
+		p.unsupported = true
 	}
 	return p
 }
@@ -203,6 +203,9 @@ func (e *encoder) top(v any) error {
 }
 
 func (e *encoder) value(v reflect.Value, p *plan) error {
+	if p.unsupported {
+		return fmt.Errorf("digest: type %s is not encodable", v.Type())
+	}
 	switch p.kind {
 	case reflect.Pointer:
 		if v.IsNil() {
@@ -210,13 +213,6 @@ func (e *encoder) value(v reflect.Value, p *plan) error {
 			return nil
 		}
 		return e.value(v.Elem(), p.elem)
-	case reflect.Interface:
-		if v.IsNil() {
-			e.buf = append(e.buf, "null"...)
-			return nil
-		}
-		v = v.Elem()
-		return e.value(v, planFor(v.Type()))
 	case reflect.Struct:
 		e.buf = append(e.buf, '{')
 		for i, f := range p.fields {
@@ -244,56 +240,17 @@ func (e *encoder) value(v reflect.Value, p *plan) error {
 			}
 		}
 		e.buf = append(e.buf, ']')
-	case reflect.Map:
-		return e.mapValue(v, p)
 	case reflect.Float32, reflect.Float64:
 		e.buf = appendFloat(e.buf, v.Float())
+	case reflect.Bool:
+		e.buf = strconv.AppendBool(e.buf, v.Bool())
+	case reflect.String:
+		e.buf = appendString(e.buf, v.String())
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		e.buf = strconv.AppendInt(e.buf, v.Int(), 10)
 	default:
-		if p.viaJSON {
-			b, err := json.Marshal(v.Interface())
-			if err != nil {
-				return err
-			}
-			e.buf = append(e.buf, b...)
-			return nil
-		}
-		switch p.kind {
-		case reflect.Bool:
-			e.buf = strconv.AppendBool(e.buf, v.Bool())
-		case reflect.String:
-			e.buf = appendString(e.buf, v.String())
-		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-			e.buf = strconv.AppendInt(e.buf, v.Int(), 10)
-		default:
-			e.buf = strconv.AppendUint(e.buf, v.Uint(), 10)
-		}
+		e.buf = strconv.AppendUint(e.buf, v.Uint(), 10)
 	}
-	return nil
-}
-
-// mapValue writes a map as an object keyed by fmt.Sprint of its keys.
-func (e *encoder) mapValue(v reflect.Value, p *plan) error {
-	type entry struct {
-		key string
-		val reflect.Value
-	}
-	entries := make([]entry, 0, v.Len())
-	for it := v.MapRange(); it.Next(); {
-		entries = append(entries, entry{fmt.Sprint(it.Key().Interface()), it.Value()})
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].key < entries[j].key })
-	e.buf = append(e.buf, '{')
-	for i, en := range entries {
-		if i > 0 {
-			e.buf = append(e.buf, ',')
-		}
-		e.buf = appendString(e.buf, en.key)
-		e.buf = append(e.buf, ':')
-		if err := e.value(en.val, p.elem); err != nil {
-			return err
-		}
-	}
-	e.buf = append(e.buf, '}')
 	return nil
 }
 
@@ -454,7 +411,7 @@ func (d *decoder) expect(c byte) error {
 }
 
 func (d *decoder) value(v reflect.Value, p *plan) error {
-	if p.viaJSON {
+	if p.unsupported {
 		return d.errorf("type %s is not decodable", v.Type())
 	}
 	switch p.kind {
@@ -560,8 +517,6 @@ func (d *decoder) value(v reflect.Value, p *plan) error {
 			return err
 		}
 		v.SetString(s)
-	default:
-		return d.errorf("type %s is not decodable", v.Type())
 	}
 	return nil
 }

@@ -85,8 +85,8 @@ type shard struct {
 // in-process engine's contracts. Submit is the thread-safe primitive
 // (lease a free shard, ship the spec, await the result, fail over on
 // worker death); Run layers engine.MapTimedOpts on top of Submit, so
-// ordering, fail-fast, keep-going aggregation, timeout and retry
-// semantics are the engine's own code, not a re-implementation.
+// ordering, error aggregation and timeout semantics are the engine's own
+// code, not a re-implementation.
 type Pool struct {
 	shards       []*shard
 	free         chan *shard
@@ -221,10 +221,10 @@ func (p *Pool) release(s *shard) {
 // bit-identical because the spec carries every seed. Context
 // cancellation sends the worker a cancel frame and waits (bounded by the
 // cancel grace) for the ack before the shard is reused — a worker that
-// ignores the cancel is killed as wedged. These crash retries are
-// transport-level failover and are invisible to engine.Options.Retries,
-// which stays the per-job *attempt* budget. The spec's snapshot crosses
-// as the job frame's snapshot section, not inside the spec JSON.
+// ignores the cancel is killed as wedged. These crash retries are the
+// one re-run budget: a job is a pure function of its spec, so worker
+// death is the one failure a re-run can cure. The spec's snapshot
+// crosses as the job frame's snapshot section, not inside the spec JSON.
 func (p *Pool) Submit(ctx context.Context, spec jobspec.Spec) (*jobspec.Result, error) {
 	job := frame{Type: frameJob, Snapshot: spec.Snapshot}
 	spec.Snapshot = nil
@@ -328,9 +328,9 @@ func decodeResultFrame(ctx context.Context, kind string, f frame) (*jobspec.Resu
 
 // Options configures one Pool.Run sweep.
 type Options struct {
-	// Job carries the engine's per-job hardening knobs — timeout,
-	// retries, backoff, keep-going — applied by engine.MapTimedOpts
-	// around Submit exactly as around an in-process job function.
+	// Job carries the engine's per-job timeout, applied by
+	// engine.MapTimedOpts around Submit exactly as around an in-process
+	// job function.
 	Job engine.Options
 	// Probe receives the engine's pool telemetry (job latency, worker
 	// gauge, utilization), same streams as the in-process path.
@@ -340,11 +340,10 @@ type Options struct {
 // Run executes every spec across the pool's shards and returns timed
 // results in spec order. All engine contracts hold by construction —
 // Run IS engine.MapTimedOpts with Submit as the job function: results
-// merge order-preserving by index, the lowest-indexed failure wins under
-// fail-fast, KeepGoing aggregates JobError/PanicError in index order,
-// Options.Job.Timeout/Retries bound each job, and canceling ctx tears
-// the sweep down (in-flight jobs get cancel frames; exec-mode workers
-// die with the context).
+// merge order-preserving by index, every job runs and the failures join
+// as JobError/PanicError in index order, Options.Job.Timeout bounds each
+// job, and canceling ctx tears the sweep down (in-flight jobs get cancel
+// frames; exec-mode workers die with the context).
 func (p *Pool) Run(ctx context.Context, specs []jobspec.Spec, opts Options) ([]engine.Result[*jobspec.Result], error) {
 	return engine.MapTimedOpts(ctx, p.Shards(), len(specs), opts.Probe, opts.Job,
 		func(ctx context.Context, i int) (*jobspec.Result, error) {

@@ -2,8 +2,8 @@ package distengine
 
 // Contract unit tests against scripted in-memory workers: each test
 // wires the coordinator Pool to goroutine "workers" speaking the real
-// wire format over net.Pipe, so engine-contract preservation (fail-fast
-// lowest index, keep-going aggregation, cancellation, timeouts), crash
+// wire format over net.Pipe, so engine-contract preservation (ordered
+// merge, index-ordered error aggregation, cancellation, timeouts), crash
 // failover, wedged-worker handling, and the wire-integrity check are
 // all exercised without spawning processes or running campaigns.
 
@@ -113,7 +113,7 @@ func okReply(t *testing.T, idx int) frame {
 }
 
 // ackCancel answers a cancel frame the way a live worker does, so
-// engine-driven cancellations (fail-fast, timeouts) never stall a test
+// engine-driven cancellations (timeouts) never stall a test
 // on the wedged-worker grace period. Reports whether f was a cancel.
 func ackCancel(f frame, reply func(frame)) bool {
 	if f.Type != frameCancel {
@@ -175,28 +175,9 @@ func failOn(t *testing.T, bad map[int]bool) func(frame, func(frame)) {
 	}
 }
 
-// TestRunFailFastLowestIndex: with KeepGoing unset, the sweep's error
-// is the lowest-indexed failure — the engine's classic contract,
-// reaching through Submit to a remote error.
-func TestRunFailFastLowestIndex(t *testing.T) {
-	bad := map[int]bool{0: true, 5: true}
-	p := scriptedPool(t, 0, failOn(t, bad), failOn(t, bad))
-	_, err := runSpecs(p, 8, Options{})
-	if err == nil {
-		t.Fatal("sweep with failing jobs returned nil error")
-	}
-	var re *RemoteError
-	if !errors.As(err, &re) {
-		t.Fatalf("err = %v, want a *RemoteError", err)
-	}
-	if !strings.Contains(re.Msg, "scripted failure 0") {
-		t.Errorf("fail-fast surfaced %q, want the job-0 failure", re.Msg)
-	}
-}
-
 // TestSubmitKeepsResultRacingCancel: a job whose result frame arrives
 // after the coordinator sent its cancel reports that result, not the
-// cancellation. Fail-fast needs this to name the failure that happened.
+// cancellation, so a sweep names the failure that happened.
 func TestSubmitKeepsResultRacingCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

@@ -4,9 +4,9 @@
 // over the child's stdin/stdout) or dialed over TCP — both speaking the
 // same length-prefixed frames — while preserving the engine
 // package's contracts exactly: deterministic order-preserving merge,
-// lowest-index-error fail-fast, keep-going aggregation, per-job
-// timeout/retry, panic capture, and context cancellation that tears the
-// workers down.
+// every job run and the failures joined in index order, per-job timeout,
+// panic capture (the worker runs each job through engine.Do), and
+// context cancellation that tears the workers down.
 //
 // The preservation is by construction, not re-implementation: Pool.Run
 // delegates scheduling, ordering and error semantics to

@@ -6,10 +6,9 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"runtime/debug"
 	"sync"
-	"time"
 
+	"github.com/reprolab/wrsn-csa/internal/experiments/engine"
 	"github.com/reprolab/wrsn-csa/internal/jobspec"
 	"github.com/reprolab/wrsn-csa/internal/obs"
 )
@@ -129,43 +128,34 @@ func jobSpec(f frame) (jobspec.Spec, error) {
 	return spec, nil
 }
 
-// runWorkerJob executes one spec and renders the answer frame. A panic
-// anywhere in the run — world build, campaign, encoding — is recovered
-// into a panic-kind result so one bad job never kills the worker process
-// (and with it every other job leased to this shard).
-func runWorkerJob(ctx context.Context, spec jobspec.Spec, probe obs.Probe) (res frame) {
-	res = frame{Type: frameResult}
-	start := time.Now()
-	defer func() {
-		res.ElapsedSec = time.Since(start).Seconds()
-		if r := recover(); r != nil {
-			res = frame{
-				Type:       frameResult,
-				ElapsedSec: time.Since(start).Seconds(),
-				ErrKind:    errKindPanic,
-				ErrMsg:     fmt.Sprint(r),
-				Stack:      string(debug.Stack()),
-			}
+// runWorkerJob executes one spec through engine.Do and renders the
+// answer frame. A panic anywhere in the run — world build, campaign,
+// encoding — comes back as a panic-kind result, so one bad job never
+// kills the worker process (and with it every other job leased to this
+// shard).
+func runWorkerJob(ctx context.Context, spec jobspec.Spec, probe obs.Probe) frame {
+	var payload []byte
+	r, err := engine.Do(ctx, 0, 0, probe, func(ctx context.Context, _ int) (string, error) {
+		res, err := jobspec.Run(ctx, spec, probe)
+		if err != nil {
+			return "", err
 		}
-	}()
-	r, err := jobspec.Run(ctx, spec, probe)
-	if err != nil {
-		if ctx.Err() != nil {
-			res.ErrKind = errKindCanceled
-		} else {
-			res.ErrKind = errKindError
-		}
-		res.ErrMsg = err.Error()
-		return res
+		var dg string
+		payload, dg, err = encodeResult(res)
+		return dg, err
+	})
+	res := frame{Type: frameResult, ElapsedSec: r.Elapsed.Seconds()}
+	var pe *engine.PanicError
+	switch {
+	case errors.As(err, &pe):
+		res.ErrKind, res.ErrMsg, res.Stack = errKindPanic, fmt.Sprint(pe.Value), string(pe.Stack)
+	case err != nil && ctx.Err() != nil:
+		res.ErrKind, res.ErrMsg = errKindCanceled, err.Error()
+	case err != nil:
+		res.ErrKind, res.ErrMsg = errKindError, err.Error()
+	default:
+		res.Outcome, res.Digest = payload, r.Value
 	}
-	payload, dg, err := encodeResult(r)
-	if err != nil {
-		res.ErrKind = errKindError
-		res.ErrMsg = err.Error()
-		return res
-	}
-	res.Outcome = payload
-	res.Digest = dg
 	return res
 }
 

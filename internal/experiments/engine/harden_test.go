@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/reprolab/wrsn-csa/internal/obs"
 )
 
 func TestPanicRecoveredAsError(t *testing.T) {
@@ -135,96 +137,6 @@ func TestJobTimeoutAbandonsHungJob(t *testing.T) {
 	}
 }
 
-func TestRetriesEventuallySucceed(t *testing.T) {
-	var attempts atomic.Int64
-	results, err := MapTimedOpts(context.Background(), 1, 1, nil,
-		Options{Retries: 3, Backoff: time.Millisecond},
-		func(_ context.Context, i int) (int, error) {
-			if attempts.Add(1) < 3 {
-				return 0, fmt.Errorf("transient")
-			}
-			return 42, nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if results[0].Value != 42 {
-		t.Errorf("value = %d", results[0].Value)
-	}
-	if got := attempts.Load(); got != 3 {
-		t.Errorf("attempts = %d, want 3", got)
-	}
-}
-
-func TestRetriesExhausted(t *testing.T) {
-	var attempts atomic.Int64
-	_, err := MapTimedOpts(context.Background(), 1, 1, nil,
-		Options{Retries: 2, Backoff: time.Millisecond},
-		func(_ context.Context, i int) (int, error) {
-			attempts.Add(1)
-			return 0, fmt.Errorf("permanent")
-		})
-	if err == nil {
-		t.Fatal("expected failure after retry budget")
-	}
-	if got := attempts.Load(); got != 3 { // 1 initial + 2 retries
-		t.Errorf("attempts = %d, want 3", got)
-	}
-}
-
-func TestRetryRunsIdenticalJobIndex(t *testing.T) {
-	// The determinism contract: a retried job sees the same index, so a
-	// seed derived from it reproduces the identical job.
-	var seen []int
-	var mu atomic.Int64
-	results, err := MapTimedOpts(context.Background(), 1, 4, nil,
-		Options{Retries: 1, Backoff: time.Millisecond},
-		func(_ context.Context, i int) (int, error) {
-			if i == 2 && mu.Add(1) == 1 {
-				seen = append(seen, i)
-				return 0, fmt.Errorf("first attempt fails")
-			}
-			seen = append(seen, i)
-			return i * i, nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range results {
-		if r.Value != i*i {
-			t.Errorf("results[%d] = %d, want %d", i, r.Value, i*i)
-		}
-	}
-	// Single worker: 0, 1, 2 (fail), 2 (retry), 3.
-	want := []int{0, 1, 2, 2, 3}
-	if len(seen) != len(want) {
-		t.Fatalf("executions = %v, want %v", seen, want)
-	}
-	for i := range want {
-		if seen[i] != want[i] {
-			t.Fatalf("executions = %v, want %v", seen, want)
-		}
-	}
-}
-
-func TestFailFastStillCancelsWithOptions(t *testing.T) {
-	var ran atomic.Int64
-	_, err := MapTimedOpts(context.Background(), 1, 100, nil, Options{},
-		func(_ context.Context, i int) (int, error) {
-			ran.Add(1)
-			if i == 2 {
-				return 0, fmt.Errorf("early failure")
-			}
-			return i, nil
-		})
-	if err == nil || err.Error() != "early failure" {
-		t.Fatalf("fail-fast must return the raw error: %v", err)
-	}
-	if got := ran.Load(); got > 4 {
-		t.Errorf("%d jobs ran after the failure should have canceled the pool", got)
-	}
-}
-
 func TestKeepGoingHonorsParentCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int64
@@ -240,5 +152,59 @@ func TestKeepGoingHonorsParentCancel(t *testing.T) {
 	}
 	if got := ran.Load(); got > 10 {
 		t.Errorf("%d jobs ran after parent cancel", got)
+	}
+}
+
+// A failure stops nothing: every job of the pool runs once, and the
+// failures come back joined in index order.
+func TestPoolRunsEveryJobOnce(t *testing.T) {
+	var ran atomic.Int64
+	results, err := MapTimedOpts(context.Background(), 1, 10, nil, Options{},
+		func(_ context.Context, i int) (int, error) {
+			ran.Add(1)
+			if i == 2 || i == 7 {
+				return 0, fmt.Errorf("job %d failed", i)
+			}
+			return i, nil
+		})
+	if got := ran.Load(); got != 10 {
+		t.Errorf("ran %d jobs, want each of the 10 once", got)
+	}
+	if results[9].Value != 9 {
+		t.Errorf("results[9] = %d, want 9", results[9].Value)
+	}
+	if err == nil || err.Error() != "job 2: job 2 failed\njob 7: job 7 failed" {
+		t.Errorf("err = %v, want both failures in index order", err)
+	}
+}
+
+// Do runs a job once, hands back its own error unwrapped, recovers a
+// panic, and counts every job into the probe.
+func TestDoRunsOnceAndCounts(t *testing.T) {
+	rec := obs.NewRecorder()
+	boom := errors.New("boom")
+	var calls atomic.Int64
+	if _, err := Do(context.Background(), 4, 0, rec, func(context.Context, int) (int, error) {
+		calls.Add(1)
+		return 0, boom
+	}); err != boom {
+		t.Errorf("err = %v, want the job's own error", err)
+	}
+	_, err := Do(context.Background(), 5, time.Second, rec, func(context.Context, int) (int, error) {
+		calls.Add(1)
+		panic("five")
+	})
+	var pe *PanicError
+	if !errors.As(err, &pe) || pe.Job != 5 {
+		t.Errorf("err = %v, want a *PanicError for job 5", err)
+	}
+	if calls.Load() != 2 {
+		t.Errorf("%d calls, want one per Do", calls.Load())
+	}
+	if got := rec.Counter("engine.jobs"); got != 2 {
+		t.Errorf("engine.jobs = %v, want 2", got)
+	}
+	if h := rec.Histogram("engine.job_sec"); h.N() != 2 {
+		t.Errorf("engine.job_sec holds %d samples, want 2", h.N())
 	}
 }

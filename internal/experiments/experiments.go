@@ -50,12 +50,8 @@ type Config struct {
 	Probe obs.Probe
 	// JobTimeout bounds each campaign job of a sweep; zero means none. A
 	// job that overruns fails with a timeout error carrying its index;
-	// the rest of the sweep still completes (jobs run keep-going).
+	// the rest of the sweep still completes (a pool runs every job).
 	JobTimeout time.Duration
-	// JobRetries grants each failed job this many additional attempts
-	// (exponential backoff between attempts). Jobs derive all randomness
-	// from their index, so retries re-seed identically.
-	JobRetries int
 	// Dispatch, when non-nil, ships each campaign job to a worker
 	// process (see internal/distengine) instead of running it
 	// in-process: the sweep's serializable job specs — carrying cached
@@ -107,10 +103,6 @@ func WithProbe(p obs.Probe) Option { return func(c *Config) { c.Probe = p } }
 
 // WithJobTimeout bounds each sweep job's wall clock (zero: unbounded).
 func WithJobTimeout(d time.Duration) Option { return func(c *Config) { c.JobTimeout = d } }
-
-// WithJobRetries grants failed jobs bounded retries with backoff;
-// retried jobs re-seed identically from their job index.
-func WithJobRetries(n int) Option { return func(c *Config) { c.JobRetries = n } }
 
 // WithDispatch routes campaign jobs through a distributed dispatcher
 // (nil: run in-process).
@@ -255,16 +247,12 @@ func ByID(id string) (Experiment, error) {
 }
 
 // mapTimed fans n jobs out over the configured worker pool with
-// deterministic result order, wiring the run's probe and hardening knobs
-// into the pool. Jobs run keep-going: a panic, timeout, or error in one
-// job is reported (with its index and, for panics, the stack) without
+// deterministic result order, wiring the run's probe and job timeout
+// into the pool. Every job runs: a panic, timeout, or error in one job
+// is reported (with its index and, for panics, the stack) without
 // losing the other jobs' work; see engine.MapTimedOpts.
 func mapTimed[T any](ctx context.Context, cfg Config, n int, fn func(ctx context.Context, i int) (T, error)) ([]engine.Result[T], error) {
-	results, err := engine.MapTimedOpts(ctx, cfg.workers(), n, cfg.probe(), engine.Options{
-		Timeout:   cfg.JobTimeout,
-		Retries:   cfg.JobRetries,
-		KeepGoing: true,
-	}, fn)
+	results, err := engine.MapTimedOpts(ctx, cfg.workers(), n, cfg.probe(), engine.Options{Timeout: cfg.JobTimeout}, fn)
 	if err != nil {
 		// Drivers merge results positionally and cannot use a sweep with
 		// holes; the aggregate error still names every failed job.

@@ -41,8 +41,8 @@ func TestFaultToleranceDeterminism(t *testing.T) {
 }
 
 func TestHardeningOptions(t *testing.T) {
-	cfg := NewConfig(WithJobTimeout(3*time.Minute), WithJobRetries(2))
-	if cfg.JobTimeout != 3*time.Minute || cfg.JobRetries != 2 {
+	cfg := NewConfig(WithJobTimeout(3 * time.Minute))
+	if cfg.JobTimeout != 3*time.Minute {
 		t.Errorf("NewConfig mis-applied hardening options: %+v", cfg)
 	}
 }

@@ -113,7 +113,7 @@ func TestNewConfigOptions(t *testing.T) {
 	// zero-ness of the comparable knobs plus the funcs' nil-ness.
 	got := NewConfig()
 	if got.Quick || got.Seeds != 0 || got.BaseSeed != 0 || got.Workers != 0 ||
-		got.Probe != nil || got.JobTimeout != 0 || got.JobRetries != 0 || got.Dispatch != nil {
+		got.Probe != nil || got.JobTimeout != 0 || got.Dispatch != nil {
 		t.Errorf("NewConfig() = %+v, want zero Config", got)
 	}
 }

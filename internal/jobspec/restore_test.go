@@ -308,3 +308,58 @@ func TestResumeRejectsInvalidPolicyState(t *testing.T) {
 		}
 	}
 }
+
+// TestResumeRejectsInvalidFleetState resumes a 2-charger fleet
+// checkpoint, taken while charger 0 serves node 49, edited in one field
+// of the fleet state to a value no run reaches. Without the checks each
+// resumes without error: a NaN or negative Busy ends as that BusyFrac, a
+// NaN Rate or an infinite Dur changes what the session delivers and
+// spends, a NaN Start or MeterBefore is metered into the session record,
+// a Phase outside the three leaves the charger in no state at all, and a
+// Reserved node out of range, repeated or beyond one per charger is
+// carried along. Each must fail at the restore boundary with an error
+// naming the field; the unedited checkpoint resumes.
+func TestResumeRejectsInvalidFleetState(t *testing.T) {
+	spec := Default(42, 120)
+	spec.Kind, spec.Chargers = KindFleet, 2
+	snap := checkpointAt(t, spec, 1450)
+	if fs := snap.Campaign().Fleet; fs.Chargers[0].Phase != snapshot.FleetServing || !slices.Equal(fs.Reserved, []wrsn.NodeID{49}) {
+		t.Fatalf("checkpoint has charger 0 in phase %d and Reserved %v, want serving with node 49 reserved", fs.Chargers[0].Phase, fs.Reserved)
+	}
+	nan := math.NaN()
+	cases := []struct {
+		name  string
+		field string
+		edit  func(fs *snapshot.FleetState)
+	}{
+		{"Busy NaN", "Busy", func(fs *snapshot.FleetState) { fs.Busy = nan }},
+		{"Busy negative", "Busy", func(fs *snapshot.FleetState) { fs.Busy = -1e9 }},
+		{"Rate NaN", "Chargers[0].Rate", func(fs *snapshot.FleetState) { fs.Chargers[0].Rate = nan }},
+		{"Dur +Inf", "Chargers[0].Dur", func(fs *snapshot.FleetState) { fs.Chargers[0].Dur = math.Inf(1) }},
+		{"Start NaN", "Chargers[0].Start", func(fs *snapshot.FleetState) { fs.Chargers[0].Start = nan }},
+		{"MeterBefore NaN", "Chargers[0].MeterBefore", func(fs *snapshot.FleetState) { fs.Chargers[0].MeterBefore = nan }},
+		{"Phase 9", "Chargers[0].Phase", func(fs *snapshot.FleetState) { fs.Chargers[0].Phase = 9 }},
+		{"Reserved out of range", "Reserved", func(fs *snapshot.FleetState) { fs.Reserved = append(fs.Reserved, 99999) }},
+		{"Reserved negative", "Reserved", func(fs *snapshot.FleetState) { fs.Reserved = append([]wrsn.NodeID{-3}, fs.Reserved...) }},
+		{"Reserved repeated", "Reserved", func(fs *snapshot.FleetState) { fs.Reserved = append(fs.Reserved, fs.Reserved[0]) }},
+		{"Reserved beyond the fleet", "Reserved", func(fs *snapshot.FleetState) { fs.Reserved = append(fs.Reserved, 50, 51) }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			bad := spec
+			bad.ResumeFrom = reencode(t, snap, func(cs *snapshot.CampaignState) { c.edit(cs.Fleet) })
+			_, err := Run(context.Background(), bad, nil)
+			if err == nil {
+				t.Fatal("resume succeeded")
+			}
+			if !strings.Contains(err.Error(), c.field) {
+				t.Fatalf("error %q does not name %s", err, c.field)
+			}
+		})
+	}
+	ok := spec
+	ok.ResumeFrom = reencode(t, snap, func(*snapshot.CampaignState) {})
+	if _, err := Run(context.Background(), ok, nil); err != nil {
+		t.Errorf("unedited fleet checkpoint: %v", err)
+	}
+}

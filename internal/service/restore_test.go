@@ -164,6 +164,16 @@ func TestNaNPolicyCheckpointFailsJobNotDaemon(t *testing.T) {
 	editedCheckpointFailsJobNotDaemon(t, spec, "Pending[0].Dur", func(cs *snapshot.CampaignState) { cs.Policy.Pending[0].Dur = math.NaN() })
 }
 
+// TestNaNFleetCheckpointFailsJobNotDaemon submits a 2-charger fleet
+// checkpoint whose busy-time sum is "NaN". The job must fail when the
+// fleet state is restored, naming Busy, instead of reporting a NaN
+// BusyFrac, and the daemon must go on to run the next job.
+func TestNaNFleetCheckpointFailsJobNotDaemon(t *testing.T) {
+	spec := jobspec.Default(42, 120)
+	spec.Kind, spec.Chargers = jobspec.KindFleet, 2
+	editedCheckpointFailsJobNotDaemon(t, spec, "Busy", func(cs *snapshot.CampaignState) { cs.Fleet.Busy = math.NaN() })
+}
+
 // editedCheckpointFailsJobNotDaemon stops spec at its 50th barrier,
 // applies edit to the checkpoint's campaign state and submits it as
 // resume_from, then a quick job. The first must fail with kind

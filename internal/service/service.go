@@ -6,14 +6,14 @@
 // Determinism is inherited, not re-implemented: every job's randomness
 // derives from the seeds inside its Spec (see jobspec.Run), so outcomes
 // are byte-identical to the in-process library path regardless of queue
-// order, worker count, retries, or how many clients are hammering the
+// order, worker count, restarts, or how many clients are hammering the
 // daemon. The service reports each outcome's canonical digest
 // (internal/digest) precisely so that identity is checkable end to end.
 //
-// Job hardening reuses engine.Options: each job runs as a one-job pool
-// under engine.MapTimedOpts, which supplies panic capture (a panicking
-// campaign surfaces as a structured job error, never a daemon crash),
-// per-attempt timeouts, and bounded retry-with-backoff.
+// Job hardening reuses the experiment engine: each job runs once through
+// engine.Do, which supplies panic capture (a panicking campaign surfaces
+// as a structured job error, never a daemon crash) and the per-job
+// timeout. A job is a pure function of its spec, so a failure is final.
 package service
 
 import (
@@ -68,7 +68,7 @@ func (s State) Terminal() bool {
 
 // ErrorInfo is a structured job error: a machine-readable kind plus the
 // human-readable message. Kinds: "panic" (recovered job panic, message
-// carries the stack), "timeout" (per-job engine.Options.Timeout),
+// carries the stack), "timeout" (Options.JobTimeout),
 // "canceled" (client cancel or forced drain), "campaign" (the run
 // itself failed), "encode" (outcome canonicalization failed).
 type ErrorInfo struct {
@@ -121,7 +121,7 @@ type JobStatus struct {
 type Runner func(ctx context.Context, spec jobspec.Spec, opts jobspec.RunOptions) (*jobspec.Result, error)
 
 // Options configures a Service. The zero value serves: 64-deep queue,
-// GOMAXPROCS workers, no per-job timeout or retries.
+// GOMAXPROCS workers, no per-job timeout.
 type Options struct {
 	// QueueDepth bounds the intake queue; a full queue rejects with
 	// ErrQueueFull (HTTP 429 + Retry-After). Non-positive gets 64.
@@ -129,15 +129,14 @@ type Options struct {
 	// Workers is the number of concurrent jobs; non-positive gets
 	// GOMAXPROCS.
 	Workers int
-	// Job hardens each job exactly like a sweep job: per-attempt
-	// Timeout, bounded Retries with Backoff, panic capture (always on).
-	// KeepGoing is meaningless for a one-job pool and ignored.
-	Job engine.Options
+	// JobTimeout bounds each job's wall clock, as engine.Do bounds a
+	// sweep job; non-positive means none.
+	JobTimeout time.Duration
 	// RetryAfter is the backpressure hint returned with ErrQueueFull;
 	// non-positive gets 1s.
 	RetryAfter time.Duration
 	// Probe receives service-level telemetry (queue depth, job counts,
-	// per-job latency via the engine's pool metrics); nil gets the no-op
+	// per-job latency via engine.Do's job metrics); nil gets the no-op
 	// probe. Per-job campaign telemetry goes to each job's own recorder.
 	Probe obs.Probe
 	// Runner overrides the job executor (tests); nil gets jobspec.Run.
@@ -188,7 +187,6 @@ func (o *Options) applyDefaults() {
 	if o.DrainGrace <= 0 {
 		o.DrainGrace = 5 * time.Second
 	}
-	o.Job.KeepGoing = false
 }
 
 // checkpointing reports whether live job checkpointing is armed.
@@ -557,14 +555,13 @@ func (s *Service) lookup(id string) (*job, error) {
 func (s *Service) worker() {
 	defer s.workers.Done()
 	for j := range s.queue {
-		s.runJob(j)
+		s.execute(j)
 	}
 }
 
-// runJob executes one job through the hardened engine path: a one-job
-// pool supplies panic capture, per-attempt timeout, and bounded retry
-// from the same engine.Options the experiment sweeps use.
-func (s *Service) runJob(j *job) {
+// execute runs one job once through engine.Do, the attempt function
+// the experiment sweeps use: panic capture and the per-job timeout.
+func (s *Service) execute(j *job) {
 	s.mu.Lock()
 	if j.state.Terminal() { // canceled while queued
 		s.mu.Unlock()
@@ -589,19 +586,16 @@ func (s *Service) runJob(j *job) {
 			Stop:  s.stopJobs.Load,
 		}
 	}
-	// ErrStopped is a drain parking, not a failure: intercept it inside
-	// the attempt so the engine's retry machinery never re-runs a job
-	// that just checkpointed (a retry would start over and overwrite the
-	// checkpoint with a barrier-1 capture).
-	var stopped atomic.Bool
-	results, err := engine.MapTimedOpts(ctx, 1, 1, s.opts.Probe, s.opts.Job, func(ctx context.Context, _ int) (*jobspec.Result, error) {
-		res, rerr := s.opts.Runner(ctx, j.spec, ropts)
-		if errors.Is(rerr, campaign.ErrStopped) {
-			stopped.Store(true)
-			return nil, nil
-		}
-		return res, rerr
-	})
+	// A job canceled before it starts never runs.
+	var res engine.Result[*jobspec.Result]
+	err := ctx.Err()
+	if err == nil {
+		res, err = engine.Do(ctx, 0, s.opts.JobTimeout, s.opts.Probe, func(ctx context.Context, _ int) (*jobspec.Result, error) {
+			return s.opts.Runner(ctx, j.spec, ropts)
+		})
+	}
+	// ErrStopped is a drain parking, not a failure.
+	stopped := errors.Is(err, campaign.ErrStopped)
 
 	// One canonical pass, outside the lock: the served body and the
 	// digest are the same bytes.
@@ -610,15 +604,15 @@ func (s *Service) runJob(j *job) {
 		dig  string
 		derr error
 	)
-	if err == nil && !stopped.Load() {
-		if body, derr = results[0].Value.CanonicalJSON(); derr == nil {
+	if err == nil {
+		if body, derr = res.Value.CanonicalJSON(); derr == nil {
 			dig = digest.Hash(body)
 		}
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if stopped.Load() {
+	if stopped {
 		s.finishLocked(j, StateCheckpointed, &ErrorInfo{
 			Kind:    "checkpointed",
 			Message: "parked at a live checkpoint during drain; a daemon restarted with the same persist dir resumes it",
@@ -635,7 +629,7 @@ func (s *Service) runJob(j *job) {
 	}
 	j.outcome = body
 	j.digest = dig
-	j.summary = summarize(results[0].Value)
+	j.summary = summarize(res.Value)
 	s.finishLocked(j, StateDone, nil)
 }
 

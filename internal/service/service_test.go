@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/reprolab/wrsn-csa/internal/experiments/engine"
 	"github.com/reprolab/wrsn-csa/internal/jobspec"
 	"github.com/reprolab/wrsn-csa/internal/obs"
 )
@@ -253,8 +252,8 @@ func TestJobTimeoutViaEngineOptions(t *testing.T) {
 	defer close(gate)
 	s := New(Options{
 		QueueDepth: 2, Workers: 1,
-		Job:    engine.Options{Timeout: 30 * time.Millisecond},
-		Runner: gateRunner(nil, gate),
+		JobTimeout: 30 * time.Millisecond,
+		Runner:     gateRunner(nil, gate),
 	})
 	defer shutdownOrFail(t, s, 10*time.Second)
 
@@ -363,4 +362,26 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatal("condition never became true")
+}
+
+// A failed job's message is the runner's own error text: the daemon runs
+// a job once, not as one entry of an aggregate.
+func TestCampaignErrorMessageIsTheRunners(t *testing.T) {
+	s := New(Options{QueueDepth: 2, Workers: 1, Runner: func(context.Context, jobspec.Spec, jobspec.RunOptions) (*jobspec.Result, error) {
+		return nil, errors.New("campaign: resume: ledger has WaitSum NaN")
+	}})
+	defer shutdownOrFail(t, s, 10*time.Second)
+	st, err := s.Submit(quickSpec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	got, err := s.WaitDone(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.State != StateFailed || got.Error == nil || *got.Error != (ErrorInfo{Kind: "campaign", Message: "campaign: resume: ledger has WaitSum NaN"}) {
+		t.Fatalf("failed job = %s / %+v, want failed/campaign with the runner's message", got.State, got.Error)
+	}
 }
